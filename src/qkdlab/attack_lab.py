@@ -31,16 +31,18 @@ from .quantum_core import (
     DensityOperator,
     Povm,
     bb84_encode,
-    product_qubit_povm,
+    cq_trace_distance,
     qubit_basis,
 )
 from .security_metrics import (
-    QUBIT_BASIS_ANGLES,
     IaccSearchResult,
+    SecurityReport,
     Strategy,
+    _evaluate,
     accessible_info_lower,
-    secrecy_eps_lower,
-    secrecy_eps_upper,
+    canonical_ideal,
+    distinguishing_advantage,
+    prefix_basis_povm,
 )
 
 __all__ = [
@@ -61,6 +63,7 @@ __all__ = [
     "parity_guess_curve",
     "parity_guess_curve_csv",
     "secrecy_gap_report",
+    "secrecy_reports",
 ]
 
 # Branch dimension is 2^n and there are 2^(n+1) branches, so the cap
@@ -80,6 +83,10 @@ def _bits_from(value, width: int) -> tuple[int, ...]:
 
 def _parity(bits: Sequence[int]) -> int:
     return sum(bits) & 1
+
+
+# _BB84_AMPS[s, r] holds the amplitudes of data bit r encoded in basis s
+_BB84_AMPS = np.array([[bb84_encode(r, s).amplitudes for r in (0, 1)] for s in (0, 1)])
 
 
 def _pads_with_parity(n: int, parity: int):
@@ -111,19 +118,20 @@ def build_attack_state(n: int, max_qubits: int = MAX_ATTACK_QUBITS) -> AttackSta
     """
     if not 2 <= n <= max_qubits:
         raise ValueError(f"n must lie in [2, {max_qubits}]")
-    dim = 2**n
     p_branch = 2.0 ** -(n + 1)
     weight = 2.0 ** -(n - 1)
-    branches: dict[str, tuple[float, DensityOperator]] = {}
-    for s in itertools.product((0, 1), repeat=n + 1):
-        rows = np.empty((2 ** (n - 1), dim), dtype=np.complex128)
-        for k, r in enumerate(_pads_with_parity(n, s[-1])):
-            amps = np.array([1.0 + 0.0j])
-            for r_i, s_i in zip(r, s[:n]):
-                amps = np.kron(amps, bb84_encode(r_i, s_i).amplitudes)
-            rows[k] = amps
-        rho = DensityOperator(weight * (rows.T @ rows.conj()))
-        branches["".join(map(str, s))] = (p_branch, rho)
+    keys = np.array(list(itertools.product((0, 1), repeat=n + 1)))
+    pads = np.array([list(_pads_with_parity(n, parity)) for parity in (0, 1)])[keys[:, -1]]
+    # rows[s, k] is the product state of pad k in the bases of key s,
+    # built qubit by qubit as a Kronecker product
+    rows = np.ones((len(keys), pads.shape[1], 1), dtype=np.complex128)
+    for i in range(n):
+        factor = _BB84_AMPS[keys[:, i, None], pads[:, :, i]]
+        rows = (rows[:, :, :, None] * factor[:, :, None, :]).reshape(len(keys), pads.shape[1], -1)
+    branches = {
+        "".join(map(str, s)): (p_branch, DensityOperator(weight * (r.T @ r.conj())))
+        for s, r in zip(keys.tolist(), rows)
+    }
     return AttackState(n=n, cq=CqState(key_len=n + 1, branches=branches))
 
 
@@ -235,12 +243,6 @@ def run_otp_attack(
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _prefix_basis_povm(prefix: tuple[int, ...]) -> Povm:
-    angles = [QUBIT_BASIS_ANGLES["diag"] if b else 0.0 for b in prefix]
-    return product_qubit_povm(angles)
-
-
 def parity_strategy(n: int) -> Strategy:
     """The parity-consistency distinguisher for the attack state.
 
@@ -251,7 +253,7 @@ def parity_strategy(n: int) -> Strategy:
     """
 
     def measurement(label: str) -> Povm:
-        return _prefix_basis_povm(tuple(int(b) for b in label[:n]))
+        return prefix_basis_povm(label[:n])
 
     def decide(label: str, outcome: str) -> int:
         return int(_parity([int(b) for b in outcome]) == int(label[n]))
@@ -264,10 +266,9 @@ class GuessOracle(NamedTuple):
     angle: float
 
 
-# the four encodings, hoisted so the angle sweep stays cheap
-_BB84_TABLE = tuple(
-    (r, s, bb84_encode(r, s).amplitudes) for s in (0, 1) for r in (0, 1)
-)
+# the four encodings as (data bit, amplitudes), hoisted so the angle
+# sweep stays cheap
+_BB84_TABLE = tuple((r, _BB84_AMPS[s, r]) for s in (0, 1) for r in (0, 1))
 
 
 def basis_guess_probability(theta: float) -> float:
@@ -279,7 +280,7 @@ def basis_guess_probability(theta: float) -> float:
     """
     v = qubit_basis(theta)
     total = 0.0
-    for r, _, amps in _BB84_TABLE:
+    for r, amps in _BB84_TABLE:
         total += abs(np.vdot(v[r], amps)) ** 2
     return float(total) / 4.0
 
@@ -403,17 +404,48 @@ def secrecy_gap_report(
     fully insecure.
     """
     state = build_attack_state(n)
-    iacc: IaccSearchResult = accessible_info_lower(
-        state.cq, search_budget=search_budget, rng_seed=seed, families=families
+    ideal = canonical_ideal(state.cq).to_cq(state.cq.key_len)
+    iacc = accessible_info_lower(state.cq, search_budget=search_budget, rng_seed=seed, families=families)
+    return _gap_report(state, ideal, cq_trace_distance(state.cq, ideal), iacc)
+
+
+def secrecy_reports(
+    n: int,
+    search_budget: int = 32,
+    seed: int = 0,
+    families: Sequence[str] = ("per_qubit", "random", "hill_climb"),
+    correctness=None,
+) -> tuple[SecurityReport, SecrecyGapReport]:
+    """:func:`~qkdlab.security_metrics.evaluate_cq_security` of the attack
+    state together with its :func:`secrecy_gap_report`.
+
+    The attack state, its canonical ideal, the accessible-information
+    search and the upper secrecy bound are computed once and shared by
+    both reports; ``correctness`` is passed to the security report.
+    """
+    state = build_attack_state(n)
+    report, ideal, iacc = _evaluate(
+        state.cq,
+        strategies=None,
+        num_random_strategies=8,
+        search_budget=search_budget,
+        seed=seed,
+        iacc_families=families,
+        correctness=correctness,
     )
+    return report, _gap_report(state, ideal, report.eps_secret_upper, iacc)
+
+
+def _gap_report(state: AttackState, ideal: CqState, upper: float, iacc: IaccSearchResult) -> SecrecyGapReport:
+    advantage = distinguishing_advantage(state.cq, ideal, parity_strategy(state.n))
     return SecrecyGapReport(
-        n=n,
-        eps_secret_lower=secrecy_eps_lower(state.cq, [parity_strategy(n)]),
-        eps_secret_upper=secrecy_eps_upper(state.cq),
+        n=state.n,
+        eps_secret_lower=min(1.0, max(0.0, advantage)),
+        eps_secret_upper=upper,
         iacc_lower_bits=iacc.bits,
         iacc_family=iacc.family,
         iacc_best_strategy=iacc.best_strategy,
-        ben_or_required_iacc=2.0 ** -(n + 3),
-        search_budget=search_budget,
-        seed=seed,
+        ben_or_required_iacc=2.0 ** -(state.n + 3),
+        search_budget=iacc.budget,
+        seed=iacc.seed,
     )

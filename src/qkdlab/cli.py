@@ -9,8 +9,8 @@ seed, tool version and effective parameters.  Timestamps are opt-in via
 
 Exit codes: 0 on success, 1 when the run surfaces a finding or a broken
 invariant (a violated composition bound, an infeasible key-stream plan,
-a key-ledger underflow, a failed attack expectation), 2 for usage or
-configuration errors.
+a key-ledger underflow or other stream failure, a failed attack
+expectation), 2 for usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .attack_lab import (
     parity_guess_curve,
     parity_guess_curve_csv,
     run_otp_attack,
-    secrecy_gap_report,
+    secrecy_reports,
     single_qubit_guess_oracle,
 )
 from .composition_harness import (
@@ -50,9 +50,9 @@ from .keystream import (
     GAMMA_DEFAULT,
     NU_DEFAULT,
     RATE_RHO_DEFAULT,
-    KeyLedgerUnderflow,
     MockKeySource,
     PlanningError,
+    StreamError,
     StreamParams,
     plan,
     schedule,
@@ -60,7 +60,7 @@ from .keystream import (
     simulate_stream,
     total_eps,
 )
-from .security_metrics import ben_or_sufficient_eps, evaluate_cq_security
+from .security_metrics import ben_or_sufficient_eps
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -73,6 +73,16 @@ def _bitstring(value: str) -> str:
     if not value or set(value) - {"0", "1"}:
         raise argparse.ArgumentTypeError(f"{value!r} is not a nonempty bitstring")
     return value
+
+
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a positive integer")
+    return number
 
 
 def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -197,19 +207,13 @@ def cmd_secrecy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error(f"unknown families: {sorted(unknown)}")
     correctness = _load_correctness(args.correctness_file) if args.correctness_file else None
 
-    state = build_attack_state(args.n)
-    report = evaluate_cq_security(
-        state.cq,
-        search_budget=args.budget,
-        seed=seed,
-        iacc_families=families,
-        correctness=correctness,
+    report, gap = secrecy_reports(
+        args.n, search_budget=args.budget, seed=seed, families=families, correctness=correctness
     )
-    gap = secrecy_gap_report(args.n, search_budget=args.budget, seed=seed, families=families)
     result = {
         "security_report": report.to_json_dict(),
         "gap_report": gap.to_json_dict(),
-        "ben_or_sufficient_eps": ben_or_sufficient_eps(report.iacc_lower_bits, state.cq.key_len),
+        "ben_or_sufficient_eps": ben_or_sufficient_eps(report.iacc_lower_bits, report.key_len),
     }
     params = {
         "n": args.n,
@@ -414,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("attack-demo", help="run the encode-the-pad attack end to end")
     p.add_argument("--n", type=int, default=4, help="pad length (key has n+1 bits)")
     p.add_argument("--message", type=_bitstring, default=None, help="n+1 bit message (default: random)")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--wrong-basis", action="store_true", help="control run with complementary bases")
     p.add_argument("--curve-csv", default=None, help="also write the parity guess curve as CSV")
     _add_common(p)
@@ -471,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("rsa-demo", help="textbook RSA sealed-bid malleability")
     p.add_argument("--bid", type=int, default=100)
-    p.add_argument("--auctions", type=int, default=1)
+    p.add_argument("--auctions", type=_positive_int, default=1)
     p.add_argument("--max-bid", type=int, default=1000)
     p.add_argument("--modulus-bits", type=int, default=32)
     _add_common(p)
@@ -492,8 +496,8 @@ def main(argv=None) -> int:
             detail["best_budget"] = exc.best_budget.to_json_dict()
         sys.stderr.write(json.dumps(detail, sort_keys=True, indent=2) + "\n")
         return EXIT_FINDING
-    except KeyLedgerUnderflow as exc:
-        sys.stderr.write(json.dumps({"error": "key_ledger_underflow", "detail": str(exc)}, sort_keys=True) + "\n")
+    except StreamError as exc:
+        sys.stderr.write(json.dumps({"error": exc.error, "detail": str(exc)}, sort_keys=True) + "\n")
         return EXIT_FINDING
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .attack_lab import sample_pad
 
@@ -183,7 +183,7 @@ def _two_sample_half_width(p_a: float, p_b: float, trials: int, confidence: floa
     pooled = 0.5 * (p_a + p_b)
     var = pooled * (1.0 - pooled) * (2.0 / trials)
     if var > 0.0:
-        z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+        z = float(ndtri(0.5 + confidence / 2.0))
         return z * math.sqrt(var)
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / trials)
 

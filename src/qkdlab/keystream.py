@@ -36,7 +36,10 @@ __all__ = [
     "RoundRecord",
     "StreamBudget",
     "PlanningError",
+    "StreamError",
     "KeyLedgerUnderflow",
+    "RetryLimitExceeded",
+    "LedgerBroken",
     "MockKeySource",
     "RoundLedger",
     "StreamLog",
@@ -370,8 +373,28 @@ def plan(
     return final[0]
 
 
-class KeyLedgerUnderflow(RuntimeError):
+class StreamError(RuntimeError):
+    """The stream simulation cannot go on; ``error`` names the reason in reports."""
+
+    error = "stream_error"
+
+
+class KeyLedgerUnderflow(StreamError):
     """Stored key ran out: an accounting bug or an unaffordable retry policy."""
+
+    error = "key_ledger_underflow"
+
+
+class RetryLimitExceeded(StreamError):
+    """A round aborted on every one of its allowed attempts."""
+
+    error = "retry_limit_exceeded"
+
+
+class LedgerBroken(StreamError):
+    """The bit-conservation identity failed after a round."""
+
+    error = "ledger_broken"
 
 
 @dataclass
@@ -432,11 +455,14 @@ def simulate_stream(
     ``ell_{i-1}`` per attempt (strictly more conservative, and liable
     to exhaust the store since production never outpaces an unlucky
     retry run).  Running out of stored bits raises
-    :class:`KeyLedgerUnderflow`; after every round the identity
+    :class:`KeyLedgerUnderflow` and a round that aborts
+    ``max_attempts_per_round`` times raises :class:`RetryLimitExceeded`;
+    after every round the identity
 
         emitted + stored + consumed == produced + ell0
 
-    is asserted over exact integers.
+    is checked over exact integers and raises :class:`LedgerBroken`
+    when it fails.
     """
     records = schedule(p, rounds)
     generate = key_source.generate if isinstance(key_source, MockKeySource) else key_source
@@ -458,7 +484,7 @@ def simulate_stream(
         while True:
             attempts += 1
             if attempts > max_attempts_per_round:
-                raise RuntimeError(f"round {rec.i}: exceeded {max_attempts_per_round} attempts")
+                raise RetryLimitExceeded(f"round {rec.i}: exceeded {max_attempts_per_round} attempts")
             if charge_per_attempt:
                 if stored < need:
                     raise KeyLedgerUnderflow(
@@ -474,11 +500,12 @@ def simulate_stream(
             raise ValueError(f"key source returned {bits.shape}, expected {(int(rec.ell_i) + p.ell,)}")
         stored += int(rec.ell_i)
         produced += int(rec.ell_i) + p.ell
-        emitted_chunks.append(bits[-p.ell:])
+        # a copy, not a view: a view would keep the whole draw alive
+        emitted_chunks.append(bits[-p.ell:].copy())
         total_retries += attempts - 1
         emitted_now = len(emitted_chunks) * p.ell
         if emitted_now + stored + consumed != produced + p.ell0:
-            raise AssertionError(f"ledger broken at round {rec.i}")
+            raise LedgerBroken(f"ledger broken at round {rec.i}")
         ledger.append(
             RoundLedger(
                 i=rec.i,

@@ -19,9 +19,9 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "trace_distance",
     "cq_trace_distance",
     "measure",
+    "born_table",
     "cq_measure",
     "mutual_information",
     "total_variation",
@@ -121,6 +122,13 @@ class DensityOperator:
         if m.shape[0] != int(data["dim"]):
             raise ValueError("'dim' does not match the matrix shape")
         return cls(m)
+
+    @classmethod
+    def _view(cls, matrix: np.ndarray) -> "DensityOperator":
+        # wraps an already validated read-only matrix without copying it
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", matrix)
+        return rho
 
     @classmethod
     def fully_mixed(cls, dim: int) -> "DensityOperator":
@@ -230,44 +238,58 @@ class CqState:
     strings of that length plus the optional abort label :data:`PERP`.
     Branch probabilities must sum to 1 within 1e-9 and all branch
     operators must share one dimension.  Absent labels mean probability
-    zero.  Branches are stored sorted (bit strings first, PERP last) in
-    a read-only mapping.
+    zero.  Branches are stored sorted (bit strings first, PERP last) as
+    a read-only ``(B, d, d)`` stack ``matrices`` with the probability
+    vector ``probs`` and the label tuple ``labels``; the read-only
+    mapping ``branches`` hands out views of that stack.
     """
 
     key_len: int
     branches: Mapping[str, tuple[float, DensityOperator]]
+    labels: tuple[str, ...] = field(init=False)
+    probs: np.ndarray = field(init=False, repr=False)
+    matrices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.key_len, int) or self.key_len < 0:
             raise ValueError("key_len must be a nonnegative integer")
         if not self.branches:
             raise ValueError("a cq-state needs at least one branch")
-        clean: dict[str, tuple[float, DensityOperator]] = {}
+        labels = sorted(self.branches, key=_label_sort_key)
+        probs = np.empty(len(labels))
         dim = None
-        total = 0.0
-        for label in sorted(self.branches, key=_label_sort_key):
+        for b, label in enumerate(labels):
             p, rho = self.branches[label]
             if not _valid_label(label, self.key_len):
                 raise ValueError(f"label {label!r} is not a {self.key_len}-bit string or {PERP}")
             p = float(p)
             if p < -PROB_SUM_TOL or p > 1.0 + PROB_SUM_TOL:
                 raise ValueError(f"branch probability {p!r} outside [0, 1]")
-            p = min(1.0, max(0.0, p))
+            probs[b] = min(1.0, max(0.0, p))
             if not isinstance(rho, DensityOperator):
                 raise ValueError("branch operators must be DensityOperator instances")
             if dim is None:
                 dim = rho.dim
             elif rho.dim != dim:
                 raise ValueError("all branch operators must share one dimension")
-            total += p
-            clean[label] = (p, rho)
+        total = sum(probs.tolist())
         if abs(total - 1.0) > TRACE_TOL:
             raise ValueError(f"branch probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "branches", MappingProxyType(clean))
+        matrices = np.stack([self.branches[label][1].matrix for label in labels])
+        matrices.setflags(write=False)
+        probs.setflags(write=False)
+        views = {
+            label: (float(p), DensityOperator._view(m))
+            for label, p, m in zip(labels, probs, matrices)
+        }
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "branches", MappingProxyType(views))
 
     @property
     def dim(self) -> int:
-        return next(iter(self.branches.values()))[1].dim
+        return self.matrices.shape[1]
 
     @property
     def p_perp(self) -> float:
@@ -303,32 +325,38 @@ class CqState:
         return cls(key_len=int(data["key_len"]), branches=branches)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Povm:
-    """POVM as an ordered tuple of ``(outcome_label, effect)`` pairs.
+    """POVM: an ordered tuple of outcome labels with one effect each.
 
-    Each effect must be Hermitian and PSD (to the operator tolerances)
-    and the effects must sum to the identity elementwise within 1e-9.
-    ``_trusted`` skips the per-effect eigenvalue check; it is set only
-    by constructors that guarantee positivity, e.g. rank-1 projectors
-    onto rows of a verified-orthonormal basis.
+    Built from ``(outcome_label, effect)`` pairs, each effect must be
+    Hermitian and PSD (to the operator tolerances) and the effects must
+    sum to the identity elementwise within 1e-9.  ``_trusted`` skips the
+    per-effect eigenvalue check; it is set only by constructors that
+    guarantee positivity.
+
+    A projective POVM made by :meth:`from_basis` keeps its orthonormal
+    basis matrix ``basis`` (row k spans effect k) and forms its effect
+    stack only when :meth:`stacked` or :attr:`effects` is first asked
+    for; ``basis`` is None for a general POVM.
     """
 
-    effects: tuple[tuple[str, np.ndarray], ...]
-    _trusted: InitVar[bool] = False
+    labels: tuple[str, ...]
+    basis: np.ndarray | None
+    _stack: np.ndarray | None
 
-    def __post_init__(self, _trusted: bool):
-        if not self.effects:
+    def __init__(self, effects: Sequence[tuple[str, np.ndarray]], _trusted: bool = False):
+        if not effects:
             raise ValueError("a POVM needs at least one effect")
-        clean = []
-        labels = set()
+        labels = []
+        mats = []
         dim = None
         total = None
-        for label, e in self.effects:
+        for label, e in effects:
             label = str(label)
             if label in labels:
                 raise ValueError(f"duplicate outcome label {label!r}")
-            labels.add(label)
+            labels.append(label)
             e = _as_square_complex(e)
             if dim is None:
                 dim = e.shape[0]
@@ -342,23 +370,32 @@ class Povm:
                 if emin < -EIG_TOL:
                     raise ValueError(f"effect {label!r} is not PSD (min eigenvalue {emin:.3e})")
             total += e
-            e.setflags(write=False)
-            clean.append((label, e))
+            mats.append(e)
         dev = float(np.abs(total - np.eye(dim)).max())
         if dev > POVM_SUM_TOL:
             raise ValueError(f"effects do not sum to identity (deviation {dev:.3e})")
-        object.__setattr__(self, "effects", tuple(clean))
+        stack = np.stack(mats)
+        stack.setflags(write=False)
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "basis", None)
+        object.__setattr__(self, "_stack", stack)
 
     @property
     def dim(self) -> int:
-        return self.effects[0][1].shape[0]
+        return (self.basis if self.basis is not None else self._stack).shape[-1]
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.effects)
+    def effects(self) -> tuple[tuple[str, np.ndarray], ...]:
+        return tuple(zip(self.labels, self.stacked()))
 
     def stacked(self) -> np.ndarray:
-        return np.stack([e for _, e in self.effects])
+        """The read-only ``(K, d, d)`` effect stack, formed once."""
+        if self._stack is None:
+            v = self.basis
+            stack = v[:, :, None] * v.conj()[:, None, :]  # |v_k><v_k|
+            stack.setflags(write=False)
+            object.__setattr__(self, "_stack", stack)
+        return self._stack
 
     @classmethod
     def from_basis(cls, basis: np.ndarray, labels: Sequence[str] | None = None) -> "Povm":
@@ -372,10 +409,12 @@ class Povm:
             labels = _default_outcome_labels(dim)
         if len(labels) != dim:
             raise ValueError("need exactly one label per basis vector")
-        effects = tuple(
-            (str(label), np.outer(v[i], v[i].conj())) for i, label in enumerate(labels)
-        )
-        return cls(effects, _trusted=True)
+        v.setflags(write=False)
+        povm = object.__new__(cls)
+        object.__setattr__(povm, "labels", tuple(str(label) for label in labels))
+        object.__setattr__(povm, "basis", v)
+        object.__setattr__(povm, "_stack", None)
+        return povm
 
 
 def _default_outcome_labels(dim: int) -> list[str]:
@@ -417,7 +456,8 @@ def product_qubit_povm(thetas: Sequence[float], phis: Sequence[float] | None = N
         raise ValueError("need one phase per angle")
     v = np.array([[1.0 + 0.0j]])
     for theta, phi in zip(thetas, phis):
-        v = np.kron(v, qubit_basis(theta, phi))
+        # Kronecker product v (x) u, without np.kron's per-call overhead
+        v = (v[:, None, :, None] * qubit_basis(theta, phi)[None, :, None, :]).reshape(2 * len(v), -1)
     n = len(thetas)
     labels = [format(i, f"0{n}b") if n else "" for i in range(2**n)]
     return Povm.from_basis(v, labels=labels)
@@ -442,7 +482,8 @@ def cq_trace_distance(a: CqState, b: CqState) -> float:
     ``0.5 * || p_s rho_a^s - q_s rho_b^s ||_1``, which equals the trace
     distance of the dense classical-quantum embeddings.  Labels present
     on one side only contribute with the missing side treated as
-    probability zero.
+    probability zero.  Blocks are summed in label order, so the result
+    does not depend on string hashing.
     """
     if a.key_len != b.key_len:
         raise ValueError("cq-states have different key lengths")
@@ -451,7 +492,7 @@ def cq_trace_distance(a: CqState, b: CqState) -> float:
     dim = a.dim
     zero = np.zeros((dim, dim), dtype=np.complex128)
     total = 0.0
-    for label in set(a.branches) | set(b.branches):
+    for label in sorted(set(a.branches) | set(b.branches), key=_label_sort_key):
         ea = a.branches.get(label)
         eb = b.branches.get(label)
         ma = ea[0] * ea[1].matrix if ea is not None else zero
@@ -466,13 +507,35 @@ def measure(rho: DensityOperator, povm: Povm) -> dict[str, float]:
 
     The returned probabilities are clipped at zero against rounding
     noise and sum to 1 within the POVM completeness tolerance; they are
-    not renormalised.
+    not renormalised.  This is the one-branch reference form of
+    :func:`born_table`.
     """
     if rho.dim != povm.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, POVM {povm.dim}")
     probs = np.einsum("kij,ji->k", povm.stacked(), rho.matrix).real
     probs = np.maximum(probs, 0.0)
     return {label: float(p) for label, p in zip(povm.labels, probs)}
+
+
+def born_table(matrices: np.ndarray, povm: Povm) -> np.ndarray:
+    """Born rule for a ``(B, d, d)`` stack of states: the ``(B, K)`` table ``tr(E_k rho_b)``.
+
+    A projective POVM with basis rows ``v_k`` evaluates ``<v_k| rho_b
+    |v_k>``, the diagonal of ``conj(V) rho_b V^T``, from one matrix
+    product over the whole stack; a general POVM contracts its effect
+    stack against every state in one ``einsum``.  Entries are clipped at
+    zero against rounding noise and not renormalised.
+    """
+    if matrices.shape[-1] != povm.dim:
+        raise ValueError(f"dimension mismatch: state {matrices.shape[-1]}, POVM {povm.dim}")
+    v = povm.basis
+    if v is not None:
+        # rho_b V^T for every b as one product over the stacked rows
+        right = (matrices.reshape(-1, matrices.shape[-1]) @ v.T).reshape(matrices.shape)
+        probs = np.einsum("ki,bik->bk", v.conj(), right).real
+    else:
+        probs = np.einsum("kij,bji->bk", povm.stacked(), matrices).real
+    return np.maximum(probs, 0.0)
 
 
 def cq_measure(cq: CqState, povm: Povm) -> "JointDistribution":
@@ -485,59 +548,85 @@ def cq_measure(cq: CqState, povm: Povm) -> "JointDistribution":
     """
     if cq.dim != povm.dim:
         raise ValueError(f"dimension mismatch: state {cq.dim}, POVM {povm.dim}")
-    effects = povm.stacked()
-    labels = povm.labels
-    table: dict[tuple[str, str], float] = {}
-    for s, (p, rho) in cq.branches.items():
-        probs = np.maximum(np.einsum("kij,ji->k", effects, rho.matrix).real, 0.0)
-        for z, pr in zip(labels, probs):
-            table[(s, z)] = p * float(pr)
-    total = sum(table.values())
+    table = cq.probs[:, None] * born_table(cq.matrices, povm)
+    total = float(_ordered_sum(table.ravel(), 0))
     if not (0.5 < total < 2.0):
         raise ValueError(f"measurement table sums to {total!r}; POVM or state invalid")
-    return JointDistribution({k: v / total for k, v in table.items()})
+    return JointDistribution.from_array(cq.labels, povm.labels, table / total)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class JointDistribution:
     """Finite joint distribution over pairs of classical labels.
 
-    Probabilities must be nonnegative and sum to 1 within 1e-12 (a
-    stricter tolerance than the operator-level checks, since these are
-    exact classical objects).
+    Held as a read-only ``(X, Z)`` array ``probs`` over the row labels
+    ``x_labels`` and column labels ``z_labels``; pairs never given have
+    probability zero.  Probabilities must be nonnegative and sum to 1
+    within 1e-12 (a stricter tolerance than the operator-level checks,
+    since these are exact classical objects).
     """
 
-    table: Mapping[tuple[str, str], float]
+    x_labels: tuple[str, ...]
+    z_labels: tuple[str, ...]
+    probs: np.ndarray
 
-    def __post_init__(self):
-        clean: dict[tuple[str, str], float] = {}
-        total = 0.0
-        for key, p in self.table.items():
-            x, z = key
-            p = float(p)
-            if p < -PROB_SUM_TOL:
-                raise ValueError(f"negative probability {p!r} for {key!r}")
-            p = max(0.0, p)
-            clean[(str(x), str(z))] = p
-            total += p
+    def __init__(self, table: Mapping[tuple[str, str], float]):
+        x_index: dict[str, int] = {}
+        z_index: dict[str, int] = {}
+        cells = [
+            (x_index.setdefault(str(x), len(x_index)), z_index.setdefault(str(z), len(z_index)), p)
+            for (x, z), p in table.items()
+        ]
+        probs = np.zeros((len(x_index), len(z_index)))
+        for i, k, p in cells:
+            probs[i, k] = p
+        self._set(tuple(x_index), tuple(z_index), probs)
+
+    @classmethod
+    def from_array(
+        cls, x_labels: Sequence[str], z_labels: Sequence[str], probs: np.ndarray
+    ) -> "JointDistribution":
+        """Distribution with ``probs[i, k] = P(x_labels[i], z_labels[k])``."""
+        joint = object.__new__(cls)
+        joint._set(tuple(map(str, x_labels)), tuple(map(str, z_labels)), np.array(probs, dtype=float))
+        return joint
+
+    def _set(self, x_labels: tuple[str, ...], z_labels: tuple[str, ...], probs: np.ndarray) -> None:
+        if probs.shape != (len(x_labels), len(z_labels)):
+            raise ValueError(f"table shape {probs.shape} does not match the labels")
+        if len(set(x_labels)) != len(x_labels) or len(set(z_labels)) != len(z_labels):
+            raise ValueError("duplicate labels")
+        if probs.size and probs.min() < -PROB_SUM_TOL:
+            i, k = np.unravel_index(int(np.argmin(probs)), probs.shape)
+            key = (x_labels[i], z_labels[k])
+            raise ValueError(f"negative probability {float(probs[i, k])!r} for {key!r}")
+        probs = np.maximum(probs, 0.0)
+        total = float(probs.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1 within {PROB_SUM_TOL}")
-        object.__setattr__(self, "table", MappingProxyType(clean))
+        probs.setflags(write=False)
+        object.__setattr__(self, "x_labels", x_labels)
+        object.__setattr__(self, "z_labels", z_labels)
+        object.__setattr__(self, "probs", probs)
+
+    @property
+    def table(self) -> Mapping[tuple[str, str], float]:
+        rows = self.probs.tolist()
+        return MappingProxyType(
+            {(x, z): p for x, row in zip(self.x_labels, rows) for z, p in zip(self.z_labels, row)}
+        )
 
     def prob(self, x: str, z: str) -> float:
-        return self.table.get((x, z), 0.0)
+        try:
+            return float(self.probs[self.x_labels.index(x), self.z_labels.index(z)])
+        except ValueError:
+            return 0.0
 
     def marginal_x(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for (x, _), p in self.table.items():
-            out[x] = out.get(x, 0.0) + p
-        return out
+        return dict(zip(self.x_labels, _ordered_sum(self.probs, 1).tolist()))
 
     def marginal_z(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for (_, z), p in self.table.items():
-            out[z] = out.get(z, 0.0) + p
-        return out
+        return dict(zip(self.z_labels, _ordered_sum(self.probs, 0).tolist()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -560,15 +649,25 @@ class JointDistribution:
         return cls(table)
 
 
-def _entropy_bits(probs: Iterable[float]) -> float:
-    return -sum(p * math.log2(p) for p in probs if p > 0.0)
+def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    # Sums strictly in index order, as the reference loops over the
+    # table do.  numpy's pairwise summation rounds differently: reported
+    # information figures would move in their last digits, and search
+    # candidates that tie in exact arithmetic could swap places.
+    return np.cumsum(a, axis=axis).take(-1, axis=axis)
+
+
+def _entropy_bits(probs: np.ndarray) -> float:
+    p = probs[probs > 0.0]
+    return -float(_ordered_sum(p * np.log2(p), 0)) if p.size else 0.0
 
 
 def mutual_information(joint: JointDistribution) -> float:
     """Shannon mutual information of a joint distribution, in bits."""
-    hx = _entropy_bits(joint.marginal_x().values())
-    hz = _entropy_bits(joint.marginal_z().values())
-    hxz = _entropy_bits(joint.table.values())
+    p = joint.probs
+    hx = _entropy_bits(_ordered_sum(p, 1))
+    hz = _entropy_bits(_ordered_sum(p, 0))
+    hxz = _entropy_bits(p)
     return max(0.0, hx + hz - hxz)
 
 

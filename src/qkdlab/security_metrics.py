@@ -21,6 +21,7 @@ bound.  By data processing the bracket always closes correctly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import betaincinv
 
 from .quantum_core import (
     PERP,
@@ -36,9 +37,9 @@ from .quantum_core import (
     CqState,
     DensityOperator,
     Povm,
+    born_table,
     cq_measure,
     cq_trace_distance,
-    measure,
     mutual_information,
     product_qubit_povm,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "distinguishing_advantage",
     "optimal_decision_rule",
     "default_strategies",
+    "prefix_basis_povm",
     "accessible_info_lower",
     "ben_or_sufficient_eps",
     "compose_report",
@@ -118,7 +120,7 @@ def clopper_pearson_upper(failures: int, trials: int, confidence: float = 0.99) 
         raise ValueError("need 0 <= failures <= trials, trials > 0")
     if failures >= trials:
         return 1.0
-    return float(stats.beta.ppf(confidence, failures + 1, trials - failures))
+    return float(betaincinv(failures + 1, trials - failures, confidence))
 
 
 def robustness_eps(label_distribution: Mapping[str, float]) -> float:
@@ -195,8 +197,11 @@ def canonical_ideal(cq: CqState) -> IdealForm:
 
 def secrecy_eps_upper(cq: CqState) -> float:
     """Trace distance from the cq-state to its canonical ideal."""
-    ideal = canonical_ideal(cq).to_cq(cq.key_len)
-    return cq_trace_distance(cq, ideal)
+    return cq_trace_distance(cq, _canonical_ideal_cq(cq))
+
+
+def _canonical_ideal_cq(cq: CqState) -> CqState:
+    return canonical_ideal(cq).to_cq(cq.key_len)
 
 
 def _povm_for(measurement: MeasurementLike, label: str) -> Povm:
@@ -207,16 +212,35 @@ def _povm_for(measurement: MeasurementLike, label: str) -> Povm:
     return measurement[label]
 
 
+def _weighted_tables(
+    cq: CqState, measurement: MeasurementLike
+) -> list[tuple[list[str], tuple[str, ...], np.ndarray]]:
+    """``P(s, z) = p_s tr(E_z rho_s)`` over the branches with ``p_s > 0``.
+
+    Branches that share a POVM form one group, measured by one
+    :func:`born_table` call; each group is returned as its branch
+    labels, its outcome labels and the ``(branches, outcomes)`` table.
+    """
+    groups: dict[int, tuple[Povm, list[int]]] = {}
+    for b, (label, p) in enumerate(zip(cq.labels, cq.probs)):
+        if p != 0.0:
+            povm = _povm_for(measurement, label)
+            groups.setdefault(id(povm), (povm, []))[1].append(b)
+    tables = []
+    for povm, rows in groups.values():
+        mats = cq.matrices if len(rows) == len(cq.labels) else cq.matrices[rows]
+        table = cq.probs[rows, None] * born_table(mats, povm)
+        tables.append(([cq.labels[b] for b in rows], povm.labels, table))
+    return tables
+
+
 def strategy_acceptance(cq: CqState, strategy: Strategy) -> float:
     """Exact acceptance probability of a measure-then-decide strategy."""
     measurement, decide = strategy
     total = 0.0
-    for label, (p, rho) in cq.branches.items():
-        if p == 0.0:
-            continue
-        povm = _povm_for(measurement, label)
-        outcome_probs = measure(rho, povm)
-        total += p * sum(pr for z, pr in outcome_probs.items() if decide(label, z))
+    for labels, outcomes, table in _weighted_tables(cq, measurement):
+        accept = np.array([[decide(s, z) for z in outcomes] for s in labels], dtype=bool)
+        total += float(table[accept].sum())
     return total
 
 
@@ -234,9 +258,12 @@ def secrecy_eps_lower(cq: CqState, strategies: Sequence[Strategy]) -> float:
     certified lower end of the secrecy bracket.  Computed by exact
     enumeration, no sampling.
     """
+    return _best_advantage(cq, _canonical_ideal_cq(cq), strategies)
+
+
+def _best_advantage(cq: CqState, ideal: CqState, strategies: Sequence[Strategy]) -> float:
     if not strategies:
         raise ValueError("need at least one strategy")
-    ideal = canonical_ideal(cq).to_cq(cq.key_len)
     best = max(distinguishing_advantage(cq, ideal, s) for s in strategies)
     return min(1.0, max(0.0, best))
 
@@ -244,17 +271,16 @@ def secrecy_eps_lower(cq: CqState, strategies: Sequence[Strategy]) -> float:
 def optimal_decision_rule(cq_real: CqState, cq_ideal: CqState, measurement: MeasurementLike) -> DecisionRule:
     """Best decision rule for a fixed measurement: accept where real outweighs ideal."""
 
-    def conditioned_table(cq: CqState) -> dict[tuple[str, str], float]:
-        table: dict[tuple[str, str], float] = {}
-        for label, (p, rho) in cq.branches.items():
-            if p == 0.0:
-                continue
-            for z, pr in measure(rho, _povm_for(measurement, label)).items():
-                table[(label, z)] = p * pr
-        return table
+    def entries(cq: CqState) -> dict[tuple[str, str], float]:
+        return {
+            (s, z): pr
+            for labels, outcomes, table in _weighted_tables(cq, measurement)
+            for s, row in zip(labels, table.tolist())
+            for z, pr in zip(outcomes, row)
+        }
 
-    real = conditioned_table(cq_real)
-    ideal = conditioned_table(cq_ideal)
+    real = entries(cq_real)
+    ideal = entries(cq_ideal)
     accept = {k for k in set(real) | set(ideal) if real.get(k, 0.0) > ideal.get(k, 0.0)}
     return lambda label, z: int((label, z) in accept)
 
@@ -267,6 +293,17 @@ def _haar_basis(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q.T.conj()
 
 
+@functools.lru_cache(maxsize=256)
+def prefix_basis_povm(prefix: str) -> Povm:
+    """Product measurement of ``len(prefix)`` qubits, qubit i in BB84 basis ``prefix[i]``.
+
+    Bit 0 selects the computational and bit 1 the diagonal basis; this
+    is the measurement that reads basis-encoded qubits once the bases are
+    known.
+    """
+    return product_qubit_povm([QUBIT_BASIS_ANGLES["diag"] if b == "1" else 0.0 for b in prefix])
+
+
 def default_strategies(cq: CqState, num_random: int = 8, seed: int = 0) -> list[Strategy]:
     """A reasonable stock of distinguishers for ``secrecy_eps_lower``.
 
@@ -276,7 +313,10 @@ def default_strategies(cq: CqState, num_random: int = 8, seed: int = 0) -> list[
     breaks basis-encoded states), and ``num_random`` Haar-random basis
     measurements, each paired with its optimal decision rule.
     """
-    ideal = canonical_ideal(cq).to_cq(cq.key_len)
+    return _default_strategies(cq, _canonical_ideal_cq(cq), num_random, seed)
+
+
+def _default_strategies(cq: CqState, ideal: CqState, num_random: int, seed: int) -> list[Strategy]:
     dim = cq.dim
     strategies: list[Strategy] = []
 
@@ -285,14 +325,9 @@ def default_strategies(cq: CqState, num_random: int = 8, seed: int = 0) -> list[
 
     nq = dim.bit_length() - 1
     if dim == 2**nq and 1 <= nq <= cq.key_len:
-        cache: dict[str, Povm] = {}
 
         def label_basis_povm(label: str) -> Povm:
-            prefix = label[:nq] if label != PERP else "0" * nq
-            if prefix not in cache:
-                angles = [QUBIT_BASIS_ANGLES["diag"] if b == "1" else 0.0 for b in prefix]
-                cache[prefix] = product_qubit_povm(angles)
-            return cache[prefix]
+            return prefix_basis_povm(label[:nq] if label != PERP else "0" * nq)
 
         strategies.append(
             (label_basis_povm, optimal_decision_rule(cq, ideal, label_basis_povm))
@@ -526,14 +561,41 @@ def evaluate_cq_security(
     the provenance.  The total epsilon uses the conservative end of the
     secrecy bracket.
     """
+    report, _, _ = _evaluate(
+        cq,
+        strategies=strategies,
+        num_random_strategies=num_random_strategies,
+        search_budget=search_budget,
+        seed=seed,
+        iacc_families=iacc_families,
+        correctness=correctness,
+    )
+    return report
+
+
+def _evaluate(
+    cq: CqState,
+    *,
+    strategies: Sequence[Strategy] | None,
+    num_random_strategies: int,
+    search_budget: int,
+    seed: int,
+    iacc_families: Sequence[str],
+    correctness,
+) -> tuple[SecurityReport, CqState, IaccSearchResult]:
+    """:func:`evaluate_cq_security`, also returning the canonical ideal
+    cq-state and the accessible-information search it computed, so that
+    a caller reporting more figures on the same state computes neither
+    twice."""
+    ideal = _canonical_ideal_cq(cq)
     if strategies is None:
-        strategies = default_strategies(cq, num_random=num_random_strategies, seed=seed)
+        strategies = _default_strategies(cq, ideal, num_random_strategies, seed)
     eps_c = 0.0 if correctness is None else correctness_eps(correctness)
     eps_r = robustness_eps(cq.label_distribution())
-    upper = secrecy_eps_upper(cq)
-    lower = secrecy_eps_lower(cq, strategies)
+    upper = cq_trace_distance(cq, ideal)
+    lower = _best_advantage(cq, ideal, strategies)
     iacc = accessible_info_lower(cq, search_budget=search_budget, rng_seed=seed, families=iacc_families)
-    return SecurityReport(
+    report = SecurityReport(
         key_len=cq.key_len,
         eps_correct=eps_c,
         eps_robust=eps_r,
@@ -554,3 +616,4 @@ def evaluate_cq_security(
             ),
         },
     )
+    return report, ideal, iacc

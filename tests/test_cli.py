@@ -2,10 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import qkdlab
+from qkdlab import attack_lab, cli, security_metrics
 from qkdlab.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
+from qkdlab.keystream import LedgerBroken
 
 
 def run_cli(capsys, argv):
@@ -46,6 +51,32 @@ def test_wrong_message_length_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["attack-demo", "--n", "3", "--message", "01"])
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["attack-demo", "--n", "2", "--trials", "0"],
+        ["attack-demo", "--n", "2", "--trials", "-4"],
+        ["rsa-demo", "--auctions", "0"],
+        ["rsa-demo", "--auctions", "-2"],
+    ],
+)
+def test_nonpositive_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "positive integer" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qkdlab.__file__)))
+    code = "import sys, qkdlab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_bad_env_seed_rejected(capsys, monkeypatch):
@@ -135,6 +166,28 @@ def test_secrecy_report(capsys):
     assert report["provenance"]["correctness_source"] == "assumed_zero"
     gap = payload["result"]["gap_report"]
     assert gap["ben_or_required_iacc"] == pytest.approx(2**-5, abs=1e-12)
+
+
+def test_secrecy_computes_shared_results_once(capsys, monkeypatch):
+    calls = {"build_attack_state": 0, "accessible_info_lower": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {name: counted(name, getattr(attack_lab, name)) for name in calls}
+    for module in (attack_lab, security_metrics):
+        for name, wrapper in wrappers.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    code, payload, _ = run_json(capsys, ["secrecy", "--n", "3", "--budget", "4", "--seed", "5"])
+    assert code == EXIT_OK
+    assert calls == {"build_attack_state": 1, "accessible_info_lower": 1}
+    report, gap = payload["result"]["security_report"], payload["result"]["gap_report"]
+    assert gap["iacc_lower_bits"] == report["iacc_lower_bits"]
+    assert gap["eps_secret_upper"] == report["eps_secret_upper"]
 
 
 def test_secrecy_rejects_unknown_family(capsys):
@@ -227,6 +280,29 @@ def test_keystream_simulate_underflow(capsys):
     assert code == EXIT_FINDING
     assert out == ""
     assert json.loads(err)["error"] == "key_ledger_underflow"
+
+
+def test_keystream_simulate_retry_exhaustion_is_a_finding(capsys):
+    code, out, err = run_cli(
+        capsys,
+        ["keystream-simulate", "--n0", "60000", "--ell0", "12000", "--rounds", "3",
+         "--abort-prob", "1.0", "--seed", "0"],
+    )
+    assert code == EXIT_FINDING
+    assert out == ""
+    report = json.loads(err)
+    assert report["error"] == "retry_limit_exceeded" and "attempts" in report["detail"]
+
+
+def test_keystream_simulate_ledger_break_is_a_finding(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise LedgerBroken("ledger broken at round 1")
+
+    monkeypatch.setattr(cli, "simulate_stream", broken)
+    code, out, err = run_cli(capsys, ["keystream-simulate", "--n0", "60000", "--ell0", "12000"])
+    assert code == EXIT_FINDING
+    assert out == ""
+    assert json.loads(err) == {"error": "ledger_broken", "detail": "ledger broken at round 1"}
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 import sympy
+from scipy import stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdlab.composition_harness import (
     Distinguisher,
+    _two_sample_half_width,
     KeyApplication,
     ProtocolPair,
     attack_otp_composed_pair,
@@ -292,3 +294,10 @@ def test_auction_sweep_bob_always_wins():
         rsa_auction_sweep(0)
     with pytest.raises(ValueError, match="max_bid"):
         rsa_auction_sweep(2, 16, 2**20)
+
+
+def test_half_width_quantile_matches_scipy_stats():
+    for confidence in np.linspace(0.5, 0.999, 21):
+        z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+        expected = z * math.sqrt(0.35 * 0.65 * (2.0 / 1000))
+        assert _two_sample_half_width(0.3, 0.4, 1000, float(confidence)) == expected

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qkdlab.keystream import (
     RATE_RHO_DEFAULT,
     KeyLedgerUnderflow,
     MockKeySource,
+    RetryLimitExceeded,
     PlanningError,
     StreamParams,
     plan,
@@ -208,8 +210,25 @@ def test_charge_per_attempt_underflows():
 
 def test_simulate_stream_attempt_guard():
     rng = np.random.default_rng(13)
-    with pytest.raises(RuntimeError, match="attempts"):
+    with pytest.raises(RetryLimitExceeded, match="attempts"):
         simulate_stream(SMALL, 1, MockKeySource(1.0), rng, max_attempts_per_round=25)
+
+
+def test_simulate_stream_frees_each_round_draw():
+    # Only the emitted tail of a round's draw may outlive the round: when
+    # round i draws, every array drawn before round i-1 must be gone.
+    refs: list[weakref.ref] = []
+    alive_before_draw: list[int] = []
+
+    def source(num_bits: int, rng: np.random.Generator) -> np.ndarray:
+        alive_before_draw.append(sum(ref() is not None for ref in refs[:-1]))
+        bits = rng.integers(0, 2, size=num_bits, dtype=np.uint8)
+        refs.append(weakref.ref(bits))
+        return bits
+
+    log = simulate_stream(SMALL, 20, source, np.random.default_rng(2))
+    assert log.bits_emitted == 20 * SMALL.ell
+    assert len(alive_before_draw) == 20 and max(alive_before_draw) == 0
 
 
 def test_simulate_stream_validates_source_output():

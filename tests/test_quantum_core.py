@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     dense_embedding,
+    entropy_bits,
     nuclear_trace_distance,
     rand_cq,
     rand_density,
@@ -22,6 +23,7 @@ from qkdlab.quantum_core import (
     PureState,
     bb84_basis_povm,
     bb84_encode,
+    born_table,
     cq_measure,
     cq_trace_distance,
     make_pure,
@@ -321,6 +323,67 @@ def test_cq_measure_joint_values():
     mx = joint.marginal_x()
     for label, p in cq.label_distribution().items():
         assert abs(mx.get(label, 0.0) - p) < 1e-9
+
+
+def _oracle_joint(cq: CqState, povm: Povm) -> dict[tuple[str, str], float]:
+    # per-branch Born rule, renormalised like cq_measure
+    table = {
+        (s, z): p * pr for s, (p, rho) in cq.branches.items() for z, pr in measure(rho, povm).items()
+    }
+    total = sum(table.values())
+    return {key: v / total for key, v in table.items()}
+
+
+def _oracle_information(table: dict[tuple[str, str], float]) -> float:
+    mx: dict[str, float] = {}
+    mz: dict[str, float] = {}
+    for (x, z), p in table.items():
+        mx[x] = mx.get(x, 0.0) + p
+        mz[z] = mz.get(z, 0.0) + p
+    return entropy_bits(mx.values()) + entropy_bits(mz.values()) - entropy_bits(table.values())
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(["basis", "product", "general"]))
+@settings(max_examples=40)
+def test_batched_kernel_matches_per_branch_oracle(seed, perp, kind):
+    rng = np.random.default_rng(seed)
+    cq = rand_cq(rng, 2, 4, include_perp=perp)
+    if kind == "basis":
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        povm = Povm.from_basis(np.linalg.qr(z)[0].T)
+    elif kind == "product":
+        povm = product_qubit_povm(rng.uniform(0, math.pi, 2), rng.uniform(0, 2 * math.pi, 2))
+    else:
+        povm = rand_povm(rng, 4, 5)
+    table = born_table(cq.matrices, povm)
+    for row, (_, rho) in zip(table, cq.branches.values()):
+        assert np.abs(row - list(measure(rho, povm).values())).max() < 1e-12
+    joint = cq_measure(cq, povm)
+    oracle = _oracle_joint(cq, povm)
+    assert set(joint.table) == set(oracle)
+    assert max(abs(joint.prob(x, z) - p) for (x, z), p in oracle.items()) < 1e-12
+    assert abs(mutual_information(joint) - _oracle_information(oracle)) < 1e-12
+
+
+def test_projective_povm_keeps_basis_and_stacks_once():
+    v = qubit_basis(0.4, 0.9)
+    povm = Povm.from_basis(v, labels=["a", "b"])
+    assert np.array_equal(povm.basis, v) and povm.dim == 2
+    stack = povm.stacked()
+    assert povm.stacked() is stack and not stack.flags.writeable
+    for k, (label, effect) in enumerate(povm.effects):
+        assert label == "ab"[k]
+        assert np.array_equal(effect, np.outer(v[k], v[k].conj()))
+    assert rand_povm(np.random.default_rng(1), 2, 3).basis is None
+
+
+def test_cq_state_branches_are_views_of_the_stack():
+    cq = rand_cq(np.random.default_rng(4), 2, 2, include_perp=True)
+    assert cq.labels == tuple(cq.branches) and cq.matrices.shape == (5, 2, 2)
+    assert not cq.matrices.flags.writeable
+    for b, (p, rho) in enumerate(cq.branches.values()):
+        assert p == cq.probs[b]
+        assert np.shares_memory(rho.matrix, cq.matrices) and np.array_equal(rho.matrix, cq.matrices[b])
 
 
 # ---------------------------------------------------------------------------

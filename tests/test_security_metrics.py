@@ -66,6 +66,13 @@ def test_clopper_pearson_against_binomial_cdf():
         clopper_pearson_upper(3, 2)
 
 
+def test_clopper_pearson_matches_scipy_stats_quantile():
+    for confidence in np.linspace(0.5, 0.999, 21):
+        for failures, trials in ((0, 1), (0, 50), (3, 100), (17, 200), (999, 1000)):
+            expected = float(stats.beta.ppf(confidence, failures + 1, trials - failures))
+            assert clopper_pearson_upper(failures, trials, float(confidence)) == expected
+
+
 def test_robustness_eps_reads_abort_mass():
     assert robustness_eps({"00": 0.9, PERP: 0.1}) == pytest.approx(0.1, abs=1e-15)
     assert robustness_eps({"00": 1.0}) == 0.0
