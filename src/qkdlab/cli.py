@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import os
 import sys
 import tempfile
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -54,6 +56,7 @@ from .keystream import (
     PlanningError,
     StreamError,
     StreamParams,
+    _budget,
     plan,
     schedule,
     schedule_csv,
@@ -95,12 +98,12 @@ def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(f"QKDLAB_SEED={raw!r} is not an integer")
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, pieces: Iterable[str]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qkdlab-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -108,12 +111,25 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _json_text(payload: dict) -> Iterator[str]:
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\n"``, piece by piece.
+
+    With ``indent`` the encoder is pure Python and yields millions of tiny
+    chunks for a long schedule.  Joined all at once they hold the whole
+    document and every chunk in memory; written one by one they are
+    slower still; so they are joined in batches.
+    """
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    while batch := "".join(itertools.islice(chunks, 65536)):
+        yield batch
+    yield "\n"
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_json_text(payload))
     else:
-        _atomic_write(out, text)
+        _atomic_write(out, _json_text(payload))
 
 
 def _envelope(command: str, seed: int | None, parameters: dict, result: dict, timestamp: bool) -> dict:
@@ -162,7 +178,7 @@ def cmd_attack_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     oracle = single_qubit_guess_oracle()
     curve_at_n = parity_guess_curve(args.n)[-1][1] if args.n <= 16 else None
     if args.curve_csv is not None:
-        _atomic_write(args.curve_csv, parity_guess_curve_csv(min(args.n, 16)))
+        _atomic_write(args.curve_csv, [parity_guess_curve_csv(min(args.n, 16))])
 
     result = {
         "n": args.n,
@@ -226,12 +242,16 @@ def cmd_secrecy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def _stream_params(args: argparse.Namespace) -> StreamParams:
+    try:
+        c = args.c if args.c is not None else float(args.n0)
+    except OverflowError:
+        raise ValueError(f"n0 of {args.n0} exceeds 2**53") from None
     return StreamParams(
         gamma=args.gamma,
         rate_rho=args.rho,
         nu=args.nu,
         n0=args.n0,
-        c=args.c if args.c is not None else float(args.n0),
+        c=c,
         ell=args.ell,
         ell0=args.ell0,
         eps0=args.eps0,
@@ -279,8 +299,8 @@ def cmd_keystream_schedule(args: argparse.Namespace, parser: argparse.ArgumentPa
     params = _stream_params(args)
     records = schedule(params, args.rounds, real_valued=args.real_valued)
     if args.csv is not None:
-        _atomic_write(args.csv, schedule_csv(records))
-    budget = total_eps(params, args.rounds, real_valued=args.real_valued)
+        _atomic_write(args.csv, [schedule_csv(records)])
+    budget = _budget(params, records, args.real_valued)
     result = {
         "params": params.to_json_dict(),
         "budget": budget.to_json_dict(),
@@ -499,10 +519,7 @@ def main(argv=None) -> int:
     except StreamError as exc:
         sys.stderr.write(json.dumps({"error": exc.error, "detail": str(exc)}, sort_keys=True) + "\n")
         return EXIT_FINDING
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

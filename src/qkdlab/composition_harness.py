@@ -821,7 +821,8 @@ def rsa_auction_sweep(
     """Fresh key and random positive bid per auction; Bob forges every time."""
     if num_auctions < 1:
         raise ValueError("need at least one auction")
-    if not 1 <= max_bid or 2 * max_bid >= 2 ** (modulus_bits - 1):
+    # 2 max_bid < 2^(modulus_bits - 1), without forming a huge power
+    if not 1 <= max_bid or (2 * max_bid).bit_length() >= modulus_bits:
         raise ValueError("max_bid too large for the modulus")
     rng = np.random.default_rng() if rng is None else rng
     outcomes = []

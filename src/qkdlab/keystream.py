@@ -16,13 +16,26 @@ are RATE_RHO_DEFAULT = 1e-2 and GAMMA_DEFAULT = NU_DEFAULT = 1e-3.
 
 The module also contains an exact bit-conservation simulator for the
 store/consume/emit ledger, which is where accounting bugs would hide.
+Every produced bit has an index: round i's output is the half-open
+range ``[produced, produced + ell_i + ell)``, whose first ``ell_i`` bits
+are stored and last ``ell`` emitted, and the initial secret is
+``[-ell0, 0)``.  Stored key is kept as ranges in first-in, first-out
+order and only the emitted bits are ever drawn, so the simulator can
+check that no key bit is used twice, which composability forbids.
+
+Sizes count bits or signals and are evaluated in floating point, so
+they must stay at most 2**53, the largest range over which a float
+holds every integer exactly; larger sizes are a ``ValueError``.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
+import functools
 import io
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -56,10 +69,28 @@ NU_DEFAULT = 1e-3
 RATE_RHO_DEFAULT = 1e-2
 
 _EXP_MAX = 700.0  # math.exp overflows just above 709
+_MAX_BITS = 2**53  # every integer up to here is exactly a float
 
 
 def _safe_exp(x: float) -> float:
     return math.exp(min(x, _EXP_MAX))
+
+
+def _check_rate(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite")
+
+
+def _check_size(name: str, value: int) -> None:
+    if not isinstance(value, int) or not 0 < value <= _MAX_BITS:
+        raise ValueError(f"{name} must be a positive integer at most 2**53")
+
+
+def _ceil_size(x: float, what: str) -> int:
+    """``ceil(x)`` as a count of bits or signals, refusing what exceeds 2**53."""
+    if not x <= _MAX_BITS:
+        raise ValueError(f"{what} of {x} exceeds 2**53")
+    return math.ceil(x)
 
 
 @dataclass(frozen=True)
@@ -85,12 +116,9 @@ class StreamParams:
 
     def __post_init__(self):
         for name in ("gamma", "rate_rho", "nu", "c"):
-            if not float(getattr(self, name)) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            _check_rate(name, float(getattr(self, name)))
         for name in ("n0", "ell", "ell0"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
-                raise ValueError(f"{name} must be a positive integer")
+            _check_size(name, getattr(self, name))
         if not 0.0 <= self.eps0 <= 1.0:
             raise ValueError("eps0 must lie in [0, 1]")
 
@@ -176,6 +204,9 @@ def schedule(p: StreamParams, rounds: int, real_valued: bool = False) -> list[Ro
     """
     if rounds < 1:
         raise ValueError("need at least one round")
+    # sizes grow with i, so the last round bounds them all
+    if rounds > _MAX_BITS or max(p.signal_count(rounds, True), p.stored_len(rounds, True)) > _MAX_BITS:
+        raise ValueError(f"the sizes of round {rounds} exceed 2**53")
     records = []
     for i in range(1, rounds + 1):
         n_i = p.signal_count(i, real_valued)
@@ -248,12 +279,18 @@ def total_eps(p: StreamParams, horizon: int = 200, real_valued: bool = False) ->
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    records = schedule(p, horizon, real_valued)
+    return _budget(p, schedule(p, horizon, real_valued), real_valued)
+
+
+def _budget(p: StreamParams, records: list[RoundRecord], real_valued: bool) -> StreamBudget:
+    """:func:`total_eps` over an already built schedule of rounds 1..len(records)."""
+    horizon = len(records)
     partial = sum(r.eps_i for r in records)
 
     g1 = p.gamma * p.c * p.rate_rho / 2.0
     g2 = p.nu * p.c * p.rate_rho / 2.0
-    divergent = not (g1 > 0.0 and g2 > 0.0)
+    # the authentication tail divides by (1 - q2)^2, which underflows for tiny rates
+    divergent = not (g1 > 0.0 and math.expm1(-g2) ** 2 > 0.0)
     if divergent:
         return StreamBudget(horizon, real_valued, partial, math.inf, 1.0, True)
 
@@ -307,12 +344,16 @@ def plan(
     small grid of growth constants c and initial-secret slacks is
     scored with :func:`total_eps`, n0 is swept geometrically to find a
     feasible point, then bisected down to the smallest feasible value.
-    Tightening the target can only push n0 up.
+    Tightening the target can only push n0 up.  Each candidate n0 is
+    scored once per call.
     """
     if not 0.0 < target_eps <= 1.0:
         raise ValueError("target_eps must lie in (0, 1]")
     if target_eps <= eps0:
         raise ValueError("target_eps must exceed eps0")
+    for name, value in (("gamma", gamma), ("rate_rho", rate_rho), ("nu", nu)):
+        _check_rate(name, value)
+    _check_size("ell", ell)
 
     def candidates(n0: int):
         for c_mult in (0.5, 1.0, 2.0):
@@ -321,12 +362,13 @@ def plan(
                 if decay <= 0.0:
                     continue
                 c = max(1.0, c_mult * n0)
-                ell0 = math.ceil(slack * (decay + math.log(n0 + c)) / nu)
+                ell0 = _ceil_size(slack * (decay + math.log(n0 + c)) / nu, "initial secret")
                 yield StreamParams(
                     gamma=gamma, rate_rho=rate_rho, nu=nu,
                     n0=n0, c=c, ell=ell, ell0=ell0, eps0=eps0,
                 )
 
+    @functools.cache
     def best_for(n0: int) -> tuple[StreamParams, StreamBudget] | None:
         best = None
         for params in candidates(n0):
@@ -344,7 +386,7 @@ def plan(
         return None
 
     overall_best: tuple[StreamParams, StreamBudget] | None = None
-    lo = max(1, math.ceil(2.0 * ell / rate_rho) + 1)
+    lo = max(1, _ceil_size(2.0 * ell / rate_rho, "signal count") + 1)
     hi = lo
     found = feasible(hi)
     while found is None:
@@ -399,7 +441,12 @@ class LedgerBroken(StreamError):
 
 @dataclass
 class MockKeySource:
-    """Stand-in key source: fresh random bits, or an abort with fixed probability."""
+    """Stand-in key source: fresh random bits, or an abort with fixed probability.
+
+    :func:`simulate_stream` asks it for the ``ell`` emitted bits of a round
+    only; the stored part of the round's output is tracked as an index
+    range and never drawn.
+    """
 
     abort_prob: float = 0.0
 
@@ -411,6 +458,42 @@ class MockKeySource:
         if self.abort_prob > 0.0 and rng.random() < self.abort_prob:
             return None
         return rng.integers(0, 2, size=num_bits, dtype=np.uint8)
+
+
+def _take(store: deque[tuple[int, int]], need: int) -> list[tuple[int, int]]:
+    """Remove the first ``need`` bits from the FIFO ``store`` of index ranges."""
+    taken = []
+    while need > 0:
+        start, end = store.popleft()
+        cut = min(end, start + need)
+        taken.append((start, cut))
+        if cut < end:
+            store.appendleft((cut, end))
+        need -= cut - start
+    return taken
+
+
+def _claim(used: list[int], start: int, end: int) -> bool:
+    """Add ``[start, end)`` to ``used``; False if it overlaps a range already there.
+
+    ``used`` holds disjoint ranges as sorted bounds ``[s0, e0, s1, e1, ...]``;
+    touching ranges are merged, so a stream that uses its key in order
+    keeps it at a few entries.
+    """
+    k = bisect.bisect_right(used, start)
+    if k % 2 or (k < len(used) and used[k] < end):
+        return False
+    left = k > 0 and used[k - 1] == start
+    right = k < len(used) and used[k] == end
+    if left and right:
+        del used[k - 1:k + 1]
+    elif left:
+        used[k - 1] = end
+    elif right:
+        used[k] = start
+    else:
+        used[k:k] = [start, end]
+    return True
 
 
 @dataclass(frozen=True)
@@ -449,38 +532,46 @@ def simulate_stream(
 
     Each round consumes the previous round's stored key (``ell_{i-1}``
     bits of authentication material), stores ``ell_i`` and emits
-    ``ell``.  An aborting round is retried with fresh randomness;
-    retries reuse the round's already-consumed authentication budget by
-    default, while ``charge_per_attempt=True`` deducts a fresh
-    ``ell_{i-1}`` per attempt (strictly more conservative, and liable
-    to exhaust the store since production never outpaces an unlucky
-    retry run).  Running out of stored bits raises
-    :class:`KeyLedgerUnderflow` and a round that aborts
-    ``max_attempts_per_round`` times raises :class:`RetryLimitExceeded`;
-    after every round the identity
+    ``ell``.  The key source is asked for the ``ell`` emitted bits only;
+    stored key is a first-in, first-out queue of index ranges (see the
+    module docstring), from which authentication takes its bits.  An
+    aborting round is retried with fresh randomness; retries reuse the
+    round's already-consumed authentication budget by default, while
+    ``charge_per_attempt=True`` deducts a fresh ``ell_{i-1}`` per attempt
+    (strictly more conservative, and liable to exhaust the store since
+    production never outpaces an unlucky retry run).  Running out of
+    stored bits raises :class:`KeyLedgerUnderflow` and a round that
+    aborts ``max_attempts_per_round`` times raises
+    :class:`RetryLimitExceeded`.  After every round the identity
 
         emitted + stored + consumed == produced + ell0
 
-    is checked over exact integers and raises :class:`LedgerBroken`
-    when it fails.
+    is checked over exact integers, and so is that no consumed range
+    overlaps another consumed or an emitted range; either failure
+    raises :class:`LedgerBroken`.
     """
     records = schedule(p, rounds)
     generate = key_source.generate if isinstance(key_source, MockKeySource) else key_source
     stored = p.ell0
     consumed = 0
     produced = 0
-    emitted_chunks: list[np.ndarray] = []
+    emitted = 0
+    store = deque([(-p.ell0, 0)])
+    used: list[int] = []
+    stream = np.empty(rounds * p.ell, dtype=np.uint8)
     ledger: list[RoundLedger] = []
     total_retries = 0
 
     for rec in records:
         need = p.stored_len(rec.i - 1)
+        taken: list[tuple[int, int]] = []
         attempts = 0
         if not charge_per_attempt:
             if stored < need:
                 raise KeyLedgerUnderflow(f"round {rec.i}: need {need} bits, have {stored}")
             stored -= need
             consumed += need
+            taken += _take(store, need)
         while True:
             attempts += 1
             if attempts > max_attempts_per_round:
@@ -492,19 +583,25 @@ def simulate_stream(
                     )
                 stored -= need
                 consumed += need
-            bits = generate(int(rec.ell_i) + p.ell, rng)
+                taken += _take(store, need)
+            bits = generate(p.ell, rng)
             if bits is not None:
                 break
         bits = np.asarray(bits, dtype=np.uint8)
-        if bits.shape != (int(rec.ell_i) + p.ell,):
-            raise ValueError(f"key source returned {bits.shape}, expected {(int(rec.ell_i) + p.ell,)}")
-        stored += int(rec.ell_i)
-        produced += int(rec.ell_i) + p.ell
-        # a copy, not a view: a view would keep the whole draw alive
-        emitted_chunks.append(bits[-p.ell:].copy())
+        if bits.shape != (p.ell,):
+            raise ValueError(f"key source returned {bits.shape}, expected {(p.ell,)}")
+        stream[emitted:emitted + p.ell] = bits
+        ell_i = int(rec.ell_i)
+        store.append((produced, produced + ell_i))
+        emitted_range = (produced + ell_i, produced + ell_i + p.ell)
+        stored += ell_i
+        produced += ell_i + p.ell
+        emitted += p.ell
         total_retries += attempts - 1
-        emitted_now = len(emitted_chunks) * p.ell
-        if emitted_now + stored + consumed != produced + p.ell0:
+        for start, end in [*taken, emitted_range]:
+            if not _claim(used, start, end):
+                raise LedgerBroken(f"round {rec.i} reuses key bits in [{start}, {end})")
+        if emitted + stored + consumed != produced + p.ell0:
             raise LedgerBroken(f"ledger broken at round {rec.i}")
         ledger.append(
             RoundLedger(
@@ -514,11 +611,10 @@ def simulate_stream(
                 attempts=attempts,
                 consumed_after=consumed,
                 stored_after=stored,
-                emitted_after=emitted_now,
+                emitted_after=emitted,
             )
         )
 
-    stream = np.concatenate(emitted_chunks) if emitted_chunks else np.zeros(0, dtype=np.uint8)
     return StreamLog(
         params=p,
         charge_per_attempt=charge_per_attempt,

@@ -1,16 +1,20 @@
 """End-to-end CLI coverage, run in process against qkdlab.cli.main."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qkdlab
-from qkdlab import attack_lab, cli, security_metrics
+from qkdlab import attack_lab, cli, keystream, security_metrics
 from qkdlab.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
-from qkdlab.keystream import LedgerBroken
+from qkdlab.keystream import LedgerBroken, StreamParams
 
 
 def run_cli(capsys, argv):
@@ -84,6 +88,102 @@ def test_bad_env_seed_rejected(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["attack-demo", "--n", "2", "--trials", "5"])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_emit_writes_what_json_dumps_gives(capsys, tmp_path):
+    # enough rows that the encoder's chunks span several write batches
+    payload = {
+        "rows": [{"x": i / 7, "flags": [i, None, True, "\u00e9"]} for i in range(20_000)],
+        "a": {"nested": {"inf": float("inf"), "empty": [], "obj": {}}},
+    }
+    want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    cli._emit(payload, None)
+    assert capsys.readouterr().out == want
+    path = tmp_path / "report.json"
+    cli._emit(payload, str(path))
+    assert path.read_bytes() == want.encode()
+
+
+STREAM = ["--n0", "60000", "--ell0", "12000", "--rounds", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["keystream-schedule", *STREAM, "--c", "inf"],
+        ["keystream-schedule", *STREAM, "--rho", "inf"],
+        ["keystream-schedule", *STREAM, "--c", "1e308"],
+        ["keystream-simulate", *STREAM, "--c", "inf"],
+        ["keystream-simulate", *STREAM, "--n0", "1" + "0" * 400],
+        ["keystream-simulate", *STREAM, "--ell", str(2**52)],
+        ["keystream-plan", "--target-eps", "1e-9", "--gamma", "inf"],
+        ["keystream-plan", "--target-eps", "1e-9", "--rho", "inf"],
+        ["keystream-plan", "--target-eps", "1e-9", "--nu", "1e-300"],
+        ["rsa-demo", "--auctions", "3", "--modulus-bits", str(10**30)],
+    ],
+)
+def test_unrepresentable_inputs_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_NUMBER = st.one_of(
+    st.sampled_from(["0", "-1", "inf", "-inf", "nan", "1e308", "1e-300", "5e-324",
+                     str(2**53), str(2**53 + 1), str(10**30)]),
+    st.integers(-2, 300).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_SIZE = st.one_of(st.integers(1, 300).map(str), _NUMBER)
+_RATE = st.one_of(st.sampled_from(["1e-3", "1e-2", "0.5", "1e-9"]), _NUMBER)
+# counts stay small so that every drawn command finishes quickly
+_COUNT = st.one_of(st.integers(-2, 50).map(str), st.sampled_from(["inf", "nan", "1.5"]))
+_ABORT = st.sampled_from(["0", "0.2", "0.5", "1", "-0.1", "1.5", "nan", "inf"])
+_STREAM = {"--n0": _SIZE, "--ell0": _SIZE}
+_STREAM_OPTIONS = {
+    "--gamma": _RATE, "--rho": _RATE, "--nu": _RATE, "--c": _RATE,
+    "--ell": _SIZE, "--eps0": _RATE, "--rounds": _COUNT,
+}
+
+
+def _argv(command: str, required: dict, optional: dict) -> st.SearchStrategy:
+    drawn = st.fixed_dictionaries(required, optional=optional)
+    return drawn.map(lambda opts: [command, *(x for pair in opts.items() for x in pair)])
+
+
+_ARGV = st.one_of(
+    _argv("keystream-plan", {"--target-eps": _RATE}, {
+        "--gamma": _RATE, "--rho": _RATE, "--nu": _RATE, "--eps0": _RATE,
+        "--ell": _SIZE, "--horizon": _COUNT, "--max-n0": _SIZE,
+    }),
+    _argv("keystream-schedule", _STREAM, _STREAM_OPTIONS),
+    st.tuples(
+        _argv("keystream-simulate", _STREAM, {**_STREAM_OPTIONS, "--abort-prob": _ABORT}),
+        st.booleans(),
+    ).map(lambda drawn: drawn[0] + ["--charge-per-attempt"] * drawn[1]),
+    _argv("rsa-demo", {}, {
+        "--bid": _SIZE, "--auctions": _COUNT, "--max-bid": _SIZE,
+        "--modulus-bits": st.one_of(st.integers(10, 70).map(str), _NUMBER),
+    }),
+)
+
+
+@given(_ARGV)
+@settings(max_examples=300)
+def test_any_argv_maps_to_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_FINDING, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_OK:
+        assert isinstance(json.loads(out.getvalue()), dict)  # exactly one document
+    if code == EXIT_USAGE:
+        assert out.getvalue() == ""
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +356,25 @@ def test_keystream_schedule_with_csv(capsys, tmp_path):
     raw = csv_path.read_bytes()
     assert raw.startswith(b"i,n_i,ell_i,eps_i,cumulative_eps\r\n")
     assert raw.endswith(b"\r\n")
+
+
+def test_keystream_schedule_builds_the_schedule_once(capsys, monkeypatch):
+    calls = []
+    original = keystream.schedule
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(keystream, "schedule", counting)
+    monkeypatch.setattr(cli, "schedule", counting)
+    code, payload, _ = run_json(
+        capsys, ["keystream-schedule", "--n0", "60000", "--ell0", "12000", "--rounds", "7"]
+    )
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    params = StreamParams(n0=60_000, c=60_000.0, ell=256, ell0=12_000)
+    assert payload["result"]["budget"] == keystream.total_eps(params, 7).to_json_dict()
 
 
 def test_keystream_simulate_clean_run(capsys):

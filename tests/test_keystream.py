@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdlab import keystream
 from qkdlab.keystream import (
     GAMMA_DEFAULT,
     NU_DEFAULT,
     RATE_RHO_DEFAULT,
     KeyLedgerUnderflow,
+    LedgerBroken,
     MockKeySource,
     RetryLimitExceeded,
     PlanningError,
@@ -41,6 +43,22 @@ def test_params_validation():
         StreamParams(ell0=-3)
     with pytest.raises(ValueError, match="eps0"):
         StreamParams(eps0=1.5)
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("gamma", math.inf, "gamma"),
+        ("rate_rho", math.nan, "rate_rho"),
+        ("nu", -math.inf, "nu"),
+        ("c", math.inf, "c must"),
+        ("n0", 2**53 + 1, "n0"),
+        ("ell0", 10**30, "ell0"),
+    ],
+)
+def test_params_reject_nonfinite_and_unrepresentable(field, value, match):
+    with pytest.raises(ValueError, match=match):
+        StreamParams(**{field: value})
 
 
 def test_params_json_round_trip():
@@ -86,6 +104,16 @@ def test_schedule_first_round_consumes_initial_secret():
         schedule(SMALL, 0)
 
 
+@pytest.mark.parametrize("real_valued", [False, True])
+def test_schedule_refuses_sizes_beyond_2_pow_53(real_valued):
+    # c * i overflowed to inf inside math.ceil here
+    p = StreamParams(n0=60_000, c=1e308, ell=256, ell0=12_000)
+    with pytest.raises(ValueError, match="exceed 2\\*\\*53"):
+        schedule(p, 3, real_valued=real_valued)
+    with pytest.raises(ValueError, match="exceed 2\\*\\*53"):
+        schedule(SMALL, 2**53 + 1)
+
+
 def test_real_valued_terms_are_geometric():
     records = schedule(SMALL, 8, real_valued=True)
     q_signal = math.exp(-SMALL.gamma * SMALL.c * SMALL.rate_rho / 2)
@@ -129,6 +157,13 @@ def test_total_eps_shrinks_with_horizon():
         total_eps(p, 0)
 
 
+def test_total_eps_with_vanishing_rate_is_divergent():
+    # (1 - q2)^2 underflows to 0 here; the tail bound is then unbounded
+    p = StreamParams(nu=1e-300, n0=60_000, c=60_000.0, ell=256, ell0=12_000)
+    budget = total_eps(p, 3)
+    assert budget.divergent and budget.eps_total == 1.0 and budget.tail_bound == math.inf
+
+
 def test_total_eps_includes_initial_epsilon():
     p0 = StreamParams(n0=60_000, c=60_000.0, ell=256, ell0=12_000, eps0=0.25)
     base = StreamParams(n0=60_000, c=60_000.0, ell=256, ell0=12_000)
@@ -159,6 +194,38 @@ def test_plan_validation_and_failure_carries_best():
     with pytest.raises(PlanningError) as info:
         plan(1e-9, max_n0=60_000)
     assert info.value.best_budget is None or info.value.best_budget.eps_total > 1e-9
+
+
+def test_plan_scores_each_candidate_once(monkeypatch):
+    scored = []
+    original = keystream.total_eps
+
+    def counting(params, *args, **kwargs):
+        scored.append(params)
+        return original(params, *args, **kwargs)
+
+    monkeypatch.setattr(keystream, "total_eps", counting)
+    found = plan(1e-9)
+    assert len(scored) == len(set(scored))
+    assert (found.n0, found.c, found.ell0) == (3_720_601, 7_441_202.0, 66_153)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"gamma": math.inf}, "gamma"),
+        ({"rate_rho": math.inf}, "rate_rho"),
+        ({"rate_rho": 0.0}, "rate_rho"),
+        ({"nu": math.nan}, "nu"),
+        ({"nu": 1e-300}, "initial secret"),
+        ({"gamma": 1e308}, "initial secret"),
+        ({"rate_rho": 5e-324}, "signal count"),
+        ({"ell": 10**400}, "ell"),
+    ],
+)
+def test_plan_rejects_nonfinite_and_unrepresentable(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        plan(1e-9, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +306,31 @@ def test_simulate_stream_validates_source_output():
 
     with pytest.raises(ValueError, match="key source"):
         simulate_stream(SMALL, 1, short_source, rng)
+
+
+def test_simulate_stream_draws_only_the_emitted_bits():
+    asked: list[int] = []
+    inner = MockKeySource(0.3)
+
+    def source(num_bits: int, rng: np.random.Generator) -> np.ndarray | None:
+        asked.append(num_bits)
+        return inner.generate(num_bits, rng)
+
+    log = simulate_stream(SMALL, 25, source, np.random.default_rng(3))
+    assert log.total_retries > 0
+    assert asked == [SMALL.ell] * (25 + log.total_retries)
+
+
+def test_simulate_stream_catches_key_reuse(monkeypatch):
+    # Authentication that reads the front of the store without removing
+    # it: every counter stays right, only the index ranges show the reuse.
+    def peek(store, need):
+        start = store[0][0]
+        return [(start, start + need)]
+
+    monkeypatch.setattr(keystream, "_take", peek)
+    with pytest.raises(LedgerBroken, match="round 2 reuses key bits"):
+        simulate_stream(SMALL, 5, MockKeySource(0.0), np.random.default_rng(4))
 
 
 def test_mock_key_source_validation():
