@@ -49,12 +49,14 @@ __all__ = [
     "MAX_ATTACK_QUBITS",
     "AttackState",
     "AttackTranscript",
+    "AttackTally",
     "MarginalCheck",
     "GuessOracle",
     "SecrecyGapReport",
     "build_attack_state",
     "fully_mixed_marginal_check",
     "run_otp_attack",
+    "run_otp_attacks",
     "measure_encoded_qubit",
     "sample_pad",
     "parity_strategy",
@@ -70,13 +72,20 @@ __all__ = [
 # keeps the full state around 100 MB of dense matrices.
 MAX_ATTACK_QUBITS = 7
 
+# Batched rounds and samples are drawn about this many random bits at a
+# time (as many whole rows as fit, at least one), so memory stays flat
+# whatever the number of trials.
+_CHUNK_BITS = 2**15
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows of ``width`` random bits that make up one draw."""
+    return max(1, _CHUNK_BITS // max(1, width))
+
 
 def _bits_from(value, width: int) -> tuple[int, ...]:
-    if isinstance(value, str):
-        bits = tuple(int(ch) for ch in value)
-    else:
-        bits = tuple(int(b) for b in value)
-    if len(bits) != width or any(b not in (0, 1) for b in bits):
+    bits = tuple(map(int, value))
+    if len(bits) != width or not {0, 1}.issuperset(bits):
         raise ValueError(f"expected {width} bits, got {value!r}")
     return bits
 
@@ -182,10 +191,15 @@ def measure_encoded_qubit(r: int, s: int, basis: int, rng: np.random.Generator) 
     return int(rng.integers(0, 2))
 
 
+def _complete_pads(prefix: np.ndarray, parity) -> np.ndarray:
+    """Each row of the 0/1 array ``prefix`` extended by the bit that makes its XOR ``parity``."""
+    last = np.bitwise_xor.reduce(prefix, axis=1) ^ parity
+    return np.concatenate((prefix, last[:, None]), axis=1)
+
+
 def sample_pad(n: int, parity: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Uniform n-bit pad with the given XOR, via n-1 free bits."""
-    prefix = tuple(int(b) for b in rng.integers(0, 2, size=n - 1))
-    return prefix + ((parity ^ _parity(prefix)),)
+    return tuple(_complete_pads(rng.integers(0, 2, size=(1, n - 1)), parity)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -199,6 +213,11 @@ class AttackTranscript:
     measured_pad: tuple[int, ...]
     recovered_bit: int
     success: bool
+
+
+class AttackTally(NamedTuple):
+    successes: int
+    last: AttackTranscript
 
 
 def run_otp_attack(
@@ -218,29 +237,63 @@ def run_otp_attack(
     hidden bit ``M_{n+1} = parity(R) xor C_{n+1}``.
 
     ``wrong_basis`` is a control run measuring in the complementary
-    bases, which degrades the attack to a coin flip.
+    bases, which degrades the attack to a coin flip.  This is the
+    one-round case of :func:`run_otp_attacks`.
+    """
+    return run_otp_attacks(n, message, rng, 1, wrong_basis=wrong_basis).last
+
+
+def run_otp_attacks(
+    n: int,
+    message,
+    rng: np.random.Generator,
+    trials: int,
+    *,
+    wrong_basis: bool = False,
+) -> AttackTally:
+    """``trials`` rounds of :func:`run_otp_attack`, simulated as arrays.
+
+    A round draws its n+1 key bits, then the n-1 free pad bits, then
+    one coin per qubit measured outside its own basis (the Born rule
+    gives the pad bit in the right basis and a uniform bit in the
+    complementary one, see :func:`measure_encoded_qubit`).  Recovered
+    bases are all right, or with ``wrong_basis`` all wrong, so a round
+    draws 2n or 3n bits; the rounds are drawn as rows of one array, which
+    consumes ``rng`` exactly as ``trials`` one-round calls would.
+    Returns the number of successful rounds and the last transcript.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    if trials < 1:
+        raise ValueError("trials must be positive")
     m = _bits_from(message, n + 1)
-    s = tuple(int(b) for b in rng.integers(0, 2, size=n + 1))
-    r = sample_pad(n, s[-1], rng)
-    c = tuple(mi ^ si for mi, si in zip(m, s))
-    s_hat = tuple(m[i] ^ c[i] for i in range(n))
-    bases = tuple(1 - b for b in s_hat) if wrong_basis else s_hat
-    r_hat = tuple(measure_encoded_qubit(r[i], s[i], bases[i], rng) for i in range(n))
-    recovered = _parity(r_hat) ^ c[-1]
-    return AttackTranscript(
+    m_row = np.array(m)
+    width = (3 if wrong_basis else 2) * n
+    rows = _chunk_rows(width)
+    successes = 0
+    for start in range(0, trials, rows):
+        draws = rng.integers(0, 2, size=(min(rows, trials - start), width))
+        s = draws[:, : n + 1]
+        r = _complete_pads(draws[:, n + 1 : 2 * n], s[:, n])
+        c = s ^ m_row
+        r_hat = draws[:, 2 * n :] if wrong_basis else r
+        recovered = np.bitwise_xor.reduce(r_hat, axis=1) ^ c[:, n]
+        successes += len(draws) - int(np.count_nonzero(recovered ^ m[n]))
+    c_last = tuple(c[-1].tolist())
+    recovered_bit = int(recovered[-1])
+    # the adversary read the bases S_i = M_i xor C_i off the ciphertext
+    last = AttackTranscript(
         n=n,
         message=m,
-        key=s,
-        pad=r,
-        ciphertext=c,
-        recovered_bases=bases,
-        measured_pad=r_hat,
-        recovered_bit=recovered,
-        success=recovered == m[-1],
+        key=tuple(s[-1].tolist()),
+        pad=tuple(r[-1].tolist()),
+        ciphertext=c_last,
+        recovered_bases=tuple(mi ^ ci ^ wrong_basis for mi, ci in zip(m[:n], c_last)),
+        measured_pad=tuple(r_hat[-1].tolist()),
+        recovered_bit=recovered_bit,
+        success=recovered_bit == m[n],
     )
+    return AttackTally(successes, last)
 
 
 def parity_strategy(n: int) -> Strategy:
@@ -285,6 +338,13 @@ def basis_guess_probability(theta: float) -> float:
     return float(total) / 4.0
 
 
+def _basis_guess_probabilities(thetas: np.ndarray) -> np.ndarray:
+    """:func:`basis_guess_probability` at every angle of ``thetas`` at once."""
+    c, s = np.cos(thetas), np.sin(thetas)
+    rows = ((c, s), (-s, c))  # the rows of qubit_basis(theta), angle by angle
+    return sum(np.abs(rows[r][0] * a0 + rows[r][1] * a1) ** 2 for r, (a0, a1) in _BB84_TABLE) / 4.0
+
+
 @functools.lru_cache(maxsize=None)
 def single_qubit_guess_oracle(sweep_step: float = 1e-4) -> GuessOracle:
     """Best single-basis guess probability, found numerically.
@@ -298,8 +358,7 @@ def single_qubit_guess_oracle(sweep_step: float = 1e-4) -> GuessOracle:
     if not 0 < sweep_step <= 1e-4:
         raise ValueError("sweep_step must be in (0, 1e-4]")
     thetas = np.arange(0.0, math.pi, sweep_step)
-    values = [basis_guess_probability(t) for t in thetas]
-    k = int(np.argmax(values))
+    k = int(np.argmax(_basis_guess_probabilities(thetas)))
     lo = thetas[max(k - 1, 0)]
     hi = thetas[min(k + 1, len(thetas) - 1)]
     while hi - lo > 1e-12:

@@ -33,7 +33,7 @@ from .attack_lab import (
     build_attack_state,
     parity_guess_curve,
     parity_guess_curve_csv,
-    run_otp_attack,
+    run_otp_attacks,
     secrecy_reports,
     single_qubit_guess_oracle,
 )
@@ -157,17 +157,15 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def cmd_attack_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     seed = _resolve_seed(args, parser)
+    if args.n < 2:
+        raise ValueError("n must be at least 2")
     rng = np.random.default_rng(seed)
     message = args.message if args.message is not None else "".join(
         map(str, rng.integers(0, 2, size=args.n + 1))
     )
     if len(message) != args.n + 1:
         parser.error(f"--message must have n+1 = {args.n + 1} bits")
-    successes = 0
-    last = None
-    for _ in range(args.trials):
-        last = run_otp_attack(args.n, message, rng, wrong_basis=args.wrong_basis)
-        successes += last.success
+    successes, last = run_otp_attacks(args.n, message, rng, args.trials, wrong_basis=args.wrong_basis)
     rate = successes / args.trials
 
     marginal = None
@@ -519,8 +517,8 @@ def main(argv=None) -> int:
     except StreamError as exc:
         sys.stderr.write(json.dumps({"error": exc.error, "detail": str(exc)}, sort_keys=True) + "\n")
         return EXIT_FINDING
-    except (OSError, ValueError, MemoryError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (OSError, ValueError, OverflowError, MemoryError) as exc:
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return EXIT_USAGE
 
 

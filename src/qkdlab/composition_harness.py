@@ -1,9 +1,12 @@
 """Composable-security checks on small classical protocol pairs.
 
 Everything here works on pairs of sampleable systems, a real one and an
-ideal one.  A pair can optionally carry exact output distributions, in
-which case distinguisher advantages are computed by summation instead
-of Monte Carlo.  The harness verifies the additive composition bound
+ideal one.  A system draws many trials per call, as 0/1 arrays with one
+row per trial.  A pair can optionally carry exact output distributions,
+in which case distinguisher advantages are computed by summation
+instead of Monte Carlo.  Monte Carlo is the same summation over the
+empirical histogram: each distinct sample is decided once and weighted
+by its count.  The harness verifies the additive composition bound
 through the standard hybrid argument: for a key source with distance
 eps_source and an application with distance eps_app, every
 distinguisher's advantage against the composed system is bounded by
@@ -23,12 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.special import ndtri
 
-from .attack_lab import sample_pad
+from .attack_lab import _chunk_rows, _complete_pads
 
 __all__ = [
     "Sample",
@@ -64,6 +67,9 @@ __all__ = [
 # for a key source the composable claim is exactly that key-plus-view is
 # indistinguishable from uniform-plus-view.
 Sample = tuple[str, tuple]
+# Samples are the same layout for many trials, one row per trial: a
+# (trials, key bits) 0/1 array and a tuple of (trials, width) 0/1 arrays.
+Samples = tuple[np.ndarray, tuple[np.ndarray, ...]]
 
 _DIST_SUM_TOL = 1e-9
 _EXACT_DIST_CAP = 2**21
@@ -79,15 +85,18 @@ def _check_dist(dist: Mapping[Sample, float], what: str) -> None:
 class ProtocolPair:
     """A real/ideal pair of systems emitting (key, view) samples.
 
-    ``real_dist``/``ideal_dist`` are optional exact distributions over
-    samples; when both are present, advantage computations are exact.
+    ``real_run(rng, trials)``/``ideal_run(rng, trials)`` draw ``trials``
+    samples as :data:`Samples` arrays, one row per trial; zero trials
+    draw nothing and give the layout.  ``real_dist``/``ideal_dist`` are
+    optional exact distributions over samples; when both are present,
+    advantage computations are exact.
     """
 
     name: str
     output_len: int
     declared_eps: float
-    real_run: Callable[[np.random.Generator], Sample]
-    ideal_run: Callable[[np.random.Generator], Sample]
+    real_run: Callable[[np.random.Generator, int], Samples]
+    ideal_run: Callable[[np.random.Generator, int], Samples]
     real_dist: Mapping[Sample, float] | None = None
     ideal_dist: Mapping[Sample, float] | None = None
 
@@ -111,17 +120,19 @@ class ProtocolPair:
 class KeyApplication:
     """A protocol consuming a key, given as key-conditioned real/ideal runs.
 
-    ``real_run(key, rng)`` returns the adversary view of the real
-    application; ``ideal_run(key, rng)`` the view of its ideal
-    functionality (which typically ignores the key).  The optional
-    ``*_dist_given_key`` callables return exact view distributions.
+    ``real_run(keys, rng)`` maps a (trials, key_len) 0/1 key array to
+    the adversary views of the real application, a tuple of (trials,
+    width) 0/1 arrays; ``ideal_run(keys, rng)`` gives the views of its
+    ideal functionality (which typically ignores the keys).  The
+    optional ``*_dist_given_key`` callables return exact view
+    distributions for one key string.
     """
 
     name: str
     key_len: int
     declared_eps: float
-    real_run: Callable[[str, np.random.Generator], tuple]
-    ideal_run: Callable[[str, np.random.Generator], tuple]
+    real_run: Callable[[np.ndarray, np.random.Generator], tuple[np.ndarray, ...]]
+    ideal_run: Callable[[np.ndarray, np.random.Generator], tuple[np.ndarray, ...]]
     real_dist_given_key: Callable[[str], Mapping[tuple, float]] | None = None
     ideal_dist_given_key: Callable[[str], Mapping[tuple, float]] | None = None
 
@@ -160,20 +171,57 @@ class AdvantageEstimate:
         }
 
 
-def _accept_prob_exact(dist: Mapping[Sample, float], decide: Callable[[Sample], bool]) -> float:
-    return math.fsum(p for sample, p in dist.items() if p > 0.0 and decide(sample))
+def _accept_prob_exact(weighted: Iterable[tuple[Sample, float]], decide: Callable[[Sample], bool]) -> float:
+    """Total weight of the accepted samples, e.g. of a distribution's ``items()``."""
+    return math.fsum(p for sample, p in weighted if p > 0.0 and decide(sample))
+
+
+def _row_codes(bits: np.ndarray) -> np.ndarray:
+    """One opaque code per row of a 0/1 array: the row packed into bytes."""
+    packed = np.packbits(bits, axis=1) if bits.shape[1] else np.zeros((len(bits), 1), np.uint8)
+    return packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+
+
+def _histogram(codes: np.ndarray, counts: np.ndarray, widths: Sequence[int]) -> Iterator[tuple[Sample, float]]:
+    """The sample behind each of the distinct ``codes``, with its count."""
+    width = sum(widths)
+    bits = np.unpackbits(codes.view(np.uint8).reshape(len(codes), -1), axis=1, count=width)
+    text = (bits + ord("0")).tobytes().decode("ascii")
+    edges = np.cumsum((0, *widths)).tolist()
+    for i, count in enumerate(counts.tolist()):
+        row = text[i * width : (i + 1) * width]
+        key, *view = (row[a:b] for a, b in zip(edges, edges[1:]))
+        yield (key, tuple(view)), count
 
 
 def _accept_prob_sampled(
-    run: Callable[[np.random.Generator], Sample],
+    run: Callable[[np.random.Generator, int], Samples],
     decide: Callable[[Sample], bool],
     trials: int,
     rng: np.random.Generator,
 ) -> float:
-    hits = 0
-    for _ in range(trials):
-        if decide(run(rng)):
-            hits += 1
+    """Fraction of ``trials`` samples of ``run`` that ``decide`` accepts.
+
+    Samples are drawn a chunk of rows at a time and tallied as a
+    histogram of distinct samples; ``decide`` sees each distinct sample
+    once, weighted by its count, as in the exact path.  The histogram is
+    decided and emptied whenever it outgrows eight chunks, so memory
+    does not grow with ``trials``.
+    """
+    key, views = run(rng, 0)
+    widths = (key.shape[1], *(v.shape[1] for v in views))
+    rows = _chunk_rows(sum(widths))
+    empty = codes = _row_codes(np.concatenate((key, *views), axis=1))
+    counts = np.zeros(0)
+    hits = 0.0
+    for start in range(0, trials, rows):
+        key, views = run(rng, min(rows, trials - start))
+        chunk = _row_codes(np.concatenate((key, *views), axis=1))
+        codes, inverse = np.unique(np.concatenate((codes, chunk)), return_inverse=True)
+        counts = np.bincount(inverse, weights=np.concatenate((counts, np.ones(len(chunk)))))
+        if len(codes) > 8 * rows or start + rows >= trials:
+            hits += _accept_prob_exact(_histogram(codes, counts, widths), decide)
+            codes, counts = empty, counts[:0]
     return hits / trials
 
 
@@ -208,8 +256,8 @@ def estimate_advantage(
     if mode == "exact":
         if not pair.has_exact_dists:
             raise ValueError(f"{pair.name} has no exact distributions")
-        p_r = _accept_prob_exact(pair.real_dist, decide)
-        p_i = _accept_prob_exact(pair.ideal_dist, decide)
+        p_r = _accept_prob_exact(pair.real_dist.items(), decide)
+        p_i = _accept_prob_exact(pair.ideal_dist.items(), decide)
         return AdvantageEstimate(abs(p_r - p_i), 0.0, p_r, p_i, "exact", 0)
     if mode != "sample":
         raise ValueError(f"unknown mode {mode!r}")
@@ -257,12 +305,12 @@ def _convolve(
 
 
 def _composed_runner(
-    source_run: Callable[[np.random.Generator], Sample],
-    app_run: Callable[[str, np.random.Generator], tuple],
-) -> Callable[[np.random.Generator], Sample]:
-    def run(rng: np.random.Generator) -> Sample:
-        key, view = source_run(rng)
-        return key, view + app_run(key, rng)
+    source_run: Callable[[np.random.Generator, int], Samples],
+    app_run: Callable[[np.ndarray, np.random.Generator], tuple[np.ndarray, ...]],
+) -> Callable[[np.random.Generator, int], Samples]:
+    def run(rng: np.random.Generator, trials: int) -> Samples:
+        keys, views = source_run(rng, trials)
+        return keys, views + app_run(keys, rng)
 
     return run
 
@@ -399,9 +447,9 @@ def verify_composition_bound(
     rows = []
     for d in distinguishers:
         if mode == "exact":
-            p_rr = _accept_prob_exact(composed.real_dist, d.decide)
-            p_ir = _accept_prob_exact(hybrid_dist, d.decide)
-            p_ii = _accept_prob_exact(composed.ideal_dist, d.decide)
+            p_rr = _accept_prob_exact(composed.real_dist.items(), d.decide)
+            p_ir = _accept_prob_exact(hybrid_dist.items(), d.decide)
+            p_ii = _accept_prob_exact(composed.ideal_dist.items(), d.decide)
             hw = 0.0
         else:
             r1, r2, r3 = rng.spawn(3)
@@ -455,8 +503,12 @@ def _uniform_key_dist(key_len: int) -> dict[Sample, float]:
     return {(k, ()): w for k in _all_bitstrings(key_len)}
 
 
-def _random_bits(rng: np.random.Generator, n: int) -> str:
-    return "".join("1" if b else "0" for b in rng.integers(0, 2, size=n))
+def _random_bits(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
+    return rng.integers(0, 2, size=(trials, n))
+
+
+def _bit_row(bits: str) -> np.ndarray:
+    return np.array([int(b) for b in bits])
 
 
 def iid_bits_total_variation(key_len: int, p_zero: float) -> float:
@@ -476,8 +528,8 @@ def iid_bits_total_variation(key_len: int, p_zero: float) -> float:
 def perfect_key_source(key_len: int) -> ProtocolPair:
     """Uniform keys in both worlds: declared epsilon 0, exactly achieved."""
 
-    def run(rng: np.random.Generator) -> Sample:
-        return _random_bits(rng, key_len), ()
+    def run(rng: np.random.Generator, trials: int) -> Samples:
+        return _random_bits(rng, trials, key_len), ()
 
     dists = _uniform_key_dist(key_len) if key_len <= 20 else None
     return ProtocolPair(
@@ -498,12 +550,12 @@ def biased_key_source(key_len: int, p_zero: float = 0.6) -> ProtocolPair:
     for a single bit with p_zero = 0.6 is 0.1.
     """
 
-    def real(rng: np.random.Generator) -> Sample:
-        bits = "".join("0" if rng.random() < p_zero else "1" for _ in range(key_len))
-        return bits, ()
+    def real(rng: np.random.Generator, trials: int) -> Samples:
+        # a bit is 0 when its uniform draw falls below p_zero
+        return (rng.random((trials, key_len)) >= p_zero).astype(np.int64), ()
 
-    def ideal(rng: np.random.Generator) -> Sample:
-        return _random_bits(rng, key_len), ()
+    def ideal(rng: np.random.Generator, trials: int) -> Samples:
+        return _random_bits(rng, trials, key_len), ()
 
     real_dist = ideal_dist = None
     if key_len <= 20:
@@ -533,12 +585,13 @@ def otp_application(message: str) -> KeyApplication:
     if not message or set(message) - {"0", "1"}:
         raise ValueError("message must be a nonempty bitstring")
     n = len(message)
+    m = _bit_row(message)
 
-    def real(key: str, rng: np.random.Generator) -> tuple:
-        return (_xor_bits(key, message),)
+    def real(keys: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+        return (keys ^ m,)
 
-    def ideal(key: str, rng: np.random.Generator) -> tuple:
-        return (_random_bits(rng, n),)
+    def ideal(keys: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+        return (_random_bits(rng, len(keys), n),)
 
     real_given = ideal_given = None
     if n <= 20:
@@ -591,20 +644,24 @@ def attack_otp_composed_pair(n: int, message: str, declared_eps: float = 0.25) -
     (wrongly) certified with; the parity distinguisher's exact
     advantage is 1/2 regardless.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if len(message) != n + 1:
         raise ValueError(f"message must have {n + 1} bits")
     if set(message) - {"0", "1"}:
         raise ValueError("message must be a bitstring")
+    m = _bit_row(message)
 
-    def real(rng: np.random.Generator) -> Sample:
-        s = rng.integers(0, 2, size=n + 1)
-        key = "".join(map(str, s))
-        pad = sample_pad(n, int(s[n]), rng)
-        cipher = _xor_bits(key, message)
-        return "", (cipher, "".join(map(str, pad)))
+    # a trial draws the n+1 key bits, then the n-1 free pad bits
+    def real(rng: np.random.Generator, trials: int) -> Samples:
+        draws = rng.integers(0, 2, size=(trials, 2 * n))
+        key = draws[:, : n + 1]
+        pad = _complete_pads(draws[:, n + 1 :], key[:, n])
+        return draws[:, :0], (key ^ m, pad)  # no output key, as in the exact dists
 
-    def ideal(rng: np.random.Generator) -> Sample:
-        return "", (_random_bits(rng, n + 1), _random_bits(rng, n))
+    def ideal(rng: np.random.Generator, trials: int) -> Samples:
+        draws = rng.integers(0, 2, size=(trials, 2 * n + 1))
+        return draws[:, :0], (draws[:, : n + 1], draws[:, n + 1 :])
 
     real_dist = ideal_dist = None
     if 2 ** (2 * n + 1) <= _EXACT_DIST_CAP:

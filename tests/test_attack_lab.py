@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qkdlab import attack_lab
 from qkdlab.attack_lab import (
     AttackState,
     SecrecyGapReport,
@@ -17,6 +18,7 @@ from qkdlab.attack_lab import (
     parity_guess_curve_csv,
     parity_strategy,
     run_otp_attack,
+    run_otp_attacks,
     sample_pad,
     secrecy_gap_report,
     single_qubit_guess_oracle,
@@ -157,12 +159,48 @@ def test_attack_with_wrong_bases_is_a_coin_flip():
     assert abs(wins - trials / 2) <= 3 * sigma
 
 
+def _reference_round(n, m, rng, wrong_basis):
+    """One attack round as a plain loop over qubits: (key, measured pad, recovered bit)."""
+    s = tuple(int(b) for b in rng.integers(0, 2, size=n + 1))
+    prefix = tuple(int(b) for b in rng.integers(0, 2, size=n - 1))
+    r = prefix + ((s[n] + sum(prefix)) % 2,)
+    c = tuple(mi ^ si for mi, si in zip(m, s))
+    bases = tuple(m[i] ^ c[i] ^ wrong_basis for i in range(n))
+    r_hat = tuple(measure_encoded_qubit(r[i], s[i], bases[i], rng) for i in range(n))
+    return s, r_hat, sum(r_hat) % 2 ^ c[n]
+
+
+@pytest.mark.parametrize("wrong_basis", [False, True])
+def test_batched_attack_replays_the_per_round_loop(wrong_basis):
+    trials, m = 700, (1, 0, 1, 1, 0)
+    reference, one_by_one, batched = (np.random.default_rng(11) for _ in range(3))
+    rounds = [_reference_round(4, m, reference, wrong_basis) for _ in range(trials)]
+    calls = [run_otp_attack(4, m, one_by_one, wrong_basis=wrong_basis) for _ in range(trials)]
+    tally = run_otp_attacks(4, m, batched, trials, wrong_basis=wrong_basis)
+    assert tally.successes == sum(bit == m[4] for _, _, bit in rounds) == sum(t.success for t in calls)
+    assert tally.last == calls[-1]
+    key, measured, bit = rounds[-1]
+    assert (tally.last.key, tally.last.measured_pad, tally.last.recovered_bit) == (key, measured, bit)
+    # all three consumed exactly the same draws
+    assert batched.integers(2**62) == one_by_one.integers(2**62) == reference.integers(2**62)
+
+
+@pytest.mark.parametrize("wrong_basis", [False, True])
+def test_batched_attack_ignores_chunk_boundaries(monkeypatch, wrong_basis):
+    whole = run_otp_attacks(3, "0111", np.random.default_rng(12), 1001, wrong_basis=wrong_basis)
+    monkeypatch.setattr(attack_lab, "_CHUNK_BITS", 20)  # one or three rounds per draw
+    chunked = run_otp_attacks(3, "0111", np.random.default_rng(12), 1001, wrong_basis=wrong_basis)
+    assert chunked == whole
+
+
 def test_attack_rejects_bad_inputs():
     rng = np.random.default_rng(6)
     with pytest.raises(ValueError):
         run_otp_attack(1, "11", rng)
     with pytest.raises(ValueError):
         run_otp_attack(2, "1", rng)  # wrong message width
+    with pytest.raises(ValueError):
+        run_otp_attacks(2, "101", rng, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +224,13 @@ def test_parity_strategy_acceptance_gap():
 
 def test_computational_basis_guess_value():
     assert basis_guess_probability(0.0) == pytest.approx(0.75, abs=1e-12)
+
+
+def test_guess_sweep_matches_the_scalar_probability():
+    thetas = np.linspace(0.0, math.pi, 2001)
+    swept = attack_lab._basis_guess_probabilities(thetas)
+    scalar = [basis_guess_probability(t) for t in thetas]
+    assert np.abs(swept - scalar).max() <= 1e-15
 
 
 def test_oracle_finds_intermediate_angle():

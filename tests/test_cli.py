@@ -120,6 +120,10 @@ STREAM = ["--n0", "60000", "--ell0", "12000", "--rounds", "3"]
         ["keystream-plan", "--target-eps", "1e-9", "--rho", "inf"],
         ["keystream-plan", "--target-eps", "1e-9", "--nu", "1e-300"],
         ["rsa-demo", "--auctions", "3", "--modulus-bits", str(10**30)],
+        ["verify-composition", "--example", "attack-otp", "--n", "-1"],
+        ["verify-composition", "--example", "attack-otp", "--n", "0"],
+        ["verify-composition", "--example", "attack-otp", "--n", str(10**30)],
+        ["attack-demo", "--n", "-3"],
     ],
 )
 def test_unrepresentable_inputs_are_usage_errors(capsys, argv):
@@ -141,6 +145,14 @@ _RATE = st.one_of(st.sampled_from(["1e-3", "1e-2", "0.5", "1e-9"]), _NUMBER)
 _COUNT = st.one_of(st.integers(-2, 50).map(str), st.sampled_from(["inf", "nan", "1.5"]))
 _ABORT = st.sampled_from(["0", "0.2", "0.5", "1", "-0.1", "1.5", "nan", "inf"])
 _STREAM = {"--n0": _SIZE, "--ell0": _SIZE}
+_SEED = st.integers(-2, 2**70).map(str)
+_TRIALS = st.integers(-2, 500).map(str)
+# valid pad lengths stay small: attack-demo builds the n-qubit state for
+# its marginal check up to n = 7, and exact attack-otp enumerates
+# 2^(2n+1) samples up to n = 10
+_PAD_N = st.sampled_from(["-1", "0", "1", "2", "4", "12", "nan", str(2**53), str(10**30)])
+_MESSAGE = st.one_of(st.text("01", max_size=6), st.just("0a1"))
+_MODE = st.sampled_from(["auto", "exact", "sample"])
 _STREAM_OPTIONS = {
     "--gamma": _RATE, "--rho": _RATE, "--nu": _RATE, "--c": _RATE,
     "--ell": _SIZE, "--eps0": _RATE, "--rounds": _COUNT,
@@ -165,6 +177,23 @@ _ARGV = st.one_of(
     _argv("rsa-demo", {}, {
         "--bid": _SIZE, "--auctions": _COUNT, "--max-bid": _SIZE,
         "--modulus-bits": st.one_of(st.integers(10, 70).map(str), _NUMBER),
+    }),
+    st.tuples(
+        _argv("attack-demo", {"--trials": _TRIALS}, {"--n": _PAD_N, "--message": _MESSAGE, "--seed": _SEED}),
+        st.booleans(),
+    ).map(lambda drawn: drawn[0] + ["--wrong-basis"] * drawn[1]),
+    _argv("verify-composition", {"--example": st.just("biased-otp"), "--mode": _MODE, "--trials": _TRIALS}, {
+        "--message": _MESSAGE, "--p-zero": _RATE, "--seed": _SEED,
+    }),
+    _argv("verify-composition", {
+        "--example": st.just("attack-otp"), "--n": _PAD_N, "--mode": _MODE, "--trials": _TRIALS,
+    }, {"--declared-eps": _RATE, "--seed": _SEED}),
+    _argv("secrecy", {
+        "--n": st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["8", "nan", str(10**30)])),
+        "--budget": st.one_of(st.integers(-2, 4).map(str), st.just("nan")),
+    }, {
+        "--families": st.sampled_from(["per_qubit", "random", "hill_climb", "per_qubit,random", "psychic", ""]),
+        "--seed": _SEED,
     }),
 )
 

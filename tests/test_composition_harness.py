@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -7,8 +9,11 @@ from scipy import stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdlab import attack_lab
+from qkdlab.attack_lab import sample_pad
 from qkdlab.composition_harness import (
     Distinguisher,
+    _accept_prob_sampled,
     _two_sample_half_width,
     KeyApplication,
     ProtocolPair,
@@ -220,6 +225,129 @@ def test_attack_otp_validation():
         attack_otp_composed_pair(3, "01")
     with pytest.raises(ValueError, match="bitstring"):
         attack_otp_composed_pair(2, "0ab")
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            attack_otp_composed_pair(n, "1" * (n + 1))
+
+
+# ---------------------------------------------------------------------------
+# batched sampling
+
+
+def _replay(bits: np.ndarray, widths: list[int]):
+    """A run handing out the rows of ``bits`` in order, split by ``widths``."""
+    edges = np.cumsum([0, *widths])
+    position = 0
+
+    def run(rng, trials):
+        nonlocal position
+        rows = bits[position : position + trials]
+        position += trials
+        parts = [rows[:, a:b] for a, b in zip(edges, edges[1:])]
+        return parts[0], tuple(parts[1:])
+
+    return run
+
+
+@given(
+    widths=st.lists(st.integers(0, 70), min_size=1, max_size=3),
+    trials=st.integers(1, 300),
+    p_one=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    salt=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_histogram_acceptance_counts_every_trial(widths, trials, p_one, seed, salt):
+    bits = (np.random.default_rng(seed).random((trials, sum(widths))) < p_one).astype(np.int64)
+    calls = []
+
+    def decide(sample):
+        calls.append(sample)
+        return zlib.crc32(repr((sample, salt)).encode()) % 3 == 0
+
+    edges = np.cumsum([0, *widths])
+    direct = 0
+    for row in bits:
+        parts = ["".join(map(str, row[a:b])) for a, b in zip(edges, edges[1:])]
+        direct += zlib.crc32(repr(((parts[0], tuple(parts[1:])), salt)).encode()) % 3 == 0
+    got = _accept_prob_sampled(_replay(bits, widths), decide, trials, np.random.default_rng(0))
+    assert got == direct / trials
+    # one chunk here, so decide saw each distinct sample exactly once
+    assert len(calls) == len(set(calls)) == len({tuple(row) for row in bits})
+
+
+def test_batched_runs_replay_the_per_trial_draws():
+    n, message = 3, "0110"
+    m = [int(b) for b in message]
+    pair = attack_otp_composed_pair(n, message)
+    batched, reference = np.random.default_rng(7), np.random.default_rng(7)
+    key, (cipher, pad) = pair.real_run(batched, 50)
+    assert key.shape == (50, 0)
+    for row in range(50):
+        s = reference.integers(0, 2, size=n + 1)
+        assert cipher[row].tolist() == [a ^ b for a, b in zip(s.tolist(), m)]
+        assert pad[row].tolist() == list(sample_pad(n, int(s[n]), reference))
+    _, (cipher, pad) = pair.ideal_run(batched, 50)
+    for row in range(50):
+        assert cipher[row].tolist() == reference.integers(0, 2, size=n + 1).tolist()
+        assert pad[row].tolist() == reference.integers(0, 2, size=n).tolist()
+    keys, view = biased_key_source(4, p_zero=0.3).real_run(batched, 50)
+    assert view == ()
+    for row in range(50):
+        assert keys[row].tolist() == [0 if reference.random() < 0.3 else 1 for _ in range(4)]
+
+
+def test_sampled_estimate_ignores_chunk_boundaries(monkeypatch):
+    message = "1011001"
+    pair = attack_otp_composed_pair(6, message)
+    parity = otp_prefix_parity_distinguisher(message)
+    whole = estimate_advantage(pair, parity, mode="sample", trials=1001, rng=np.random.default_rng(4))
+    # three 13-bit samples per draw, and the histogram is decided and
+    # emptied many times along the way
+    monkeypatch.setattr(attack_lab, "_CHUNK_BITS", 40)
+    requested = []
+    ideal_run = pair.ideal_run
+
+    def recording(rng, trials):
+        requested.append(trials)
+        return ideal_run(rng, trials)
+
+    small = ProtocolPair(pair.name, 0, pair.declared_eps, pair.real_run, recording)
+    chunked = estimate_advantage(small, parity, mode="sample", trials=1001, rng=np.random.default_rng(4))
+    assert chunked == whole
+    assert sum(requested) == 1001 and max(requested) == 3
+
+
+def test_sampled_memory_does_not_grow_with_trials(monkeypatch):
+    monkeypatch.setattr(attack_lab, "_CHUNK_BITS", 2**10)  # 16 samples of 61 bits per draw
+    pair = attack_otp_composed_pair(30, "1" * 31)  # every ideal sample is new
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            _accept_prob_sampled(pair.ideal_run, lambda s: True, trials, np.random.default_rng(0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8_000) < 2 * peak(1_000)
+
+
+def test_sampled_mode_has_no_width_limit():
+    message = "1" * 41
+    pair = attack_otp_composed_pair(40, message)  # 81-bit samples
+    assert not pair.has_exact_dists
+    est = estimate_advantage(pair, otp_prefix_parity_distinguisher(message), mode="sample",
+                             trials=2_000, rng=np.random.default_rng(5))
+    assert est.accept_real == 1.0
+    assert abs(est.accept_ideal - 0.5) <= 0.05
+
+
+def test_sampled_mode_handles_empty_samples():
+    pair = perfect_key_source(0)
+    est = estimate_advantage(pair, lambda s: s == ("", ()), mode="sample",
+                             trials=100, rng=np.random.default_rng(6))
+    assert est.accept_real == est.accept_ideal == 1.0
 
 
 # ---------------------------------------------------------------------------
