@@ -19,7 +19,6 @@ between the accessible-information story and the distinguisher story.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -83,6 +82,12 @@ def _chunk_rows(width: int) -> int:
     return max(1, _CHUNK_BITS // max(1, width))
 
 
+def _bit_rows(n: int) -> np.ndarray:
+    """Every n-bit 0/1 row, as uint8, in lexicographic order: row v spells v in binary."""
+    values = (np.arange(1 << n, dtype=np.uint32) << (32 - n)).astype(">u4")
+    return np.unpackbits(values[:, None].view(np.uint8), axis=1, count=n)
+
+
 def _bits_from(value, width: int) -> tuple[int, ...]:
     bits = tuple(map(int, value))
     if len(bits) != width or not {0, 1}.issuperset(bits):
@@ -96,12 +101,6 @@ def _parity(bits: Sequence[int]) -> int:
 
 # _BB84_AMPS[s, r] holds the amplitudes of data bit r encoded in basis s
 _BB84_AMPS = np.array([[bb84_encode(r, s).amplitudes for r in (0, 1)] for s in (0, 1)])
-
-
-def _pads_with_parity(n: int, parity: int):
-    """All n-bit pads whose XOR equals ``parity``, in lexicographic order."""
-    for prefix in itertools.product((0, 1), repeat=n - 1):
-        yield prefix + ((parity ^ _parity(prefix)),)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +128,8 @@ def build_attack_state(n: int, max_qubits: int = MAX_ATTACK_QUBITS) -> AttackSta
         raise ValueError(f"n must lie in [2, {max_qubits}]")
     p_branch = 2.0 ** -(n + 1)
     weight = 2.0 ** -(n - 1)
-    keys = np.array(list(itertools.product((0, 1), repeat=n + 1)))
-    pads = np.array([list(_pads_with_parity(n, parity)) for parity in (0, 1)])[keys[:, -1]]
+    keys = _bit_rows(n + 1)
+    pads = np.stack([_complete_pads(_bit_rows(n - 1), parity) for parity in (0, 1)])[keys[:, -1]]
     # rows[s, k] is the product state of pad k in the bases of key s,
     # built qubit by qubit as a Kronecker product
     rows = np.ones((len(keys), pads.shape[1], 1), dtype=np.complex128)
@@ -160,18 +159,19 @@ def fully_mixed_marginal_check(state: AttackState | CqState, tol: float = 1e-9) 
     n = cq.key_len - 1
     mixed = np.eye(cq.dim, dtype=np.complex128) / cq.dim
     worst = 0.0
-    for prefix in itertools.product("01", repeat=n):
+    for row in _bit_rows(n).tolist():
+        prefix = "".join(map(str, row))
         acc = np.zeros((cq.dim, cq.dim), dtype=np.complex128)
         mass = 0.0
         for last in "01":
-            label = "".join(prefix) + last
+            label = prefix + last
             if label not in cq.branches:
                 raise ValueError(f"state is missing branch {label!r}")
             p, rho = cq.branches[label]
             acc += p * rho.matrix
             mass += p
         if mass <= 0.0:
-            raise ValueError(f"prefix {''.join(prefix)!r} carries no probability")
+            raise ValueError(f"prefix {prefix!r} carries no probability")
         worst = max(worst, float(np.abs(acc / mass - mixed).max()))
     return MarginalCheck(passed=worst < tol, max_deviation=worst)
 

@@ -2,11 +2,12 @@
 
 Everything here works on pairs of sampleable systems, a real one and an
 ideal one.  A system draws many trials per call, as 0/1 arrays with one
-row per trial.  A pair can optionally carry exact output distributions,
-in which case distinguisher advantages are computed by summation
-instead of Monte Carlo.  Monte Carlo is the same summation over the
-empirical histogram: each distinct sample is decided once and weighted
-by its count.  The harness verifies the additive composition bound
+row per trial.  Exact and Monte Carlo advantages are both sums over a
+:class:`SampleTable` of distinct samples (packed row codes) with
+weights, so each distinct sample is decided once: Monte Carlo weights
+the drawn samples by their counts, and a pair whose samples are at most
+21 bits wide can build its exact distributions, weighted by probability,
+on first use.  The harness verifies the additive composition bound
 through the standard hybrid argument: for a key source with distance
 eps_source and an application with distance eps_app, every
 distinguisher's advantage against the composed system is bounded by
@@ -24,17 +25,19 @@ for computational assumptions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import ndtri
 
-from .attack_lab import _chunk_rows, _complete_pads
+from .attack_lab import _bit_rows, _chunk_rows, _complete_pads
 
 __all__ = [
     "Sample",
+    "SampleTable",
     "ProtocolPair",
     "KeyApplication",
     "Distinguisher",
@@ -72,13 +75,48 @@ Sample = tuple[str, tuple]
 Samples = tuple[np.ndarray, tuple[np.ndarray, ...]]
 
 _DIST_SUM_TOL = 1e-9
-_EXACT_DIST_CAP = 2**21
+_EXACT_MAX_BITS = 21  # exact tables are built for samples this wide at most
 
 
-def _check_dist(dist: Mapping[Sample, float], what: str) -> None:
-    total = math.fsum(dist.values())
-    if abs(total - 1.0) > _DIST_SUM_TOL:
-        raise ValueError(f"{what} sums to {total}, expected 1")
+def _row_codes(bits: np.ndarray) -> np.ndarray:
+    """One opaque code per row of a 0/1 array: the row packed into bytes."""
+    packed = np.packbits(bits, axis=1) if bits.shape[1] else np.zeros((len(bits), 1), np.uint8)
+    return packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+
+
+def _code_bits(codes: np.ndarray, width: int) -> np.ndarray:
+    """The ``width``-bit 0/1 rows behind ``codes``, as uint8."""
+    return np.unpackbits(codes.view(np.uint8).reshape(len(codes), -1), axis=1, count=width)
+
+
+def _merge(codes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct code once, with the summed weight of its copies."""
+    codes, inverse = np.unique(codes, return_inverse=True)
+    return codes, np.bincount(inverse, weights=weights, minlength=len(codes))
+
+
+@dataclass(frozen=True, eq=False)
+class SampleTable:
+    """Distinct samples (packed row codes, the key and then each view
+    ``widths`` bits wide) with weights: an exact distribution or a tally."""
+
+    codes: np.ndarray
+    weights: np.ndarray
+    widths: tuple[int, ...]
+
+    def items(self) -> Iterator[tuple[Sample, float]]:
+        width = sum(self.widths)
+        text = (_code_bits(self.codes, width) + ord("0")).tobytes().decode("ascii")
+        edges = np.cumsum((0, *self.widths)).tolist()
+        for i, weight in enumerate(self.weights.tolist()):
+            row = text[i * width : (i + 1) * width]
+            key, *view = (row[a:b] for a, b in zip(edges, edges[1:]))
+            yield (key, tuple(view)), weight
+
+
+def _table(bits: np.ndarray, weights, widths: Sequence[int]) -> SampleTable:
+    """The rows of the 0/1 array ``bits`` with their ``weights``, equal rows merged."""
+    return SampleTable(*_merge(_row_codes(bits), np.broadcast_to(weights, len(bits))), tuple(widths))
 
 
 @dataclass(frozen=True)
@@ -87,9 +125,10 @@ class ProtocolPair:
 
     ``real_run(rng, trials)``/``ideal_run(rng, trials)`` draw ``trials``
     samples as :data:`Samples` arrays, one row per trial; zero trials
-    draw nothing and give the layout.  ``real_dist``/``ideal_dist`` are
-    optional exact distributions over samples; when both are present,
-    advantage computations are exact.
+    draw nothing and give the layout.  ``build_exact()``, if given,
+    returns the exact real and ideal distributions as :class:`SampleTable`
+    objects; it runs on the first read of ``real_dist``/``ideal_dist``,
+    and only for samples at most 21 bits wide, which else read None.
     """
 
     name: str
@@ -97,23 +136,40 @@ class ProtocolPair:
     declared_eps: float
     real_run: Callable[[np.random.Generator, int], Samples]
     ideal_run: Callable[[np.random.Generator, int], Samples]
-    real_dist: Mapping[Sample, float] | None = None
-    ideal_dist: Mapping[Sample, float] | None = None
+    build_exact: Callable[[], tuple[SampleTable, SampleTable]] | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.declared_eps <= 1.0:
             raise ValueError("declared_eps must lie in [0, 1]")
         if self.output_len < 0:
             raise ValueError("output_len must be nonnegative")
-        if (self.real_dist is None) != (self.ideal_dist is None):
-            raise ValueError("provide both exact distributions or neither")
-        if self.real_dist is not None:
-            _check_dist(self.real_dist, f"{self.name} real_dist")
-            _check_dist(self.ideal_dist, f"{self.name} ideal_dist")
 
     @property
     def has_exact_dists(self) -> bool:
-        return self.real_dist is not None
+        """A builder is given and a sample is at most 21 bits wide."""
+        if self.build_exact is None:
+            return False
+        key, views = self.real_run(np.random.default_rng(0), 0)
+        return key.shape[1] + sum(v.shape[1] for v in views) <= _EXACT_MAX_BITS
+
+    @functools.cached_property
+    def _exact(self) -> tuple[SampleTable | None, SampleTable | None]:
+        if not self.has_exact_dists:
+            return None, None
+        tables = self.build_exact()
+        for table, world in zip(tables, ("real", "ideal")):
+            total = math.fsum(table.weights.tolist())
+            if abs(total - 1.0) > _DIST_SUM_TOL:
+                raise ValueError(f"{self.name} {world}_dist sums to {total}, expected 1")
+        return tables
+
+    @property
+    def real_dist(self) -> SampleTable | None:
+        return self._exact[0]
+
+    @property
+    def ideal_dist(self) -> SampleTable | None:
+        return self._exact[1]
 
 
 @dataclass(frozen=True)
@@ -124,8 +180,9 @@ class KeyApplication:
     the adversary views of the real application, a tuple of (trials,
     width) 0/1 arrays; ``ideal_run(keys, rng)`` gives the views of its
     ideal functionality (which typically ignores the keys).  The
-    optional ``*_dist_given_key`` callables return exact view
-    distributions for one key string.
+    optional ``*_dist_given_keys(keys)`` give the exact views of all key
+    rows at once: ``(key_rows, views, weights)``, view row j having
+    probability ``weights[j]`` given key row ``key_rows[j]``.
     """
 
     name: str
@@ -133,8 +190,8 @@ class KeyApplication:
     declared_eps: float
     real_run: Callable[[np.ndarray, np.random.Generator], tuple[np.ndarray, ...]]
     ideal_run: Callable[[np.ndarray, np.random.Generator], tuple[np.ndarray, ...]]
-    real_dist_given_key: Callable[[str], Mapping[tuple, float]] | None = None
-    ideal_dist_given_key: Callable[[str], Mapping[tuple, float]] | None = None
+    real_dist_given_keys: Callable[[np.ndarray], tuple] | None = None
+    ideal_dist_given_keys: Callable[[np.ndarray], tuple] | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.declared_eps <= 1.0:
@@ -171,27 +228,9 @@ class AdvantageEstimate:
         }
 
 
-def _accept_prob_exact(weighted: Iterable[tuple[Sample, float]], decide: Callable[[Sample], bool]) -> float:
-    """Total weight of the accepted samples, e.g. of a distribution's ``items()``."""
-    return math.fsum(p for sample, p in weighted if p > 0.0 and decide(sample))
-
-
-def _row_codes(bits: np.ndarray) -> np.ndarray:
-    """One opaque code per row of a 0/1 array: the row packed into bytes."""
-    packed = np.packbits(bits, axis=1) if bits.shape[1] else np.zeros((len(bits), 1), np.uint8)
-    return packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
-
-
-def _histogram(codes: np.ndarray, counts: np.ndarray, widths: Sequence[int]) -> Iterator[tuple[Sample, float]]:
-    """The sample behind each of the distinct ``codes``, with its count."""
-    width = sum(widths)
-    bits = np.unpackbits(codes.view(np.uint8).reshape(len(codes), -1), axis=1, count=width)
-    text = (bits + ord("0")).tobytes().decode("ascii")
-    edges = np.cumsum((0, *widths)).tolist()
-    for i, count in enumerate(counts.tolist()):
-        row = text[i * width : (i + 1) * width]
-        key, *view = (row[a:b] for a, b in zip(edges, edges[1:]))
-        yield (key, tuple(view)), count
+def _accept_prob(table: SampleTable, decide: Callable[[Sample], bool]) -> float:
+    """Total weight of the samples of ``table`` that ``decide`` accepts."""
+    return math.fsum(w for sample, w in table.items() if w > 0.0 and decide(sample))
 
 
 def _accept_prob_sampled(
@@ -202,9 +241,9 @@ def _accept_prob_sampled(
 ) -> float:
     """Fraction of ``trials`` samples of ``run`` that ``decide`` accepts.
 
-    Samples are drawn a chunk of rows at a time and tallied as a
-    histogram of distinct samples; ``decide`` sees each distinct sample
-    once, weighted by its count, as in the exact path.  The histogram is
+    Samples are drawn a chunk of rows at a time and tallied as a table
+    of distinct samples weighted by their counts; ``decide`` sees each
+    distinct sample once, as for an exact distribution.  The tally is
     decided and emptied whenever it outgrows eight chunks, so memory
     does not grow with ``trials``.
     """
@@ -217,10 +256,9 @@ def _accept_prob_sampled(
     for start in range(0, trials, rows):
         key, views = run(rng, min(rows, trials - start))
         chunk = _row_codes(np.concatenate((key, *views), axis=1))
-        codes, inverse = np.unique(np.concatenate((codes, chunk)), return_inverse=True)
-        counts = np.bincount(inverse, weights=np.concatenate((counts, np.ones(len(chunk)))))
+        codes, counts = _merge(np.concatenate((codes, chunk)), np.concatenate((counts, np.ones(len(chunk)))))
         if len(codes) > 8 * rows or start + rows >= trials:
-            hits += _accept_prob_exact(_histogram(codes, counts, widths), decide)
+            hits += _accept_prob(SampleTable(codes, counts, widths), decide)
             codes, counts = empty, counts[:0]
     return hits / trials
 
@@ -256,8 +294,8 @@ def estimate_advantage(
     if mode == "exact":
         if not pair.has_exact_dists:
             raise ValueError(f"{pair.name} has no exact distributions")
-        p_r = _accept_prob_exact(pair.real_dist.items(), decide)
-        p_i = _accept_prob_exact(pair.ideal_dist.items(), decide)
+        p_r = _accept_prob(pair.real_dist, decide)
+        p_i = _accept_prob(pair.ideal_dist, decide)
         return AdvantageEstimate(abs(p_r - p_i), 0.0, p_r, p_i, "exact", 0)
     if mode != "sample":
         raise ValueError(f"unknown mode {mode!r}")
@@ -280,28 +318,18 @@ def exact_optimal_advantage(pair: ProtocolPair) -> float:
     """
     if not pair.has_exact_dists:
         raise ValueError(f"{pair.name} has no exact distributions")
-    support = set(pair.real_dist) | set(pair.ideal_dist)
-    return 0.5 * math.fsum(
-        abs(pair.real_dist.get(s, 0.0) - pair.ideal_dist.get(s, 0.0)) for s in support
-    )
+    real, ideal = pair.real_dist, pair.ideal_dist
+    # p - q per sample of the union: a code of only one table gets p or -q
+    _, diff = _merge(np.concatenate((real.codes, ideal.codes)), np.concatenate((real.weights, -ideal.weights)))
+    return 0.5 * math.fsum(np.abs(diff).tolist())
 
 
-def _convolve(
-    source_dist: Mapping[Sample, float],
-    app_dist_given_key: Callable[[str], Mapping[tuple, float]],
-) -> dict[Sample, float] | None:
-    out: dict[Sample, float] = {}
-    for (key, view), p in source_dist.items():
-        if p == 0.0:
-            continue
-        for app_view, q in app_dist_given_key(key).items():
-            if q == 0.0:
-                continue
-            sample = (key, view + app_view)
-            out[sample] = out.get(sample, 0.0) + p * q
-            if len(out) > _EXACT_DIST_CAP:
-                return None
-    return out
+def _convolve(table: SampleTable, views_given_keys: Callable[[np.ndarray], tuple]) -> SampleTable:
+    """A source's exact ``table`` with an application's exact views appended."""
+    bits = _code_bits(table.codes, sum(table.widths))
+    rows, views, weights = views_given_keys(bits[:, : table.widths[0]])
+    widths = table.widths + tuple(v.shape[1] for v in views)
+    return _table(np.concatenate((bits[rows], *views), axis=1), table.weights[rows] * weights, widths)
 
 
 def _composed_runner(
@@ -327,20 +355,21 @@ def compose(source: ProtocolPair, app: KeyApplication) -> ProtocolPair:
         raise ValueError(
             f"{app.name} expects {app.key_len}-bit keys, {source.name} outputs {source.output_len}"
         )
-    real_dist = ideal_dist = None
-    if source.has_exact_dists and app.real_dist_given_key is not None and app.ideal_dist_given_key is not None:
-        real_dist = _convolve(source.real_dist, app.real_dist_given_key)
-        ideal_dist = _convolve(source.ideal_dist, app.ideal_dist_given_key)
-        if real_dist is None or ideal_dist is None:
-            real_dist = ideal_dist = None
+
+    def build_exact() -> tuple[SampleTable, SampleTable]:
+        return (
+            _convolve(source.real_dist, app.real_dist_given_keys),
+            _convolve(source.ideal_dist, app.ideal_dist_given_keys),
+        )
+
+    exact = source.build_exact and app.real_dist_given_keys and app.ideal_dist_given_keys
     return ProtocolPair(
         name=f"{app.name}_on_{source.name}",
         output_len=source.output_len,
         declared_eps=min(1.0, source.declared_eps + app.declared_eps),
         real_run=_composed_runner(source.real_run, app.real_run),
         ideal_run=_composed_runner(source.ideal_run, app.ideal_run),
-        real_dist=real_dist,
-        ideal_dist=ideal_dist,
+        build_exact=build_exact if exact else None,
     )
 
 
@@ -427,35 +456,32 @@ def verify_composition_bound(
     if not distinguishers:
         raise ValueError("need at least one distinguisher")
     composed = compose(source, app)
-    hybrid_run = _composed_runner(source.ideal_run, app.real_run)
-    hybrid_dist = None
-    if composed.has_exact_dists:
-        hybrid_dist = _convolve(source.ideal_dist, app.real_dist_given_key)
     if mode == "auto":
-        mode = "exact" if composed.has_exact_dists and hybrid_dist is not None else "sample"
-    if mode == "exact" and (not composed.has_exact_dists or hybrid_dist is None):
-        raise ValueError("exact mode needs exact distributions for source and application")
-    if mode == "sample":
+        mode = "exact" if composed.has_exact_dists else "sample"
+    if mode == "exact":
+        if not composed.has_exact_dists:
+            raise ValueError("exact mode needs exact distributions for source and application")
+        hybrid = _convolve(source.ideal_dist, app.real_dist_given_keys)
+        worlds = (composed.real_dist, hybrid, composed.ideal_dist)
+    elif mode == "sample":
         if rng is None:
             raise ValueError("sampling mode needs an rng")
         if trials < 100:
             raise ValueError("need at least 100 trials per world")
-    elif mode != "exact":
+        hybrid_run = _composed_runner(source.ideal_run, app.real_run)
+        worlds = (composed.real_run, hybrid_run, composed.ideal_run)
+    else:
         raise ValueError(f"unknown mode {mode!r}")
 
     bound = composed.declared_eps
     rows = []
     for d in distinguishers:
         if mode == "exact":
-            p_rr = _accept_prob_exact(composed.real_dist.items(), d.decide)
-            p_ir = _accept_prob_exact(hybrid_dist.items(), d.decide)
-            p_ii = _accept_prob_exact(composed.ideal_dist.items(), d.decide)
+            p_rr, p_ir, p_ii = (_accept_prob(table, d.decide) for table in worlds)
             hw = 0.0
         else:
-            r1, r2, r3 = rng.spawn(3)
-            p_rr = _accept_prob_sampled(composed.real_run, d.decide, trials, r1)
-            p_ir = _accept_prob_sampled(hybrid_run, d.decide, trials, r2)
-            p_ii = _accept_prob_sampled(composed.ideal_run, d.decide, trials, r3)
+            runs = zip(worlds, rng.spawn(3))
+            p_rr, p_ir, p_ii = (_accept_prob_sampled(run, d.decide, trials, r) for run, r in runs)
             hw = _two_sample_half_width(p_rr, p_ii, trials, 0.99)
         total = p_rr - p_ii
         step_source = p_rr - p_ir
@@ -487,28 +513,8 @@ def verify_composition_bound(
 # stock sources, applications and distinguishers
 
 
-def _xor_bits(a: str, b: str) -> str:
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    return "".join("1" if x != y else "0" for x, y in zip(a, b))
-
-
-def _all_bitstrings(n: int):
-    for v in range(2**n):
-        yield format(v, f"0{n}b") if n else ""
-
-
-def _uniform_key_dist(key_len: int) -> dict[Sample, float]:
-    w = 0.5**key_len
-    return {(k, ()): w for k in _all_bitstrings(key_len)}
-
-
 def _random_bits(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
     return rng.integers(0, 2, size=(trials, n))
-
-
-def _bit_row(bits: str) -> np.ndarray:
-    return np.array([int(b) for b in bits])
 
 
 def iid_bits_total_variation(key_len: int, p_zero: float) -> float:
@@ -531,15 +537,13 @@ def perfect_key_source(key_len: int) -> ProtocolPair:
     def run(rng: np.random.Generator, trials: int) -> Samples:
         return _random_bits(rng, trials, key_len), ()
 
-    dists = _uniform_key_dist(key_len) if key_len <= 20 else None
     return ProtocolPair(
         name=f"perfect_key_{key_len}",
         output_len=key_len,
         declared_eps=0.0,
         real_run=run,
         ideal_run=run,
-        real_dist=dists,
-        ideal_dist=dict(dists) if dists is not None else None,
+        build_exact=lambda: (_table(_bit_rows(key_len), 0.5**key_len, (key_len,)),) * 2,
     )
 
 
@@ -557,21 +561,20 @@ def biased_key_source(key_len: int, p_zero: float = 0.6) -> ProtocolPair:
     def ideal(rng: np.random.Generator, trials: int) -> Samples:
         return _random_bits(rng, trials, key_len), ()
 
-    real_dist = ideal_dist = None
-    if key_len <= 20:
-        real_dist = {
-            (k, ()): p_zero ** k.count("0") * (1.0 - p_zero) ** k.count("1")
-            for k in _all_bitstrings(key_len)
-        }
-        ideal_dist = _uniform_key_dist(key_len)
+    def build_exact() -> tuple[SampleTable, SampleTable]:
+        keys = _bit_rows(key_len)
+        # the probability of a key with j ones, computed once per j
+        probs = np.array([p_zero ** (key_len - j) * (1.0 - p_zero) ** j for j in range(key_len + 1)])
+        uniform = _table(keys, 0.5**key_len, (key_len,))
+        return _table(keys, probs[keys.sum(axis=1)], (key_len,)), uniform
+
     return ProtocolPair(
         name=f"biased_key_{key_len}_p{p_zero}",
         output_len=key_len,
         declared_eps=iid_bits_total_variation(key_len, p_zero),
         real_run=real,
         ideal_run=ideal,
-        real_dist=real_dist,
-        ideal_dist=ideal_dist,
+        build_exact=build_exact,
     )
 
 
@@ -585,7 +588,7 @@ def otp_application(message: str) -> KeyApplication:
     if not message or set(message) - {"0", "1"}:
         raise ValueError("message must be a nonempty bitstring")
     n = len(message)
-    m = _bit_row(message)
+    m = np.array(list(message), dtype=np.uint8)
 
     def real(keys: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
         return (keys ^ m,)
@@ -593,15 +596,13 @@ def otp_application(message: str) -> KeyApplication:
     def ideal(keys: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
         return (_random_bits(rng, len(keys), n),)
 
-    real_given = ideal_given = None
-    if n <= 20:
-        uniform = {(c,): 0.5**n for c in _all_bitstrings(n)}
+    def real_given(keys: np.ndarray):
+        return np.arange(len(keys)), (keys ^ m,), np.ones(len(keys))
 
-        def real_given(key: str) -> Mapping[tuple, float]:
-            return {(_xor_bits(key, message),): 1.0}
-
-        def ideal_given(key: str) -> Mapping[tuple, float]:
-            return uniform
+    def ideal_given(keys: np.ndarray):
+        ciphers = _bit_rows(n)
+        rows = np.repeat(np.arange(len(keys)), len(ciphers))
+        return rows, (np.tile(ciphers, (len(keys), 1)),), np.full(len(rows), 0.5**n)
 
     return KeyApplication(
         name=f"otp_{n}",
@@ -609,8 +610,8 @@ def otp_application(message: str) -> KeyApplication:
         declared_eps=0.0,
         real_run=real,
         ideal_run=ideal,
-        real_dist_given_key=real_given,
-        ideal_dist_given_key=ideal_given,
+        real_dist_given_keys=real_given,
+        ideal_dist_given_keys=ideal_given,
     )
 
 
@@ -622,11 +623,12 @@ def otp_majority_zeros_distinguisher(message: str) -> Distinguisher:
     advantage equals the total variation distance 0.1.
     """
     n = len(message)
+    m = int(message, 2)
 
     def decide(sample: Sample) -> bool:
         _, view = sample
-        implied = _xor_bits(view[-1], message)
-        return implied.count("0") * 2 > n
+        ones = (int(view[-1], 2) ^ m).bit_count()
+        return (n - ones) * 2 > n
 
     return Distinguisher(f"otp_majority_zeros_{n}", decide)
 
@@ -650,7 +652,7 @@ def attack_otp_composed_pair(n: int, message: str, declared_eps: float = 0.25) -
         raise ValueError(f"message must have {n + 1} bits")
     if set(message) - {"0", "1"}:
         raise ValueError("message must be a bitstring")
-    m = _bit_row(message)
+    m = np.array(list(message), dtype=np.uint8)
 
     # a trial draws the n+1 key bits, then the n-1 free pad bits
     def real(rng: np.random.Generator, trials: int) -> Samples:
@@ -663,39 +665,34 @@ def attack_otp_composed_pair(n: int, message: str, declared_eps: float = 0.25) -
         draws = rng.integers(0, 2, size=(trials, 2 * n + 1))
         return draws[:, :0], (draws[:, : n + 1], draws[:, n + 1 :])
 
-    real_dist = ideal_dist = None
-    if 2 ** (2 * n + 1) <= _EXACT_DIST_CAP:
-        real_dist = {}
-        w = 0.5 ** (2 * n)
-        for key in _all_bitstrings(n + 1):
-            cipher = _xor_bits(key, message)
-            want = int(key[n])
-            for pad in _all_bitstrings(n):
-                if pad.count("1") % 2 == want:
-                    real_dist[("", (cipher, pad))] = w
-        u = 0.5 ** (2 * n + 1)
-        ideal_dist = {
-            ("", (c, p)): u for c in _all_bitstrings(n + 1) for p in _all_bitstrings(n)
-        }
     return ProtocolPair(
         name=f"pad_encoding_attack_otp_{n}",
         output_len=0,
         declared_eps=declared_eps,
         real_run=real,
         ideal_run=ideal,
-        real_dist=real_dist,
-        ideal_dist=ideal_dist,
+        build_exact=lambda: _attack_otp_tables(n, m),
     )
+
+
+def _attack_otp_tables(n: int, m: np.ndarray) -> tuple[SampleTable, SampleTable]:
+    """Exact distributions of :func:`attack_otp_composed_pair`: uniform over
+    the (ciphertext, pad) pairs whose pad parity opens the last key bit,
+    and uniform over all pairs."""
+    widths = (0, n + 1, n)
+    rows = _bit_rows(2 * n)  # a ciphertext, then the n-1 free pad bits
+    pads = _complete_pads(rows[:, n + 1 :], rows[:, n] ^ m[n])
+    real = np.concatenate((rows[:, : n + 1], pads), axis=1)
+    return _table(real, 0.5 ** (2 * n), widths), _table(_bit_rows(2 * n + 1), 0.5 ** (2 * n + 1), widths)
 
 
 def otp_prefix_parity_distinguisher(message: str) -> Distinguisher:
     """Accept when the recovered pad's parity matches the opened last key bit."""
+    m_last = int(message[-1])
 
     def decide(sample: Sample) -> bool:
-        _, view = sample
-        cipher, pad = view
-        implied_key = _xor_bits(cipher, message)
-        return pad.count("1") % 2 == int(implied_key[-1])
+        _, (cipher, pad) = sample
+        return pad.count("1") % 2 == (int(cipher[-1]) ^ m_last)
 
     return Distinguisher(f"pad_parity_{len(message) - 1}", decide)
 

@@ -68,6 +68,39 @@ def test_attack_state_matches_direct_mixture():
         assert np.abs(st.cq.branches[label][1].matrix - acc).max() < 1e-12
 
 
+def test_bit_rows_enumerate_like_itertools():
+    for n in range(7):
+        rows = attack_lab._bit_rows(n)
+        assert rows.dtype == np.uint8 and rows.shape == (2**n, n)
+        assert rows.tolist() == [list(r) for r in itertools.product((0, 1), repeat=n)]
+
+
+def _itertools_attack_matrices(n):
+    # the state built from itertools enumerations of keys and pads, with
+    # the same Kronecker products as build_attack_state
+    amps = np.array([[bb84_encode(r, s).amplitudes for r in (0, 1)] for s in (0, 1)])
+    keys = np.array(list(itertools.product((0, 1), repeat=n + 1)))
+    by_parity = [
+        [p + ((parity ^ (sum(p) & 1)),) for p in itertools.product((0, 1), repeat=n - 1)]
+        for parity in (0, 1)
+    ]
+    pads = np.array(by_parity)[keys[:, -1]]
+    rows = np.ones((len(keys), pads.shape[1], 1), dtype=np.complex128)
+    for i in range(n):
+        factor = amps[keys[:, i, None], pads[:, :, i]]
+        rows = (rows[:, :, :, None] * factor[:, :, None, :]).reshape(len(keys), pads.shape[1], -1)
+    branches = {
+        "".join(map(str, s)): (2.0 ** -(n + 1), DensityOperator(2.0 ** -(n - 1) * (r.T @ r.conj())))
+        for s, r in zip(keys.tolist(), rows)
+    }
+    return CqState(key_len=n + 1, branches=branches).matrices
+
+
+def test_attack_state_is_bit_identical_to_itertools_build():
+    for n in range(2, 6):
+        assert np.array_equal(build_attack_state(n).cq.matrices, _itertools_attack_matrices(n))
+
+
 def test_marginal_check_passes_for_real_state():
     for n in (2, 3, 4):
         check = fully_mixed_marginal_check(build_attack_state(n))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import zlib
@@ -10,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdlab import attack_lab
+from qkdlab import composition_harness as ch
 from qkdlab.attack_lab import sample_pad
 from qkdlab.composition_harness import (
     Distinguisher,
     _accept_prob_sampled,
+    _table,
     _two_sample_half_width,
     KeyApplication,
     ProtocolPair,
@@ -45,11 +48,11 @@ def test_protocol_pair_validation():
     run = lambda rng: ("0", ())
     with pytest.raises(ValueError, match="declared_eps"):
         ProtocolPair("x", 1, 1.5, run, run)
-    with pytest.raises(ValueError, match="both"):
-        ProtocolPair("x", 1, 0.0, run, run, real_dist={("0", ()): 1.0})
+    bits = lambda rng, trials: (np.zeros((trials, 1), np.int64), ())
+    table = lambda p: _table(np.zeros((1, 1), np.uint8), p, (1,))
+    pair = ProtocolPair("x", 1, 0.0, bits, bits, build_exact=lambda: (table(0.9), table(1.0)))
     with pytest.raises(ValueError, match="sums"):
-        ProtocolPair("x", 1, 0.0, run, run,
-                     real_dist={("0", ()): 0.9}, ideal_dist={("0", ()): 1.0})
+        pair.real_dist
 
 
 def test_estimate_advantage_modes_and_validation():
@@ -112,7 +115,7 @@ def test_compose_stacks_epsilons_and_convolves():
     composed = compose(source, app)
     assert composed.declared_eps == pytest.approx(0.1, abs=1e-15)
     assert composed.has_exact_dists
-    assert math.fsum(composed.real_dist.values()) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(composed.real_dist.weights) == pytest.approx(1.0, abs=1e-12)
     est = estimate_advantage(composed, otp_majority_zeros_distinguisher("1").decide)
     assert est.advantage == pytest.approx(0.1, abs=1e-12)
 
@@ -194,10 +197,10 @@ def test_otp_application_validation():
 
 def test_attack_otp_pair_exact_distributions():
     pair = attack_otp_composed_pair(3, "0110")
-    assert math.fsum(pair.real_dist.values()) == pytest.approx(1.0, abs=1e-12)
-    assert math.fsum(pair.ideal_dist.values()) == pytest.approx(1.0, abs=1e-12)
-    assert len(pair.ideal_dist) == 2**7
-    assert len(pair.real_dist) == 2**6  # parity kills half the pads
+    assert math.fsum(pair.real_dist.weights) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(pair.ideal_dist.weights) == pytest.approx(1.0, abs=1e-12)
+    assert len(pair.ideal_dist.codes) == 2**7
+    assert len(pair.real_dist.codes) == 2**6  # parity kills half the pads
 
 
 def test_attack_otp_parity_advantage_is_half():
@@ -228,6 +231,140 @@ def test_attack_otp_validation():
     for n in (0, -1):
         with pytest.raises(ValueError, match="at least 1"):
             attack_otp_composed_pair(n, "1" * (n + 1))
+
+
+# ---------------------------------------------------------------------------
+# exact tables against a brute-force dict reference
+
+
+def _strings(n):
+    return ["".join(bits) for bits in itertools.product("01", repeat=n)]
+
+
+def _xor(a, b):
+    return "".join("1" if x != y else "0" for x, y in zip(a, b))
+
+
+def _ref_attack(n, message):
+    real = {}
+    for key in _strings(n + 1):
+        for pad in _strings(n):
+            if pad.count("1") % 2 == int(key[n]):
+                real[("", (_xor(key, message), pad))] = 0.5 ** (2 * n)
+    ideal = {("", (c, p)): 0.5 ** (2 * n + 1) for c in _strings(n + 1) for p in _strings(n)}
+    return real, ideal
+
+
+def _ref_sources(k):
+    uniform = {(key, ()): 0.5**k for key in _strings(k)}
+    biased = {(key, ()): 0.6 ** key.count("0") * (1.0 - 0.6) ** key.count("1") for key in _strings(k)}
+    return {biased_key_source: (biased, uniform), perfect_key_source: (uniform, dict(uniform))}
+
+
+def _ref_convolve(dist, given):
+    out = {}
+    for (key, view), p in dist.items():
+        for app_view, q in given(key).items():
+            sample = (key, view + app_view)
+            out[sample] = out.get(sample, 0.0) + p * q
+    return out
+
+
+def _ref_tv(real, ideal):
+    return 0.5 * math.fsum(abs(real.get(s, 0.0) - ideal.get(s, 0.0)) for s in set(real) | set(ideal))
+
+
+def _as_dict(table):
+    out = dict(table.items())
+    assert len(out) == len(table.codes) == len(table.weights)  # every sample once
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_attack_otp_tables_match_dict_reference(n):
+    for message in ("1" * (n + 1), "0" * (n + 1), ("01" * n)[: n + 1]):
+        pair = attack_otp_composed_pair(n, message)
+        real, ideal = _ref_attack(n, message)
+        assert _as_dict(pair.real_dist) == real
+        assert _as_dict(pair.ideal_dist) == ideal
+        assert exact_optimal_advantage(pair) == _ref_tv(real, ideal)
+
+
+def test_composed_and_hybrid_tables_match_dict_reference():
+    for m in (1, 2, 3):
+        for make, (src_real, src_ideal) in _ref_sources(m).items():
+            for message in _strings(m):
+                source, app = make(m), otp_application(message)
+                real_given = lambda key: {(_xor(key, message),): 1.0}
+                ideal_given = lambda key: {(c,): 0.5**m for c in _strings(m)}
+                real = _ref_convolve(src_real, real_given)
+                hybrid = _ref_convolve(src_ideal, real_given)
+                ideal = _ref_convolve(src_ideal, ideal_given)
+                composed = compose(source, app)
+                assert _as_dict(composed.real_dist) == real
+                assert _as_dict(composed.ideal_dist) == ideal
+                assert _as_dict(ch._convolve(source.ideal_dist, app.real_dist_given_keys)) == hybrid
+                assert exact_optimal_advantage(composed) == _ref_tv(real, ideal)
+                # the exact report sums the same weights over the same accepted samples
+                accept = lambda s: _xor(s[1][-1], message).count("0") * 2 > m
+                p_rr, p_ir, p_ii = (
+                    math.fsum(p for s, p in dist.items() if accept(s)) for dist in (real, hybrid, ideal)
+                )
+                d = otp_majority_zeros_distinguisher(message)
+                row = verify_composition_bound(source, app, [d], mode="exact").rows[0]
+                assert row.advantage_total == abs(p_rr - p_ii)
+                assert row.advantage_source_step == abs(p_rr - p_ir)
+                assert row.advantage_app_step == abs(p_ir - p_ii)
+
+
+def test_distinguishers_match_string_xor():
+    for m in (1, 2, 3, 4):
+        for message in _strings(m):
+            majority = otp_majority_zeros_distinguisher(message).decide
+            parity = otp_prefix_parity_distinguisher(message).decide
+            for c in _strings(m):
+                assert majority(("", (c,))) == (_xor(c, message).count("0") * 2 > m)
+                for pad in _strings(m - 1):
+                    assert parity(("", (c, pad))) == (pad.count("1") % 2 == int(_xor(c, message)[-1]))
+
+
+def test_auto_mode_is_exact_up_to_21_bit_samples(monkeypatch):
+    monkeypatch.setattr(ch, "_accept_prob", lambda table, decide: 0.0)  # build, skip deciding
+    rng = np.random.default_rng(10)
+    for n, mode in ((10, "exact"), (11, "sample")):
+        message = "1" * (n + 1)
+        pair = attack_otp_composed_pair(n, message)
+        est = estimate_advantage(pair, otp_prefix_parity_distinguisher(message), trials=100, rng=rng)
+        assert est.mode == mode
+    for make in (biased_key_source, perfect_key_source):
+        for m, mode in ((10, "exact"), (11, "sample")):
+            message = "1" * m
+            d = otp_majority_zeros_distinguisher(message)
+            report = verify_composition_bound(make(m), otp_application(message), [d], trials=100, rng=rng)
+            assert report.mode == mode
+    # a standalone source's samples are its keys
+    assert perfect_key_source(21).has_exact_dists and not perfect_key_source(22).has_exact_dists
+
+
+def test_sample_mode_builds_no_exact_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built an exact table")
+
+    for name in ("_attack_otp_tables", "_convolve", "_bit_rows"):
+        monkeypatch.setattr(ch, name, refuse)
+    rng = np.random.default_rng(12)
+    message = "1" * 11
+    pair = attack_otp_composed_pair(10, message)
+    parity = otp_prefix_parity_distinguisher(message)
+    assert estimate_advantage(pair, parity, mode="sample", trials=100, rng=rng).mode == "sample"
+    source, app, majority = biased_key_source(3), otp_application("101"), otp_majority_zeros_distinguisher("101")
+    report = verify_composition_bound(source, app, [majority], mode="sample", trials=100, rng=rng)
+    assert report.mode == "sample"
+    # exact mode does go through the builders
+    with pytest.raises(AssertionError, match="built"):
+        estimate_advantage(pair, parity, mode="exact")
+    with pytest.raises(AssertionError, match="built"):
+        verify_composition_bound(source, app, [majority], mode="exact")
 
 
 # ---------------------------------------------------------------------------
