@@ -21,10 +21,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._json import JsonRecord
 from .quantum_core import (
     CqState,
     DensityOperator,
@@ -402,8 +403,10 @@ def parity_guess_curve_csv(n_max: int, p_star: float | None = None) -> str:
 
 
 @dataclass(frozen=True)
-class SecrecyGapReport:
+class SecrecyGapReport(JsonRecord):
     """Side-by-side: what I_acc suggests vs what a distinguisher achieves."""
+
+    JSON_TYPE = "secrecy_gap_report"
 
     n: int
     eps_secret_lower: float
@@ -414,36 +417,6 @@ class SecrecyGapReport:
     ben_or_required_iacc: float
     search_budget: int
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "secrecy_gap_report",
-            "n": self.n,
-            "eps_secret_lower": self.eps_secret_lower,
-            "eps_secret_upper": self.eps_secret_upper,
-            "iacc_lower_bits": self.iacc_lower_bits,
-            "iacc_family": list(self.iacc_family),
-            "iacc_best_strategy": self.iacc_best_strategy,
-            "ben_or_required_iacc": self.ben_or_required_iacc,
-            "search_budget": self.search_budget,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "SecrecyGapReport":
-        if data.get("type") != "secrecy_gap_report":
-            raise ValueError(f"expected a secrecy_gap_report object, got {data.get('type')!r}")
-        return cls(
-            n=int(data["n"]),
-            eps_secret_lower=float(data["eps_secret_lower"]),
-            eps_secret_upper=float(data["eps_secret_upper"]),
-            iacc_lower_bits=float(data["iacc_lower_bits"]),
-            iacc_family=tuple(data["iacc_family"]),
-            iacc_best_strategy=str(data["iacc_best_strategy"]),
-            ben_or_required_iacc=float(data["ben_or_required_iacc"]),
-            search_budget=int(data["search_budget"]),
-            seed=int(data["seed"]),
-        )
 
 
 def secrecy_gap_report(

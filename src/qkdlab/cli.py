@@ -57,11 +57,10 @@ from .keystream import (
     StreamError,
     StreamParams,
     _budget,
-    plan,
+    _plan,
     schedule,
     schedule_csv,
     simulate_stream,
-    total_eps,
 )
 from .security_metrics import ben_or_sufficient_eps
 
@@ -70,6 +69,11 @@ EXIT_FINDING = 1
 EXIT_USAGE = 2
 
 _FAMILY_CHOICES = ("per_qubit", "random", "hill_climb")
+
+# Loop counts above these caps are usage errors, not long runs.
+MAX_ROUNDS = 10**6
+MAX_HORIZON = 10**4
+MAX_AUCTIONS = 10**5
 
 
 def _bitstring(value: str) -> str:
@@ -86,6 +90,17 @@ def _positive_int(value: str) -> int:
     if number < 1:
         raise argparse.ArgumentTypeError(f"{value!r} is not a positive integer")
     return number
+
+
+def _at_most(cap: int, parse=int):
+    """An argparse type: ``parse`` the value, then refuse one above ``cap``."""
+    def count(value: str) -> int:
+        number = parse(value)
+        if number > cap:
+            raise argparse.ArgumentTypeError(f"{value!r} exceeds the cap of {cap}")
+        return number
+    count.__name__ = parse.__name__  # argparse names it in "invalid int value"
+    return count
 
 
 def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -203,13 +218,26 @@ def cmd_attack_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     return EXIT_OK if expected and marginal_ok else EXIT_FINDING
 
 
+def _is_distribution_entry(entry) -> bool:
+    return (
+        isinstance(entry, list) and len(entry) == 3
+        and isinstance(entry[2], (int, float)) and not isinstance(entry[2], bool)
+    )
+
+
 def _load_correctness(path: str):
     with open(path) as handle:
         data = json.load(handle)
     if isinstance(data, dict) and "samples" in data:
-        return [tuple(map(str, pair)) for pair in data["samples"]]
+        samples = data["samples"]
+        if not (isinstance(samples, list) and all(isinstance(s, list) and len(s) == 2 for s in samples)):
+            raise ValueError("correctness 'samples' must be a list of [alice, bob] pairs")
+        return [tuple(map(str, pair)) for pair in samples]
     if isinstance(data, dict) and "distribution" in data:
-        return {tuple(map(str, entry[:2])): float(entry[2]) for entry in data["distribution"]}
+        entries = data["distribution"]
+        if not (isinstance(entries, list) and all(_is_distribution_entry(e) for e in entries)):
+            raise ValueError("correctness 'distribution' must be a list of [alice, bob, probability] entries")
+        return {tuple(map(str, entry[:2])): float(entry[2]) for entry in entries}
     raise ValueError("correctness file needs a 'samples' or 'distribution' field")
 
 
@@ -268,7 +296,7 @@ def _add_stream_args(sub: argparse.ArgumentParser) -> None:
 
 
 def cmd_keystream_plan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    params = plan(
+    params, budget = _plan(
         args.target_eps,
         gamma=args.gamma,
         rate_rho=args.rho,
@@ -278,7 +306,6 @@ def cmd_keystream_plan(args: argparse.Namespace, parser: argparse.ArgumentParser
         horizon=args.horizon,
         max_n0=args.max_n0,
     )
-    budget = total_eps(params, args.horizon)
     result = {"params": params.to_json_dict(), "budget": budget.to_json_dict()}
     cli_params = {
         "target_eps": args.target_eps,
@@ -457,14 +484,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, default=NU_DEFAULT)
     p.add_argument("--eps0", type=float, default=0.0)
     p.add_argument("--ell", type=int, default=256)
-    p.add_argument("--horizon", type=int, default=200)
+    p.add_argument("--horizon", type=_at_most(MAX_HORIZON), default=200,
+                   help=f"rounds summed before the tail bound (at most {MAX_HORIZON})")
     p.add_argument("--max-n0", type=int, default=2**40)
     _add_common(p)
     p.set_defaults(func=cmd_keystream_plan)
 
     p = subs.add_parser("keystream-schedule", help="evaluate a schedule round by round")
     _add_stream_args(p)
-    p.add_argument("--rounds", type=int, default=20)
+    p.add_argument("--rounds", type=_at_most(MAX_ROUNDS), default=20,
+                   help=f"rounds to schedule (at most {MAX_ROUNDS})")
     p.add_argument("--real-valued", action="store_true", help="drop the integer ceilings")
     p.add_argument("--csv", default=None, help="write the schedule as CSV to this path")
     _add_common(p)
@@ -472,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("keystream-simulate", help="run the bit-conservation ledger simulation")
     _add_stream_args(p)
-    p.add_argument("--rounds", type=int, default=50)
+    p.add_argument("--rounds", type=_at_most(MAX_ROUNDS), default=50,
+                   help=f"rounds to simulate (at most {MAX_ROUNDS})")
     p.add_argument("--abort-prob", type=float, default=0.0)
     p.add_argument("--charge-per-attempt", action="store_true",
                    help="deduct authentication bits on every retry (usually underflows)")
@@ -493,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("rsa-demo", help="textbook RSA sealed-bid malleability")
     p.add_argument("--bid", type=int, default=100)
-    p.add_argument("--auctions", type=_positive_int, default=1)
+    p.add_argument("--auctions", type=_at_most(MAX_AUCTIONS, _positive_int), default=1,
+                   help=f"auctions to run, each with a fresh key (at most {MAX_AUCTIONS})")
     p.add_argument("--max-bid", type=int, default=1000)
     p.add_argument("--modulus-bits", type=int, default=32)
     _add_common(p)

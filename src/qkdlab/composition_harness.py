@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import ndtri
 
+from ._json import JsonRecord
 from .attack_lab import _bit_rows, _chunk_rows, _complete_pads
 
 __all__ = [
@@ -207,7 +208,7 @@ class Distinguisher:
 
 
 @dataclass(frozen=True)
-class AdvantageEstimate:
+class AdvantageEstimate(JsonRecord):
     """|P_real(accept) - P_ideal(accept)| with an uncertainty half-width."""
 
     advantage: float
@@ -216,16 +217,6 @@ class AdvantageEstimate:
     accept_ideal: float
     mode: str
     trials: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "advantage": self.advantage,
-            "half_width": self.half_width,
-            "accept_real": self.accept_real,
-            "accept_ideal": self.accept_ideal,
-            "mode": self.mode,
-            "trials": self.trials,
-        }
 
 
 def _accept_prob(table: SampleTable, decide: Callable[[Sample], bool]) -> float:
@@ -374,7 +365,7 @@ def compose(source: ProtocolPair, app: KeyApplication) -> ProtocolPair:
 
 
 @dataclass(frozen=True)
-class DistinguisherRow:
+class DistinguisherRow(JsonRecord):
     """Per-distinguisher outcome of a composition check.
 
     ``advantage_source_step`` is the distinguisher's advantage between
@@ -393,46 +384,23 @@ class DistinguisherRow:
     telescope_residual: float
     within_bound: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "advantage_total": self.advantage_total,
-            "half_width": self.half_width,
-            "advantage_source_step": self.advantage_source_step,
-            "advantage_app_step": self.advantage_app_step,
-            "telescope_residual": self.telescope_residual,
-            "within_bound": self.within_bound,
-        }
-
 
 @dataclass(frozen=True)
-class CompositionReport:
-    source_name: str
-    app_name: str
+class CompositionReport(JsonRecord):
+    JSON_TYPE = "composition_report"
+
+    source: str
+    application: str
     eps_source: float
     eps_app: float
     eps_bound: float
     mode: str
     trials: int
     rows: tuple[DistinguisherRow, ...]
+    all_within_bound: bool = field(init=False)
 
-    @property
-    def all_within_bound(self) -> bool:
-        return all(r.within_bound for r in self.rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "composition_report",
-            "source": self.source_name,
-            "application": self.app_name,
-            "eps_source": self.eps_source,
-            "eps_app": self.eps_app,
-            "eps_bound": self.eps_bound,
-            "mode": self.mode,
-            "trials": self.trials,
-            "all_within_bound": self.all_within_bound,
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "all_within_bound", all(r.within_bound for r in self.rows))
 
 
 def verify_composition_bound(
@@ -498,8 +466,8 @@ def verify_composition_bound(
             )
         )
     return CompositionReport(
-        source_name=source.name,
-        app_name=app.name,
+        source=source.name,
+        application=app.name,
         eps_source=source.declared_eps,
         eps_app=app.declared_eps,
         eps_bound=bound,
@@ -793,7 +761,7 @@ def rsa_decrypt(key: RsaKey, c: int) -> int:
 
 
 @dataclass(frozen=True)
-class AuctionOutcome:
+class AuctionOutcome(JsonRecord):
     """One sealed-bid auction where the second bidder doubles the first bid.
 
     Textbook RSA is multiplicatively homomorphic, so from Alice's
@@ -802,6 +770,8 @@ class AuctionOutcome:
     break only appears at the auction (composition) level.
     """
 
+    JSON_TYPE = "auction_outcome"
+
     modulus_bits: int
     n: int
     e: int
@@ -809,18 +779,6 @@ class AuctionOutcome:
     bob_bid: int
     forgery_doubled: bool
     winner: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "auction_outcome",
-            "modulus_bits": self.modulus_bits,
-            "n": self.n,
-            "e": self.e,
-            "alice_bid": self.alice_bid,
-            "bob_bid": self.bob_bid,
-            "forgery_doubled": self.forgery_doubled,
-            "winner": self.winner,
-        }
 
 
 def rsa_malleability_demo(
@@ -852,18 +810,12 @@ def rsa_malleability_demo(
 
 
 @dataclass(frozen=True)
-class AuctionSweep:
+class AuctionSweep(JsonRecord):
+    JSON_TYPE = "auction_sweep"
+
     outcomes: tuple[AuctionOutcome, ...]
     bob_win_rate: float
     all_forgeries_doubled: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "auction_sweep",
-            "bob_win_rate": self.bob_win_rate,
-            "all_forgeries_doubled": self.all_forgeries_doubled,
-            "outcomes": [o.to_json_dict() for o in self.outcomes],
-        }
 
 
 def rsa_auction_sweep(

@@ -37,9 +37,11 @@ import io
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
+
+from ._json import JsonRecord
 
 __all__ = [
     "GAMMA_DEFAULT",
@@ -94,7 +96,7 @@ def _ceil_size(x: float, what: str) -> int:
 
 
 @dataclass(frozen=True)
-class StreamParams:
+class StreamParams(JsonRecord):
     """Parameters of the key-stream schedule.
 
     ``n0``/``c`` size the per-round signal counts, ``ell`` is the
@@ -104,6 +106,8 @@ class StreamParams:
     the first exponent decays; the constructor does not, since the
     clamped epsilon formula stays well defined without it.
     """
+
+    JSON_TYPE = "stream_params"
 
     gamma: float = GAMMA_DEFAULT
     rate_rho: float = RATE_RHO_DEFAULT
@@ -132,34 +136,6 @@ class StreamParams:
             return self.ell0
         raw = self.c * self.rate_rho * i / 2.0
         return self.ell + (raw if real_valued else math.ceil(raw))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "stream_params",
-            "gamma": self.gamma,
-            "rate_rho": self.rate_rho,
-            "nu": self.nu,
-            "n0": self.n0,
-            "c": self.c,
-            "ell": self.ell,
-            "ell0": self.ell0,
-            "eps0": self.eps0,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "StreamParams":
-        if data.get("type") != "stream_params":
-            raise ValueError(f"expected a stream_params object, got {data.get('type')!r}")
-        return cls(
-            gamma=float(data["gamma"]),
-            rate_rho=float(data["rate_rho"]),
-            nu=float(data["nu"]),
-            n0=int(data["n0"]),
-            c=float(data["c"]),
-            ell=int(data["ell"]),
-            ell0=int(data["ell0"]),
-            eps0=float(data["eps0"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -241,8 +217,10 @@ def schedule_csv(records: list[RoundRecord]) -> str:
 
 
 @dataclass(frozen=True)
-class StreamBudget:
+class StreamBudget(JsonRecord):
     """Total-epsilon accounting: explicit rounds plus an infinite-tail bound."""
+
+    JSON_TYPE = "stream_budget"
 
     horizon: int
     real_valued: bool
@@ -250,17 +228,6 @@ class StreamBudget:
     tail_bound: float
     eps_total: float
     divergent: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "stream_budget",
-            "horizon": self.horizon,
-            "real_valued": self.real_valued,
-            "partial_sum": self.partial_sum,
-            "tail_bound": self.tail_bound,
-            "eps_total": self.eps_total,
-            "divergent": self.divergent,
-        }
 
 
 def total_eps(p: StreamParams, horizon: int = 200, real_valued: bool = False) -> StreamBudget:
@@ -347,6 +314,14 @@ def plan(
     Tightening the target can only push n0 up.  Each candidate n0 is
     scored once per call.
     """
+    return _plan(target_eps, gamma, rate_rho, nu, eps0, ell, horizon, max_n0)[0]
+
+
+def _plan(
+    target_eps: float, gamma: float, rate_rho: float, nu: float,
+    eps0: float, ell: int, horizon: int, max_n0: int,
+) -> tuple[StreamParams, StreamBudget]:
+    """:func:`plan`'s winner together with its :func:`total_eps` budget."""
     if not 0.0 < target_eps <= 1.0:
         raise ValueError("target_eps must lie in (0, 1]")
     if target_eps <= eps0:
@@ -412,7 +387,7 @@ def plan(
             lo = mid
     final = feasible(hi)
     assert final is not None
-    return final[0]
+    return final
 
 
 class StreamError(RuntimeError):

@@ -31,6 +31,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 from scipy.special import betaincinv
 
+from ._json import JsonRecord
 from .quantum_core import (
     PERP,
     DEFAULT_DIM_CAP,
@@ -99,6 +100,8 @@ def correctness_eps(outcomes) -> float:
         bad = 0.0
         for (sa, sb), p in outcomes.items():
             p = float(p)
+            if math.isnan(p):
+                raise ValueError("probability is not a number")
             if p < -1e-12:
                 raise ValueError(f"negative probability {p!r}")
             total += p
@@ -491,8 +494,10 @@ def compose_report(eps_correct: float, eps_secret: float, eps_robust: float) -> 
 
 
 @dataclass(frozen=True)
-class SecurityReport:
+class SecurityReport(JsonRecord):
     """Bundle of the security figures for one produced key."""
+
+    JSON_TYPE = "security_report"
 
     key_len: int
     eps_correct: float
@@ -513,34 +518,6 @@ class SecurityReport:
         if not -1e-9 <= self.iacc_lower_bits <= self.key_len + 1e-9:
             raise ValueError("iacc_lower_bits outside [0, key_len]")
         object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "security_report",
-            "key_len": self.key_len,
-            "eps_correct": self.eps_correct,
-            "eps_robust": self.eps_robust,
-            "eps_secret_lower": self.eps_secret_lower,
-            "eps_secret_upper": self.eps_secret_upper,
-            "iacc_lower_bits": self.iacc_lower_bits,
-            "eps_total": self.eps_total,
-            "provenance": dict(self.provenance),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "SecurityReport":
-        if data.get("type") != "security_report":
-            raise ValueError(f"expected a security_report object, got {data.get('type')!r}")
-        return cls(
-            key_len=int(data["key_len"]),
-            eps_correct=float(data["eps_correct"]),
-            eps_robust=float(data["eps_robust"]),
-            eps_secret_lower=float(data["eps_secret_lower"]),
-            eps_secret_upper=float(data["eps_secret_upper"]),
-            iacc_lower_bits=float(data["iacc_lower_bits"]),
-            eps_total=float(data["eps_total"]),
-            provenance=dict(data.get("provenance", {})),
-        )
 
 
 def evaluate_cq_security(

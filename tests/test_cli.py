@@ -73,6 +73,34 @@ def test_nonpositive_counts_are_usage_errors(capsys, argv):
     assert "positive integer" in capsys.readouterr().err
 
 
+CAPPED = [
+    (["keystream-schedule", "--n0", "60000", "--ell0", "12000"], "--rounds", cli.MAX_ROUNDS),
+    (["keystream-simulate", "--n0", "60000", "--ell0", "12000"], "--rounds", cli.MAX_ROUNDS),
+    (["keystream-plan", "--target-eps", "1e-9"], "--horizon", cli.MAX_HORIZON),
+    (["rsa-demo"], "--auctions", cli.MAX_AUCTIONS),
+]
+
+
+def test_documented_caps():
+    assert (cli.MAX_ROUNDS, cli.MAX_HORIZON, cli.MAX_AUCTIONS) == (10**6, 10**4, 10**5)
+
+
+@pytest.mark.parametrize("argv, flag, cap", CAPPED)
+def test_counts_above_their_cap_are_usage_errors(capsys, argv, flag, cap):
+    # the parser refuses the value, so no loop runs
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, str(cap + 1)])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: '{cap + 1}' exceeds the cap of {cap}" in captured.err
+    args = cli.build_parser().parse_args([*argv, flag, str(cap)])
+    assert getattr(args, flag[2:]) == cap
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert f"(at most {cap})" in " ".join(capsys.readouterr().out.split())
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(qkdlab.__file__)))
     code = "import sys, qkdlab.cli; print('scipy.stats' in sys.modules)"
@@ -141,8 +169,15 @@ _NUMBER = st.one_of(
 )
 _SIZE = st.one_of(st.integers(1, 300).map(str), _NUMBER)
 _RATE = st.one_of(st.sampled_from(["1e-3", "1e-2", "0.5", "1e-9"]), _NUMBER)
-# counts stay small so that every drawn command finishes quickly
+# counts that run stay small so that every drawn command finishes quickly;
+# a count just above its cap, or far above it, is refused before any loop
 _COUNT = st.one_of(st.integers(-2, 50).map(str), st.sampled_from(["inf", "nan", "1.5"]))
+
+
+def _capped_count(cap: int) -> st.SearchStrategy:
+    return st.one_of(_COUNT, st.sampled_from([str(cap + 1), str(10**30)]))
+
+
 _ABORT = st.sampled_from(["0", "0.2", "0.5", "1", "-0.1", "1.5", "nan", "inf"])
 _STREAM = {"--n0": _SIZE, "--ell0": _SIZE}
 _SEED = st.integers(-2, 2**70).map(str)
@@ -155,7 +190,7 @@ _MESSAGE = st.one_of(st.text("01", max_size=6), st.just("0a1"))
 _MODE = st.sampled_from(["auto", "exact", "sample"])
 _STREAM_OPTIONS = {
     "--gamma": _RATE, "--rho": _RATE, "--nu": _RATE, "--c": _RATE,
-    "--ell": _SIZE, "--eps0": _RATE, "--rounds": _COUNT,
+    "--ell": _SIZE, "--eps0": _RATE, "--rounds": _capped_count(cli.MAX_ROUNDS),
 }
 
 
@@ -167,7 +202,7 @@ def _argv(command: str, required: dict, optional: dict) -> st.SearchStrategy:
 _ARGV = st.one_of(
     _argv("keystream-plan", {"--target-eps": _RATE}, {
         "--gamma": _RATE, "--rho": _RATE, "--nu": _RATE, "--eps0": _RATE,
-        "--ell": _SIZE, "--horizon": _COUNT, "--max-n0": _SIZE,
+        "--ell": _SIZE, "--horizon": _capped_count(cli.MAX_HORIZON), "--max-n0": _SIZE,
     }),
     _argv("keystream-schedule", _STREAM, _STREAM_OPTIONS),
     st.tuples(
@@ -175,7 +210,7 @@ _ARGV = st.one_of(
         st.booleans(),
     ).map(lambda drawn: drawn[0] + ["--charge-per-attempt"] * drawn[1]),
     _argv("rsa-demo", {}, {
-        "--bid": _SIZE, "--auctions": _COUNT, "--max-bid": _SIZE,
+        "--bid": _SIZE, "--auctions": _capped_count(cli.MAX_AUCTIONS), "--max-bid": _SIZE,
         "--modulus-bits": st.one_of(st.integers(10, 70).map(str), _NUMBER),
     }),
     st.tuples(
@@ -350,6 +385,45 @@ def test_secrecy_correctness_file_bad_shape(capsys, tmp_path):
     assert "samples" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"samples": [1, 2]},
+        {"samples": [["0", "0", "1"]]},
+        {"samples": "00"},
+        {"distribution": [["0"]]},
+        {"distribution": [["0", "0", {}]]},
+        {"distribution": [["0", "0", "0.5"]]},
+        {"distribution": [["0", "0", True]]},
+        {"distribution": {"00": 1.0}},
+    ],
+)
+def test_malformed_correctness_file_is_a_usage_error(capsys, tmp_path, content):
+    path = tmp_path / "corr.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli(
+        capsys, ["secrecy", "--n", "2", "--budget", "2", "--correctness-file", str(path)]
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: correctness ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_secrecy_correctness_file_distribution(capsys, tmp_path):
+    path = tmp_path / "corr.json"
+    path.write_text(json.dumps({"distribution": [["00", "00", 0.75], ["01", "00", 0.25]]}))
+    code, payload, _ = run_json(
+        capsys,
+        ["secrecy", "--n", "2", "--budget", "2", "--families", "per_qubit",
+         "--correctness-file", str(path)],
+    )
+    assert code == EXIT_OK
+    report = payload["result"]["security_report"]
+    assert report["provenance"]["correctness_source"] == "distribution"
+    assert report["eps_correct"] == 0.25
+
+
 # ---------------------------------------------------------------------------
 # keystream commands
 
@@ -361,6 +435,30 @@ def test_keystream_plan_meets_target(capsys):
     assert result["budget"]["eps_total"] <= 1e-6
     assert result["params"]["n0"] >= 1
     assert payload["parameters"]["target_eps"] == 1e-6
+
+
+def test_keystream_plan_scores_its_winner_once(capsys, monkeypatch):
+    calls = []
+    original = keystream.total_eps
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(keystream, "total_eps", counting)
+    params = keystream.plan(1e-9)
+    alone = len(calls)
+    assert alone == 174
+    calls.clear()
+    code, out, _ = run_cli(capsys, ["keystream-plan", "--target-eps", "1e-9"])
+    assert code == EXIT_OK
+    assert len(calls) == alone
+    # the same bytes as printing plan's winner and scoring it again
+    result = {"params": params.to_json_dict(), "budget": original(params, 200).to_json_dict()}
+    cli_params = {"target_eps": 1e-9, "gamma": keystream.GAMMA_DEFAULT, "rho": keystream.RATE_RHO_DEFAULT,
+                  "nu": keystream.NU_DEFAULT, "eps0": 0.0, "ell": 256, "horizon": 200}
+    envelope = cli._envelope("keystream-plan", None, cli_params, result, False)
+    assert out == "".join(cli._json_text(envelope))
 
 
 def test_keystream_plan_infeasible(capsys):
@@ -503,3 +601,61 @@ def test_rsa_demo_sweep(capsys):
     assert code == EXIT_OK
     assert payload["result"]["bob_win_rate"] == 1.0
     assert len(payload["result"]["outcomes"]) == 5
+
+
+# ---------------------------------------------------------------------------
+# the JSON layout of every report object
+
+
+def test_report_objects_keep_their_json_layout(capsys):
+    def result(argv):
+        code, payload, _ = run_json(capsys, argv)
+        assert code in (EXIT_OK, EXIT_FINDING)
+        return payload["result"]
+
+    def keys(obj, tag=None):
+        assert obj.get("type") == tag
+        return set(obj) - {"type"}
+
+    secrecy = result(["secrecy", "--n", "2", "--budget", "2", "--families", "per_qubit", "--seed", "1"])
+    assert keys(secrecy["security_report"], "security_report") == {
+        "key_len", "eps_correct", "eps_robust", "eps_secret_lower", "eps_secret_upper",
+        "iacc_lower_bits", "eps_total", "provenance",
+    }
+    assert keys(secrecy["gap_report"], "secrecy_gap_report") == {
+        "n", "eps_secret_lower", "eps_secret_upper", "iacc_lower_bits", "iacc_family",
+        "iacc_best_strategy", "ben_or_required_iacc", "search_budget", "seed",
+    }
+
+    planned = result(["keystream-plan", "--target-eps", "1e-6"])
+    assert keys(planned["params"], "stream_params") == {
+        "gamma", "rate_rho", "nu", "n0", "c", "ell", "ell0", "eps0",
+    }
+    assert keys(planned["budget"], "stream_budget") == {
+        "horizon", "real_valued", "partial_sum", "tail_bound", "eps_total", "divergent",
+    }
+
+    scheduled = result(["keystream-schedule", "--n0", "60000", "--ell0", "12000", "--rounds", "2"])
+    assert keys(scheduled["rounds"][0]) == {
+        "i", "n_i", "ell_i", "eps_i", "term_signal", "term_auth", "clamped",
+    }
+
+    composition = result(["verify-composition", "--example", "biased-otp", "--seed", "1"])
+    assert keys(composition, "composition_report") == {
+        "source", "application", "eps_source", "eps_app", "eps_bound", "mode", "trials",
+        "all_within_bound", "rows",
+    }
+    assert keys(composition["rows"][0]) == {
+        "name", "advantage_total", "half_width", "advantage_source_step", "advantage_app_step",
+        "telescope_residual", "within_bound",
+    }
+    attack = result(["verify-composition", "--example", "attack-otp", "--n", "2", "--seed", "1"])
+    assert keys(attack["estimate"]) == {
+        "advantage", "half_width", "accept_real", "accept_ideal", "mode", "trials",
+    }
+
+    outcome_keys = {"modulus_bits", "n", "e", "alice_bid", "bob_bid", "forgery_doubled", "winner"}
+    assert keys(result(["rsa-demo", "--seed", "1"]), "auction_outcome") == outcome_keys
+    sweep = result(["rsa-demo", "--auctions", "2", "--seed", "1"])
+    assert keys(sweep, "auction_sweep") == {"outcomes", "bob_win_rate", "all_forgeries_doubled"}
+    assert keys(sweep["outcomes"][0], "auction_outcome") == outcome_keys

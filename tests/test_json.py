@@ -1,0 +1,120 @@
+"""The one JSON form shared by every report the CLI prints (qkdlab._json)."""
+
+import dataclasses
+import functools
+import json
+
+import numpy as np
+import pytest
+
+from qkdlab import keystream
+from qkdlab._json import JsonRecord
+from qkdlab.attack_lab import SecrecyGapReport, secrecy_reports
+from qkdlab.composition_harness import (
+    AdvantageEstimate,
+    AuctionOutcome,
+    AuctionSweep,
+    CompositionReport,
+    DistinguisherRow,
+    attack_otp_composed_pair,
+    biased_key_source,
+    estimate_advantage,
+    otp_application,
+    otp_majority_zeros_distinguisher,
+    otp_prefix_parity_distinguisher,
+    rsa_auction_sweep,
+    verify_composition_bound,
+)
+from qkdlab.keystream import StreamBudget, StreamParams
+from qkdlab.security_metrics import SecurityReport
+
+
+@functools.cache
+def _records() -> tuple[JsonRecord, ...]:
+    report, gap = secrecy_reports(2, search_budget=2, seed=1, families=("per_qubit",))
+    params = StreamParams(n0=60_000, c=60_000.0, ell=256, ell0=12_000)
+    composition = verify_composition_bound(
+        biased_key_source(1, p_zero=0.6), otp_application("1"),
+        [otp_majority_zeros_distinguisher("1")], mode="exact",
+    )
+    estimate = estimate_advantage(
+        attack_otp_composed_pair(2, "111"), otp_prefix_parity_distinguisher("111"), mode="exact"
+    )
+    sweep = rsa_auction_sweep(3, rng=np.random.default_rng(2))
+    return (
+        report, gap, params, keystream.total_eps(params, 5), estimate,
+        composition.rows[0], composition, sweep.outcomes[0], sweep,
+    )
+
+
+def test_every_report_class_uses_the_mixin():
+    classes = {type(r) for r in _records()}
+    assert classes == {
+        SecurityReport, SecrecyGapReport, StreamParams, StreamBudget, AdvantageEstimate,
+        DistinguisherRow, CompositionReport, AuctionOutcome, AuctionSweep,
+    }
+    for cls in classes:
+        assert "to_json_dict" not in vars(cls) and "from_json_dict" not in vars(cls)
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_round_trip_through_json_text(index):
+    record = _records()[index]
+    data = json.loads(json.dumps(record.to_json_dict()))
+    again = type(record).from_json_dict(data)
+    assert again == record
+    assert again.to_json_dict() == record.to_json_dict()
+
+
+def test_tag_rule():
+    for record in _records():
+        data = record.to_json_dict()
+        if type(record).JSON_TYPE is None:
+            assert "type" not in data
+        else:
+            assert data["type"] == type(record).JSON_TYPE
+        assert set(data) - {"type"} == {f for f in vars(record) if not f.startswith("_")}
+    assert AdvantageEstimate.JSON_TYPE is None and DistinguisherRow.JSON_TYPE is None
+
+
+def test_nested_values_become_plain_json():
+    report, _, _, _, _, _, composition, _, sweep = _records()
+    data = report.to_json_dict()
+    assert type(data["provenance"]) is dict
+    assert type(composition.to_json_dict()["rows"][0]) is dict
+    outcomes = sweep.to_json_dict()["outcomes"]
+    assert type(outcomes) is list and outcomes[0]["type"] == "auction_outcome"
+
+
+def test_all_within_bound_is_derived_from_the_rows():
+    composition = _records()[6]
+    failing = dataclasses.replace(composition.rows[0], within_bound=False)
+    mixed = dataclasses.replace(composition, rows=(composition.rows[0], failing))
+    assert composition.all_within_bound and not mixed.all_within_bound
+    data = mixed.to_json_dict()
+    assert data["all_within_bound"] is False
+    assert CompositionReport.from_json_dict(data) == mixed
+
+
+def test_reader_checks_the_tag_and_missing_fields():
+    with pytest.raises(ValueError, match="expected a stream_budget object, got 'stream_params'"):
+        StreamBudget.from_json_dict({"type": "stream_params"})
+    with pytest.raises(ValueError, match="'real_valued'"):
+        StreamBudget.from_json_dict({"type": "stream_budget", "horizon": 3})
+    with pytest.raises(ValueError, match="DistinguisherRow object lacks the field 'name'"):
+        DistinguisherRow.from_json_dict({})
+    # a field with a default may be absent
+    assert StreamParams.from_json_dict({"type": "stream_params", "n0": 500}) == StreamParams(n0=500)
+
+
+def test_reader_converts_by_annotation():
+    gap = SecrecyGapReport.from_json_dict({
+        "type": "secrecy_gap_report", "n": 2.0, "eps_secret_lower": 0, "eps_secret_upper": 1,
+        "iacc_lower_bits": 0, "iacc_family": ["per_qubit"], "iacc_best_strategy": "x",
+        "ben_or_required_iacc": 0, "search_budget": 4, "seed": 1,
+    })
+    assert type(gap.n) is int and type(gap.eps_secret_upper) is float
+    assert gap.iacc_family == ("per_qubit",)
+    composition = _records()[6]
+    again = CompositionReport.from_json_dict(composition.to_json_dict())
+    assert type(again.rows) is tuple and type(again.rows[0]) is DistinguisherRow

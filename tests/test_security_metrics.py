@@ -49,6 +49,13 @@ def test_correctness_eps_exact_distribution():
         correctness_eps({("0", "0"): 0.5})
 
 
+def test_correctness_eps_rejects_a_nan_probability():
+    # NaN passes both the sign and the sum check, and on a mismatching pair it read as 0
+    for dist in ({("0", "0"): 1.0, ("0", "1"): math.nan}, {("0", "0"): math.nan, ("0", "1"): 0.5}):
+        with pytest.raises(ValueError, match="not a number"):
+            correctness_eps(dist)
+
+
 def test_correctness_eps_samples_upper_bounds_plugin_rate():
     samples = [("0", "0")] * 90 + [("0", "1")] * 10
     eps = correctness_eps(samples)
