@@ -670,11 +670,15 @@ def otp_prefix_parity_distinguisher(message: str) -> Distinguisher:
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BELOW = 3_317_044_064_679_887_385_961_981
+# {2, 7, 61} alone is deterministic below the first strong pseudoprime to
+# all three bases, 4,759,123,141 = 48781 * 97561 (Jaeschke 1993)
+_MR_SMALL_WITNESSES = (2, 7, 61)
+_MR_SMALL_BELOW = 4_759_123_141
 _PUBLIC_EXPONENTS = (65537, 257, 17, 5, 3)
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with the fixed witness set; deterministic below ~3.3e24."""
+    """Miller-Rabin with a fixed witness set; deterministic below ~3.3e24."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -687,9 +691,9 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_SMALL_WITNESSES if n < _MR_SMALL_BELOW else _MR_WITNESSES:
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if x in (1, n - 1) or a == n:  # 61 passes trial division; a witness must not be n
             continue
         for _ in range(r - 1):
             x = x * x % n

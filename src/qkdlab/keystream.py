@@ -37,7 +37,7 @@ import io
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -151,12 +151,6 @@ class RoundRecord:
     clamped: bool
 
 
-def _round_terms(p: StreamParams, n_i: float, ell_i: float, ell_prev: float) -> tuple[float, float]:
-    t_signal = _safe_exp(-p.gamma * (p.rate_rho * n_i - ell_i - p.ell))
-    t_auth = _safe_exp(-p.nu * ell_prev + math.log(n_i))
-    return t_signal, t_auth
-
-
 def round_eps(p: StreamParams, i: int, ell_prev: float, n_i: float, ell_i: float) -> float:
     """Per-round epsilon bound, clamped into [0, 1].
 
@@ -166,8 +160,57 @@ def round_eps(p: StreamParams, i: int, ell_prev: float, n_i: float, ell_i: float
     """
     if i < 1:
         raise ValueError("rounds are numbered from 1")
-    t1, t2 = _round_terms(p, n_i, ell_i, ell_prev)
+    t1 = _safe_exp(-p.gamma * (p.rate_rho * n_i - ell_i - p.ell))
+    t2 = _safe_exp(-p.nu * ell_prev + math.log(n_i))
     return min(1.0, t1 + t2)
+
+
+def _sizes(p: StreamParams, rounds: int, real_valued: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`StreamParams.signal_count` of rounds 1..rounds and ``stored_len`` of 0..rounds, as arrays."""
+    if rounds < 1:
+        raise ValueError("need at least one round")
+    # sizes grow with i, so the last round bounds them all
+    if rounds > _MAX_BITS or max(p.signal_count(rounds, True), p.stored_len(rounds, True)) > _MAX_BITS:
+        raise ValueError(f"the sizes of round {rounds} exceed 2**53")
+    i = np.arange(1, rounds + 1)  # an int c keeps int sizes, as in Python
+    n = p.c * i
+    ell = p.c * p.rate_rho * i / 2.0
+    if not real_valued:
+        n = np.ceil(n).astype(np.int64)
+        ell = np.ceil(ell).astype(np.int64)
+    return p.n0 + n, np.concatenate(([p.ell0], p.ell + ell))
+
+
+class _Columns(NamedTuple):
+    """Rounds 1..R of a schedule as parallel lists; ``ell[0]`` is ``ell0``, ``ell[i]`` round i's."""
+
+    n: list
+    ell: list
+    term_signal: list[float]
+    term_auth: list[float]
+    eps: list[float]
+    clamped: list[bool]
+
+
+def _columns(p: StreamParams, rounds: int, real_valued: bool = False) -> _Columns:
+    """The schedule of rounds 1..rounds, column by column.
+
+    The exponents are the IEEE operations of :func:`round_eps` on arrays, but every
+    ``exp`` and ``log`` is ``math``'s: numpy's differ in the last unit on some inputs.
+    """
+    n, ell = _sizes(p, rounds, real_valued)
+    n_list, ell_list = n.tolist(), ell.tolist()
+    n, ell = n.astype(np.float64), ell.astype(np.float64)  # an int rate times int64 sizes would wrap
+    with np.errstate(over="ignore"):
+        signal = -p.gamma * (p.rate_rho * n - ell[1:] - p.ell)
+        auth = -p.nu * ell[:-1] + np.fromiter(map(math.log, n_list), np.float64, rounds)
+    t_signal = np.fromiter(map(math.exp, np.minimum(signal, _EXP_MAX).tolist()), np.float64, rounds)
+    t_auth = np.fromiter(map(math.exp, np.minimum(auth, _EXP_MAX).tolist()), np.float64, rounds)
+    raw = t_signal + t_auth
+    return _Columns(
+        n_list, ell_list, t_signal.tolist(), t_auth.tolist(),
+        np.minimum(raw, 1.0).tolist(), (raw > 1.0).tolist(),
+    )
 
 
 def schedule(p: StreamParams, rounds: int, real_valued: bool = False) -> list[RoundRecord]:
@@ -178,41 +221,26 @@ def schedule(p: StreamParams, rounds: int, real_valued: bool = False) -> list[Ro
     ratio ``exp(-gamma c rate_rho / 2)`` and exists so that algebraic
     identities can be tested exactly.
     """
-    if rounds < 1:
-        raise ValueError("need at least one round")
-    # sizes grow with i, so the last round bounds them all
-    if rounds > _MAX_BITS or max(p.signal_count(rounds, True), p.stored_len(rounds, True)) > _MAX_BITS:
-        raise ValueError(f"the sizes of round {rounds} exceed 2**53")
-    records = []
-    for i in range(1, rounds + 1):
-        n_i = p.signal_count(i, real_valued)
-        ell_i = p.stored_len(i, real_valued)
-        ell_prev = p.stored_len(i - 1, real_valued)
-        t1, t2 = _round_terms(p, n_i, ell_i, ell_prev)
-        raw = t1 + t2
-        records.append(
-            RoundRecord(
-                i=i,
-                n_i=n_i,
-                ell_i=ell_i,
-                eps_i=min(1.0, raw),
-                term_signal=t1,
-                term_auth=t2,
-                clamped=raw > 1.0,
-            )
-        )
-    return records
+    c = _columns(p, rounds, real_valued)
+    return list(map(
+        RoundRecord, range(1, rounds + 1), c.n, c.ell[1:], c.eps, c.term_signal, c.term_auth, c.clamped,
+    ))
 
 
 def schedule_csv(records: list[RoundRecord]) -> str:
     """RFC 4180 CSV export of a schedule (with a running epsilon sum)."""
+    return _csv((r.i, r.n_i, r.ell_i, r.eps_i) for r in records)
+
+
+def _csv(rows: Iterable[tuple[int, float, float, float]]) -> str:
+    """:func:`schedule_csv` of the rows ``(i, n_i, ell_i, eps_i)``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(["i", "n_i", "ell_i", "eps_i", "cumulative_eps"])
     cumulative = 0.0
-    for r in records:
-        cumulative += r.eps_i
-        writer.writerow([r.i, r.n_i, r.ell_i, repr(r.eps_i), repr(cumulative)])
+    for i, n_i, ell_i, eps_i in rows:
+        cumulative += eps_i
+        writer.writerow([i, n_i, ell_i, repr(eps_i), repr(cumulative)])
     return buf.getvalue()
 
 
@@ -246,13 +274,13 @@ def total_eps(p: StreamParams, horizon: int = 200, real_valued: bool = False) ->
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    return _budget(p, schedule(p, horizon, real_valued), real_valued)
+    return _budget(p, _columns(p, horizon, real_valued).eps, real_valued)
 
 
-def _budget(p: StreamParams, records: list[RoundRecord], real_valued: bool) -> StreamBudget:
-    """:func:`total_eps` over an already built schedule of rounds 1..len(records)."""
-    horizon = len(records)
-    partial = sum(r.eps_i for r in records)
+def _budget(p: StreamParams, eps: list[float], real_valued: bool) -> StreamBudget:
+    """:func:`total_eps` given the epsilons ``eps`` of rounds 1..len(eps)."""
+    horizon = len(eps)
+    partial = sum(eps)
 
     g1 = p.gamma * p.c * p.rate_rho / 2.0
     g2 = p.nu * p.c * p.rate_rho / 2.0
@@ -525,7 +553,7 @@ def simulate_stream(
     overlaps another consumed or an emitted range; either failure
     raises :class:`LedgerBroken`.
     """
-    records = schedule(p, rounds)
+    n, ell = (sizes.tolist() for sizes in _sizes(p, rounds))
     generate = key_source.generate if isinstance(key_source, MockKeySource) else key_source
     stored = p.ell0
     consumed = 0
@@ -537,24 +565,23 @@ def simulate_stream(
     ledger: list[RoundLedger] = []
     total_retries = 0
 
-    for rec in records:
-        need = p.stored_len(rec.i - 1)
+    for i, n_i, need, ell_i in zip(range(1, rounds + 1), n, ell, ell[1:]):
         taken: list[tuple[int, int]] = []
         attempts = 0
         if not charge_per_attempt:
             if stored < need:
-                raise KeyLedgerUnderflow(f"round {rec.i}: need {need} bits, have {stored}")
+                raise KeyLedgerUnderflow(f"round {i}: need {need} bits, have {stored}")
             stored -= need
             consumed += need
             taken += _take(store, need)
         while True:
             attempts += 1
             if attempts > max_attempts_per_round:
-                raise RetryLimitExceeded(f"round {rec.i}: exceeded {max_attempts_per_round} attempts")
+                raise RetryLimitExceeded(f"round {i}: exceeded {max_attempts_per_round} attempts")
             if charge_per_attempt:
                 if stored < need:
                     raise KeyLedgerUnderflow(
-                        f"round {rec.i}, attempt {attempts}: need {need} bits, have {stored}"
+                        f"round {i}, attempt {attempts}: need {need} bits, have {stored}"
                     )
                 stored -= need
                 consumed += need
@@ -566,7 +593,6 @@ def simulate_stream(
         if bits.shape != (p.ell,):
             raise ValueError(f"key source returned {bits.shape}, expected {(p.ell,)}")
         stream[emitted:emitted + p.ell] = bits
-        ell_i = int(rec.ell_i)
         store.append((produced, produced + ell_i))
         emitted_range = (produced + ell_i, produced + ell_i + p.ell)
         stored += ell_i
@@ -575,14 +601,14 @@ def simulate_stream(
         total_retries += attempts - 1
         for start, end in [*taken, emitted_range]:
             if not _claim(used, start, end):
-                raise LedgerBroken(f"round {rec.i} reuses key bits in [{start}, {end})")
+                raise LedgerBroken(f"round {i} reuses key bits in [{start}, {end})")
         if emitted + stored + consumed != produced + p.ell0:
-            raise LedgerBroken(f"ledger broken at round {rec.i}")
+            raise LedgerBroken(f"ledger broken at round {i}")
         ledger.append(
             RoundLedger(
-                i=rec.i,
-                n_i=rec.n_i,
-                ell_i=rec.ell_i,
+                i=i,
+                n_i=n_i,
+                ell_i=ell_i,
                 attempts=attempts,
                 consumed_after=consumed,
                 stored_after=stored,

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage, run in process against qkdlab.cli.main."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -485,23 +486,93 @@ def test_keystream_schedule_with_csv(capsys, tmp_path):
     assert raw.endswith(b"\r\n")
 
 
-def test_keystream_schedule_builds_the_schedule_once(capsys, monkeypatch):
+def test_keystream_schedule_builds_the_schedule_once(capsys, monkeypatch, tmp_path):
     calls = []
-    original = keystream.schedule
+    original = keystream._columns
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(keystream, "schedule", counting)
-    monkeypatch.setattr(cli, "schedule", counting)
+    def refused(*args, **kwargs):
+        raise AssertionError("the command builds no RoundRecord")
+
+    monkeypatch.setattr(keystream, "_columns", counting)
+    monkeypatch.setattr(cli, "_columns", counting)
+    monkeypatch.setattr(keystream, "schedule", refused)
     code, payload, _ = run_json(
-        capsys, ["keystream-schedule", "--n0", "60000", "--ell0", "12000", "--rounds", "7"]
+        capsys, ["keystream-schedule", "--n0", "60000", "--ell0", "12000", "--rounds", "7",
+                 "--csv", str(tmp_path / "schedule.csv")]
     )
     assert code == EXIT_OK
     assert len(calls) == 1
     params = StreamParams(n0=60_000, c=60_000.0, ell=256, ell0=12_000)
     assert payload["result"]["budget"] == keystream.total_eps(params, 7).to_json_dict()
+
+
+SCHEDULES = [
+    (["--n0", "60000", "--ell0", "12000"], StreamParams(n0=60_000, c=60_000.0, ell0=12_000)),
+    (["--n0", "60000", "--ell0", "100"], StreamParams(n0=60_000, c=60_000.0, ell0=100)),  # clamped rows
+    (["--n0", "30000", "--ell0", "50", "--c", "7.3", "--ell", "100"],
+     StreamParams(n0=30_000, c=7.3, ell=100, ell0=50)),
+    (["--n0", "1000000", "--ell0", "40000", "--gamma", "0.002", "--rho", "0.03", "--nu", "0.0007",
+      "--eps0", "1e-12"],
+     StreamParams(gamma=0.002, rate_rho=0.03, nu=0.0007, n0=10**6, c=1e6, ell0=40_000, eps0=1e-12)),
+]
+
+
+def _schedule_reference(params, rounds, real_valued, csv_path, timestamp=None):
+    """The report as ``json.dumps`` prints it, built from :func:`keystream.schedule`."""
+    records = keystream.schedule(params, rounds, real_valued)
+    payload = {
+        "tool": "qkdlab",
+        "version": qkdlab.__version__,
+        "command": "keystream-schedule",
+        "seed": None,
+        "parameters": {"rounds": rounds, "real_valued": real_valued, "csv": csv_path},
+        "result": {
+            "params": params.to_json_dict(),
+            "budget": keystream.total_eps(params, rounds, real_valued).to_json_dict(),
+            "rounds": [dataclasses.asdict(r) for r in records],
+        },
+    }
+    if timestamp is not None:
+        payload["generated_at"] = timestamp
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n", keystream.schedule_csv(records)
+
+
+@pytest.mark.parametrize("real_valued", [False, True])
+@pytest.mark.parametrize("rounds", [1, 3, 1000])
+@pytest.mark.parametrize("argv, params", SCHEDULES)
+def test_keystream_schedule_prints_what_json_dumps_gives(
+    capsys, tmp_path, monkeypatch, argv, params, rounds, real_valued
+):
+    monkeypatch.chdir(tmp_path)
+    command = ["keystream-schedule", *argv, "--rounds", str(rounds), "--csv", "schedule.csv"]
+    if real_valued:
+        command.append("--real-valued")
+    want, want_csv = _schedule_reference(params, rounds, real_valued, "schedule.csv")
+    assert run_cli(capsys, command) == (EXIT_OK, want, "")
+    assert (tmp_path / "schedule.csv").read_bytes() == want_csv.encode()
+    assert run_cli(capsys, [*command, "--out", "report.json"]) == (EXIT_OK, "", "")
+    assert (tmp_path / "report.json").read_bytes() == want.encode()
+    if params.ell0 == 100:
+        assert '"clamped": true,' in want and '"eps_i": 1.0,' in want
+
+
+def test_keystream_schedule_rows_span_several_write_batches(capsys):
+    argv, params = SCHEDULES[1]
+    code, out, _ = run_cli(capsys, ["keystream-schedule", *argv, "--rounds", "10000"])
+    assert code == EXIT_OK
+    assert out == _schedule_reference(params, 10_000, False, None)[0]
+
+
+def test_keystream_schedule_rows_splice_next_to_a_timestamp(capsys):
+    argv, params = SCHEDULES[0]
+    code, out, _ = run_cli(capsys, ["keystream-schedule", *argv, "--rounds", "4", "--timestamp"])
+    assert code == EXIT_OK
+    stamp = json.loads(out)["generated_at"]
+    assert out == _schedule_reference(params, 4, False, None, timestamp=stamp)[0]
 
 
 def test_keystream_simulate_clean_run(capsys):

@@ -505,6 +505,39 @@ def test_is_probable_prime_rejects_carmichael_numbers():
         assert not is_probable_prime(n)
 
 
+def test_three_witness_path_is_exact_on_every_odd_n_below_2e6():
+    # below 4,759,123,141 only the witnesses {2, 7, 61} run; the 12-witness
+    # path is deterministic there too, so both must match a sieve
+    limit = 2_000_000
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    odd = range(1, limit, 2)
+    assert [is_probable_prime(n) for n in odd] == sieve[1::2].tolist()
+
+
+def test_three_witness_path_agrees_with_the_12_witness_path(monkeypatch):
+    rng = np.random.default_rng(2024)
+    odd = (rng.integers(2**31, 2**32, size=100_000) | 1).tolist()
+    fast = [is_probable_prime(n) for n in odd]
+    monkeypatch.setattr(ch, "_MR_SMALL_BELOW", 0)
+    assert fast == [is_probable_prime(n) for n in odd]
+    assert sum(fast) > 8000  # about 1 in 11 odd 32-bit numbers is prime
+
+
+def test_three_witness_bound_is_the_first_strong_pseudoprime(monkeypatch):
+    n = 4_759_123_141
+    assert n == 48781 * 97561 == ch._MR_SMALL_BELOW
+    assert not is_probable_prime(n)
+    monkeypatch.setattr(ch, "_MR_SMALL_BELOW", n + 1)
+    assert is_probable_prime(n)  # {2, 7, 61} alone are all fooled by it
+    assert is_probable_prime(61)  # a witness equal to n proves nothing
+    # the first strong pseudoprime to 2 and 7 (and 3, 5) is below the bound: 61 rejects it
+    assert 3_215_031_751 == 151 * 751 * 28351 and not is_probable_prime(3_215_031_751)
+
+
 def test_is_probable_prime_range_guard():
     with pytest.raises(ValueError):
         is_probable_prime(3_317_044_064_679_887_385_961_981)

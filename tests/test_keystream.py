@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -128,6 +129,60 @@ def test_real_valued_terms_are_geometric():
         assert cur.term_auth / prev.term_auth == pytest.approx(want, rel=1e-12)
 
 
+def _reference_rounds(p, rounds, real_valued=False):
+    """Rows ``(i, n_i, ell_i, eps_i, term_signal, term_auth, clamped)``, one math call per term."""
+    rows = []
+    for i in range(1, rounds + 1):
+        n_i = p.signal_count(i, real_valued)
+        ell_i = p.stored_len(i, real_valued)
+        ell_prev = p.stored_len(i - 1, real_valued)
+        t_signal = math.exp(min(-p.gamma * (p.rate_rho * n_i - ell_i - p.ell), 700.0))
+        t_auth = math.exp(min(-p.nu * ell_prev + math.log(n_i), 700.0))
+        raw = t_signal + t_auth
+        rows.append((i, n_i, ell_i, min(1.0, raw), t_signal, t_auth, raw > 1.0))
+    return rows
+
+
+def _bits(rows):
+    # repr tells every float bit pattern apart (but NaN, which never occurs)
+    return [tuple((type(v), repr(v)) for v in row) for row in rows]
+
+
+COLUMN_PARAMS = [
+    SMALL,
+    StreamParams(n0=60_000, c=60_000.0, ell=256, ell0=100),  # clamped early rounds
+    StreamParams(n0=30_000, c=7.3, ell=100, ell0=50),
+    StreamParams(gamma=0.002, rate_rho=0.03, nu=0.0007, n0=10**6, c=10**6, ell0=40_000, eps0=1e-12),  # an int c
+    StreamParams(gamma=1.0, n0=10, c=1.0, ell=1000, ell0=1),  # exponents past the 700 cap
+    StreamParams(rate_rho=1e305, n0=10**4, c=1e-305, ell=4, ell0=5),  # rate_rho * n_i overflows
+]
+
+
+@pytest.mark.parametrize("real_valued", [False, True])
+@pytest.mark.parametrize("p", COLUMN_PARAMS)
+def test_columns_equal_a_per_round_math_reference_bit_for_bit(p, real_valued):
+    rounds = 1000
+    want = _reference_rounds(p, rounds, real_valued)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from the array arithmetic
+        cols = keystream._columns(p, rounds, real_valued)
+        records = schedule(p, rounds, real_valued)
+    assert cols.ell[0] == p.ell0 and len(cols.ell) == rounds + 1
+    got = zip(range(1, rounds + 1), cols.n, cols.ell[1:], cols.eps, cols.term_signal, cols.term_auth, cols.clamped)
+    assert _bits(got) == _bits(want)
+    fields = ("i", "n_i", "ell_i", "eps_i", "term_signal", "term_auth", "clamped")
+    assert _bits([tuple(getattr(r, f) for f in fields) for r in records]) == _bits(want)
+
+
+def test_columns_cover_clamped_and_capped_rounds():
+    clamped = keystream._columns(COLUMN_PARAMS[1], 5)
+    assert clamped.clamped[0] and clamped.eps[0] == 1.0
+    capped = keystream._columns(COLUMN_PARAMS[4], 3)
+    assert capped.term_signal[0] == math.exp(700.0)
+    overflowed = keystream._columns(COLUMN_PARAMS[5], 3)
+    assert overflowed.term_signal == [0.0, 0.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # series bounds
 
@@ -146,6 +201,26 @@ def test_tail_bound_dominates_actual_continuation(real_valued):
         sum(r.eps_i for r in schedule(p, horizon, real_valued=real_valued)), rel=1e-12
     )
     assert not budget.divergent
+
+
+def test_total_eps_is_bitwise_the_per_round_sum_for_every_plan_candidate(monkeypatch):
+    scored = []
+    original = keystream.total_eps
+
+    def recording(p, horizon=200, real_valued=False):
+        budget = original(p, horizon, real_valued)
+        scored.append((p, horizon, real_valued, budget))
+        return budget
+
+    monkeypatch.setattr(keystream, "total_eps", recording)
+    plan(1e-9)
+    assert len(scored) == 174
+    for p, horizon, real_valued, budget in scored:
+        eps = [row[3] for row in _reference_rounds(p, horizon, real_valued)]
+        # summed in round order, as the per-record generator did
+        want = keystream._budget(p, eps, real_valued)
+        assert repr(budget.partial_sum) == repr(sum(eps))
+        assert repr(budget.to_json_dict()) == repr(want.to_json_dict())
 
 
 def test_total_eps_shrinks_with_horizon():
@@ -251,6 +326,18 @@ def test_simulate_stream_exact_ledger_and_carryover():
     for row in log.rounds:
         assert row.stored_after == int(row.ell_i)
         assert row.attempts == 1
+
+
+def test_simulate_stream_reads_the_sizes_only(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the simulator computes no epsilon term")
+
+    monkeypatch.setattr(keystream, "_columns", refused)
+    monkeypatch.setattr(keystream, "schedule", refused)
+    log = simulate_stream(SMALL, 40, MockKeySource(abort_prob=0.2), np.random.default_rng(4))
+    for led in log.rounds:
+        assert (led.n_i, led.ell_i) == (SMALL.signal_count(led.i), SMALL.stored_len(led.i))
+        assert type(led.n_i) is int and type(led.ell_i) is int
 
 
 def test_simulate_stream_retries_follow_geometric_law():
