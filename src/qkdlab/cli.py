@@ -410,18 +410,13 @@ def cmd_verify_composition(args: argparse.Namespace, parser: argparse.ArgumentPa
     else:
         message = args.message if args.message is not None else "1" * (args.n + 1)
         pair = attack_otp_composed_pair(args.n, message, declared_eps=args.declared_eps)
-        estimate = estimate_advantage(
-            pair,
-            otp_prefix_parity_distinguisher(message),
-            mode=args.mode,
-            trials=args.trials,
-            rng=rng,
-        )
+        parity = otp_prefix_parity_distinguisher(message)
+        estimate = estimate_advantage(pair, parity, mode=args.mode, trials=args.trials, rng=rng)
         violated = estimate.advantage > pair.declared_eps + estimate.half_width + 1e-9
         result = {
             "pair": pair.name,
             "declared_eps": pair.declared_eps,
-            "distinguisher": f"pad_parity_{args.n}",
+            "distinguisher": parity.name,
             "estimate": estimate.to_json_dict(),
             "bound_violated": violated,
         }

@@ -2,18 +2,16 @@
 
 Everything here works on pairs of sampleable systems, a real one and an
 ideal one.  A system draws many trials per call, as 0/1 arrays with one
-row per trial.  Exact and Monte Carlo advantages are both sums over a
-:class:`SampleTable` of distinct samples (packed row codes) with
-weights, so each distinct sample is decided once: Monte Carlo weights
-the drawn samples by their counts, and a pair whose samples are at most
-21 bits wide can build its exact distributions, weighted by probability,
-on first use.  The harness verifies the additive composition bound
-through the standard hybrid argument: for a key source with distance
-eps_source and an application with distance eps_app, every
-distinguisher's advantage against the composed system is bounded by
-eps_source + eps_app, because the middle hybrid (real application on
-the ideal key) telescopes the total difference into two single-step
-differences.
+row per trial, and a distinguisher decides a batch of rows in one call:
+an exact advantage sums the probabilities of the accepted rows of a
+:class:`SampleTable` (built on first use, for samples at most 21 bits
+wide), a Monte Carlo one counts the accepted rows of each drawn chunk.
+The harness verifies the additive composition bound through the
+standard hybrid argument: for a key source with distance eps_source and
+an application with distance eps_app, every distinguisher's advantage
+against the composed system is bounded by eps_source + eps_app, because
+the middle hybrid (real application on the ideal key) telescopes the
+total difference into two single-step differences.
 
 The module also carries the counterexample machinery: a classical
 bridge for the encode-the-pad attack composed with a one-time pad,
@@ -70,10 +68,11 @@ __all__ = [
 # A sample is (output key bits, adversary view).  Distinguishers see both:
 # for a key source the composable claim is exactly that key-plus-view is
 # indistinguishable from uniform-plus-view.
-Sample = tuple[str, tuple]
+Sample = tuple[str, tuple]  # one sample as bitstrings, as SampleTable.items gives it
 # Samples are the same layout for many trials, one row per trial: a
 # (trials, key bits) 0/1 array and a tuple of (trials, width) 0/1 arrays.
 Samples = tuple[np.ndarray, tuple[np.ndarray, ...]]
+Decide = Callable[[np.ndarray, tuple[np.ndarray, ...]], np.ndarray]
 
 _DIST_SUM_TOL = 1e-9
 _EXACT_MAX_BITS = 21  # exact tables are built for samples this wide at most
@@ -98,8 +97,8 @@ def _merge(codes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class SampleTable:
-    """Distinct samples (packed row codes, the key and then each view
-    ``widths`` bits wide) with weights: an exact distribution or a tally."""
+    """An exact distribution: distinct samples (packed row codes, the key
+    and then each view ``widths`` bits wide) with their probabilities."""
 
     codes: np.ndarray
     weights: np.ndarray
@@ -203,8 +202,10 @@ class KeyApplication:
 
 @dataclass(frozen=True)
 class Distinguisher:
+    """A named test: ``decide(keys, views)`` takes :data:`Samples`, gives one bool per row."""
+
     name: str
-    decide: Callable[[Sample], bool]
+    decide: Decide
 
 
 @dataclass(frozen=True)
@@ -219,38 +220,38 @@ class AdvantageEstimate(JsonRecord):
     trials: int
 
 
-def _accept_prob(table: SampleTable, decide: Callable[[Sample], bool]) -> float:
+def _accepted(decide: Decide, keys: np.ndarray, views: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``decide`` on a batch, checked to give one flag per row."""
+    accept = np.asarray(decide(keys, views), dtype=bool)
+    if accept.shape != (len(keys),):
+        raise ValueError(f"decide must return one flag per row ({len(keys)}), got shape {accept.shape}")
+    return accept
+
+
+def _accept_prob(table: SampleTable, decide: Decide) -> float:
     """Total weight of the samples of ``table`` that ``decide`` accepts."""
-    return math.fsum(w for sample, w in table.items() if w > 0.0 and decide(sample))
+    bits = _code_bits(table.codes, sum(table.widths))
+    key, *views = np.split(bits, np.cumsum(table.widths)[:-1], axis=1)
+    accept = _accepted(decide, key, tuple(views))
+    return math.fsum(table.weights[accept & (table.weights > 0.0)].tolist())
 
 
 def _accept_prob_sampled(
     run: Callable[[np.random.Generator, int], Samples],
-    decide: Callable[[Sample], bool],
+    decide: Decide,
     trials: int,
     rng: np.random.Generator,
 ) -> float:
     """Fraction of ``trials`` samples of ``run`` that ``decide`` accepts.
 
-    Samples are drawn a chunk of rows at a time and tallied as a table
-    of distinct samples weighted by their counts; ``decide`` sees each
-    distinct sample once, as for an exact distribution.  The tally is
-    decided and emptied whenever it outgrows eight chunks, so memory
+    Samples are drawn and decided a chunk of rows at a time, so memory
     does not grow with ``trials``.
     """
     key, views = run(rng, 0)
-    widths = (key.shape[1], *(v.shape[1] for v in views))
-    rows = _chunk_rows(sum(widths))
-    empty = codes = _row_codes(np.concatenate((key, *views), axis=1))
-    counts = np.zeros(0)
-    hits = 0.0
+    rows = _chunk_rows(key.shape[1] + sum(v.shape[1] for v in views))
+    hits = 0
     for start in range(0, trials, rows):
-        key, views = run(rng, min(rows, trials - start))
-        chunk = _row_codes(np.concatenate((key, *views), axis=1))
-        codes, counts = _merge(np.concatenate((codes, chunk)), np.concatenate((counts, np.ones(len(chunk)))))
-        if len(codes) > 8 * rows or start + rows >= trials:
-            hits += _accept_prob(SampleTable(codes, counts, widths), decide)
-            codes, counts = empty, counts[:0]
+        hits += int(np.count_nonzero(_accepted(decide, *run(rng, min(rows, trials - start)))))
     return hits / trials
 
 
@@ -267,7 +268,7 @@ def _two_sample_half_width(p_a: float, p_b: float, trials: int, confidence: floa
 
 def estimate_advantage(
     pair: ProtocolPair,
-    distinguisher: Distinguisher | Callable[[Sample], bool],
+    distinguisher: Distinguisher | Decide,
     mode: str = "auto",
     trials: int = 10_000,
     rng: np.random.Generator | None = None,
@@ -591,12 +592,10 @@ def otp_majority_zeros_distinguisher(message: str) -> Distinguisher:
     advantage equals the total variation distance 0.1.
     """
     n = len(message)
-    m = int(message, 2)
+    m = np.array(list(message), dtype=np.uint8)
 
-    def decide(sample: Sample) -> bool:
-        _, view = sample
-        ones = (int(view[-1], 2) ^ m).bit_count()
-        return (n - ones) * 2 > n
+    def decide(keys: np.ndarray, views: tuple[np.ndarray, ...]) -> np.ndarray:
+        return (views[-1] ^ m).sum(axis=1) * 2 < n
 
     return Distinguisher(f"otp_majority_zeros_{n}", decide)
 
@@ -658,9 +657,9 @@ def otp_prefix_parity_distinguisher(message: str) -> Distinguisher:
     """Accept when the recovered pad's parity matches the opened last key bit."""
     m_last = int(message[-1])
 
-    def decide(sample: Sample) -> bool:
-        _, (cipher, pad) = sample
-        return pad.count("1") % 2 == (int(cipher[-1]) ^ m_last)
+    def decide(keys: np.ndarray, views: tuple[np.ndarray, ...]) -> np.ndarray:
+        cipher, pad = views
+        return pad.sum(axis=1) % 2 == cipher[:, -1] ^ m_last
 
     return Distinguisher(f"pad_parity_{len(message) - 1}", decide)
 

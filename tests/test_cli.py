@@ -656,6 +656,31 @@ def test_verify_composition_sample_mode(capsys):
     assert payload["result"]["estimate"]["accept_real"] == 1.0
 
 
+# Seeded outputs as the per-sample string form gave them: a change to the
+# rng stream, the chunking or the acceptance count moves these digits.
+# The biased-otp report carries the three acceptance differences, not the
+# acceptances themselves.
+@pytest.mark.parametrize("argv, code, field, expected", [
+    (["--example", "biased-otp", "--mode", "sample", "--seed", "1"], EXIT_OK, ("rows", 0), {
+        "advantage_total": "0.1048",
+        "advantage_source_step": "0.11170000000000002",
+        "advantage_app_step": "0.006900000000000017",
+        "half_width": "0.012811046427253931",
+    }),
+    (["--example", "attack-otp", "--n", "6", "--mode", "sample", "--trials", "20000", "--seed", "1"],
+     EXIT_FINDING, ("estimate",), {"accept_real": "1.0", "accept_ideal": "0.4925"}),
+    (["--example", "attack-otp", "--n", "9", "--mode", "exact", "--seed", "3"],
+     EXIT_FINDING, ("estimate",), {"accept_real": "1.0", "accept_ideal": "0.5"}),
+])
+def test_verify_composition_seeded_outputs_are_pinned(capsys, argv, code, field, expected):
+    got_code, payload, _ = run_json(capsys, ["verify-composition", *argv])
+    assert got_code == code
+    part = payload["result"]
+    for key in field:
+        part = part[key]
+    assert {name: repr(part[name]) for name in expected} == expected
+
+
 def test_rsa_demo_single(capsys):
     code, payload, _ = run_json(capsys, ["rsa-demo", "--bid", "123", "--seed", "4"])
     assert code == EXIT_OK

@@ -55,25 +55,30 @@ def test_protocol_pair_validation():
         pair.real_dist
 
 
+def _accept_all(keys, views):
+    return np.ones(len(keys), dtype=bool)
+
+
 def test_estimate_advantage_modes_and_validation():
     pair = biased_key_source(1, p_zero=0.6)
-    exact = estimate_advantage(pair, lambda s: s[0] == "0", mode="exact")
+    key_is_zero = lambda keys, views: keys[:, 0] == 0
+    exact = estimate_advantage(pair, key_is_zero, mode="exact")
     assert exact.advantage == pytest.approx(0.1, abs=1e-15)
     assert exact.half_width == 0.0 and exact.mode == "exact"
-    auto = estimate_advantage(pair, lambda s: s[0] == "0")
+    auto = estimate_advantage(pair, key_is_zero)
     assert auto.mode == "exact"
     rng = np.random.default_rng(0)
-    sampled = estimate_advantage(pair, lambda s: s[0] == "0", mode="sample",
+    sampled = estimate_advantage(pair, key_is_zero, mode="sample",
                                  trials=20_000, rng=rng)
     assert sampled.mode == "sample"
     assert abs(sampled.advantage - 0.1) <= sampled.half_width + 0.01
     with pytest.raises(ValueError, match="rng"):
-        estimate_advantage(pair, lambda s: True, mode="sample")
+        estimate_advantage(pair, _accept_all, mode="sample")
     with pytest.raises(ValueError, match="100 trials"):
-        estimate_advantage(pair, lambda s: True, mode="sample", trials=10,
+        estimate_advantage(pair, _accept_all, mode="sample", trials=10,
                            rng=np.random.default_rng(1))
     with pytest.raises(ValueError, match="mode"):
-        estimate_advantage(pair, lambda s: True, mode="bogus")
+        estimate_advantage(pair, _accept_all, mode="bogus")
 
 
 def test_exact_optimal_advantage_is_total_variation():
@@ -82,7 +87,8 @@ def test_exact_optimal_advantage_is_total_variation():
         iid_bits_total_variation(2, 0.6), abs=1e-12
     )
     # no distinguisher can beat it
-    for decide in (lambda s: s[0].count("0") >= 1, lambda s: s[0] == "00"):
+    for decide in (lambda keys, views: (keys == 0).sum(axis=1) >= 1,
+                   lambda keys, views: (keys == 0).all(axis=1)):
         est = estimate_advantage(pair, decide, mode="exact")
         assert est.advantage <= exact_optimal_advantage(pair) + 1e-12
 
@@ -274,6 +280,11 @@ def _ref_tv(real, ideal):
     return 0.5 * math.fsum(abs(real.get(s, 0.0) - ideal.get(s, 0.0)) for s in set(real) | set(ideal))
 
 
+def _string_accept_prob(table, accept):
+    """The acceptance of ``table`` under a one-sample string rule, as fsum over items()."""
+    return math.fsum(w for s, w in table.items() if w > 0.0 and accept(s))
+
+
 def _as_dict(table):
     out = dict(table.items())
     assert len(out) == len(table.codes) == len(table.weights)  # every sample once
@@ -288,6 +299,10 @@ def test_attack_otp_tables_match_dict_reference(n):
         assert _as_dict(pair.real_dist) == real
         assert _as_dict(pair.ideal_dist) == ideal
         assert exact_optimal_advantage(pair) == _ref_tv(real, ideal)
+        parity = otp_prefix_parity_distinguisher(message).decide
+        accept = lambda s: s[1][1].count("1") % 2 == int(_xor(s[1][0], message)[-1])
+        for table in (pair.real_dist, pair.ideal_dist):
+            assert ch._accept_prob(table, parity) == _string_accept_prob(table, accept)
 
 
 def test_composed_and_hybrid_tables_match_dict_reference():
@@ -301,9 +316,10 @@ def test_composed_and_hybrid_tables_match_dict_reference():
                 hybrid = _ref_convolve(src_ideal, real_given)
                 ideal = _ref_convolve(src_ideal, ideal_given)
                 composed = compose(source, app)
+                hybrid_table = ch._convolve(source.ideal_dist, app.real_dist_given_keys)
                 assert _as_dict(composed.real_dist) == real
                 assert _as_dict(composed.ideal_dist) == ideal
-                assert _as_dict(ch._convolve(source.ideal_dist, app.real_dist_given_keys)) == hybrid
+                assert _as_dict(hybrid_table) == hybrid
                 assert exact_optimal_advantage(composed) == _ref_tv(real, ideal)
                 # the exact report sums the same weights over the same accepted samples
                 accept = lambda s: _xor(s[1][-1], message).count("0") * 2 > m
@@ -311,6 +327,8 @@ def test_composed_and_hybrid_tables_match_dict_reference():
                     math.fsum(p for s, p in dist.items() if accept(s)) for dist in (real, hybrid, ideal)
                 )
                 d = otp_majority_zeros_distinguisher(message)
+                for table in (composed.real_dist, hybrid_table, composed.ideal_dist):
+                    assert ch._accept_prob(table, d.decide) == _string_accept_prob(table, accept)
                 row = verify_composition_bound(source, app, [d], mode="exact").rows[0]
                 assert row.advantage_total == abs(p_rr - p_ii)
                 assert row.advantage_source_step == abs(p_rr - p_ir)
@@ -318,14 +336,18 @@ def test_composed_and_hybrid_tables_match_dict_reference():
 
 
 def test_distinguishers_match_string_xor():
-    for m in (1, 2, 3, 4):
+    # tables unpack to uint8 rows, sampled runs draw int64 rows
+    for dtype, m in itertools.product((np.uint8, np.int64), (1, 2, 3, 4)):
+        rows = lambda strings: np.array([list(map(int, s)) for s in strings], dtype).reshape(len(strings), -1)
         for message in _strings(m):
             majority = otp_majority_zeros_distinguisher(message).decide
             parity = otp_prefix_parity_distinguisher(message).decide
-            for c in _strings(m):
-                assert majority(("", (c,))) == (_xor(c, message).count("0") * 2 > m)
-                for pad in _strings(m - 1):
-                    assert parity(("", (c, pad))) == (pad.count("1") % 2 == int(_xor(c, message)[-1]))
+            ciphers = _strings(m)
+            got = majority(rows([""] * len(ciphers)), (rows(ciphers),))
+            assert got.tolist() == [_xor(c, message).count("0") * 2 > m for c in ciphers]
+            pairs = list(itertools.product(ciphers, _strings(m - 1)))
+            got = parity(rows([""] * len(pairs)), (rows([c for c, _ in pairs]), rows([p for _, p in pairs])))
+            assert got.tolist() == [p.count("1") % 2 == int(_xor(c, message)[-1]) for c, p in pairs]
 
 
 def test_auto_mode_is_exact_up_to_21_bit_samples(monkeypatch):
@@ -396,21 +418,18 @@ def _replay(bits: np.ndarray, widths: list[int]):
 @settings(max_examples=60, deadline=None)
 def test_histogram_acceptance_counts_every_trial(widths, trials, p_one, seed, salt):
     bits = (np.random.default_rng(seed).random((trials, sum(widths))) < p_one).astype(np.int64)
-    calls = []
 
-    def decide(sample):
-        calls.append(sample)
+    def hashed(parts):
+        sample = ("".join(map(str, parts[0])), tuple("".join(map(str, p)) for p in parts[1:]))
         return zlib.crc32(repr((sample, salt)).encode()) % 3 == 0
 
+    def decide(keys, views):
+        return np.array([hashed([keys[i], *(v[i] for v in views)]) for i in range(len(keys))], dtype=bool)
+
     edges = np.cumsum([0, *widths])
-    direct = 0
-    for row in bits:
-        parts = ["".join(map(str, row[a:b])) for a, b in zip(edges, edges[1:])]
-        direct += zlib.crc32(repr(((parts[0], tuple(parts[1:])), salt)).encode()) % 3 == 0
+    direct = sum(hashed([row[a:b] for a, b in zip(edges, edges[1:])]) for row in bits)
     got = _accept_prob_sampled(_replay(bits, widths), decide, trials, np.random.default_rng(0))
     assert got == direct / trials
-    # one chunk here, so decide saw each distinct sample exactly once
-    assert len(calls) == len(set(calls)) == len({tuple(row) for row in bits})
 
 
 def test_batched_runs_replay_the_per_trial_draws():
@@ -439,8 +458,7 @@ def test_sampled_estimate_ignores_chunk_boundaries(monkeypatch):
     pair = attack_otp_composed_pair(6, message)
     parity = otp_prefix_parity_distinguisher(message)
     whole = estimate_advantage(pair, parity, mode="sample", trials=1001, rng=np.random.default_rng(4))
-    # three 13-bit samples per draw, and the histogram is decided and
-    # emptied many times along the way
+    # three 13-bit samples per draw, each draw decided on its own
     monkeypatch.setattr(attack_lab, "_CHUNK_BITS", 40)
     requested = []
     ideal_run = pair.ideal_run
@@ -462,12 +480,70 @@ def test_sampled_memory_does_not_grow_with_trials(monkeypatch):
     def peak(trials):
         tracemalloc.start()
         try:
-            _accept_prob_sampled(pair.ideal_run, lambda s: True, trials, np.random.default_rng(0))
+            _accept_prob_sampled(pair.ideal_run, _accept_all, trials, np.random.default_rng(0))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     assert peak(8_000) < 2 * peak(1_000)
+
+
+def _counting(decide):
+    """``decide`` wrapped to record the number of rows of every call."""
+    def counted(keys, views):
+        counted.rows.append(len(keys))
+        return decide(keys, views)
+
+    counted.rows = []
+    return counted
+
+
+def test_exact_mode_decides_each_world_table_once():
+    message = "10110"
+    pair = attack_otp_composed_pair(4, message)
+    parity = _counting(otp_prefix_parity_distinguisher(message).decide)
+    estimate_advantage(pair, parity, mode="exact")
+    assert parity.rows == [len(pair.real_dist.codes), len(pair.ideal_dist.codes)]
+    source, app = biased_key_source(3), otp_application("101")
+    majority = _counting(otp_majority_zeros_distinguisher("101").decide)
+    verify_composition_bound(source, app, [Distinguisher("m", majority)], mode="exact")
+    hybrid = ch._convolve(source.ideal_dist, app.real_dist_given_keys)
+    composed = compose(source, app)
+    assert majority.rows == [len(t.codes) for t in (composed.real_dist, hybrid, composed.ideal_dist)]
+
+
+def test_sampled_mode_decides_each_drawn_chunk_once(monkeypatch):
+    monkeypatch.setattr(attack_lab, "_CHUNK_BITS", 40)  # three 13-bit samples per draw
+    message = "1011001"
+    pair = attack_otp_composed_pair(6, message)
+    drawn = []
+
+    def recording(rng, trials):
+        drawn.append(trials)
+        return pair.ideal_run(rng, trials)
+
+    parity = _counting(otp_prefix_parity_distinguisher(message).decide)
+    _accept_prob_sampled(recording, parity, 1001, np.random.default_rng(4))
+    assert drawn[0] == 0  # the layout draw is not decided
+    assert parity.rows == drawn[1:] and sum(parity.rows) == 1001 and max(parity.rows) == 3
+
+
+@pytest.mark.parametrize("bad", [
+    lambda keys, views: True,
+    lambda keys, views: np.ones(len(keys) + 1, dtype=bool),
+    lambda keys, views: np.ones(len(keys) - 1, dtype=bool),
+    lambda keys, views: np.ones((len(keys), 1), dtype=bool),
+])
+def test_decide_must_give_one_flag_per_row(bad):
+    pair = biased_key_source(2)
+    for mode in ("exact", "sample"):
+        with pytest.raises(ValueError, match="one flag per row"):
+            estimate_advantage(pair, bad, mode=mode, trials=100, rng=np.random.default_rng(0))
+    app = otp_application("01")
+    for mode in ("exact", "sample"):
+        with pytest.raises(ValueError, match="one flag per row"):
+            verify_composition_bound(pair, app, [Distinguisher("bad", bad)], mode=mode,
+                                     trials=100, rng=np.random.default_rng(0))
 
 
 def test_sampled_mode_has_no_width_limit():
@@ -482,8 +558,8 @@ def test_sampled_mode_has_no_width_limit():
 
 def test_sampled_mode_handles_empty_samples():
     pair = perfect_key_source(0)
-    est = estimate_advantage(pair, lambda s: s == ("", ()), mode="sample",
-                             trials=100, rng=np.random.default_rng(6))
+    empty = lambda keys, views: np.full(len(keys), keys.shape[1] == 0 and views == ())
+    est = estimate_advantage(pair, empty, mode="sample", trials=100, rng=np.random.default_rng(6))
     assert est.accept_real == est.accept_ideal == 1.0
 
 
