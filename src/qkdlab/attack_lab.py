@@ -96,10 +96,6 @@ def _bits_from(value, width: int) -> tuple[int, ...]:
     return bits
 
 
-def _parity(bits: Sequence[int]) -> int:
-    return sum(bits) & 1
-
-
 # _BB84_AMPS[s, r] holds the amplitudes of data bit r encoded in basis s
 _BB84_AMPS = np.array([[bb84_encode(r, s).amplitudes for r in (0, 1)] for s in (0, 1)])
 
@@ -309,8 +305,9 @@ def parity_strategy(n: int) -> Strategy:
     def measurement(label: str) -> Povm:
         return prefix_basis_povm(label[:n])
 
-    def decide(label: str, outcome: str) -> int:
-        return int(_parity([int(b) for b in outcome]) == int(label[n]))
+    def decide(labels: Sequence[str], outcomes: Sequence[str]) -> np.ndarray:
+        parity = np.array([z.count("1") & 1 for z in outcomes])
+        return parity == np.array([int(s[n]) for s in labels])[:, None]
 
     return (measurement, decide)
 

@@ -67,6 +67,8 @@ def _as_square_complex(matrix) -> np.ndarray:
     m = np.array(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has a non-finite entry")
     return m
 
 
@@ -148,7 +150,7 @@ class PureState:
         if a.ndim != 1 or a.shape[0] < 1:
             raise ValueError("amplitudes must be a nonempty 1-d vector")
         norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > PURE_NORM_TOL:
+        if not abs(norm - 1.0) <= PURE_NORM_TOL:
             raise ValueError(f"state norm {norm!r} is not 1 within {PURE_NORM_TOL}")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
@@ -164,8 +166,8 @@ def make_pure(amplitudes) -> PureState:
     if a.ndim != 1 or a.shape[0] < 1:
         raise ValueError("amplitudes must be a nonempty 1-d vector")
     norm = float(np.linalg.norm(a))
-    if norm < 1e-12:
-        raise ValueError("cannot normalise a (near-)zero vector")
+    if not 1e-12 <= norm < math.inf:
+        raise ValueError("cannot normalise a (near-)zero or non-finite vector")
     return PureState(a / norm)
 
 
@@ -263,7 +265,7 @@ class CqState:
             if not _valid_label(label, self.key_len):
                 raise ValueError(f"label {label!r} is not a {self.key_len}-bit string or {PERP}")
             p = float(p)
-            if p < -PROB_SUM_TOL or p > 1.0 + PROB_SUM_TOL:
+            if not -PROB_SUM_TOL <= p <= 1.0 + PROB_SUM_TOL:
                 raise ValueError(f"branch probability {p!r} outside [0, 1]")
             probs[b] = min(1.0, max(0.0, p))
             if not isinstance(rho, DensityOperator):
@@ -602,7 +604,7 @@ class JointDistribution:
             raise ValueError(f"negative probability {float(probs[i, k])!r} for {key!r}")
         probs = np.maximum(probs, 0.0)
         total = float(probs.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1 within {PROB_SUM_TOL}")
         probs.setflags(write=False)
         object.__setattr__(self, "x_labels", x_labels)

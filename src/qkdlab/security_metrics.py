@@ -5,18 +5,18 @@ and the adversary register:
 
 * correctness (probability the two parties' keys differ),
 * robustness (abort probability),
-* secrecy, bracketed between an explicit-distinguisher lower bound and
-  the trace distance to a canonical ideal state (upper bound),
+* secrecy, between the best explicit-distinguisher advantage and the
+  trace distance to a canonical ideal state (an upper bound),
 * an accessible-information lower bound found by measurement search,
 * the Ben-Or style sufficiency threshold relating accessible
   information to a secrecy epsilon, and
 * the union-bound total epsilon.
 
 The true secrecy epsilon minimises the trace distance over all ideal
-states; it is deliberately bracketed rather than computed: the
-canonical ideal (same abort mass, branch-averaged register) gives the
-upper bound and concrete measure-then-decide strategies give the lower
-bound.  By data processing the bracket always closes correctly.
+states.  The distance to the canonical ideal (same abort mass,
+branch-averaged register) bounds it from above; the best advantage of
+concrete measure-then-decide strategies against that *canonical* ideal
+is the lower figure, which is not yet a certified lower bound on epsilon.
 """
 
 from __future__ import annotations
@@ -76,12 +76,12 @@ QUBIT_BASIS_ANGLES: dict[str, float] = {
     "breidbart": math.pi / 8,
 }
 
-# A strategy is (measurement, decide): the measurement is either one
-# Povm applied to every branch, or a mapping/callable from key label to
-# Povm (the distinguisher reads the classical register first); decide
-# maps (key label, outcome label) to accept (1) or reject (0).
-DecisionRule = Callable[[str, str], int]
-MeasurementLike = Povm | Mapping[str, Povm] | Callable[[str], Povm]
+# A strategy is (measurement, decide): one Povm for every branch, or a
+# callable from key label to Povm (read off the classical register).
+# decide(labels, outcomes) gets one group of branches sharing a POVM and
+# returns its (len(labels), len(outcomes)) bool table of accepted cells.
+DecisionRule = Callable[[Sequence[str], Sequence[str]], np.ndarray]
+MeasurementLike = Povm | Callable[[str], Povm]
 Strategy = tuple[MeasurementLike, DecisionRule]
 
 
@@ -121,6 +121,8 @@ def clopper_pearson_upper(failures: int, trials: int, confidence: float = 0.99) 
     """One-sided exact binomial (Clopper-Pearson) upper bound."""
     if trials <= 0 or failures < 0 or failures > trials:
         raise ValueError("need 0 <= failures <= trials, trials > 0")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must lie in (0, 1)")
     if failures >= trials:
         return 1.0
     return float(betaincinv(failures + 1, trials - failures, confidence))
@@ -129,7 +131,7 @@ def clopper_pearson_upper(failures: int, trials: int, confidence: float = 0.99) 
 def robustness_eps(label_distribution: Mapping[str, float]) -> float:
     """Abort probability: the mass the output places on the abort label."""
     total = sum(float(p) for p in label_distribution.values())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     return min(1.0, max(0.0, float(label_distribution.get(PERP, 0.0))))
 
@@ -208,11 +210,7 @@ def _canonical_ideal_cq(cq: CqState) -> CqState:
 
 
 def _povm_for(measurement: MeasurementLike, label: str) -> Povm:
-    if isinstance(measurement, Povm):
-        return measurement
-    if callable(measurement):
-        return measurement(label)
-    return measurement[label]
+    return measurement if isinstance(measurement, Povm) else measurement(label)
 
 
 def _weighted_tables(
@@ -240,9 +238,15 @@ def _weighted_tables(
 def strategy_acceptance(cq: CqState, strategy: Strategy) -> float:
     """Exact acceptance probability of a measure-then-decide strategy."""
     measurement, decide = strategy
+    return _accepted_mass(_weighted_tables(cq, measurement), decide)
+
+
+def _accepted_mass(tables, decide: DecisionRule) -> float:
     total = 0.0
-    for labels, outcomes, table in _weighted_tables(cq, measurement):
-        accept = np.array([[decide(s, z) for z in outcomes] for s in labels], dtype=bool)
+    for labels, outcomes, table in tables:
+        accept = np.asarray(decide(labels, outcomes), dtype=bool)
+        if accept.shape != table.shape:
+            raise ValueError(f"decide returned shape {accept.shape}, expected {table.shape}")
         total += float(table[accept].sum())
     return total
 
@@ -255,37 +259,39 @@ def distinguishing_advantage(cq_real: CqState, cq_ideal: CqState, strategy: Stra
 def secrecy_eps_lower(cq: CqState, strategies: Sequence[Strategy]) -> float:
     """Best exact distinguishing advantage against the canonical ideal.
 
-    Every strategy is a physically realisable distinguisher, so by data
-    processing its advantage can never exceed the trace distance to the
-    canonical ideal; the maximum over the supplied list is therefore a
-    certified lower end of the secrecy bracket.  Computed by exact
-    enumeration, no sampling.
+    Every strategy is a physically realisable distinguisher, so beyond
+    rounding its advantage cannot exceed the trace distance to the
+    canonical ideal (:func:`secrecy_eps_upper`).  The true secrecy epsilon
+    is the distance to the *closest* ideal state, which can lie below
+    this figure, so it is not yet a certified lower bound on epsilon.
+    Computed by exact enumeration, no sampling.
     """
-    return _best_advantage(cq, _canonical_ideal_cq(cq), strategies)
+    ideal = _canonical_ideal_cq(cq)
+    return _lower_end([distinguishing_advantage(cq, ideal, s) for s in strategies])
 
 
-def _best_advantage(cq: CqState, ideal: CqState, strategies: Sequence[Strategy]) -> float:
-    if not strategies:
+def _lower_end(advantages: Sequence[float]) -> float:
+    if not advantages:
         raise ValueError("need at least one strategy")
-    best = max(distinguishing_advantage(cq, ideal, s) for s in strategies)
-    return min(1.0, max(0.0, best))
+    return min(1.0, max(0.0, max(advantages)))
 
 
 def optimal_decision_rule(cq_real: CqState, cq_ideal: CqState, measurement: MeasurementLike) -> DecisionRule:
     """Best decision rule for a fixed measurement: accept where real outweighs ideal."""
+    return _optimal_rule(cq_real, cq_ideal, measurement)[0]
 
-    def entries(cq: CqState) -> dict[tuple[str, str], float]:
-        return {
-            (s, z): pr
-            for labels, outcomes, table in _weighted_tables(cq, measurement)
-            for s, row in zip(labels, table.tolist())
-            for z, pr in zip(outcomes, row)
-        }
 
-    real = entries(cq_real)
-    ideal = entries(cq_ideal)
-    accept = {k for k in set(real) | set(ideal) if real.get(k, 0.0) > ideal.get(k, 0.0)}
-    return lambda label, z: int((label, z) in accept)
+def _optimal_rule(real: CqState, ideal: CqState, measurement: MeasurementLike) -> tuple[DecisionRule, float]:
+    """:func:`optimal_decision_rule` and its advantage, from one measurement of each
+    state; a branch missing from one state counts as a row of zeros there."""
+    tables = (_weighted_tables(real, measurement), _weighted_tables(ideal, measurement))
+    rows = [{s: row for labels, _, table in groups for s, row in zip(labels, table)} for groups in tables]
+    accept = {s: rows[0].get(s, 0.0) > rows[1].get(s, 0.0) for s in rows[0].keys() | rows[1].keys()}
+
+    def decide(labels: Sequence[str], outcomes: Sequence[str]) -> np.ndarray:
+        return np.array([accept.get(s, np.zeros(len(outcomes), bool)) for s in labels])
+
+    return decide, _accepted_mass(tables[0], decide) - _accepted_mass(tables[1], decide)
 
 
 def _haar_basis(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -316,15 +322,15 @@ def default_strategies(cq: CqState, num_random: int = 8, seed: int = 0) -> list[
     breaks basis-encoded states), and ``num_random`` Haar-random basis
     measurements, each paired with its optimal decision rule.
     """
-    return _default_strategies(cq, _canonical_ideal_cq(cq), num_random, seed)
+    return _default_strategies(cq, _canonical_ideal_cq(cq), num_random, seed)[0]
 
 
-def _default_strategies(cq: CqState, ideal: CqState, num_random: int, seed: int) -> list[Strategy]:
+def _default_strategies(
+    cq: CqState, ideal: CqState, num_random: int, seed: int
+) -> tuple[list[Strategy], list[float]]:
+    """:func:`default_strategies` and the advantage of each against ``ideal``."""
     dim = cq.dim
-    strategies: list[Strategy] = []
-
-    trivial = Povm((("0", np.eye(dim, dtype=np.complex128)),), _trusted=True)
-    strategies.append((trivial, optimal_decision_rule(cq, ideal, trivial)))
+    measurements: list[MeasurementLike] = [Povm((("0", np.eye(dim, dtype=np.complex128)),), _trusted=True)]
 
     nq = dim.bit_length() - 1
     if dim == 2**nq and 1 <= nq <= cq.key_len:
@@ -332,15 +338,12 @@ def _default_strategies(cq: CqState, ideal: CqState, num_random: int, seed: int)
         def label_basis_povm(label: str) -> Povm:
             return prefix_basis_povm(label[:nq] if label != PERP else "0" * nq)
 
-        strategies.append(
-            (label_basis_povm, optimal_decision_rule(cq, ideal, label_basis_povm))
-        )
+        measurements.append(label_basis_povm)
 
     rng = np.random.default_rng(seed)
-    for _ in range(num_random):
-        povm = Povm.from_basis(_haar_basis(dim, rng))
-        strategies.append((povm, optimal_decision_rule(cq, ideal, povm)))
-    return strategies
+    measurements += [Povm.from_basis(_haar_basis(dim, rng)) for _ in range(num_random)]
+    scored = [_optimal_rule(cq, ideal, m) for m in measurements]
+    return [(m, rule) for m, (rule, _) in zip(measurements, scored)], [adv for _, adv in scored]
 
 
 @dataclass(frozen=True)
@@ -478,7 +481,7 @@ def ben_or_sufficient_eps(iacc_bits: float, key_len: int) -> float:
     eps^2``: a key whose accessible information is below that threshold
     is eps-secret.  Clamped to 1 when no epsilon in [0, 1] is certified.
     """
-    if iacc_bits < 0:
+    if not iacc_bits >= 0:
         raise ValueError("iacc_bits must be nonnegative")
     if key_len < 0:
         raise ValueError("key_len must be nonnegative")
@@ -566,11 +569,13 @@ def _evaluate(
     twice."""
     ideal = _canonical_ideal_cq(cq)
     if strategies is None:
-        strategies = _default_strategies(cq, ideal, num_random_strategies, seed)
+        strategies, advantages = _default_strategies(cq, ideal, num_random_strategies, seed)
+    else:
+        advantages = [distinguishing_advantage(cq, ideal, s) for s in strategies]
     eps_c = 0.0 if correctness is None else correctness_eps(correctness)
     eps_r = robustness_eps(cq.label_distribution())
     upper = cq_trace_distance(cq, ideal)
-    lower = _best_advantage(cq, ideal, strategies)
+    lower = _lower_end(advantages)
     iacc = accessible_info_lower(cq, search_budget=search_budget, rng_seed=seed, families=iacc_families)
     report = SecurityReport(
         key_len=cq.key_len,

@@ -251,6 +251,18 @@ def test_parity_strategy_acceptance_gap():
         assert secrecy_eps_upper(st.cq) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_parity_strategy_table_matches_the_string_rule():
+    for n in (2, 3, 4):
+        measurement, decide = parity_strategy(n)
+        labels = ["".join(map(str, s)) for s in itertools.product((0, 1), repeat=n + 1)]
+        outcomes = measurement(labels[0]).labels
+        table = decide(labels, outcomes)
+        assert table.shape == (len(labels), 2**n) and table.dtype == bool
+        for i, label in enumerate(labels):
+            for k, z in enumerate(outcomes):
+                assert table[i, k] == (sum(map(int, z)) % 2 == int(label[n]))
+
+
 # ---------------------------------------------------------------------------
 # guessing curves
 

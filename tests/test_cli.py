@@ -334,7 +334,9 @@ def test_secrecy_report(capsys):
 
 
 def test_secrecy_computes_shared_results_once(capsys, monkeypatch):
-    calls = {"build_attack_state": 0, "accessible_info_lower": 0}
+    # born_table here counts the strategy measurements only: the I_acc
+    # search measures through quantum_core.cq_measure
+    calls = {"build_attack_state": 0, "accessible_info_lower": 0, "born_table": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -342,14 +344,21 @@ def test_secrecy_computes_shared_results_once(capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    wrappers = {name: counted(name, getattr(attack_lab, name)) for name in calls}
-    for module in (attack_lab, security_metrics):
+    modules = (attack_lab, security_metrics)
+    wrappers = {
+        name: counted(name, getattr(next(m for m in modules if hasattr(m, name)), name))
+        for name in calls
+    }
+    for module in modules:
         for name, wrapper in wrappers.items():
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
     code, payload, _ = run_json(capsys, ["secrecy", "--n", "3", "--budget", "4", "--seed", "5"])
     assert code == EXIT_OK
-    assert calls == {"build_attack_state": 1, "accessible_info_lower": 1}
+    # 34 to rate the 10 default strategies (one measurement per state and
+    # POVM group; 8 groups for the label-basis one) and 16 for the parity
+    # strategy of the gap report
+    assert calls == {"build_attack_state": 1, "accessible_info_lower": 1, "born_table": 50}
     report, gap = payload["result"]["security_report"], payload["result"]["gap_report"]
     assert gap["iacc_lower_bits"] == report["iacc_lower_bits"]
     assert gap["eps_secret_upper"] == report["eps_secret_upper"]

@@ -12,6 +12,9 @@ from qkdlab.quantum_core import (
     PERP,
     CqState,
     DensityOperator,
+    JointDistribution,
+    Povm,
+    PureState,
     bb84_encode,
     make_pure,
     measure,
@@ -135,7 +138,7 @@ def test_one_bit_readout_state_bracket_is_half():
         "1": (0.5, to_density(bb84_encode(1, 0))),
     })
     assert secrecy_eps_upper(cq) == pytest.approx(0.5, abs=1e-12)
-    read_out = (standard_basis_povm(2), lambda label, z: int(label == z))
+    read_out = (standard_basis_povm(2), lambda labels, zs: np.equal.outer(labels, zs))
     assert strategy_acceptance(cq, read_out) == pytest.approx(1.0, abs=1e-12)
     assert secrecy_eps_lower(cq, [read_out]) == pytest.approx(0.5, abs=1e-12)
 
@@ -146,7 +149,8 @@ def test_strategy_acceptance_enumerates_exactly():
         "1": (0.75, DensityOperator.fully_mixed(2)),
     })
     # accept outcome "1" everywhere: 0.25 * 0 + 0.75 * 0.5
-    strat = (standard_basis_povm(2), lambda label, z: int(z == "1"))
+    accept_one = lambda labels, zs: np.broadcast_to(np.array(zs) == "1", (len(labels), len(zs)))
+    strat = (standard_basis_povm(2), accept_one)
     assert strategy_acceptance(cq, strat) == pytest.approx(0.375, abs=1e-12)
 
 
@@ -155,7 +159,7 @@ def test_secrecy_lower_requires_strategies_and_clamps():
                      "1": (0.5, DensityOperator.fully_mixed(2))})
     with pytest.raises(ValueError):
         secrecy_eps_lower(cq, [])
-    reject_all = (standard_basis_povm(2), lambda label, z: 0)
+    reject_all = (standard_basis_povm(2), lambda labels, zs: np.zeros((len(labels), len(zs)), bool))
     assert secrecy_eps_lower(cq, [reject_all]) == 0.0
 
 
@@ -178,7 +182,69 @@ def test_optimal_decision_rule_achieves_induced_tv():
                 tv += abs(pr * out_r.get(z, 0.0) - pi * out_i.get(z, 0.0))
         assert adv == pytest.approx(0.5 * tv, abs=1e-9)
         # and no worse than trivial rules
-        assert adv >= distinguishing_advantage(real, ideal, (povm, lambda l, z: 1)) - 1e-12
+        accept_all = (povm, lambda labels, zs: np.ones((len(labels), len(zs)), bool))
+        assert adv >= distinguishing_advantage(real, ideal, accept_all) - 1e-12
+
+
+def test_decide_is_called_once_per_povm_group():
+    rng = np.random.default_rng(3)
+    cq = rand_cq(rng, 2, 2, include_perp=True)
+    std, diag = standard_basis_povm(2), Povm.from_basis(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
+    calls = []
+
+    def decide(labels, outcomes):
+        calls.append((list(labels), tuple(outcomes)))
+        return np.ones((len(labels), len(outcomes)), bool)
+
+    by_first_bit = lambda label: diag if label.startswith("1") else std
+    assert strategy_acceptance(cq, (by_first_bit, decide)) == pytest.approx(1.0, abs=1e-12)
+    assert sorted(calls) == [(["00", "01", PERP], std.labels), (["10", "11"], diag.labels)]
+    calls.clear()
+    strategy_acceptance(cq, (std, decide))
+    assert calls == [(list(cq.labels), std.labels)]
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        lambda labels, zs: True,
+        lambda labels, zs: np.ones(len(zs), bool),
+        lambda labels, zs: np.ones((len(zs), len(labels)), bool),
+    ],
+    ids=["scalar", "one_dimensional", "transposed"],
+)
+def test_decide_result_of_the_wrong_shape_is_refused(table):
+    cq = rand_cq(np.random.default_rng(5), 1, 3)  # two branches, three outcomes
+    with pytest.raises(ValueError, match="shape"):
+        strategy_acceptance(cq, (standard_basis_povm(3), table))
+
+
+@pytest.mark.parametrize("perp", [False, True])
+def test_default_strategy_lower_end_matches_the_report(perp):
+    # evaluate_cq_security rates each default strategy from the tables
+    # that define its rule; rating them again gives the same bits, up to
+    # the report's clamp to the upper end
+    for seed in range(12):
+        cq = rand_cq(np.random.default_rng(seed), 1 + seed % 3, 2 + seed % 3, include_perp=perp)
+        report = evaluate_cq_security(
+            cq, num_random_strategies=seed % 4, search_budget=2, seed=seed, iacc_families=("random",)
+        )
+        lower = secrecy_eps_lower(cq, default_strategies(cq, seed % 4, seed))
+        assert min(lower, report.eps_secret_upper) == report.eps_secret_lower
+
+
+@pytest.mark.parametrize(
+    "seed, key_len, dim, shape, lower, upper",
+    [
+        (101, 2, 2, {"include_perp": True}, "0.35064761260494864", "0.42018315340484813"),
+        (202, 3, 2, {"max_branches": 5}, "0.5625016342064797", "0.5843765756541102"),
+        (303, 1, 3, {}, "0.20057255869778334", "0.2870397976024258"),
+    ],
+)
+def test_secrecy_bracket_golden_values(seed, key_len, dim, shape, lower, upper):
+    cq = rand_cq(np.random.default_rng(seed), key_len, dim, **shape)
+    report = evaluate_cq_security(cq, num_random_strategies=4, search_budget=8, seed=seed)
+    assert (repr(report.eps_secret_lower), repr(report.eps_secret_upper)) == (lower, upper)
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -297,6 +363,32 @@ def test_ben_or_inequality_direct(iacc, key_len):
         # minimal: a slightly smaller eps would no longer be certified
         smaller = eps * (1 - 1e-9)
         assert 2.0 ** -(key_len + 2) * smaller**2 < iacc
+
+
+_HALF = np.eye(2) / 2
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CqState(1, {"0": (math.nan, DensityOperator(_HALF)), "1": (1.0, DensityOperator(_HALF))}),
+        lambda: DensityOperator(np.array([[math.nan, 0.0], [0.0, 0.5]])),
+        lambda: PureState(np.array([math.nan, 0.0])),
+        lambda: make_pure([math.nan, 1.0]),
+        lambda: Povm([("0", np.diag([1.0, math.nan])), ("1", np.diag([0.0, 1.0]))]),
+        lambda: Povm.from_basis(np.array([[1.0, 0.0], [0.0, math.nan]])),
+        lambda: JointDistribution.from_array(["a", "b"], ["z"], np.array([[math.nan], [1.0]])),
+        lambda: robustness_eps({"0": math.nan, PERP: 0.5}),
+        lambda: ben_or_sufficient_eps(math.nan, 3),
+        lambda: clopper_pearson_upper(1, 10, 1.5),
+        lambda: clopper_pearson_upper(1, 10, math.nan),
+    ],
+    ids=["cq_branch", "density", "pure_state", "make_pure", "povm", "povm_from_basis", "joint_cell",
+         "robustness", "ben_or", "confidence_above_1", "confidence_nan"],
+)
+def test_nan_and_out_of_range_inputs_are_refused(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_compose_report_clamps_and_validates():
