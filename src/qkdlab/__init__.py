@@ -8,8 +8,11 @@ The package is organised around six pieces:
   epsilons, the canonical ideal state, accessible-information search,
   and the Ben-Or style sufficiency bound.
 * :mod:`qkdlab.attack_lab` -- the basis-encoded parity counterexample:
-  a key that looks secure to accessible-information metrics but leaks a
-  bit with certainty once used as a one-time pad.
+  a key whose adversary register has fully mixed marginals, and from
+  which per-qubit (product) measurements learn at most 2^-n bits, but
+  which leaks a bit with certainty once used as a one-time pad.  A joint
+  measurement of the register learns at least 1/2 bit, so its accessible
+  information is not small either.
 * :mod:`qkdlab.keystream` -- epsilon budgeting for an unbounded
   authenticated key stream, plus an exact bit-accounting simulator.
 * :mod:`qkdlab.composition_harness` -- real-vs-ideal distinguisher

@@ -5,15 +5,20 @@ n-qubit register prepared as follows: a uniformly random pad R with
 ``R_1 xor ... xor R_n = S_{n+1}`` is BB84-encoded qubit by qubit, with
 the basis of qubit i given by key bit S_i.  Conditioned on any value of
 the first n key bits the register is exactly fully mixed, so every
-fixed measurement extracts little about the key and
-accessible-information figures look excellent.  Yet the moment the key
+marginal is fully mixed, and per-qubit (product) measurements learn at
+most 2^-n bits about the key: that is the figure the per-qubit
+accessible-information search reports, and what acceptance criterion 03
+checks.  A joint measurement of the whole register learns at least 1/2
+bit, so the accessible information itself is not small; no search here
+finds that measurement yet.  And the moment the key
 is used as a one-time pad on a message whose first n bits are known,
 the published ciphertext hands the adversary the bases: measuring
 qubit i in basis ``M_i xor C_i`` recovers R_i with certainty and the
 parity of the pad reveals the unknown message bit ``M_{n+1}``.
 
 This module builds the state, runs the attack, and quantifies the gap
-between the accessible-information story and the distinguisher story.
+between the per-qubit accessible-information figure and the
+distinguisher story.
 """
 
 from __future__ import annotations

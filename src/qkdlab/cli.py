@@ -25,6 +25,7 @@ import tempfile
 from typing import Iterable, Iterator
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: load it with the rest of start-up, not in a command
 
 from . import __version__
 from .attack_lab import (

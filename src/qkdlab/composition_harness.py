@@ -16,7 +16,7 @@ total difference into two single-step differences.
 The module also carries the counterexample machinery: a classical
 bridge for the encode-the-pad attack composed with a one-time pad,
 where a simple parity distinguisher achieves advantage 1/2 against a
-source that looks fine through the accessible-information lens, and a
+source from which per-qubit measurements learn at most 2^-n bits, and a
 textbook RSA malleability toy showing the same compositional failure
 for computational assumptions.
 """
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._json import JsonRecord
 from .attack_lab import _bit_rows, _chunk_rows, _complete_pads
@@ -115,8 +114,9 @@ class SampleTable:
 
 
 def _table(bits: np.ndarray, weights, widths: Sequence[int]) -> SampleTable:
-    """The rows of the 0/1 array ``bits`` with their ``weights``, equal rows merged."""
-    return SampleTable(*_merge(_row_codes(bits), np.broadcast_to(weights, len(bits))), tuple(widths))
+    """The rows of the 0/1 array ``bits`` with their ``weights``; the rows
+    must be distinct and in code order (lexicographic), as ``_merge`` leaves them."""
+    return SampleTable(_row_codes(bits), np.full(len(bits), weights, dtype=np.float64), tuple(widths))
 
 
 @dataclass(frozen=True)
@@ -255,13 +255,67 @@ def _accept_prob_sampled(
     return hits / trials
 
 
+# Cephes ndtri.c (S. L. Moshier), the algorithm behind scipy.special.ndtri:
+# a rational function of (y - 1/2)^2 for exp(-2) < y < 1 - exp(-2), and of
+# 1/sqrt(-2 log y) in the tails, with (P1, Q1) down to y = exp(-32) and
+# (P2, Q2) below.  Each Q starts with the implicit leading 1.0 of Cephes'
+# p1evl, so one Horner loop evaluates both P and Q.
+_NDTRI_E2 = 0.13533528323661269189  # exp(-2)
+_NDTRI_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: float, coefs: Sequence[float]) -> float:
+    ans = coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """The standard normal quantile: x with Phi(x) = y0, bit for bit as
+    ``scipy.special.ndtri`` computes it; NaN outside [0, 1]."""
+    if not 0.0 < y0 < 1.0:
+        return -math.inf if y0 == 0.0 else math.inf if y0 == 1.0 else math.nan
+    y, upper = y0, y0 > 1.0 - _NDTRI_E2
+    if upper:
+        y = 1.0 - y
+    if y > _NDTRI_E2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
+        return x * _NDTRI_S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    p, q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x0 - z * _polevl(z, p) / _polevl(z, q)
+    return x if upper else -x
+
+
 def _two_sample_half_width(p_a: float, p_b: float, trials: int, confidence: float) -> float:
     # pooled normal interval for a difference of two Bernoulli means,
     # with a Hoeffding fallback when the plug-in variance degenerates
     pooled = 0.5 * (p_a + p_b)
     var = pooled * (1.0 - pooled) * (2.0 / trials)
     if var > 0.0:
-        z = float(ndtri(0.5 + confidence / 2.0))
+        z = _ndtri(0.5 + confidence / 2.0)
         return z * math.sqrt(var)
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / trials)
 
@@ -321,7 +375,8 @@ def _convolve(table: SampleTable, views_given_keys: Callable[[np.ndarray], tuple
     bits = _code_bits(table.codes, sum(table.widths))
     rows, views, weights = views_given_keys(bits[:, : table.widths[0]])
     widths = table.widths + tuple(v.shape[1] for v in views)
-    return _table(np.concatenate((bits[rows], *views), axis=1), table.weights[rows] * weights, widths)
+    codes = _row_codes(np.concatenate((bits[rows], *views), axis=1))
+    return SampleTable(*_merge(codes, table.weights[rows] * weights), widths)
 
 
 def _composed_runner(

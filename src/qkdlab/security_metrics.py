@@ -29,7 +29,6 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import betaincinv
 
 from ._json import JsonRecord
 from .quantum_core import (
@@ -125,6 +124,8 @@ def clopper_pearson_upper(failures: int, trials: int, confidence: float = 0.99) 
         raise ValueError("confidence must lie in (0, 1)")
     if failures >= trials:
         return 1.0
+    from scipy.special import betaincinv  # imported here: no other path needs SciPy's start-up
+
     return float(betaincinv(failures + 1, trials - failures, confidence))
 
 

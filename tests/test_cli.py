@@ -112,6 +112,62 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.strip() == "False"
 
 
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+bare = set(json.loads(sys.argv[1]))
+from qkdlab.cli import main
+# Cython's shared-type module (_cython_<version>) has no spec: it is no package
+added = {m.split(".")[0] for m in sys.modules} - bare - set(sys.stdlib_module_names)
+report = {
+    "added": sorted(m for m in added if sys.modules[m].__spec__ is not None),
+    "numpy.random": "numpy.random" in sys.modules,
+    "runs": [],
+}
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    report["runs"].append([argv[0], code, scipy, out.getvalue()])
+print(json.dumps(report))
+"""
+
+
+def test_default_commands_start_and_run_without_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qkdlab.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = lambda *args: subprocess.run(
+        [sys.executable, "-c", *args], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    # site may preload packages, so compare with a bare interpreter
+    bare = run("import json, sys; print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))")
+    samples = tmp_path / "corr.json"
+    samples.write_text(json.dumps({"samples": [["000", "000"], ["001", "001"], ["010", "011"], ["111", "111"]]}))
+    commands = [  # the benchmark's commands, at smoke size
+        ["secrecy", "--n", "3", "--seed", "1"],
+        ["attack-demo", "--n", "4", "--trials", "200", "--message", "10110", "--seed", "2"],
+        ["verify-composition", "--example", "biased-otp", "--mode", "sample",
+         "--trials", "2000", "--message", "1", "--seed", "3"],
+        ["verify-composition", "--example", "attack-otp", "--n", "6", "--mode", "sample",
+         "--trials", "2000", "--message", "0110100", "--seed", "4"],
+        ["rsa-demo", "--auctions", "20", "--seed", "5"],
+        ["keystream-simulate", "--n0", "60000", "--ell0", "12000", "--rounds", "300",
+         "--abort-prob", "0.1", "--seed", "6"],
+        ["keystream-schedule", "--n0", "60000", "--ell0", "12000", "--rounds", "1000"],
+        ["keystream-plan", "--target-eps", "1e-9"],
+        ["secrecy", "--n", "2", "--budget", "2", "--correctness-file", str(samples), "--seed", "0"],
+    ]
+    report = json.loads(run(_STARTUP_PROBE, bare, json.dumps(commands)))
+    assert report["added"] == ["numpy", "qkdlab"]
+    assert report["numpy.random"]
+    *default_runs, (_, code, loaded, out) = report["runs"]
+    for name, exit_code, loaded_before, _ in default_runs:
+        assert exit_code in (EXIT_OK, EXIT_FINDING) and loaded_before == [], name
+    # the Clopper-Pearson bound of a correctness sample file still comes from SciPy
+    assert code == EXIT_OK and "scipy.special" in loaded
+    eps_correct = json.loads(out)["result"]["security_report"]["eps_correct"]
+    assert eps_correct == security_metrics.clopper_pearson_upper(1, 4)
+
+
 def test_bad_env_seed_rejected(capsys, monkeypatch):
     monkeypatch.setenv("QKDLAB_SEED", "not-a-number")
     with pytest.raises(SystemExit) as exc:

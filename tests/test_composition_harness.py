@@ -305,6 +305,19 @@ def test_attack_otp_tables_match_dict_reference(n):
             assert ch._accept_prob(table, parity) == _string_accept_prob(table, accept)
 
 
+def test_source_and_attack_tables_need_no_merge():
+    # these tables keep their rows unmerged, so the rows must already be
+    # distinct and in code order: merging them must change nothing
+    messages = lambda n: ("1" * (n + 1), "0" * (n + 1), ("01" * n)[: n + 1])
+    pairs = [attack_otp_composed_pair(n, m) for n in range(1, 9) for m in messages(n)]
+    pairs += [make(k) for make in (perfect_key_source, biased_key_source) for k in range(1, 11)]
+    for pair in pairs:
+        for table in (pair.real_dist, pair.ideal_dist):
+            codes, weights = ch._merge(table.codes, table.weights)
+            assert np.array_equal(table.codes, codes) and np.array_equal(table.weights, weights)
+            assert table.weights.dtype == np.float64
+
+
 def test_composed_and_hybrid_tables_match_dict_reference():
     for m in (1, 2, 3):
         for make, (src_real, src_ideal) in _ref_sources(m).items():
@@ -668,6 +681,26 @@ def test_auction_sweep_bob_always_wins():
         rsa_auction_sweep(0)
     with pytest.raises(ValueError, match="max_bid"):
         rsa_auction_sweep(2, 16, 2**20)
+
+
+def test_ndtri_matches_scipy_bit_for_bit():
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(1006_2215)
+    # y around exp(-32), where sqrt(-2 log y) reaches 8 and the tail fits
+    # switch (at exactly 8 both fits give the same bits)
+    split = math.exp(-32) + np.arange(-60, 61) * np.spacing(math.exp(-32))
+    ys = np.concatenate((
+        rng.random(100_000),
+        10.0 ** rng.uniform(-300, -10, 10_000),
+        1.0 - 10.0 ** rng.uniform(-16, -10, 10_000),
+        0.5 + np.linspace(0.5, 0.999, 21) / 2.0,
+        split,
+        [0.995, math.exp(-2), 1.0 - math.exp(-2), 0.5, 5e-324, 0.0, 1.0],
+    ))
+    got = np.array([ch._ndtri(float(y)) for y in ys])
+    assert np.array_equal(got.view(np.int64), ndtri(ys).view(np.int64))
+    assert all(math.isnan(ch._ndtri(y)) for y in (-0.5, 1.5, math.nan, -math.inf))
 
 
 def test_half_width_quantile_matches_scipy_stats():
