@@ -76,6 +76,8 @@ _FAMILY_CHOICES = ("per_qubit", "random", "hill_climb")
 MAX_ROUNDS = 10**6
 MAX_HORIZON = 10**4
 MAX_AUCTIONS = 10**5
+MAX_TRIALS = 10**7
+MAX_BUDGET = 10**4
 
 
 def _bitstring(value: str) -> str:
@@ -470,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("attack-demo", help="run the encode-the-pad attack end to end")
     p.add_argument("--n", type=int, default=4, help="pad length (key has n+1 bits)")
     p.add_argument("--message", type=_bitstring, default=None, help="n+1 bit message (default: random)")
-    p.add_argument("--trials", type=_positive_int, default=200)
+    p.add_argument("--trials", type=_at_most(MAX_TRIALS, _positive_int), default=200,
+                   help=f"attack rounds (at most {MAX_TRIALS})")
     p.add_argument("--wrong-basis", action="store_true", help="control run with complementary bases")
     p.add_argument("--curve-csv", default=None, help="also write the parity guess curve as CSV")
     _add_common(p)
@@ -478,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("secrecy", help="security report and I_acc gap for the attack state")
     p.add_argument("--n", type=int, default=3, help=f"pad qubits (2..{MAX_ATTACK_QUBITS})")
-    p.add_argument("--budget", type=int, default=32, help="search budget per family")
+    p.add_argument("--budget", type=_at_most(MAX_BUDGET), default=32,
+                   help=f"search budget per family (at most {MAX_BUDGET})")
     p.add_argument("--families", default=",".join(_FAMILY_CHOICES))
     p.add_argument("--correctness-file", default=None, help="JSON with 'samples' or 'distribution'")
     _add_common(p)
@@ -524,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--declared-eps", type=float, default=0.25,
                    help="claimed source epsilon for attack-otp")
     p.add_argument("--mode", choices=("auto", "exact", "sample"), default="auto")
-    p.add_argument("--trials", type=int, default=20_000)
+    p.add_argument("--trials", type=_at_most(MAX_TRIALS), default=20_000,
+                   help=f"samples per world in sample mode (at most {MAX_TRIALS})")
     _add_common(p)
     p.set_defaults(func=cmd_verify_composition)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "cq_trace_distance",
     "measure",
     "born_table",
+    "product_born_tables",
     "cq_measure",
     "mutual_information",
     "total_variation",
@@ -540,6 +541,71 @@ def born_table(matrices: np.ndarray, povm: Povm) -> np.ndarray:
     return np.maximum(probs, 0.0)
 
 
+def product_born_tables(matrices: np.ndarray, thetas: Sequence[float]) -> Iterator[np.ndarray]:
+    """Born tables of every product of the qubit bases ``qubit_basis(theta)``, theta in ``thetas``.
+
+    For a ``(B, d, d)`` stack with ``d = 2**n`` there are ``K**n``
+    candidates, ``K = len(thetas)``, enumerated like
+    ``itertools.product(thetas, repeat=n)`` (qubit 0 first).  They come
+    in consecutive ``(C, B, d)`` chunks; candidate ``c`` gets
+    ``born_table(matrices, product_qubit_povm(c))`` up to rounding.
+
+    The candidates form a prefix tree.  Measuring the leading qubit of a
+    stack in one basis splits each state into two unnormalised branch
+    states on the remaining qubits, so candidates that share a basis
+    prefix share that work, and no ``d x d`` effect is ever formed.  The
+    bases are real, so only the real parts of the states are read.  The
+    tree is walked one child at a time near the root and breadth first
+    inside small subtrees, so the extra memory stays below one state stack.
+    """
+    weights = [(math.cos(2 * theta) / 2, math.sin(2 * theta) / 2) for theta in thetas]
+    # (rows, columns, candidates, branches x outcomes): with the batch
+    # axes innermost, every split of a block is a view with long rows
+    stack = matrices.real.transpose(1, 2, 0)[:, :, None, :]
+    # A subtree is expanded breadth first once its tables take at most an
+    # eighth of the complex stack's bytes: the walk's peak, a few tables
+    # plus the open prefix states, then stays below the one stack-sized
+    # product that the dense born_table allocates.
+    yield from _born_subtree(stack, weights, len(matrices), matrices.size // 4)
+
+
+def _born_subtree(stack: np.ndarray, weights: list, branches: int, limit: int) -> Iterator[np.ndarray]:
+    # stack: (m, m, 1, R), the branch states left after one basis prefix
+    m, rows = stack.shape[0], stack.shape[3]
+    if m == 1 or len(weights) ** (m.bit_length() - 1) * rows * m <= limit:
+        while stack.shape[0] > 1:
+            stack = _measure_leading_qubit(stack, weights)
+        yield np.maximum(stack, 0.0, out=stack).reshape(stack.shape[2], branches, -1)
+    else:
+        for w in weights:
+            yield from _born_subtree(_measure_leading_qubit(stack, [w]), weights, branches, limit)
+
+
+def _measure_leading_qubit(stack: np.ndarray, weights: list) -> np.ndarray:
+    """``(m, m, C, R)`` to ``(m/2, m/2, C * len(weights), 2 * R)``.
+
+    Candidate ``(c, k)`` and row ``(r, z)`` hold the unnormalised state
+    left when the leading qubit of ``stack[:, :, c, r]`` is measured in
+    basis ``k`` with outcome ``z``.  For the basis rows ``(cos t, sin t)``
+    and ``(-sin t, cos t)`` that is ``(A + D)/2 +- (cos 2t (A - D) + sin
+    2t (B + C))/2``, over the 2 x 2 grid ``[[A, B], [C, D]]`` of sub-blocks.
+    """
+    m, _, c, rows = stack.shape
+    h = m // 2
+    grid = stack.reshape(2, h, 2, h, c, rows)
+    mean = grid[0, :, 0] + grid[1, :, 1]
+    mean *= 0.5
+    diff = grid[0, :, 0] - grid[1, :, 1]
+    cross = grid[0, :, 1] + grid[1, :, 0]
+    out = np.empty((h, h, c, len(weights), rows, 2), dtype=stack.dtype)
+    for k, (w_diff, w_cross) in enumerate(weights):
+        tilt = diff * w_diff
+        tilt += cross * w_cross
+        np.add(mean, tilt, out=out[:, :, :, k, :, 0])
+        np.subtract(mean, tilt, out=out[:, :, :, k, :, 1])
+    return out.reshape(h, h, c * len(weights), 2 * rows)
+
+
 def cq_measure(cq: CqState, povm: Povm) -> "JointDistribution":
     """Joint distribution of (key label, measurement outcome).
 
@@ -659,18 +725,27 @@ def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
     return np.cumsum(a, axis=axis).take(-1, axis=axis)
 
 
-def _entropy_bits(probs: np.ndarray) -> float:
-    p = probs[probs > 0.0]
-    return -float(_ordered_sum(p * np.log2(p), 0)) if p.size else 0.0
+def _entropy_bits(probs: np.ndarray) -> np.ndarray:
+    # entropy over the last axis; cells of zero probability add nothing
+    terms = np.where(probs > 0.0, probs, 1.0)
+    np.log2(terms, out=terms)
+    terms *= probs
+    return -_ordered_sum(terms, -1)
 
 
-def mutual_information(joint: JointDistribution) -> float:
-    """Shannon mutual information of a joint distribution, in bits."""
-    p = joint.probs
-    hx = _entropy_bits(_ordered_sum(p, 1))
-    hz = _entropy_bits(_ordered_sum(p, 0))
-    hxz = _entropy_bits(p)
-    return max(0.0, hx + hz - hxz)
+def mutual_information(joint: "JointDistribution | np.ndarray") -> float | np.ndarray:
+    """Shannon mutual information of a joint distribution, in bits.
+
+    ``joint`` is a :class:`JointDistribution`, or an array of ``(X, Z)``
+    probability tables with any leading batch axes, which gives an array
+    of that batch shape.
+    """
+    p = joint.probs if isinstance(joint, JointDistribution) else np.asarray(joint)
+    hx = _entropy_bits(_ordered_sum(p, -1))
+    hz = _entropy_bits(_ordered_sum(p, -2))
+    hxz = _entropy_bits(p.reshape(*p.shape[:-2], -1))
+    mi = hx + hz - hxz
+    return max(0.0, float(mi)) if mi.ndim == 0 else np.maximum(mi, 0.0)
 
 
 def total_variation(p: Mapping, q: Mapping) -> float:

@@ -41,6 +41,7 @@ from .quantum_core import (
     cq_measure,
     cq_trace_distance,
     mutual_information,
+    product_born_tables,
     product_qubit_povm,
 )
 
@@ -368,6 +369,25 @@ def _povm_information(cq: CqState, povm: Povm) -> float:
     return mutual_information(cq_measure(cq, povm))
 
 
+# The prefix-tree kernel rounds differently from the dense Born rule (by
+# up to 5.3e-15 bits on attack and random states of 1 to 5 qubits); every
+# member within this margin of the kernel's best is re-scored densely, so
+# the dense maximum is always among them.
+RESCORE_MARGIN_BITS = 1e-9
+
+
+def _product_information(cq: CqState, thetas: Sequence[float]) -> np.ndarray:
+    """Mutual information of every product measurement over ``thetas``, in
+    enumeration order, from :func:`product_born_tables` (for ranking only)."""
+    def score(born: np.ndarray) -> np.ndarray:
+        born *= cq.probs[:, None]
+        born /= born.sum(axis=(1, 2))[:, None, None]
+        return mutual_information(born)
+
+    # map keeps no chunk alive while the kernel computes the next one
+    return np.concatenate(list(map(score, product_born_tables(cq.matrices, thetas))))
+
+
 def accessible_info_lower(
     cq: CqState,
     search_budget: int = 64,
@@ -383,7 +403,11 @@ def accessible_info_lower(
       single-qubit bases when the register is a qubit register.  The
       3^n family is enumerated exhaustively while the estimated work
       stays under ``exhaustive_work_cap``; beyond that, ``search_budget``
-      members are sampled.
+      members are sampled.  The exhaustive family is ranked by the
+      prefix-tree kernel :func:`product_born_tables`; each member within
+      ``RESCORE_MARGIN_BITS`` of its best is then re-scored by the dense
+      Born rule in enumeration order, so the reported figure and
+      strategy are those of the dense search over all 3^n members.
     * ``random``: ``search_budget`` Haar-random rank-1 basis measurements.
     * ``hill_climb``: coordinate ascent over per-qubit rotation angles,
       seeded at the best per-qubit member, spending at most
@@ -413,18 +437,21 @@ def accessible_info_lower(
     if "per_qubit" in families and nq is not None and nq >= 1:
         work = (3**nq) * len(cq.branches) * (2**nq) * cq.dim
         if work <= exhaustive_work_cap:
-            assignments = itertools.product(basis_names, repeat=nq)
             searched.append("per_qubit_exhaustive")
+            assignments = list(itertools.product(basis_names, repeat=nq))
+            ranked = _product_information(cq, list(QUBIT_BASIS_ANGLES.values()))
+            rescored = itertools.compress(assignments, ranked >= ranked.max() - RESCORE_MARGIN_BITS)
         else:
-            assignments = (
+            searched.append("per_qubit_sampled")
+            assignments = [
                 tuple(basis_names[i] for i in rng.integers(0, 3, size=nq))
                 for _ in range(search_budget)
-            )
-            searched.append("per_qubit_sampled")
-        for names in assignments:
+            ]
+            rescored = assignments
+        evaluations += len(assignments)
+        for names in rescored:
             angles = [QUBIT_BASIS_ANGLES[b] for b in names]
             bits = _povm_information(cq, product_qubit_povm(angles))
-            evaluations += 1
             if bits > best_bits:
                 best_bits = bits
                 best_desc = "per_qubit:" + ",".join(names)

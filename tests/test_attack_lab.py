@@ -23,7 +23,16 @@ from qkdlab.attack_lab import (
     secrecy_gap_report,
     single_qubit_guess_oracle,
 )
-from qkdlab.quantum_core import CqState, DensityOperator, bb84_encode, product_pure, to_density
+from qkdlab.quantum_core import (
+    CqState,
+    DensityOperator,
+    Povm,
+    bb84_encode,
+    cq_measure,
+    mutual_information,
+    product_pure,
+    to_density,
+)
 from qkdlab.security_metrics import canonical_ideal, secrecy_eps_lower, secrecy_eps_upper, strategy_acceptance
 
 COS2_PI_8 = math.cos(math.pi / 8) ** 2
@@ -313,6 +322,15 @@ def test_parity_guess_curve_csv_round_trips():
 
 # ---------------------------------------------------------------------------
 # gap report
+
+
+def test_bell_basis_learns_half_a_bit_of_the_n2_key():
+    # a joint measurement beats every per-qubit product (2^-n = 0.25 bits):
+    # the search's per_qubit figure is a lower bound, not the accessible
+    # information of this state
+    bell = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2.0)
+    joint = cq_measure(build_attack_state(2).cq, Povm.from_basis(bell))
+    assert mutual_information(joint) >= 0.5 - 1e-12
 
 
 def test_secrecy_gap_report_fields_and_json():

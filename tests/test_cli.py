@@ -79,11 +79,15 @@ CAPPED = [
     (["keystream-simulate", "--n0", "60000", "--ell0", "12000"], "--rounds", cli.MAX_ROUNDS),
     (["keystream-plan", "--target-eps", "1e-9"], "--horizon", cli.MAX_HORIZON),
     (["rsa-demo"], "--auctions", cli.MAX_AUCTIONS),
+    (["secrecy", "--n", "2"], "--budget", cli.MAX_BUDGET),
+    (["attack-demo", "--n", "2"], "--trials", cli.MAX_TRIALS),
+    (["verify-composition", "--example", "biased-otp", "--mode", "sample"], "--trials", cli.MAX_TRIALS),
 ]
 
 
 def test_documented_caps():
     assert (cli.MAX_ROUNDS, cli.MAX_HORIZON, cli.MAX_AUCTIONS) == (10**6, 10**4, 10**5)
+    assert (cli.MAX_TRIALS, cli.MAX_BUDGET) == (10**7, 10**4)
 
 
 @pytest.mark.parametrize("argv, flag, cap", CAPPED)
@@ -238,7 +242,7 @@ def _capped_count(cap: int) -> st.SearchStrategy:
 _ABORT = st.sampled_from(["0", "0.2", "0.5", "1", "-0.1", "1.5", "nan", "inf"])
 _STREAM = {"--n0": _SIZE, "--ell0": _SIZE}
 _SEED = st.integers(-2, 2**70).map(str)
-_TRIALS = st.integers(-2, 500).map(str)
+_TRIALS = st.one_of(st.integers(-2, 500).map(str), st.sampled_from([str(cli.MAX_TRIALS + 1), str(10**30)]))
 # valid pad lengths stay small: attack-demo builds the n-qubit state for
 # its marginal check up to n = 7, and exact attack-otp enumerates
 # 2^(2n+1) samples up to n = 10
@@ -282,7 +286,9 @@ _ARGV = st.one_of(
     }, {"--declared-eps": _RATE, "--seed": _SEED}),
     _argv("secrecy", {
         "--n": st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["8", "nan", str(10**30)])),
-        "--budget": st.one_of(st.integers(-2, 4).map(str), st.just("nan")),
+        "--budget": st.one_of(
+            st.integers(-2, 4).map(str), st.sampled_from(["nan", str(cli.MAX_BUDGET + 1), str(10**30)])
+        ),
     }, {
         "--families": st.sampled_from(["per_qubit", "random", "hill_climb", "per_qubit,random", "psychic", ""]),
         "--seed": _SEED,
@@ -392,7 +398,7 @@ def test_secrecy_report(capsys):
 def test_secrecy_computes_shared_results_once(capsys, monkeypatch):
     # born_table here counts the strategy measurements only: the I_acc
     # search measures through quantum_core.cq_measure
-    calls = {"build_attack_state": 0, "accessible_info_lower": 0, "born_table": 0}
+    calls = {"build_attack_state": 0, "accessible_info_lower": 0, "born_table": 0, "cq_measure": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -413,8 +419,12 @@ def test_secrecy_computes_shared_results_once(capsys, monkeypatch):
     assert code == EXIT_OK
     # 34 to rate the 10 default strategies (one measurement per state and
     # POVM group; 8 groups for the label-basis one) and 16 for the parity
-    # strategy of the gap report
-    assert calls == {"build_attack_state": 1, "accessible_info_lower": 1, "born_table": 50}
+    # strategy of the gap report; the I_acc search re-scores densely the
+    # 8 of the 27 per-qubit products that tie at the prefix-tree kernel's
+    # maximum, then takes 4 random and 4 hill-climb measurements
+    assert calls == {
+        "build_attack_state": 1, "accessible_info_lower": 1, "born_table": 50, "cq_measure": 8 + 4 + 4
+    }
     report, gap = payload["result"]["security_report"], payload["result"]["gap_report"]
     assert gap["iacc_lower_bits"] == report["iacc_lower_bits"]
     assert gap["eps_secret_upper"] == report["eps_secret_upper"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import (
     rand_povm,
     rand_pure_vec,
 )
+from qkdlab.attack_lab import build_attack_state
 from qkdlab.quantum_core import (
     PERP,
     CqState,
@@ -29,6 +31,7 @@ from qkdlab.quantum_core import (
     make_pure,
     measure,
     mutual_information,
+    product_born_tables,
     product_pure,
     product_qubit_povm,
     qubit_basis,
@@ -363,6 +366,39 @@ def test_batched_kernel_matches_per_branch_oracle(seed, perp, kind):
     assert set(joint.table) == set(oracle)
     assert max(abs(joint.prob(x, z) - p) for (x, z), p in oracle.items()) < 1e-12
     assert abs(mutual_information(joint) - _oracle_information(oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_product_born_tables_match_the_dense_born_rule(n):
+    rng = np.random.default_rng(n)
+    states = [
+        rand_cq(rng, min(n, 3), 2**n),
+        rand_cq(rng, 2, 2**n, include_perp=True, max_branches=2),  # PERP, two labels missing
+    ]
+    if n >= 2:
+        states.append(build_attack_state(n).cq)
+    # the I_acc angles, plus two others where the tree stays small
+    thetas = [0.0, math.pi / 4, math.pi / 8] + ([0.3, 2.0] if n <= 3 else [])
+    candidates = list(itertools.product(thetas, repeat=n))
+    for cq in states:
+        chunks = list(product_born_tables(cq.matrices, thetas))
+        assert sum(len(chunk) for chunk in chunks) == len(candidates)
+        for table, angles in zip(itertools.chain.from_iterable(chunks), candidates):
+            dense = born_table(cq.matrices, product_qubit_povm(angles))
+            assert table.shape == dense.shape
+            assert np.abs(table - dense).max() <= 1e-12
+
+
+def test_mutual_information_takes_batch_axes():
+    rng = np.random.default_rng(3)
+    tables = rng.dirichlet(np.ones(12), size=(2, 3)).reshape(2, 3, 4, 3)
+    tables[0, 1, 2] = 0.0  # empty cells add nothing
+    tables[0, 1] /= tables[0, 1].sum()
+    batched = mutual_information(tables)
+    assert batched.shape == (2, 3)
+    for index in np.ndindex(2, 3):
+        one = mutual_information(JointDistribution.from_array("abcd", "xyz", tables[index]))
+        assert batched[index] == one  # the same summation order, bit for bit
 
 
 def test_projective_povm_keeps_basis_and_stacks_once():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import entropy_bits, rand_cq, rand_density, rand_povm
+from qkdlab import security_metrics
+from qkdlab.attack_lab import build_attack_state
 from qkdlab.quantum_core import (
     PERP,
     CqState,
@@ -16,8 +18,11 @@ from qkdlab.quantum_core import (
     Povm,
     PureState,
     bb84_encode,
+    cq_measure,
     make_pure,
     measure,
+    mutual_information,
+    product_qubit_povm,
     standard_basis_povm,
     to_density,
 )
@@ -305,6 +310,74 @@ def test_accessible_info_matches_independent_oracle():
         assert got.bits == pytest.approx(want, abs=1e-9)
         assert got.bits == pytest.approx(2.0**-n, abs=1e-9)
         assert "per_qubit_exhaustive" in got.family
+
+
+def _dense_per_qubit_search(cq: CqState) -> tuple[str, str, int, tuple[str, ...]]:
+    """The exhaustive per-qubit search with a dense Born rule for every
+    member, as ``repr`` of (bits, best strategy, evaluations, family)."""
+    n = cq.dim.bit_length() - 1
+    best_bits, best = 0.0, "none"
+    members = list(itertools.product(QUBIT_BASIS_ANGLES, repeat=n))
+    for names in members:
+        povm = product_qubit_povm([QUBIT_BASIS_ANGLES[name] for name in names])
+        bits = mutual_information(cq_measure(cq, povm))
+        if bits > best_bits:
+            best_bits, best = bits, "per_qubit:" + ",".join(names)
+    return repr(max(0.0, best_bits)), best, len(members), ("per_qubit_exhaustive",)
+
+
+def _per_qubit_search(cq: CqState) -> tuple[str, str, int, tuple[str, ...]]:
+    got = accessible_info_lower(cq, search_budget=4, families=("per_qubit",))
+    return repr(got.bits), got.best_strategy, got.evaluations, got.family
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_exhaustive_per_qubit_search_equals_the_dense_loop_on_attack_states(n):
+    # the attack state ties many members at the maximum (32 at n = 5)
+    cq = build_attack_state(n).cq
+    assert _per_qubit_search(cq) == _dense_per_qubit_search(cq)
+
+
+def test_exhaustive_per_qubit_search_equals_the_dense_loop_on_random_states():
+    rng = np.random.default_rng(12)
+    for k in range(240):
+        n, key_len = 1 + k % 3, 1 + k % 2
+        cq = rand_cq(
+            rng, key_len, 2**n, include_perp=bool(k % 5 == 0), max_branches=None if k % 3 else 1 + k % 2**key_len
+        )
+        assert _per_qubit_search(cq) == _dense_per_qubit_search(cq), k
+
+
+def test_exhaustive_per_qubit_search_absorbs_kernel_rounding(monkeypatch):
+    # shift each member's kernel score by up to 1e-10, far beyond the
+    # kernel's rounding and within the re-score margin: the dense re-score
+    # still finds the dense loop's first best member among the ties
+    kernel = security_metrics._product_information
+    rng = np.random.default_rng(0)
+
+    def shaken(cq, thetas):
+        scores = kernel(cq, thetas)
+        return scores + rng.uniform(-1e-10, 1e-10, scores.shape)
+
+    monkeypatch.setattr(security_metrics, "_product_information", shaken)
+    for n in (2, 3, 4):
+        cq = build_attack_state(n).cq
+        assert _per_qubit_search(cq) == _dense_per_qubit_search(cq)
+
+
+@pytest.mark.parametrize("dim, dense", [(4, ("0.0", "none", 9, ("per_qubit_exhaustive",))), (8, None)])
+def test_exhaustive_per_qubit_search_rescores_every_member_of_a_full_tie(monkeypatch, dim, dense):
+    # a fully mixed register: every member learns nothing, exactly at
+    # dim 4 and up to rounding at dim 8
+    mixed = DensityOperator.fully_mixed(dim)
+    cq = CqState(key_len=2, branches={"00": (0.5, mixed), "11": (0.25, mixed), PERP: (0.25, mixed)})
+    calls = []
+    monkeypatch.setattr(security_metrics, "cq_measure", lambda *args: calls.append(1) or cq_measure(*args))
+    got = _per_qubit_search(cq)
+    assert len(calls) == got[2]  # every member re-scored
+    assert got == _dense_per_qubit_search(cq)
+    if dense is not None:
+        assert got == dense
 
 
 def test_accessible_info_sampling_fallback_and_validation():
