@@ -3,8 +3,12 @@
 Density operators, pure states, classical-quantum (cq) states, POVM
 measurement, and the distance / information measures built on top of
 them.  Everything is dense complex128 numpy; the intended regime is a
-handful of qubits, capped by :data:`DEFAULT_DIM_CAP`.  All containers
-are immutable after construction, so values can be shared freely.
+handful of qubits (the accessible-information search refuses registers
+above :data:`DEFAULT_DIM_CAP`).  All containers are immutable after
+construction, so values can be shared freely.
+Measuring a cq-state gives one plain array: the ``(B, K)`` Born table
+over its branch labels and the POVM's outcome labels, which
+:func:`mutual_information` reads directly.
 
 Conventions:
 
@@ -32,13 +36,7 @@ __all__ = [
     "PureState",
     "CqState",
     "Povm",
-    "JointDistribution",
-    "make_pure",
-    "to_density",
     "bb84_encode",
-    "tensor",
-    "tensor_pure",
-    "product_pure",
     "trace_distance",
     "cq_trace_distance",
     "measure",
@@ -48,9 +46,7 @@ __all__ = [
     "mutual_information",
     "total_variation",
     "qubit_basis",
-    "bb84_basis_povm",
     "product_qubit_povm",
-    "standard_basis_povm",
 ]
 
 PERP = "PERP"
@@ -111,21 +107,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "density_operator",
-            "dim": self.dim,
-            "matrix": _complex_matrix_to_json(self.matrix),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "DensityOperator":
-        _expect_type(data, "density_operator")
-        m = _complex_matrix_from_json(data["matrix"])
-        if m.shape[0] != int(data["dim"]):
-            raise ValueError("'dim' does not match the matrix shape")
-        return cls(m)
-
     @classmethod
     def _view(cls, matrix: np.ndarray) -> "DensityOperator":
         # wraps an already validated read-only matrix without copying it
@@ -161,22 +142,6 @@ class PureState:
         return self.amplitudes.shape[0]
 
 
-def make_pure(amplitudes) -> PureState:
-    """Normalise a nonzero complex vector into a :class:`PureState`."""
-    a = np.array(amplitudes, dtype=np.complex128)
-    if a.ndim != 1 or a.shape[0] < 1:
-        raise ValueError("amplitudes must be a nonempty 1-d vector")
-    norm = float(np.linalg.norm(a))
-    if not 1e-12 <= norm < math.inf:
-        raise ValueError("cannot normalise a (near-)zero or non-finite vector")
-    return PureState(a / norm)
-
-
-def to_density(psi: PureState) -> DensityOperator:
-    a = psi.amplitudes
-    return DensityOperator(np.outer(a, a.conj()))
-
-
 def bb84_encode(r: int, s: int) -> PureState:
     """BB84 encoding of data bit ``r`` in basis bit ``s``.
 
@@ -195,31 +160,6 @@ def bb84_encode(r: int, s: int) -> PureState:
         (1, 1): (h, -h),
     }
     return PureState(np.array(table[(r, s)], dtype=np.complex128))
-
-
-def tensor(a: DensityOperator, b: DensityOperator, max_dim: int = DEFAULT_DIM_CAP) -> DensityOperator:
-    """Kronecker product of two density operators, capped at ``max_dim``."""
-    out_dim = a.dim * b.dim
-    if out_dim > max_dim:
-        raise ValueError(f"tensor dimension {out_dim} exceeds cap {max_dim}")
-    return DensityOperator(np.kron(a.matrix, b.matrix))
-
-
-def tensor_pure(a: PureState, b: PureState, max_dim: int = DEFAULT_DIM_CAP) -> PureState:
-    out_dim = a.dim * b.dim
-    if out_dim > max_dim:
-        raise ValueError(f"tensor dimension {out_dim} exceeds cap {max_dim}")
-    return PureState(np.kron(a.amplitudes, b.amplitudes))
-
-
-def product_pure(states: Sequence[PureState], max_dim: int = DEFAULT_DIM_CAP) -> PureState:
-    """Tensor a sequence of pure states left to right."""
-    if not states:
-        raise ValueError("need at least one factor")
-    out = states[0]
-    for s in states[1:]:
-        out = tensor_pure(out, s, max_dim=max_dim)
-    return out
 
 
 def _valid_label(label: str, key_len: int) -> bool:
@@ -299,33 +239,8 @@ class CqState:
         entry = self.branches.get(PERP)
         return entry[0] if entry is not None else 0.0
 
-    def probability(self, label: str) -> float:
-        entry = self.branches.get(label)
-        return entry[0] if entry is not None else 0.0
-
     def label_distribution(self) -> dict[str, float]:
         return {label: p for label, (p, _) in self.branches.items()}
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "cq_state",
-            "key_len": self.key_len,
-            "branches": [
-                {"label": label, "prob": p, "rho": rho.to_json_dict()}
-                for label, (p, rho) in self.branches.items()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "CqState":
-        _expect_type(data, "cq_state")
-        branches = {}
-        for entry in data["branches"]:
-            label = entry["label"]
-            if label in branches:
-                raise ValueError(f"duplicate branch label {label!r}")
-            branches[label] = (float(entry["prob"]), DensityOperator.from_json_dict(entry["rho"]))
-        return cls(key_len=int(data["key_len"]), branches=branches)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -334,21 +249,19 @@ class Povm:
 
     Built from ``(outcome_label, effect)`` pairs, each effect must be
     Hermitian and PSD (to the operator tolerances) and the effects must
-    sum to the identity elementwise within 1e-9.  ``_trusted`` skips the
-    per-effect eigenvalue check; it is set only by constructors that
-    guarantee positivity.
+    sum to the identity elementwise within 1e-9.
 
     A projective POVM made by :meth:`from_basis` keeps its orthonormal
     basis matrix ``basis`` (row k spans effect k) and forms its effect
-    stack only when :meth:`stacked` or :attr:`effects` is first asked
-    for; ``basis`` is None for a general POVM.
+    stack only when :meth:`stacked` is first asked for; ``basis`` is
+    None for a general POVM.
     """
 
     labels: tuple[str, ...]
     basis: np.ndarray | None
     _stack: np.ndarray | None
 
-    def __init__(self, effects: Sequence[tuple[str, np.ndarray]], _trusted: bool = False):
+    def __init__(self, effects: Sequence[tuple[str, np.ndarray]]):
         if not effects:
             raise ValueError("a POVM needs at least one effect")
         labels = []
@@ -366,12 +279,11 @@ class Povm:
                 total = np.zeros((dim, dim), dtype=np.complex128)
             elif e.shape[0] != dim:
                 raise ValueError("all effects must share one dimension")
-            if not _trusted:
-                if float(np.abs(e - e.conj().T).max()) > HERM_TOL:
-                    raise ValueError(f"effect {label!r} is not Hermitian")
-                emin = float(np.linalg.eigvalsh(e)[0])
-                if emin < -EIG_TOL:
-                    raise ValueError(f"effect {label!r} is not PSD (min eigenvalue {emin:.3e})")
+            if float(np.abs(e - e.conj().T).max()) > HERM_TOL:
+                raise ValueError(f"effect {label!r} is not Hermitian")
+            emin = float(np.linalg.eigvalsh(e)[0])
+            if emin < -EIG_TOL:
+                raise ValueError(f"effect {label!r} is not PSD (min eigenvalue {emin:.3e})")
             total += e
             mats.append(e)
         dev = float(np.abs(total - np.eye(dim)).max())
@@ -386,10 +298,6 @@ class Povm:
     @property
     def dim(self) -> int:
         return (self.basis if self.basis is not None else self._stack).shape[-1]
-
-    @property
-    def effects(self) -> tuple[tuple[str, np.ndarray], ...]:
-        return tuple(zip(self.labels, self.stacked()))
 
     def stacked(self) -> np.ndarray:
         """The read-only ``(K, d, d)`` effect stack, formed once."""
@@ -440,13 +348,6 @@ def qubit_basis(theta: float, phi: float = 0.0) -> np.ndarray:
     return np.array([[c, ph * s], [-s, ph * c]], dtype=np.complex128)
 
 
-def bb84_basis_povm(s: int) -> Povm:
-    """Projective measurement in BB84 basis ``s`` (0 computational, 1 diagonal)."""
-    if s not in (0, 1):
-        raise ValueError("s must be a bit")
-    return Povm.from_basis(qubit_basis(0.0 if s == 0 else math.pi / 4), labels=["0", "1"])
-
-
 def product_qubit_povm(thetas: Sequence[float], phis: Sequence[float] | None = None) -> Povm:
     """Product of single-qubit projective measurements, one angle per qubit.
 
@@ -464,10 +365,6 @@ def product_qubit_povm(thetas: Sequence[float], phis: Sequence[float] | None = N
     n = len(thetas)
     labels = [format(i, f"0{n}b") if n else "" for i in range(2**n)]
     return Povm.from_basis(v, labels=labels)
-
-
-def standard_basis_povm(dim: int) -> Povm:
-    return Povm.from_basis(np.eye(dim, dtype=np.complex128))
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
@@ -606,13 +503,13 @@ def _measure_leading_qubit(stack: np.ndarray, weights: list) -> np.ndarray:
     return out.reshape(h, h, c * len(weights), 2 * rows)
 
 
-def cq_measure(cq: CqState, povm: Povm) -> "JointDistribution":
-    """Joint distribution of (key label, measurement outcome).
+def cq_measure(cq: CqState, povm: Povm) -> np.ndarray:
+    """Joint distribution of (key label, measurement outcome) as a ``(B, K)`` array.
 
-    Measures every branch with the same POVM: ``P(s, z) = p_s tr(E_z
-    rho_s)``.  The table is renormalised by its total (a factor within
-    the POVM completeness tolerance of 1) so the result meets the strict
-    distribution-sum invariant of :class:`JointDistribution`.
+    Measures every branch with the same POVM: entry ``[b, k]`` is ``p_s
+    tr(E_z rho_s)`` for ``s = cq.labels[b]`` and ``z = povm.labels[k]``.
+    The table is renormalised by its total, a factor within the POVM
+    completeness tolerance of 1, so its entries sum to 1 up to rounding.
     """
     if cq.dim != povm.dim:
         raise ValueError(f"dimension mismatch: state {cq.dim}, POVM {povm.dim}")
@@ -620,101 +517,7 @@ def cq_measure(cq: CqState, povm: Povm) -> "JointDistribution":
     total = float(_ordered_sum(table.ravel(), 0))
     if not (0.5 < total < 2.0):
         raise ValueError(f"measurement table sums to {total!r}; POVM or state invalid")
-    return JointDistribution.from_array(cq.labels, povm.labels, table / total)
-
-
-@dataclass(frozen=True, eq=False, init=False)
-class JointDistribution:
-    """Finite joint distribution over pairs of classical labels.
-
-    Held as a read-only ``(X, Z)`` array ``probs`` over the row labels
-    ``x_labels`` and column labels ``z_labels``; pairs never given have
-    probability zero.  Probabilities must be nonnegative and sum to 1
-    within 1e-12 (a stricter tolerance than the operator-level checks,
-    since these are exact classical objects).
-    """
-
-    x_labels: tuple[str, ...]
-    z_labels: tuple[str, ...]
-    probs: np.ndarray
-
-    def __init__(self, table: Mapping[tuple[str, str], float]):
-        x_index: dict[str, int] = {}
-        z_index: dict[str, int] = {}
-        cells = [
-            (x_index.setdefault(str(x), len(x_index)), z_index.setdefault(str(z), len(z_index)), p)
-            for (x, z), p in table.items()
-        ]
-        probs = np.zeros((len(x_index), len(z_index)))
-        for i, k, p in cells:
-            probs[i, k] = p
-        self._set(tuple(x_index), tuple(z_index), probs)
-
-    @classmethod
-    def from_array(
-        cls, x_labels: Sequence[str], z_labels: Sequence[str], probs: np.ndarray
-    ) -> "JointDistribution":
-        """Distribution with ``probs[i, k] = P(x_labels[i], z_labels[k])``."""
-        joint = object.__new__(cls)
-        joint._set(tuple(map(str, x_labels)), tuple(map(str, z_labels)), np.array(probs, dtype=float))
-        return joint
-
-    def _set(self, x_labels: tuple[str, ...], z_labels: tuple[str, ...], probs: np.ndarray) -> None:
-        if probs.shape != (len(x_labels), len(z_labels)):
-            raise ValueError(f"table shape {probs.shape} does not match the labels")
-        if len(set(x_labels)) != len(x_labels) or len(set(z_labels)) != len(z_labels):
-            raise ValueError("duplicate labels")
-        if probs.size and probs.min() < -PROB_SUM_TOL:
-            i, k = np.unravel_index(int(np.argmin(probs)), probs.shape)
-            key = (x_labels[i], z_labels[k])
-            raise ValueError(f"negative probability {float(probs[i, k])!r} for {key!r}")
-        probs = np.maximum(probs, 0.0)
-        total = float(probs.sum())
-        if not abs(total - 1.0) <= PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1 within {PROB_SUM_TOL}")
-        probs.setflags(write=False)
-        object.__setattr__(self, "x_labels", x_labels)
-        object.__setattr__(self, "z_labels", z_labels)
-        object.__setattr__(self, "probs", probs)
-
-    @property
-    def table(self) -> Mapping[tuple[str, str], float]:
-        rows = self.probs.tolist()
-        return MappingProxyType(
-            {(x, z): p for x, row in zip(self.x_labels, rows) for z, p in zip(self.z_labels, row)}
-        )
-
-    def prob(self, x: str, z: str) -> float:
-        try:
-            return float(self.probs[self.x_labels.index(x), self.z_labels.index(z)])
-        except ValueError:
-            return 0.0
-
-    def marginal_x(self) -> dict[str, float]:
-        return dict(zip(self.x_labels, _ordered_sum(self.probs, 1).tolist()))
-
-    def marginal_z(self) -> dict[str, float]:
-        return dict(zip(self.z_labels, _ordered_sum(self.probs, 0).tolist()))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "joint_distribution",
-            "entries": [
-                {"x": x, "z": z, "prob": p}
-                for (x, z), p in sorted(self.table.items())
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "JointDistribution":
-        _expect_type(data, "joint_distribution")
-        table = {}
-        for entry in data["entries"]:
-            key = (entry["x"], entry["z"])
-            if key in table:
-                raise ValueError(f"duplicate entry {key!r}")
-            table[key] = float(entry["prob"])
-        return cls(table)
+    return table / total
 
 
 def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
@@ -733,14 +536,14 @@ def _entropy_bits(probs: np.ndarray) -> np.ndarray:
     return -_ordered_sum(terms, -1)
 
 
-def mutual_information(joint: "JointDistribution | np.ndarray") -> float | np.ndarray:
+def mutual_information(joint: np.ndarray) -> float | np.ndarray:
     """Shannon mutual information of a joint distribution, in bits.
 
-    ``joint`` is a :class:`JointDistribution`, or an array of ``(X, Z)``
-    probability tables with any leading batch axes, which gives an array
-    of that batch shape.
+    An ``(X, Z)`` probability table, such as the output of
+    :func:`cq_measure`, gives a float; tables with leading batch axes
+    give an array of that batch shape.
     """
-    p = joint.probs if isinstance(joint, JointDistribution) else np.asarray(joint)
+    p = np.asarray(joint)
     hx = _entropy_bits(_ordered_sum(p, -1))
     hz = _entropy_bits(_ordered_sum(p, -2))
     hxz = _entropy_bits(p.reshape(*p.shape[:-2], -1))
@@ -753,25 +556,3 @@ def total_variation(p: Mapping, q: Mapping) -> float:
     keys = set(p) | set(q)
     tv = 0.5 * sum(abs(float(p.get(k, 0.0)) - float(q.get(k, 0.0))) for k in keys)
     return min(1.0, max(0.0, tv))
-
-
-def _complex_matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
-def _complex_matrix_from_json(rows) -> np.ndarray:
-    try:
-        m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed complex matrix: {exc}") from None
-    if m.ndim != 2:
-        raise ValueError("malformed complex matrix: not a 2-d table")
-    return m
-
-
-def _expect_type(data: Mapping, expected: str) -> None:
-    if not isinstance(data, Mapping):
-        raise ValueError(f"expected a JSON object for {expected!r}")
-    got = data.get("type")
-    if got != expected:
-        raise ValueError(f"expected object of type {expected!r}, got {got!r}")

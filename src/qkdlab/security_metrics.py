@@ -332,7 +332,7 @@ def _default_strategies(
 ) -> tuple[list[Strategy], list[float]]:
     """:func:`default_strategies` and the advantage of each against ``ideal``."""
     dim = cq.dim
-    measurements: list[MeasurementLike] = [Povm((("0", np.eye(dim, dtype=np.complex128)),), _trusted=True)]
+    measurements: list[MeasurementLike] = [Povm((("0", np.eye(dim, dtype=np.complex128)),))]
 
     nq = dim.bit_length() - 1
     if dim == 2**nq and 1 <= nq <= cq.key_len:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from qkdlab.quantum_core import PERP, CqState, DensityOperator, Povm
+from qkdlab.quantum_core import PERP, CqState, DensityOperator, Povm, PureState
 
 settings.register_profile(
     "suite",
@@ -31,6 +31,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def make_pure(amplitudes) -> PureState:
+    """Normalise a nonzero complex vector into a :class:`PureState`."""
+    a = np.array(amplitudes, dtype=np.complex128)
+    if a.ndim != 1 or a.shape[0] < 1:
+        raise ValueError("amplitudes must be a nonempty 1-d vector")
+    norm = float(np.linalg.norm(a))
+    if not 1e-12 <= norm < math.inf:
+        raise ValueError("cannot normalise a (near-)zero or non-finite vector")
+    return PureState(a / norm)
+
+
+def to_density(psi: PureState) -> DensityOperator:
+    a = psi.amplitudes
+    return DensityOperator(np.outer(a, a.conj()))
+
+
+def standard_basis_povm(dim: int) -> Povm:
+    return Povm.from_basis(np.eye(dim, dtype=np.complex128))
 
 
 def rand_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> DensityOperator:

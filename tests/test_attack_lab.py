@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import itertools
 import math
@@ -6,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import to_density
 from qkdlab import attack_lab
 from qkdlab.attack_lab import (
     AttackState,
@@ -30,8 +32,6 @@ from qkdlab.quantum_core import (
     bb84_encode,
     cq_measure,
     mutual_information,
-    product_pure,
-    to_density,
 )
 from qkdlab.security_metrics import canonical_ideal, secrecy_eps_lower, secrecy_eps_upper, strategy_acceptance
 
@@ -72,7 +72,7 @@ def test_attack_state_matches_direct_mixture():
         pads = [r for r in itertools.product([0, 1], repeat=n) if sum(r) % 2 == s[n]]
         acc = np.zeros((2**n, 2**n), dtype=np.complex128)
         for r in pads:
-            amps = product_pure([bb84_encode(r[i], s[i]) for i in range(n)]).amplitudes
+            amps = functools.reduce(np.kron, [bb84_encode(r[i], s[i]).amplitudes for i in range(n)])
             acc += np.outer(amps, amps.conj()) / len(pads)
         assert np.abs(st.cq.branches[label][1].matrix - acc).max() < 1e-12
 
@@ -120,7 +120,8 @@ def test_marginal_check_passes_for_real_state():
 def test_marginal_check_detects_corruption():
     st = build_attack_state(2)
     branches = dict(st.cq.branches)
-    skew = to_density(product_pure([bb84_encode(0, 0), bb84_encode(0, 0)]))
+    zero = to_density(bb84_encode(0, 0)).matrix
+    skew = DensityOperator(np.kron(zero, zero))
     for label in ("000", "001"):
         branches[label] = (branches[label][0], skew)
     bad = AttackState(2, CqState(3, branches))

@@ -2,9 +2,11 @@
 
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -114,6 +116,15 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_every_name_in_all_resolves():
+    # a name deleted from a module but left in __all__ would break import *
+    names = [qkdlab.__name__] + [f"qkdlab.{m.name}" for m in pkgutil.iter_modules(qkdlab.__path__)]
+    for name in names:
+        module = importlib.import_module(name)
+        missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+        assert missing == [], name
 
 
 _STARTUP_PROBE = """

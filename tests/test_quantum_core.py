@@ -9,35 +9,31 @@ from hypothesis import strategies as st
 from conftest import (
     dense_embedding,
     entropy_bits,
+    make_pure,
     nuclear_trace_distance,
     rand_cq,
     rand_density,
     rand_povm,
     rand_pure_vec,
+    standard_basis_povm,
+    to_density,
 )
 from qkdlab.attack_lab import build_attack_state
 from qkdlab.quantum_core import (
     PERP,
     CqState,
     DensityOperator,
-    JointDistribution,
     Povm,
     PureState,
-    bb84_basis_povm,
     bb84_encode,
     born_table,
     cq_measure,
     cq_trace_distance,
-    make_pure,
     measure,
     mutual_information,
     product_born_tables,
-    product_pure,
     product_qubit_povm,
     qubit_basis,
-    standard_basis_povm,
-    tensor,
-    to_density,
     total_variation,
     trace_distance,
 )
@@ -84,13 +80,6 @@ def test_fully_mixed():
     assert np.allclose(rho.matrix, np.eye(4) / 4)
 
 
-def test_density_json_round_trip():
-    rng = np.random.default_rng(3)
-    rho = rand_density(rng, 3)
-    again = DensityOperator.from_json_dict(rho.to_json_dict())
-    assert np.array_equal(rho.matrix, again.matrix)
-
-
 # ---------------------------------------------------------------------------
 # pure states and encodings
 
@@ -125,18 +114,6 @@ def test_to_density_is_projector():
     psi = make_pure([H, 1j * H])
     rho = to_density(psi)
     assert np.allclose(rho.matrix @ rho.matrix, rho.matrix)
-
-
-def test_tensor_matches_kron_and_caps():
-    rng = np.random.default_rng(7)
-    a, b = rand_density(rng, 2), rand_density(rng, 3)
-    assert np.allclose(tensor(a, b).matrix, np.kron(a.matrix, b.matrix))
-    with pytest.raises(ValueError, match="cap"):
-        tensor(a, b, max_dim=5)
-    states = [bb84_encode(1, 1)] * 3
-    assert product_pure(states).dim == 8
-    with pytest.raises(ValueError, match="cap"):
-        product_pure([PureState(np.array([1.0 + 0j, 0.0]))] * 20)
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +177,10 @@ def test_cq_state_ordering_and_accessors():
     cq = CqState(1, {PERP: (0.2, rho), "1": (0.5, rho), "0": (0.3, rho)})
     assert list(cq.branches) == ["0", "1", PERP]
     assert cq.p_perp == 0.2
-    assert cq.probability("1") == 0.5
-    assert cq.probability("0") == 0.3
+    assert cq.branches["1"][0] == 0.5
+    assert cq.branches["0"][0] == 0.3
     assert cq.label_distribution() == {"0": 0.3, "1": 0.5, PERP: 0.2}
     assert cq.dim == 2
-
-
-def test_cq_state_json_round_trip():
-    rng = np.random.default_rng(11)
-    cq = rand_cq(rng, 2, 2, include_perp=True)
-    again = CqState.from_json_dict(cq.to_json_dict())
-    assert again.key_len == cq.key_len
-    assert list(again.branches) == list(cq.branches)
-    for label in cq.branches:
-        assert again.probability(label) == cq.probability(label)
-        assert np.array_equal(again.branches[label][1].matrix, cq.branches[label][1].matrix)
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
@@ -260,7 +226,7 @@ def test_povm_from_basis_checks_orthonormality():
         Povm.from_basis(np.eye(2), labels=["a"])
     povm = Povm.from_basis(qubit_basis(0.3), labels=["a", "b"])
     assert povm.labels == ("a", "b")
-    total = sum(e for _, e in povm.effects)
+    total = povm.stacked().sum(axis=0)
     assert np.abs(total - np.eye(2)).max() < 1e-12
 
 
@@ -273,18 +239,16 @@ def test_qubit_basis_rows_orthonormal():
 def test_standard_and_bb84_povm():
     povm = standard_basis_povm(4)
     assert povm.labels == ("00", "01", "10", "11")
-    diag = bb84_basis_povm(1)
+    diag = Povm.from_basis(qubit_basis(math.pi / 4), labels=["0", "1"])
     probs = measure(to_density(bb84_encode(0, 1)), diag)
     assert abs(probs["0"] - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        bb84_basis_povm(2)
 
 
 def test_product_qubit_povm_label_order():
     # qubit 0 is the leftmost label bit: |1> tensor |0> measured in the
     # computational product basis must give outcome "10"
     povm = product_qubit_povm([0.0, 0.0])
-    rho = to_density(product_pure([bb84_encode(1, 0), bb84_encode(0, 0)]))
+    rho = to_density(PureState(np.kron(bb84_encode(1, 0).amplitudes, bb84_encode(0, 0).amplitudes)))
     probs = measure(rho, povm)
     assert abs(probs["10"] - 1.0) < 1e-12
 
@@ -319,31 +283,24 @@ def test_cq_measure_joint_values():
     cq = rand_cq(rng, 1, 2, include_perp=True)
     povm = standard_basis_povm(2)
     joint = cq_measure(cq, povm)
-    for label, (p, rho) in cq.branches.items():
-        for z in ("0", "1"):
+    assert joint.shape == (len(cq.labels), len(povm.labels))
+    for b, (p, rho) in enumerate(cq.branches.values()):
+        for k, z in enumerate(povm.labels):
             direct = p * measure(rho, povm)[z]
-            assert abs(joint.prob(label, z) - direct) < 1e-12
-    mx = joint.marginal_x()
-    for label, p in cq.label_distribution().items():
-        assert abs(mx.get(label, 0.0) - p) < 1e-9
+            assert abs(joint[b, k] - direct) < 1e-12
+    assert np.abs(joint.sum(axis=1) - cq.probs).max() < 1e-9
 
 
-def _oracle_joint(cq: CqState, povm: Povm) -> dict[tuple[str, str], float]:
+def _oracle_joint(cq: CqState, povm: Povm) -> list[list[float]]:
     # per-branch Born rule, renormalised like cq_measure
-    table = {
-        (s, z): p * pr for s, (p, rho) in cq.branches.items() for z, pr in measure(rho, povm).items()
-    }
-    total = sum(table.values())
-    return {key: v / total for key, v in table.items()}
+    table = [[p * pr for pr in measure(rho, povm).values()] for p, rho in cq.branches.values()]
+    total = sum(map(sum, table))
+    return [[v / total for v in row] for row in table]
 
 
-def _oracle_information(table: dict[tuple[str, str], float]) -> float:
-    mx: dict[str, float] = {}
-    mz: dict[str, float] = {}
-    for (x, z), p in table.items():
-        mx[x] = mx.get(x, 0.0) + p
-        mz[z] = mz.get(z, 0.0) + p
-    return entropy_bits(mx.values()) + entropy_bits(mz.values()) - entropy_bits(table.values())
+def _oracle_information(table: list[list[float]]) -> float:
+    cells = [p for row in table for p in row]
+    return entropy_bits(map(sum, table)) + entropy_bits(map(sum, zip(*table))) - entropy_bits(cells)
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(["basis", "product", "general"]))
@@ -363,8 +320,8 @@ def test_batched_kernel_matches_per_branch_oracle(seed, perp, kind):
         assert np.abs(row - list(measure(rho, povm).values())).max() < 1e-12
     joint = cq_measure(cq, povm)
     oracle = _oracle_joint(cq, povm)
-    assert set(joint.table) == set(oracle)
-    assert max(abs(joint.prob(x, z) - p) for (x, z), p in oracle.items()) < 1e-12
+    assert joint.shape == np.shape(oracle)
+    assert np.abs(joint - oracle).max() < 1e-12
     assert abs(mutual_information(joint) - _oracle_information(oracle)) < 1e-12
 
 
@@ -397,7 +354,7 @@ def test_mutual_information_takes_batch_axes():
     batched = mutual_information(tables)
     assert batched.shape == (2, 3)
     for index in np.ndindex(2, 3):
-        one = mutual_information(JointDistribution.from_array("abcd", "xyz", tables[index]))
+        one = mutual_information(tables[index])
         assert batched[index] == one  # the same summation order, bit for bit
 
 
@@ -407,8 +364,8 @@ def test_projective_povm_keeps_basis_and_stacks_once():
     assert np.array_equal(povm.basis, v) and povm.dim == 2
     stack = povm.stacked()
     assert povm.stacked() is stack and not stack.flags.writeable
-    for k, (label, effect) in enumerate(povm.effects):
-        assert label == "ab"[k]
+    assert povm.labels == ("a", "b")
+    for k, effect in enumerate(stack):
         assert np.array_equal(effect, np.outer(v[k], v[k].conj()))
     assert rand_povm(np.random.default_rng(1), 2, 3).basis is None
 
@@ -426,43 +383,18 @@ def test_cq_state_branches_are_views_of_the_stack():
 # distributions and information
 
 
-def test_joint_distribution_validation():
-    with pytest.raises(ValueError, match="sum"):
-        JointDistribution({("a", "x"): 0.5, ("b", "y"): 0.5 + 1e-9})
-    with pytest.raises(ValueError, match="negative"):
-        JointDistribution({("a", "x"): 1.5, ("b", "y"): -0.5})
-    jd = JointDistribution({("a", "x"): 0.25, ("a", "y"): 0.25, ("b", "x"): 0.5})
-    assert jd.marginal_x() == {"a": 0.5, "b": 0.5}
-    assert jd.marginal_z() == {"x": 0.75, "y": 0.25}
-    again = JointDistribution.from_json_dict(jd.to_json_dict())
-    assert dict(again.table) == dict(jd.table)
-
-
 def test_mutual_information_extremes():
-    independent = JointDistribution(
-        {(x, z): 0.25 for x in "01" for z in "01"}
-    )
-    assert mutual_information(independent) == 0.0
-    correlated = JointDistribution({("0", "0"): 0.5, ("1", "1"): 0.5})
-    assert abs(mutual_information(correlated) - 1.0) < 1e-12
+    assert mutual_information(np.full((2, 2), 0.25)) == 0.0
+    assert abs(mutual_information(np.eye(2) / 2) - 1.0) < 1e-12
 
 
 @given(st.integers(0, 2**32 - 1))
 def test_mutual_information_bounds(seed):
     rng = np.random.default_rng(seed)
-    probs = rng.dirichlet(np.ones(6))
-    table = {}
-    k = 0
-    for x in "01":
-        for z in "abc":
-            table[(x, z)] = float(probs[k])
-            k += 1
-    joint = JointDistribution(table)
-    from conftest import entropy_bits
-
+    joint = rng.dirichlet(np.ones(6)).reshape(2, 3)
     mi = mutual_information(joint)
-    hx = entropy_bits(joint.marginal_x().values())
-    hz = entropy_bits(joint.marginal_z().values())
+    hx = entropy_bits(joint.sum(axis=1))
+    hz = entropy_bits(joint.sum(axis=0))
     assert 0.0 <= mi <= min(hx, hz) + 1e-12
 
 

@@ -7,24 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import entropy_bits, rand_cq, rand_density, rand_povm
+from conftest import (
+    entropy_bits,
+    make_pure,
+    rand_cq,
+    rand_povm,
+    standard_basis_povm,
+    to_density,
+)
 from qkdlab import security_metrics
 from qkdlab.attack_lab import build_attack_state
 from qkdlab.quantum_core import (
     PERP,
     CqState,
     DensityOperator,
-    JointDistribution,
     Povm,
     PureState,
     bb84_encode,
     cq_measure,
-    make_pure,
     measure,
     mutual_information,
     product_qubit_povm,
-    standard_basis_povm,
-    to_density,
 )
 from qkdlab.security_metrics import (
     QUBIT_BASIS_ANGLES,
@@ -113,7 +116,7 @@ def test_canonical_ideal_structure():
     ideal = form.to_cq(cq.key_len)
     assert set(ideal.branches) == {"00", "01", "10", "11", PERP}
     for label in ("00", "01", "10", "11"):
-        assert ideal.probability(label) == pytest.approx(key_mass / 4, abs=1e-12)
+        assert ideal.branches[label][0] == pytest.approx(key_mass / 4, abs=1e-12)
 
 
 def test_canonical_ideal_all_abort_falls_back_to_fully_mixed():
@@ -179,10 +182,10 @@ def test_optimal_decision_rule_achieves_induced_tv():
         # the optimum for a fixed measurement is the TV of the induced joints
         tv = 0.0
         for label in set(real.branches) | set(ideal.branches):
-            pr = real.probability(label)
-            pi = ideal.probability(label)
-            out_r = measure(real.branches[label][1], povm) if pr else {}
-            out_i = measure(ideal.branches[label][1], povm) if pi else {}
+            pr, rho_r = real.branches.get(label, (0.0, None))
+            pi, rho_i = ideal.branches.get(label, (0.0, None))
+            out_r = measure(rho_r, povm) if pr else {}
+            out_i = measure(rho_i, povm) if pi else {}
             for z in set(out_r) | set(out_i):
                 tv += abs(pr * out_r.get(z, 0.0) - pi * out_i.get(z, 0.0))
         assert adv == pytest.approx(0.5 * tv, abs=1e-9)
@@ -239,17 +242,20 @@ def test_default_strategy_lower_end_matches_the_report(perp):
 
 
 @pytest.mark.parametrize(
-    "seed, key_len, dim, shape, lower, upper",
+    "seed, key_len, dim, shape, lower, upper, iacc",
     [
-        (101, 2, 2, {"include_perp": True}, "0.35064761260494864", "0.42018315340484813"),
-        (202, 3, 2, {"max_branches": 5}, "0.5625016342064797", "0.5843765756541102"),
-        (303, 1, 3, {}, "0.20057255869778334", "0.2870397976024258"),
+        (101, 2, 2, {"include_perp": True}, "0.35064761260494864", "0.42018315340484813", "0.33213895229689205"),
+        (202, 3, 2, {"max_branches": 5}, "0.5625016342064797", "0.5843765756541102", "0.18226864944871357"),
+        (303, 1, 3, {}, "0.20057255869778334", "0.2870397976024258", "0.1153456428239914"),
     ],
 )
-def test_secrecy_bracket_golden_values(seed, key_len, dim, shape, lower, upper):
+def test_secrecy_bracket_golden_values(seed, key_len, dim, shape, lower, upper, iacc):
+    # the I_acc winners here come from the random and hill-climb families,
+    # so iacc pins the summation order of cq_measure and mutual_information
     cq = rand_cq(np.random.default_rng(seed), key_len, dim, **shape)
     report = evaluate_cq_security(cq, num_random_strategies=4, search_budget=8, seed=seed)
-    assert (repr(report.eps_secret_lower), repr(report.eps_secret_upper)) == (lower, upper)
+    got = (repr(report.eps_secret_lower), repr(report.eps_secret_upper), repr(report.iacc_lower_bits))
+    assert got == (lower, upper, iacc)
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -450,13 +456,12 @@ _HALF = np.eye(2) / 2
         lambda: make_pure([math.nan, 1.0]),
         lambda: Povm([("0", np.diag([1.0, math.nan])), ("1", np.diag([0.0, 1.0]))]),
         lambda: Povm.from_basis(np.array([[1.0, 0.0], [0.0, math.nan]])),
-        lambda: JointDistribution.from_array(["a", "b"], ["z"], np.array([[math.nan], [1.0]])),
         lambda: robustness_eps({"0": math.nan, PERP: 0.5}),
         lambda: ben_or_sufficient_eps(math.nan, 3),
         lambda: clopper_pearson_upper(1, 10, 1.5),
         lambda: clopper_pearson_upper(1, 10, math.nan),
     ],
-    ids=["cq_branch", "density", "pure_state", "make_pure", "povm", "povm_from_basis", "joint_cell",
+    ids=["cq_branch", "density", "pure_state", "make_pure", "povm", "povm_from_basis",
          "robustness", "ben_or", "confidence_above_1", "confidence_nan"],
 )
 def test_nan_and_out_of_range_inputs_are_refused(build):
