@@ -57,10 +57,12 @@ from .keystream import (
     PlanningError,
     StreamError,
     StreamParams,
+    _BATCH,
     _budget,
     _columns,
     _Columns,
     _csv,
+    _elements,
     _plan,
     simulate_stream,
 )
@@ -337,12 +339,13 @@ def _schedule_json(payload: dict, columns: _Columns) -> Iterator[str]:
     item = outer + "  "
     row = item + "{" + ",".join(f'\n{item}  "{key}": %s' for key in _ROUND_KEYS) + f"\n{item}}}"
     rows = zip(
-        ("true" if clamped else "false" for clamped in columns.clamped),
-        columns.ell[1:], columns.eps, itertools.count(1), columns.n, columns.term_auth, columns.term_signal,
+        ("true" if clamped else "false" for clamped in _elements(columns.clamped)),
+        _elements(columns.ell[1:]), _elements(columns.eps), itertools.count(1),
+        _elements(columns.n), _elements(columns.term_auth), _elements(columns.term_signal),
     )
     yield head + "[\n"
     separator = ""
-    while batch := ",\n".join(map(row.__mod__, itertools.islice(rows, 4096))):
+    while batch := ",\n".join(map(row.__mod__, itertools.islice(rows, _BATCH))):
         yield separator + batch
         separator = ",\n"
     yield f"\n{outer}]" + tail
@@ -352,7 +355,8 @@ def cmd_keystream_schedule(args: argparse.Namespace, parser: argparse.ArgumentPa
     params = _stream_params(args)
     columns = _columns(params, args.rounds, real_valued=args.real_valued)
     if args.csv is not None:
-        _atomic_write(args.csv, [_csv(zip(itertools.count(1), columns.n, columns.ell[1:], columns.eps))])
+        rows = zip(itertools.count(1), _elements(columns.n), _elements(columns.ell[1:]), _elements(columns.eps))
+        _atomic_write(args.csv, _csv(rows))
     budget = _budget(params, columns.eps, args.real_valued)
     result = {"params": params.to_json_dict(), "budget": budget.to_json_dict(), "rounds": _ROUNDS_MARK}
     cli_params = {"rounds": args.rounds, "real_valued": args.real_valued, "csv": args.csv}
@@ -372,7 +376,6 @@ def cmd_keystream_simulate(args: argparse.Namespace, parser: argparse.ArgumentPa
         rng,
         charge_per_attempt=args.charge_per_attempt,
     )
-    final = log.rounds[-1]
     result = {
         "params": params.to_json_dict(),
         "rounds": args.rounds,
@@ -380,8 +383,8 @@ def cmd_keystream_simulate(args: argparse.Namespace, parser: argparse.ArgumentPa
         "charge_per_attempt": args.charge_per_attempt,
         "bits_emitted": log.bits_emitted,
         "total_retries": log.total_retries,
-        "stored_final": final.stored_after,
-        "consumed_final": final.consumed_after,
+        "stored_final": log.stored_final,
+        "consumed_final": log.consumed_final,
         "conservation_ok": True,
     }
     cli_params = {

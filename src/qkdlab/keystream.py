@@ -34,10 +34,11 @@ import bisect
 import csv
 import functools
 import io
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -182,14 +183,29 @@ def _sizes(p: StreamParams, rounds: int, real_valued: bool = False) -> tuple[np.
 
 
 class _Columns(NamedTuple):
-    """Rounds 1..R of a schedule as parallel lists; ``ell[0]`` is ``ell0``, ``ell[i]`` round i's."""
+    """Rounds 1..R of a schedule as parallel arrays; ``ell[0]`` is ``ell0``, ``ell[i]`` round i's."""
 
-    n: list
-    ell: list
-    term_signal: list[float]
-    term_auth: list[float]
-    eps: list[float]
-    clamped: list[bool]
+    n: np.ndarray
+    ell: np.ndarray
+    term_signal: np.ndarray
+    term_auth: np.ndarray
+    eps: np.ndarray
+    clamped: np.ndarray
+
+
+_BATCH = 4096  # array elements turned into Python numbers at a time
+
+
+def _elements(column: np.ndarray) -> Iterator:
+    """The elements of ``column`` in order, as Python numbers, converted ``_BATCH`` at a time."""
+    return itertools.chain.from_iterable(
+        column[start:start + _BATCH].tolist() for start in range(0, len(column), _BATCH)
+    )
+
+
+def _math(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """The array of ``f(v)`` for every element ``v`` of ``x``, one Python call per element."""
+    return np.fromiter(map(f, _elements(x)), np.float64, len(x))
 
 
 def _columns(p: StreamParams, rounds: int, real_valued: bool = False) -> _Columns:
@@ -199,18 +215,17 @@ def _columns(p: StreamParams, rounds: int, real_valued: bool = False) -> _Column
     ``exp`` and ``log`` is ``math``'s: numpy's differ in the last unit on some inputs.
     """
     n, ell = _sizes(p, rounds, real_valued)
-    n_list, ell_list = n.tolist(), ell.tolist()
-    n, ell = n.astype(np.float64), ell.astype(np.float64)  # an int rate times int64 sizes would wrap
+    n_float, ell_float = n.astype(np.float64), ell.astype(np.float64)  # an int rate times int64 sizes would wrap
     with np.errstate(over="ignore"):
-        signal = -p.gamma * (p.rate_rho * n - ell[1:] - p.ell)
-        auth = -p.nu * ell[:-1] + np.fromiter(map(math.log, n_list), np.float64, rounds)
-    t_signal = np.fromiter(map(math.exp, np.minimum(signal, _EXP_MAX).tolist()), np.float64, rounds)
-    t_auth = np.fromiter(map(math.exp, np.minimum(auth, _EXP_MAX).tolist()), np.float64, rounds)
-    raw = t_signal + t_auth
-    return _Columns(
-        n_list, ell_list, t_signal.tolist(), t_auth.tolist(),
-        np.minimum(raw, 1.0).tolist(), (raw > 1.0).tolist(),
-    )
+        signal = -p.gamma * (p.rate_rho * n_float - ell_float[1:] - p.ell)
+        auth = -p.nu * ell_float[:-1] + _math(math.log, n_float)
+    del n_float, ell_float  # each temporary goes as soon as it is used: 8 bytes a round apiece
+    t_signal = _math(math.exp, np.minimum(signal, _EXP_MAX, out=signal))
+    t_auth = _math(math.exp, np.minimum(auth, _EXP_MAX, out=auth))
+    del signal, auth
+    eps = t_signal + t_auth
+    clamped = eps > 1.0
+    return _Columns(n, ell, t_signal, t_auth, np.minimum(eps, 1.0, out=eps), clamped)
 
 
 def schedule(p: StreamParams, rounds: int, real_valued: bool = False) -> list[RoundRecord]:
@@ -223,25 +238,30 @@ def schedule(p: StreamParams, rounds: int, real_valued: bool = False) -> list[Ro
     """
     c = _columns(p, rounds, real_valued)
     return list(map(
-        RoundRecord, range(1, rounds + 1), c.n, c.ell[1:], c.eps, c.term_signal, c.term_auth, c.clamped,
+        RoundRecord, range(1, rounds + 1),
+        *map(_elements, (c.n, c.ell[1:], c.eps, c.term_signal, c.term_auth, c.clamped)),
     ))
 
 
 def schedule_csv(records: list[RoundRecord]) -> str:
     """RFC 4180 CSV export of a schedule (with a running epsilon sum)."""
-    return _csv((r.i, r.n_i, r.ell_i, r.eps_i) for r in records)
+    return "".join(_csv((r.i, r.n_i, r.ell_i, r.eps_i) for r in records))
 
 
-def _csv(rows: Iterable[tuple[int, float, float, float]]) -> str:
-    """:func:`schedule_csv` of the rows ``(i, n_i, ell_i, eps_i)``."""
+def _csv(rows: Iterable[tuple[int, float, float, float]]) -> Iterator[str]:
+    """:func:`schedule_csv` of the rows ``(i, n_i, ell_i, eps_i)``, ``_BATCH`` rows per piece."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(["i", "n_i", "ell_i", "eps_i", "cumulative_eps"])
     cumulative = 0.0
-    for i, n_i, ell_i, eps_i in rows:
+    for k, (i, n_i, ell_i, eps_i) in enumerate(rows, 1):
         cumulative += eps_i
         writer.writerow([i, n_i, ell_i, repr(eps_i), repr(cumulative)])
-    return buf.getvalue()
+        if k % _BATCH == 0:
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+    yield buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -277,10 +297,10 @@ def total_eps(p: StreamParams, horizon: int = 200, real_valued: bool = False) ->
     return _budget(p, _columns(p, horizon, real_valued).eps, real_valued)
 
 
-def _budget(p: StreamParams, eps: list[float], real_valued: bool) -> StreamBudget:
-    """:func:`total_eps` given the epsilons ``eps`` of rounds 1..len(eps)."""
+def _budget(p: StreamParams, eps: np.ndarray, real_valued: bool) -> StreamBudget:
+    """:func:`total_eps` given the epsilons ``eps`` of rounds 1..len(eps), summed in round order."""
     horizon = len(eps)
-    partial = sum(eps)
+    partial = sum(_elements(eps))
 
     g1 = p.gamma * p.c * p.rate_rho / 2.0
     g2 = p.nu * p.c * p.rate_rho / 2.0
@@ -512,15 +532,61 @@ class RoundLedger:
 
 @dataclass(frozen=True)
 class StreamLog:
+    """One :func:`simulate_stream` run, kept in arrays.
+
+    It holds the attempts of each round, the emitted bits packed eight to
+    a byte (``np.packbits`` order) and the final stored and consumed
+    counts.  :attr:`rounds` and :attr:`stream_bits` rebuild the per-round
+    ledger and the emitted bits on demand, so a run of 10^6 rounds holds
+    no Python object per round.
+    """
+
     params: StreamParams
     charge_per_attempt: bool
-    rounds: tuple[RoundLedger, ...]
-    stream_bits: np.ndarray
-    total_retries: int
+    attempts: np.ndarray
+    packed_bits: np.ndarray
+    stored_final: int
+    consumed_final: int
 
     @property
     def bits_emitted(self) -> int:
-        return int(self.stream_bits.shape[0])
+        return len(self.attempts) * self.params.ell
+
+    @property
+    def total_retries(self) -> int:
+        return int(self.attempts.sum()) - len(self.attempts)
+
+    @property
+    def stream_bits(self) -> np.ndarray:
+        """The emitted bits in order, one uint8 0 or 1 each."""
+        return np.unpackbits(self.packed_bits, count=self.bits_emitted)
+
+    @property
+    def rounds(self) -> tuple[RoundLedger, ...]:
+        """One :class:`RoundLedger` per round, replayed from the sizes and the attempts over exact integers."""
+        p = self.params
+        n, ell = _sizes(p, len(self.attempts))
+        consumed, stored, ledger = 0, p.ell0, []
+        for i, n_i, need, ell_i, attempts in zip(
+            itertools.count(1), _elements(n), _elements(ell), _elements(ell[1:]), _elements(self.attempts)
+        ):
+            charged = need * attempts if self.charge_per_attempt else need
+            consumed += charged
+            stored += ell_i - charged
+            ledger.append(RoundLedger(i, n_i, ell_i, attempts, consumed, stored, i * p.ell))
+        return tuple(ledger)
+
+
+_PACK_BITS = 2**20  # emitted bits collected before they are packed
+
+
+def _pack(packed: np.ndarray, first: int, bits: np.ndarray, ell: int) -> None:
+    """Pack ``bits``, emitted from bit ``first`` on (a multiple of 8), into ``packed``."""
+    if bits.size and bits.max() > 1:
+        at = first + int(np.argmax(bits > 1))
+        raise ValueError(f"key source returned a value other than 0 or 1 in round {at // ell + 1}")
+    chunk = np.packbits(bits)
+    packed[first // 8:first // 8 + chunk.size] = chunk
 
 
 def simulate_stream(
@@ -545,15 +611,20 @@ def simulate_stream(
     production never outpaces an unlucky retry run).  Running out of
     stored bits raises :class:`KeyLedgerUnderflow` and a round that
     aborts ``max_attempts_per_round`` times raises
-    :class:`RetryLimitExceeded`.  After every round the identity
+    :class:`RetryLimitExceeded`; a drawn bit other than 0 or 1 is a
+    ``ValueError``.  After every round the identity
 
         emitted + stored + consumed == produced + ell0
 
     is checked over exact integers, and so is that no consumed range
     overlaps another consumed or an emitted range; either failure
     raises :class:`LedgerBroken`.
+
+    The sizes are read from their array ``_BATCH`` rounds at a time and
+    the emitted bits are kept packed, so memory grows by about
+    ``16 + ell / 8`` bytes per round.
     """
-    n, ell = (sizes.tolist() for sizes in _sizes(p, rounds))
+    ell = _sizes(p, rounds)[1]
     generate = key_source.generate if isinstance(key_source, MockKeySource) else key_source
     stored = p.ell0
     consumed = 0
@@ -561,11 +632,13 @@ def simulate_stream(
     emitted = 0
     store = deque([(-p.ell0, 0)])
     used: list[int] = []
-    stream = np.empty(rounds * p.ell, dtype=np.uint8)
-    ledger: list[RoundLedger] = []
-    total_retries = 0
+    attempts_of = np.ones(rounds, dtype=np.int64)
+    packed = np.empty(-(-rounds * p.ell // 8), dtype=np.uint8)
+    # whole rounds, and a multiple of 8 of them unless that is all, so that every pack starts on a byte
+    drawn = np.empty(min(rounds, 8 * max(1, _PACK_BITS // (8 * p.ell))) * p.ell, dtype=np.uint8)
+    at = 0
 
-    for i, n_i, need, ell_i in zip(range(1, rounds + 1), n, ell, ell[1:]):
+    for i, need, ell_i in zip(range(1, rounds + 1), _elements(ell), _elements(ell[1:])):
         taken: list[tuple[int, int]] = []
         attempts = 0
         if not charge_per_attempt:
@@ -592,34 +665,30 @@ def simulate_stream(
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.shape != (p.ell,):
             raise ValueError(f"key source returned {bits.shape}, expected {(p.ell,)}")
-        stream[emitted:emitted + p.ell] = bits
+        drawn[at:at + p.ell] = bits
+        at += p.ell
         store.append((produced, produced + ell_i))
         emitted_range = (produced + ell_i, produced + ell_i + p.ell)
         stored += ell_i
         produced += ell_i + p.ell
         emitted += p.ell
-        total_retries += attempts - 1
+        if attempts > 1:
+            attempts_of[i - 1] = attempts
         for start, end in [*taken, emitted_range]:
             if not _claim(used, start, end):
                 raise LedgerBroken(f"round {i} reuses key bits in [{start}, {end})")
         if emitted + stored + consumed != produced + p.ell0:
             raise LedgerBroken(f"ledger broken at round {i}")
-        ledger.append(
-            RoundLedger(
-                i=i,
-                n_i=n_i,
-                ell_i=ell_i,
-                attempts=attempts,
-                consumed_after=consumed,
-                stored_after=stored,
-                emitted_after=emitted,
-            )
-        )
+        if at == drawn.size:
+            _pack(packed, emitted - at, drawn, p.ell)
+            at = 0
+    _pack(packed, emitted - at, drawn[:at], p.ell)
 
     return StreamLog(
         params=p,
         charge_per_attempt=charge_per_attempt,
-        rounds=tuple(ledger),
-        stream_bits=stream,
-        total_retries=total_retries,
+        attempts=attempts_of,
+        packed_bits=packed,
+        stored_final=stored,
+        consumed_final=consumed,
     )

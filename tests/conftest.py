@@ -11,6 +11,7 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, settings
 
+from qkdlab.keystream import StreamParams
 from qkdlab.quantum_core import PERP, CqState, DensityOperator, Povm, PureState
 
 settings.register_profile(
@@ -31,6 +32,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# Key-stream schedules whose columns reach every branch of the epsilon formula.
+COLUMN_PARAMS = [
+    StreamParams(n0=60_000, c=60_000.0, ell=256, ell0=12_000),
+    StreamParams(n0=60_000, c=60_000.0, ell=256, ell0=100),  # clamped early rounds
+    StreamParams(n0=30_000, c=7.3, ell=100, ell0=50),
+    StreamParams(gamma=0.002, rate_rho=0.03, nu=0.0007, n0=10**6, c=10**6, ell0=40_000, eps0=1e-12),  # an int c
+    StreamParams(gamma=1.0, n0=10, c=1.0, ell=1000, ell0=1),  # exponents past the 700 cap
+    StreamParams(rate_rho=1e305, n0=10**4, c=1e-305, ell=4, ell0=5),  # rate_rho * n_i overflows
+]
+COLUMN_PARAMS_IDS = ["small", "clamped", "slow_growth", "int_c", "capped", "overflowed"]
 
 
 def make_pure(amplitudes) -> PureState:

@@ -1,7 +1,9 @@
 """End-to-end CLI coverage, run in process against qkdlab.cli.main."""
 
 import contextlib
+import csv
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -9,12 +11,14 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qkdlab
+from conftest import COLUMN_PARAMS, COLUMN_PARAMS_IDS
 from qkdlab import attack_lab, cli, keystream, security_metrics
 from qkdlab.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
 from qkdlab.keystream import LedgerBroken, StreamParams
@@ -624,7 +628,14 @@ def _schedule_reference(params, rounds, real_valued, csv_path, timestamp=None):
     }
     if timestamp is not None:
         payload["generated_at"] = timestamp
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n", keystream.schedule_csv(records)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\r\n")
+    writer.writerow(["i", "n_i", "ell_i", "eps_i", "cumulative_eps"])
+    running = 0.0
+    for r in records:  # summed in round order
+        running += r.eps_i
+        writer.writerow([r.i, r.n_i, r.ell_i, repr(r.eps_i), repr(running)])
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n", text.getvalue()
 
 
 @pytest.mark.parametrize("real_valued", [False, True])
@@ -646,11 +657,78 @@ def test_keystream_schedule_prints_what_json_dumps_gives(
         assert '"clamped": true,' in want and '"eps_i": 1.0,' in want
 
 
-def test_keystream_schedule_rows_span_several_write_batches(capsys):
+def test_keystream_schedule_rows_span_several_write_batches(capsys, tmp_path, monkeypatch):
     argv, params = SCHEDULES[1]
-    code, out, _ = run_cli(capsys, ["keystream-schedule", *argv, "--rounds", "10000"])
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, ["keystream-schedule", *argv, "--rounds", "10000", "--csv", "schedule.csv"])
     assert code == EXIT_OK
-    assert out == _schedule_reference(params, 10_000, False, None)[0]
+    want, want_csv = _schedule_reference(params, 10_000, False, "schedule.csv")
+    assert out == want
+    assert (tmp_path / "schedule.csv").read_bytes() == want_csv.encode()
+
+
+@pytest.mark.parametrize("rounds", [keystream._BATCH - 1, keystream._BATCH, keystream._BATCH + 1])
+def test_keystream_schedule_json_and_csv_at_batch_edges(capsys, tmp_path, monkeypatch, rounds):
+    argv, params = SCHEDULES[1]
+    monkeypatch.chdir(tmp_path)
+    command = ["keystream-schedule", *argv, "--rounds", str(rounds), "--csv", "schedule.csv"]
+    want, want_csv = _schedule_reference(params, rounds, False, "schedule.csv")
+    assert run_cli(capsys, command) == (EXIT_OK, want, "")
+    assert (tmp_path / "schedule.csv").read_bytes() == want_csv.encode()
+
+
+@pytest.mark.parametrize("real_valued", [False, True])
+@pytest.mark.parametrize("params", COLUMN_PARAMS, ids=COLUMN_PARAMS_IDS)
+def test_keystream_schedule_json_and_csv_for_every_column_params(
+    capsys, tmp_path, monkeypatch, params, real_valued
+):
+    # params the command line cannot spell (an int c, exponents past the cap),
+    # written three rows to a batch so that 7 rounds cross two batch edges
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_stream_params", lambda args: params)
+    monkeypatch.setattr(cli, "_BATCH", 3)
+    monkeypatch.setattr(keystream, "_BATCH", 3)
+    command = ["keystream-schedule", "--n0", "1", "--ell0", "1", "--rounds", "7", "--csv", "schedule.csv"]
+    if real_valued:
+        command.append("--real-valued")
+    want, want_csv = _schedule_reference(params, 7, real_valued, "schedule.csv")
+    assert run_cli(capsys, command) == (EXIT_OK, want, "")
+    assert (tmp_path / "schedule.csv").read_bytes() == want_csv.encode()
+
+
+def test_keystream_schedule_traced_peak_is_bounded(tmp_path):
+    # six float columns of 10^5 rounds are 4.8 MB; a Python object per row is several times that
+    argv = ["keystream-schedule", "--n0", "60000", "--ell0", "12000", "--rounds", "100000",
+            "--out", str(tmp_path / "report.json")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+# stdout of the benchmark's key-stream commands (workload passes 0 and 1 at seed 1), pinned as sha256
+_BENCHMARK_STREAM_OUTPUTS = [
+    (["keystream-simulate", "--n0", "60000", "--ell0", "12000", "--rounds", "3000",
+      "--abort-prob", "0.1", "--seed", "580321821"],
+     "7dcefee8dff2536c30e9a41b827a30ee18684b2cd3cbe78bd4388770a13b06ad"),
+    (["keystream-simulate", "--n0", "60000", "--ell0", "12000", "--rounds", "3000",
+      "--abort-prob", "0.1", "--seed", "317438970"],
+     "f87718b2ee7d42064f3a137b9637c3e0a88fa5e4de1dc4c40c00c42a59f78194"),
+    (["keystream-schedule", "--n0", "60000", "--ell0", "12000", "--rounds", "100000"],
+     "6f6d887fc7da6368febe8bf99aa7292ce3461f3f0177fe63106d517a07367cdf"),
+    (["keystream-plan", "--target-eps", "1e-9"],
+     "1fe9936ca627c563a3e5d58231c4e133f0f09a13b7cdeb40c5127cbc89d81f86"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _BENCHMARK_STREAM_OUTPUTS, ids=lambda v: v[0] if isinstance(v, list) else "")
+def test_keystream_benchmark_commands_print_the_pinned_bytes(capsys, argv, digest):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_keystream_schedule_rows_splice_next_to_a_timestamp(capsys):

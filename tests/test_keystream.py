@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import COLUMN_PARAMS
 from qkdlab import keystream
 from qkdlab.keystream import (
     GAMMA_DEFAULT,
@@ -148,16 +150,6 @@ def _bits(rows):
     return [tuple((type(v), repr(v)) for v in row) for row in rows]
 
 
-COLUMN_PARAMS = [
-    SMALL,
-    StreamParams(n0=60_000, c=60_000.0, ell=256, ell0=100),  # clamped early rounds
-    StreamParams(n0=30_000, c=7.3, ell=100, ell0=50),
-    StreamParams(gamma=0.002, rate_rho=0.03, nu=0.0007, n0=10**6, c=10**6, ell0=40_000, eps0=1e-12),  # an int c
-    StreamParams(gamma=1.0, n0=10, c=1.0, ell=1000, ell0=1),  # exponents past the 700 cap
-    StreamParams(rate_rho=1e305, n0=10**4, c=1e-305, ell=4, ell0=5),  # rate_rho * n_i overflows
-]
-
-
 @pytest.mark.parametrize("real_valued", [False, True])
 @pytest.mark.parametrize("p", COLUMN_PARAMS)
 def test_columns_equal_a_per_round_math_reference_bit_for_bit(p, real_valued):
@@ -167,8 +159,9 @@ def test_columns_equal_a_per_round_math_reference_bit_for_bit(p, real_valued):
         warnings.simplefilter("error")  # no overflow warning from the array arithmetic
         cols = keystream._columns(p, rounds, real_valued)
         records = schedule(p, rounds, real_valued)
-    assert cols.ell[0] == p.ell0 and len(cols.ell) == rounds + 1
-    got = zip(range(1, rounds + 1), cols.n, cols.ell[1:], cols.eps, cols.term_signal, cols.term_auth, cols.clamped)
+    assert cols.ell.tolist()[0] == p.ell0 and len(cols.ell) == rounds + 1
+    columns = (cols.n, cols.ell[1:], cols.eps, cols.term_signal, cols.term_auth, cols.clamped)
+    got = zip(range(1, rounds + 1), *(column.tolist() for column in columns))
     assert _bits(got) == _bits(want)
     fields = ("i", "n_i", "ell_i", "eps_i", "term_signal", "term_auth", "clamped")
     assert _bits([tuple(getattr(r, f) for f in fields) for r in records]) == _bits(want)
@@ -176,11 +169,11 @@ def test_columns_equal_a_per_round_math_reference_bit_for_bit(p, real_valued):
 
 def test_columns_cover_clamped_and_capped_rounds():
     clamped = keystream._columns(COLUMN_PARAMS[1], 5)
-    assert clamped.clamped[0] and clamped.eps[0] == 1.0
+    assert clamped.clamped.tolist()[0] is True and clamped.eps.tolist()[0] == 1.0
     capped = keystream._columns(COLUMN_PARAMS[4], 3)
-    assert capped.term_signal[0] == math.exp(700.0)
+    assert capped.term_signal.tolist()[0] == math.exp(700.0)
     overflowed = keystream._columns(COLUMN_PARAMS[5], 3)
-    assert overflowed.term_signal == [0.0, 0.0, 0.0]
+    assert overflowed.term_signal.tolist() == [0.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +211,7 @@ def test_total_eps_is_bitwise_the_per_round_sum_for_every_plan_candidate(monkeyp
     for p, horizon, real_valued, budget in scored:
         eps = [row[3] for row in _reference_rounds(p, horizon, real_valued)]
         # summed in round order, as the per-record generator did
-        want = keystream._budget(p, eps, real_valued)
+        want = keystream._budget(p, np.array(eps), real_valued)
         assert repr(budget.partial_sum) == repr(sum(eps))
         assert repr(budget.to_json_dict()) == repr(want.to_json_dict())
 
@@ -418,6 +411,64 @@ def test_simulate_stream_catches_key_reuse(monkeypatch):
     monkeypatch.setattr(keystream, "_take", peek)
     with pytest.raises(LedgerBroken, match="round 2 reuses key bits"):
         simulate_stream(SMALL, 5, MockKeySource(0.0), np.random.default_rng(4))
+
+
+def test_simulate_stream_refuses_a_drawn_value_other_than_0_or_1():
+    calls = []
+
+    def source(num_bits: int, rng: np.random.Generator) -> np.ndarray:
+        calls.append(num_bits)
+        return np.full(num_bits, 2 if len(calls) == 3 else 1, dtype=np.uint8)
+
+    with pytest.raises(ValueError, match="other than 0 or 1 in round 3"):
+        simulate_stream(SMALL, 5, source, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("rounds", [1, 7, 8, 9, 17])
+def test_stream_bits_are_the_drawn_bits_across_packs(monkeypatch, rounds):
+    # 5-bit rounds packed 8 rounds (40 bits) at a time, so most rounds end inside a byte
+    monkeypatch.setattr(keystream, "_PACK_BITS", 40)
+    params = StreamParams(n0=50, c=1.0, ell=5, ell0=16)
+    inner, drawn = MockKeySource(0.3), []
+
+    def source(num_bits: int, rng: np.random.Generator) -> np.ndarray | None:
+        bits = inner.generate(num_bits, rng)
+        if bits is not None:
+            drawn.append(bits)
+        return bits
+
+    log = simulate_stream(params, rounds, source, np.random.default_rng(rounds))
+    assert log.packed_bits.size == -(-rounds * params.ell // 8)
+    assert log.stream_bits.dtype == np.uint8
+    assert np.array_equal(log.stream_bits, np.concatenate(drawn))
+    assert [led.attempts for led in log.rounds] == log.attempts.tolist()
+    assert sum(log.attempts.tolist()) == rounds + log.total_retries
+
+
+@pytest.mark.parametrize("charge_per_attempt", [False, True])
+def test_stream_counters_pass_int64_at_the_size_cap(charge_per_attempt):
+    # ell_i grows to 2**52 + 8, so the consumed total passes 2**63 within 8192 rounds
+    p = StreamParams(rate_rho=2.0, n0=2**20, c=float(2**39), ell=8, ell0=1000)
+    rounds = 8192
+    log = simulate_stream(p, rounds, MockKeySource(0.0), np.random.default_rng(0), charge_per_attempt)
+    consumed = sum(p.stored_len(i) for i in range(rounds))  # round i consumes ell_{i-1}
+    assert (log.consumed_final, log.stored_final) == (consumed, p.stored_len(rounds))
+    assert consumed > 2**63 and p.signal_count(rounds) <= 2**53
+    last = log.rounds[-1]
+    assert (last.consumed_after, last.stored_after) == (log.consumed_final, log.stored_final)
+    _replay_ledger(p, log)
+
+
+def test_simulate_stream_traced_peak_is_bounded():
+    # a uint8 per emitted bit and a RoundLedger per round came to 11 MB here
+    tracemalloc.start()
+    try:
+        log = simulate_stream(SMALL, 20_000, MockKeySource(0.0), np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.bits_emitted == 20_000 * SMALL.ell
+    assert peak <= 4 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_mock_key_source_validation():

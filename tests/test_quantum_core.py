@@ -84,13 +84,9 @@ def test_fully_mixed():
 # pure states and encodings
 
 
-def test_make_pure_normalization():
+def test_pure_state_normalization():
     with pytest.raises(ValueError, match="norm"):
         PureState(np.array([1.0 + 0j, 1.0]))
-    with pytest.raises(ValueError, match="zero"):
-        make_pure([0.0, 0.0])
-    psi = make_pure([3.0, 4.0])
-    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
 
 
 def test_bb84_encode_table():

@@ -9,7 +9,6 @@ from scipy import stats
 
 from conftest import (
     entropy_bits,
-    make_pure,
     rand_cq,
     rand_povm,
     standard_basis_povm,
@@ -453,7 +452,6 @@ _HALF = np.eye(2) / 2
         lambda: CqState(1, {"0": (math.nan, DensityOperator(_HALF)), "1": (1.0, DensityOperator(_HALF))}),
         lambda: DensityOperator(np.array([[math.nan, 0.0], [0.0, 0.5]])),
         lambda: PureState(np.array([math.nan, 0.0])),
-        lambda: make_pure([math.nan, 1.0]),
         lambda: Povm([("0", np.diag([1.0, math.nan])), ("1", np.diag([0.0, 1.0]))]),
         lambda: Povm.from_basis(np.array([[1.0, 0.0], [0.0, math.nan]])),
         lambda: robustness_eps({"0": math.nan, PERP: 0.5}),
@@ -461,7 +459,7 @@ _HALF = np.eye(2) / 2
         lambda: clopper_pearson_upper(1, 10, 1.5),
         lambda: clopper_pearson_upper(1, 10, math.nan),
     ],
-    ids=["cq_branch", "density", "pure_state", "make_pure", "povm", "povm_from_basis",
+    ids=["cq_branch", "density", "pure_state", "povm", "povm_from_basis",
          "robustness", "ben_or", "confidence_above_1", "confidence_nan"],
 )
 def test_nan_and_out_of_range_inputs_are_refused(build):
