@@ -33,9 +33,7 @@ import numpy as np
 from ._json import JsonRecord
 from .quantum_core import (
     CqState,
-    DensityOperator,
     Povm,
-    bb84_encode,
     cq_trace_distance,
     qubit_basis,
 )
@@ -43,9 +41,9 @@ from .security_metrics import (
     IaccSearchResult,
     SecurityReport,
     Strategy,
+    _canonical_ideal_cq,
     _evaluate,
     accessible_info_lower,
-    canonical_ideal,
     distinguishing_advantage,
     prefix_basis_povm,
 )
@@ -101,8 +99,10 @@ def _bits_from(value, width: int) -> tuple[int, ...]:
     return bits
 
 
-# _BB84_AMPS[s, r] holds the amplitudes of data bit r encoded in basis s
-_BB84_AMPS = np.array([[bb84_encode(r, s).amplitudes for r in (0, 1)] for s in (0, 1)])
+# _BB84_AMPS[s, r] holds the amplitudes of data bit r encoded in basis s:
+# basis 0 is computational (|0>, |1>), basis 1 diagonal (|+>, |->)
+_H = 1.0 / math.sqrt(2.0)
+_BB84_AMPS = np.array([[(1.0, 0.0), (0.0, 1.0)], [(_H, _H), (_H, -_H)]], dtype=np.complex128)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,11 +138,10 @@ def build_attack_state(n: int, max_qubits: int = MAX_ATTACK_QUBITS) -> AttackSta
     for i in range(n):
         factor = _BB84_AMPS[keys[:, i, None], pads[:, :, i]]
         rows = (rows[:, :, :, None] * factor[:, :, None, :]).reshape(len(keys), pads.shape[1], -1)
-    branches = {
-        "".join(map(str, s)): (p_branch, DensityOperator(weight * (r.T @ r.conj())))
-        for s, r in zip(keys.tolist(), rows)
-    }
-    return AttackState(n=n, cq=CqState(key_len=n + 1, branches=branches))
+    labels = ["".join(map(str, s)) for s in keys.tolist()]
+    matrices = rows.transpose(0, 2, 1) @ rows.conj()
+    matrices *= weight
+    return AttackState(n=n, cq=CqState.from_stack(n + 1, labels, np.full(len(keys), p_branch), matrices))
 
 
 class MarginalCheck(NamedTuple):
@@ -158,23 +157,19 @@ def fully_mixed_marginal_check(state: AttackState | CqState, tol: float = 1e-9) 
     that makes every prefix-oblivious secrecy statistic look perfect.
     """
     cq = state.cq if isinstance(state, AttackState) else state
-    n = cq.key_len - 1
-    mixed = np.eye(cq.dim, dtype=np.complex128) / cq.dim
-    worst = 0.0
-    for row in _bit_rows(n).tolist():
-        prefix = "".join(map(str, row))
-        acc = np.zeros((cq.dim, cq.dim), dtype=np.complex128)
-        mass = 0.0
-        for last in "01":
-            label = prefix + last
-            if label not in cq.branches:
-                raise ValueError(f"state is missing branch {label!r}")
-            p, rho = cq.branches[label]
-            acc += p * rho.matrix
-            mass += p
-        if mass <= 0.0:
-            raise ValueError(f"prefix {prefix!r} carries no probability")
-        worst = max(worst, float(np.abs(acc / mass - mixed).max()))
+    every = ["".join(map(str, row)) for row in _bit_rows(cq.key_len).tolist()]
+    missing = sorted(set(every) - set(cq.labels))
+    if missing:
+        raise ValueError(f"state is missing branch {missing[0]!r}")
+    d = cq.dim
+    p = cq.probs[: len(every)].reshape(-1, 2, 1, 1)  # prefix, last bit
+    mats = cq.matrices[: len(every)].reshape(-1, 2, d, d)
+    mass = p[:, 0] + p[:, 1]
+    empty = np.flatnonzero(mass.ravel() <= 0.0)
+    if empty.size:
+        raise ValueError(f"prefix {every[2 * empty[0]][:-1]!r} carries no probability")
+    mixture = (p[:, 0] * mats[:, 0] + p[:, 1] * mats[:, 1]) / mass
+    worst = float(np.abs(mixture - np.eye(d) / d).max())
     return MarginalCheck(passed=worst < tol, max_deviation=worst)
 
 
@@ -322,11 +317,6 @@ class GuessOracle(NamedTuple):
     angle: float
 
 
-# the four encodings as (data bit, amplitudes), hoisted so the angle
-# sweep stays cheap
-_BB84_TABLE = tuple((r, _BB84_AMPS[s, r]) for s in (0, 1) for r in (0, 1))
-
-
 def basis_guess_probability(theta: float) -> float:
     """Probability of guessing the BB84 data bit with one fixed basis.
 
@@ -336,8 +326,9 @@ def basis_guess_probability(theta: float) -> float:
     """
     v = qubit_basis(theta)
     total = 0.0
-    for r, amps in _BB84_TABLE:
-        total += abs(np.vdot(v[r], amps)) ** 2
+    for basis in _BB84_AMPS:
+        for r, amps in enumerate(basis):
+            total += abs(np.vdot(v[r], amps)) ** 2
     return float(total) / 4.0
 
 
@@ -345,7 +336,8 @@ def _basis_guess_probabilities(thetas: np.ndarray) -> np.ndarray:
     """:func:`basis_guess_probability` at every angle of ``thetas`` at once."""
     c, s = np.cos(thetas), np.sin(thetas)
     rows = ((c, s), (-s, c))  # the rows of qubit_basis(theta), angle by angle
-    return sum(np.abs(rows[r][0] * a0 + rows[r][1] * a1) ** 2 for r, (a0, a1) in _BB84_TABLE) / 4.0
+    encodings = [(r, a0, a1) for basis in _BB84_AMPS for r, (a0, a1) in enumerate(basis)]
+    return sum(np.abs(rows[r][0] * a0 + rows[r][1] * a1) ** 2 for r, a0, a1 in encodings) / 4.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -438,7 +430,7 @@ def secrecy_gap_report(
     fully insecure.
     """
     state = build_attack_state(n)
-    ideal = canonical_ideal(state.cq).to_cq(state.cq.key_len)
+    ideal = _canonical_ideal_cq(state.cq)
     iacc = accessible_info_lower(state.cq, search_budget=search_budget, rng_seed=seed, families=families)
     return _gap_report(state, ideal, cq_trace_distance(state.cq, ideal), iacc)
 

@@ -519,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"rounds to simulate (at most {MAX_ROUNDS})")
     p.add_argument("--abort-prob", type=float, default=0.0)
     p.add_argument("--charge-per-attempt", action="store_true",
-                   help="deduct authentication bits on every retry (usually underflows)")
+                   help="deduct authentication bits on every retry (underflows at the first retry)")
     _add_common(p)
     p.set_defaults(func=cmd_keystream_simulate)
 

@@ -606,9 +606,9 @@ def simulate_stream(
     module docstring), from which authentication takes its bits.  An
     aborting round is retried with fresh randomness; retries reuse the
     round's already-consumed authentication budget by default, while
-    ``charge_per_attempt=True`` deducts a fresh ``ell_{i-1}`` per attempt
-    (strictly more conservative, and liable to exhaust the store since
-    production never outpaces an unlucky retry run).  Running out of
+    ``charge_per_attempt=True`` deducts a fresh ``ell_{i-1}`` per attempt,
+    which fails at the first retry: each round stores exactly the next
+    round's charge, so a second attempt finds 0 bits.  Running out of
     stored bits raises :class:`KeyLedgerUnderflow` and a round that
     aborts ``max_attempts_per_round`` times raises
     :class:`RetryLimitExceeded`; a drawn bit other than 0 or 1 is a

@@ -1,13 +1,16 @@
 """Dense linear algebra for small quantum systems.
 
-Density operators, pure states, classical-quantum (cq) states, POVM
-measurement, and the distance / information measures built on top of
-them.  Everything is dense complex128 numpy; the intended regime is a
-handful of qubits (the accessible-information search refuses registers
-above :data:`DEFAULT_DIM_CAP`).  All containers are immutable after
+Density operators, classical-quantum (cq) states, POVM measurement,
+and the distance / information measures built on top of them.
+Everything is dense complex128 numpy; the intended regime is a handful
+of qubits (the accessible-information search refuses registers above
+:data:`DEFAULT_DIM_CAP`).  All containers are immutable after
 construction, so values can be shared freely.
-Measuring a cq-state gives one plain array: the ``(B, K)`` Born table
-over its branch labels and the POVM's outcome labels, which
+
+A cq-state is one validated ``(B, d, d)`` stack of branch operators
+with its sorted labels and probabilities, and is read as such.
+Measuring it gives one plain array: the ``(B, K)`` Born table over its
+branch labels and the POVM's outcome labels, which
 :func:`mutual_information` reads directly.
 
 Conventions:
@@ -16,8 +19,9 @@ Conventions:
   symbol is the reserved label :data:`PERP`, which is never a valid bit
   string and is carried explicitly alongside the key labels.
 * Logarithms in information quantities are base 2; ``0 * log 0 == 0``.
-* Tolerances are module constants and are deliberately asymmetric:
-  state vectors are held to 1e-12, operator-level checks to 1e-9.
+* Tolerances are module constants and are deliberately asymmetric: a
+  single probability is held to [0, 1] within 1e-12, operator-level
+  checks and probability sums to 1e-9.
 """
 
 from __future__ import annotations
@@ -33,10 +37,8 @@ __all__ = [
     "PERP",
     "DEFAULT_DIM_CAP",
     "DensityOperator",
-    "PureState",
     "CqState",
     "Povm",
-    "bb84_encode",
     "trace_distance",
     "cq_trace_distance",
     "measure",
@@ -54,54 +56,86 @@ PERP = "PERP"
 HERM_TOL = 1e-9
 EIG_TOL = 1e-9
 TRACE_TOL = 1e-9
-PURE_NORM_TOL = 1e-12
 PROB_SUM_TOL = 1e-12
 POVM_SUM_TOL = 1e-9
 DEFAULT_DIM_CAP = 2**14
+_STACK_CHUNK = 2**12  # complex entries (64 KB) per chunk of a matrix stack
 
 
-def _as_square_complex(matrix) -> np.ndarray:
-    m = np.array(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+def _as_square_complex(matrix, stacked: bool = False) -> np.ndarray:
+    m = np.asarray(matrix, dtype=np.complex128)
+    if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        kind = "stack of square matrices" if stacked else "square matrix"
+        raise ValueError(f"expected a {kind}, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has a non-finite entry")
     return m
+
+
+def _chunks(count: int, dim: int) -> Iterator[slice]:
+    # slices of a stack of `count` dim x dim matrices, each _STACK_CHUNK entries or one matrix
+    step = max(1, _STACK_CHUNK // dim**2)
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
+def _hermitian_psd(m: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetrised ``(B, d, d)`` stack, checked Hermitian and PSD to the operator
+    tolerances, and each matrix's lowest eigenvalue; errors name ``names[b]``."""
+    mh = m.conj().swapaxes(1, 2)
+    herm_dev = np.abs(m - mh).max(axis=(1, 2))
+    bad = np.flatnonzero(herm_dev > HERM_TOL)
+    if bad.size:
+        raise ValueError(f"{names[bad[0]]} is not Hermitian (deviation {herm_dev[bad[0]]:.3e})")
+    m = (m + mh) / 2
+    low = np.linalg.eigvalsh(m)[:, 0]
+    bad = np.flatnonzero(low < -EIG_TOL)
+    if bad.size:
+        raise ValueError(f"{names[bad[0]]} is not PSD (min eigenvalue {low[bad[0]]:.3e})")
+    return m, low
+
+
+def _density_stack(m: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    """Validate a finite ``(B, d, d)`` stack of density operators; return it read-only.
+
+    A tiny negative dip (down to -1e-9) in a spectrum is clipped to zero
+    and a trace within 1e-9 of 1 divided out, with the bits of one
+    matrix at a time; a few matrices are checked at a time.
+    """
+    out = np.empty(m.shape, dtype=np.complex128)
+    for part in _chunks(len(m), m.shape[1]):
+        rho, low = _hermitian_psd(m[part], names[part])
+        dips = low < 0.0
+        if dips.any():
+            w, v = np.linalg.eigh(rho[dips])
+            rho[dips] = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().swapaxes(1, 2)
+        tr = np.trace(rho, axis1=1, axis2=2).real
+        bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
+        if bad.size:
+            name, trace = names[part][bad[0]], float(tr[bad[0]])
+            raise ValueError(f"{name} has trace {trace!r}, not 1 within {TRACE_TOL}")
+        np.divide(rho, tr[:, None, None], out=rho, where=(tr != 1.0)[:, None, None])
+        out[part] = rho
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace complex matrix.
 
-    Construction validates all three properties.  Hermiticity is checked
-    elementwise to 1e-9 and the matrix is then exactly symmetrised.
-    Eigenvalues above ``-1e-9`` are accepted: genuine but tiny negative
-    dips are clipped to zero and the operator renormalised, while harder
-    violations raise ``ValueError``.  The stored matrix is read-only.
+    Construction validates all three properties, as a stack of one.
+    Hermiticity is checked elementwise to 1e-9 and the matrix is then
+    exactly symmetrised.  Eigenvalues above ``-1e-9`` are accepted:
+    genuine but tiny negative dips are clipped to zero and the operator
+    renormalised, while harder violations raise ``ValueError``.  The
+    stored matrix is read-only.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = _as_square_complex(self.matrix)
-        herm_dev = float(np.abs(m - m.conj().T).max())
-        if herm_dev > HERM_TOL:
-            raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
-        m = (m + m.conj().T) / 2
-        evals = np.linalg.eigvalsh(m)
-        if evals[0] < -EIG_TOL:
-            raise ValueError(f"matrix is not PSD (min eigenvalue {evals[0]:.3e})")
-        if evals[0] < 0.0:
-            w, v = np.linalg.eigh(m)
-            w = np.clip(w, 0.0, None)
-            m = (v * w) @ v.conj().T
-        tr = float(m.trace().real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr!r} is not 1 within {TRACE_TOL}")
-        if tr != 1.0:
-            m = m / tr
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _density_stack(m[None], ("matrix",))[0])
 
     @property
     def dim(self) -> int:
@@ -119,47 +153,6 @@ class DensityOperator:
         if dim < 1:
             raise ValueError("dim must be positive")
         return cls(np.eye(dim, dtype=np.complex128) / dim)
-
-
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Unit-norm complex state vector (norm within 1e-12 of 1)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.amplitudes, dtype=np.complex128)
-        if a.ndim != 1 or a.shape[0] < 1:
-            raise ValueError("amplitudes must be a nonempty 1-d vector")
-        norm = float(np.linalg.norm(a))
-        if not abs(norm - 1.0) <= PURE_NORM_TOL:
-            raise ValueError(f"state norm {norm!r} is not 1 within {PURE_NORM_TOL}")
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-
-def bb84_encode(r: int, s: int) -> PureState:
-    """BB84 encoding of data bit ``r`` in basis bit ``s``.
-
-    Basis 0 is computational, basis 1 diagonal::
-
-        (r=0, s=0) -> |0>          (r=0, s=1) -> (|0> + |1>)/sqrt(2)
-        (r=1, s=0) -> |1>          (r=1, s=1) -> (|0> - |1>)/sqrt(2)
-    """
-    if r not in (0, 1) or s not in (0, 1):
-        raise ValueError("r and s must be bits")
-    h = 1.0 / math.sqrt(2.0)
-    table = {
-        (0, 0): (1.0, 0.0),
-        (1, 0): (0.0, 1.0),
-        (0, 1): (h, h),
-        (1, 1): (h, -h),
-    }
-    return PureState(np.array(table[(r, s)], dtype=np.complex128))
 
 
 def _valid_label(label: str, key_len: int) -> bool:
@@ -183,8 +176,10 @@ class CqState:
     operators must share one dimension.  Absent labels mean probability
     zero.  Branches are stored sorted (bit strings first, PERP last) as
     a read-only ``(B, d, d)`` stack ``matrices`` with the probability
-    vector ``probs`` and the label tuple ``labels``; the read-only
-    mapping ``branches`` hands out views of that stack.
+    vector ``probs`` and the label tuple ``labels``.  :meth:`from_stack`
+    builds a state from those three; the mapping constructor takes
+    validated :class:`DensityOperator` branches and then the same path.
+    The read-only mapping ``branches`` hands out views of the stack.
     """
 
     key_len: int
@@ -194,38 +189,54 @@ class CqState:
     matrices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.key_len, int) or self.key_len < 0:
+        labels = tuple(sorted(self.branches, key=_label_sort_key))
+        entries = [self.branches[label] for label in labels]
+        if not all(isinstance(rho, DensityOperator) for _, rho in entries):
+            raise ValueError("branch operators must be DensityOperator instances")
+        if len({rho.dim for _, rho in entries}) > 1:
+            raise ValueError("all branch operators must share one dimension")
+        matrices = np.array([rho.matrix for _, rho in entries])
+        self._assemble(self.key_len, labels, [p for p, _ in entries], matrices)
+
+    @classmethod
+    def from_stack(cls, key_len: int, labels: Sequence[str], probs, matrices) -> "CqState":
+        """The state with branches ``(labels[b], probs[b], matrices[b])``; the labels must
+        come distinct and sorted, and each matrix is checked as :class:`DensityOperator` checks it."""
+        labels = tuple(labels)
+        m = _as_square_complex(matrices, stacked=True)
+        if len(m) != len(labels):
+            raise ValueError(f"{len(labels)} labels for {len(m)} branch operators")
+        cq = object.__new__(cls)
+        cq._assemble(key_len, labels, probs, _density_stack(m, [f"branch {label!r}" for label in labels]))
+        return cq
+
+    def _assemble(self, key_len: int, labels: tuple[str, ...], probs, matrices: np.ndarray) -> None:
+        # the one construction path, for a validated (B, d, d) stack
+        if not isinstance(key_len, int) or key_len < 0:
             raise ValueError("key_len must be a nonnegative integer")
-        if not self.branches:
+        if not labels:
             raise ValueError("a cq-state needs at least one branch")
-        labels = sorted(self.branches, key=_label_sort_key)
-        probs = np.empty(len(labels))
-        dim = None
-        for b, label in enumerate(labels):
-            p, rho = self.branches[label]
-            if not _valid_label(label, self.key_len):
-                raise ValueError(f"label {label!r} is not a {self.key_len}-bit string or {PERP}")
-            p = float(p)
-            if not -PROB_SUM_TOL <= p <= 1.0 + PROB_SUM_TOL:
-                raise ValueError(f"branch probability {p!r} outside [0, 1]")
-            probs[b] = min(1.0, max(0.0, p))
-            if not isinstance(rho, DensityOperator):
-                raise ValueError("branch operators must be DensityOperator instances")
-            if dim is None:
-                dim = rho.dim
-            elif rho.dim != dim:
-                raise ValueError("all branch operators must share one dimension")
+        for label in labels:
+            if not (isinstance(label, str) and _valid_label(label, key_len)):
+                raise ValueError(f"label {label!r} is not a {key_len}-bit string or {PERP}")
+        keys = [_label_sort_key(label) for label in labels]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError("labels must be distinct and sorted: bit strings in order, then PERP")
+        probs = np.array(probs, dtype=np.float64)
+        if probs.shape != (len(labels),):
+            raise ValueError(f"need one probability per label, got shape {probs.shape}")
+        bad = np.flatnonzero(~((probs >= -PROB_SUM_TOL) & (probs <= 1.0 + PROB_SUM_TOL)))
+        if bad.size:
+            raise ValueError(f"branch probability {float(probs[bad[0]])!r} outside [0, 1]")
+        probs = np.clip(probs, 0.0, 1.0)
         total = sum(probs.tolist())
         if abs(total - 1.0) > TRACE_TOL:
             raise ValueError(f"branch probabilities sum to {total!r}, not 1")
-        matrices = np.stack([self.branches[label][1].matrix for label in labels])
         matrices.setflags(write=False)
         probs.setflags(write=False)
-        views = {
-            label: (float(p), DensityOperator._view(m))
-            for label, p, m in zip(labels, probs, matrices)
-        }
-        object.__setattr__(self, "labels", tuple(labels))
+        views = {label: (float(p), DensityOperator._view(m)) for label, p, m in zip(labels, probs, matrices)}
+        object.__setattr__(self, "key_len", key_len)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "branches", MappingProxyType(views))
@@ -236,11 +247,10 @@ class CqState:
 
     @property
     def p_perp(self) -> float:
-        entry = self.branches.get(PERP)
-        return entry[0] if entry is not None else 0.0
+        return float(self.probs[-1]) if self.labels[-1] == PERP else 0.0
 
     def label_distribution(self) -> dict[str, float]:
-        return {label: p for label, (p, _) in self.branches.items()}
+        return dict(zip(self.labels, self.probs.tolist()))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -264,32 +274,18 @@ class Povm:
     def __init__(self, effects: Sequence[tuple[str, np.ndarray]]):
         if not effects:
             raise ValueError("a POVM needs at least one effect")
-        labels = []
-        mats = []
-        dim = None
-        total = None
-        for label, e in effects:
-            label = str(label)
-            if label in labels:
+        labels = [str(label) for label, _ in effects]
+        for k, label in enumerate(labels):
+            if label in labels[:k]:
                 raise ValueError(f"duplicate outcome label {label!r}")
-            labels.append(label)
-            e = _as_square_complex(e)
-            if dim is None:
-                dim = e.shape[0]
-                total = np.zeros((dim, dim), dtype=np.complex128)
-            elif e.shape[0] != dim:
-                raise ValueError("all effects must share one dimension")
-            if float(np.abs(e - e.conj().T).max()) > HERM_TOL:
-                raise ValueError(f"effect {label!r} is not Hermitian")
-            emin = float(np.linalg.eigvalsh(e)[0])
-            if emin < -EIG_TOL:
-                raise ValueError(f"effect {label!r} is not PSD (min eigenvalue {emin:.3e})")
-            total += e
-            mats.append(e)
-        dev = float(np.abs(total - np.eye(dim)).max())
+        mats = [_as_square_complex(e) for _, e in effects]
+        if len({e.shape for e in mats}) > 1:
+            raise ValueError("all effects must share one dimension")
+        stack = np.stack(mats)
+        _hermitian_psd(stack, [f"effect {label!r}" for label in labels])
+        dev = float(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])).max())
         if dev > POVM_SUM_TOL:
             raise ValueError(f"effects do not sum to identity (deviation {dev:.3e})")
-        stack = np.stack(mats)
         stack.setflags(write=False)
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "basis", None)
@@ -311,7 +307,7 @@ class Povm:
     @classmethod
     def from_basis(cls, basis: np.ndarray, labels: Sequence[str] | None = None) -> "Povm":
         """Projective POVM from the rows of an orthonormal basis matrix."""
-        v = _as_square_complex(basis)
+        v = _as_square_complex(basis).copy()
         dim = v.shape[0]
         dev = float(np.abs(v @ v.conj().T - np.eye(dim)).max())
         if dev > POVM_SUM_TOL:
@@ -382,24 +378,26 @@ def cq_trace_distance(a: CqState, b: CqState) -> float:
     ``0.5 * || p_s rho_a^s - q_s rho_b^s ||_1``, which equals the trace
     distance of the dense classical-quantum embeddings.  Labels present
     on one side only contribute with the missing side treated as
-    probability zero.  Blocks are summed in label order, so the result
-    does not depend on string hashing.
+    probability zero.  Both states are laid out on their sorted label
+    union, the blocks' eigenvalues come from batched calls over a few
+    blocks at a time, and the blocks are summed in label order.
     """
     if a.key_len != b.key_len:
         raise ValueError("cq-states have different key lengths")
     if a.dim != b.dim:
         raise ValueError("cq-states have different branch dimensions")
-    dim = a.dim
-    zero = np.zeros((dim, dim), dtype=np.complex128)
-    total = 0.0
-    for label in sorted(set(a.branches) | set(b.branches), key=_label_sort_key):
-        ea = a.branches.get(label)
-        eb = b.branches.get(label)
-        ma = ea[0] * ea[1].matrix if ea is not None else zero
-        mb = eb[0] * eb[1].matrix if eb is not None else zero
-        evals = np.linalg.eigvalsh(ma - mb)
-        total += 0.5 * float(np.abs(evals).sum())
-    return min(1.0, max(0.0, total))
+    union = sorted(set(a.labels) | set(b.labels), key=_label_sort_key)
+    row = {label: k for k, label in enumerate(union)}
+    rows = [np.array([row[s] for s in cq.labels]) for cq in (a, b)]  # increasing, as both are sorted
+    norms = []
+    for part in _chunks(len(union), a.dim):
+        blocks = np.zeros((len(union[part]), a.dim, a.dim), dtype=np.complex128)
+        lo_a, hi_a = np.searchsorted(rows[0], [part.start, part.stop])
+        lo_b, hi_b = np.searchsorted(rows[1], [part.start, part.stop])
+        blocks[rows[0][lo_a:hi_a] - part.start] = a.probs[lo_a:hi_a, None, None] * a.matrices[lo_a:hi_a]
+        blocks[rows[1][lo_b:hi_b] - part.start] -= b.probs[lo_b:hi_b, None, None] * b.matrices[lo_b:hi_b]
+        norms.append(np.abs(np.linalg.eigvalsh(blocks)).sum(axis=1))
+    return min(1.0, max(0.0, float(_ordered_sum(0.5 * np.concatenate(norms), 0))))
 
 
 def measure(rho: DensityOperator, povm: Povm) -> dict[str, float]:

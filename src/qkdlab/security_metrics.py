@@ -37,6 +37,7 @@ from .quantum_core import (
     CqState,
     DensityOperator,
     Povm,
+    _ordered_sum,
     born_table,
     cq_measure,
     cq_trace_distance,
@@ -182,24 +183,19 @@ def canonical_ideal(cq: CqState) -> IdealForm:
     there is none).  This pins down one explicit member of the ideal
     family; the distance to it upper-bounds the true secrecy epsilon.
     """
-    dim = cq.dim
-    p_perp = cq.p_perp
-    key_mass = 0.0
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for label, (p, rho) in cq.branches.items():
-        if label == PERP:
-            continue
-        key_mass += p
-        acc += p * rho.matrix
+    keyed = len(cq.labels) - (cq.labels[-1] == PERP)
+    key_mass = sum(cq.probs[:keyed].tolist())
     if key_mass > 1e-12:
+        # the weighted sum in label order, as a loop over the branches adds it
+        acc = _ordered_sum(cq.probs[:keyed, None, None] * cq.matrices[:keyed], 0)
         rho_prime = DensityOperator(acc / key_mass)
     else:
-        rho_prime = DensityOperator.fully_mixed(dim)
-    if p_perp > 0.0 and PERP in cq.branches:
-        rho_dblprime = cq.branches[PERP][1]
+        rho_prime = DensityOperator.fully_mixed(cq.dim)
+    if cq.p_perp > 0.0:
+        rho_dblprime = DensityOperator._view(cq.matrices[-1])  # the validated abort register
     else:
-        rho_dblprime = DensityOperator.fully_mixed(dim)
-    return IdealForm(p_perp=p_perp, rho_prime=rho_prime, rho_dblprime=rho_dblprime)
+        rho_dblprime = DensityOperator.fully_mixed(cq.dim)
+    return IdealForm(p_perp=cq.p_perp, rho_prime=rho_prime, rho_dblprime=rho_dblprime)
 
 
 def secrecy_eps_upper(cq: CqState) -> float:
@@ -375,6 +371,10 @@ def _povm_information(cq: CqState, povm: Povm) -> float:
 # the dense maximum is always among them.
 RESCORE_MARGIN_BITS = 1e-9
 
+# Scores up to this many bits are rounding noise (a point-mass key shows
+# 2e-16) and count as 0: rounding a lower bound down keeps it certified.
+IACC_FLOOR_BITS = 1e-12
+
 
 def _product_information(cq: CqState, thetas: Sequence[float]) -> np.ndarray:
     """Mutual information of every product measurement over ``thetas``, in
@@ -415,7 +415,9 @@ def accessible_info_lower(
 
     Every candidate is scored by the exact mutual information of the
     induced joint distribution, so the maximum found is a certified
-    lower bound on the accessible information.
+    lower bound on the accessible information.  Only candidates above
+    ``IACC_FLOOR_BITS`` count; when none does, the result is 0.0 bits
+    with strategy ``"none"``.
     """
     if search_budget <= 0:
         raise ValueError("search_budget must be positive")
@@ -428,14 +430,14 @@ def accessible_info_lower(
     rng = np.random.default_rng(rng_seed)
     nq = _qubit_count(cq.dim)
     basis_names = list(QUBIT_BASIS_ANGLES)
-    best_bits = 0.0
+    best_bits = IACC_FLOOR_BITS
     best_desc = "none"
     evaluations = 0
     searched: list[str] = []
 
     best_angles: list[float] | None = None
     if "per_qubit" in families and nq is not None and nq >= 1:
-        work = (3**nq) * len(cq.branches) * (2**nq) * cq.dim
+        work = (3**nq) * len(cq.labels) * (2**nq) * cq.dim
         if work <= exhaustive_work_cap:
             searched.append("per_qubit_exhaustive")
             assignments = list(itertools.product(basis_names, repeat=nq))
@@ -493,7 +495,7 @@ def accessible_info_lower(
             best_desc = "hill_climb:" + ",".join(f"{a:.6f}" for a in angles)
 
     return IaccSearchResult(
-        bits=max(0.0, best_bits),
+        bits=0.0 if best_desc == "none" else best_bits,
         family=tuple(searched),
         best_strategy=best_desc,
         evaluations=evaluations,

@@ -11,8 +11,9 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, settings
 
+from qkdlab.attack_lab import _BB84_AMPS
 from qkdlab.keystream import StreamParams
-from qkdlab.quantum_core import PERP, CqState, DensityOperator, Povm, PureState
+from qkdlab.quantum_core import PERP, CqState, DensityOperator, Povm
 
 settings.register_profile(
     "suite",
@@ -46,20 +47,25 @@ COLUMN_PARAMS = [
 COLUMN_PARAMS_IDS = ["small", "clamped", "slow_growth", "int_c", "capped", "overflowed"]
 
 
-def make_pure(amplitudes) -> PureState:
-    """Normalise a nonzero complex vector into a :class:`PureState`."""
+def make_pure(amplitudes) -> np.ndarray:
+    """Normalise a nonzero complex vector into a unit state vector."""
     a = np.array(amplitudes, dtype=np.complex128)
     if a.ndim != 1 or a.shape[0] < 1:
         raise ValueError("amplitudes must be a nonempty 1-d vector")
     norm = float(np.linalg.norm(a))
     if not 1e-12 <= norm < math.inf:
         raise ValueError("cannot normalise a (near-)zero or non-finite vector")
-    return PureState(a / norm)
+    return a / norm
 
 
-def to_density(psi: PureState) -> DensityOperator:
-    a = psi.amplitudes
-    return DensityOperator(np.outer(a, a.conj()))
+def bb84(r: int, s: int) -> np.ndarray:
+    """The package's BB84 amplitudes of data bit ``r`` in basis ``s`` (0 computational, 1 diagonal)."""
+    return _BB84_AMPS[s, r]
+
+
+def to_density(psi: np.ndarray) -> DensityOperator:
+    """The projector onto the unit state vector ``psi``."""
+    return DensityOperator(np.outer(psi, np.conj(psi)))
 
 
 def standard_basis_povm(dim: int) -> Povm:

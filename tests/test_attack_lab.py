@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import to_density
+from conftest import bb84, to_density
 from qkdlab import attack_lab
 from qkdlab.attack_lab import (
     AttackState,
@@ -29,7 +29,6 @@ from qkdlab.quantum_core import (
     CqState,
     DensityOperator,
     Povm,
-    bb84_encode,
     cq_measure,
     mutual_information,
 )
@@ -72,7 +71,7 @@ def test_attack_state_matches_direct_mixture():
         pads = [r for r in itertools.product([0, 1], repeat=n) if sum(r) % 2 == s[n]]
         acc = np.zeros((2**n, 2**n), dtype=np.complex128)
         for r in pads:
-            amps = functools.reduce(np.kron, [bb84_encode(r[i], s[i]).amplitudes for i in range(n)])
+            amps = functools.reduce(np.kron, [bb84(r[i], s[i]) for i in range(n)])
             acc += np.outer(amps, amps.conj()) / len(pads)
         assert np.abs(st.cq.branches[label][1].matrix - acc).max() < 1e-12
 
@@ -87,7 +86,7 @@ def test_bit_rows_enumerate_like_itertools():
 def _itertools_attack_matrices(n):
     # the state built from itertools enumerations of keys and pads, with
     # the same Kronecker products as build_attack_state
-    amps = np.array([[bb84_encode(r, s).amplitudes for r in (0, 1)] for s in (0, 1)])
+    amps = np.array([[bb84(r, s) for r in (0, 1)] for s in (0, 1)])
     keys = np.array(list(itertools.product((0, 1), repeat=n + 1)))
     by_parity = [
         [p + ((parity ^ (sum(p) & 1)),) for p in itertools.product((0, 1), repeat=n - 1)]
@@ -120,7 +119,7 @@ def test_marginal_check_passes_for_real_state():
 def test_marginal_check_detects_corruption():
     st = build_attack_state(2)
     branches = dict(st.cq.branches)
-    zero = to_density(bb84_encode(0, 0)).matrix
+    zero = to_density(bb84(0, 0)).matrix
     skew = DensityOperator(np.kron(zero, zero))
     for label in ("000", "001"):
         branches[label] = (branches[label][0], skew)

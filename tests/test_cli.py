@@ -731,6 +731,42 @@ def test_keystream_benchmark_commands_print_the_pinned_bytes(capsys, argv, diges
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# stdout of the quantum commands, pinned as sha256: the attack state, its
+# canonical ideal, the secrecy bracket, the I_acc search and the marginal check
+_QUANTUM_OUTPUTS = [
+    (["secrecy", "--n", "2", "--seed", "1"], "05c7191927b8816d454dee9b0ffd6dd4d084e6dfdc96e8e7a00ecee01be56e89"),
+    (["secrecy", "--n", "3", "--seed", "1"], "7a6ff557eab6090dd8ff1736ed7c68ea15e4b67845cf75dc026399fa609bb3aa"),
+    (["secrecy", "--n", "4", "--seed", "1"], "5678f9d633782e1b24dcf4d7e90af63a77823dfbce178ffc8ea4f645878c4ae3"),
+    (["secrecy", "--n", "5", "--seed", "1"], "92561b408b40e682b33c4fd20452deacde9779edbd52e1ef08270ebb5b003789"),
+    (["secrecy", "--n", "6", "--seed", "1"], "78ea2198e71ecccfa1f5b7c19b78e12046cd4911e768bb8a29e953dc266f2bb3"),
+    (["secrecy", "--n", "3", "--families", "per_qubit", "--seed", "4"],
+     "58aec65b92568a680a7b647e62821cf29b7768a8d3c6767f7aa499e67f116cfa"),
+    (["attack-demo", "--n", "2", "--trials", "1000", "--seed", "3"],
+     "412ba4c031c54c45495b617aeca5b44c3d9356adf4f15242efe908681422dd92"),
+    (["attack-demo", "--n", "3", "--trials", "1000", "--seed", "3"],
+     "4d449fe0a2949e508f0fa3d7e2ac8d6b7cfcb025264bc2cccbed1668e184271f"),
+    (["attack-demo", "--n", "4", "--trials", "1000", "--seed", "3"],
+     "8295726d894962ceb1e9ea48bf59d5498eca49877d4fbed2ba9a5d258541e491"),
+    (["attack-demo", "--n", "5", "--trials", "1000", "--seed", "3"],
+     "5646889f5710bcd9beb82f925695e501a00148521f3d3bb73a404dce1a2264c1"),
+    (["attack-demo", "--n", "6", "--trials", "1000", "--seed", "3"],
+     "5b5076e437f4779d0880ddccf68c200ad48dfa6dbe3b0381ac390720be500b31"),
+    (["attack-demo", "--n", "7", "--trials", "1000", "--seed", "3"],
+     "6ed15a5e44148d2efb38dfd052d22affd485a7a386eedaec1e43c00f28b7bb83"),
+]
+
+
+def _argv_id(value) -> str:
+    return "-".join(arg.lstrip("-") for arg in value) if isinstance(value, list) else ""
+
+
+@pytest.mark.parametrize("argv, digest", _QUANTUM_OUTPUTS, ids=_argv_id)
+def test_quantum_commands_print_the_pinned_bytes(capsys, argv, digest):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_keystream_schedule_rows_splice_next_to_a_timestamp(capsys):
     argv, params = SCHEDULES[0]
     code, out, _ = run_cli(capsys, ["keystream-schedule", *argv, "--rounds", "4", "--timestamp"])

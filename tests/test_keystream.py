@@ -355,6 +355,17 @@ def test_charge_per_attempt_underflows():
         )
 
 
+@pytest.mark.parametrize("ell0, seed", [(12_000, 5), (300_000, 5), (12_000, 6)])
+def test_charge_per_attempt_fails_at_the_first_retry(ell0, seed):
+    # every round leaves exactly the next round's charge in store, so the
+    # first round that needs a second attempt finds nothing left
+    p = StreamParams(n0=60_000, c=60_000.0, ell=256, ell0=ell0)
+    free = simulate_stream(p, 2000, MockKeySource(0.05), np.random.default_rng(seed))
+    first = int(np.flatnonzero(free.attempts > 1)[0]) + 1
+    with pytest.raises(KeyLedgerUnderflow, match=rf"^round {first}, attempt 2: need \d+ bits, have 0$"):
+        simulate_stream(p, 2000, MockKeySource(0.05), np.random.default_rng(seed), charge_per_attempt=True)
+
+
 def test_simulate_stream_attempt_guard():
     rng = np.random.default_rng(13)
     with pytest.raises(RetryLimitExceeded, match="attempts"):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bb84,
     dense_embedding,
     entropy_bits,
     make_pure,
@@ -24,8 +25,6 @@ from qkdlab.quantum_core import (
     CqState,
     DensityOperator,
     Povm,
-    PureState,
-    bb84_encode,
     born_table,
     cq_measure,
     cq_trace_distance,
@@ -81,28 +80,21 @@ def test_fully_mixed():
 
 
 # ---------------------------------------------------------------------------
-# pure states and encodings
-
-
-def test_pure_state_normalization():
-    with pytest.raises(ValueError, match="norm"):
-        PureState(np.array([1.0 + 0j, 1.0]))
+# state vectors and encodings
 
 
 def test_bb84_encode_table():
-    assert np.array_equal(bb84_encode(0, 0).amplitudes, [1, 0])
-    assert np.array_equal(bb84_encode(1, 0).amplitudes, [0, 1])
-    assert np.array_equal(bb84_encode(0, 1).amplitudes, [H, H])
-    assert np.array_equal(bb84_encode(1, 1).amplitudes, [H, -H])
-    with pytest.raises(ValueError):
-        bb84_encode(2, 0)
+    assert np.array_equal(bb84(0, 0), [1, 0])
+    assert np.array_equal(bb84(1, 0), [0, 1])
+    assert np.array_equal(bb84(0, 1), [H, H])
+    assert np.array_equal(bb84(1, 1), [H, -H])
 
 
 def test_bb84_cross_basis_overlap():
     # conjugate-basis states overlap in probability exactly 1/2
     for r in (0, 1):
         for rp in (0, 1):
-            ov = abs(np.vdot(bb84_encode(r, 0).amplitudes, bb84_encode(rp, 1).amplitudes)) ** 2
+            ov = abs(np.vdot(bb84(r, 0), bb84(rp, 1))) ** 2
             assert abs(ov - 0.5) < 1e-15
 
 
@@ -179,15 +171,26 @@ def test_cq_state_ordering_and_accessors():
     assert cq.dim == 2
 
 
-@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
-@settings(max_examples=30)
-def test_cq_trace_distance_equals_dense_embedding(seed, perp_a, perp_b):
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from([2, 3]))
+@settings(max_examples=40)
+def test_cq_trace_distance_equals_dense_embedding(seed, perp_a, perp_b, size_a, size_b, dim):
+    # full, partial, overlapping and disjoint label sets
     rng = np.random.default_rng(seed)
-    a = rand_cq(rng, 2, 2, include_perp=perp_a, max_branches=3)
-    b = rand_cq(rng, 2, 2, include_perp=perp_b, max_branches=3)
+    a = rand_cq(rng, 2, dim, include_perp=perp_a, max_branches=size_a)
+    b = rand_cq(rng, 2, dim, include_perp=perp_b, max_branches=size_b)
     order = sorted(set(a.branches) | set(b.branches))
     dense = nuclear_trace_distance(dense_embedding(a, order), dense_embedding(b, order))
     assert abs(cq_trace_distance(a, b) - dense) < 1e-9
+
+
+def test_cq_trace_distance_of_disjoint_label_sets_is_one():
+    rng = np.random.default_rng(8)
+    a = CqState(2, {"00": (0.25, rand_density(rng, 2)), "01": (0.75, rand_density(rng, 2))})
+    b = CqState(2, {"10": (0.5, rand_density(rng, 2)), PERP: (0.5, rand_density(rng, 2))})
+    order = ["00", "01", "10", PERP]
+    assert abs(nuclear_trace_distance(dense_embedding(a, order), dense_embedding(b, order)) - 1.0) < 1e-12
+    assert abs(cq_trace_distance(a, b) - 1.0) < 1e-12
 
 
 def test_cq_trace_distance_mismatches():
@@ -197,6 +200,80 @@ def test_cq_trace_distance_mismatches():
         cq_trace_distance(a, CqState(2, {"00": (1.0, rho)}))
     with pytest.raises(ValueError, match="dimension"):
         cq_trace_distance(a, CqState(1, {"0": (1.0, DensityOperator.fully_mixed(4))}))
+
+
+def _raw_stack(rng, count: int, dim: int, clip: bool) -> np.ndarray:
+    """``count`` unvalidated density matrices; with ``clip`` (and ``dim > 1``)
+    each has an eigenvalue of -1e-12 and a trace 1e-12 off 1, both within
+    tolerance."""
+    mats = []
+    for _ in range(count):
+        u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        w = rng.dirichlet(np.ones(dim))
+        if clip and dim > 1:
+            w[0] = -1e-12
+            w[1:] *= (1.0 + 2e-12) / w[1:].sum()
+        mats.append((u * w) @ u.conj().T)
+    return np.array(mats)
+
+
+def _from_mapping(key_len, labels, probs, matrices):
+    return CqState(key_len, {s: (p, DensityOperator(m)) for s, p, m in zip(labels, probs, matrices)})
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([1, 2, 3, 4]), st.booleans(),
+       st.integers(0, 2), st.booleans())
+@settings(max_examples=40)
+def test_from_stack_and_the_mapping_constructor_agree_bit_for_bit(seed, key_len, dim, perp, zeros, clip):
+    rng = np.random.default_rng(seed)
+    labels = [format(i, f"0{key_len}b") for i in range(2**key_len)] + [PERP] * perp
+    probs = rng.dirichlet(np.ones(len(labels)))
+    probs[rng.choice(len(labels), size=min(zeros, len(labels) - 1), replace=False)] = 0.0
+    probs /= probs.sum()
+    raw = _raw_stack(rng, len(labels), dim, clip)
+    stacked = CqState.from_stack(key_len, labels, probs, raw)
+    mapped = _from_mapping(key_len, labels[::-1], probs[::-1], raw[::-1])  # the mapping may come in any order
+    assert stacked.labels == mapped.labels == tuple(labels)
+    assert stacked.probs.tobytes() == mapped.probs.tobytes()
+    assert stacked.matrices.tobytes() == mapped.matrices.tobytes()
+    assert not stacked.matrices.flags.writeable and not stacked.probs.flags.writeable
+    if clip and dim > 1:
+        assert np.linalg.eigvalsh(stacked.matrices).min() > -1e-15  # the dip was clipped
+    assert stacked.p_perp == mapped.p_perp and stacked.label_distribution() == mapped.label_distribution()
+
+
+_HALF = np.eye(2) / 2
+_BAD_INPUTS = {
+    # case: (key_len, labels, probs, matrices), message
+    "non_hermitian": ((1, ["0", "1"], [0.5, 0.5], [_HALF, [[0.5, 1.0], [0.0, 0.5]]]), "Hermitian"),
+    "negative_eigenvalue": ((1, ["0", "1"], [0.5, 0.5], [_HALF, np.diag([1.5, -0.5])]), "PSD"),
+    "trace_off": ((1, ["0", "1"], [0.5, 0.5], [np.eye(2), _HALF]), "trace"),
+    "nan_entry": ((1, ["0", "1"], [0.5, 0.5], [_HALF, np.diag([math.nan, 0.5])]), "non-finite"),
+    "inf_entry": ((1, ["0", "1"], [0.5, 0.5], [_HALF, np.diag([math.inf, 0.5])]), "non-finite"),
+    "bad_label": ((1, ["0", "2"], [0.5, 0.5], [_HALF, _HALF]), "label"),
+    "long_label": ((1, ["0", "00"], [0.5, 0.5], [_HALF, _HALF]), "label"),
+    "duplicate_label": ((1, ["0", "0"], [0.5, 0.5], [_HALF, _HALF]), "distinct and sorted"),
+    "unsorted_labels": ((1, [PERP, "0"], [0.5, 0.5], [_HALF, _HALF]), "distinct and sorted"),
+    "mixed_dims": ((1, ["0", "1"], [0.5, 0.5], [_HALF, np.eye(4) / 4]), "dimension|shape"),
+    "nan_probability": ((1, ["0", "1"], [math.nan, 1.0], [_HALF, _HALF]), "outside"),
+    "probability_above_1": ((1, ["0", "1"], [1.5, -0.5], [_HALF, _HALF]), "outside"),
+    "negative_probability": ((1, ["0", "1"], [-0.1, 1.1], [_HALF, _HALF]), "outside"),
+    "probabilities_sum_wrong": ((1, ["0", "1"], [0.6, 0.6], [_HALF, _HALF]), "sum"),
+    "no_branch": ((1, [], [], np.empty((0, 2, 2))), "at least one"),
+}
+_MAPPING_CANNOT_SAY = {"duplicate_label", "unsorted_labels"}  # a dict has unique keys and is sorted on entry
+
+
+@pytest.mark.parametrize(
+    "build, case",
+    [(build, case) for case in _BAD_INPUTS for build in (CqState.from_stack, _from_mapping)
+     if not (build is _from_mapping and case in _MAPPING_CANNOT_SAY)],
+    ids=lambda v: getattr(v, "__name__", v).lstrip("_") if callable(v) else v,
+)
+def test_both_cq_constructors_refuse_the_same_bad_input(build, case):
+    args, message = _BAD_INPUTS[case]
+    with pytest.raises(ValueError, match=message):
+        build(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +313,7 @@ def test_standard_and_bb84_povm():
     povm = standard_basis_povm(4)
     assert povm.labels == ("00", "01", "10", "11")
     diag = Povm.from_basis(qubit_basis(math.pi / 4), labels=["0", "1"])
-    probs = measure(to_density(bb84_encode(0, 1)), diag)
+    probs = measure(to_density(bb84(0, 1)), diag)
     assert abs(probs["0"] - 1.0) < 1e-12
 
 
@@ -244,7 +321,7 @@ def test_product_qubit_povm_label_order():
     # qubit 0 is the leftmost label bit: |1> tensor |0> measured in the
     # computational product basis must give outcome "10"
     povm = product_qubit_povm([0.0, 0.0])
-    rho = to_density(PureState(np.kron(bb84_encode(1, 0).amplitudes, bb84_encode(0, 0).amplitudes)))
+    rho = to_density(np.kron(bb84(1, 0), bb84(0, 0)))
     probs = measure(rho, povm)
     assert abs(probs["10"] - 1.0) < 1e-12
 
@@ -253,7 +330,7 @@ def test_measure_born_rule_against_direct_overlap():
     rng = np.random.default_rng(23)
     for _ in range(25):
         v = rand_pure_vec(rng, 4)
-        rho = to_density(PureState(v))
+        rho = to_density(v)
         basis = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0].T
         povm = Povm.from_basis(basis)
         probs = measure(rho, povm)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import (
+    bb84,
     entropy_bits,
     rand_cq,
     rand_povm,
@@ -21,8 +22,6 @@ from qkdlab.quantum_core import (
     CqState,
     DensityOperator,
     Povm,
-    PureState,
-    bb84_encode,
     cq_measure,
     measure,
     mutual_information,
@@ -119,7 +118,7 @@ def test_canonical_ideal_structure():
 
 
 def test_canonical_ideal_all_abort_falls_back_to_fully_mixed():
-    form = canonical_ideal(CqState(1, {PERP: (1.0, to_density(bb84_encode(0, 0)))}))
+    form = canonical_ideal(CqState(1, {PERP: (1.0, to_density(bb84(0, 0)))}))
     assert np.allclose(form.rho_prime.matrix, np.eye(2) / 2)
     ideal = form.to_cq(1)
     assert set(ideal.branches) == {PERP}
@@ -141,8 +140,8 @@ def test_secrecy_upper_zero_for_ideal_state():
 def test_one_bit_readout_state_bracket_is_half():
     # key bit copied into the register: the bracket collapses to 1/2
     cq = CqState(1, {
-        "0": (0.5, to_density(bb84_encode(0, 0))),
-        "1": (0.5, to_density(bb84_encode(1, 0))),
+        "0": (0.5, to_density(bb84(0, 0))),
+        "1": (0.5, to_density(bb84(1, 0))),
     })
     assert secrecy_eps_upper(cq) == pytest.approx(0.5, abs=1e-12)
     read_out = (standard_basis_povm(2), lambda labels, zs: np.equal.outer(labels, zs))
@@ -152,7 +151,7 @@ def test_one_bit_readout_state_bracket_is_half():
 
 def test_strategy_acceptance_enumerates_exactly():
     cq = CqState(1, {
-        "0": (0.25, to_density(bb84_encode(0, 0))),
+        "0": (0.25, to_density(bb84(0, 0))),
         "1": (0.75, DensityOperator.fully_mixed(2)),
     })
     # accept outcome "1" everywhere: 0.25 * 0 + 0.75 * 0.5
@@ -292,7 +291,7 @@ def _independent_iacc_per_qubit_max(n: int) -> float:
                 for r in pads:
                     term = 1.0
                     for i in range(n):
-                        amp = bb84_encode(r[i], s[i]).amplitudes
+                        amp = bb84(r[i], s[i])
                         term *= abs(np.dot(vecs[i][z[i]], amp)) ** 2
                     p += term / len(pads)
                 joint[(s, z)] = p * 2.0 ** -(n + 1)
@@ -319,16 +318,17 @@ def test_accessible_info_matches_independent_oracle():
 
 def _dense_per_qubit_search(cq: CqState) -> tuple[str, str, int, tuple[str, ...]]:
     """The exhaustive per-qubit search with a dense Born rule for every
-    member, as ``repr`` of (bits, best strategy, evaluations, family)."""
+    member, as ``repr`` of (bits, best strategy, evaluations, family);
+    like the search, it counts only members above the noise floor."""
     n = cq.dim.bit_length() - 1
-    best_bits, best = 0.0, "none"
+    best_bits, best = security_metrics.IACC_FLOOR_BITS, "none"
     members = list(itertools.product(QUBIT_BASIS_ANGLES, repeat=n))
     for names in members:
         povm = product_qubit_povm([QUBIT_BASIS_ANGLES[name] for name in names])
         bits = mutual_information(cq_measure(cq, povm))
         if bits > best_bits:
             best_bits, best = bits, "per_qubit:" + ",".join(names)
-    return repr(max(0.0, best_bits)), best, len(members), ("per_qubit_exhaustive",)
+    return repr(0.0 if best == "none" else best_bits), best, len(members), ("per_qubit_exhaustive",)
 
 
 def _per_qubit_search(cq: CqState) -> tuple[str, str, int, tuple[str, ...]]:
@@ -370,10 +370,11 @@ def test_exhaustive_per_qubit_search_absorbs_kernel_rounding(monkeypatch):
         assert _per_qubit_search(cq) == _dense_per_qubit_search(cq)
 
 
-@pytest.mark.parametrize("dim, dense", [(4, ("0.0", "none", 9, ("per_qubit_exhaustive",))), (8, None)])
+@pytest.mark.parametrize("dim, dense", [(4, ("0.0", "none", 9, ("per_qubit_exhaustive",))),
+                                        (8, ("0.0", "none", 27, ("per_qubit_exhaustive",)))])
 def test_exhaustive_per_qubit_search_rescores_every_member_of_a_full_tie(monkeypatch, dim, dense):
     # a fully mixed register: every member learns nothing, exactly at
-    # dim 4 and up to rounding at dim 8
+    # dim 4 and up to rounding (below the noise floor) at dim 8
     mixed = DensityOperator.fully_mixed(dim)
     cq = CqState(key_len=2, branches={"00": (0.5, mixed), "11": (0.25, mixed), PERP: (0.25, mixed)})
     calls = []
@@ -381,8 +382,25 @@ def test_exhaustive_per_qubit_search_rescores_every_member_of_a_full_tie(monkeyp
     got = _per_qubit_search(cq)
     assert len(calls) == got[2]  # every member re-scored
     assert got == _dense_per_qubit_search(cq)
-    if dense is not None:
-        assert got == dense
+    assert got == dense
+
+
+@pytest.mark.parametrize(
+    "branches",
+    [{"00": (0.5, 8), "11": (0.25, 8), PERP: (0.25, 8)}, {"0": (1.0, 2)}],
+    ids=["fully_mixed_register", "single_label"],
+)
+def test_rounding_noise_is_not_reported_as_information(monkeypatch, branches):
+    # every measurement learns exactly nothing, yet rounding lifts some
+    # dense scores a few ulps above zero
+    key_len = len(next(iter(branches)))
+    cq = CqState(key_len, {s: (p, DensityOperator.fully_mixed(d)) for s, (p, d) in branches.items()})
+    got = accessible_info_lower(cq)
+    assert (got.bits, got.best_strategy) == (0.0, "none")
+    monkeypatch.setattr(security_metrics, "IACC_FLOOR_BITS", 0.0)
+    noise = accessible_info_lower(cq)  # what the floor keeps out
+    assert 0.0 < noise.bits < 1e-15 and noise.best_strategy != "none"
+    assert noise.evaluations == got.evaluations
 
 
 def test_accessible_info_sampling_fallback_and_validation():
@@ -451,7 +469,7 @@ _HALF = np.eye(2) / 2
     [
         lambda: CqState(1, {"0": (math.nan, DensityOperator(_HALF)), "1": (1.0, DensityOperator(_HALF))}),
         lambda: DensityOperator(np.array([[math.nan, 0.0], [0.0, 0.5]])),
-        lambda: PureState(np.array([math.nan, 0.0])),
+        lambda: CqState.from_stack(1, ["0", "1"], [0.5, 0.5], [_HALF, np.diag([math.nan, 0.5])]),
         lambda: Povm([("0", np.diag([1.0, math.nan])), ("1", np.diag([0.0, 1.0]))]),
         lambda: Povm.from_basis(np.array([[1.0, 0.0], [0.0, math.nan]])),
         lambda: robustness_eps({"0": math.nan, PERP: 0.5}),
@@ -459,7 +477,7 @@ _HALF = np.eye(2) / 2
         lambda: clopper_pearson_upper(1, 10, 1.5),
         lambda: clopper_pearson_upper(1, 10, math.nan),
     ],
-    ids=["cq_branch", "density", "pure_state", "povm", "povm_from_basis",
+    ids=["cq_branch", "density", "cq_stack", "povm", "povm_from_basis",
          "robustness", "ben_or", "confidence_above_1", "confidence_nan"],
 )
 def test_nan_and_out_of_range_inputs_are_refused(build):
