@@ -34,6 +34,7 @@ from ._json import JsonRecord
 from .quantum_core import (
     CqState,
     Povm,
+    _chunks,
     cq_trace_distance,
     qubit_basis,
 )
@@ -168,8 +169,10 @@ def fully_mixed_marginal_check(state: AttackState | CqState, tol: float = 1e-9) 
     empty = np.flatnonzero(mass.ravel() <= 0.0)
     if empty.size:
         raise ValueError(f"prefix {every[2 * empty[0]][:-1]!r} carries no probability")
-    mixture = (p[:, 0] * mats[:, 0] + p[:, 1] * mats[:, 1]) / mass
-    worst = float(np.abs(mixture - np.eye(d) / d).max())
+    fully_mixed, worst = np.eye(d) / d, 0.0
+    for part in _chunks(len(mass), d):  # a few prefixes at a time
+        mixture = (p[part, 0] * mats[part, 0] + p[part, 1] * mats[part, 1]) / mass[part]
+        worst = max(worst, float(np.abs(mixture - fully_mixed).max()))
     return MarginalCheck(passed=worst < tol, max_deviation=worst)
 
 

@@ -369,29 +369,18 @@ def cmd_keystream_simulate(args: argparse.Namespace, parser: argparse.ArgumentPa
     seed = _resolve_seed(args, parser)
     params = _stream_params(args)
     rng = np.random.default_rng(seed)
-    log = simulate_stream(
-        params,
-        args.rounds,
-        MockKeySource(abort_prob=args.abort_prob),
-        rng,
-        charge_per_attempt=args.charge_per_attempt,
-    )
+    log = simulate_stream(params, args.rounds, MockKeySource(abort_prob=args.abort_prob), rng)
     result = {
         "params": params.to_json_dict(),
         "rounds": args.rounds,
         "abort_prob": args.abort_prob,
-        "charge_per_attempt": args.charge_per_attempt,
         "bits_emitted": log.bits_emitted,
         "total_retries": log.total_retries,
         "stored_final": log.stored_final,
         "consumed_final": log.consumed_final,
         "conservation_ok": True,
     }
-    cli_params = {
-        "rounds": args.rounds,
-        "abort_prob": args.abort_prob,
-        "charge_per_attempt": args.charge_per_attempt,
-    }
+    cli_params = {"rounds": args.rounds, "abort_prob": args.abort_prob}
     _emit(_envelope("keystream-simulate", seed, cli_params, result, args.timestamp), args.out)
     return EXIT_OK
 
@@ -518,8 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=_at_most(MAX_ROUNDS), default=50,
                    help=f"rounds to simulate (at most {MAX_ROUNDS})")
     p.add_argument("--abort-prob", type=float, default=0.0)
-    p.add_argument("--charge-per-attempt", action="store_true",
-                   help="deduct authentication bits on every retry (underflows at the first retry)")
     _add_common(p)
     p.set_defaults(func=cmd_keystream_simulate)
 

@@ -16,12 +16,14 @@ are RATE_RHO_DEFAULT = 1e-2 and GAMMA_DEFAULT = NU_DEFAULT = 1e-3.
 
 The module also contains an exact bit-conservation simulator for the
 store/consume/emit ledger, which is where accounting bugs would hide.
-Every produced bit has an index: round i's output is the half-open
-range ``[produced, produced + ell_i + ell)``, whose first ``ell_i`` bits
-are stored and last ``ell`` emitted, and the initial secret is
-``[-ell0, 0)``.  Stored key is kept as ranges in first-in, first-out
-order and only the emitted bits are ever drawn, so the simulator can
-check that no key bit is used twice, which composability forbids.
+Round i's output is ``ell_i`` stored bits followed by ``ell`` emitted
+ones.  The initial secret and then every round's stored part make up the
+stored stream, which authentication reads first in, first out: round i
+consumes its offsets ``[C_{i-1}, C_i)``, ``C_i = ell_0 + ... + ell_{i-1}``.
+The simulator checks in closed form, for all rounds at once, that every
+consumed range exists when it is read, that no two overlap and that no
+stored bit goes missing, so no key bit is used twice, which
+composability forbids.  Only the emitted bits are drawn, in one batch.
 
 Sizes count bits or signals and are evaluated in floating point, so
 they must stay at most 2**53, the largest range over which a float
@@ -30,13 +32,11 @@ holds every integer exactly; larger sizes are a ``ValueError``.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import functools
 import io
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -466,9 +466,11 @@ class LedgerBroken(StreamError):
 class MockKeySource:
     """Stand-in key source: fresh random bits, or an abort with fixed probability.
 
-    :func:`simulate_stream` asks it for the ``ell`` emitted bits of a round
-    only; the stored part of the round's output is tracked as an index
-    range and never drawn.
+    An aborted attempt is retried, so a round takes a geometric number of
+    attempts with success probability ``1 - abort_prob``.  :func:`simulate_stream`
+    draws those counts for every round at once and then asks :meth:`generate`
+    for the emitted bits of all rounds in one call; the stored part of each
+    round's output is tracked as stream offsets and never drawn.
     """
 
     abort_prob: float = 0.0
@@ -477,46 +479,23 @@ class MockKeySource:
         if not 0.0 <= self.abort_prob <= 1.0:
             raise ValueError("abort_prob must lie in [0, 1]")
 
-    def generate(self, num_bits: int, rng: np.random.Generator) -> np.ndarray | None:
-        if self.abort_prob > 0.0 and rng.random() < self.abort_prob:
-            return None
-        return rng.integers(0, 2, size=num_bits, dtype=np.uint8)
+    def generate(self, num_bits: int, rng: np.random.Generator) -> np.ndarray:
+        """``num_bits`` fresh random bits, packed eight to a byte (``np.packbits`` order, zero padded)."""
+        packed = rng.integers(0, 256, -(-num_bits // 8), dtype=np.uint8)
+        if num_bits % 8:
+            packed[-1] &= (0xFF00 >> num_bits % 8) & 0xFF  # keep the bits in use
+        return packed
 
 
-def _take(store: deque[tuple[int, int]], need: int) -> list[tuple[int, int]]:
-    """Remove the first ``need`` bits from the FIFO ``store`` of index ranges."""
-    taken = []
-    while need > 0:
-        start, end = store.popleft()
-        cut = min(end, start + need)
-        taken.append((start, cut))
-        if cut < end:
-            store.appendleft((cut, end))
-        need -= cut - start
-    return taken
+def _consumption(ell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stored-stream bits ``[start, end)`` that rounds 1..R consume, each in its round's frame.
 
-
-def _claim(used: list[int], start: int, end: int) -> bool:
-    """Add ``[start, end)`` to ``used``; False if it overlaps a range already there.
-
-    ``used`` holds disjoint ranges as sorted bounds ``[s0, e0, s1, e1, ...]``;
-    touching ranges are merged, so a stream that uses its key in order
-    keeps it at a few entries.
+    ``ell`` holds ``ell_0..ell_R``.  Round i's offsets count from ``C_{i-1}``,
+    where the bits stored by round i-1 begin (see :func:`_check_ledger`).
+    First in, first out, round i takes exactly those ``ell_{i-1}`` bits:
+    ``[0, ell_{i-1})``, which is ``[C_{i-1}, C_i)`` of the stream.
     """
-    k = bisect.bisect_right(used, start)
-    if k % 2 or (k < len(used) and used[k] < end):
-        return False
-    left = k > 0 and used[k - 1] == start
-    right = k < len(used) and used[k] == end
-    if left and right:
-        del used[k - 1:k + 1]
-    elif left:
-        used[k - 1] = end
-    elif right:
-        used[k] = start
-    else:
-        used[k:k] = [start, end]
-    return True
+    return np.zeros_like(ell[:-1]), ell[:-1].copy()
 
 
 @dataclass(frozen=True)
@@ -542,7 +521,6 @@ class StreamLog:
     """
 
     params: StreamParams
-    charge_per_attempt: bool
     attempts: np.ndarray
     packed_bits: np.ndarray
     stored_final: int
@@ -570,125 +548,93 @@ class StreamLog:
         for i, n_i, need, ell_i, attempts in zip(
             itertools.count(1), _elements(n), _elements(ell), _elements(ell[1:]), _elements(self.attempts)
         ):
-            charged = need * attempts if self.charge_per_attempt else need
-            consumed += charged
-            stored += ell_i - charged
+            consumed += need
+            stored += ell_i - need
             ledger.append(RoundLedger(i, n_i, ell_i, attempts, consumed, stored, i * p.ell))
         return tuple(ledger)
 
 
-_PACK_BITS = 2**20  # emitted bits collected before they are packed
+def _check_ledger(p: StreamParams, ell: np.ndarray) -> tuple[int, int]:
+    """Check every round's consumption of the stored stream; return the final stored and consumed counts.
 
-
-def _pack(packed: np.ndarray, first: int, bits: np.ndarray, ell: int) -> None:
-    """Pack ``bits``, emitted from bit ``first`` on (a multiple of 8), into ``packed``."""
-    if bits.size and bits.max() > 1:
-        at = first + int(np.argmax(bits > 1))
-        raise ValueError(f"key source returned a value other than 0 or 1 in round {at // ell + 1}")
-    chunk = np.packbits(bits)
-    packed[first // 8:first // 8 + chunk.size] = chunk
+    ``ell`` holds ``ell_0..ell_R``.  The stored stream is the initial secret
+    followed by each round's stored part, so no emitted bit has an offset in
+    it.  Round i's offsets count from ``C_{i-1} = ell_0 + ... + ell_{i-2}``,
+    where round i-1's stored bits begin: the stream then ends at
+    ``ell_{i-1}``, and round i-1's frame starts at ``-ell_{i-2}``.  The
+    frames keep every offset near 0, so int64 holds them exactly at any
+    stream length; only the totals are summed as Python ints.
+    """
+    starts, ends = _consumption(ell)
+    short = np.flatnonzero(ends > ell[:-1])
+    if short.size:
+        i = short[0]
+        raise KeyLedgerUnderflow(f"round {i + 1}: need {ends[i] - starts[i]} bits, have {ell[i] - starts[i]}")
+    # where the previous round stopped reading, in this round's frame; ranges that run
+    # forward, each from at or past the previous one's end, are pairwise disjoint
+    front = np.concatenate(([0], ends[:-1] - ell[:-2]))
+    reused = np.flatnonzero((starts < front) | (ends < starts))
+    if reused.size:
+        i = reused[0]
+        raise LedgerBroken(
+            f"round {i + 1} reuses key bits: it consumes [{starts[i]}, {ends[i]}) of the key stored before it,"
+            f" which earlier rounds read up to offset {front[i]}"
+        )
+    rounds, total = len(ends), sum(_elements(ell))
+    emitted = rounds * p.ell
+    produced = total - p.ell0 + emitted
+    stored = int(ell[-1]) + int(ell[-2]) - int(ends[-1])  # the bits past the last consumed offset
+    consumed = sum(_elements(ends - starts))
+    if emitted + stored + consumed != produced + p.ell0:  # some round skipped stored bits
+        raise LedgerBroken(f"ledger broken at round {int(np.argmax(starts != front)) + 1}")
+    return stored, consumed
 
 
 def simulate_stream(
     p: StreamParams,
     rounds: int,
-    key_source: MockKeySource | Callable[[int, np.random.Generator], np.ndarray | None],
+    key_source: MockKeySource,
     rng: np.random.Generator,
-    charge_per_attempt: bool = False,
     max_attempts_per_round: int = 100_000,
 ) -> StreamLog:
     """Run the stream, enforcing the bit-conservation ledger exactly.
 
     Each round consumes the previous round's stored key (``ell_{i-1}``
     bits of authentication material), stores ``ell_i`` and emits
-    ``ell``.  The key source is asked for the ``ell`` emitted bits only;
-    stored key is a first-in, first-out queue of index ranges (see the
-    module docstring), from which authentication takes its bits.  An
-    aborting round is retried with fresh randomness; retries reuse the
-    round's already-consumed authentication budget by default, while
-    ``charge_per_attempt=True`` deducts a fresh ``ell_{i-1}`` per attempt,
-    which fails at the first retry: each round stores exactly the next
-    round's charge, so a second attempt finds 0 bits.  Running out of
-    stored bits raises :class:`KeyLedgerUnderflow` and a round that
-    aborts ``max_attempts_per_round`` times raises
-    :class:`RetryLimitExceeded`; a drawn bit other than 0 or 1 is a
-    ``ValueError``.  After every round the identity
+    ``ell``.  Stored key is read first in, first out: round i consumes
+    offsets ``[C_{i-1}, C_i)`` of the stored stream (see the module
+    docstring).  Every round is checked at once, in closed form, over
+    exact integers:
 
-        emitted + stored + consumed == produced + ell0
+    - a round that consumes past the stored total raises
+      :class:`KeyLedgerUnderflow`;
+    - each round must run forward from at or past where the previous
+      one ended, so no consumed bit is used twice; the offsets address
+      stored bits only, so no emitted bit is consumed either;
+    - ``emitted + stored + consumed == produced + ell0``, where
+      ``stored`` counts the bits past the last consumed offset, so a
+      round that skips stored bits breaks it.
 
-    is checked over exact integers, and so is that no consumed range
-    overlaps another consumed or an emitted range; either failure
-    raises :class:`LedgerBroken`.
-
-    The sizes are read from their array ``_BATCH`` rounds at a time and
-    the emitted bits are kept packed, so memory grows by about
-    ``16 + ell / 8`` bytes per round.
+    The last two raise :class:`LedgerBroken`.  An aborting round is
+    retried with fresh randomness and reuses its already-consumed
+    authentication budget; every round's attempt count is drawn at once,
+    and :class:`RetryLimitExceeded` names the first round that needs more
+    than ``max_attempts_per_round``.  The emitted bits of all rounds are
+    one :meth:`MockKeySource.generate` draw, kept packed, so the run
+    keeps about ``8 + ell / 8`` bytes per round; while the sizes and the
+    ledger are worked out, about 50 more are in use.
     """
-    ell = _sizes(p, rounds)[1]
-    generate = key_source.generate if isinstance(key_source, MockKeySource) else key_source
-    stored = p.ell0
-    consumed = 0
-    produced = 0
-    emitted = 0
-    store = deque([(-p.ell0, 0)])
-    used: list[int] = []
-    attempts_of = np.ones(rounds, dtype=np.int64)
-    packed = np.empty(-(-rounds * p.ell // 8), dtype=np.uint8)
-    # whole rounds, and a multiple of 8 of them unless that is all, so that every pack starts on a byte
-    drawn = np.empty(min(rounds, 8 * max(1, _PACK_BITS // (8 * p.ell))) * p.ell, dtype=np.uint8)
-    at = 0
-
-    for i, need, ell_i in zip(range(1, rounds + 1), _elements(ell), _elements(ell[1:])):
-        taken: list[tuple[int, int]] = []
-        attempts = 0
-        if not charge_per_attempt:
-            if stored < need:
-                raise KeyLedgerUnderflow(f"round {i}: need {need} bits, have {stored}")
-            stored -= need
-            consumed += need
-            taken += _take(store, need)
-        while True:
-            attempts += 1
-            if attempts > max_attempts_per_round:
-                raise RetryLimitExceeded(f"round {i}: exceeded {max_attempts_per_round} attempts")
-            if charge_per_attempt:
-                if stored < need:
-                    raise KeyLedgerUnderflow(
-                        f"round {i}, attempt {attempts}: need {need} bits, have {stored}"
-                    )
-                stored -= need
-                consumed += need
-                taken += _take(store, need)
-            bits = generate(p.ell, rng)
-            if bits is not None:
-                break
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.shape != (p.ell,):
-            raise ValueError(f"key source returned {bits.shape}, expected {(p.ell,)}")
-        drawn[at:at + p.ell] = bits
-        at += p.ell
-        store.append((produced, produced + ell_i))
-        emitted_range = (produced + ell_i, produced + ell_i + p.ell)
-        stored += ell_i
-        produced += ell_i + p.ell
-        emitted += p.ell
-        if attempts > 1:
-            attempts_of[i - 1] = attempts
-        for start, end in [*taken, emitted_range]:
-            if not _claim(used, start, end):
-                raise LedgerBroken(f"round {i} reuses key bits in [{start}, {end})")
-        if emitted + stored + consumed != produced + p.ell0:
-            raise LedgerBroken(f"ledger broken at round {i}")
-        if at == drawn.size:
-            _pack(packed, emitted - at, drawn, p.ell)
-            at = 0
-    _pack(packed, emitted - at, drawn[:at], p.ell)
-
+    stored, consumed = _check_ledger(p, _sizes(p, rounds)[1])
+    if key_source.abort_prob == 1.0:  # no attempt ever succeeds
+        raise RetryLimitExceeded(f"round 1: exceeded {max_attempts_per_round} attempts")
+    attempts = rng.geometric(1.0 - key_source.abort_prob, rounds)
+    over = np.flatnonzero(attempts > max_attempts_per_round)
+    if over.size:
+        raise RetryLimitExceeded(f"round {over[0] + 1}: exceeded {max_attempts_per_round} attempts")
     return StreamLog(
         params=p,
-        charge_per_attempt=charge_per_attempt,
-        attempts=attempts_of,
-        packed_bits=packed,
+        attempts=attempts,
+        packed_bits=key_source.generate(rounds * p.ell, rng),
         stored_final=stored,
         consumed_final=consumed,
     )

@@ -396,6 +396,12 @@ def cq_trace_distance(a: CqState, b: CqState) -> float:
         lo_b, hi_b = np.searchsorted(rows[1], [part.start, part.stop])
         blocks[rows[0][lo_a:hi_a] - part.start] = a.probs[lo_a:hi_a, None, None] * a.matrices[lo_a:hi_a]
         blocks[rows[1][lo_b:hi_b] - part.start] -= b.probs[lo_b:hi_b, None, None] * b.matrices[lo_b:hi_b]
+        # fl(x - y) == -fl(y - x): a block whose first nonzero component is negative is
+        # negated, and -0.0 made 0.0, so both argument orders give eigvalsh the same bits
+        flat = blocks.view(np.float64).reshape(len(blocks), -1)
+        first = flat[np.arange(len(flat)), np.argmax(flat != 0.0, axis=1)]
+        np.negative(blocks, out=blocks, where=(first < 0.0)[:, None, None])
+        blocks += 0.0
         norms.append(np.abs(np.linalg.eigvalsh(blocks)).sum(axis=1))
     return min(1.0, max(0.0, float(_ordered_sum(0.5 * np.concatenate(norms), 0))))
 

@@ -37,6 +37,7 @@ from .quantum_core import (
     CqState,
     DensityOperator,
     Povm,
+    _chunks,
     _ordered_sum,
     born_table,
     cq_measure,
@@ -186,8 +187,14 @@ def canonical_ideal(cq: CqState) -> IdealForm:
     keyed = len(cq.labels) - (cq.labels[-1] == PERP)
     key_mass = sum(cq.probs[:keyed].tolist())
     if key_mass > 1e-12:
-        # the weighted sum in label order, as a loop over the branches adds it
-        acc = _ordered_sum(cq.probs[:keyed, None, None] * cq.matrices[:keyed], 0)
+        # the weighted sum in label order, as a loop over the branches adds it,
+        # a few branches at a time; each chunk's first term adds the running sum
+        probs, matrices, acc = cq.probs[:keyed, None, None], cq.matrices[:keyed], None
+        for part in _chunks(keyed, cq.dim):
+            weighted = probs[part] * matrices[part]
+            if acc is not None:
+                weighted[0] += acc
+            acc = _ordered_sum(weighted, 0)
         rho_prime = DensityOperator(acc / key_mass)
     else:
         rho_prime = DensityOperator.fully_mixed(cq.dim)

@@ -3,6 +3,7 @@ import functools
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,19 @@ def test_marginal_check_passes_for_real_state():
         check = fully_mixed_marginal_check(build_attack_state(n))
         assert check.passed
         assert check.max_deviation < 1e-9
+
+
+@pytest.mark.parametrize("check", [canonical_ideal, fully_mixed_marginal_check], ids=lambda f: f.__name__)
+def test_stack_readers_trace_little_memory(check):
+    # the n = 6 branch stack is 8 MB; whole-stack temporaries came to 16 MB and 10 MB here
+    cq = build_attack_state(6).cq
+    tracemalloc.start()
+    try:
+        check(cq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_marginal_check_detects_corruption():

@@ -1,30 +1,39 @@
 """The benchmark's traced run wraps ``qkdlab`` functions by name and counts
-work through hooks that read their arguments (``perfbench/spans.py``).
-The suite does not collect ``perfbench/``, so these checks keep those
-names and hooks working from here; they read the file and change nothing."""
+work through hooks that read their arguments (``perfbench/spans.py``), and
+it checks every command's output (``perfbench/validate.py``).  The suite
+does not collect ``perfbench/``, so these checks keep those names, hooks
+and output fields working from here; they read the files and change nothing."""
 
+import contextlib
+import functools
 import importlib
 import importlib.util
+import io
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from qkdlab import cli
 from qkdlab.quantum_core import CqState, cq_measure, product_qubit_povm
 
-_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
+@functools.cache
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_resolves_in_qkdlab():
     missing = []
-    for qualname in _spans().TARGETS:
+    for qualname in _load("spans").TARGETS:
         module_name, *outer, attr = qualname.split(".")
         owner = importlib.import_module(f"qkdlab.{module_name}")
         for part in [*outer, attr]:
@@ -37,8 +46,19 @@ def test_every_traced_name_resolves_in_qkdlab():
 def test_born_hook_counts_a_cq_state_built_from_a_stack():
     cq = CqState.from_stack(2, ["00", "01", "11"], [0.5, 0.25, 0.25], np.stack([np.eye(2) / 2] * 3))
     povm = product_qubit_povm([0.3])
-    hook = _spans().TARGETS["quantum_core.cq_measure"]
+    hook = _load("spans").TARGETS["quantum_core.cq_measure"]
     for args, kwargs in (((cq, povm), {}), ((), {"cq": cq, "povm": povm})):
         counters = Counter()
         hook(counters, args, kwargs, cq_measure(cq, povm))
         assert counters["quantum_core.born_evals"] == 3 * 2  # one per (branch, outcome)
+
+
+@pytest.mark.parametrize("seed", [1, 9973])
+@pytest.mark.parametrize("workload", sorted(_load("workloads").WORKLOADS))
+def test_benchmark_smoke_commands_pass_the_output_checks(workload, seed):
+    validate = _load("validate")
+    for argv in _load("workloads").WORKLOADS[workload].pass_commands(seed, 0, smoke=True):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert validate.problems(argv, code, out.getvalue(), err.getvalue()) == [], argv

@@ -281,10 +281,7 @@ _ARGV = st.one_of(
         "--ell": _SIZE, "--horizon": _capped_count(cli.MAX_HORIZON), "--max-n0": _SIZE,
     }),
     _argv("keystream-schedule", _STREAM, _STREAM_OPTIONS),
-    st.tuples(
-        _argv("keystream-simulate", _STREAM, {**_STREAM_OPTIONS, "--abort-prob": _ABORT}),
-        st.booleans(),
-    ).map(lambda drawn: drawn[0] + ["--charge-per-attempt"] * drawn[1]),
+    _argv("keystream-simulate", _STREAM, {**_STREAM_OPTIONS, "--abort-prob": _ABORT}),
     _argv("rsa-demo", {}, {
         "--bid": _SIZE, "--auctions": _capped_count(cli.MAX_AUCTIONS), "--max-bid": _SIZE,
         "--modulus-bits": st.one_of(st.integers(10, 70).map(str), _NUMBER),
@@ -713,10 +710,10 @@ def test_keystream_schedule_traced_peak_is_bounded(tmp_path):
 _BENCHMARK_STREAM_OUTPUTS = [
     (["keystream-simulate", "--n0", "60000", "--ell0", "12000", "--rounds", "3000",
       "--abort-prob", "0.1", "--seed", "580321821"],
-     "7dcefee8dff2536c30e9a41b827a30ee18684b2cd3cbe78bd4388770a13b06ad"),
+     "52ae56228e6854e48c78596413ae148da152beb900bb9fe7866a36766f5dc26c"),
     (["keystream-simulate", "--n0", "60000", "--ell0", "12000", "--rounds", "3000",
       "--abort-prob", "0.1", "--seed", "317438970"],
-     "f87718b2ee7d42064f3a137b9637c3e0a88fa5e4de1dc4c40c00c42a59f78194"),
+     "1bbaa4621bc047a116bae8cd2506a5d3388bfb297a4f31d580c93126e69025a8"),
     (["keystream-schedule", "--n0", "60000", "--ell0", "12000", "--rounds", "100000"],
      "6f6d887fc7da6368febe8bf99aa7292ce3461f3f0177fe63106d517a07367cdf"),
     (["keystream-plan", "--target-eps", "1e-9"],
@@ -788,15 +785,35 @@ def test_keystream_simulate_clean_run(capsys):
     assert result["total_retries"] >= 0
 
 
-def test_keystream_simulate_underflow(capsys):
+def test_keystream_simulate_underflow(capsys, monkeypatch):
+    # a ledger mutant whose rounds each read one bit past what is stored
+    original = keystream._consumption
+
+    def take_one_more(ell):
+        starts, ends = original(ell)
+        return starts, ends + 1
+
+    monkeypatch.setattr(keystream, "_consumption", take_one_more)
     code, out, err = run_cli(
         capsys,
         ["keystream-simulate", "--n0", "60000", "--ell0", "300", "--rounds", "50",
-         "--abort-prob", "0.6", "--charge-per-attempt", "--seed", "0"],
+         "--abort-prob", "0.6", "--seed", "0"],
     )
     assert code == EXIT_FINDING
     assert out == ""
-    assert json.loads(err)["error"] == "key_ledger_underflow"
+    assert json.loads(err) == {"error": "key_ledger_underflow", "detail": "round 1: need 301 bits, have 300"}
+
+
+def test_keystream_simulate_refuses_charge_per_attempt(capsys):
+    # the option is gone: a retry-charging model needs a reserve in the schedule
+    with pytest.raises(SystemExit) as exc:
+        main(["keystream-simulate", "--n0", "60000", "--ell0", "300", "--abort-prob", "0.5",
+              "--charge-per-attempt"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --charge-per-attempt" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_keystream_simulate_retry_exhaustion_is_a_finding(capsys):

@@ -3,7 +3,6 @@ import io
 import math
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -343,125 +342,132 @@ def test_simulate_stream_retries_follow_geometric_law():
     assert abs(log.total_retries - mean) <= 3 * sigma
 
 
-def test_charge_per_attempt_underflows():
-    rng = np.random.default_rng(12)
-    with pytest.raises(KeyLedgerUnderflow):
-        simulate_stream(
-            StreamParams(n0=60_000, c=60_000.0, ell=256, ell0=300),
-            50,
-            MockKeySource(0.5),
-            rng,
-            charge_per_attempt=True,
-        )
-
-
-@pytest.mark.parametrize("ell0, seed", [(12_000, 5), (300_000, 5), (12_000, 6)])
-def test_charge_per_attempt_fails_at_the_first_retry(ell0, seed):
-    # every round leaves exactly the next round's charge in store, so the
-    # first round that needs a second attempt finds nothing left
-    p = StreamParams(n0=60_000, c=60_000.0, ell=256, ell0=ell0)
-    free = simulate_stream(p, 2000, MockKeySource(0.05), np.random.default_rng(seed))
-    first = int(np.flatnonzero(free.attempts > 1)[0]) + 1
-    with pytest.raises(KeyLedgerUnderflow, match=rf"^round {first}, attempt 2: need \d+ bits, have 0$"):
-        simulate_stream(p, 2000, MockKeySource(0.05), np.random.default_rng(seed), charge_per_attempt=True)
-
-
 def test_simulate_stream_attempt_guard():
     rng = np.random.default_rng(13)
-    with pytest.raises(RetryLimitExceeded, match="attempts"):
-        simulate_stream(SMALL, 1, MockKeySource(1.0), rng, max_attempts_per_round=25)
+    with pytest.raises(RetryLimitExceeded, match=r"^round 1: exceeded 25 attempts$"):
+        simulate_stream(SMALL, 5, MockKeySource(1.0), rng, max_attempts_per_round=25)
 
 
-def test_simulate_stream_frees_each_round_draw():
-    # Only the emitted tail of a round's draw may outlive the round: when
-    # round i draws, every array drawn before round i-1 must be gone.
-    refs: list[weakref.ref] = []
-    alive_before_draw: list[int] = []
-
-    def source(num_bits: int, rng: np.random.Generator) -> np.ndarray:
-        alive_before_draw.append(sum(ref() is not None for ref in refs[:-1]))
-        bits = rng.integers(0, 2, size=num_bits, dtype=np.uint8)
-        refs.append(weakref.ref(bits))
-        return bits
-
-    log = simulate_stream(SMALL, 20, source, np.random.default_rng(2))
-    assert log.bits_emitted == 20 * SMALL.ell
-    assert len(alive_before_draw) == 20 and max(alive_before_draw) == 0
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_retry_limit_names_the_first_round_over_it(seed):
+    free = simulate_stream(SMALL, 300, MockKeySource(0.5), np.random.default_rng(seed))
+    cap = 4
+    first = int(np.flatnonzero(free.attempts > cap)[0]) + 1
+    with pytest.raises(RetryLimitExceeded, match=rf"^round {first}: exceeded {cap} attempts$"):
+        simulate_stream(SMALL, 300, MockKeySource(0.5), np.random.default_rng(seed), max_attempts_per_round=cap)
+    capped = simulate_stream(SMALL, 300, MockKeySource(0.5), np.random.default_rng(seed),
+                             max_attempts_per_round=int(free.attempts.max()))
+    assert np.array_equal(capped.attempts, free.attempts)
 
 
-def test_simulate_stream_validates_source_output():
-    rng = np.random.default_rng(14)
-
-    def short_source(num_bits, gen):
-        return np.zeros(num_bits - 1, dtype=np.uint8)
-
-    with pytest.raises(ValueError, match="key source"):
-        simulate_stream(SMALL, 1, short_source, rng)
-
-
-def test_simulate_stream_draws_only_the_emitted_bits():
-    asked: list[int] = []
-    inner = MockKeySource(0.3)
-
-    def source(num_bits: int, rng: np.random.Generator) -> np.ndarray | None:
-        asked.append(num_bits)
-        return inner.generate(num_bits, rng)
-
-    log = simulate_stream(SMALL, 25, source, np.random.default_rng(3))
-    assert log.total_retries > 0
-    assert asked == [SMALL.ell] * (25 + log.total_retries)
-
-
-def test_simulate_stream_catches_key_reuse(monkeypatch):
-    # Authentication that reads the front of the store without removing
-    # it: every counter stays right, only the index ranges show the reuse.
-    def peek(store, need):
-        start = store[0][0]
-        return [(start, start + need)]
-
-    monkeypatch.setattr(keystream, "_take", peek)
-    with pytest.raises(LedgerBroken, match="round 2 reuses key bits"):
-        simulate_stream(SMALL, 5, MockKeySource(0.0), np.random.default_rng(4))
-
-
-def test_simulate_stream_refuses_a_drawn_value_other_than_0_or_1():
+def _recording_generate(monkeypatch) -> list[tuple[int, np.ndarray]]:
+    """Record every ``MockKeySource.generate`` call as ``(num_bits, packed result)``."""
     calls = []
+    original = MockKeySource.generate
 
-    def source(num_bits: int, rng: np.random.Generator) -> np.ndarray:
-        calls.append(num_bits)
-        return np.full(num_bits, 2 if len(calls) == 3 else 1, dtype=np.uint8)
+    def generate(self, num_bits, rng):
+        packed = original(self, num_bits, rng)
+        calls.append((num_bits, packed.copy()))
+        return packed
 
-    with pytest.raises(ValueError, match="other than 0 or 1 in round 3"):
-        simulate_stream(SMALL, 5, source, np.random.default_rng(0))
+    monkeypatch.setattr(MockKeySource, "generate", generate)
+    return calls
+
+
+def test_simulate_stream_draws_only_the_emitted_bits(monkeypatch):
+    calls = _recording_generate(monkeypatch)
+    log = simulate_stream(SMALL, 25, MockKeySource(0.3), np.random.default_rng(3))
+    assert log.total_retries > 0
+    assert [num_bits for num_bits, _ in calls] == [25 * SMALL.ell]
 
 
 @pytest.mark.parametrize("rounds", [1, 7, 8, 9, 17])
 def test_stream_bits_are_the_drawn_bits_across_packs(monkeypatch, rounds):
-    # 5-bit rounds packed 8 rounds (40 bits) at a time, so most rounds end inside a byte
-    monkeypatch.setattr(keystream, "_PACK_BITS", 40)
+    # 5-bit rounds, so most rounds end inside a byte
     params = StreamParams(n0=50, c=1.0, ell=5, ell0=16)
-    inner, drawn = MockKeySource(0.3), []
-
-    def source(num_bits: int, rng: np.random.Generator) -> np.ndarray | None:
-        bits = inner.generate(num_bits, rng)
-        if bits is not None:
-            drawn.append(bits)
-        return bits
-
-    log = simulate_stream(params, rounds, source, np.random.default_rng(rounds))
+    calls = _recording_generate(monkeypatch)
+    log = simulate_stream(params, rounds, MockKeySource(0.3), np.random.default_rng(rounds))
+    [(num_bits, drawn)] = calls
+    assert num_bits == rounds * params.ell
     assert log.packed_bits.size == -(-rounds * params.ell // 8)
     assert log.stream_bits.dtype == np.uint8
-    assert np.array_equal(log.stream_bits, np.concatenate(drawn))
+    assert np.array_equal(log.stream_bits, np.unpackbits(drawn, count=num_bits))
+    # the padding past the last emitted bit is zero, as np.packbits leaves it
+    assert np.array_equal(log.packed_bits, np.packbits(log.stream_bits))
     assert [led.attempts for led in log.rounds] == log.attempts.tolist()
     assert sum(log.attempts.tolist()) == rounds + log.total_retries
 
 
-@pytest.mark.parametrize("charge_per_attempt", [False, True])
-def test_stream_counters_pass_int64_at_the_size_cap(charge_per_attempt):
+def _mutate_consumption(monkeypatch, mutate):
+    """Make ``keystream._consumption`` return ``mutate(starts, ends)`` instead.
+
+    Round i's offsets count from where round i-1's stored bits begin, so
+    it reads ``[0, ell_{i-1})`` and round i-1's range sits at ``[-ell_{i-2}, 0)``.
+    """
+    original = keystream._consumption
+    monkeypatch.setattr(keystream, "_consumption", lambda ell: mutate(*original(ell)))
+
+
+def test_simulate_stream_catches_key_reuse(monkeypatch):
+    # Authentication that reads the store without removing what it read:
+    # each round after the first reads again what the previous round read.
+    def reread(starts, ends):
+        return np.concatenate(([0], -ends[:-1])), np.concatenate((ends[:1], np.zeros_like(ends[1:])))
+
+    _mutate_consumption(monkeypatch, reread)
+    with pytest.raises(LedgerBroken, match="^round 2 reuses key bits"):
+        simulate_stream(SMALL, 5, MockKeySource(0.0), np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("round_no", [2, 3, 40])
+def test_a_round_that_reconsumes_one_bit_is_named(monkeypatch, round_no):
+    def reuse_one_bit(starts, ends):
+        starts[round_no - 1] -= 1  # one bit the previous round already used
+        return starts, ends
+
+    _mutate_consumption(monkeypatch, reuse_one_bit)
+    with pytest.raises(LedgerBroken, match=rf"^round {round_no} reuses key bits"):
+        simulate_stream(SMALL, 40, MockKeySource(0.1), np.random.default_rng(4))
+
+
+def test_a_round_that_hands_back_used_bits_is_named(monkeypatch):
+    # round 3's range runs backwards, which would hand round 2's bits back to the store
+    def reverse(starts, ends):
+        starts[2], ends[2] = ends[2], starts[2]
+        return starts, ends
+
+    _mutate_consumption(monkeypatch, reverse)
+    with pytest.raises(LedgerBroken, match="^round 3 reuses key bits"):
+        simulate_stream(SMALL, 10, MockKeySource(0.0), np.random.default_rng(0))
+
+
+def test_a_round_that_skips_stored_bits_breaks_the_ledger(monkeypatch):
+    def skip_one_bit(starts, ends):
+        starts[4] += 1  # the bit at the old start is neither consumed nor stored
+        return starts, ends
+
+    _mutate_consumption(monkeypatch, skip_one_bit)
+    with pytest.raises(LedgerBroken, match="^ledger broken at round 5$"):
+        simulate_stream(SMALL, 10, MockKeySource(0.0), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("round_no", [1, 2, 30])
+def test_consuming_past_the_stored_total_underflows(monkeypatch, round_no):
+    def take_one_more(starts, ends):
+        ends[round_no - 1] += 1  # one bit past what is stored
+        return starts, ends
+
+    _mutate_consumption(monkeypatch, take_one_more)
+    need, have = SMALL.stored_len(round_no - 1) + 1, SMALL.stored_len(round_no - 1)
+    with pytest.raises(KeyLedgerUnderflow, match=rf"^round {round_no}: need {need} bits, have {have}$"):
+        simulate_stream(SMALL, 30, MockKeySource(0.0), np.random.default_rng(0))
+
+
+def test_stream_counters_pass_int64_at_the_size_cap():
     # ell_i grows to 2**52 + 8, so the consumed total passes 2**63 within 8192 rounds
     p = StreamParams(rate_rho=2.0, n0=2**20, c=float(2**39), ell=8, ell0=1000)
     rounds = 8192
-    log = simulate_stream(p, rounds, MockKeySource(0.0), np.random.default_rng(0), charge_per_attempt)
+    log = simulate_stream(p, rounds, MockKeySource(0.0), np.random.default_rng(0))
     consumed = sum(p.stored_len(i) for i in range(rounds))  # round i consumes ell_{i-1}
     assert (log.consumed_final, log.stored_final) == (consumed, p.stored_len(rounds))
     assert consumed > 2**63 and p.signal_count(rounds) <= 2**53

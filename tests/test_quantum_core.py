@@ -36,6 +36,7 @@ from qkdlab.quantum_core import (
     total_variation,
     trace_distance,
 )
+from qkdlab.security_metrics import canonical_ideal
 
 H = 1.0 / math.sqrt(2.0)
 
@@ -191,6 +192,25 @@ def test_cq_trace_distance_of_disjoint_label_sets_is_one():
     order = ["00", "01", "10", PERP]
     assert abs(nuclear_trace_distance(dense_embedding(a, order), dense_embedding(b, order)) - 1.0) < 1e-12
     assert abs(cq_trace_distance(a, b) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("shared_label", [False, True])
+def test_cq_trace_distance_is_symmetric_bit_for_bit(shared_label):
+    # eigvalsh of -X need not be -eigvalsh(X) to the last bit; about one such
+    # one-branch pair in eight differed between the two argument orders
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        dim = int(rng.integers(2, 6))
+        a = CqState(1, {"0": (1.0, rand_density(rng, dim))})
+        b = CqState(1, {"0" if shared_label else "1": (1.0, rand_density(rng, dim))})
+        assert cq_trace_distance(a, b) == cq_trace_distance(b, a)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_attack_state_upper_bound_is_exactly_one_half_either_way(n):
+    cq = build_attack_state(n).cq
+    ideal = canonical_ideal(cq).to_cq(cq.key_len)
+    assert cq_trace_distance(cq, ideal) == cq_trace_distance(ideal, cq) == 0.5
 
 
 def test_cq_trace_distance_mismatches():

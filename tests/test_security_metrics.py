@@ -15,7 +15,7 @@ from conftest import (
     standard_basis_povm,
     to_density,
 )
-from qkdlab import security_metrics
+from qkdlab import quantum_core, security_metrics
 from qkdlab.attack_lab import build_attack_state
 from qkdlab.quantum_core import (
     PERP,
@@ -115,6 +115,21 @@ def test_canonical_ideal_structure():
     assert set(ideal.branches) == {"00", "01", "10", "11", PERP}
     for label in ("00", "01", "10", "11"):
         assert ideal.branches[label][0] == pytest.approx(key_mass / 4, abs=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [None, 12, 4])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_canonical_ideal_is_the_branch_loop_bit_for_bit(monkeypatch, chunk, seed):
+    # the sum runs a few branches at a time; chunk boundaries must not move a bit
+    if chunk is not None:
+        monkeypatch.setattr(quantum_core, "_STACK_CHUNK", chunk)
+    cq = rand_cq(np.random.default_rng(seed), 3, 2, include_perp=True)
+    keyed = len(cq.labels) - 1
+    acc = cq.probs[0] * cq.matrices[0]
+    for b in range(1, keyed):
+        acc = acc + cq.probs[b] * cq.matrices[b]
+    want = DensityOperator(acc / sum(cq.probs[:keyed].tolist())).matrix
+    assert canonical_ideal(cq).rho_prime.matrix.tobytes() == want.tobytes()
 
 
 def test_canonical_ideal_all_abort_falls_back_to_fully_mixed():
