@@ -324,28 +324,42 @@ def cmd_keystream_plan(args: argparse.Namespace, parser: argparse.ArgumentParser
 _ROUNDS_MARK = "\0rounds\0"
 # A row's keys in sort_keys order; "%s" of a Python int or finite float is what json prints.
 _ROUND_KEYS = ("clamped", "ell_i", "eps_i", "i", "n_i", "term_auth", "term_signal")
+# What json prints for the fields of a round whose terms are both 0.0.
+_ZERO_ROUND = {"clamped": "false", "eps_i": "0.0", "term_auth": "0.0", "term_signal": "0.0"}
 
 
 def _schedule_json(payload: dict, columns: _Columns) -> Iterator[str]:
     """``_json_text(payload)`` with the rows of ``columns`` in place of ``_ROUNDS_MARK``.
 
     ``json.dumps`` indents in pure Python, which takes seconds on 10^5
-    rounds; each row is written from one template instead, in the same
-    layout, and the rows are streamed in batches.
+    rounds; each row is written from a template instead, in the same
+    layout, and the rows are streamed in batches.  Rounds 1..``live`` fill
+    all seven slots; every later round has both terms 0.0, so its template
+    holds those fields fixed and fills only ``ell_i``, ``i`` and ``n_i``.
     """
     head, tail = _json_text(payload).split(json.dumps(_ROUNDS_MARK))  # exactly once
     line = head[head.rfind("\n") + 1:]
     outer = line[:len(line) - len(line.lstrip(" "))]
     item = outer + "  "
-    row = item + "{" + ",".join(f'\n{item}  "{key}": %s' for key in _ROUND_KEYS) + f"\n{item}}}"
-    rows = zip(
-        ("true" if clamped else "false" for clamped in _elements(columns.clamped)),
-        _elements(columns.ell[1:]), _elements(columns.eps), itertools.count(1),
-        _elements(columns.n), _elements(columns.term_auth), _elements(columns.term_signal),
+
+    def template(fixed: dict) -> str:
+        fields = ",".join(f'\n{item}  "{key}": {fixed.get(key, "%s")}' for key in _ROUND_KEYS)
+        return item + "{" + fields + f"\n{item}}}"
+
+    live = columns.live
+    rows = itertools.chain(
+        map(template({}).__mod__, zip(
+            ("true" if clamped else "false" for clamped in _elements(columns.clamped[:live])),
+            _elements(columns.ell[1:live + 1]), _elements(columns.eps[:live]), range(1, live + 1),
+            _elements(columns.n[:live]), _elements(columns.term_auth[:live]), _elements(columns.term_signal[:live]),
+        )),
+        map(template(_ZERO_ROUND).__mod__, zip(
+            _elements(columns.ell[live + 1:]), itertools.count(live + 1), _elements(columns.n[live:]),
+        )),
     )
     yield head + "[\n"
     separator = ""
-    while batch := ",\n".join(map(row.__mod__, itertools.islice(rows, _BATCH))):
+    while batch := ",\n".join(itertools.islice(rows, _BATCH)):
         yield separator + batch
         separator = ",\n"
     yield f"\n{outer}]" + tail

@@ -43,6 +43,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from ._json import JsonRecord
+from .quantum_core import _ordered_sum
 
 __all__ = [
     "GAMMA_DEFAULT",
@@ -72,7 +73,9 @@ NU_DEFAULT = 1e-3
 RATE_RHO_DEFAULT = 1e-2
 
 _EXP_MAX = 700.0  # math.exp overflows just above 709
+_EXP_MIN = -746.0  # math.exp is exactly 0.0 below about -745.13
 _MAX_BITS = 2**53  # every integer up to here is exactly a float
+_LOG_MAX = math.log(_MAX_BITS)  # no size exceeds 2**53, so no log of one exceeds this
 
 
 def _safe_exp(x: float) -> float:
@@ -183,7 +186,10 @@ def _sizes(p: StreamParams, rounds: int, real_valued: bool = False) -> tuple[np.
 
 
 class _Columns(NamedTuple):
-    """Rounds 1..R of a schedule as parallel arrays; ``ell[0]`` is ``ell0``, ``ell[i]`` round i's."""
+    """Rounds 1..R of a schedule as parallel arrays; ``ell[0]`` is ``ell0``, ``ell[i]`` round i's.
+
+    Every round after the first ``live`` has both terms and ``eps`` exactly 0.0, unclamped.
+    """
 
     n: np.ndarray
     ell: np.ndarray
@@ -191,6 +197,7 @@ class _Columns(NamedTuple):
     term_auth: np.ndarray
     eps: np.ndarray
     clamped: np.ndarray
+    live: int
 
 
 _BATCH = 4096  # array elements turned into Python numbers at a time
@@ -208,24 +215,60 @@ def _math(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, _elements(x)), np.float64, len(x))
 
 
+def _math_where(f: Callable[[float], float], x: np.ndarray, called: np.ndarray) -> np.ndarray:
+    """:func:`_math` of ``x`` where ``called`` is true, and 0.0 elsewhere.
+
+    Where every element is called, ``x`` goes in whole: a masked copy of a long
+    column would add 16 bytes a round to the schedule's peak.
+    """
+    if called.all():
+        return _math(f, x)
+    out = np.zeros(len(x))
+    out[called] = _math(f, x[called])
+    return out
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """``math.exp`` of every element of ``x``, called only where it can be nonzero (and on NaN)."""
+    return _math_where(math.exp, x, ~(x < _EXP_MIN))
+
+
+def _add_log(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``x + math.log(n)`` elementwise, in place, with ``log`` called only where the sum
+    can reach ``_EXP_MIN`` (and on NaN).
+
+    No ``n`` exceeds 2**53, so wherever even ``x + log(2**53)`` stays below ``_EXP_MIN``,
+    ``x`` gets 0.0 added instead: it is below ``_EXP_MIN`` too, and its :func:`_exp` is
+    0.0, as that of the sum would be.
+    """
+    x += _math_where(math.log, n, ~(x + _LOG_MAX < _EXP_MIN))
+    return x
+
+
 def _columns(p: StreamParams, rounds: int, real_valued: bool = False) -> _Columns:
     """The schedule of rounds 1..rounds, column by column.
 
     The exponents are the IEEE operations of :func:`round_eps` on arrays, but every
     ``exp`` and ``log`` is ``math``'s: numpy's differ in the last unit on some inputs.
+    ``math`` is called only where a term can be nonzero (:func:`_exp`, :func:`_add_log`):
+    ``exp`` of an exponent below ``_EXP_MIN`` is 0.0, and ``log(n_i)`` is needed only
+    where adding ``log(2**53)`` would lift ``-nu ell_{i-1}`` to ``_EXP_MIN``.  In a long
+    schedule that is the first few thousand rounds; every later one is 0.0 without a call.
     """
     n, ell = _sizes(p, rounds, real_valued)
     n_float, ell_float = n.astype(np.float64), ell.astype(np.float64)  # an int rate times int64 sizes would wrap
     with np.errstate(over="ignore"):
         signal = -p.gamma * (p.rate_rho * n_float - ell_float[1:] - p.ell)
-        auth = -p.nu * ell_float[:-1] + _math(math.log, n_float)
+        auth = _add_log(-p.nu * ell_float[:-1], n_float)
     del n_float, ell_float  # each temporary goes as soon as it is used: 8 bytes a round apiece
-    t_signal = _math(math.exp, np.minimum(signal, _EXP_MAX, out=signal))
-    t_auth = _math(math.exp, np.minimum(auth, _EXP_MAX, out=auth))
+    t_signal = _exp(np.minimum(signal, _EXP_MAX, out=signal))
+    t_auth = _exp(np.minimum(auth, _EXP_MAX, out=auth))
     del signal, auth
     eps = t_signal + t_auth
     clamped = eps > 1.0
-    return _Columns(n, ell, t_signal, t_auth, np.minimum(eps, 1.0, out=eps), clamped)
+    nonzero = eps != 0.0  # both terms are at least 0.0, so eps is 0.0 only where both are
+    live = len(eps) - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
+    return _Columns(n, ell, t_signal, t_auth, np.minimum(eps, 1.0, out=eps), clamped, live)
 
 
 def schedule(p: StreamParams, rounds: int, real_valued: bool = False) -> list[RoundRecord]:
@@ -298,9 +341,13 @@ def total_eps(p: StreamParams, horizon: int = 200, real_valued: bool = False) ->
 
 
 def _budget(p: StreamParams, eps: np.ndarray, real_valued: bool) -> StreamBudget:
-    """:func:`total_eps` given the epsilons ``eps`` of rounds 1..len(eps), summed in round order."""
+    """:func:`total_eps` given the epsilons ``eps`` of rounds 1..len(eps), at least one.
+
+    They are summed left to right in round order, on every Python version
+    (``sum`` compensates float rounding since 3.12).
+    """
     horizon = len(eps)
-    partial = sum(_elements(eps))
+    partial = float(_ordered_sum(eps, 0))
 
     g1 = p.gamma * p.c * p.rate_rho / 2.0
     g2 = p.nu * p.c * p.rate_rho / 2.0

@@ -185,7 +185,7 @@ def canonical_ideal(cq: CqState) -> IdealForm:
     family; the distance to it upper-bounds the true secrecy epsilon.
     """
     keyed = len(cq.labels) - (cq.labels[-1] == PERP)
-    key_mass = sum(cq.probs[:keyed].tolist())
+    key_mass = float(_ordered_sum(cq.probs[:keyed], 0)) if keyed else 0.0  # left to right, as sum did before 3.12
     if key_mass > 1e-12:
         # the weighted sum in label order, as a loop over the branches adds it,
         # a few branches at a time; each chunk's first term adds the running sum
@@ -264,15 +264,17 @@ def distinguishing_advantage(cq_real: CqState, cq_ideal: CqState, strategy: Stra
 def secrecy_eps_lower(cq: CqState, strategies: Sequence[Strategy]) -> float:
     """Best exact distinguishing advantage against the canonical ideal.
 
-    Every strategy is a physically realisable distinguisher, so beyond
-    rounding its advantage cannot exceed the trace distance to the
-    canonical ideal (:func:`secrecy_eps_upper`).  The true secrecy epsilon
-    is the distance to the *closest* ideal state, which can lie below
+    Every strategy is a physically realisable distinguisher, so its
+    advantage cannot exceed the trace distance to the canonical ideal
+    (:func:`secrecy_eps_upper`); the two are computed by different
+    roundings, so the result is clamped to that distance.  The true secrecy
+    epsilon is the distance to the *closest* ideal state, which can lie below
     this figure, so it is not yet a certified lower bound on epsilon.
     Computed by exact enumeration, no sampling.
     """
     ideal = _canonical_ideal_cq(cq)
-    return _lower_end([distinguishing_advantage(cq, ideal, s) for s in strategies])
+    lower = _lower_end([distinguishing_advantage(cq, ideal, s) for s in strategies])
+    return min(lower, cq_trace_distance(cq, ideal))
 
 
 def _lower_end(advantages: Sequence[float]) -> float:

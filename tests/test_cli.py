@@ -605,6 +605,10 @@ SCHEDULES = [
     (["--n0", "1000000", "--ell0", "40000", "--gamma", "0.002", "--rho", "0.03", "--nu", "0.0007",
       "--eps0", "1e-12"],
      StreamParams(gamma=0.002, rate_rho=0.03, nu=0.0007, n0=10**6, c=1e6, ell0=40_000, eps0=1e-12)),
+    # both terms are 0.0 from round 26 on, and from round 1 on
+    (["--n0", "60000", "--ell0", "12000", "--gamma", "0.1", "--nu", "0.1"],
+     StreamParams(gamma=0.1, nu=0.1, n0=60_000, c=60_000.0, ell0=12_000)),
+    (["--n0", "200000000", "--ell0", "1000000"], StreamParams(n0=2 * 10**8, c=2e8, ell0=10**6)),
 ]
 
 
@@ -770,6 +774,34 @@ def test_keystream_schedule_rows_splice_next_to_a_timestamp(capsys):
     assert code == EXIT_OK
     stamp = json.loads(out)["generated_at"]
     assert out == _schedule_reference(params, 4, False, None, timestamp=stamp)[0]
+
+
+@pytest.mark.parametrize("real_valued", [False, True])
+@pytest.mark.parametrize("schedule, live", [(0, 1000), (4, 25), (5, 0)], ids=["no_tail", "mid_run", "from_round_1"])
+def test_keystream_schedule_zero_rows_splice_next_to_a_timestamp(capsys, schedule, live, real_valued):
+    # rows from the full template only, from both, and from the zero-term one only
+    argv, params = SCHEDULES[schedule]
+    assert keystream._columns(params, 1000, real_valued).live == live
+    command = ["keystream-schedule", *argv, "--rounds", "1000", "--timestamp"]
+    code, out, _ = run_cli(capsys, [*command, "--real-valued"] if real_valued else command)
+    assert code == EXIT_OK
+    stamp = json.loads(out)["generated_at"]
+    assert out == _schedule_reference(params, 1000, real_valued, None, timestamp=stamp)[0]
+
+
+def test_keystream_schedule_calls_math_only_where_a_term_can_be_nonzero(capsys, monkeypatch):
+    # the benchmark's schedule: of its 10^5 rounds, only the first 2546 have a nonzero term
+    evaluated = []
+    original = keystream._math
+
+    def counting(f, x):
+        evaluated.append(len(x))
+        return original(f, x)
+
+    monkeypatch.setattr(keystream, "_math", counting)
+    code, out, err = run_cli(capsys, _BENCHMARK_STREAM_OUTPUTS[2][0])
+    assert (code, err) == (EXIT_OK, "")
+    assert len(evaluated) == 3 and sum(evaluated) <= 3 * 2600
 
 
 def test_keystream_simulate_clean_run(capsys):

@@ -144,6 +144,13 @@ def _reference_rounds(p, rounds, real_valued=False):
     return rows
 
 
+def _loop_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _bits(rows):
     # repr tells every float bit pattern apart (but NaN, which never occurs)
     return [tuple((type(v), repr(v)) for v in row) for row in rows]
@@ -173,6 +180,87 @@ def test_columns_cover_clamped_and_capped_rounds():
     assert capped.term_signal.tolist()[0] == math.exp(700.0)
     overflowed = keystream._columns(COLUMN_PARAMS[5], 3)
     assert overflowed.term_signal.tolist() == [0.0, 0.0, 0.0]
+
+
+# Exponents on both sides of where math.exp underflows: it is 5e-324 down to
+# about -745.1332 and exactly 0.0 below, and is not called below -746.
+_EXPONENTS = [
+    0.0, -1.0, -700.0, -745.0, -745.13, -745.1332191019411, -745.1332191019412, -745.2,
+    -745.9999999999999, -746.0, -746.0000000000001, -1e308, -math.inf, math.nan,
+]
+
+
+def test_masked_exp_is_math_exp_element_by_element():
+    x = np.array(_EXPONENTS)
+    assert _bits([keystream._exp(x).tolist()]) == _bits([list(map(math.exp, _EXPONENTS))])
+
+
+def test_masked_log_is_math_log_element_by_element(monkeypatch):
+    # each exponent as -nu ell + log n for sizes n from 1 to 2**53, and with log(2**53) taken off
+    sizes = [1.0, 2.0, 60_000.0, 2.0**52 + 1.0, 2.0**53]
+    pairs = [(t - math.log(m), m) for t in _EXPONENTS for m in sizes]
+    pairs += [(t - math.log(2.0**53), m) for t in _EXPONENTS for m in sizes]
+    x, n = map(np.array, zip(*pairs))
+    logged = []
+    original = keystream._math
+
+    def recording(f, values):
+        if f is math.log:
+            logged.extend(values.tolist())
+        return original(f, values)
+
+    monkeypatch.setattr(keystream, "_math", recording)
+    got = keystream._exp(keystream._add_log(x.copy(), n))
+    want = [math.exp(v + math.log(m)) for v, m in pairs]
+    assert _bits([got.tolist()]) == _bits([want])
+    # log is skipped exactly where x + log(2**53) stays below -746, and on nothing else
+    called = [m for v, m in pairs if not v + math.log(2.0**53) < -746.0]
+    assert _bits([logged]) == _bits([called]) and 0 < len(called) < len(pairs)
+
+
+@pytest.mark.parametrize("real_valued", [False, True])
+def test_columns_skip_only_terms_that_are_zero(monkeypatch, real_valued):
+    # both exponents fall by about 0.3 a round and pass -746 near rounds 2490 and 2550;
+    # round 2546 has the last nonzero term
+    rounds = 3000
+    calls = []
+    original = keystream._math
+
+    def counting(f, x):
+        calls.append((f.__name__, len(x)))
+        return original(f, x)
+
+    monkeypatch.setattr(keystream, "_math", counting)
+    cols = keystream._columns(SMALL, rounds, real_valued)
+    want = _reference_rounds(SMALL, rounds, real_valued)
+    columns = (cols.n, cols.ell[1:], cols.eps, cols.term_signal, cols.term_auth, cols.clamped)
+    assert _bits(zip(range(1, rounds + 1), *(column.tolist() for column in columns))) == _bits(want)
+    assert cols.live == max(i for i, _, _, eps, *_ in want if eps != 0.0) == 2546
+    assert sorted(name for name, _ in calls) == ["exp", "exp", "log"]
+    assert sum(count for _, count in calls) < 3 * 2600
+
+
+def test_columns_traced_peak_when_every_term_is_live():
+    # with c = 1 no term underflows in 2*10^5 rounds; the five columns, the float
+    # sizes and two exponent columns come to 57-58 bytes a round, and a masked
+    # copy of every round in the exp and log steps would add 16 more
+    p = StreamParams(n0=60_000, c=1.0, ell0=12_000)
+    rounds = 200_000
+    tracemalloc.start()
+    try:
+        cols = keystream._columns(p, rounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cols.live == rounds
+    assert peak <= 62 * rounds, f"traced peak {peak / rounds:.1f} bytes a round"
+
+
+@pytest.mark.parametrize("real_valued", [False, True])
+@pytest.mark.parametrize("p, rounds", [(SMALL, 100_000), *((p, 1000) for p in COLUMN_PARAMS)])
+def test_partial_sum_adds_the_epsilons_left_to_right(p, rounds, real_valued):
+    budget = total_eps(p, rounds, real_valued)
+    assert repr(budget.partial_sum) == repr(_loop_sum(keystream._columns(p, rounds, real_valued).eps.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +297,9 @@ def test_total_eps_is_bitwise_the_per_round_sum_for_every_plan_candidate(monkeyp
     assert len(scored) == 174
     for p, horizon, real_valued, budget in scored:
         eps = [row[3] for row in _reference_rounds(p, horizon, real_valued)]
-        # summed in round order, as the per-record generator did
+        # summed left to right in round order, as the per-record generator did
         want = keystream._budget(p, np.array(eps), real_valued)
-        assert repr(budget.partial_sum) == repr(sum(eps))
+        assert repr(budget.partial_sum) == repr(_loop_sum(eps))
         assert repr(budget.to_json_dict()) == repr(want.to_json_dict())
 
 

@@ -254,6 +254,18 @@ def test_default_strategy_lower_end_matches_the_report(perp):
         assert min(lower, report.eps_secret_upper) == report.eps_secret_lower
 
 
+@pytest.mark.parametrize("seed", [36, 63, 72])
+def test_lower_end_never_exceeds_the_upper_end(seed):
+    # here the best advantage comes out a few ulps above the trace distance,
+    # e.g. 0.16789778540728206 > 0.16789778540728195 at seed 36
+    cq = rand_cq(np.random.default_rng(seed), 1, 2)
+    strategies = default_strategies(cq, num_random=seed % 4, seed=seed)
+    upper = secrecy_eps_upper(cq)
+    ideal = canonical_ideal(cq).to_cq(cq.key_len)
+    assert max(distinguishing_advantage(cq, ideal, s) for s in strategies) > upper
+    assert secrecy_eps_lower(cq, strategies) == upper
+
+
 @pytest.mark.parametrize(
     "seed, key_len, dim, shape, lower, upper, iacc",
     [
