@@ -369,8 +369,7 @@ def cmd_keystream_schedule(args: argparse.Namespace, parser: argparse.ArgumentPa
     params = _stream_params(args)
     columns = _columns(params, args.rounds, real_valued=args.real_valued)
     if args.csv is not None:
-        rows = zip(itertools.count(1), _elements(columns.n), _elements(columns.ell[1:]), _elements(columns.eps))
-        _atomic_write(args.csv, _csv(rows))
+        _atomic_write(args.csv, _csv(columns))
     budget = _budget(params, columns.eps, args.real_valued)
     result = {"params": params.to_json_dict(), "budget": budget.to_json_dict(), "rounds": _ROUNDS_MARK}
     cli_params = {"rounds": args.rounds, "real_valued": args.real_valued, "csv": args.csv}

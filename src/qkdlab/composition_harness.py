@@ -771,13 +771,97 @@ class RsaKey:
         return self.n.bit_length()
 
 
-def _random_prime(bits: int, rng: np.random.Generator) -> int:
-    if bits < 5:
-        raise ValueError("prime factors need at least 5 bits")
-    while True:
-        candidate = int(rng.integers(2 ** (bits - 1), 2**bits)) | 1
-        if is_probable_prime(candidate):
-            return candidate
+def _pow_mod(base: np.ndarray, exponent: np.ndarray, modulus: np.ndarray) -> np.ndarray:
+    """``pow(b, e, m)`` elementwise, by right-to-left square and multiply; every
+    ``modulus`` must be below 2**32, so each product is exact in uint64."""
+    result = np.ones_like(base)
+    exponent = exponent.copy()
+    for _ in range(int(exponent.max(initial=0)).bit_length()):
+        result = np.where(exponent & 1, result * base % modulus, result)
+        base = base * base % modulus
+        exponent >>= 1
+    return result
+
+
+def _is_prime_u64(n: np.ndarray) -> np.ndarray:
+    """:func:`is_probable_prime` of every element of the uint64 array ``n``,
+    each of which must be below 2**32.
+
+    Trial division by ``_MR_WITNESSES``, then strong-probable-prime tests to
+    the bases {2, 7, 61}, which are deterministic below 4,759,123,141.  Below
+    2**32 every ``x * x % n`` fits in uint64, so the arithmetic is exact.
+    """
+    if n.size and int(n.max()) >= 2**32:
+        raise ValueError("the vector Miller-Rabin test covers n below 2**32")
+    prime = np.zeros(n.shape, dtype=bool)
+    undecided = n >= 2
+    for p in map(np.uint64, _MR_WITNESSES):
+        prime |= n == p
+        undecided &= n % p != 0
+    m = n[undecided]  # above 37 and odd: n - 1 = d 2^r with d odd and r >= 1
+    minus_one = m - 1
+    lowest_bit = minus_one & (~minus_one + 1)  # 2^r, below 2**32: its log2 is exact
+    r = np.log2(lowest_bit).astype(np.uint64)
+    witness = np.array(_MR_SMALL_WITNESSES, dtype=np.uint64)[:, None] % m  # 0 where a witness is n
+    x = _pow_mod(witness, minus_one >> r, m)
+    passed = (x == 1) | (x == minus_one) | (witness == 0)
+    # Squaring past an element's own r - 1 steps passes no composite: x = n - 1 there
+    # means a^((n - 1) 2^k) = -1 mod n for some k >= 0, so mod each prime factor p the
+    # order of a, a divisor of p - 1, is divisible by 2^(r + k + 1); then every p, and
+    # so n, is 1 mod 2^(r + 1), which contradicts n - 1 = d 2^r with d odd.
+    for _ in range(1, int(r.max(initial=0))):
+        x = x * x % m
+        passed |= x == minus_one
+    prime[undecided] = passed.all(axis=0)
+    return prime
+
+
+_KEY_CHUNK = 4096  # candidates per factor and draw: memory stays flat in the number of keys
+
+
+def _toy_rsa_factors(count: int, modulus_bits: int, rng: np.random.Generator) -> Iterator[tuple[int, int, int]]:
+    """``(p, q, e)`` for ``count`` keys of :func:`generate_toy_rsa`, drawn as the
+    keys are read, a chunk at a time.
+
+    Each chunk draws ``modulus_bits`` candidates for p per key still missing, at most
+    ``_KEY_CHUNK``, and as many for q, as uint64 arrays uniform over the odd numbers
+    of the factor's bit length, and tests them in one call.  The primes
+    among them are paired in draw order, and a pair is kept when p != q, p q has exactly
+    ``modulus_bits`` bits and some public exponent below phi is prime to phi (the
+    first such one is e, taken from ``_PUBLIC_EXPONENTS`` so that all keys with the
+    same exponent share one int object).  Kept pairs are iid and uniform over the
+    valid (p, q), as a one-pair-at-a-time rejection sampler gives them.  The factors
+    are below 2**32, so p q and phi fit in uint64.
+    """
+    if not 16 <= modulus_bits <= 64:
+        raise ValueError("modulus_bits must lie in [16, 64]")
+    half = modulus_bits // 2
+    exponents = np.array(_PUBLIC_EXPONENTS, dtype=np.uint64)
+    missing = count
+    while missing:
+        # one key takes about 0.3 modulus_bits candidates per factor, so this size
+        # usually gives every missing key in one draw without testing thousands for one
+        size = min(_KEY_CHUNK, modulus_bits * missing)
+        p, q = candidates = np.stack([
+            rng.integers(1 << (bits - 1), 1 << bits, size=size, dtype=np.uint64) | np.uint64(1)
+            for bits in (modulus_bits - half, half)
+        ])
+        prime = _is_prime_u64(candidates)
+        p, q = p[prime[0]], q[prime[1]]
+        pairs = min(len(p), len(q))
+        p, q = p[:pairs], q[:pairs]
+        phi = ((p - 1) * (q - 1))[:, None]
+        usable = (exponents < phi) & (np.gcd(exponents, phi) == 1)
+        valid = (p != q) & (p * q >= np.uint64(1 << (modulus_bits - 1))) & usable.any(axis=1)
+        kept = np.flatnonzero(valid)[:missing]
+        missing -= len(kept)
+        e = map(_PUBLIC_EXPONENTS.__getitem__, usable[kept].argmax(axis=1).tolist())
+        yield from zip(p[kept].tolist(), q[kept].tolist(), e)
+
+
+def _rsa_key(p: int, q: int, e: int) -> RsaKey:
+    phi = (p - 1) * (q - 1)
+    return RsaKey(n=p * q, e=e, d=pow(e, -1, phi), p=p, q=q)
 
 
 def generate_toy_rsa(modulus_bits: int = 32, rng: np.random.Generator | None = None) -> RsaKey:
@@ -787,23 +871,8 @@ def generate_toy_rsa(modulus_bits: int = 32, rng: np.random.Generator | None = N
     auction numbers, small enough to make clear this is a demo of
     malleability, not of key strength.
     """
-    if not 16 <= modulus_bits <= 64:
-        raise ValueError("modulus_bits must lie in [16, 64]")
     rng = np.random.default_rng() if rng is None else rng
-    half = modulus_bits // 2
-    while True:
-        p = _random_prime(modulus_bits - half, rng)
-        q = _random_prime(half, rng)
-        if p == q:
-            continue
-        n = p * q
-        if n.bit_length() != modulus_bits:
-            continue
-        phi = (p - 1) * (q - 1)
-        e = next((c for c in _PUBLIC_EXPONENTS if c < phi and math.gcd(c, phi) == 1), None)
-        if e is None:
-            continue
-        return RsaKey(n=n, e=e, d=pow(e, -1, phi), p=p, q=q)
+    return _rsa_key(*next(_toy_rsa_factors(1, modulus_bits, rng)))
 
 
 def rsa_encrypt(key: RsaKey, m: int) -> int:
@@ -889,10 +958,9 @@ def rsa_auction_sweep(
     if not 1 <= max_bid or (2 * max_bid).bit_length() >= modulus_bits:
         raise ValueError("max_bid too large for the modulus")
     rng = np.random.default_rng() if rng is None else rng
-    outcomes = []
-    for _ in range(num_auctions):
-        bid = int(rng.integers(1, max_bid + 1))
-        outcomes.append(rsa_malleability_demo(bid, modulus_bits, rng))
+    bids = rng.integers(1, max_bid + 1, size=num_auctions).tolist()
+    keys = _toy_rsa_factors(num_auctions, modulus_bits, rng)
+    outcomes = [rsa_malleability_demo(bid, key=_rsa_key(*key)) for bid, key in zip(bids, keys)]
     wins = sum(1 for o in outcomes if o.winner == "bob")
     return AuctionSweep(
         outcomes=tuple(outcomes),

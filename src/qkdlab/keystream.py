@@ -38,7 +38,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -288,23 +288,39 @@ def schedule(p: StreamParams, rounds: int, real_valued: bool = False) -> list[Ro
 
 def schedule_csv(records: list[RoundRecord]) -> str:
     """RFC 4180 CSV export of a schedule (with a running epsilon sum)."""
-    return "".join(_csv((r.i, r.n_i, r.ell_i, r.eps_i) for r in records))
-
-
-def _csv(rows: Iterable[tuple[int, float, float, float]]) -> Iterator[str]:
-    """:func:`schedule_csv` of the rows ``(i, n_i, ell_i, eps_i)``, ``_BATCH`` rows per piece."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(["i", "n_i", "ell_i", "eps_i", "cumulative_eps"])
     cumulative = 0.0
-    for k, (i, n_i, ell_i, eps_i) in enumerate(rows, 1):
-        cumulative += eps_i
-        writer.writerow([i, n_i, ell_i, repr(eps_i), repr(cumulative)])
-        if k % _BATCH == 0:
-            yield buf.getvalue()
-            buf.seek(0)
-            buf.truncate()
-    yield buf.getvalue()
+    for r in records:
+        cumulative += r.eps_i
+        writer.writerow([r.i, r.n_i, r.ell_i, repr(r.eps_i), repr(cumulative)])
+    return buf.getvalue()
+
+
+def _csv(columns: _Columns) -> Iterator[str]:
+    """:func:`schedule_csv` of the rounds in ``columns``, ``_BATCH`` rows per piece.
+
+    No field of a row needs quoting, and ``csv`` writes a number as its ``repr``,
+    so each row is a template filled with ``%r``.  The running sum is ``np.cumsum``,
+    a left-to-right sum like the ``+=`` loop.  Rounds after ``live`` have ``eps_i``
+    0.0 and the final sum, so their template holds both fixed.
+    """
+    live = columns.live
+    cumulative = np.cumsum(columns.eps[:live])
+    total = repr(float(cumulative[-1])) if live else "0.0"
+    rows = itertools.chain(
+        map("%r,%r,%r,%r,%r\r\n".__mod__, zip(
+            range(1, live + 1), _elements(columns.n[:live]), _elements(columns.ell[1:live + 1]),
+            _elements(columns.eps[:live]), _elements(cumulative),
+        )),
+        map(f"%r,%r,%r,0.0,{total}\r\n".__mod__, zip(
+            itertools.count(live + 1), _elements(columns.n[live:]), _elements(columns.ell[live + 1:]),
+        )),
+    )
+    yield "i,n_i,ell_i,eps_i,cumulative_eps\r\n"
+    while batch := "".join(itertools.islice(rows, _BATCH)):
+        yield batch
 
 
 @dataclass(frozen=True)

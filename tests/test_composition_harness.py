@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import tracemalloc
@@ -594,6 +595,18 @@ def test_is_probable_prime_rejects_carmichael_numbers():
         assert not is_probable_prime(n)
 
 
+def test_vector_prime_test_rejects_pseudoprimes_and_guards_its_domain():
+    # Carmichael numbers, then the first strong pseudoprimes to the bases {2},
+    # {2, 3}, {2, 3, 5} and {2, 3, 5, 7}
+    fooling = [561, 1105, 1729, 41041, 825265, 321197185, 2047, 1373653, 25326001, 3215031751]
+    assert not any(is_probable_prime(n) for n in fooling)
+    assert not ch._is_prime_u64(np.array(fooling, dtype=np.uint64)).any()
+    assert not ch._is_prime_u64(np.array([2**32 - 1], dtype=np.uint64))[0]  # 3 * 5 * 17 * 257 * 65537
+    assert ch._is_prime_u64(np.array([4294967291], dtype=np.uint64))[0]  # the largest prime below 2**32
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        ch._is_prime_u64(np.array([5, 2**32], dtype=np.uint64))
+
+
 def test_three_witness_path_is_exact_on_every_odd_n_below_2e6():
     # below 4,759,123,141 only the witnesses {2, 7, 61} run; the 12-witness
     # path is deterministic there too, so both must match a sieve
@@ -605,12 +618,16 @@ def test_three_witness_path_is_exact_on_every_odd_n_below_2e6():
             sieve[p * p::p] = False
     odd = range(1, limit, 2)
     assert [is_probable_prime(n) for n in odd] == sieve[1::2].tolist()
+    # the vector test, in one call on every n: 0, 1 (where n - 1 has no odd part),
+    # the even numbers and the witnesses 2, 7 and 61 among them
+    assert np.array_equal(ch._is_prime_u64(np.arange(limit, dtype=np.uint64)), sieve)
 
 
 def test_three_witness_path_agrees_with_the_12_witness_path(monkeypatch):
     rng = np.random.default_rng(2024)
     odd = (rng.integers(2**31, 2**32, size=100_000) | 1).tolist()
     fast = [is_probable_prime(n) for n in odd]
+    assert ch._is_prime_u64(np.array(odd, dtype=np.uint64)).tolist() == fast
     monkeypatch.setattr(ch, "_MR_SMALL_BELOW", 0)
     assert fast == [is_probable_prime(n) for n in odd]
     assert sum(fast) > 8000  # about 1 in 11 odd 32-bit numbers is prime
@@ -649,6 +666,70 @@ def test_generate_toy_rsa_properties():
         generate_toy_rsa(15, rng)
     with pytest.raises(ValueError):
         generate_toy_rsa(65, rng)
+
+
+def _valid_factor_pairs(modulus_bits: int) -> dict[tuple[int, int], int]:
+    """Every (p, q) that one-pair-at-a-time rejection sampling accepts, by the scalar
+    oracle: p has ``modulus_bits - modulus_bits // 2`` bits, q the rest; the value is e."""
+    half = modulus_bits // 2
+
+    def primes(bits):
+        return [n for n in range(2 ** (bits - 1) + 1, 2**bits, 2) if is_probable_prime(n)]
+
+    valid = {}
+    for p, q in itertools.product(primes(modulus_bits - half), primes(half)):
+        phi = (p - 1) * (q - 1)
+        e = next((c for c in ch._PUBLIC_EXPONENTS if c < phi and math.gcd(c, phi) == 1), None)
+        if p != q and (p * q).bit_length() == modulus_bits and e is not None:
+            valid[p, q] = e
+    return valid
+
+
+@pytest.mark.parametrize("modulus_bits", [16, 17])
+def test_batched_keys_are_uniform_over_the_valid_factor_pairs(modulus_bits):
+    valid = _valid_factor_pairs(modulus_bits)
+    draws = 20_000
+    keys = [ch._rsa_key(*key) for key in ch._toy_rsa_factors(draws, modulus_bits, np.random.default_rng(18))]
+    assert len(keys) == draws
+    assert all((key.p, key.q) in valid and key.e == valid[key.p, key.q] for key in keys)
+    counts = collections.Counter((key.p, key.q) for key in keys)
+    share = 1.0 / len(valid)
+    sigma = math.sqrt(draws * share * (1.0 - share))
+    assert all(abs(counts[pair] - draws * share) <= 5.0 * sigma for pair in valid)
+
+
+def test_batched_keys_at_64_bits():
+    keys = [ch._rsa_key(*key) for key in ch._toy_rsa_factors(1000, 64, np.random.default_rng(64))]
+    assert len(keys) == 1000
+    for key in keys:
+        phi = (key.p - 1) * (key.q - 1)
+        assert key.n == key.p * key.q and key.n.bit_length() == 64
+        assert is_probable_prime(key.p) and is_probable_prime(key.q)
+        assert key.e * key.d % phi == 1
+
+
+def test_auction_sweep_draws_keys_in_batches(monkeypatch):
+    # one draw for the bids, then one for p and one for q per chunk of candidates;
+    # a draw for each candidate and each bid would be 19,094 calls here
+    def scalar_test(n):
+        raise AssertionError("the scalar prime test ran")
+
+    calls = []
+
+    class CountingGenerator(np.random.Generator):
+        def integers(self, *args, **kwargs):
+            calls.append(kwargs.get("size"))
+            return super().integers(*args, **kwargs)
+
+    monkeypatch.setattr(ch, "is_probable_prime", scalar_test)
+    sweep = rsa_auction_sweep(1000, 32, 1000, CountingGenerator(np.random.PCG64(1111)))
+    assert sweep.all_forgeries_doubled and len(sweep.outcomes) == 1000
+    assert calls == [1000] + [ch._KEY_CHUNK] * 6
+    # one key draws modulus_bits candidates per factor, not a whole chunk
+    calls.clear()
+    key = generate_toy_rsa(32, CountingGenerator(np.random.PCG64(1111)))
+    assert key.modulus_bits == 32
+    assert calls == [32, 32]
 
 
 def test_rsa_range_validation():

@@ -602,6 +602,20 @@ def test_ledger_fuzz(seed, n0_scale, rounds, abort):
 # CSV export
 
 
+@pytest.mark.parametrize("real_valued", [False, True])
+@pytest.mark.parametrize("p, rounds, live", [
+    (SMALL, 3000, 2546),  # every round after 2546 comes from the zero template
+    (StreamParams(n0=60_000, c=1.0, ell0=12_000), 3000, 3000),  # no term underflows
+    (StreamParams(n0=200_000_000, c=200_000_000.0, ell0=1_000_000), 40, 0),  # every term underflows
+])
+def test_templated_csv_is_schedule_csv_byte_for_byte(p, rounds, live, real_valued):
+    columns = keystream._columns(p, rounds, real_valued)
+    assert columns.live == live
+    # compared row by row: a failing assert on the whole text would make pytest diff it with difflib
+    rows = "".join(keystream._csv(columns)).split("\r\n")
+    assert rows == schedule_csv(schedule(p, rounds, real_valued)).split("\r\n")
+
+
 def test_schedule_csv_layout():
     records = schedule(SMALL, 4)
     text = schedule_csv(records)
