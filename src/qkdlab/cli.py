@@ -57,12 +57,13 @@ from .keystream import (
     PlanningError,
     StreamError,
     StreamParams,
-    _BATCH,
     _budget,
     _columns,
     _Columns,
     _csv,
     _elements,
+    _fill,
+    _int_rows,
     _plan,
     simulate_stream,
 )
@@ -119,11 +120,11 @@ def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(f"QKDLAB_SEED={raw!r} is not an integer")
 
 
-def _atomic_write(path: str, pieces: Iterable[str]) -> None:
+def _atomic_write(path: str, pieces: Iterable[bytes | memoryview]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qkdlab-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
+        with os.fdopen(fd, "wb") as handle:
             handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
@@ -136,15 +137,32 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+# Encoder chunks joined into one piece: json.dumps would join them all at once,
+# millions of small strings for a large report.
+_JSON_BATCH = 1 << 14
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    _write([_json_text(payload)], out)
+    """Write ``_json_text(payload)``, encoded ``_JSON_BATCH`` encoder chunks at a time."""
+    chunks = itertools.chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload), ["\n"])
+    _write(iter(lambda: "".join(itertools.islice(chunks, _JSON_BATCH)).encode(), b""), out)
 
 
-def _write(pieces: Iterable[str], out: str | None) -> None:
-    if out is None:
-        sys.stdout.writelines(pieces)
-    else:
+def _write(pieces: Iterable[bytes | memoryview], out: str | None) -> None:
+    """Write ``pieces`` to the file ``out``, atomically, or else to stdout's byte buffer.
+
+    A stdout that has none, such as an ``io.StringIO``, gets the pieces decoded.
+    """
+    if out is not None:
         _atomic_write(out, pieces)
+        return
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.writelines(str(piece, "utf-8") for piece in pieces)
+        return
+    sys.stdout.flush()  # what the text layer holds goes first
+    buffer.writelines(pieces)
+    buffer.flush()
 
 
 def _envelope(command: str, seed: int | None, parameters: dict, result: dict, timestamp: bool) -> dict:
@@ -191,7 +209,7 @@ def cmd_attack_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     oracle = single_qubit_guess_oracle()
     curve_at_n = parity_guess_curve(args.n)[-1][1] if args.n <= 16 else None
     if args.curve_csv is not None:
-        _atomic_write(args.curve_csv, [parity_guess_curve_csv(min(args.n, 16))])
+        _atomic_write(args.curve_csv, [parity_guess_curve_csv(min(args.n, 16)).encode()])
 
     result = {
         "n": args.n,
@@ -328,14 +346,15 @@ _ROUND_KEYS = ("clamped", "ell_i", "eps_i", "i", "n_i", "term_auth", "term_signa
 _ZERO_ROUND = {"clamped": "false", "eps_i": "0.0", "term_auth": "0.0", "term_signal": "0.0"}
 
 
-def _schedule_json(payload: dict, columns: _Columns) -> Iterator[str]:
-    """``_json_text(payload)`` with the rows of ``columns`` in place of ``_ROUNDS_MARK``.
+def _schedule_json(payload: dict, columns: _Columns) -> Iterator[bytes | memoryview]:
+    """``_json_text(payload)``, encoded, with the rows of ``columns`` in place of ``_ROUNDS_MARK``.
 
     ``json.dumps`` indents in pure Python, which takes seconds on 10^5
     rounds; each row is written from a template instead, in the same
     layout, and the rows are streamed in batches.  Rounds 1..``live`` fill
-    all seven slots; every later round has both terms 0.0, so its template
-    holds those fields fixed and fills only ``ell_i``, ``i`` and ``n_i``.
+    all seven slots, one ``%`` per row; every later round has both terms
+    0.0, so its template holds those fields fixed, and :func:`_int_rows`
+    writes its ``ell_i``, ``i`` and ``n_i`` by array arithmetic.
     """
     head, tail = _json_text(payload).split(json.dumps(_ROUNDS_MARK))  # exactly once
     line = head[head.rfind("\n") + 1:]
@@ -344,25 +363,23 @@ def _schedule_json(payload: dict, columns: _Columns) -> Iterator[str]:
 
     def template(fixed: dict) -> str:
         fields = ",".join(f'\n{item}  "{key}": {fixed.get(key, "%s")}' for key in _ROUND_KEYS)
-        return item + "{" + fields + f"\n{item}}}"
+        return f",\n{item}{{{fields}\n{item}}}"
 
     live = columns.live
     rows = itertools.chain(
-        map(template({}).__mod__, zip(
+        _fill(template({}), zip(
             ("true" if clamped else "false" for clamped in _elements(columns.clamped[:live])),
             _elements(columns.ell[1:live + 1]), _elements(columns.eps[:live]), range(1, live + 1),
             _elements(columns.n[:live]), _elements(columns.term_auth[:live]), _elements(columns.term_signal[:live]),
         )),
-        map(template(_ZERO_ROUND).__mod__, zip(
-            _elements(columns.ell[live + 1:]), itertools.count(live + 1), _elements(columns.n[live:]),
-        )),
+        _int_rows(template(_ZERO_ROUND), [
+            columns.ell[live + 1:], np.arange(live + 1, len(columns.eps) + 1), columns.n[live:],
+        ]),
     )
-    yield head + "[\n"
-    separator = ""
-    while batch := ",\n".join(itertools.islice(rows, _BATCH)):
-        yield separator + batch
-        separator = ",\n"
-    yield f"\n{outer}]" + tail
+    yield (head + "[\n").encode()
+    yield next(rows)[2:]  # there is at least one round; every row but the first follows a ",\n"
+    yield from rows
+    yield f"\n{outer}]{tail}".encode()
 
 
 def cmd_keystream_schedule(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

@@ -38,7 +38,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -200,7 +200,7 @@ class _Columns(NamedTuple):
     live: int
 
 
-_BATCH = 4096  # array elements turned into Python numbers at a time
+_BATCH = 4096  # array elements turned into Python numbers, or rows written, at a time
 
 
 def _elements(column: np.ndarray) -> Iterator:
@@ -208,6 +208,53 @@ def _elements(column: np.ndarray) -> Iterator:
     return itertools.chain.from_iterable(
         column[start:start + _BATCH].tolist() for start in range(0, len(column), _BATCH)
     )
+
+
+def _fill(template: str, rows: Iterable[tuple]) -> Iterator[bytes]:
+    """``template % row`` for each of ``rows``, one Python fill per row, encoded ``_BATCH`` rows per piece."""
+    rows = iter(rows)
+    while piece := "".join(map(template.__mod__, itertools.islice(rows, _BATCH))).encode():
+        yield piece
+
+
+# 10, 100, ..., 10**18: a non-negative int64 has one digit more than the number of these it reaches
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _int_rows(template: str, columns: list[np.ndarray]) -> Iterator[bytes | memoryview]:
+    """:func:`_fill` of ``template``, one ``%s`` per column, with the rows of ``columns``.
+
+    Integer columns (sizes and round numbers, never negative) are written by array
+    arithmetic instead, ``_BATCH`` rows at a time.  Each run of rows whose values
+    have the same digit counts (found by a ``searchsorted`` on powers of ten) is one
+    ``(rows, width)`` uint8 block: the row template with every slot as wide as its
+    value, whose digits are then written column by column from the lowest.  Each
+    block is a piece, a byte view of the array, so no block is copied.  A float
+    column, printed by ``repr``, goes through :func:`_fill`.
+    """
+    if any(column.dtype.kind != "i" for column in columns):
+        yield from _fill(template, zip(*map(_elements, columns)))
+        return
+    literals = [part.encode() for part in template.split("%s")]
+    for start in range(0, len(columns[0]), _BATCH):
+        batch = [column[start:start + _BATCH] for column in columns]
+        widths = np.searchsorted(_POWERS_OF_TEN, np.stack(batch), side="right") + 1
+        edges = (np.flatnonzero((widths[:, 1:] != widths[:, :-1]).any(axis=0)) + 1).tolist()
+        for lo, hi in zip([0, *edges], [*edges, len(batch[0])]):
+            digits = widths[:, lo].tolist()
+            row = literals[0] + b"".join(b"0" * width + literal for width, literal in zip(digits, literals[1:]))
+            block = np.empty((hi - lo, len(row)), np.uint8)
+            block[:] = np.frombuffer(row, np.uint8)
+            end = len(literals[0])
+            for column, width, literal in zip(batch, digits, literals[1:]):
+                end += width
+                x = column[lo:hi]
+                for place in range(end - 1, end - width - 1, -1):
+                    quotient = x // 10
+                    block[:, place] = x - 10 * quotient + 48  # the ASCII digit
+                    x = quotient
+                end += len(literal)
+            yield memoryview(block).cast("B")
 
 
 def _math(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
@@ -298,29 +345,26 @@ def schedule_csv(records: list[RoundRecord]) -> str:
     return buf.getvalue()
 
 
-def _csv(columns: _Columns) -> Iterator[str]:
-    """:func:`schedule_csv` of the rounds in ``columns``, ``_BATCH`` rows per piece.
+def _csv(columns: _Columns) -> Iterator[bytes | memoryview]:
+    """:func:`schedule_csv` of the rounds in ``columns``, encoded, in pieces of at most ``_BATCH`` rows.
 
     No field of a row needs quoting, and ``csv`` writes a number as its ``repr``,
-    so each row is a template filled with ``%r``.  The running sum is ``np.cumsum``,
+    so each row is a template filled with ``%s``.  The running sum is ``np.cumsum``,
     a left-to-right sum like the ``+=`` loop.  Rounds after ``live`` have ``eps_i``
-    0.0 and the final sum, so their template holds both fixed.
+    0.0 and the final sum, so their template holds both fixed and :func:`_int_rows`
+    fills in the sizes.
     """
     live = columns.live
     cumulative = np.cumsum(columns.eps[:live])
     total = repr(float(cumulative[-1])) if live else "0.0"
-    rows = itertools.chain(
-        map("%r,%r,%r,%r,%r\r\n".__mod__, zip(
-            range(1, live + 1), _elements(columns.n[:live]), _elements(columns.ell[1:live + 1]),
-            _elements(columns.eps[:live]), _elements(cumulative),
-        )),
-        map(f"%r,%r,%r,0.0,{total}\r\n".__mod__, zip(
-            itertools.count(live + 1), _elements(columns.n[live:]), _elements(columns.ell[live + 1:]),
-        )),
-    )
-    yield "i,n_i,ell_i,eps_i,cumulative_eps\r\n"
-    while batch := "".join(itertools.islice(rows, _BATCH)):
-        yield batch
+    yield b"i,n_i,ell_i,eps_i,cumulative_eps\r\n"
+    yield from _fill("%s,%s,%s,%s,%s\r\n", zip(
+        range(1, live + 1), _elements(columns.n[:live]), _elements(columns.ell[1:live + 1]),
+        _elements(columns.eps[:live]), _elements(cumulative),
+    ))
+    yield from _int_rows(f"%s,%s,%s,0.0,{total}\r\n", [
+        np.arange(live + 1, len(columns.eps) + 1), columns.n[live:], columns.ell[live + 1:],
+    ])
 
 
 @dataclass(frozen=True)

@@ -139,3 +139,21 @@ def nuclear_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def entropy_bits(probs) -> float:
     return -sum(p * math.log2(p) for p in probs if p > 0.0)
+
+
+def assert_same_bytes(got: bytes, want: bytes) -> None:
+    """Assert ``got == want``; on a mismatch, report the lengths and the first differing offset.
+
+    A plain ``assert`` on two long strings makes pytest diff them with difflib,
+    which takes about a minute for a report of a few hundred kB.
+    """
+    if got == want:
+        return
+    common = min(len(got), len(want))
+    differ = np.flatnonzero(np.frombuffer(got[:common], np.uint8) != np.frombuffer(want[:common], np.uint8))
+    at = int(differ[0]) if differ.size else common
+    window = slice(max(0, at - 40), at + 40)
+    raise AssertionError(
+        f"got {len(got)} bytes, want {len(want)}; first difference at offset {at}:"
+        f"\n  got  {got[window]!r}\n  want {want[window]!r}"
+    )

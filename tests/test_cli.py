@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qkdlab
-from conftest import COLUMN_PARAMS, COLUMN_PARAMS_IDS
+from conftest import COLUMN_PARAMS, COLUMN_PARAMS_IDS, assert_same_bytes
 from qkdlab import attack_lab, cli, keystream, security_metrics
 from qkdlab.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
 from qkdlab.keystream import LedgerBroken, StreamParams
@@ -202,10 +202,26 @@ def test_emit_writes_what_json_dumps_gives(capsys, tmp_path):
     }
     want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     cli._emit(payload, None)
-    assert capsys.readouterr().out == want
+    assert_same_bytes(capsys.readouterr().out.encode(), want.encode())
     path = tmp_path / "report.json"
     cli._emit(payload, str(path))
-    assert path.read_bytes() == want.encode()
+    assert_same_bytes(path.read_bytes(), want.encode())
+
+
+def test_emit_encodes_a_large_report_in_bounded_pieces(tmp_path):
+    # about 1.3 MB of JSON; joining every encoder chunk at once, as json.dumps does, traces about 10 MB
+    payload = {"rows": [{"bid": i, "forged": 2 * i, "modulus": 3_000_000_019 + i, "ok": True, "x": i / 7}
+                        for i in range(10_000)]}
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli._emit(payload, str(path))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 10**6
+    assert peak <= 2**20, f"traced peak {peak / 2**20:.2f} MB"
 
 
 STREAM = ["--n0", "60000", "--ell0", "12000", "--rounds", "3"]
@@ -639,6 +655,16 @@ def _schedule_reference(params, rounds, real_valued, csv_path, timestamp=None):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n", text.getvalue()
 
 
+def _assert_schedule_files(capsys, tmp_path, command, want, want_csv):
+    """``command`` prints ``want`` and writes ``want_csv``; with ``--out`` it writes ``want`` instead."""
+    code, out, err = run_cli(capsys, command)
+    assert (code, err) == (EXIT_OK, "")
+    assert_same_bytes(out.encode(), want.encode())
+    assert_same_bytes((tmp_path / "schedule.csv").read_bytes(), want_csv.encode())
+    assert run_cli(capsys, [*command, "--out", "report.json"]) == (EXIT_OK, "", "")
+    assert_same_bytes((tmp_path / "report.json").read_bytes(), want.encode())
+
+
 @pytest.mark.parametrize("real_valued", [False, True])
 @pytest.mark.parametrize("rounds", [1, 3, 1000])
 @pytest.mark.parametrize("argv, params", SCHEDULES)
@@ -650,10 +676,7 @@ def test_keystream_schedule_prints_what_json_dumps_gives(
     if real_valued:
         command.append("--real-valued")
     want, want_csv = _schedule_reference(params, rounds, real_valued, "schedule.csv")
-    assert run_cli(capsys, command) == (EXIT_OK, want, "")
-    assert (tmp_path / "schedule.csv").read_bytes() == want_csv.encode()
-    assert run_cli(capsys, [*command, "--out", "report.json"]) == (EXIT_OK, "", "")
-    assert (tmp_path / "report.json").read_bytes() == want.encode()
+    _assert_schedule_files(capsys, tmp_path, command, want, want_csv)
     if params.ell0 == 100:
         assert '"clamped": true,' in want and '"eps_i": 1.0,' in want
 
@@ -664,8 +687,8 @@ def test_keystream_schedule_rows_span_several_write_batches(capsys, tmp_path, mo
     code, out, _ = run_cli(capsys, ["keystream-schedule", *argv, "--rounds", "10000", "--csv", "schedule.csv"])
     assert code == EXIT_OK
     want, want_csv = _schedule_reference(params, 10_000, False, "schedule.csv")
-    assert out == want
-    assert (tmp_path / "schedule.csv").read_bytes() == want_csv.encode()
+    assert_same_bytes(out.encode(), want.encode())
+    assert_same_bytes((tmp_path / "schedule.csv").read_bytes(), want_csv.encode())
 
 
 @pytest.mark.parametrize("rounds", [keystream._BATCH - 1, keystream._BATCH, keystream._BATCH + 1])
@@ -674,8 +697,24 @@ def test_keystream_schedule_json_and_csv_at_batch_edges(capsys, tmp_path, monkey
     monkeypatch.chdir(tmp_path)
     command = ["keystream-schedule", *argv, "--rounds", str(rounds), "--csv", "schedule.csv"]
     want, want_csv = _schedule_reference(params, rounds, False, "schedule.csv")
-    assert run_cli(capsys, command) == (EXIT_OK, want, "")
-    assert (tmp_path / "schedule.csv").read_bytes() == want_csv.encode()
+    _assert_schedule_files(capsys, tmp_path, command, want, want_csv)
+
+
+@pytest.mark.parametrize("real_valued", [False, True])
+@pytest.mark.parametrize("schedule, rounds, live", [(5, keystream._BATCH + 1, 0), (0, 1000, 1000)],
+                         ids=["no_live_round", "every_round_live"])
+def test_keystream_schedule_with_every_round_in_one_template(
+    capsys, tmp_path, monkeypatch, schedule, rounds, live, real_valued
+):
+    # every row from the zero-term template (written by array arithmetic past a batch edge), or none
+    argv, params = SCHEDULES[schedule]
+    assert keystream._columns(params, rounds, real_valued).live == live
+    monkeypatch.chdir(tmp_path)
+    command = ["keystream-schedule", *argv, "--rounds", str(rounds), "--csv", "schedule.csv"]
+    if real_valued:
+        command.append("--real-valued")
+    want, want_csv = _schedule_reference(params, rounds, real_valued, "schedule.csv")
+    _assert_schedule_files(capsys, tmp_path, command, want, want_csv)
 
 
 @pytest.mark.parametrize("real_valued", [False, True])
@@ -687,14 +726,12 @@ def test_keystream_schedule_json_and_csv_for_every_column_params(
     # written three rows to a batch so that 7 rounds cross two batch edges
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "_stream_params", lambda args: params)
-    monkeypatch.setattr(cli, "_BATCH", 3)
     monkeypatch.setattr(keystream, "_BATCH", 3)
     command = ["keystream-schedule", "--n0", "1", "--ell0", "1", "--rounds", "7", "--csv", "schedule.csv"]
     if real_valued:
         command.append("--real-valued")
     want, want_csv = _schedule_reference(params, 7, real_valued, "schedule.csv")
-    assert run_cli(capsys, command) == (EXIT_OK, want, "")
-    assert (tmp_path / "schedule.csv").read_bytes() == want_csv.encode()
+    _assert_schedule_files(capsys, tmp_path, command, want, want_csv)
 
 
 def test_keystream_schedule_traced_peak_is_bounded(tmp_path):
@@ -802,6 +839,45 @@ def test_keystream_schedule_calls_math_only_where_a_term_can_be_nonzero(capsys, 
     code, out, err = run_cli(capsys, _BENCHMARK_STREAM_OUTPUTS[2][0])
     assert (code, err) == (EXIT_OK, "")
     assert len(evaluated) == 3 and sum(evaluated) <= 3 * 2600
+
+
+def test_keystream_schedule_fills_a_template_per_row_only_for_live_rounds(capsys, tmp_path, monkeypatch):
+    # the benchmark's schedule: its 97,454 rounds after the last live one are written by array arithmetic
+    filled = []
+    original = keystream._fill
+
+    def counting(template, rows):
+        def counted():
+            for row in rows:
+                filled.append(template)
+                yield row
+        return original(template, counted())
+
+    monkeypatch.setattr(keystream, "_fill", counting)
+    monkeypatch.setattr(cli, "_fill", counting)
+    argv, digest = _BENCHMARK_STREAM_OUTPUTS[2]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert len(filled) == 2546
+    filled.clear()
+    files = ["--csv", str(tmp_path / "schedule.csv"), "--out", str(tmp_path / "report.json")]
+    assert run_cli(capsys, [*argv, *files]) == (EXIT_OK, "", "")
+    assert len(filled) == 2 * 2546  # the JSON rows and the CSV rows
+
+
+@pytest.mark.parametrize("argv", [
+    _BENCHMARK_STREAM_OUTPUTS[2][0],
+    ["keystream-schedule", *SCHEDULES[5][0], "--rounds", "20", "--real-valued"],
+    ["keystream-plan", "--target-eps", "1e-9"],
+    ["attack-demo", "--n", "2", "--trials", "25", "--seed", "7"],
+], ids=["schedule", "real_valued_schedule", "plan", "attack_demo"])
+def test_main_prints_the_same_text_to_a_stream_without_a_byte_buffer(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (EXIT_OK, "")
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert main(argv) == code
+    assert_same_bytes(text.getvalue().encode(), out.encode())
 
 
 def test_keystream_simulate_clean_run(capsys):

@@ -612,8 +612,42 @@ def test_templated_csv_is_schedule_csv_byte_for_byte(p, rounds, live, real_value
     columns = keystream._columns(p, rounds, real_valued)
     assert columns.live == live
     # compared row by row: a failing assert on the whole text would make pytest diff it with difflib
-    rows = "".join(keystream._csv(columns)).split("\r\n")
+    rows = b"".join(keystream._csv(columns)).decode().split("\r\n")
     assert rows == schedule_csv(schedule(p, rounds, real_valued)).split("\r\n")
+
+
+# 0, 2**53, the largest int64 and both sides of every power of ten it holds
+_DIGIT_EDGES = sorted({0, 2**53, 2**63 - 1} | {10**k + d for k in range(1, 19) for d in (-1, 0)})
+
+
+# literal text may be any character a UTF-8 output can carry: lone surrogates (category Cs) cannot be encoded
+@given(
+    st.lists(st.text(st.characters(exclude_characters="%\n", exclude_categories=("Cs",)), max_size=4), min_size=2, max_size=4),
+    st.lists(st.one_of(st.sampled_from(_DIGIT_EDGES), st.integers(0, 2**63 - 1)), min_size=1, max_size=12),
+    st.sampled_from([0, 1, 2, 7, keystream._BATCH - 1, keystream._BATCH, keystream._BATCH + 1]),
+    st.sampled_from(["sorted", "shuffled", "runs"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_int_rows_are_the_template_filled_row_by_row(literals, values, rows, order, seed):
+    template = "%s".join(literals) + "\n"
+    rng = np.random.default_rng(seed)
+    columns = []
+    for _ in literals[1:]:
+        column = rng.choice(np.array(values, np.int64), rows)
+        if order == "sorted":
+            column.sort()
+        elif order == "runs":  # a few runs of one width, as in a schedule, in no order
+            column = np.repeat(column[:4], -(-rows // 4))[:rows]
+        columns.append(column)
+    got = b"".join(keystream._int_rows(template, columns)).decode().split("\n")
+    assert got == "".join(map(template.__mod__, zip(*(c.tolist() for c in columns)))).split("\n")
+
+
+def test_int_rows_fills_a_float_column_row_by_row():
+    columns = [np.array([0.5, 1e300, 3.0, 7.25]), np.arange(4)]  # real-valued sizes print by repr
+    template = "%s|%s\r\n"
+    want = "".join(map(template.__mod__, zip(*(c.tolist() for c in columns)))).encode()
+    assert b"".join(keystream._int_rows(template, columns)) == want
 
 
 def test_schedule_csv_layout():
