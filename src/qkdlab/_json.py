@@ -2,8 +2,9 @@
 
 The rule: a record's JSON object holds every dataclass field under its
 own name, plus ``"type": JSON_TYPE`` when the class sets that plain class
-attribute.  Mappings become dicts, tuples and lists become lists, and a
-nested record becomes its own object, all recursively.  The reader checks
+attribute; an optional field (default None) is left out while it is None.
+Mappings become dicts, tuples and lists become lists, and a nested record
+becomes its own object, all recursively.  The reader checks
 the tag and converts each init field by its annotation: ``int``,
 ``float``, ``str`` and ``bool`` by calling the type, ``tuple[X, ...]``
 item by item, a record by its own reader, a mapping into a dict.  A field
@@ -23,8 +24,8 @@ _hints = functools.cache(typing.get_type_hints)
 
 
 @functools.cache
-def _names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
+def _fields(cls: type) -> tuple[tuple[str, bool], ...]:  # (name, optional)
+    return tuple((f.name, f.default is None) for f in dataclasses.fields(cls))
 
 
 def _plain(value: Any) -> Any:
@@ -60,8 +61,10 @@ class JsonRecord:
 
     def to_json_dict(self) -> dict:
         data = {} if self.JSON_TYPE is None else {"type": self.JSON_TYPE}
-        for name in _names(type(self)):
-            data[name] = _plain(getattr(self, name))
+        for name, optional in _fields(type(self)):
+            value = getattr(self, name)
+            if not (optional and value is None):
+                data[name] = _plain(value)
         return data
 
     @classmethod

@@ -1,24 +1,34 @@
 """The basis-encoded parity counterexample.
 
 A uniform (n+1)-bit key S is produced while the adversary keeps an
-n-qubit register prepared as follows: a uniformly random pad R with
-``R_1 xor ... xor R_n = S_{n+1}`` is BB84-encoded qubit by qubit, with
-the basis of qubit i given by key bit S_i.  Conditioned on any value of
-the first n key bits the register is exactly fully mixed, so every
-marginal is fully mixed, and per-qubit (product) measurements learn at
-most 2^-n bits about the key: that is the figure the per-qubit
-accessible-information search reports, and what acceptance criterion 03
-checks.  A joint measurement of the whole register learns at least 1/2
-bit, so the accessible information itself is not small; no search here
-finds that measurement yet.  And the moment the key
-is used as a one-time pad on a message whose first n bits are known,
-the published ciphertext hands the adversary the bases: measuring
-qubit i in basis ``M_i xor C_i`` recovers R_i with certainty and the
-parity of the pad reveals the unknown message bit ``M_{n+1}``.
+n-qubit register: a uniformly random pad R with ``R_1 xor ... xor R_n =
+S_{n+1}`` is BB84-encoded qubit by qubit, qubit i in the basis given by
+key bit S_i.  Given any value of the first n key bits the register is
+fully mixed, so per-qubit (product) measurements learn at most 2^-n bits
+about the key (acceptance criterion 03).  Yet once the key is used as a
+one-time pad on a message whose first n bits are known, the ciphertext
+hands the adversary the bases: measuring qubit i in basis ``M_i xor C_i``
+recovers R_i, and the pad's parity reveals the message bit ``M_{n+1}``.
 
-This module builds the state, runs the attack, and quantifies the gap
-between the per-qubit accessible-information figure and the
-distinguisher story.
+A joint measurement learns exactly 1/2 bit, the accessible information
+itself, at every n >= 2.  With s the first n key bits, p the last one and
+``P_s`` the string of Z (s_i = 0) and X (s_i = 1), the branch of (s, p) is
+``(I + (-1)^p P_s) / 2^n``.  The 2^(n-1) strings with an even number of X
+commute, and their joint eigenbasis (:func:`even_x_eigenbasis`, the Bell
+basis at n = 2) learns 1/2 bit.  No measurement learns more:
+
+1. The ensemble is covariant under {I, H, Y, HY}^(x)n, which acts
+   irreducibly; twirling an optimal POVM and refining it to rank one
+   (Davies, IEEE TIT 24, 596 (1978)) gives ``I_acc = max_phi 1 - 2^-n
+   sum_s h((1 + <P_s>_phi) / 2)`` over pure phi, h the binary entropy.
+2. ``1 - h((1 + x) / 2) = sum_k x^(2k) / (2 ln 2 k (2k - 1)) <= x^2``,
+   as ``sum_k 1 / (k (2k - 1)) = 2 ln 2``.
+3. Even-X strings anticommute with odd-X ones.  So with ``A = sum_even
+   <P_s> P_s`` and ``B = sum_odd <P_s> P_s``, ``||A + B||^2 <= ||A||^2 +
+   ||B||^2 <= 2^(n-1) sum_s <P_s>^2`` (Cauchy-Schwarz), and since
+   ``sum_s <P_s>^2 = <A + B> <= ||A + B||``, ``sum_s <P_s>^2 <= 2^(n-1)``.
+
+Hence ``I_acc <= 2^-n sum_s <P_s>^2 <= 1/2`` bit (``IACC_UPPER_BITS``).
 """
 
 from __future__ import annotations
@@ -70,11 +80,15 @@ __all__ = [
     "parity_guess_curve_csv",
     "secrecy_gap_report",
     "secrecy_reports",
+    "even_x_eigenbasis",
+    "IACC_UPPER_BITS",
 ]
 
 # Branch dimension is 2^n and there are 2^(n+1) branches, so the cap
 # keeps the full state around 100 MB of dense matrices.
 MAX_ATTACK_QUBITS = 7
+
+IACC_UPPER_BITS = 0.5  # the attack key's accessible information, at every n
 
 # Batched rounds and samples are drawn about this many random bits at a
 # time (as many whole rows as fit, at least one), so memory stays flat
@@ -143,6 +157,19 @@ def build_attack_state(n: int, max_qubits: int = MAX_ATTACK_QUBITS) -> AttackSta
     matrices = rows.transpose(0, 2, 1) @ rows.conj()
     matrices *= weight
     return AttackState(n=n, cq=CqState.from_stack(n + 1, labels, np.full(len(keys), p_branch), matrices))
+
+
+def even_x_eigenbasis(n: int) -> Povm:
+    """Joint eigenbasis of the strings ``P_s`` with an even number of X (module docstring).
+
+    It is the eigenbasis of a fixed-seed real combination of them, whose eigenvalues are distinct.
+    """
+    zx = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])  # Z for key bit 0, X for 1
+    keys = _bit_rows(n)
+    keys = keys[(keys.sum(axis=1) & 1) == 0]
+    weights = np.random.default_rng(0).standard_normal(len(keys))
+    combination = sum(w * functools.reduce(np.kron, zx[s]) for w, s in zip(weights, keys))
+    return Povm.from_basis(np.linalg.eigh(combination)[1].T)
 
 
 class MarginalCheck(NamedTuple):
@@ -414,19 +441,21 @@ class SecrecyGapReport(JsonRecord):
     ben_or_required_iacc: float
     search_budget: int
     seed: int
+    iacc_upper_bits: float | None = None  # IACC_UPPER_BITS where the declared family was searched
 
 
 def secrecy_gap_report(
     n: int,
     search_budget: int = 32,
     seed: int = 0,
-    families: Sequence[str] = ("per_qubit", "random", "hill_climb"),
+    families: Sequence[str] = ("per_qubit", "declared"),
 ) -> SecrecyGapReport:
     """Quantify the counterexample gap for ``n`` register qubits.
 
     The secrecy bracket comes from the parity distinguisher (lower) and
-    the canonical-ideal trace distance (upper); the accessible
-    information is searched over the configured families.  The
+    the canonical-ideal trace distance (upper); the I_acc bracket from the
+    selected families (clamped to the upper end) and ``IACC_UPPER_BITS``,
+    which :func:`even_x_eigenbasis`, the declared family, attains.  The
     ``ben_or_required_iacc`` field is the threshold ``2^-(key_len + 2)``
     at epsilon = 1, i.e. the accessible information would have to
     exceed it before the sufficiency bound could even flag the state as
@@ -434,7 +463,8 @@ def secrecy_gap_report(
     """
     state = build_attack_state(n)
     ideal = _canonical_ideal_cq(state.cq)
-    iacc = accessible_info_lower(state.cq, search_budget=search_budget, rng_seed=seed, families=families)
+    declared = _declared(n, families)
+    iacc = accessible_info_lower(state.cq, search_budget, seed, families, declared=declared)
     return _gap_report(state, ideal, cq_trace_distance(state.cq, ideal), iacc)
 
 
@@ -442,7 +472,7 @@ def secrecy_reports(
     n: int,
     search_budget: int = 32,
     seed: int = 0,
-    families: Sequence[str] = ("per_qubit", "random", "hill_climb"),
+    families: Sequence[str] = ("per_qubit", "declared"),
     correctness=None,
 ) -> tuple[SecurityReport, SecrecyGapReport]:
     """:func:`~qkdlab.security_metrics.evaluate_cq_security` of the attack
@@ -450,19 +480,20 @@ def secrecy_reports(
 
     The attack state, its canonical ideal, the accessible-information
     search and the upper secrecy bound are computed once and shared by
-    both reports; ``correctness`` is passed to the security report.
+    both reports; ``correctness`` is passed to the security report, whose
+    I_acc lower end is clamped like the gap report's.
     """
     state = build_attack_state(n)
+    declared = _declared(n, families)
     report, ideal, iacc = _evaluate(
-        state.cq,
-        strategies=None,
-        num_random_strategies=8,
-        search_budget=search_budget,
-        seed=seed,
-        iacc_families=families,
-        correctness=correctness,
+        state.cq, None, 8, search_budget, seed, families, correctness, declared, IACC_UPPER_BITS
     )
     return report, _gap_report(state, ideal, report.eps_secret_upper, iacc)
+
+
+def _declared(n: int, families: Sequence[str]) -> dict[str, Povm]:
+    # the declared measurement is built only when its family is searched
+    return {"even_x_eigenbasis": even_x_eigenbasis(n)} if "declared" in families else {}
 
 
 def _gap_report(state: AttackState, ideal: CqState, upper: float, iacc: IaccSearchResult) -> SecrecyGapReport:
@@ -471,10 +502,11 @@ def _gap_report(state: AttackState, ideal: CqState, upper: float, iacc: IaccSear
         n=state.n,
         eps_secret_lower=min(1.0, max(0.0, advantage)),
         eps_secret_upper=upper,
-        iacc_lower_bits=iacc.bits,
+        iacc_lower_bits=min(iacc.bits, IACC_UPPER_BITS),
         iacc_family=iacc.family,
         iacc_best_strategy=iacc.best_strategy,
         ben_or_required_iacc=2.0 ** -(state.n + 3),
         search_budget=iacc.budget,
         seed=iacc.seed,
+        iacc_upper_bits=IACC_UPPER_BITS if "declared" in iacc.family else None,
     )

@@ -73,7 +73,7 @@ EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
 
-_FAMILY_CHOICES = ("per_qubit", "random", "hill_climb")
+_FAMILY_CHOICES = ("per_qubit", "declared")
 
 # Loop counts above these caps are usage errors, not long runs.
 MAX_ROUNDS = 10**6
@@ -504,8 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("secrecy", help="security report and I_acc gap for the attack state")
     p.add_argument("--n", type=int, default=3, help=f"pad qubits (2..{MAX_ATTACK_QUBITS})")
     p.add_argument("--budget", type=_at_most(MAX_BUDGET), default=32,
-                   help=f"search budget per family (at most {MAX_BUDGET})")
-    p.add_argument("--families", default=",".join(_FAMILY_CHOICES))
+                   help="per-qubit bases sampled where the exhaustive per-qubit search is too large, "
+                        f"as at n = 7 (at most {MAX_BUDGET})")
+    p.add_argument("--families", default=",".join(_FAMILY_CHOICES),
+                   help="I_acc families, comma-separated: per_qubit, declared (the even-X eigenbasis)")
     p.add_argument("--correctness-file", default=None, help="JSON with 'samples' or 'distribution'")
     _add_common(p)
     p.set_defaults(func=cmd_secrecy)

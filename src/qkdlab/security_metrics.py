@@ -7,7 +7,8 @@ and the adversary register:
 * robustness (abort probability),
 * secrecy, between the best explicit-distinguisher advantage and the
   trace distance to a canonical ideal state (an upper bound),
-* an accessible-information lower bound found by measurement search,
+* an accessible-information lower bound, the best of the measurements
+  that the state's builder declares and a per-qubit search,
 * the Ben-Or style sufficiency threshold relating accessible
   information to a secrecy epsilon, and
 * the union-bound total epsilon.
@@ -365,11 +366,6 @@ class IaccSearchResult:
     budget: int
 
 
-def _qubit_count(dim: int) -> int | None:
-    n = dim.bit_length() - 1
-    return n if dim == 2**n else None
-
-
 def _povm_information(cq: CqState, povm: Povm) -> float:
     return mutual_information(cq_measure(cq, povm))
 
@@ -380,8 +376,8 @@ def _povm_information(cq: CqState, povm: Povm) -> float:
 # the dense maximum is always among them.
 RESCORE_MARGIN_BITS = 1e-9
 
-# Scores up to this many bits are rounding noise (a point-mass key shows
-# 2e-16) and count as 0: rounding a lower bound down keeps it certified.
+# Scores up to this many bits are rounding noise (a fully mixed register
+# shows 9e-16) and count as 0: rounding a lower bound down keeps it certified.
 IACC_FLOOR_BITS = 1e-12
 
 
@@ -401,13 +397,16 @@ def accessible_info_lower(
     cq: CqState,
     search_budget: int = 64,
     rng_seed: int = 0,
-    families: Sequence[str] = ("per_qubit", "random", "hill_climb"),
+    families: Sequence[str] = ("per_qubit", "declared"),
     exhaustive_work_cap: int = 10**9,
+    declared: Mapping[str, Povm] = MappingProxyType({}),
 ) -> IaccSearchResult:
     """Lower-bound the accessible information ``max_Z I(S : Z)`` by search.
 
-    Three measurement families are tried (any subset can be selected):
+    Two measurement families are tried (either can be selected):
 
+    * ``declared``: the named POVMs in ``declared``, which the state's
+      builder supplies from its structure; they are scored first.
     * ``per_qubit``: products of computational / diagonal / Breidbart
       single-qubit bases when the register is a qubit register.  The
       3^n family is enumerated exhaustively while the estimated work
@@ -416,11 +415,9 @@ def accessible_info_lower(
       prefix-tree kernel :func:`product_born_tables`; each member within
       ``RESCORE_MARGIN_BITS`` of its best is then re-scored by the dense
       Born rule in enumeration order, so the reported figure and
-      strategy are those of the dense search over all 3^n members.
-    * ``random``: ``search_budget`` Haar-random rank-1 basis measurements.
-    * ``hill_climb``: coordinate ascent over per-qubit rotation angles,
-      seeded at the best per-qubit member, spending at most
-      ``search_budget`` measurement evaluations.
+      strategy are those of the dense search over all 3^n members.  The
+      re-scoring is skipped when the kernel's best plus that margin
+      cannot beat the figure already in hand.
 
     Every candidate is scored by the exact mutual information of the
     induced joint distribution, so the maximum found is a certified
@@ -432,76 +429,44 @@ def accessible_info_lower(
         raise ValueError("search_budget must be positive")
     if cq.dim > DEFAULT_DIM_CAP:
         raise ValueError(f"register dimension {cq.dim} exceeds cap {DEFAULT_DIM_CAP}")
-    unknown = set(families) - {"per_qubit", "random", "hill_climb"}
+    unknown = set(families) - {"per_qubit", "declared"}
     if unknown:
         raise ValueError(f"unknown families: {sorted(unknown)}")
 
-    rng = np.random.default_rng(rng_seed)
-    nq = _qubit_count(cq.dim)
-    basis_names = list(QUBIT_BASIS_ANGLES)
     best_bits = IACC_FLOOR_BITS
     best_desc = "none"
     evaluations = 0
     searched: list[str] = []
 
-    best_angles: list[float] | None = None
-    if "per_qubit" in families and nq is not None and nq >= 1:
+    if "declared" in families and declared:
+        searched.append("declared")
+        evaluations += len(declared)
+        for name, povm in declared.items():
+            bits = _povm_information(cq, povm)
+            if bits > best_bits:
+                best_bits, best_desc = bits, f"declared:{name}"
+
+    nq = cq.dim.bit_length() - 1
+    if "per_qubit" in families and cq.dim == 2**nq and nq >= 1:
+        basis_names = list(QUBIT_BASIS_ANGLES)
         work = (3**nq) * len(cq.labels) * (2**nq) * cq.dim
         if work <= exhaustive_work_cap:
             searched.append("per_qubit_exhaustive")
             assignments = list(itertools.product(basis_names, repeat=nq))
             ranked = _product_information(cq, list(QUBIT_BASIS_ANGLES.values()))
-            rescored = itertools.compress(assignments, ranked >= ranked.max() - RESCORE_MARGIN_BITS)
+            top = ranked.max()
+            tied = ranked >= top - RESCORE_MARGIN_BITS
+            rescored = itertools.compress(assignments, tied) if top + RESCORE_MARGIN_BITS > best_bits else ()
         else:
             searched.append("per_qubit_sampled")
-            assignments = [
-                tuple(basis_names[i] for i in rng.integers(0, 3, size=nq))
-                for _ in range(search_budget)
-            ]
+            rng = np.random.default_rng(rng_seed)
+            assignments = [tuple(basis_names[i] for i in rng.integers(0, 3, size=nq)) for _ in range(search_budget)]
             rescored = assignments
         evaluations += len(assignments)
         for names in rescored:
-            angles = [QUBIT_BASIS_ANGLES[b] for b in names]
-            bits = _povm_information(cq, product_qubit_povm(angles))
+            bits = _povm_information(cq, product_qubit_povm([QUBIT_BASIS_ANGLES[b] for b in names]))
             if bits > best_bits:
-                best_bits = bits
-                best_desc = "per_qubit:" + ",".join(names)
-                best_angles = angles
-
-    if "random" in families:
-        searched.append("random_bases")
-        for k in range(search_budget):
-            povm = Povm.from_basis(_haar_basis(cq.dim, rng))
-            bits = _povm_information(cq, povm)
-            evaluations += 1
-            if bits > best_bits:
-                best_bits = bits
-                best_desc = f"random_basis:{k}"
-
-    if "hill_climb" in families and nq is not None and nq >= 1:
-        searched.append("hill_climb")
-        angles = list(best_angles) if best_angles is not None else [0.0] * nq
-        current = _povm_information(cq, product_qubit_povm(angles))
-        spent = 1
-        step = math.pi / 8
-        while step > 1e-4 and spent < search_budget:
-            improved = False
-            for i in range(nq):
-                for delta in (step, -step):
-                    if spent >= search_budget:
-                        break
-                    trial = list(angles)
-                    trial[i] = (trial[i] + delta) % math.pi
-                    bits = _povm_information(cq, product_qubit_povm(trial))
-                    spent += 1
-                    if bits > current + 1e-15:
-                        angles, current, improved = trial, bits, True
-            if not improved:
-                step /= 2
-        evaluations += spent
-        if current > best_bits:
-            best_bits = current
-            best_desc = "hill_climb:" + ",".join(f"{a:.6f}" for a in angles)
+                best_bits, best_desc = bits, "per_qubit:" + ",".join(names)
 
     return IaccSearchResult(
         bits=0.0 if best_desc == "none" else best_bits,
@@ -569,7 +534,7 @@ def evaluate_cq_security(
     num_random_strategies: int = 8,
     search_budget: int = 64,
     seed: int = 0,
-    iacc_families: Sequence[str] = ("per_qubit", "random", "hill_climb"),
+    iacc_families: Sequence[str] = ("per_qubit", "declared"),
     correctness=None,
 ) -> SecurityReport:
     """Assemble a full :class:`SecurityReport` for a cq-state.
@@ -580,32 +545,26 @@ def evaluate_cq_security(
     the provenance.  The total epsilon uses the conservative end of the
     secrecy bracket.
     """
-    report, _, _ = _evaluate(
-        cq,
-        strategies=strategies,
-        num_random_strategies=num_random_strategies,
-        search_budget=search_budget,
-        seed=seed,
-        iacc_families=iacc_families,
-        correctness=correctness,
-    )
-    return report
+    return _evaluate(cq, strategies, num_random_strategies, search_budget, seed, iacc_families, correctness)[0]
 
 
 def _evaluate(
     cq: CqState,
-    *,
     strategies: Sequence[Strategy] | None,
     num_random_strategies: int,
     search_budget: int,
     seed: int,
     iacc_families: Sequence[str],
     correctness,
+    iacc_declared: Mapping[str, Povm] = MappingProxyType({}),
+    iacc_upper: float = math.inf,
 ) -> tuple[SecurityReport, CqState, IaccSearchResult]:
     """:func:`evaluate_cq_security`, also returning the canonical ideal
     cq-state and the accessible-information search it computed, so that
     a caller reporting more figures on the same state computes neither
-    twice."""
+    twice.  ``iacc_declared`` is passed to the search as its declared
+    measurements, and the reported I_acc lower end is clamped to a known
+    upper end ``iacc_upper``."""
     ideal = _canonical_ideal_cq(cq)
     if strategies is None:
         strategies, advantages = _default_strategies(cq, ideal, num_random_strategies, seed)
@@ -615,14 +574,14 @@ def _evaluate(
     eps_r = robustness_eps(cq.label_distribution())
     upper = cq_trace_distance(cq, ideal)
     lower = _lower_end(advantages)
-    iacc = accessible_info_lower(cq, search_budget=search_budget, rng_seed=seed, families=iacc_families)
+    iacc = accessible_info_lower(cq, search_budget, seed, iacc_families, declared=iacc_declared)
     report = SecurityReport(
         key_len=cq.key_len,
         eps_correct=eps_c,
         eps_robust=eps_r,
         eps_secret_lower=min(lower, upper),
         eps_secret_upper=upper,
-        iacc_lower_bits=min(iacc.bits, float(cq.key_len)),
+        iacc_lower_bits=min(iacc.bits, float(cq.key_len), iacc_upper),
         eps_total=compose_report(eps_c, upper, eps_r),
         provenance={
             "strategy_count": len(strategies),

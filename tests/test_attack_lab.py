@@ -355,3 +355,64 @@ def test_secrecy_gap_report_fields_and_json():
     assert report.ben_or_required_iacc == 2.0**-5
     again = SecrecyGapReport.from_json_dict(report.to_json_dict())
     assert again == report
+
+
+_Z, _X = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _pauli_strings(n, parity=None):
+    """{s: P_s} with P_s the Kronecker product of Z (s_i = 0) and X (s_i = 1),
+    over every s, or over those whose number of X has the given parity."""
+    keys = [s for s in itertools.product((0, 1), repeat=n) if parity is None or sum(s) % 2 == parity]
+    return {s: functools.reduce(np.kron, [_X if b else _Z for b in s]) for s in keys}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_branches_are_signed_pauli_strings(n):
+    # rho_{s,p} = (I + (-1)^p P_s) / 2^n, the structure the I_acc proof rests on
+    cq = build_attack_state(n).cq
+    index = {label: b for b, label in enumerate(cq.labels)}
+    for s, string in _pauli_strings(n).items():
+        for p in (0, 1):
+            want = (np.eye(2**n) + (-1) ** p * string) / 2**n
+            got = cq.matrices[index["".join(map(str, s)) + str(p)]]
+            assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_even_x_eigenbasis_diagonalises_every_even_x_string(n):
+    v = attack_lab.even_x_eigenbasis(n).basis
+    for string in _pauli_strings(n, parity=0).values():
+        rotated = v @ string @ v.conj().T
+        assert np.abs(rotated - np.diag(np.diag(rotated))).max() < 1e-12
+        assert np.allclose(np.abs(np.diag(rotated)), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_declared_basis_closes_the_iacc_bracket(n):
+    report = secrecy_gap_report(n)
+    assert report.iacc_best_strategy == "declared:even_x_eigenbasis"
+    assert report.iacc_family == ("declared", "per_qubit_exhaustive")
+    assert abs(report.iacc_lower_bits - 0.5) <= 1e-12
+    assert report.iacc_lower_bits <= report.iacc_upper_bits == attack_lab.IACC_UPPER_BITS == 0.5
+    assert SecrecyGapReport.from_json_dict(report.to_json_dict()) == report
+
+
+def test_per_qubit_report_leaves_the_upper_end_out():
+    report = secrecy_gap_report(2, families=("per_qubit",))
+    assert report.iacc_upper_bits is None and "iacc_upper_bits" not in report.to_json_dict()
+
+
+def test_iacc_lower_end_is_clamped_to_the_upper_end(monkeypatch):
+    from qkdlab.security_metrics import accessible_info_lower
+
+    # another joint eigenbasis of the even-X strings, from a different
+    # combination of them, rounds its score above 1/2 bit
+    strings = list(_pauli_strings(2, parity=0).values())
+    weights = np.random.default_rng(6).standard_normal(len(strings))
+    _, vectors = np.linalg.eigh(sum(w * string for w, string in zip(weights, strings)))
+    monkeypatch.setattr(attack_lab, "even_x_eigenbasis", lambda n: Povm.from_basis(vectors.T))
+    raw = accessible_info_lower(build_attack_state(2).cq, declared={"basis": attack_lab.even_x_eigenbasis(2)})
+    assert raw.bits > 0.5
+    report, gap = attack_lab.secrecy_reports(2)
+    assert report.iacc_lower_bits == gap.iacc_lower_bits == 0.5

@@ -318,7 +318,7 @@ _ARGV = st.one_of(
             st.integers(-2, 4).map(str), st.sampled_from(["nan", str(cli.MAX_BUDGET + 1), str(10**30)])
         ),
     }, {
-        "--families": st.sampled_from(["per_qubit", "random", "hill_climb", "per_qubit,random", "psychic", ""]),
+        "--families": st.sampled_from(["per_qubit", "declared", "per_qubit,declared", "random", "hill_climb", "psychic", ""]),
         "--seed": _SEED,
     }),
 )
@@ -423,7 +423,7 @@ def test_secrecy_report(capsys):
     assert gap["ben_or_required_iacc"] == pytest.approx(2**-5, abs=1e-12)
 
 
-def test_secrecy_computes_shared_results_once(capsys, monkeypatch):
+def _count_secrecy_calls(capsys, monkeypatch, argv):
     # born_table here counts the strategy measurements only: the I_acc
     # search measures through quantum_core.cq_measure
     calls = {"build_attack_state": 0, "accessible_info_lower": 0, "born_table": 0, "cq_measure": 0}
@@ -443,25 +443,41 @@ def test_secrecy_computes_shared_results_once(capsys, monkeypatch):
         for name, wrapper in wrappers.items():
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
-    code, payload, _ = run_json(capsys, ["secrecy", "--n", "3", "--budget", "4", "--seed", "5"])
+    code, payload, _ = run_json(capsys, argv)
     assert code == EXIT_OK
+    return calls, payload
+
+
+def test_secrecy_computes_shared_results_once(capsys, monkeypatch):
+    argv = ["secrecy", "--n", "3", "--budget", "4", "--seed", "5"]
+    calls, payload = _count_secrecy_calls(capsys, monkeypatch, argv)
     # 34 to rate the 10 default strategies (one measurement per state and
     # POVM group; 8 groups for the label-basis one) and 16 for the parity
-    # strategy of the gap report; the I_acc search re-scores densely the
-    # 8 of the 27 per-qubit products that tie at the prefix-tree kernel's
-    # maximum, then takes 4 random and 4 hill-climb measurements
+    # strategy of the gap report; the I_acc search scores the declared
+    # basis, and no per-qubit product can beat its 1/2 bit, so the 8
+    # members that tie at the prefix-tree kernel's maximum are not re-scored
     assert calls == {
-        "build_attack_state": 1, "accessible_info_lower": 1, "born_table": 50, "cq_measure": 8 + 4 + 4
+        "build_attack_state": 1, "accessible_info_lower": 1, "born_table": 50, "cq_measure": 1
     }
     report, gap = payload["result"]["security_report"], payload["result"]["gap_report"]
     assert gap["iacc_lower_bits"] == report["iacc_lower_bits"]
     assert gap["eps_secret_upper"] == report["eps_secret_upper"]
 
 
+def test_secrecy_rescores_per_qubit_ties_without_a_declared_basis(capsys, monkeypatch):
+    calls, _ = _count_secrecy_calls(
+        capsys, monkeypatch, ["secrecy", "--n", "3", "--families", "per_qubit", "--seed", "5"]
+    )
+    assert calls["cq_measure"] == 8  # the 8 of 27 members tied at the kernel's maximum
+
+
 def test_secrecy_rejects_unknown_family(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["secrecy", "--n", "2", "--families", "psychic"])
-    assert exc.value.code == EXIT_USAGE
+    for family in ("psychic", "random", "hill_climb"):
+        with pytest.raises(SystemExit) as exc:
+            main(["secrecy", "--n", "2", "--families", family])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unknown families" in err and "Traceback" not in err
 
 
 def test_secrecy_correctness_file_samples(capsys, tmp_path):
@@ -772,11 +788,11 @@ def test_keystream_benchmark_commands_print_the_pinned_bytes(capsys, argv, diges
 # stdout of the quantum commands, pinned as sha256: the attack state, its
 # canonical ideal, the secrecy bracket, the I_acc search and the marginal check
 _QUANTUM_OUTPUTS = [
-    (["secrecy", "--n", "2", "--seed", "1"], "05c7191927b8816d454dee9b0ffd6dd4d084e6dfdc96e8e7a00ecee01be56e89"),
-    (["secrecy", "--n", "3", "--seed", "1"], "7a6ff557eab6090dd8ff1736ed7c68ea15e4b67845cf75dc026399fa609bb3aa"),
-    (["secrecy", "--n", "4", "--seed", "1"], "5678f9d633782e1b24dcf4d7e90af63a77823dfbce178ffc8ea4f645878c4ae3"),
-    (["secrecy", "--n", "5", "--seed", "1"], "92561b408b40e682b33c4fd20452deacde9779edbd52e1ef08270ebb5b003789"),
-    (["secrecy", "--n", "6", "--seed", "1"], "78ea2198e71ecccfa1f5b7c19b78e12046cd4911e768bb8a29e953dc266f2bb3"),
+    (["secrecy", "--n", "2", "--seed", "1"], "185bab261c9f494c111811b2aef3d498b869cfb875e181e68e3b5b2958a39965"),
+    (["secrecy", "--n", "3", "--seed", "1"], "0584767f33d75cd1c235f0605598f15f34d8d234564130788710dcc1cabdd8aa"),
+    (["secrecy", "--n", "4", "--seed", "1"], "f4f6cf769cc2faa5a65c02b1c88d90a38ceb2757d63901fd104ba92d25ca0c08"),
+    (["secrecy", "--n", "5", "--seed", "1"], "c42567f2fe1f5763a7bf13074763c39d2a49d56b7e28faab99c2ae454c5f034e"),
+    (["secrecy", "--n", "6", "--seed", "1"], "d578270d60a209dce8a7b522144ffb15f9d65fc11a95d14b5bd09d26dd36600d"),
     (["secrecy", "--n", "3", "--families", "per_qubit", "--seed", "4"],
      "58aec65b92568a680a7b647e62821cf29b7768a8d3c6767f7aa499e67f116cfa"),
     (["attack-demo", "--n", "2", "--trials", "1000", "--seed", "3"],

@@ -80,7 +80,10 @@ def test_tag_rule():
             assert "type" not in data
         else:
             assert data["type"] == type(record).JSON_TYPE
-        assert set(data) - {"type"} == {f for f in vars(record) if not f.startswith("_")}
+        # an optional field (default None) is left out while it is None
+        optional = {f.name for f in dataclasses.fields(record) if f.default is None}
+        skipped = {f for f in optional if getattr(record, f) is None}
+        assert set(data) - {"type"} == {f for f in vars(record) if not f.startswith("_")} - skipped
     assert AdvantageEstimate.JSON_TYPE is None and DistinguisherRow.JSON_TYPE is None
 
 
