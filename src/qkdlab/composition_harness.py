@@ -32,6 +32,7 @@ import numpy as np
 
 from ._json import JsonRecord
 from .attack_lab import _bit_rows, _chunk_rows, _complete_pads
+from .security_metrics import _cp_upper
 
 __all__ = [
     "Sample",
@@ -210,7 +211,8 @@ class Distinguisher:
 
 @dataclass(frozen=True)
 class AdvantageEstimate(JsonRecord):
-    """|P_real(accept) - P_ideal(accept)| with an uncertainty half-width."""
+    """|P_real(accept) - P_ideal(accept)| and its ``half_width``: the
+    advantage minus its certified lower end (0 in exact mode)."""
 
     advantage: float
     half_width: float
@@ -236,13 +238,13 @@ def _accept_prob(table: SampleTable, decide: Decide) -> float:
     return math.fsum(table.weights[accept & (table.weights > 0.0)].tolist())
 
 
-def _accept_prob_sampled(
+def _accept_count_sampled(
     run: Callable[[np.random.Generator, int], Samples],
     decide: Decide,
     trials: int,
     rng: np.random.Generator,
-) -> float:
-    """Fraction of ``trials`` samples of ``run`` that ``decide`` accepts.
+) -> int:
+    """How many of ``trials`` samples of ``run`` ``decide`` accepts.
 
     Samples are drawn and decided a chunk of rows at a time, so memory
     does not grow with ``trials``.
@@ -252,72 +254,38 @@ def _accept_prob_sampled(
     hits = 0
     for start in range(0, trials, rows):
         hits += int(np.count_nonzero(_accepted(decide, *run(rng, min(rows, trials - start)))))
-    return hits / trials
+    return hits
 
 
-# Cephes ndtri.c (S. L. Moshier), the algorithm behind scipy.special.ndtri:
-# a rational function of (y - 1/2)^2 for exp(-2) < y < 1 - exp(-2), and of
-# 1/sqrt(-2 log y) in the tails, with (P1, Q1) down to y = exp(-32) and
-# (P2, Q2) below.  Each Q starts with the implicit leading 1.0 of Cephes'
-# p1evl, so one Horner loop evaluates both P and Q.
-_NDTRI_E2 = 0.13533528323661269189  # exp(-2)
-_NDTRI_S2PI = 2.50662827463100050242  # sqrt(2 pi)
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-             1.39312609387279679503e1, -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_FAMILY_ERROR = 1e-6  # the chance that one sampled call reports any violation that is not there
 
 
-def _polevl(x: float, coefs: Sequence[float]) -> float:
-    ans = coefs[0]
-    for c in coefs[1:]:
-        ans = ans * x + c
-    return ans
+def _half_width(hits_a: int, hits_b: int, trials: int, rows: int) -> float:
+    """|p_a - p_b| from the hit counts of two worlds minus its certified lower
+    end max(L_a - U_b, L_b - U_a, 0), by exact one-sided Clopper-Pearson ends.
+    A row reads four ends, a lower and an upper one per world (the observed
+    sign picks the pair, and only that pair can be positive); Bonferroni
+    gives each end of the ``rows`` rows an equal share of _FAMILY_ERROR."""
+    low, high = sorted((hits_a, hits_b))
+    conf = 1.0 - _FAMILY_ERROR / (4 * rows)
+    lower = max(0.0, 1.0 - _cp_upper(trials - high, trials, conf) - _cp_upper(low, trials, conf))
+    return abs(hits_a / trials - hits_b / trials) - lower
 
 
-def _ndtri(y0: float) -> float:
-    """The standard normal quantile: x with Phi(x) = y0, bit for bit as
-    ``scipy.special.ndtri`` computes it; NaN outside [0, 1]."""
-    if not 0.0 < y0 < 1.0:
-        return -math.inf if y0 == 0.0 else math.inf if y0 == 1.0 else math.nan
-    y, upper = y0, y0 > 1.0 - _NDTRI_E2
-    if upper:
-        y = 1.0 - y
-    if y > _NDTRI_E2:
-        y -= 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
-        return x * _NDTRI_S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    p, q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
-    x = x0 - z * _polevl(z, p) / _polevl(z, q)
-    return x if upper else -x
-
-
-def _two_sample_half_width(p_a: float, p_b: float, trials: int, confidence: float) -> float:
-    # pooled normal interval for a difference of two Bernoulli means,
-    # with a Hoeffding fallback when the plug-in variance degenerates
-    pooled = 0.5 * (p_a + p_b)
-    var = pooled * (1.0 - pooled) * (2.0 / trials)
-    if var > 0.0:
-        z = _ndtri(0.5 + confidence / 2.0)
-        return z * math.sqrt(var)
-    return math.sqrt(math.log(2.0 / (1.0 - confidence)) / trials)
+def _mode(mode: str, pair: ProtocolPair, rng: np.random.Generator | None, trials: int) -> str:
+    """``mode`` with ``"auto"`` resolved (exact when the pair has exact
+    distributions), checked to have what it needs."""
+    if mode == "auto":
+        mode = "exact" if pair.has_exact_dists else "sample"
+    if mode == "exact" and not pair.has_exact_dists:
+        raise ValueError(f"{pair.name} has no exact distributions")
+    if mode == "sample" and rng is None:
+        raise ValueError("sampling mode needs an rng")
+    if mode == "sample" and trials < 100:
+        raise ValueError("need at least 100 trials per world")
+    if mode not in ("exact", "sample"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return mode
 
 
 def estimate_advantage(
@@ -326,7 +294,6 @@ def estimate_advantage(
     mode: str = "auto",
     trials: int = 10_000,
     rng: np.random.Generator | None = None,
-    confidence: float = 0.99,
 ) -> AdvantageEstimate:
     """Advantage of one distinguisher against a pair.
 
@@ -335,25 +302,15 @@ def estimate_advantage(
     picks exact when available.
     """
     decide = distinguisher.decide if isinstance(distinguisher, Distinguisher) else distinguisher
-    if mode == "auto":
-        mode = "exact" if pair.has_exact_dists else "sample"
-    if mode == "exact":
-        if not pair.has_exact_dists:
-            raise ValueError(f"{pair.name} has no exact distributions")
+    if _mode(mode, pair, rng, trials) == "exact":
         p_r = _accept_prob(pair.real_dist, decide)
         p_i = _accept_prob(pair.ideal_dist, decide)
         return AdvantageEstimate(abs(p_r - p_i), 0.0, p_r, p_i, "exact", 0)
-    if mode != "sample":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ValueError("sampling mode needs an rng")
-    if trials < 100:
-        raise ValueError("need at least 100 trials per world")
     r_real, r_ideal = rng.spawn(2)
-    p_r = _accept_prob_sampled(pair.real_run, decide, trials, r_real)
-    p_i = _accept_prob_sampled(pair.ideal_run, decide, trials, r_ideal)
-    hw = _two_sample_half_width(p_r, p_i, trials, confidence)
-    return AdvantageEstimate(abs(p_r - p_i), hw, p_r, p_i, "sample", trials)
+    k_r = _accept_count_sampled(pair.real_run, decide, trials, r_real)
+    k_i = _accept_count_sampled(pair.ideal_run, decide, trials, r_ideal)
+    p_r, p_i = k_r / trials, k_i / trials
+    return AdvantageEstimate(abs(p_r - p_i), _half_width(k_r, k_i, trials, 1), p_r, p_i, "sample", trials)
 
 
 def exact_optimal_advantage(pair: ProtocolPair) -> float:
@@ -429,7 +386,8 @@ class DistinguisherRow(JsonRecord):
     ideal key); ``advantage_app_step`` between the hybrid and the
     composed ideal.  ``telescope_residual`` is the signed total
     difference minus the two signed step differences, identically zero
-    up to float roundoff.
+    up to float roundoff.  ``half_width`` is ``advantage_total`` minus its
+    certified lower end (0 in exact mode).
     """
 
     name: str
@@ -475,27 +433,19 @@ def verify_composition_bound(
     key), and composed ideal.  The three pairwise differences then
     telescope, giving both the per-step advantages of the hybrid
     argument and the total advantage compared against
-    min(1, eps_source + eps_app).
+    min(1, eps_source + eps_app): a sampled row breaks the bound only when
+    the certified lower end of its total advantage does.
     """
     if not distinguishers:
         raise ValueError("need at least one distinguisher")
     composed = compose(source, app)
-    if mode == "auto":
-        mode = "exact" if composed.has_exact_dists else "sample"
+    mode = _mode(mode, composed, rng, trials)
     if mode == "exact":
-        if not composed.has_exact_dists:
-            raise ValueError("exact mode needs exact distributions for source and application")
         hybrid = _convolve(source.ideal_dist, app.real_dist_given_keys)
         worlds = (composed.real_dist, hybrid, composed.ideal_dist)
-    elif mode == "sample":
-        if rng is None:
-            raise ValueError("sampling mode needs an rng")
-        if trials < 100:
-            raise ValueError("need at least 100 trials per world")
+    else:
         hybrid_run = _composed_runner(source.ideal_run, app.real_run)
         worlds = (composed.real_run, hybrid_run, composed.ideal_run)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     bound = composed.declared_eps
     rows = []
@@ -505,8 +455,9 @@ def verify_composition_bound(
             hw = 0.0
         else:
             runs = zip(worlds, rng.spawn(3))
-            p_rr, p_ir, p_ii = (_accept_prob_sampled(run, d.decide, trials, r) for run, r in runs)
-            hw = _two_sample_half_width(p_rr, p_ii, trials, 0.99)
+            k_rr, k_ir, k_ii = (_accept_count_sampled(run, d.decide, trials, r) for run, r in runs)
+            p_rr, p_ir, p_ii = k_rr / trials, k_ir / trials, k_ii / trials
+            hw = _half_width(k_rr, k_ii, trials, len(distinguishers))
         total = p_rr - p_ii
         step_source = p_rr - p_ir
         step_app = p_ir - p_ii

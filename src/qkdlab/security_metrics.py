@@ -121,16 +121,86 @@ def correctness_eps(outcomes) -> float:
 
 
 def clopper_pearson_upper(failures: int, trials: int, confidence: float = 0.99) -> float:
-    """One-sided exact binomial (Clopper-Pearson) upper bound."""
+    """One-sided exact binomial (Clopper-Pearson) upper bound, rounded up:
+    P[Binomial(trials, bound) <= failures] <= 1 - confidence."""
     if trials <= 0 or failures < 0 or failures > trials:
         raise ValueError("need 0 <= failures <= trials, trials > 0")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    if failures >= trials:
-        return 1.0
-    from scipy.special import betaincinv  # imported here: no other path needs SciPy's start-up
+    return _cp_upper(failures, trials, confidence)
 
-    return float(betaincinv(failures + 1, trials - failures, confidence))
+
+def _cp_upper(k: int, n: int, conf: float) -> float:
+    """The exact one-sided Clopper-Pearson upper bound on a binomial p from k
+    successes in n trials, rounded up: P[X <= k] <= 1 - conf at the result;
+    the lower bound is ``1 - _cp_upper(n - k, n, conf)``.  The search aims at
+    (1 - conf)(1 - 1e-8), far above the error of the computed CDF, and
+    returns the end of its bracket past that value.
+    """
+    if k >= n:
+        return 1.0
+    target = (1.0 - conf) * (1.0 - 1e-8)
+    if k == 0:
+        return -math.expm1(math.log(target) / n)
+
+    # P[X = j] in Loader's saddle-point form (as R's dbinom): no lgamma of n,
+    # whose rounding grows with n
+    def stirlerr(m: int) -> float:  # log(m!) - log(sqrt(2 pi m) (m/e)^m)
+        if m <= 15:
+            return math.lgamma(m + 1.0) - (m + 0.5) * math.log(m) + m - 0.5 * math.log(2.0 * math.pi)
+        mm = m * m
+        return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / mm) / mm) / mm) / mm) / m
+
+    def bd0(x: float, mean: float) -> float:  # x log(x/mean) + mean - x, without cancellation
+        v = (x - mean) / (x + mean)
+        if abs(v) >= 0.1:
+            return x * math.log(x / mean) + mean - x
+        return (x - mean) * v + 2.0 * x * sum(v**j / j for j in range(19, 1, -2))  # v^21 term < 1e-18 v^3
+
+    def log_pmf(j: int, p: float, q: float) -> float:  # log P[X = j], 0 < j <= n
+        if j == n:
+            return n * math.log1p(-q)
+        lc = stirlerr(n) - stirlerr(j) - stirlerr(n - j) - bd0(j, n * p) - bd0(n - j, n * q)
+        return lc - 0.5 * math.log(2.0 * math.pi * j * (n - j) / n)
+
+    def beta_cf(a: float, b: float, x: float) -> float:  # fast for x < (a + 1)/(a + b + 2)
+        c, d = 1.0, 1.0 / ((1.0 - (a + b) * x / (a + 1.0)) or 1e-300)
+        h = d
+        for m in range(1, 1 << 20):
+            for aa in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                       -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+                d, c = 1.0 / ((1.0 + aa * d) or 1e-300), (1.0 + aa / c) or 1e-300
+                h *= d * c
+            if abs(d * c - 1.0) < 1e-15:
+                return h
+        raise ArithmeticError("continued fraction did not converge")
+
+    # P[X <= k] = I_{1-p}(n - k, k + 1), from the side where its fraction converges fast;
+    # sqrt(-2 log P[X <= k]) grows about linearly in p, which suits false position
+    def g(p: float) -> float:
+        q = 1.0 - p
+        if q * (n + 3) < n - k + 1:
+            log_cdf = math.log(p) + log_pmf(k, p, q) + math.log(beta_cf(n - k, k + 1, q))
+        else:
+            log_cdf = math.log1p(-q * math.exp(log_pmf(k + 1, p, q)) * beta_cf(k + 1, n - k, p))
+        return math.sqrt(max(0.0, -2.0 * log_cdf)) - aim
+
+    aim = math.sqrt(-2.0 * math.log(target))
+    # k/n is a median of X, so the CDF there is at least 1/2; at p = 0 it is 1
+    lo, glo = (k / n, math.sqrt(2.0 * math.log(2.0)) - aim) if target < 0.5 else (0.0, -aim)
+    hi = min(k / n + aim * math.sqrt(k * (n - k) / n) / n + aim * aim / n, 0.5 + 0.5 * k / n)
+    while (ghi := g(hi)) < 0.0:
+        lo, glo, hi = hi, ghi, 0.5 + 0.5 * hi
+        if hi == 1.0:  # the bound lies within an ulp of 1
+            return 1.0
+    side, tol = 0, 1e-10  # Illinois: the value at an end kept twice is halved
+    while hi - lo > tol * hi:
+        p = min(max(hi - ghi * (hi - lo) / (ghi - glo), lo + 0.4 * tol * hi), hi - 0.4 * tol * hi)
+        if (gp := g(p)) >= 0.0:
+            hi, ghi, glo, side = p, gp, glo * 0.5 if side > 0 else glo, 1
+        else:
+            lo, glo, ghi, side = p, gp, ghi * 0.5 if side < 0 else ghi, -1
+    return hi
 
 
 def robustness_eps(label_distribution: Mapping[str, float]) -> float:

@@ -181,8 +181,8 @@ def test_default_commands_start_and_run_without_scipy(tmp_path):
     *default_runs, (_, code, loaded, out) = report["runs"]
     for name, exit_code, loaded_before, _ in default_runs:
         assert exit_code in (EXIT_OK, EXIT_FINDING) and loaded_before == [], name
-    # the Clopper-Pearson bound of a correctness sample file still comes from SciPy
-    assert code == EXIT_OK and "scipy.special" in loaded
+    # the Clopper-Pearson bound of a correctness sample file needs no SciPy either
+    assert code == EXIT_OK and loaded == []
     eps_correct = json.loads(out)["result"]["security_report"]["eps_correct"]
     assert eps_correct == security_metrics.clopper_pearson_upper(1, 4)
 
@@ -1006,7 +1006,7 @@ def test_verify_composition_sample_mode(capsys):
         "advantage_total": "0.1048",
         "advantage_source_step": "0.11170000000000002",
         "advantage_app_step": "0.006900000000000017",
-        "half_width": "0.012811046427253931",
+        "half_width": "0.03528327350492311",
     }),
     (["--example", "attack-otp", "--n", "6", "--mode", "sample", "--trials", "20000", "--seed", "1"],
      EXIT_FINDING, ("estimate",), {"accept_real": "1.0", "accept_ideal": "0.4925"}),
@@ -1020,6 +1020,15 @@ def test_verify_composition_seeded_outputs_are_pinned(capsys, argv, code, field,
     for key in field:
         part = part[key]
     assert {name: repr(part[name]) for name in expected} == expected
+
+
+@pytest.mark.parametrize("seed", ["584", "1225"])
+def test_biased_otp_at_its_tight_bound_is_no_finding(capsys, seed):
+    # the majority distinguisher attains the bound 0.1 exactly; these seeds
+    # sample 0.11395 and 0.11355, which a normal two-sided interval flagged
+    code, payload, _ = run_json(capsys, ["verify-composition", "--example", "biased-otp", "--mode", "sample",
+                                         "--trials", "20000", "--message", "1", "--seed", seed])
+    assert code == EXIT_OK and payload["result"]["all_within_bound"] is True
 
 
 def test_rsa_demo_single(capsys):

@@ -7,7 +7,6 @@ import zlib
 import numpy as np
 import pytest
 import sympy
-from scipy import stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,9 +15,8 @@ from qkdlab import composition_harness as ch
 from qkdlab.attack_lab import sample_pad
 from qkdlab.composition_harness import (
     Distinguisher,
-    _accept_prob_sampled,
+    _accept_count_sampled,
     _table,
-    _two_sample_half_width,
     KeyApplication,
     ProtocolPair,
     attack_otp_composed_pair,
@@ -164,6 +162,28 @@ def test_verify_composition_bound_sampled():
     assert abs(row.telescope_residual) <= 1e-12  # same three estimates telescope
     assert report.trials == 5_000
     assert row.within_bound
+
+
+def test_sampled_verdicts_agree_with_exact_mode():
+    # exact mode is the oracle: the parity row breaks its bound (advantage
+    # 1/2 against 1/4), and the majority row on a biased key keeps it
+    message = "1011001"
+    pair = attack_otp_composed_pair(6, message)
+    parity = otp_prefix_parity_distinguisher(message)
+    assert estimate_advantage(pair, parity, mode="exact").advantage > pair.declared_eps
+    for trials in (2_000, 20_000):
+        for seed in range(3):
+            est = estimate_advantage(pair, parity, mode="sample", trials=trials,
+                                     rng=np.random.default_rng(seed))
+            assert est.advantage > pair.declared_eps + est.half_width + 1e-9, (trials, seed)
+    for p_zero, message in ((0.6, "1"), (0.6, "01"), (0.8, "110")):
+        source, app = biased_key_source(len(message), p_zero), otp_application(message)
+        majority = [otp_majority_zeros_distinguisher(message)]
+        assert verify_composition_bound(source, app, majority, mode="exact").all_within_bound
+        for seed in range(3):
+            report = verify_composition_bound(source, app, majority, mode="sample",
+                                              rng=np.random.default_rng(seed))
+            assert report.all_within_bound, (message, seed)
 
 
 def test_verify_composition_bound_validation():
@@ -442,8 +462,8 @@ def test_histogram_acceptance_counts_every_trial(widths, trials, p_one, seed, sa
 
     edges = np.cumsum([0, *widths])
     direct = sum(hashed([row[a:b] for a, b in zip(edges, edges[1:])]) for row in bits)
-    got = _accept_prob_sampled(_replay(bits, widths), decide, trials, np.random.default_rng(0))
-    assert got == direct / trials
+    got = _accept_count_sampled(_replay(bits, widths), decide, trials, np.random.default_rng(0))
+    assert got == direct
 
 
 def test_batched_runs_replay_the_per_trial_draws():
@@ -494,7 +514,7 @@ def test_sampled_memory_does_not_grow_with_trials(monkeypatch):
     def peak(trials):
         tracemalloc.start()
         try:
-            _accept_prob_sampled(pair.ideal_run, _accept_all, trials, np.random.default_rng(0))
+            _accept_count_sampled(pair.ideal_run, _accept_all, trials, np.random.default_rng(0))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -537,7 +557,7 @@ def test_sampled_mode_decides_each_drawn_chunk_once(monkeypatch):
         return pair.ideal_run(rng, trials)
 
     parity = _counting(otp_prefix_parity_distinguisher(message).decide)
-    _accept_prob_sampled(recording, parity, 1001, np.random.default_rng(4))
+    _accept_count_sampled(recording, parity, 1001, np.random.default_rng(4))
     assert drawn[0] == 0  # the layout draw is not decided
     assert parity.rows == drawn[1:] and sum(parity.rows) == 1001 and max(parity.rows) == 3
 
@@ -762,30 +782,3 @@ def test_auction_sweep_bob_always_wins():
         rsa_auction_sweep(0)
     with pytest.raises(ValueError, match="max_bid"):
         rsa_auction_sweep(2, 16, 2**20)
-
-
-def test_ndtri_matches_scipy_bit_for_bit():
-    from scipy.special import ndtri
-
-    rng = np.random.default_rng(1006_2215)
-    # y around exp(-32), where sqrt(-2 log y) reaches 8 and the tail fits
-    # switch (at exactly 8 both fits give the same bits)
-    split = math.exp(-32) + np.arange(-60, 61) * np.spacing(math.exp(-32))
-    ys = np.concatenate((
-        rng.random(100_000),
-        10.0 ** rng.uniform(-300, -10, 10_000),
-        1.0 - 10.0 ** rng.uniform(-16, -10, 10_000),
-        0.5 + np.linspace(0.5, 0.999, 21) / 2.0,
-        split,
-        [0.995, math.exp(-2), 1.0 - math.exp(-2), 0.5, 5e-324, 0.0, 1.0],
-    ))
-    got = np.array([ch._ndtri(float(y)) for y in ys])
-    assert np.array_equal(got.view(np.int64), ndtri(ys).view(np.int64))
-    assert all(math.isnan(ch._ndtri(y)) for y in (-0.5, 1.5, math.nan, -math.inf))
-
-
-def test_half_width_quantile_matches_scipy_stats():
-    for confidence in np.linspace(0.5, 0.999, 21):
-        z = float(stats.norm.ppf(0.5 + confidence / 2.0))
-        expected = z * math.sqrt(0.35 * 0.65 * (2.0 / 1000))
-        assert _two_sample_half_width(0.3, 0.4, 1000, float(confidence)) == expected

@@ -1,11 +1,11 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from conftest import (
     bb84,
@@ -72,21 +72,51 @@ def test_correctness_eps_samples_upper_bounds_plugin_rate():
     assert eps == clopper_pearson_upper(10, 100)
 
 
+def _binom_cdf(k: int, n: int, p) -> mpmath.mpf:
+    """P[Binomial(n, p) <= k] at 50 digits, summed from k down until a term
+    is below 1e-45 of the sum; for p above k/n each term is a falling
+    fraction of the one before, so what is left out is far below 1e-8."""
+    with mpmath.workdps(50):
+        p = mpmath.mpf(p)
+        term = mpmath.binomial(n, k) * p**k * (1 - p) ** (n - k)
+        total, ratio = term, (1 - p) / p
+        for j in range(k, 0, -1):
+            term *= ratio * j / (n - j + 1)
+            total += term
+            if term < total * mpmath.mpf(10) ** -45:
+                break
+        return +total
+
+
 def test_clopper_pearson_against_binomial_cdf():
     # defining property: P[X <= k] at the bound equals 1 - confidence
     for k, n in ((0, 50), (3, 100), (17, 200)):
         upper = clopper_pearson_upper(k, n, confidence=0.99)
-        assert stats.binom.cdf(k, n, upper) == pytest.approx(0.01, rel=1e-6)
+        assert float(_binom_cdf(k, n, upper)) == pytest.approx(0.01, rel=1e-6)
     assert clopper_pearson_upper(5, 5) == 1.0
+    # 1 - 1e-23 is the bound here, and it rounds up to 1
+    assert clopper_pearson_upper(10**7 - 1, 10**7, 1 - 2**-53) == 1.0
     with pytest.raises(ValueError):
         clopper_pearson_upper(3, 2)
 
 
-def test_clopper_pearson_matches_scipy_stats_quantile():
-    for confidence in np.linspace(0.5, 0.999, 21):
-        for failures, trials in ((0, 1), (0, 50), (3, 100), (17, 200), (999, 1000)):
-            expected = float(stats.beta.ppf(confidence, failures + 1, trials - failures))
-            assert clopper_pearson_upper(failures, trials, float(confidence)) == expected
+def test_clopper_pearson_is_conservative_and_tight_against_mpmath():
+    # Rounded up: the exact CDF at the bound is at most 1 - confidence, and
+    # the exact quantile lies within 1e-8 relative below the bound.
+    rng = np.random.default_rng(1006_2215)
+    cases = [(k, n) for n in (1, 2, 20_000, 10**7) for k in (0, n - 1, n)]
+    for _ in range(100):
+        n = int(10 ** rng.uniform(0, 7))
+        cases.append((int(rng.integers(0, n + 1)), n))
+    for k, n in cases:
+        confidence = float(rng.choice([0.9, 0.95, 0.99, 0.999, 1 - 1e-6, 1 - 2.5e-7]))
+        upper = clopper_pearson_upper(k, n, confidence)
+        if k == n:
+            assert upper == 1.0
+            continue
+        alpha = 1 - mpmath.mpf(confidence)
+        assert _binom_cdf(k, n, upper) <= alpha, (k, n, confidence)
+        assert _binom_cdf(k, n, mpmath.mpf(upper) * (1 - mpmath.mpf(10) ** -8)) > alpha, (k, n, confidence)
 
 
 def test_robustness_eps_reads_abort_mass():
