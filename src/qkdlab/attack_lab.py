@@ -454,8 +454,9 @@ def secrecy_gap_report(
 
     The secrecy bracket comes from the parity distinguisher (lower) and
     the canonical-ideal trace distance (upper); the I_acc bracket from the
-    selected families (clamped to the upper end) and ``IACC_UPPER_BITS``,
-    which :func:`even_x_eigenbasis`, the declared family, attains.  The
+    selected families (clamped to the upper end, where the search stops)
+    and ``IACC_UPPER_BITS``, which :func:`even_x_eigenbasis`, the declared
+    family, attains.  The
     ``ben_or_required_iacc`` field is the threshold ``2^-(key_len + 2)``
     at epsilon = 1, i.e. the accessible information would have to
     exceed it before the sufficiency bound could even flag the state as
@@ -464,7 +465,7 @@ def secrecy_gap_report(
     state = build_attack_state(n)
     ideal = _canonical_ideal_cq(state.cq)
     declared = _declared(n, families)
-    iacc = accessible_info_lower(state.cq, search_budget, seed, families, declared=declared)
+    iacc = accessible_info_lower(state.cq, search_budget, seed, families, declared=declared, upper=IACC_UPPER_BITS)
     return _gap_report(state, ideal, cq_trace_distance(state.cq, ideal), iacc)
 
 
@@ -481,7 +482,12 @@ def secrecy_reports(
     The attack state, its canonical ideal, the accessible-information
     search and the upper secrecy bound are computed once and shared by
     both reports; ``correctness`` is passed to the security report, whose
-    I_acc lower end is clamped like the gap report's.
+    I_acc lower end is clamped like the gap report's.  Each search stops
+    once its bracket closes: the I_acc search after the declared basis
+    meets ``IACC_UPPER_BITS``, the default strategies after the
+    label-basis one meets the trace distance.  So ``search_budget`` and
+    ``seed`` matter only where a bracket stays open (``families`` without
+    ``declared``).
     """
     state = build_attack_state(n)
     declared = _declared(n, families)

@@ -505,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3, help=f"pad qubits (2..{MAX_ATTACK_QUBITS})")
     p.add_argument("--budget", type=_at_most(MAX_BUDGET), default=32,
                    help="per-qubit bases sampled where the exhaustive per-qubit search is too large, "
-                        f"as at n = 7 (at most {MAX_BUDGET})")
+                        "as at n = 7; the per-qubit family runs only while the I_acc bracket is open, "
+                        f"i.e. without the declared basis, which closes it (at most {MAX_BUDGET})")
     p.add_argument("--families", default=",".join(_FAMILY_CHOICES),
                    help="I_acc families, comma-separated: per_qubit, declared (the even-X eigenbasis)")
     p.add_argument("--correctness-file", default=None, help="JSON with 'samples' or 'distribution'")

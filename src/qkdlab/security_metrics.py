@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -404,11 +404,31 @@ def default_strategies(cq: CqState, num_random: int = 8, seed: int = 0) -> list[
 
 
 def _default_strategies(
-    cq: CqState, ideal: CqState, num_random: int, seed: int
+    cq: CqState, ideal: CqState, num_random: int, seed: int, *, upper: float = math.inf
 ) -> tuple[list[Strategy], list[float]]:
-    """:func:`default_strategies` and the advantage of each against ``ideal``."""
+    """:func:`default_strategies` and the advantage of each against ``ideal``.
+
+    The stock is scored in order: trivial, label-basis, then Haar.  Once
+    an advantage reaches ``upper`` (a known upper end, such as the trace
+    distance to ``ideal``) the rest of the stock is neither drawn nor
+    scored, since no advantage can move a lower end clamped to ``upper``.
+    A Haar basis is drawn only when it is about to be scored, so the
+    bases scored are those of the full stock.
+    """
+    strategies: list[Strategy] = []
+    advantages: list[float] = []
+    for m in _strategy_stock(cq, num_random, seed):
+        rule, advantage = _optimal_rule(cq, ideal, m)
+        strategies.append((m, rule))
+        advantages.append(advantage)
+        if advantage >= upper:
+            break
+    return strategies, advantages
+
+
+def _strategy_stock(cq: CqState, num_random: int, seed: int) -> Iterator[MeasurementLike]:
     dim = cq.dim
-    measurements: list[MeasurementLike] = [Povm((("0", np.eye(dim, dtype=np.complex128)),))]
+    yield Povm((("0", np.eye(dim, dtype=np.complex128)),))
 
     nq = dim.bit_length() - 1
     if dim == 2**nq and 1 <= nq <= cq.key_len:
@@ -416,12 +436,11 @@ def _default_strategies(
         def label_basis_povm(label: str) -> Povm:
             return prefix_basis_povm(label[:nq] if label != PERP else "0" * nq)
 
-        measurements.append(label_basis_povm)
+        yield label_basis_povm
 
     rng = np.random.default_rng(seed)
-    measurements += [Povm.from_basis(_haar_basis(dim, rng)) for _ in range(num_random)]
-    scored = [_optimal_rule(cq, ideal, m) for m in measurements]
-    return [(m, rule) for m, (rule, _) in zip(measurements, scored)], [adv for _, adv in scored]
+    for _ in range(num_random):
+        yield Povm.from_basis(_haar_basis(dim, rng))
 
 
 @dataclass(frozen=True)
@@ -470,10 +489,16 @@ def accessible_info_lower(
     families: Sequence[str] = ("per_qubit", "declared"),
     exhaustive_work_cap: int = 10**9,
     declared: Mapping[str, Povm] = MappingProxyType({}),
+    *,
+    upper: float = math.inf,
 ) -> IaccSearchResult:
     """Lower-bound the accessible information ``max_Z I(S : Z)`` by search.
 
-    Two measurement families are tried (either can be selected):
+    Two measurement families are tried (either can be selected), each
+    only while the bracket is open: once the best score reaches ``upper``,
+    a known upper end on the accessible information, no later family is
+    searched (nor tagged in ``family`` or counted in ``evaluations``),
+    since none could move a figure clamped to ``upper``:
 
     * ``declared``: the named POVMs in ``declared``, which the state's
       builder supplies from its structure; they are scored first.
@@ -497,6 +522,8 @@ def accessible_info_lower(
     """
     if search_budget <= 0:
         raise ValueError("search_budget must be positive")
+    if not upper >= 0.0:
+        raise ValueError(f"upper={upper!r} must be nonnegative")
     if cq.dim > DEFAULT_DIM_CAP:
         raise ValueError(f"register dimension {cq.dim} exceeds cap {DEFAULT_DIM_CAP}")
     unknown = set(families) - {"per_qubit", "declared"}
@@ -508,7 +535,7 @@ def accessible_info_lower(
     evaluations = 0
     searched: list[str] = []
 
-    if "declared" in families and declared:
+    if "declared" in families and declared and best_bits < upper:
         searched.append("declared")
         evaluations += len(declared)
         for name, povm in declared.items():
@@ -517,7 +544,7 @@ def accessible_info_lower(
                 best_bits, best_desc = bits, f"declared:{name}"
 
     nq = cq.dim.bit_length() - 1
-    if "per_qubit" in families and cq.dim == 2**nq and nq >= 1:
+    if "per_qubit" in families and cq.dim == 2**nq and nq >= 1 and best_bits < upper:
         basis_names = list(QUBIT_BASIS_ANGLES)
         work = (3**nq) * len(cq.labels) * (2**nq) * cq.dim
         if work <= exhaustive_work_cap:
@@ -614,6 +641,12 @@ def evaluate_cq_security(
     pass it via ``correctness`` or it is reported as 0 with a note in
     the provenance.  The total epsilon uses the conservative end of the
     secrecy bracket.
+
+    Without explicit ``strategies``, the :func:`default_strategies` stock
+    is scored in order only until an advantage reaches the trace distance
+    (the upper end), so ``num_random_strategies`` and ``seed`` matter
+    only while the secrecy bracket is open; ``strategy_count`` in the
+    provenance counts the strategies scored.
     """
     return _evaluate(cq, strategies, num_random_strategies, search_budget, seed, iacc_families, correctness)[0]
 
@@ -634,17 +667,17 @@ def _evaluate(
     a caller reporting more figures on the same state computes neither
     twice.  ``iacc_declared`` is passed to the search as its declared
     measurements, and the reported I_acc lower end is clamped to a known
-    upper end ``iacc_upper``."""
+    upper end ``iacc_upper``, at which the search also stops."""
     ideal = _canonical_ideal_cq(cq)
+    upper = cq_trace_distance(cq, ideal)
     if strategies is None:
-        strategies, advantages = _default_strategies(cq, ideal, num_random_strategies, seed)
+        strategies, advantages = _default_strategies(cq, ideal, num_random_strategies, seed, upper=upper)
     else:
         advantages = [distinguishing_advantage(cq, ideal, s) for s in strategies]
     eps_c = 0.0 if correctness is None else correctness_eps(correctness)
     eps_r = robustness_eps(cq.label_distribution())
-    upper = cq_trace_distance(cq, ideal)
     lower = _lower_end(advantages)
-    iacc = accessible_info_lower(cq, search_budget, seed, iacc_families, declared=iacc_declared)
+    iacc = accessible_info_lower(cq, search_budget, seed, iacc_families, declared=iacc_declared, upper=iacc_upper)
     report = SecurityReport(
         key_len=cq.key_len,
         eps_correct=eps_c,

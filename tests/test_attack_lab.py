@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import bb84, to_density
-from qkdlab import attack_lab
+from conftest import bb84, entropy_bits, to_density
+from qkdlab import attack_lab, security_metrics
 from qkdlab.attack_lab import (
     AttackState,
     SecrecyGapReport,
@@ -31,9 +31,19 @@ from qkdlab.quantum_core import (
     DensityOperator,
     Povm,
     cq_measure,
+    cq_trace_distance,
     mutual_information,
 )
-from qkdlab.security_metrics import canonical_ideal, secrecy_eps_lower, secrecy_eps_upper, strategy_acceptance
+from qkdlab.security_metrics import (
+    QUBIT_BASIS_ANGLES,
+    accessible_info_lower,
+    canonical_ideal,
+    default_strategies,
+    distinguishing_advantage,
+    secrecy_eps_lower,
+    secrecy_eps_upper,
+    strategy_acceptance,
+)
 
 COS2_PI_8 = math.cos(math.pi / 8) ** 2
 
@@ -392,7 +402,9 @@ def test_even_x_eigenbasis_diagonalises_every_even_x_string(n):
 def test_declared_basis_closes_the_iacc_bracket(n):
     report = secrecy_gap_report(n)
     assert report.iacc_best_strategy == "declared:even_x_eigenbasis"
-    assert report.iacc_family == ("declared", "per_qubit_exhaustive")
+    # the declared basis meets the upper end, so the per-qubit family, which
+    # searched after it until the searches began to stop, is skipped
+    assert report.iacc_family == ("declared",)
     assert abs(report.iacc_lower_bits - 0.5) <= 1e-12
     assert report.iacc_lower_bits <= report.iacc_upper_bits == attack_lab.IACC_UPPER_BITS == 0.5
     assert SecrecyGapReport.from_json_dict(report.to_json_dict()) == report
@@ -404,8 +416,6 @@ def test_per_qubit_report_leaves_the_upper_end_out():
 
 
 def test_iacc_lower_end_is_clamped_to_the_upper_end(monkeypatch):
-    from qkdlab.security_metrics import accessible_info_lower
-
     # another joint eigenbasis of the even-X strings, from a different
     # combination of them, rounds its score above 1/2 bit
     strings = list(_pauli_strings(2, parity=0).values())
@@ -416,3 +426,111 @@ def test_iacc_lower_end_is_clamped_to_the_upper_end(monkeypatch):
     assert raw.bits > 0.5
     report, gap = attack_lab.secrecy_reports(2)
     assert report.iacc_lower_bits == gap.iacc_lower_bits == 0.5
+
+
+# ---------------------------------------------------------------------------
+# the certificates at which the searches stop, and the searches without stops
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_no_per_qubit_product_learns_more_than_2_to_the_minus_n(n):
+    # every one of the 3^n products, as ranked by the prefix-tree kernel and
+    # as reported after the dense re-scoring
+    cq = build_attack_state(n).cq
+    ranked = security_metrics._product_information(cq, list(QUBIT_BASIS_ANGLES.values()))
+    assert len(ranked) == 3**n and ranked.max() <= 2.0**-n + 1e-12
+    iacc = accessible_info_lower(cq, families=("per_qubit",), upper=attack_lab.IACC_UPPER_BITS)
+    assert iacc.family == ("per_qubit_exhaustive",) and iacc.evaluations == 3**n
+    assert iacc.bits <= 2.0**-n + 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_haar_bases_stay_below_the_iacc_upper_end(n):
+    cq = build_attack_state(n).cq
+    rng = np.random.default_rng(100 + n)
+    for _ in range(200):
+        basis = Povm.from_basis(security_metrics._haar_basis(2**n, rng))
+        assert mutual_information(cq_measure(cq, basis)) <= attack_lab.IACC_UPPER_BITS + 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_holevo_chi_is_one_bit_above_the_iacc_upper_end(n):
+    # chi = S(sum_b p_b rho_b) - sum_b p_b S(rho_b) = n - (n - 1)
+    cq = build_attack_state(n).cq
+    average = np.einsum("b,bij->ij", cq.probs, cq.matrices)
+    branch_entropies = [entropy_bits(np.linalg.eigvalsh(m)) for m in cq.matrices]
+    chi = entropy_bits(np.linalg.eigvalsh(average)) - float(np.dot(cq.probs, branch_entropies))
+    assert abs(chi - 1.0) <= 1e-9
+    assert chi >= attack_lab.IACC_UPPER_BITS
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_no_default_strategy_beats_the_trace_distance(n):
+    cq = build_attack_state(n).cq
+    ideal = canonical_ideal(cq).to_cq(cq.key_len)
+    upper = cq_trace_distance(cq, ideal)
+    stock = default_strategies(cq)
+    assert len(stock) == 10
+    for strategy in stock:
+        assert distinguishing_advantage(cq, ideal, strategy) <= upper + 1e-12
+
+
+# provenance of how far each search ran: the only fields the stops change
+_SEARCH_FIELDS = {"iacc_family", "iacc_evaluations", "strategy_count"}
+
+
+def _without_search_fields(record) -> dict:
+    out = record.to_json_dict()
+    out.pop("iacc_family", None)
+    if "provenance" in out:
+        out["provenance"] = {k: v for k, v in out["provenance"].items() if k not in _SEARCH_FIELDS}
+    return out
+
+
+def _disable_stops(monkeypatch):
+    """Make every search run to its end, whatever upper end it is given."""
+    for module, name in (
+        (security_metrics, "accessible_info_lower"),
+        (attack_lab, "accessible_info_lower"),
+        (security_metrics, "_default_strategies"),
+    ):
+        search = getattr(module, name)
+        monkeypatch.setattr(module, name, functools.partial(_unstopped, search))
+
+
+def _unstopped(search, *args, upper=None, **kwargs):
+    return search(*args, upper=math.inf, **kwargs)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_secrecy_reports_match_the_unstopped_searches(monkeypatch, n):
+    for seed in (1, 2, 3):
+        report, gap = attack_lab.secrecy_reports(n, seed=seed)
+        with monkeypatch.context() as patch:
+            _disable_stops(patch)
+            full_report, full_gap = attack_lab.secrecy_reports(n, seed=seed)
+        assert _without_search_fields(report) == _without_search_fields(full_report)
+        assert _without_search_fields(gap) == _without_search_fields(full_gap)
+        # the stops cut both searches short, and only those three fields say so
+        assert (report.provenance["strategy_count"], full_report.provenance["strategy_count"]) == (2, 10)
+        assert report.provenance["iacc_evaluations"] == 1
+        assert full_report.provenance["iacc_evaluations"] == 1 + 3**n
+        assert gap.iacc_family == tuple(report.provenance["iacc_family"]) == ("declared",)
+        assert full_gap.iacc_family == ("declared", "per_qubit_exhaustive")
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_gap_report_alone_equals_the_shared_one(n):
+    assert secrecy_gap_report(n) == attack_lab.secrecy_reports(n)[1]
+
+
+@pytest.mark.parametrize("families", [("per_qubit",), ("declared",)])
+@pytest.mark.parametrize("n", range(2, 5))
+def test_one_family_reports_differ_from_the_unstopped_ones_in_strategy_count_only(monkeypatch, n, families):
+    report, gap = attack_lab.secrecy_reports(n, seed=1, families=families)
+    with monkeypatch.context() as patch:
+        _disable_stops(patch)
+        full_report, full_gap = attack_lab.secrecy_reports(n, seed=1, families=families)
+    assert gap == full_gap
+    count = {"strategy_count": 2}
+    assert report.to_json_dict() == {**full_report.to_json_dict(), "provenance": {**full_report.provenance, **count}}

@@ -451,13 +451,15 @@ def _count_secrecy_calls(capsys, monkeypatch, argv):
 def test_secrecy_computes_shared_results_once(capsys, monkeypatch):
     argv = ["secrecy", "--n", "3", "--budget", "4", "--seed", "5"]
     calls, payload = _count_secrecy_calls(capsys, monkeypatch, argv)
-    # 34 to rate the 10 default strategies (one measurement per state and
-    # POVM group; 8 groups for the label-basis one) and 16 for the parity
-    # strategy of the gap report; the I_acc search scores the declared
-    # basis, and no per-qubit product can beat its 1/2 bit, so the 8
-    # members that tie at the prefix-tree kernel's maximum are not re-scored
+    # 18 to rate the default strategies up to the label-basis one, whose
+    # advantage meets the trace distance, so the 8 Haar ones are never scored
+    # (one measurement per state and POVM group: 1 for the trivial strategy,
+    # 8 for the label-basis one), and 16 for the parity strategy of the gap
+    # report; the I_acc search scores the declared basis, which meets the 1/2
+    # bit upper end, so the per-qubit family is not searched (50 -> 34 born
+    # tables when the searches began to stop at a closed bracket)
     assert calls == {
-        "build_attack_state": 1, "accessible_info_lower": 1, "born_table": 50, "cq_measure": 1
+        "build_attack_state": 1, "accessible_info_lower": 1, "born_table": 34, "cq_measure": 1
     }
     report, gap = payload["result"]["security_report"], payload["result"]["gap_report"]
     assert gap["iacc_lower_bits"] == report["iacc_lower_bits"]
@@ -786,15 +788,19 @@ def test_keystream_benchmark_commands_print_the_pinned_bytes(capsys, argv, diges
 
 
 # stdout of the quantum commands, pinned as sha256: the attack state, its
-# canonical ideal, the secrecy bracket, the I_acc search and the marginal check
+# canonical ideal, the secrecy bracket, the I_acc search and the marginal check.
+# The secrecy digests changed when each search began to stop once its bracket
+# closes: only the provenance fields iacc_family, iacc_evaluations and
+# strategy_count moved (every figure is unchanged; see
+# test_attack_lab.py::test_secrecy_reports_match_the_unstopped_searches)
 _QUANTUM_OUTPUTS = [
-    (["secrecy", "--n", "2", "--seed", "1"], "185bab261c9f494c111811b2aef3d498b869cfb875e181e68e3b5b2958a39965"),
-    (["secrecy", "--n", "3", "--seed", "1"], "0584767f33d75cd1c235f0605598f15f34d8d234564130788710dcc1cabdd8aa"),
-    (["secrecy", "--n", "4", "--seed", "1"], "f4f6cf769cc2faa5a65c02b1c88d90a38ceb2757d63901fd104ba92d25ca0c08"),
-    (["secrecy", "--n", "5", "--seed", "1"], "c42567f2fe1f5763a7bf13074763c39d2a49d56b7e28faab99c2ae454c5f034e"),
-    (["secrecy", "--n", "6", "--seed", "1"], "d578270d60a209dce8a7b522144ffb15f9d65fc11a95d14b5bd09d26dd36600d"),
+    (["secrecy", "--n", "2", "--seed", "1"], "74f38040fdb7e36a57310713390cb2b101ac6b855029bd6c6ab2d15539d6b5b1"),
+    (["secrecy", "--n", "3", "--seed", "1"], "d08072fc68f375fd3231a541d3a2970d77ae5246753cda1ece4590e7d3de588c"),
+    (["secrecy", "--n", "4", "--seed", "1"], "c125816ac5a5291e014a85d731e51d134063fa7cdaa6213594d4ff346cf01c0e"),
+    (["secrecy", "--n", "5", "--seed", "1"], "c8438fd21bd2ac2460f586a02e6b8fbd9f4b8f9725de93997b7cd9108ac01d5d"),
+    (["secrecy", "--n", "6", "--seed", "1"], "38439773813a568b6c3ff17545062231507669cf6c2e026f36b52e15e00c106c"),
     (["secrecy", "--n", "3", "--families", "per_qubit", "--seed", "4"],
-     "58aec65b92568a680a7b647e62821cf29b7768a8d3c6767f7aa499e67f116cfa"),
+     "e08dc760baa849273f4a76f334f032095273e30a2a1410a1207b0acc1e5c7917"),
     (["attack-demo", "--n", "2", "--trials", "1000", "--seed", "3"],
      "412ba4c031c54c45495b617aeca5b44c3d9356adf4f15242efe908681422dd92"),
     (["attack-demo", "--n", "3", "--trials", "1000", "--seed", "3"],

@@ -481,6 +481,56 @@ def test_declared_measurements_are_scored_first_and_skip_hopeless_rescoring(monk
     assert accessible_info_lower(cq, families=("per_qubit",), declared=declared).best_strategy != "declared:even_x"
 
 
+def test_iacc_search_stops_once_it_meets_the_upper_end():
+    cq = build_attack_state(3).cq
+    declared = {"even_x": even_x_eigenbasis(3)}
+    closed = accessible_info_lower(cq, declared=declared, upper=0.5)
+    assert (closed.family, closed.evaluations, closed.best_strategy) == (("declared",), 1, "declared:even_x")
+    full = accessible_info_lower(cq, declared=declared)
+    assert full.family == ("declared", "per_qubit_exhaustive") and full.bits == closed.bits
+    # an end the declared basis does not reach leaves the per-qubit family in place,
+    # and so does an upper end without a declared basis
+    assert accessible_info_lower(cq, declared=declared, upper=0.75).family == full.family
+    assert accessible_info_lower(cq, families=("per_qubit",), upper=0.5).evaluations == 27
+    # a zero upper end leaves nothing to search: 0 bits is already certified
+    nothing = accessible_info_lower(cq, declared=declared, upper=0.0)
+    assert (nothing.bits, nothing.family, nothing.evaluations) == (0.0, (), 0)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="upper"):
+            accessible_info_lower(cq, upper=bad)
+
+
+@pytest.mark.parametrize("stop_at", range(10))
+def test_strategy_stock_stops_at_the_first_advantage_that_meets_the_upper_end(stop_at):
+    # the stopped stock is a prefix of the full one, Haar bases included
+    cq = rand_cq(np.random.default_rng(5), 2, 4)
+    ideal = canonical_ideal(cq).to_cq(cq.key_len)
+    full, advantages = security_metrics._default_strategies(cq, ideal, 8, 3)
+    assert len(full) == 10
+    upper = advantages[stop_at]
+    first = next(i for i, a in enumerate(advantages) if a >= upper)
+    stopped, got = security_metrics._default_strategies(cq, ideal, 8, 3, upper=upper)
+    assert got == advantages[: first + 1] and len(stopped) == first + 1
+    for (m, _), (want, _) in zip(stopped[2:], full[2:]):
+        assert np.array_equal(m.basis, want.basis)
+
+
+def test_epsilon_stop_leaves_every_figure_of_the_report_unchanged():
+    # without strategies, the report scores the default stock only until an
+    # advantage meets the trace distance; with the full stock given, it scores all
+    stopped = 0
+    for seed in range(50):
+        cq = rand_cq(np.random.default_rng(seed), 1 + seed % 3, 2 + seed % 2, include_perp=seed % 5 == 0)
+        options = {"search_budget": 2, "seed": seed, "iacc_families": ("per_qubit",)}
+        report = evaluate_cq_security(cq, num_random_strategies=8, **options)
+        full = evaluate_cq_security(cq, strategies=default_strategies(cq, 8, seed), **options)
+        assert repr(report.eps_secret_lower) == repr(full.eps_secret_lower)
+        count, full_count = report.provenance["strategy_count"], full.provenance["strategy_count"]
+        assert report.to_json_dict() == {**full.to_json_dict(), "provenance": {**full.provenance, "strategy_count": count}}
+        stopped += count < full_count
+    assert stopped == 3  # the stop fires where an advantage rounds up to the trace distance
+
+
 def test_accessible_info_sampling_fallback_and_validation():
     from qkdlab.attack_lab import build_attack_state
 
