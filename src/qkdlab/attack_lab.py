@@ -75,6 +75,7 @@ __all__ = [
     "sample_pad",
     "parity_strategy",
     "single_qubit_guess_oracle",
+    "BREIDBART",
     "basis_guess_probability",
     "parity_guess_curve",
     "parity_guess_curve_csv",
@@ -140,6 +141,8 @@ def build_attack_state(n: int, max_qubits: int = MAX_ATTACK_QUBITS) -> AttackSta
     Every key value ``s`` has probability 2^-(n+1); its register branch
     is the uniform mixture, weight 2^-(n-1) each, of the product states
     encoding the parity-constrained pads in the bases ``s_1 .. s_n``.
+    The branch is built from its factor, the weighted pad states as
+    columns (:meth:`~qkdlab.quantum_core.CqState.from_factors`).
     """
     if not 2 <= n <= max_qubits:
         raise ValueError(f"n must lie in [2, {max_qubits}]")
@@ -154,9 +157,10 @@ def build_attack_state(n: int, max_qubits: int = MAX_ATTACK_QUBITS) -> AttackSta
         factor = _BB84_AMPS[keys[:, i, None], pads[:, :, i]]
         rows = (rows[:, :, :, None] * factor[:, :, None, :]).reshape(len(keys), pads.shape[1], -1)
     labels = ["".join(map(str, s)) for s in keys.tolist()]
-    matrices = rows.transpose(0, 2, 1) @ rows.conj()
-    matrices *= weight
-    return AttackState(n=n, cq=CqState.from_stack(n + 1, labels, np.full(len(keys), p_branch), matrices))
+    # column k of factor s is pad k's state, weighted: W_s W_s^dagger is the branch of s
+    rows *= math.sqrt(weight)
+    factors = rows.transpose(0, 2, 1)
+    return AttackState(n=n, cq=CqState.from_factors(n + 1, labels, np.full(len(keys), p_branch), factors))
 
 
 def even_x_eigenbasis(n: int) -> Povm:
@@ -347,6 +351,10 @@ class GuessOracle(NamedTuple):
     angle: float
 
 
+# the best single-basis guess in closed form: the intermediate angle pi/8 guesses with cos^2(pi/8)
+BREIDBART = GuessOracle(p_star=math.cos(math.pi / 8) ** 2, angle=math.pi / 8)
+
+
 def basis_guess_probability(theta: float) -> float:
     """Probability of guessing the BB84 data bit with one fixed basis.
 
@@ -376,9 +384,9 @@ def single_qubit_guess_oracle(sweep_step: float = 1e-4) -> GuessOracle:
 
     Sweeps the rotation angle over [0, pi) at ``sweep_step`` and then
     refines the best candidate by ternary search.  The optimum sits at
-    the intermediate (Breidbart) angle pi/8 with value cos^2(pi/8); the
-    numeric search is kept independent of that closed form so it can
-    serve as an oracle for it.
+    the intermediate (Breidbart) angle pi/8 with value cos^2(pi/8)
+    (:data:`BREIDBART`); the numeric search is kept independent of that
+    closed form so it can serve as an oracle for it.
     """
     if not 0 < sweep_step <= 1e-4:
         raise ValueError("sweep_step must be in (0, 1e-4]")
@@ -403,12 +411,13 @@ def parity_guess_curve(n_max: int, p_star: float | None = None) -> list[tuple[in
     With per-qubit guess probability p*, n independent guesses recover
     the parity with probability ``(1 + (2 p* - 1)^n) / 2``; the curve
     decays geometrically to a coin flip, which is why per-qubit figures
-    suggest the hidden bit is safe.
+    suggest the hidden bit is safe.  ``p_star`` defaults to the
+    closed-form :data:`BREIDBART` value.
     """
     if not 1 <= n_max <= 16:
         raise ValueError("n_max must lie in [1, 16]")
     if p_star is None:
-        p_star = single_qubit_guess_oracle().p_star
+        p_star = BREIDBART.p_star
     edge = 2.0 * p_star - 1.0
     return [(n, 0.5 * (1.0 + edge**n)) for n in range(1, n_max + 1)]
 

@@ -29,6 +29,7 @@ import numpy.random  # numpy loads it lazily: load it with the rest of start-up,
 
 from . import __version__
 from .attack_lab import (
+    BREIDBART,
     MAX_ATTACK_QUBITS,
     fully_mixed_marginal_check,
     build_attack_state,
@@ -36,7 +37,6 @@ from .attack_lab import (
     parity_guess_curve_csv,
     run_otp_attacks,
     secrecy_reports,
-    single_qubit_guess_oracle,
 )
 from .composition_harness import (
     attack_otp_composed_pair,
@@ -206,7 +206,6 @@ def cmd_attack_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         check = fully_mixed_marginal_check(build_attack_state(args.n))
         marginal = {"passed": check.passed, "max_deviation": check.max_deviation}
 
-    oracle = single_qubit_guess_oracle()
     curve_at_n = parity_guess_curve(args.n)[-1][1] if args.n <= 16 else None
     if args.curve_csv is not None:
         _atomic_write(args.curve_csv, [parity_guess_curve_csv(min(args.n, 16)).encode()])
@@ -219,7 +218,7 @@ def cmd_attack_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         "success_rate": rate,
         "wrong_basis": args.wrong_basis,
         "marginal_check": marginal,
-        "single_basis_guess": {"p_star": oracle.p_star, "angle": oracle.angle},
+        "single_basis_guess": {"p_star": BREIDBART.p_star, "angle": BREIDBART.angle},
         "parity_guess_probability": curve_at_n,
         "last_transcript": {
             "key": "".join(map(str, last.key)),

@@ -179,7 +179,9 @@ class CqState:
     vector ``probs`` and the label tuple ``labels``.  :meth:`from_stack`
     builds a state from those three; the mapping constructor takes
     validated :class:`DensityOperator` branches and then the same path.
-    The read-only mapping ``branches`` hands out views of the stack.
+    :meth:`from_factors` builds each branch as ``W W^dagger`` from a
+    factor ``W``: such branches are PSD by construction and are not
+    clipped.  The read-only mapping ``branches`` hands out views of the stack.
     """
 
     key_len: int
@@ -208,6 +210,39 @@ class CqState:
             raise ValueError(f"{len(labels)} labels for {len(m)} branch operators")
         cq = object.__new__(cls)
         cq._assemble(key_len, labels, probs, _density_stack(m, [f"branch {label!r}" for label in labels]))
+        return cq
+
+    @classmethod
+    def from_factors(cls, key_len: int, labels: Sequence[str], probs, factors) -> "CqState":
+        """The state with branches ``(labels[b], probs[b], W_b W_b^dagger)`` for the
+        ``(B, d, r)`` stack ``factors`` of the ``W_b``; the labels as in :meth:`from_stack`.
+
+        Each branch's trace, ``||W_b||_F^2``, must be 1 within 1e-9 and
+        is divided out.  A product ``W W^dagger`` is PSD by construction,
+        so no spectrum is computed: each matrix is only made exactly
+        Hermitian, a few at a time.
+        """
+        labels = tuple(labels)
+        w = np.asarray(factors, dtype=np.complex128)
+        if w.ndim != 3 or min(w.shape[1:]) < 1:
+            raise ValueError(f"expected a (B, d, r) stack of factors, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError("factor has a non-finite entry")
+        if len(w) != len(labels):
+            raise ValueError(f"{len(labels)} labels for {len(w)} branch factors")
+        out = np.empty((len(w), w.shape[1], w.shape[1]), dtype=np.complex128)
+        for part in _chunks(len(w), w.shape[1]):
+            rho = w[part] @ w[part].conj().swapaxes(1, 2)
+            rho += rho.conj().swapaxes(1, 2)
+            rho /= 2
+            tr = np.trace(rho, axis1=1, axis2=2).real
+            bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
+            if bad.size:
+                name, trace = labels[part][bad[0]], float(tr[bad[0]])
+                raise ValueError(f"branch {name!r} has trace {trace!r}, not 1 within {TRACE_TOL}")
+            np.divide(rho, tr[:, None, None], out=out[part])
+        cq = object.__new__(cls)
+        cq._assemble(key_len, labels, probs, out)
         return cq
 
     def _assemble(self, key_len: int, labels: tuple[str, ...], probs, matrices: np.ndarray) -> None:

@@ -94,9 +94,10 @@ def test_bit_rows_enumerate_like_itertools():
         assert rows.tolist() == [list(r) for r in itertools.product((0, 1), repeat=n)]
 
 
-def _itertools_attack_matrices(n):
-    # the state built from itertools enumerations of keys and pads, with
-    # the same Kronecker products as build_attack_state
+def _itertools_attack_rows(n):
+    # the branch labels and pad states (rows[s, k] is pad k's product state in the
+    # bases of key s) from itertools enumerations of keys and pads, with the same
+    # Kronecker products as build_attack_state
     amps = np.array([[bb84(r, s) for r in (0, 1)] for s in (0, 1)])
     keys = np.array(list(itertools.product((0, 1), repeat=n + 1)))
     by_parity = [
@@ -108,16 +109,60 @@ def _itertools_attack_matrices(n):
     for i in range(n):
         factor = amps[keys[:, i, None], pads[:, :, i]]
         rows = (rows[:, :, :, None] * factor[:, :, None, :]).reshape(len(keys), pads.shape[1], -1)
-    branches = {
-        "".join(map(str, s)): (2.0 ** -(n + 1), DensityOperator(2.0 ** -(n - 1) * (r.T @ r.conj())))
-        for s, r in zip(keys.tolist(), rows)
-    }
-    return CqState(key_len=n + 1, branches=branches).matrices
+    return ["".join(map(str, s)) for s in keys.tolist()], rows
 
 
-def test_attack_state_is_bit_identical_to_itertools_build():
-    for n in range(2, 6):
-        assert np.array_equal(build_attack_state(n).cq.matrices, _itertools_attack_matrices(n))
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_attack_state_matches_the_dense_oracle_build(n):
+    # the dense path (each branch formed, then checked and clipped by from_stack) is the oracle;
+    # the factor path skips the clip, so the last bits move, by at most 1e-15
+    labels, rows = _itertools_attack_rows(n)
+    dense = CqState.from_stack(n + 1, labels, [2.0 ** -(n + 1)] * len(labels),
+                               2.0 ** -(n - 1) * (rows.transpose(0, 2, 1) @ rows.conj()))
+    built = build_attack_state(n).cq
+    assert built.labels == dense.labels and built.probs.tobytes() == dense.probs.tobytes()
+    assert np.abs(built.matrices - dense.matrices).max() <= 1e-15
+
+
+def test_attack_state_build_makes_no_eigendecomposition(monkeypatch):
+    calls = []
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counting
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    for n in range(2, 7):
+        build_attack_state(n)
+    assert calls == []
+    labels, rows = _itertools_attack_rows(2)
+    CqState.from_stack(3, labels, [0.125] * 8, 0.5 * (rows.transpose(0, 2, 1) @ rows.conj()))
+    assert "eigvalsh" in calls  # the count sees the dense path's check
+
+
+def test_attack_state_factor_build_traces_one_stack_and_a_chunk():
+    # the n = 6 branch stack is 8 MB; the products are formed a few branches at a time
+    n = 6
+    labels, rows = _itertools_attack_rows(n)
+    factors = rows.transpose(0, 2, 1) * math.sqrt(2.0 ** -(n - 1))
+    probs = np.full(len(labels), 2.0 ** -(n + 1))
+    tracemalloc.start()
+    try:
+        cq = CqState.from_factors(n + 1, labels, probs, factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cq.matrices.nbytes + 2 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_marginal_check_deviation_is_at_rounding_level(n):
+    assert fully_mixed_marginal_check(build_attack_state(n)).max_deviation <= 1e-15
 
 
 def test_marginal_check_passes_for_real_state():
@@ -315,6 +360,9 @@ def test_oracle_finds_intermediate_angle():
     oracle = single_qubit_guess_oracle()
     assert oracle.p_star == pytest.approx(COS2_PI_8, abs=1e-9)
     assert oracle.angle == pytest.approx(math.pi / 8, abs=1e-4)
+    # the closed form that the commands print, checked by the numeric search
+    assert attack_lab.BREIDBART.p_star == pytest.approx(oracle.p_star, abs=1e-15)
+    assert attack_lab.BREIDBART.angle == pytest.approx(oracle.angle, abs=1e-8)
     with pytest.raises(ValueError):
         single_qubit_guess_oracle(sweep_step=1e-3)
 

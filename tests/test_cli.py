@@ -112,16 +112,6 @@ def test_counts_above_their_cap_are_usage_errors(capsys, argv, flag, cap):
     assert f"(at most {cap})" in " ".join(capsys.readouterr().out.split())
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qkdlab.__file__)))
-    code = "import sys, qkdlab.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == "False"
-
-
 def test_every_name_in_all_resolves():
     # a name deleted from a module but left in __all__ would break import *
     names = [qkdlab.__name__] + [f"qkdlab.{m.name}" for m in pkgutil.iter_modules(qkdlab.__path__)]
@@ -361,6 +351,16 @@ def test_attack_demo_envelope(capsys):
     assert result["marginal_check"]["max_deviation"] < 1e-9
     assert result["single_basis_guess"]["p_star"] == pytest.approx(0.8535533905, abs=1e-6)
     assert len(result["last_transcript"]["key"]) == 3
+
+
+def test_attack_demo_prints_the_closed_form_breidbart_point(capsys, monkeypatch, tmp_path):
+    def sweep(*args, **kwargs):
+        raise AssertionError("attack-demo ran the numeric guess search")
+
+    monkeypatch.setattr(attack_lab, "single_qubit_guess_oracle", sweep)
+    code, payload, _ = run_json(capsys, [*ATTACK_ARGS, "--curve-csv", str(tmp_path / "curve.csv")])
+    assert code == EXIT_OK
+    assert payload["result"]["single_basis_guess"] == {"p_star": 0.8535533905932737, "angle": 0.39269908169872414}
 
 
 def test_attack_demo_deterministic(capsys):
@@ -801,18 +801,19 @@ _QUANTUM_OUTPUTS = [
     (["secrecy", "--n", "6", "--seed", "1"], "38439773813a568b6c3ff17545062231507669cf6c2e026f36b52e15e00c106c"),
     (["secrecy", "--n", "3", "--families", "per_qubit", "--seed", "4"],
      "e08dc760baa849273f4a76f334f032095273e30a2a1410a1207b0acc1e5c7917"),
+    # attack-demo prints the closed-form Breidbart angle pi/8 and the factor-built state's marginal deviation
     (["attack-demo", "--n", "2", "--trials", "1000", "--seed", "3"],
-     "412ba4c031c54c45495b617aeca5b44c3d9356adf4f15242efe908681422dd92"),
+     "c859d26e7751e442ea7cc4d9192e4bcc50c7da00ea370a1e62ec3ee4a00cd0b0"),
     (["attack-demo", "--n", "3", "--trials", "1000", "--seed", "3"],
-     "4d449fe0a2949e508f0fa3d7e2ac8d6b7cfcb025264bc2cccbed1668e184271f"),
+     "09b94123aabf2f8c48354ab81e002b03234e75d77039e1c38b6b70e50f63caa8"),
     (["attack-demo", "--n", "4", "--trials", "1000", "--seed", "3"],
-     "8295726d894962ceb1e9ea48bf59d5498eca49877d4fbed2ba9a5d258541e491"),
+     "097b0a40efa20e53f9f76254dc4e56fcceea57f88f52f99851c152a5542909fe"),
     (["attack-demo", "--n", "5", "--trials", "1000", "--seed", "3"],
-     "5646889f5710bcd9beb82f925695e501a00148521f3d3bb73a404dce1a2264c1"),
+     "0297ee3e3041275337f77fca710c2c9a23365df7dddded4b9ceebe0266d2c65a"),
     (["attack-demo", "--n", "6", "--trials", "1000", "--seed", "3"],
-     "5b5076e437f4779d0880ddccf68c200ad48dfa6dbe3b0381ac390720be500b31"),
+     "9a2351d34b003ba3f01c7c92567e62b8df688f604ab33a71fb2ee725eb6d323e"),
     (["attack-demo", "--n", "7", "--trials", "1000", "--seed", "3"],
-     "6ed15a5e44148d2efb38dfd052d22affd485a7a386eedaec1e43c00f28b7bb83"),
+     "f6b5d34f5f951fe3bfc5662b4802feab4fdb1c383df9b19ff89eb08edfa77aa0"),
 ]
 
 

@@ -296,6 +296,55 @@ def test_both_cq_constructors_refuse_the_same_bad_input(build, case):
         build(*args)
 
 
+def _unit_factors(rng, count: int, dim: int, rank: int) -> np.ndarray:
+    # Ginibre factors, each scaled to unit Frobenius norm
+    w = rng.normal(size=(count, dim, rank)) + 1j * rng.normal(size=(count, dim, rank))
+    return w / np.linalg.norm(w, axis=(1, 2))[:, None, None]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("dim, rank", [(1, 1), (2, 2), (4, 4), (8, 8), (2, 1), (4, 2), (8, 3), (8, 12)])
+def test_from_factors_matches_from_stack_of_the_products(seed, dim, rank):
+    # full rank (rank >= dim) and deficient rank, where the dense path clips rounding dips
+    rng = np.random.default_rng(seed)
+    labels = [format(i, "02b") for i in range(4)] + [PERP]
+    probs = rng.dirichlet(np.ones(len(labels)))
+    w = _unit_factors(rng, len(labels), dim, rank)
+    built = CqState.from_factors(2, labels, probs, w)
+    oracle = CqState.from_stack(2, labels, probs, w @ w.conj().swapaxes(1, 2))
+    assert built.labels == oracle.labels and built.probs.tobytes() == oracle.probs.tobytes()
+    assert np.abs(built.matrices - oracle.matrices).max() <= 1e-15
+    assert np.array_equal(built.matrices, built.matrices.conj().swapaxes(1, 2))  # exactly Hermitian
+    assert not built.matrices.flags.writeable and not built.probs.flags.writeable
+
+
+def test_from_factors_divides_out_a_trace_within_tolerance():
+    w = _unit_factors(np.random.default_rng(5), 2, 3, 2) * math.sqrt(1.0 + 5e-10)
+    cq = CqState.from_factors(1, ["0", "1"], [0.5, 0.5], w)
+    assert np.abs(np.trace(cq.matrices, axis1=1, axis2=2) - 1.0).max() <= 1e-15
+
+
+_HALF_FACTOR = np.eye(2) / math.sqrt(2)
+_BAD_FACTORS = {
+    # case: (labels, factors), message
+    "nan_entry": ((["0", "1"], [_HALF_FACTOR, np.diag([math.nan, 1.0])]), "non-finite"),
+    "inf_entry": ((["0", "1"], [_HALF_FACTOR, np.diag([math.inf, 1.0])]), "non-finite"),
+    "trace_off": ((["0", "1"], [_HALF_FACTOR, _HALF_FACTOR * math.sqrt(1.0 + 2e-9)]), "trace"),
+    "trace_two": ((["0", "1"], [_HALF_FACTOR, np.eye(2)]), "branch '1' has trace"),
+    "too_few_labels": ((["0"], [_HALF_FACTOR, _HALF_FACTOR]), "1 labels for 2 branch factors"),
+    "too_many_labels": ((["0", "1"], [_HALF_FACTOR]), "2 labels for 1 branch factors"),
+    "not_a_stack": ((["0"], _HALF_FACTOR), "stack of factors"),
+    "empty_factor": ((["0"], np.empty((1, 2, 0))), "stack of factors"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_FACTORS)
+def test_from_factors_refuses_bad_factors(case):
+    (labels, factors), message = _BAD_FACTORS[case]
+    with pytest.raises(ValueError, match=message):
+        CqState.from_factors(1, labels, [1.0 / len(labels)] * len(labels), factors)
+
+
 # ---------------------------------------------------------------------------
 # POVMs and measurement
 
