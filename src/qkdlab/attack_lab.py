@@ -86,7 +86,7 @@ __all__ = [
 ]
 
 # Branch dimension is 2^n and there are 2^(n+1) branches, so the cap
-# keeps the full state around 100 MB of dense matrices.
+# keeps the full state, a real float64 stack, at 34 MB of dense matrices.
 MAX_ATTACK_QUBITS = 7
 
 IACC_UPPER_BITS = 0.5  # the attack key's accessible information, at every n
@@ -118,7 +118,7 @@ def _bits_from(value, width: int) -> tuple[int, ...]:
 # _BB84_AMPS[s, r] holds the amplitudes of data bit r encoded in basis s:
 # basis 0 is computational (|0>, |1>), basis 1 diagonal (|+>, |->)
 _H = 1.0 / math.sqrt(2.0)
-_BB84_AMPS = np.array([[(1.0, 0.0), (0.0, 1.0)], [(_H, _H), (_H, -_H)]], dtype=np.complex128)
+_BB84_AMPS = np.array([[(1.0, 0.0), (0.0, 1.0)], [(_H, _H), (_H, -_H)]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,25 +142,30 @@ def build_attack_state(n: int, max_qubits: int = MAX_ATTACK_QUBITS) -> AttackSta
     is the uniform mixture, weight 2^-(n-1) each, of the product states
     encoding the parity-constrained pads in the bases ``s_1 .. s_n``.
     The branch is built from its factor, the weighted pad states as
-    columns (:meth:`~qkdlab.quantum_core.CqState.from_factors`).
+    columns (:meth:`~qkdlab.quantum_core.CqState.from_factors`).  The
+    BB84 amplitudes are real, so the branch stack is float64.
     """
     if not 2 <= n <= max_qubits:
         raise ValueError(f"n must lie in [2, {max_qubits}]")
+    return AttackState(n=n, cq=CqState.from_factors(n + 1, *_attack_factors(n)))
+
+
+def _attack_factors(n: int) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The branch labels, probabilities and real ``(B, d, r)`` factors of :func:`build_attack_state`."""
     p_branch = 2.0 ** -(n + 1)
     weight = 2.0 ** -(n - 1)
     keys = _bit_rows(n + 1)
     pads = np.stack([_complete_pads(_bit_rows(n - 1), parity) for parity in (0, 1)])[keys[:, -1]]
     # rows[s, k] is the product state of pad k in the bases of key s,
     # built qubit by qubit as a Kronecker product
-    rows = np.ones((len(keys), pads.shape[1], 1), dtype=np.complex128)
+    rows = np.ones((len(keys), pads.shape[1], 1))
     for i in range(n):
         factor = _BB84_AMPS[keys[:, i, None], pads[:, :, i]]
         rows = (rows[:, :, :, None] * factor[:, :, None, :]).reshape(len(keys), pads.shape[1], -1)
     labels = ["".join(map(str, s)) for s in keys.tolist()]
     # column k of factor s is pad k's state, weighted: W_s W_s^dagger is the branch of s
     rows *= math.sqrt(weight)
-    factors = rows.transpose(0, 2, 1)
-    return AttackState(n=n, cq=CqState.from_factors(n + 1, labels, np.full(len(keys), p_branch), factors))
+    return labels, np.full(len(keys), p_branch), rows.transpose(0, 2, 1)
 
 
 def even_x_eigenbasis(n: int) -> Povm:

@@ -2,9 +2,11 @@
 
 Density operators, classical-quantum (cq) states, POVM measurement,
 and the distance / information measures built on top of them.
-Everything is dense complex128 numpy; the intended regime is a handful
-of qubits (the accessible-information search refuses registers above
-:data:`DEFAULT_DIM_CAP`).  All containers are immutable after
+Everything is dense numpy: a stack is float64 when its input is real
+(or complex with every imaginary part exactly zero) and complex128
+otherwise, and products of the two promote.  The intended regime is a
+handful of qubits (the accessible-information search refuses registers
+above :data:`DEFAULT_DIM_CAP`).  All containers are immutable after
 construction, so values can be shared freely.
 
 A cq-state is one validated ``(B, d, d)`` stack of branch operators
@@ -59,11 +61,20 @@ TRACE_TOL = 1e-9
 PROB_SUM_TOL = 1e-12
 POVM_SUM_TOL = 1e-9
 DEFAULT_DIM_CAP = 2**14
-_STACK_CHUNK = 2**12  # complex entries (64 KB) per chunk of a matrix stack
+_STACK_CHUNK = 2**12  # entries per chunk of a matrix stack: 32 KB real, 64 KB complex
 
 
-def _as_square_complex(matrix, stacked: bool = False) -> np.ndarray:
-    m = np.asarray(matrix, dtype=np.complex128)
+def _as_exact(a) -> np.ndarray:
+    # float64 when the input is real or its imaginary parts are all exactly zero
+    # (then a view of the real parts, not a copy), else complex128
+    a = np.asarray(a)
+    if np.iscomplexobj(a) and not a.imag.any():
+        a = a.real
+    return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+
+
+def _as_square(matrix, stacked: bool = False) -> np.ndarray:
+    m = _as_exact(matrix)
     if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         kind = "stack of square matrices" if stacked else "square matrix"
         raise ValueError(f"expected a {kind}, got shape {m.shape}")
@@ -101,7 +112,7 @@ def _density_stack(m: np.ndarray, names: Sequence[str]) -> np.ndarray:
     and a trace within 1e-9 of 1 divided out, with the bits of one
     matrix at a time; a few matrices are checked at a time.
     """
-    out = np.empty(m.shape, dtype=np.complex128)
+    out = np.empty(m.shape, dtype=m.dtype)
     for part in _chunks(len(m), m.shape[1]):
         rho, low = _hermitian_psd(m[part], names[part])
         dips = low < 0.0
@@ -121,7 +132,7 @@ def _density_stack(m: np.ndarray, names: Sequence[str]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian, positive semidefinite, unit-trace complex matrix.
+    """Hermitian, positive semidefinite, unit-trace matrix: float64 when the input is real.
 
     Construction validates all three properties, as a stack of one.
     Hermiticity is checked elementwise to 1e-9 and the matrix is then
@@ -134,7 +145,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_square_complex(self.matrix)
+        m = _as_square(self.matrix)
         object.__setattr__(self, "matrix", _density_stack(m[None], ("matrix",))[0])
 
     @property
@@ -152,7 +163,7 @@ class DensityOperator:
     def fully_mixed(cls, dim: int) -> "DensityOperator":
         if dim < 1:
             raise ValueError("dim must be positive")
-        return cls(np.eye(dim, dtype=np.complex128) / dim)
+        return cls(np.eye(dim) / dim)
 
 
 def _valid_label(label: str, key_len: int) -> bool:
@@ -205,7 +216,7 @@ class CqState:
         """The state with branches ``(labels[b], probs[b], matrices[b])``; the labels must
         come distinct and sorted, and each matrix is checked as :class:`DensityOperator` checks it."""
         labels = tuple(labels)
-        m = _as_square_complex(matrices, stacked=True)
+        m = _as_square(matrices, stacked=True)
         if len(m) != len(labels):
             raise ValueError(f"{len(labels)} labels for {len(m)} branch operators")
         cq = object.__new__(cls)
@@ -223,14 +234,14 @@ class CqState:
         Hermitian, a few at a time.
         """
         labels = tuple(labels)
-        w = np.asarray(factors, dtype=np.complex128)
+        w = _as_exact(factors)
         if w.ndim != 3 or min(w.shape[1:]) < 1:
             raise ValueError(f"expected a (B, d, r) stack of factors, got shape {w.shape}")
         if not np.isfinite(w).all():
             raise ValueError("factor has a non-finite entry")
         if len(w) != len(labels):
             raise ValueError(f"{len(labels)} labels for {len(w)} branch factors")
-        out = np.empty((len(w), w.shape[1], w.shape[1]), dtype=np.complex128)
+        out = np.empty((len(w), w.shape[1], w.shape[1]), dtype=w.dtype)
         for part in _chunks(len(w), w.shape[1]):
             rho = w[part] @ w[part].conj().swapaxes(1, 2)
             rho += rho.conj().swapaxes(1, 2)
@@ -313,7 +324,7 @@ class Povm:
         for k, label in enumerate(labels):
             if label in labels[:k]:
                 raise ValueError(f"duplicate outcome label {label!r}")
-        mats = [_as_square_complex(e) for _, e in effects]
+        mats = [_as_square(e) for _, e in effects]
         if len({e.shape for e in mats}) > 1:
             raise ValueError("all effects must share one dimension")
         stack = np.stack(mats)
@@ -342,7 +353,7 @@ class Povm:
     @classmethod
     def from_basis(cls, basis: np.ndarray, labels: Sequence[str] | None = None) -> "Povm":
         """Projective POVM from the rows of an orthonormal basis matrix."""
-        v = _as_square_complex(basis).copy()
+        v = _as_square(basis).copy()
         dim = v.shape[0]
         dev = float(np.abs(v @ v.conj().T - np.eye(dim)).max())
         if dev > POVM_SUM_TOL:
@@ -372,11 +383,12 @@ def qubit_basis(theta: float, phi: float = 0.0) -> np.ndarray:
 
     Row 0 is ``cos(theta)|0> + e^{i phi} sin(theta)|1>``; theta = 0 is
     the computational basis, pi/4 the diagonal basis, pi/8 the Breidbart
-    (intermediate) basis.
+    (intermediate) basis.  The matrix is float64 when ``phi`` is 0 and
+    complex128 otherwise.
     """
     c, s = math.cos(theta), math.sin(theta)
-    ph = complex(math.cos(phi), math.sin(phi))
-    return np.array([[c, ph * s], [-s, ph * c]], dtype=np.complex128)
+    ph = complex(math.cos(phi), math.sin(phi)) if phi else 1.0
+    return np.array([[c, ph * s], [-s, ph * c]])
 
 
 def product_qubit_povm(thetas: Sequence[float], phis: Sequence[float] | None = None) -> Povm:
@@ -389,7 +401,7 @@ def product_qubit_povm(thetas: Sequence[float], phis: Sequence[float] | None = N
         phis = [0.0] * len(thetas)
     if len(phis) != len(thetas):
         raise ValueError("need one phase per angle")
-    v = np.array([[1.0 + 0.0j]])
+    v = np.ones((1, 1))
     for theta, phi in zip(thetas, phis):
         # Kronecker product v (x) u, without np.kron's per-call overhead
         v = (v[:, None, :, None] * qubit_basis(theta, phi)[None, :, None, :]).reshape(2 * len(v), -1)
@@ -424,9 +436,9 @@ def cq_trace_distance(a: CqState, b: CqState) -> float:
     union = sorted(set(a.labels) | set(b.labels), key=_label_sort_key)
     row = {label: k for k, label in enumerate(union)}
     rows = [np.array([row[s] for s in cq.labels]) for cq in (a, b)]  # increasing, as both are sorted
-    norms = []
+    norms, dtype = [], np.result_type(a.matrices, b.matrices)
     for part in _chunks(len(union), a.dim):
-        blocks = np.zeros((len(union[part]), a.dim, a.dim), dtype=np.complex128)
+        blocks = np.zeros((len(union[part]), a.dim, a.dim), dtype=dtype)
         lo_a, hi_a = np.searchsorted(rows[0], [part.start, part.stop])
         lo_b, hi_b = np.searchsorted(rows[1], [part.start, part.stop])
         blocks[rows[0][lo_a:hi_a] - part.start] = a.probs[lo_a:hi_a, None, None] * a.matrices[lo_a:hi_a]
@@ -498,11 +510,11 @@ def product_born_tables(matrices: np.ndarray, thetas: Sequence[float]) -> Iterat
     # (rows, columns, candidates, branches x outcomes): with the batch
     # axes innermost, every split of a block is a view with long rows
     stack = matrices.real.transpose(1, 2, 0)[:, :, None, :]
-    # A subtree is expanded breadth first once its tables take at most an
-    # eighth of the complex stack's bytes: the walk's peak, a few tables
+    # A subtree is expanded breadth first once its float64 tables take at
+    # most an eighth of the stack's bytes: the walk's peak, a few tables
     # plus the open prefix states, then stays below the one stack-sized
     # product that the dense born_table allocates.
-    yield from _born_subtree(stack, weights, len(matrices), matrices.size // 4)
+    yield from _born_subtree(stack, weights, len(matrices), matrices.nbytes // 64)
 
 
 def _born_subtree(stack: np.ndarray, weights: list, branches: int, limit: int) -> Iterator[np.ndarray]:

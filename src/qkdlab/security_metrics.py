@@ -428,7 +428,7 @@ def _default_strategies(
 
 def _strategy_stock(cq: CqState, num_random: int, seed: int) -> Iterator[MeasurementLike]:
     dim = cq.dim
-    yield Povm((("0", np.eye(dim, dtype=np.complex128)),))
+    yield Povm((("0", np.eye(dim)),))
 
     nq = dim.bit_length() - 1
     if dim == 2**nq and 1 <= nq <= cq.key_len:

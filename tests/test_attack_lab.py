@@ -146,7 +146,8 @@ def test_attack_state_build_makes_no_eigendecomposition(monkeypatch):
 
 
 def test_attack_state_factor_build_traces_one_stack_and_a_chunk():
-    # the n = 6 branch stack is 8 MB; the products are formed a few branches at a time
+    # the n = 6 branch stack is 4 MB (the complex factors below have zero imaginary
+    # parts, so it is real); the products are formed a few branches at a time
     n = 6
     labels, rows = _itertools_attack_rows(n)
     factors = rows.transpose(0, 2, 1) * math.sqrt(2.0 ** -(n - 1))
@@ -158,6 +159,30 @@ def test_attack_state_factor_build_traces_one_stack_and_a_chunk():
     finally:
         tracemalloc.stop()
     assert peak <= cq.matrices.nbytes + 2 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_complex_attack_state_gives_the_real_figures(n):
+    # a global phase leaves every branch W W^dagger as it is but keeps the stack
+    # complex128, so the dense complex path, the reference, must give the real
+    # path's secrecy and I_acc figures
+    labels, probs, factors = attack_lab._attack_factors(n)
+    phased = CqState.from_factors(n + 1, labels, probs, factors * np.exp(1j * math.pi / 7))
+    real = build_attack_state(n).cq
+    assert real.matrices.dtype == np.float64 and phased.matrices.dtype == np.complex128
+    assert np.abs(phased.matrices - real.matrices).max() <= 1e-15
+
+    def figures(cq):
+        ideal = canonical_ideal(cq).to_cq(cq.key_len)
+        label_basis = default_strategies(cq, num_random=0)[1]
+        return [
+            cq_trace_distance(cq, ideal),
+            distinguishing_advantage(cq, ideal, label_basis),
+            distinguishing_advantage(cq, ideal, parity_strategy(n)),
+            mutual_information(cq_measure(cq, attack_lab.even_x_eigenbasis(n))),
+        ]
+
+    assert figures(phased) == pytest.approx(figures(real), abs=1e-12, rel=0)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -174,7 +199,8 @@ def test_marginal_check_passes_for_real_state():
 
 @pytest.mark.parametrize("check", [canonical_ideal, fully_mixed_marginal_check], ids=lambda f: f.__name__)
 def test_stack_readers_trace_little_memory(check):
-    # the n = 6 branch stack is 8 MB; whole-stack temporaries came to 16 MB and 10 MB here
+    # the real n = 6 branch stack is 4 MB; whole-stack temporaries of the complex
+    # stack came to 16 MB and 10 MB here
     cq = build_attack_state(6).cq
     tracemalloc.start()
     try:

@@ -177,6 +177,30 @@ def test_default_commands_start_and_run_without_scipy(tmp_path):
     assert eps_correct == security_metrics.clopper_pearson_upper(1, 4)
 
 
+_PEAK_PROBE = """
+import contextlib, io, sys
+from qkdlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+status = dict(line.split(":", 1) for line in open("/proc/self/status"))
+print(code, status["VmHWM"].split()[0])
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
+def test_secrecy_at_n_7_peaks_below_250_mb():
+    # the real float64 attack state peaks at about 180 MB; as complex128 it took 331 MB
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qkdlab.__file__)))
+    argv = ["secrecy", "--n", "7", "--seed", "1"]
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout
+    code, peak_kb = map(int, out.split())
+    assert code == EXIT_OK
+    assert peak_kb <= 250 * 1024, f"VmHWM {peak_kb / 1024:.0f} MB"
+
+
 def test_bad_env_seed_rejected(capsys, monkeypatch):
     monkeypatch.setenv("QKDLAB_SEED", "not-a-number")
     with pytest.raises(SystemExit) as exc:
@@ -801,7 +825,9 @@ _QUANTUM_OUTPUTS = [
     (["secrecy", "--n", "6", "--seed", "1"], "38439773813a568b6c3ff17545062231507669cf6c2e026f36b52e15e00c106c"),
     (["secrecy", "--n", "3", "--families", "per_qubit", "--seed", "4"],
      "e08dc760baa849273f4a76f334f032095273e30a2a1410a1207b0acc1e5c7917"),
-    # attack-demo prints the closed-form Breidbart angle pi/8 and the factor-built state's marginal deviation
+    # attack-demo prints the closed-form Breidbart angle pi/8 and the factor-built state's marginal deviation;
+    # the n = 5 and n = 7 digests changed when the real attack state became a float64 stack: only
+    # marginal_check.max_deviation moved, within rounding (6.9e-18 -> 1.4e-18 and 1.7e-18 -> 2.6e-18)
     (["attack-demo", "--n", "2", "--trials", "1000", "--seed", "3"],
      "c859d26e7751e442ea7cc4d9192e4bcc50c7da00ea370a1e62ec3ee4a00cd0b0"),
     (["attack-demo", "--n", "3", "--trials", "1000", "--seed", "3"],
@@ -809,11 +835,11 @@ _QUANTUM_OUTPUTS = [
     (["attack-demo", "--n", "4", "--trials", "1000", "--seed", "3"],
      "097b0a40efa20e53f9f76254dc4e56fcceea57f88f52f99851c152a5542909fe"),
     (["attack-demo", "--n", "5", "--trials", "1000", "--seed", "3"],
-     "0297ee3e3041275337f77fca710c2c9a23365df7dddded4b9ceebe0266d2c65a"),
+     "628aaf1e8501b4cc1d070f2299278e4dff68f5620296481346d66059fede95aa"),
     (["attack-demo", "--n", "6", "--trials", "1000", "--seed", "3"],
      "9a2351d34b003ba3f01c7c92567e62b8df688f604ab33a71fb2ee725eb6d323e"),
     (["attack-demo", "--n", "7", "--trials", "1000", "--seed", "3"],
-     "f6b5d34f5f951fe3bfc5662b4802feab4fdb1c383df9b19ff89eb08edfa77aa0"),
+     "b595db5c3372b802073113bb299fc86ffe02b5bcdf1557d621672878848ed7d0"),
 ]
 
 

@@ -19,7 +19,7 @@ from conftest import (
     standard_basis_povm,
     to_density,
 )
-from qkdlab.attack_lab import build_attack_state
+from qkdlab.attack_lab import build_attack_state, even_x_eigenbasis
 from qkdlab.quantum_core import (
     PERP,
     CqState,
@@ -36,7 +36,7 @@ from qkdlab.quantum_core import (
     total_variation,
     trace_distance,
 )
-from qkdlab.security_metrics import canonical_ideal
+from qkdlab.security_metrics import _haar_basis, canonical_ideal
 
 H = 1.0 / math.sqrt(2.0)
 
@@ -78,6 +78,41 @@ def test_density_matrix_is_readonly():
 def test_fully_mixed():
     rho = DensityOperator.fully_mixed(4)
     assert np.allclose(rho.matrix, np.eye(4) / 4)
+
+
+# ---------------------------------------------------------------------------
+# dtypes: float64 for real input (or complex with exactly zero imaginary parts)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_attack_state_its_ideal_and_the_declared_basis_are_real(n):
+    cq = build_attack_state(n).cq
+    assert cq.matrices.dtype == canonical_ideal(cq).to_cq(cq.key_len).matrices.dtype == np.float64
+    assert even_x_eigenbasis(n).basis.dtype == np.float64
+    assert product_qubit_povm([0.0, math.pi / 4] * (n // 2)).basis.dtype == np.float64
+    assert qubit_basis(math.pi / 8).dtype == np.float64 and qubit_basis(0.0, 0.5).dtype == np.complex128
+
+
+def test_a_state_with_a_phase_stays_complex():
+    rho = to_density(make_pure([1.0, 1j]))  # |+i><+i|
+    assert rho.matrix.dtype == np.complex128
+    assert rho.matrix[0, 1] == -0.5j
+
+
+def test_only_an_exactly_zero_imaginary_part_is_dropped():
+    m = np.array([[0.5, 1e-300j], [-1e-300j, 0.5]])
+    kept = DensityOperator(m).matrix
+    assert kept.dtype == np.complex128 and kept[0, 1] == 1e-300j
+    assert DensityOperator(m.real.astype(np.complex128)).matrix.dtype == np.float64
+
+
+def test_complex_povm_on_a_real_stack_matches_its_complex_copy():
+    rng = np.random.default_rng(5)
+    matrices = build_attack_state(3).cq.matrices
+    for povm in (Povm.from_basis(_haar_basis(8, rng)), rand_povm(rng, 8, 3)):
+        assert matrices.dtype == np.float64 and povm.stacked().dtype == np.complex128
+        got = born_table(matrices, povm)
+        assert np.abs(got - born_table(matrices.astype(np.complex128), povm)).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
