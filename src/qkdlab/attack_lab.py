@@ -45,6 +45,7 @@ from .quantum_core import (
     CqState,
     Povm,
     _chunks,
+    _kron_rows,
     cq_trace_distance,
     qubit_basis,
 )
@@ -56,7 +57,6 @@ from .security_metrics import (
     _evaluate,
     accessible_info_lower,
     distinguishing_advantage,
-    prefix_basis_povm,
 )
 
 __all__ = [
@@ -119,6 +119,7 @@ def _bits_from(value, width: int) -> tuple[int, ...]:
 # basis 0 is computational (|0>, |1>), basis 1 diagonal (|+>, |->)
 _H = 1.0 / math.sqrt(2.0)
 _BB84_AMPS = np.array([[(1.0, 0.0), (0.0, 1.0)], [(_H, _H), (_H, -_H)]])
+_ZX = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])  # Z for key bit 0, X for 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,11 +174,10 @@ def even_x_eigenbasis(n: int) -> Povm:
 
     It is the eigenbasis of a fixed-seed real combination of them, whose eigenvalues are distinct.
     """
-    zx = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])  # Z for key bit 0, X for 1
     keys = _bit_rows(n)
     keys = keys[(keys.sum(axis=1) & 1) == 0]
     weights = np.random.default_rng(0).standard_normal(len(keys))
-    combination = sum(w * functools.reduce(np.kron, zx[s]) for w, s in zip(weights, keys))
+    combination = sum(w * p for w, p in zip(weights, _kron_rows(_ZX[keys])))
     return Povm.from_basis(np.linalg.eigh(combination)[1].T)
 
 
@@ -338,17 +338,15 @@ def parity_strategy(n: int) -> Strategy:
     Reads the first n key bits off the classical register, measures
     qubit i in basis ``S_i``, and accepts when the measured pad parity
     matches ``S_{n+1}``.  The real state always passes; under any ideal
-    state the check is a coin flip.
+    state the check is a coin flip: the accepted effect on label (s, p) is
+    ``(I + (-1)^p P_s) / 2`` (module docstring), exact, and they sum to ``2^n I``.
     """
-
-    def measurement(label: str) -> Povm:
-        return prefix_basis_povm(label[:n])
-
-    def decide(labels: Sequence[str], outcomes: Sequence[str]) -> np.ndarray:
-        parity = np.array([z.count("1") & 1 for z in outcomes])
-        return parity == np.array([int(s[n]) for s in labels])[:, None]
-
-    return (measurement, decide)
+    keys = _bit_rows(n + 1)
+    factors = _ZX[keys[:, :n]]
+    factors[:, 0] *= (0.5 - keys[:, n]).reshape(-1, 1, 1)  # (-1)^p / 2
+    effects = _kron_rows(factors)
+    effects[:, range(2**n), range(2**n)] += 0.5
+    return Strategy("parity", ["".join(map(str, s)) for s in keys.tolist()], effects)
 
 
 class GuessOracle(NamedTuple):

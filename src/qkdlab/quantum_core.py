@@ -83,9 +83,9 @@ def _as_square(matrix, stacked: bool = False) -> np.ndarray:
     return m
 
 
-def _chunks(count: int, dim: int) -> Iterator[slice]:
-    # slices of a stack of `count` dim x dim matrices, each _STACK_CHUNK entries or one matrix
-    step = max(1, _STACK_CHUNK // dim**2)
+def _chunks(count: int, dim: int, entries: int = _STACK_CHUNK) -> Iterator[slice]:
+    # slices of a stack of `count` dim x dim matrices, each `entries` entries or one matrix
+    step = max(1, entries // dim**2)
     return (slice(start, start + step) for start in range(0, count, step))
 
 
@@ -408,6 +408,16 @@ def product_qubit_povm(thetas: Sequence[float], phis: Sequence[float] | None = N
     n = len(thetas)
     labels = [format(i, f"0{n}b") if n else "" for i in range(2**n)]
     return Povm.from_basis(v, labels=labels)
+
+
+def _kron_rows(factors: np.ndarray) -> np.ndarray:
+    """The ``(B, 2^n, 2^n)`` Kronecker products ``factors[b, 0] (x) factors[b, 1] (x) ...`` of a
+    ``(B, n, 2, 2)`` stack, n >= 1, taken from the last factor so each step's inner axis is long
+    (:func:`product_qubit_povm` folds from the first, the roundings its I_acc figures carry)."""
+    out = factors[:, -1]
+    for i in range(factors.shape[1] - 2, -1, -1):
+        out = (factors[:, i, :, None, :, None] * out[:, None, :, None, :]).reshape(len(out), 2 * out.shape[1], -1)
+    return out
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:

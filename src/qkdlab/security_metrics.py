@@ -22,7 +22,6 @@ is the lower figure, which is not yet a certified lower bound on epsilon.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -38,7 +37,10 @@ from .quantum_core import (
     CqState,
     DensityOperator,
     Povm,
+    _as_square,
     _chunks,
+    _kron_rows,
+    _label_sort_key,
     _ordered_sum,
     born_table,
     cq_measure,
@@ -62,12 +64,12 @@ __all__ = [
     "distinguishing_advantage",
     "optimal_decision_rule",
     "default_strategies",
-    "prefix_basis_povm",
     "accessible_info_lower",
     "ben_or_sufficient_eps",
     "compose_report",
     "evaluate_cq_security",
     "QUBIT_BASIS_ANGLES",
+    "Strategy",
 ]
 
 # Single-qubit measurement bases used by the accessible-information
@@ -79,13 +81,35 @@ QUBIT_BASIS_ANGLES: dict[str, float] = {
     "breidbart": math.pi / 8,
 }
 
-# A strategy is (measurement, decide): one Povm for every branch, or a
-# callable from key label to Povm (read off the classical register).
-# decide(labels, outcomes) gets one group of branches sharing a POVM and
-# returns its (len(labels), len(outcomes)) bool table of accepted cells.
-DecisionRule = Callable[[Sequence[str], Sequence[str]], np.ndarray]
-MeasurementLike = Povm | Callable[[str], Povm]
-Strategy = tuple[MeasurementLike, DecisionRule]
+# Strategies are built and scored a batch of labels at a time: this many entries
+# (256 KB of float64) per (b, d, d) temporary, such as the batch's per-label bases
+_BATCH = 2**15
+
+
+@dataclass(frozen=True, eq=False)
+class Strategy:
+    """A distinguisher, as its accepted effect on each key label.
+
+    Whatever it measures, a strategy accepts a branch labelled ``labels[k]``
+    with probability ``tr(M_k rho)``, ``M_k = effects[k]`` the sum of the
+    effects of the outcomes it accepts there.  ``effects`` is a read-only
+    ``(B, d, d)`` stack, taken as given (``0 <= M_k <= I`` is not checked);
+    a state with a branch whose label is not listed cannot be scored.
+    """
+
+    name: str
+    labels: tuple[str, ...]
+    effects: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        labels = tuple(self.labels)
+        effects = _as_square(self.effects, stacked=True).view()
+        if len(effects) != len(labels) or len(set(labels)) != len(labels):
+            raise ValueError(f"need one effect per distinct label: {len(effects)} effects, "
+                             f"{len(labels)} labels ({len(set(labels))} distinct)")
+        effects.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "effects", effects)
 
 
 def correctness_eps(outcomes) -> float:
@@ -285,46 +309,24 @@ def _canonical_ideal_cq(cq: CqState) -> CqState:
     return canonical_ideal(cq).to_cq(cq.key_len)
 
 
-def _povm_for(measurement: MeasurementLike, label: str) -> Povm:
-    return measurement if isinstance(measurement, Povm) else measurement(label)
-
-
-def _weighted_tables(
-    cq: CqState, measurement: MeasurementLike
-) -> list[tuple[list[str], tuple[str, ...], np.ndarray]]:
-    """``P(s, z) = p_s tr(E_z rho_s)`` over the branches with ``p_s > 0``.
-
-    Branches that share a POVM form one group, measured by one
-    :func:`born_table` call; each group is returned as its branch
-    labels, its outcome labels and the ``(branches, outcomes)`` table.
-    """
-    groups: dict[int, tuple[Povm, list[int]]] = {}
-    for b, (label, p) in enumerate(zip(cq.labels, cq.probs)):
-        if p != 0.0:
-            povm = _povm_for(measurement, label)
-            groups.setdefault(id(povm), (povm, []))[1].append(b)
-    tables = []
-    for povm, rows in groups.values():
-        mats = cq.matrices if len(rows) == len(cq.labels) else cq.matrices[rows]
-        table = cq.probs[rows, None] * born_table(mats, povm)
-        tables.append(([cq.labels[b] for b in rows], povm.labels, table))
-    return tables
-
-
 def strategy_acceptance(cq: CqState, strategy: Strategy) -> float:
-    """Exact acceptance probability of a measure-then-decide strategy."""
-    measurement, decide = strategy
-    return _accepted_mass(_weighted_tables(cq, measurement), decide)
+    """Exact acceptance probability ``sum_b p_b tr(M_b rho_b)``, M_b the strategy's effect on label b."""
+    effects = strategy.effects
+    if effects.shape[1] != cq.dim:
+        raise ValueError(f"dimension mismatch: state {cq.dim}, strategy {effects.shape[1]}")
+    rows = _rows(strategy.labels, cq.labels)
+    if rows.min() < 0:
+        raise ValueError(f"strategy {strategy.name!r} has no effect for label {cq.labels[rows.argmin()]!r}")
+    # tr(M rho) = sum_ij M_ij conj(rho_ij) for a Hermitian rho, a batch of branches at a time
+    parts = _chunks(len(rows), cq.dim, _BATCH)
+    traces = [np.einsum("bij,bij->b", effects[rows[p]], cq.matrices[p].conj()).real for p in parts]
+    return float(cq.probs @ np.concatenate(traces))
 
 
-def _accepted_mass(tables, decide: DecisionRule) -> float:
-    total = 0.0
-    for labels, outcomes, table in tables:
-        accept = np.asarray(decide(labels, outcomes), dtype=bool)
-        if accept.shape != table.shape:
-            raise ValueError(f"decide returned shape {accept.shape}, expected {table.shape}")
-        total += float(table[accept].sum())
-    return total
+def _rows(labels: Sequence[str], wanted: Sequence[str]) -> np.ndarray:
+    """The index in ``labels`` of each label of ``wanted``, -1 where it is missing."""
+    index = {label: k for k, label in enumerate(labels)}
+    return np.array([index.get(label, -1) for label in wanted], dtype=np.intp)
 
 
 def distinguishing_advantage(cq_real: CqState, cq_ideal: CqState, strategy: Strategy) -> float:
@@ -354,22 +356,48 @@ def _lower_end(advantages: Sequence[float]) -> float:
     return min(1.0, max(0.0, max(advantages)))
 
 
-def optimal_decision_rule(cq_real: CqState, cq_ideal: CqState, measurement: MeasurementLike) -> DecisionRule:
-    """Best decision rule for a fixed measurement: accept where real outweighs ideal."""
-    return _optimal_rule(cq_real, cq_ideal, measurement)[0]
+def optimal_decision_rule(cq_real: CqState, cq_ideal: CqState, measurement: Povm) -> Strategy:
+    """The best strategy that measures every branch with ``measurement``: it accepts
+    outcome z on label k where ``p_k tr(E_z rho_k)`` is larger in the real state."""
+    return _optimal_strategy("optimal", cq_real, cq_ideal, lambda labels, gap: _accepted(gap, measurement))
 
 
-def _optimal_rule(real: CqState, ideal: CqState, measurement: MeasurementLike) -> tuple[DecisionRule, float]:
-    """:func:`optimal_decision_rule` and its advantage, from one measurement of each
-    state; a branch missing from one state counts as a row of zeros there."""
-    tables = (_weighted_tables(real, measurement), _weighted_tables(ideal, measurement))
-    rows = [{s: row for labels, _, table in groups for s, row in zip(labels, table)} for groups in tables]
-    accept = {s: rows[0].get(s, 0.0) > rows[1].get(s, 0.0) for s in rows[0].keys() | rows[1].keys()}
+def _accepted(gap: np.ndarray, povm: Povm) -> np.ndarray:
+    # for each matrix X of the (b, d, d) stack gap, the sum of the effects E_z with tr(E_z X) > 0
+    return np.tensordot(born_table(gap, povm) > 0.0, povm.stacked(), 1)
 
-    def decide(labels: Sequence[str], outcomes: Sequence[str]) -> np.ndarray:
-        return np.array([accept.get(s, np.zeros(len(outcomes), bool)) for s in labels])
 
-    return decide, _accepted_mass(tables[0], decide) - _accepted_mass(tables[1], decide)
+def _accepted_in_basis(gap: np.ndarray, v: np.ndarray, weight: float | np.ndarray = 1.0) -> np.ndarray:
+    """:func:`_accepted` for effects ``weight |v_z><v_z|``, v the orthogonal rows of one
+    ``(d, d)`` basis or of a ``(b, d, d)`` stack of them, one per matrix, each row of
+    squared norm ``1 / weight`` (a scalar or a ``(b, 1)`` column)."""
+    accept = np.einsum("...kj,...kj->...k", v.conj() @ gap, v).real > 0.0  # <v_z| X |v_z> > 0
+    return (np.swapaxes(v, -1, -2) * (accept * weight)[:, None, :]) @ v.conj()
+
+
+def _optimal_strategy(name: str, real: CqState, ideal: CqState, accepted: Callable) -> Strategy:
+    """The strategy that accepts outcome z on label k where ``tr(E_z (p_k rho_k - q_k
+    sigma_k)) > 0``, i.e. where the real state's (label, outcome) table exceeds the
+    ideal's, a missing label weighing 0.  ``accepted(labels, gap)`` sums those E_z
+    for a batch of labels, so a per-label basis exists only for its batch."""
+    labels = tuple(sorted(set(real.labels) | set(ideal.labels), key=_label_sort_key))
+    rows = [_rows(cq.labels, labels) for cq in (real, ideal)]
+    effects = None
+    for part in _chunks(len(labels), real.dim, _BATCH):
+        gap = _weighted(real, rows[0][part])
+        gap -= _weighted(ideal, rows[1][part])
+        m = accepted(labels[part], gap)
+        if effects is None:
+            effects = np.empty((len(labels), *m.shape[1:]), dtype=m.dtype)
+        effects[part] = m
+    return Strategy(name, labels, effects)
+
+
+def _weighted(cq: CqState, rows: np.ndarray) -> np.ndarray:
+    # p_b rho_b for each row b of the state, 0 where the row is -1 (a label it lacks)
+    x = cq.matrices[rows]
+    x *= np.where(rows >= 0, cq.probs[rows], 0.0)[:, None, None]
+    return x
 
 
 def _haar_basis(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -380,15 +408,16 @@ def _haar_basis(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q.T.conj()
 
 
-@functools.lru_cache(maxsize=256)
-def prefix_basis_povm(prefix: str) -> Povm:
-    """Product measurement of ``len(prefix)`` qubits, qubit i in BB84 basis ``prefix[i]``.
+# BB84 basis rows of squared norm 2^bit: bit 0 computational, 1 diagonal (qubit_basis times sqrt 2)
+_BB84_ROWS = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [-1.0, 1.0]]])
 
-    Bit 0 selects the computational and bit 1 the diagonal basis; this
-    is the measurement that reads basis-encoded qubits once the bases are
-    known.
-    """
-    return product_qubit_povm([QUBIT_BASIS_ANGLES["diag"] if b == "1" else 0.0 for b in prefix])
+
+def _label_bases(labels: Sequence[str], nq: int) -> tuple[np.ndarray, np.ndarray]:
+    """The product bases that read the first ``nq`` qubits' BB84 bases off each key label
+    (computational for PERP), with their weights as :func:`_accepted_in_basis` takes them;
+    the rows are 0/1/-1 vectors, so every sum of effects comes out exact."""
+    bits = np.array([[b == "1" for b in label[:nq]] if label != PERP else [False] * nq for label in labels])
+    return _kron_rows(_BB84_ROWS[bits.astype(np.intp)]), 0.5 ** bits.sum(axis=1, keepdims=True)
 
 
 def default_strategies(cq: CqState, num_random: int = 8, seed: int = 0) -> list[Strategy]:
@@ -398,49 +427,35 @@ def default_strategies(cq: CqState, num_random: int = 8, seed: int = 0) -> list[
     the optimal label rule), the label-conditioned per-qubit measurement
     that reads the first qubits' bases off the key label (this is what
     breaks basis-encoded states), and ``num_random`` Haar-random basis
-    measurements, each paired with its optimal decision rule.
+    measurements, each with the optimal rule for the canonical ideal.
     """
-    return _default_strategies(cq, _canonical_ideal_cq(cq), num_random, seed)[0]
+    return [s for s, _ in _default_strategies(cq, _canonical_ideal_cq(cq), num_random, seed)]
 
 
 def _default_strategies(
     cq: CqState, ideal: CqState, num_random: int, seed: int, *, upper: float = math.inf
-) -> tuple[list[Strategy], list[float]]:
-    """:func:`default_strategies` and the advantage of each against ``ideal``.
+) -> Iterator[tuple[Strategy, float]]:
+    """:func:`default_strategies`, each with its advantage against ``ideal``, one at a time.
 
-    The stock is scored in order: trivial, label-basis, then Haar.  Once
-    an advantage reaches ``upper`` (a known upper end, such as the trace
-    distance to ``ideal``) the rest of the stock is neither drawn nor
-    scored, since no advantage can move a lower end clamped to ``upper``.
-    A Haar basis is drawn only when it is about to be scored, so the
-    bases scored are those of the full stock.
+    The stock is built and scored in order: trivial, label-basis, then Haar.  Once
+    an advantage reaches ``upper`` (a known upper end, such as the trace distance to
+    ``ideal``) no more is built, since no advantage can move a lower end clamped to
+    ``upper``; the Haar bases drawn are those of the full stock.
     """
-    strategies: list[Strategy] = []
-    advantages: list[float] = []
-    for m in _strategy_stock(cq, num_random, seed):
-        rule, advantage = _optimal_rule(cq, ideal, m)
-        strategies.append((m, rule))
-        advantages.append(advantage)
-        if advantage >= upper:
-            break
-    return strategies, advantages
-
-
-def _strategy_stock(cq: CqState, num_random: int, seed: int) -> Iterator[MeasurementLike]:
-    dim = cq.dim
-    yield Povm((("0", np.eye(dim)),))
-
-    nq = dim.bit_length() - 1
+    dim, nq = cq.dim, cq.dim.bit_length() - 1
+    trivial = Povm((("0", np.eye(dim)),))
+    rules = [("trivial", lambda labels, gap: _accepted(gap, trivial))]
     if dim == 2**nq and 1 <= nq <= cq.key_len:
-
-        def label_basis_povm(label: str) -> Povm:
-            return prefix_basis_povm(label[:nq] if label != PERP else "0" * nq)
-
-        yield label_basis_povm
-
-    rng = np.random.default_rng(seed)
-    for _ in range(num_random):
-        yield Povm.from_basis(_haar_basis(dim, rng))
+        rules.append(("label_basis", lambda labels, gap: _accepted_in_basis(gap, *_label_bases(labels, nq))))
+    rng = np.random.default_rng(seed)  # a Haar basis is drawn when its rule is reached
+    haar = ((f"haar:{i}", lambda labels, gap, v=_haar_basis(dim, rng): _accepted_in_basis(gap, v))
+            for i in range(num_random))
+    for name, accepted in itertools.chain(rules, haar):
+        strategy = _optimal_strategy(name, cq, ideal, accepted)
+        advantage = distinguishing_advantage(cq, ideal, strategy)
+        yield strategy, advantage
+        if advantage >= upper:
+            return
 
 
 @dataclass(frozen=True)
@@ -671,7 +686,7 @@ def _evaluate(
     ideal = _canonical_ideal_cq(cq)
     upper = cq_trace_distance(cq, ideal)
     if strategies is None:
-        strategies, advantages = _default_strategies(cq, ideal, num_random_strategies, seed, upper=upper)
+        advantages = [a for _, a in _default_strategies(cq, ideal, num_random_strategies, seed, upper=upper)]
     else:
         advantages = [distinguishing_advantage(cq, ideal, s) for s in strategies]
     eps_c = 0.0 if correctness is None else correctness_eps(correctness)
@@ -687,7 +702,7 @@ def _evaluate(
         iacc_lower_bits=min(iacc.bits, float(cq.key_len), iacc_upper),
         eps_total=compose_report(eps_c, upper, eps_r),
         provenance={
-            "strategy_count": len(strategies),
+            "strategy_count": len(advantages),
             "iacc_family": list(iacc.family),
             "iacc_best_strategy": iacc.best_strategy,
             "iacc_evaluations": iacc.evaluations,

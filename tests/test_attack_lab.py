@@ -355,16 +355,20 @@ def test_parity_strategy_acceptance_gap():
         assert secrecy_eps_upper(st.cq) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_parity_strategy_table_matches_the_string_rule():
-    for n in (2, 3, 4):
-        measurement, decide = parity_strategy(n)
-        labels = ["".join(map(str, s)) for s in itertools.product((0, 1), repeat=n + 1)]
-        outcomes = measurement(labels[0]).labels
-        table = decide(labels, outcomes)
-        assert table.shape == (len(labels), 2**n) and table.dtype == bool
-        for i, label in enumerate(labels):
-            for k, z in enumerate(outcomes):
-                assert table[i, k] == (sum(map(int, z)) % 2 == int(label[n]))
+@pytest.mark.parametrize("n", range(2, 6))
+def test_parity_effects_are_the_pauli_string_projectors(n):
+    # M_(s, p) = (I + (-1)^p P_s) / 2, P_s the Z/X string of the first n key
+    # bits; the effects sum to 2^n I, so every state with uniform keys, whatever
+    # its register, passes the parity test with probability exactly 1/2
+    strategy = parity_strategy(n)
+    labels = ["".join(bits) for bits in itertools.product("01", repeat=n + 1)]
+    assert strategy.labels == tuple(labels) and strategy.effects.shape == (2 ** (n + 1), 2**n, 2**n)
+    zx = {"0": np.diag([1.0, -1.0]), "1": np.array([[0.0, 1.0], [1.0, 0.0]])}
+    eye = np.eye(2**n)
+    for label, effect in zip(labels, strategy.effects):
+        pauli = functools.reduce(np.kron, [zx[b] for b in label[:n]])
+        assert np.abs(effect - (eye + (-1) ** int(label[n]) * pauli) / 2).max() <= 1e-12
+    assert np.abs(strategy.effects.sum(axis=0) - 2**n * eye).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

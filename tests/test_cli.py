@@ -475,15 +475,18 @@ def _count_secrecy_calls(capsys, monkeypatch, argv):
 def test_secrecy_computes_shared_results_once(capsys, monkeypatch):
     argv = ["secrecy", "--n", "3", "--budget", "4", "--seed", "5"]
     calls, payload = _count_secrecy_calls(capsys, monkeypatch, argv)
-    # 18 to rate the default strategies up to the label-basis one, whose
-    # advantage meets the trace distance, so the 8 Haar ones are never scored
-    # (one measurement per state and POVM group: 1 for the trivial strategy,
-    # 8 for the label-basis one), and 16 for the parity strategy of the gap
-    # report; the I_acc search scores the declared basis, which meets the 1/2
-    # bit upper end, so the per-qubit family is not searched (50 -> 34 born
-    # tables when the searches began to stop at a closed bracket)
+    # the default strategies are built up to the label-basis one, whose
+    # advantage meets the trace distance, so the 8 Haar ones are never built;
+    # each strategy is built from one difference of the two states' weighted
+    # branches per batch of labels, and all 16 labels at n = 3 make one batch.
+    # The 1 born table is the trivial strategy's batch: the label-basis
+    # strategy measures in its own per-label bases, and the parity strategy
+    # of the gap report is built from its Pauli strings, so neither calls
+    # born_table (34 born tables when each state and POVM group was measured).
+    # The I_acc search scores the declared basis, which meets the 1/2 bit
+    # upper end, so the per-qubit family is not searched.
     assert calls == {
-        "build_attack_state": 1, "accessible_info_lower": 1, "born_table": 34, "cq_measure": 1
+        "build_attack_state": 1, "accessible_info_lower": 1, "born_table": 1, "cq_measure": 1
     }
     report, gap = payload["result"]["security_report"], payload["result"]["gap_report"]
     assert gap["iacc_lower_bits"] == report["iacc_lower_bits"]

@@ -16,12 +16,13 @@ from conftest import (
     to_density,
 )
 from qkdlab import quantum_core, security_metrics
-from qkdlab.attack_lab import build_attack_state, even_x_eigenbasis
+from qkdlab.attack_lab import build_attack_state, even_x_eigenbasis, parity_strategy
 from qkdlab.quantum_core import (
     PERP,
     CqState,
     DensityOperator,
     Povm,
+    born_table,
     cq_measure,
     measure,
     mutual_information,
@@ -30,6 +31,7 @@ from qkdlab.quantum_core import (
 from qkdlab.security_metrics import (
     QUBIT_BASIS_ANGLES,
     SecurityReport,
+    Strategy,
     accessible_info_lower,
     ben_or_sufficient_eps,
     canonical_ideal,
@@ -189,7 +191,7 @@ def test_one_bit_readout_state_bracket_is_half():
         "1": (0.5, to_density(bb84(1, 0))),
     })
     assert secrecy_eps_upper(cq) == pytest.approx(0.5, abs=1e-12)
-    read_out = (standard_basis_povm(2), lambda labels, zs: np.equal.outer(labels, zs))
+    read_out = Strategy("read_out", ("0", "1"), standard_basis_povm(2).stacked())  # accept z == s
     assert strategy_acceptance(cq, read_out) == pytest.approx(1.0, abs=1e-12)
     assert secrecy_eps_lower(cq, [read_out]) == pytest.approx(0.5, abs=1e-12)
 
@@ -200,8 +202,7 @@ def test_strategy_acceptance_enumerates_exactly():
         "1": (0.75, DensityOperator.fully_mixed(2)),
     })
     # accept outcome "1" everywhere: 0.25 * 0 + 0.75 * 0.5
-    accept_one = lambda labels, zs: np.broadcast_to(np.array(zs) == "1", (len(labels), len(zs)))
-    strat = (standard_basis_povm(2), accept_one)
+    strat = Strategy("accept_one", ("0", "1"), standard_basis_povm(2).stacked()[[1, 1]])
     assert strategy_acceptance(cq, strat) == pytest.approx(0.375, abs=1e-12)
 
 
@@ -210,7 +211,7 @@ def test_secrecy_lower_requires_strategies_and_clamps():
                      "1": (0.5, DensityOperator.fully_mixed(2))})
     with pytest.raises(ValueError):
         secrecy_eps_lower(cq, [])
-    reject_all = (standard_basis_povm(2), lambda labels, zs: np.zeros((len(labels), len(zs)), bool))
+    reject_all = Strategy("reject_all", ("0", "1"), np.zeros((2, 2, 2)))
     assert secrecy_eps_lower(cq, [reject_all]) == 0.0
 
 
@@ -221,7 +222,7 @@ def test_optimal_decision_rule_achieves_induced_tv():
         ideal = canonical_ideal(real).to_cq(1)
         povm = rand_povm(rng, 2, 3)
         rule = optimal_decision_rule(real, ideal, povm)
-        adv = distinguishing_advantage(real, ideal, (povm, rule))
+        adv = distinguishing_advantage(real, ideal, rule)
         # the optimum for a fixed measurement is the TV of the induced joints
         tv = 0.0
         for label in set(real.branches) | set(ideal.branches):
@@ -233,41 +234,72 @@ def test_optimal_decision_rule_achieves_induced_tv():
                 tv += abs(pr * out_r.get(z, 0.0) - pi * out_i.get(z, 0.0))
         assert adv == pytest.approx(0.5 * tv, abs=1e-9)
         # and no worse than trivial rules
-        accept_all = (povm, lambda labels, zs: np.ones((len(labels), len(zs)), bool))
+        accept_all = Strategy("accept_all", ("0", "1"), np.stack([np.eye(2)] * 2))
         assert adv >= distinguishing_advantage(real, ideal, accept_all) - 1e-12
 
 
-def test_decide_is_called_once_per_povm_group():
-    rng = np.random.default_rng(3)
-    cq = rand_cq(rng, 2, 2, include_perp=True)
-    std, diag = standard_basis_povm(2), Povm.from_basis(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
-    calls = []
-
-    def decide(labels, outcomes):
-        calls.append((list(labels), tuple(outcomes)))
-        return np.ones((len(labels), len(outcomes)), bool)
-
-    by_first_bit = lambda label: diag if label.startswith("1") else std
-    assert strategy_acceptance(cq, (by_first_bit, decide)) == pytest.approx(1.0, abs=1e-12)
-    assert sorted(calls) == [(["00", "01", PERP], std.labels), (["10", "11"], diag.labels)]
-    calls.clear()
-    strategy_acceptance(cq, (std, decide))
-    assert calls == [(list(cq.labels), std.labels)]
+def test_strategy_refuses_effects_that_do_not_fit():
+    cq = rand_cq(np.random.default_rng(5), 1, 3)  # labels "0" and "1", a qutrit register
+    eye = np.eye(3)
+    with pytest.raises(ValueError, match="stack of square matrices"):
+        Strategy("rank", ("0", "1"), eye)
+    with pytest.raises(ValueError, match="one effect per distinct label"):
+        Strategy("count", ("0", "1", PERP), np.stack([eye, eye]))
+    with pytest.raises(ValueError, match="one effect per distinct label"):
+        Strategy("twice", ("0", "0"), np.stack([eye, eye]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        strategy_acceptance(cq, Strategy("qubit", ("0", "1"), np.stack([np.eye(2)] * 2)))
+    with pytest.raises(ValueError, match="no effect for label '1'"):
+        strategy_acceptance(cq, Strategy("partial", ("0",), eye[None]))
 
 
-@pytest.mark.parametrize(
-    "table",
-    [
-        lambda labels, zs: True,
-        lambda labels, zs: np.ones(len(zs), bool),
-        lambda labels, zs: np.ones((len(zs), len(labels)), bool),
-    ],
-    ids=["scalar", "one_dimensional", "transposed"],
-)
-def test_decide_result_of_the_wrong_shape_is_refused(table):
-    cq = rand_cq(np.random.default_rng(5), 1, 3)  # two branches, three outcomes
-    with pytest.raises(ValueError, match="shape"):
-        strategy_acceptance(cq, (standard_basis_povm(3), table))
+def _dense_acceptance(cq, strategy, povm_for):
+    """The acceptance of a strategy that measures label s with ``povm_for(s)`` and
+    accepts the outcomes its effect projects on, from the dense Born rule: the sum
+    over accepted cells of ``p_b tr(E_z rho_b)``."""
+    effect = dict(zip(strategy.labels, strategy.effects))
+    total = 0.0
+    for label, p, rho in zip(cq.labels, cq.probs, cq.matrices):
+        povm = povm_for(label)
+        weights = born_table(effect[label][None], povm)[0]
+        accept = weights > 0.5
+        assert np.allclose(weights, accept, atol=1e-12)  # the effect is a sum of whole outcomes
+        total += p * born_table(rho[None], povm)[0][accept].sum()
+    return total
+
+
+def _prefix_povm(label, nq):
+    bases = [0.0] * nq if label == PERP else [QUBIT_BASIS_ANGLES["diag"] * int(b) for b in label[:nq]]
+    return product_qubit_povm(bases)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_parity_acceptance_matches_the_dense_born_rule(n):
+    strategy = parity_strategy(n)
+    attack = build_attack_state(n).cq
+    states = [attack, canonical_ideal(attack).to_cq(n + 1)]
+    states += [rand_cq(np.random.default_rng(seed), n + 1, 2**n, max_branches=2**n + 1) for seed in range(3)]
+    for cq in states:
+        want = _dense_acceptance(cq, strategy, lambda label: _prefix_povm(label, n))
+        assert abs(strategy_acceptance(cq, strategy) - want) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_default_strategy_acceptance_matches_the_dense_born_rule(seed):
+    key_len = 1 + seed % 3
+    nq = min(1 + seed % 2, key_len)
+    cq = rand_cq(np.random.default_rng(seed), key_len, 2**nq, include_perp=True, max_branches=2**key_len - 1)
+    ideal = canonical_ideal(cq).to_cq(key_len)
+    rng = np.random.default_rng(seed)
+    haar = [Povm.from_basis(security_metrics._haar_basis(2**nq, rng)) for _ in range(3)]
+    _, label_basis, *random = default_strategies(cq, num_random=3, seed=seed)
+    assert label_basis.name == "label_basis" and len(random) == 3
+    checks = [(label_basis, lambda label: _prefix_povm(label, nq))]
+    checks += [(strategy, lambda label, povm=povm: povm) for strategy, povm in zip(random, haar)]
+    for strategy, povm_for in checks:
+        for state in (cq, ideal):
+            want = _dense_acceptance(state, strategy, povm_for)
+            assert abs(strategy_acceptance(state, strategy) - want) <= 1e-15
 
 
 @pytest.mark.parametrize("perp", [False, True])
@@ -284,10 +316,10 @@ def test_default_strategy_lower_end_matches_the_report(perp):
         assert min(lower, report.eps_secret_upper) == report.eps_secret_lower
 
 
-@pytest.mark.parametrize("seed", [36, 63, 72])
+@pytest.mark.parametrize("seed", [8, 14, 63])
 def test_lower_end_never_exceeds_the_upper_end(seed):
     # here the best advantage comes out a few ulps above the trace distance,
-    # e.g. 0.16789778540728206 > 0.16789778540728195 at seed 36
+    # e.g. 0.22895945830209008 > 0.22895945830208997 at seed 8
     cq = rand_cq(np.random.default_rng(seed), 1, 2)
     strategies = default_strategies(cq, num_random=seed % 4, seed=seed)
     upper = secrecy_eps_upper(cq)
@@ -299,9 +331,9 @@ def test_lower_end_never_exceeds_the_upper_end(seed):
 @pytest.mark.parametrize(
     "seed, key_len, dim, shape, lower, upper, iacc",
     [
-        (101, 2, 2, {"include_perp": True}, "0.35064761260494864", "0.42018315340484813", "0.1111297881848623"),
-        (202, 3, 2, {"max_branches": 5}, "0.5625016342064797", "0.5843765756541102", "0.1757768935787447"),
-        (303, 1, 3, {}, "0.20057255869778334", "0.2870397976024258", "0.0"),
+        (101, 2, 2, {"include_perp": True}, "0.3506476126049486", "0.42018315340484813", "0.1111297881848623"),
+        (202, 3, 2, {"max_branches": 5}, "0.5625016342064798", "0.5843765756541102", "0.1757768935787447"),
+        (303, 1, 3, {}, "0.20057255869778345", "0.2870397976024258", "0.0"),
     ],
 )
 def test_secrecy_bracket_golden_values(seed, key_len, dim, shape, lower, upper, iacc):
@@ -505,14 +537,14 @@ def test_strategy_stock_stops_at_the_first_advantage_that_meets_the_upper_end(st
     # the stopped stock is a prefix of the full one, Haar bases included
     cq = rand_cq(np.random.default_rng(5), 2, 4)
     ideal = canonical_ideal(cq).to_cq(cq.key_len)
-    full, advantages = security_metrics._default_strategies(cq, ideal, 8, 3)
+    full, advantages = map(list, zip(*security_metrics._default_strategies(cq, ideal, 8, 3)))
     assert len(full) == 10
     upper = advantages[stop_at]
     first = next(i for i, a in enumerate(advantages) if a >= upper)
-    stopped, got = security_metrics._default_strategies(cq, ideal, 8, 3, upper=upper)
+    stopped, got = map(list, zip(*security_metrics._default_strategies(cq, ideal, 8, 3, upper=upper)))
     assert got == advantages[: first + 1] and len(stopped) == first + 1
-    for (m, _), (want, _) in zip(stopped[2:], full[2:]):
-        assert np.array_equal(m.basis, want.basis)
+    for strategy, want in zip(stopped[2:], full[2:]):
+        assert np.array_equal(strategy.effects, want.effects)
 
 
 def test_epsilon_stop_leaves_every_figure_of_the_report_unchanged():
