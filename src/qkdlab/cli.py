@@ -16,13 +16,14 @@ expectation), 2 for usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import itertools
 import json
 import os
 import sys
 import tempfile
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import numpy.random  # numpy loads it lazily: load it with the rest of start-up, not in a command
@@ -39,6 +40,7 @@ from .attack_lab import (
     secrecy_reports,
 )
 from .composition_harness import (
+    AuctionOutcome,
     attack_otp_composed_pair,
     biased_key_source,
     estimate_advantage,
@@ -59,7 +61,6 @@ from .keystream import (
     StreamParams,
     _budget,
     _columns,
-    _Columns,
     _csv,
     _elements,
     _fill,
@@ -337,48 +338,40 @@ def cmd_keystream_plan(args: argparse.Namespace, parser: argparse.ArgumentParser
     return EXIT_OK
 
 
-# Stands in for the rows while the envelope is encoded; no argv holds a NUL.
-_ROUNDS_MARK = "\0rounds\0"
-# A row's keys in sort_keys order; "%s" of a Python int or finite float is what json prints.
-_ROUND_KEYS = ("clamped", "ell_i", "eps_i", "i", "n_i", "term_auth", "term_signal")
-# What json prints for the fields of a round whose terms are both 0.0.
-_ZERO_ROUND = {"clamped": "false", "eps_i": "0.0", "term_auth": "0.0", "term_signal": "0.0"}
+# Stands in for a report's one long list while the envelope is encoded; no argv holds a NUL.
+_ROWS_MARK = "\0rows\0"
 
 
-def _schedule_json(payload: dict, columns: _Columns) -> Iterator[bytes | memoryview]:
-    """``_json_text(payload)``, encoded, with the rows of ``columns`` in place of ``_ROUNDS_MARK``.
+def _rows_json(payload: dict, keys: tuple[str, ...], rows: Callable[..., Iterator[bytes | memoryview]]) -> Iterator[bytes | memoryview]:
+    """``_json_text(payload)``, encoded, with a list of flat rows in place of ``_ROWS_MARK``.
 
-    ``json.dumps`` indents in pure Python, which takes seconds on 10^5
-    rounds; each row is written from a template instead, in the same
-    layout, and the rows are streamed in batches.  Rounds 1..``live`` fill
-    all seven slots, one ``%`` per row; every later round has both terms
-    0.0, so its template holds those fields fixed, and :func:`_int_rows`
-    writes its ``ell_i``, ``i`` and ``n_i`` by array arithmetic.
+    ``json.dumps`` indents in pure Python, which takes seconds on 10^5 rows;
+    each row is written from a template instead, in the same layout, and the
+    rows are streamed in batches.  ``rows(template)`` gives the encoded rows,
+    at least one: ``template(fixed)`` is a row with the object keys ``keys``
+    (in sort order), each followed by the JSON text ``fixed[key]``, which may
+    itself hold a slot, or else by ``%s``, for :func:`_fill` or :func:`_int_rows`.
     """
-    head, tail = _json_text(payload).split(json.dumps(_ROUNDS_MARK))  # exactly once
+    head, tail = _json_text(payload).split(json.dumps(_ROWS_MARK))  # exactly once
     line = head[head.rfind("\n") + 1:]
     outer = line[:len(line) - len(line.lstrip(" "))]
     item = outer + "  "
 
     def template(fixed: dict) -> str:
-        fields = ",".join(f'\n{item}  "{key}": {fixed.get(key, "%s")}' for key in _ROUND_KEYS)
+        fields = ",".join(f'\n{item}  "{key}": {fixed.get(key, "%s")}' for key in keys)
         return f",\n{item}{{{fields}\n{item}}}"
 
-    live = columns.live
-    rows = itertools.chain(
-        _fill(template({}), zip(
-            ("true" if clamped else "false" for clamped in _elements(columns.clamped[:live])),
-            _elements(columns.ell[1:live + 1]), _elements(columns.eps[:live]), range(1, live + 1),
-            _elements(columns.n[:live]), _elements(columns.term_auth[:live]), _elements(columns.term_signal[:live]),
-        )),
-        _int_rows(template(_ZERO_ROUND), [
-            columns.ell[live + 1:], np.arange(live + 1, len(columns.eps) + 1), columns.n[live:],
-        ]),
-    )
+    pieces = rows(template)
     yield (head + "[\n").encode()
-    yield next(rows)[2:]  # there is at least one round; every row but the first follows a ",\n"
-    yield from rows
+    yield next(pieces)[2:]  # every row but the first follows a ",\n"
+    yield from pieces
     yield f"\n{outer}]{tail}".encode()
+
+
+# A round's keys in sort_keys order; "%s" of a Python int or finite float is what json prints.
+_ROUND_KEYS = ("clamped", "ell_i", "eps_i", "i", "n_i", "term_auth", "term_signal")
+# What json prints for the fields of a round whose terms are both 0.0.
+_ZERO_ROUND = {"clamped": "false", "eps_i": "0.0", "term_auth": "0.0", "term_signal": "0.0"}
 
 
 def cmd_keystream_schedule(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -387,10 +380,24 @@ def cmd_keystream_schedule(args: argparse.Namespace, parser: argparse.ArgumentPa
     if args.csv is not None:
         _atomic_write(args.csv, _csv(columns))
     budget = _budget(params, columns.eps, args.real_valued)
-    result = {"params": params.to_json_dict(), "budget": budget.to_json_dict(), "rounds": _ROUNDS_MARK}
+    result = {"params": params.to_json_dict(), "budget": budget.to_json_dict(), "rounds": _ROWS_MARK}
     cli_params = {"rounds": args.rounds, "real_valued": args.real_valued, "csv": args.csv}
+    live = columns.live
+
+    def rows(template) -> Iterator[bytes | memoryview]:
+        # Rounds 1..live fill all seven slots, one % per row; every later round has both terms
+        # 0.0, so its template holds them fixed and _int_rows writes ell_i, i and n_i.
+        yield from _fill(template({}), zip(
+            ("true" if clamped else "false" for clamped in _elements(columns.clamped[:live])),
+            _elements(columns.ell[1:live + 1]), _elements(columns.eps[:live]), range(1, live + 1),
+            _elements(columns.n[:live]), _elements(columns.term_auth[:live]), _elements(columns.term_signal[:live]),
+        ))
+        yield from _int_rows(template(_ZERO_ROUND), [
+            columns.ell[live + 1:], range(live + 1, len(columns.eps) + 1), columns.n[live:],
+        ])
+
     envelope = _envelope("keystream-schedule", None, cli_params, result, args.timestamp)
-    _write(_schedule_json(envelope, columns), args.out)
+    _write(_rows_json(envelope, _ROUND_KEYS, rows), args.out)
     return EXIT_OK
 
 
@@ -458,25 +465,30 @@ def cmd_verify_composition(args: argparse.Namespace, parser: argparse.ArgumentPa
     return EXIT_OK if ok else EXIT_FINDING
 
 
+# An auction outcome's keys in sort_keys order, and the fields its rows hold fixed
+_OUTCOME_KEYS = ("alice_bid", "bob_bid", "e", "forgery_doubled", "modulus_bits", "n", "type", "winner")
+_OUTCOME_FIXED = {"type": json.dumps(AuctionOutcome.JSON_TYPE), "winner": '"%s"'}
+
+
 def cmd_rsa_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     seed = _resolve_seed(args, parser)
     rng = np.random.default_rng(seed)
-    if args.auctions > 1:
-        sweep = rsa_auction_sweep(args.auctions, args.modulus_bits, args.max_bid, rng)
-        result = sweep.to_json_dict()
-        ok = sweep.all_forgeries_doubled
-    else:
+    params = {"auctions": args.auctions, "bid": args.bid, "max_bid": args.max_bid, "modulus_bits": args.modulus_bits}
+    if args.auctions == 1:
         outcome = rsa_malleability_demo(args.bid, args.modulus_bits, rng)
-        result = outcome.to_json_dict()
-        ok = outcome.forgery_doubled
-    params = {
-        "auctions": args.auctions,
-        "bid": args.bid,
-        "max_bid": args.max_bid,
-        "modulus_bits": args.modulus_bits,
-    }
-    _emit(_envelope("rsa-demo", seed, params, result, args.timestamp), args.out)
-    return EXIT_OK if ok else EXIT_FINDING
+        _emit(_envelope("rsa-demo", seed, params, outcome.to_json_dict(), args.timestamp), args.out)
+        return EXIT_OK if outcome.forgery_doubled else EXIT_FINDING
+    sweep = rsa_auction_sweep(args.auctions, args.modulus_bits, args.max_bid, rng)
+    result = dataclasses.replace(sweep, outcomes=_ROWS_MARK).to_json_dict()
+
+    def rows(template) -> Iterator[bytes]:
+        return _fill(template(_OUTCOME_FIXED), (
+            (o.alice_bid, o.bob_bid, o.e, "true" if o.forgery_doubled else "false", o.modulus_bits, o.n, o.winner)
+            for o in sweep.outcomes
+        ))
+
+    _write(_rows_json(_envelope("rsa-demo", seed, params, result, args.timestamp), _OUTCOME_KEYS, rows), args.out)
+    return EXIT_OK if sweep.all_forgeries_doubled else EXIT_FINDING
 
 
 # ---------------------------------------------------------------------------

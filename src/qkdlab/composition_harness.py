@@ -24,6 +24,7 @@ for computational assumptions.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -770,24 +771,24 @@ def _is_prime_u64(n: np.ndarray) -> np.ndarray:
 _KEY_CHUNK = 4096  # candidates per factor and draw: memory stays flat in the number of keys
 
 
-def _toy_rsa_factors(count: int, modulus_bits: int, rng: np.random.Generator) -> Iterator[tuple[int, int, int]]:
-    """``(p, q, e)`` for ``count`` keys of :func:`generate_toy_rsa`, drawn as the
-    keys are read, a chunk at a time.
+def _toy_rsa_factors(count: int, modulus_bits: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(p, q, e)`` for ``count`` keys of :func:`generate_toy_rsa`, as uint64 arrays,
+    drawn a chunk at a time.
 
     Each chunk draws ``modulus_bits`` candidates for p per key still missing, at most
     ``_KEY_CHUNK``, and as many for q, as uint64 arrays uniform over the odd numbers
     of the factor's bit length, and tests them in one call.  The primes
     among them are paired in draw order, and a pair is kept when p != q, p q has exactly
     ``modulus_bits`` bits and some public exponent below phi is prime to phi (the
-    first such one is e, taken from ``_PUBLIC_EXPONENTS`` so that all keys with the
-    same exponent share one int object).  Kept pairs are iid and uniform over the
-    valid (p, q), as a one-pair-at-a-time rejection sampler gives them.  The factors
-    are below 2**32, so p q and phi fit in uint64.
+    first such one in ``_PUBLIC_EXPONENTS`` is e).  Kept pairs are iid and uniform
+    over the valid (p, q), as a one-pair-at-a-time rejection sampler gives them.  The
+    factors are below 2**32, so p q and phi fit in uint64.
     """
     if not 16 <= modulus_bits <= 64:
         raise ValueError("modulus_bits must lie in [16, 64]")
     half = modulus_bits // 2
     exponents = np.array(_PUBLIC_EXPONENTS, dtype=np.uint64)
+    chunks = []
     missing = count
     while missing:
         # one key takes about 0.3 modulus_bits candidates per factor, so this size
@@ -806,8 +807,8 @@ def _toy_rsa_factors(count: int, modulus_bits: int, rng: np.random.Generator) ->
         valid = (p != q) & (p * q >= np.uint64(1 << (modulus_bits - 1))) & usable.any(axis=1)
         kept = np.flatnonzero(valid)[:missing]
         missing -= len(kept)
-        e = map(_PUBLIC_EXPONENTS.__getitem__, usable[kept].argmax(axis=1).tolist())
-        yield from zip(p[kept].tolist(), q[kept].tolist(), e)
+        chunks.append((p[kept], q[kept], exponents[usable[kept].argmax(axis=1)]))
+    return tuple(map(np.concatenate, zip(*chunks)))
 
 
 def _rsa_key(p: int, q: int, e: int) -> RsaKey:
@@ -823,7 +824,7 @@ def generate_toy_rsa(modulus_bits: int = 32, rng: np.random.Generator | None = N
     malleability, not of key strength.
     """
     rng = np.random.default_rng() if rng is None else rng
-    return _rsa_key(*next(_toy_rsa_factors(1, modulus_bits, rng)))
+    return _rsa_key(*np.concatenate(_toy_rsa_factors(1, modulus_bits, rng)).tolist())
 
 
 def rsa_encrypt(key: RsaKey, m: int) -> int:
@@ -836,6 +837,11 @@ def rsa_decrypt(key: RsaKey, c: int) -> int:
     if not 0 <= c < key.n:
         raise ValueError("ciphertext out of range")
     return pow(c, key.d, key.n)
+
+
+def _check_bid(bid: int, modulus_bits: int, name: str) -> None:
+    if (2 * bid).bit_length() >= modulus_bits:  # 2 bid < 2^(modulus_bits - 1) <= n, without a huge power
+        raise ValueError(f"{name} too large for the modulus")
 
 
 @dataclass(frozen=True)
@@ -859,32 +865,64 @@ class AuctionOutcome(JsonRecord):
     winner: str
 
 
+def _opened_bids(bids: np.ndarray, p: np.ndarray, q: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Bob's opened bid in each auction, textbook RSA's dec(enc(2) enc(bid) mod n) under the
+    key (n = p q, e) with the same index, for uint64 arrays with factors below 2**32.
+
+    The work runs in residue form.  Z_n is Z_p x Z_q (the Chinese remainder theorem),
+    and x -> x^k mod n acts on each residue alone, so encrypting, Bob's product and
+    decrypting mod p and mod q give the residues of the very numbers that textbook RSA
+    mod n gives.  Decryption mod p takes d mod (p - 1) for d = e^-1 mod phi, which
+    leaves x^d mod p unchanged by Fermat (and 0 at 0); Garner's recombination
+    m_q + q ((m_p - m_q) q^-1 mod p), below n, gives the plaintext mod n.  Every
+    residue is below 2**32, so each product is exact in uint64, and so is the
+    recombination, below n <= 2**64.  Bob's factor enc(2) uses only the public
+    (n, e), and no ciphertext value leaves this function.
+    """
+    phi = (p - 1) * (q - 1)
+    d = np.array(list(map(pow, e.tolist(), itertools.repeat(-1), phi.tolist())), dtype=np.uint64)
+    moduli = np.stack([p, q])
+    sealed = _pow_mod(bids % moduli, e, moduli)  # Alice's enc(bid)
+    forged = _pow_mod(np.uint64(2) % moduli, e, moduli) * sealed % moduli  # enc(2) enc(bid)
+    opened_p, opened_q = _pow_mod(forged, d % (moduli - 1), moduli)
+    q_inverse = _pow_mod(q % p, p - 2, p)  # Fermat: p is prime
+    return opened_q + q * ((opened_p + p - opened_q % p) % p * q_inverse % p)
+
+
+def _auctions(bids: np.ndarray, p: np.ndarray, q: np.ndarray, e: np.ndarray) -> list[AuctionOutcome]:
+    """The auction at each of ``bids`` under the key with the same index, as one batch."""
+    bids = bids.astype(np.uint64)
+    opened = _opened_bids(bids, p, q, e)
+    doubled = opened == 2 * bids
+    winner = np.where(doubled & (opened > bids), "bob", np.where(opened == bids, "tie", "alice"))
+    n = (p * q).tolist()
+    return list(map(
+        AuctionOutcome, map(int.bit_length, n), n, e.tolist(), bids.tolist(), opened.tolist(),
+        doubled.tolist(), winner.tolist(),
+    ))
+
+
 def rsa_malleability_demo(
     bid: int,
     modulus_bits: int = 32,
     rng: np.random.Generator | None = None,
     key: RsaKey | None = None,
 ) -> AuctionOutcome:
+    """One auction at ``bid``, under ``key`` or else a fresh key of ``modulus_bits`` bits.
+
+    The bid is refused by the rule of :func:`rsa_auction_sweep`, before any key is
+    drawn, so the refusal does not depend on the seed.
+    """
     if bid < 0:
         raise ValueError("bid must be nonnegative")
+    if key is not None and max(key.p, key.q) >= 2**32:
+        raise ValueError("the key's factors must be below 2**32")
+    _check_bid(bid, modulus_bits if key is None else key.modulus_bits, "bid")
     if key is None:
-        key = generate_toy_rsa(modulus_bits, rng)
-    if 2 * bid >= key.n:
-        raise ValueError("doubled bid must stay below the modulus")
-    c = rsa_encrypt(key, bid)
-    forged = rsa_encrypt(key, 2) * c % key.n
-    opened = rsa_decrypt(key, forged)
-    doubled = opened == 2 * bid
-    winner = "bob" if doubled and opened > bid else ("tie" if opened == bid else "alice")
-    return AuctionOutcome(
-        modulus_bits=key.modulus_bits,
-        n=key.n,
-        e=key.e,
-        alice_bid=bid,
-        bob_bid=opened,
-        forgery_doubled=doubled,
-        winner=winner,
-    )
+        factors = _toy_rsa_factors(1, modulus_bits, np.random.default_rng() if rng is None else rng)
+    else:
+        factors = (np.array([value], dtype=np.uint64) for value in (key.p, key.q, key.e))
+    return _auctions(np.array([bid]), *factors)[0]
 
 
 @dataclass(frozen=True)
@@ -905,13 +943,12 @@ def rsa_auction_sweep(
     """Fresh key and random positive bid per auction; Bob forges every time."""
     if num_auctions < 1:
         raise ValueError("need at least one auction")
-    # 2 max_bid < 2^(modulus_bits - 1), without forming a huge power
-    if not 1 <= max_bid or (2 * max_bid).bit_length() >= modulus_bits:
-        raise ValueError("max_bid too large for the modulus")
+    if max_bid < 1:
+        raise ValueError("max_bid must be at least 1")
+    _check_bid(max_bid, modulus_bits, "max_bid")
     rng = np.random.default_rng() if rng is None else rng
-    bids = rng.integers(1, max_bid + 1, size=num_auctions).tolist()
-    keys = _toy_rsa_factors(num_auctions, modulus_bits, rng)
-    outcomes = [rsa_malleability_demo(bid, key=_rsa_key(*key)) for bid, key in zip(bids, keys)]
+    bids = rng.integers(1, max_bid + 1, size=num_auctions)
+    outcomes = _auctions(bids, *_toy_rsa_factors(num_auctions, modulus_bits, rng))
     wins = sum(1 for o in outcomes if o.winner == "bob")
     return AuctionSweep(
         outcomes=tuple(outcomes),

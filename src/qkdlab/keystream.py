@@ -203,11 +203,17 @@ class _Columns(NamedTuple):
 _BATCH = 4096  # array elements turned into Python numbers, or rows written, at a time
 
 
-def _elements(column: np.ndarray) -> Iterator:
+def _batches(column: np.ndarray | range) -> Iterator[np.ndarray]:
+    """``column`` in slices of ``_BATCH`` elements; a ``range`` (of round numbers) is made
+    an array one slice at a time, so a long one takes no array of its own length."""
+    for start in range(0, len(column), _BATCH):
+        part = column[start:start + _BATCH]
+        yield np.arange(part.start, part.stop, part.step) if isinstance(part, range) else part
+
+
+def _elements(column: np.ndarray | range) -> Iterator:
     """The elements of ``column`` in order, as Python numbers, converted ``_BATCH`` at a time."""
-    return itertools.chain.from_iterable(
-        column[start:start + _BATCH].tolist() for start in range(0, len(column), _BATCH)
-    )
+    return itertools.chain.from_iterable(batch.tolist() for batch in _batches(column))
 
 
 def _fill(template: str, rows: Iterable[tuple]) -> Iterator[bytes]:
@@ -221,23 +227,22 @@ def _fill(template: str, rows: Iterable[tuple]) -> Iterator[bytes]:
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
-def _int_rows(template: str, columns: list[np.ndarray]) -> Iterator[bytes | memoryview]:
+def _int_rows(template: str, columns: list[np.ndarray | range]) -> Iterator[bytes | memoryview]:
     """:func:`_fill` of ``template``, one ``%s`` per column, with the rows of ``columns``.
 
     Integer columns (sizes and round numbers, never negative) are written by array
-    arithmetic instead, ``_BATCH`` rows at a time.  Each run of rows whose values
-    have the same digit counts (found by a ``searchsorted`` on powers of ten) is one
-    ``(rows, width)`` uint8 block: the row template with every slot as wide as its
-    value, whose digits are then written column by column from the lowest.  Each
-    block is a piece, a byte view of the array, so no block is copied.  A float
-    column, printed by ``repr``, goes through :func:`_fill`.
+    arithmetic instead, ``_BATCH`` rows at a time (see :func:`_batches`).  Each run of
+    rows whose values have the same digit counts (found by a ``searchsorted`` on powers
+    of ten) is one ``(rows, width)`` uint8 block: the row template with every slot as
+    wide as its value, whose digits are then written column by column from the lowest.
+    Each block is a piece, a byte view of the array, so no block is copied.  A batch
+    with a float column, printed by ``repr``, goes through :func:`_fill`.
     """
-    if any(column.dtype.kind != "i" for column in columns):
-        yield from _fill(template, zip(*map(_elements, columns)))
-        return
     literals = [part.encode() for part in template.split("%s")]
-    for start in range(0, len(columns[0]), _BATCH):
-        batch = [column[start:start + _BATCH] for column in columns]
+    for batch in zip(*map(_batches, columns)):
+        if any(column.dtype.kind != "i" for column in batch):
+            yield from _fill(template, zip(*(column.tolist() for column in batch)))
+            continue
         widths = np.searchsorted(_POWERS_OF_TEN, np.stack(batch), side="right") + 1
         edges = (np.flatnonzero((widths[:, 1:] != widths[:, :-1]).any(axis=0)) + 1).tolist()
         for lo, hi in zip([0, *edges], [*edges, len(batch[0])]):
@@ -363,7 +368,7 @@ def _csv(columns: _Columns) -> Iterator[bytes | memoryview]:
         _elements(columns.eps[:live]), _elements(cumulative),
     ))
     yield from _int_rows(f"%s,%s,%s,0.0,{total}\r\n", [
-        np.arange(live + 1, len(columns.eps) + 1), columns.n[live:], columns.ell[live + 1:],
+        range(live + 1, len(columns.eps) + 1), columns.n[live:], columns.ell[live + 1:],
     ])
 
 

@@ -13,13 +13,14 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qkdlab
 from conftest import COLUMN_PARAMS, COLUMN_PARAMS_IDS, assert_same_bytes
-from qkdlab import attack_lab, cli, keystream, security_metrics
+from qkdlab import attack_lab, cli, composition_harness, keystream, security_metrics
 from qkdlab.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
 from qkdlab.keystream import LedgerBroken, StreamParams
 
@@ -199,6 +200,21 @@ def test_secrecy_at_n_7_peaks_below_250_mb():
     code, peak_kb = map(int, out.split())
     assert code == EXIT_OK
     assert peak_kb <= 250 * 1024, f"VmHWM {peak_kb / 1024:.0f} MB"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
+def test_rsa_demo_of_10_to_the_5_auctions_peaks_below_100_mb(tmp_path):
+    # its rows are written from a template, 4096 at a time; the whole report is 23 MB
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qkdlab.__file__)))
+    argv = ["rsa-demo", "--auctions", str(cli.MAX_AUCTIONS), "--seed", "1", "--out", str(tmp_path / "report.json")]
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout
+    code, peak_kb = map(int, out.split())
+    assert code == EXIT_OK
+    assert peak_kb <= 100 * 1024, f"VmHWM {peak_kb / 1024:.0f} MB"
+    assert (tmp_path / "report.json").read_bytes().count(b'"type": "auction_outcome"') == cli.MAX_AUCTIONS
 
 
 def test_bad_env_seed_rejected(capsys, monkeypatch):
@@ -1083,6 +1099,56 @@ def test_rsa_demo_sweep(capsys):
     assert code == EXIT_OK
     assert payload["result"]["bob_win_rate"] == 1.0
     assert len(payload["result"]["outcomes"]) == 5
+
+
+@pytest.mark.parametrize("seed", [str(seed) for seed in range(1, 9)])
+def test_rsa_demo_refuses_bids_by_the_modulus_size_on_every_seed(capsys, seed):
+    # a 16-bit modulus is at least 2^15, so 2 * 16383 always fits; the doubled bid's
+    # bit length decides, not the drawn modulus
+    argv = ["rsa-demo", "--modulus-bits", "16", "--seed", seed]
+    assert run_json(capsys, [*argv, "--bid", "16383"])[1]["result"]["bob_bid"] == 32766
+    for bid in ("16384", "20000"):
+        assert run_cli(capsys, [*argv, "--bid", bid]) == (EXIT_USAGE, "", "error: bid too large for the modulus\n")
+    sweep = [*argv, "--auctions", "2", "--max-bid"]
+    assert run_cli(capsys, [*sweep, "16384"]) == (EXIT_USAGE, "", "error: max_bid too large for the modulus\n")
+    assert run_cli(capsys, [*sweep, "0"]) == (EXIT_USAGE, "", "error: max_bid must be at least 1\n")
+
+
+@pytest.mark.parametrize("auctions", [2, 5000])
+def test_rsa_demo_rows_are_what_json_dumps_prints(capsys, auctions):
+    # 5000 rows take two batches of the template writer; the timestamp sorts between the rows and the seed
+    argv = ["rsa-demo", "--auctions", str(auctions), "--modulus-bits", "20", "--max-bid", "3000", "--seed", "8"]
+    code, out, _ = run_cli(capsys, [*argv, "--timestamp"])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    sweep = composition_harness.rsa_auction_sweep(auctions, 20, 3000, np.random.default_rng(8))
+    assert payload["result"] == sweep.to_json_dict()
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# stdout of rsa-demo, pinned as sha256: the benchmark's sweeps (montecarlo workload passes 0 and 1
+# at seed 1), sweeps at the smallest, a middle and the largest modulus, and single auctions
+_RSA_OUTPUTS = [
+    (["rsa-demo", "--auctions", "1000", "--seed", "777300825"],
+     "813c7d7edae9de170132a3a02f5ce6db510b617d4c359fcf49fcd974a944b06d"),
+    (["rsa-demo", "--auctions", "1000", "--seed", "1896758432"],
+     "b2f984ebedcd962aeaba6c6a9946d592a4abc11438d54cf5627fdcc5b2bf0e64"),
+    (["rsa-demo", "--auctions", "300", "--max-bid", "100", "--seed", "3", "--modulus-bits", "16"],
+     "bcf97949c1ccfef40462fb4904ef09e607e29bec60fcefd4903a9129c2b275b5"),
+    (["rsa-demo", "--auctions", "300", "--max-bid", "100", "--seed", "3", "--modulus-bits", "48"],
+     "c81f89ae97e31551a06a3eb117854c6b0be39b2f1356fd4e59546939f2618030"),
+    (["rsa-demo", "--auctions", "300", "--max-bid", "100", "--seed", "3", "--modulus-bits", "64"],
+     "d863c1e290ab11f6662f8593332fc34d84240c8f8289bbf33ad58da72bf7a255"),
+    (["rsa-demo", "--bid", "0", "--seed", "4"], "18786ebf91b25de1e8b642cf74a97dfe6d5eed2b3e53bf3cfa146fcbff7d36ff"),
+    (["rsa-demo", "--bid", "123", "--seed", "4"], "e45c5ab2e89ff34867a8ba1e140b9126cb7f37570a4ad6831b7711a57ef7cee6"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _RSA_OUTPUTS, ids=_argv_id)
+def test_rsa_demo_prints_the_pinned_bytes(capsys, argv, digest):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -705,11 +705,16 @@ def _valid_factor_pairs(modulus_bits: int) -> dict[tuple[int, int], int]:
     return valid
 
 
+def _keys(count: int, modulus_bits: int, rng: np.random.Generator) -> list:
+    """The keys of a batched draw, as scalar ``RsaKey`` objects."""
+    return [ch._rsa_key(*key) for key in zip(*(c.tolist() for c in ch._toy_rsa_factors(count, modulus_bits, rng)))]
+
+
 @pytest.mark.parametrize("modulus_bits", [16, 17])
 def test_batched_keys_are_uniform_over_the_valid_factor_pairs(modulus_bits):
     valid = _valid_factor_pairs(modulus_bits)
     draws = 20_000
-    keys = [ch._rsa_key(*key) for key in ch._toy_rsa_factors(draws, modulus_bits, np.random.default_rng(18))]
+    keys = _keys(draws, modulus_bits, np.random.default_rng(18))
     assert len(keys) == draws
     assert all((key.p, key.q) in valid and key.e == valid[key.p, key.q] for key in keys)
     counts = collections.Counter((key.p, key.q) for key in keys)
@@ -719,7 +724,7 @@ def test_batched_keys_are_uniform_over_the_valid_factor_pairs(modulus_bits):
 
 
 def test_batched_keys_at_64_bits():
-    keys = [ch._rsa_key(*key) for key in ch._toy_rsa_factors(1000, 64, np.random.default_rng(64))]
+    keys = _keys(1000, 64, np.random.default_rng(64))
     assert len(keys) == 1000
     for key in keys:
         phi = (key.p - 1) * (key.q - 1)
@@ -780,5 +785,44 @@ def test_auction_sweep_bob_always_wins():
     assert len(sweep.outcomes) == 40
     with pytest.raises(ValueError):
         rsa_auction_sweep(0)
-    with pytest.raises(ValueError, match="max_bid"):
+    with pytest.raises(ValueError, match="max_bid too large"):
         rsa_auction_sweep(2, 16, 2**20)
+    with pytest.raises(ValueError, match="max_bid must be at least 1"):
+        rsa_auction_sweep(2, 16, 0)
+
+
+@pytest.mark.parametrize("modulus_bits", [16, 24, 32, 48, 64])
+def test_array_auctions_match_the_scalar_rsa_oracle(modulus_bits):
+    # the residue-form batch against pow(c, d, n) on Python ints, key by key
+    def opened(key, bid):
+        return rsa_decrypt(key, rsa_encrypt(key, 2) * rsa_encrypt(key, bid) % key.n)
+
+    count = 400
+    max_bid = (1 << (modulus_bits - 2)) - 1  # the largest bid the sweep's rule lets through
+    rng = np.random.default_rng(modulus_bits)
+    p, q, e = ch._toy_rsa_factors(count, modulus_bits, rng)
+    bids = rng.integers(0, max_bid + 1, size=count, dtype=np.uint64)
+    factor = np.where(np.arange(count) % 2 == 0, p, q)
+    bids[::3] = factor[::3] * (bids[::3] // factor[::3])  # p or q divides these bids
+    bids[:2] = 0, max_bid
+    keys = [ch._rsa_key(*key) for key in zip(p.tolist(), q.tolist(), e.tolist())]
+    for outcome, key, bid in zip(ch._auctions(bids, p, q, e), keys, bids.tolist()):
+        assert outcome.bob_bid == opened(key, bid) == 2 * bid
+        assert (outcome.modulus_bits, outcome.n, outcome.e, outcome.alice_bid) == (modulus_bits, key.n, key.e, bid)
+        assert outcome.forgery_doubled and outcome.winner == ("tie" if bid == 0 else "bob")
+    assert sum(math.gcd(bid, key.n) > 1 for key, bid in zip(keys, bids.tolist()) if bid) >= count // 3 - 1
+    # the sweep itself: its bids, then its keys, are these draws
+    sweep = rsa_auction_sweep(count, modulus_bits, max_bid, np.random.default_rng(1))
+    draws = np.random.default_rng(1)
+    bids = draws.integers(1, max_bid + 1, size=count).tolist()
+    for outcome, key, bid in zip(sweep.outcomes, _keys(count, modulus_bits, draws), bids, strict=True):
+        assert (outcome.n, outcome.e, outcome.alice_bid, outcome.bob_bid) == (key.n, key.e, bid, opened(key, bid))
+
+
+def test_malleability_demo_is_a_batch_of_one():
+    key = generate_toy_rsa(24, np.random.default_rng(3))
+    outcome = rsa_malleability_demo(5 * key.q, key=key)  # q divides the bid
+    assert (outcome.n, outcome.e, outcome.bob_bid, outcome.winner) == (key.n, key.e, 10 * key.q, "bob")
+    big = ch.RsaKey(n=(2**32 + 15) * 3, e=3, d=1, p=2**32 + 15, q=3)
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        rsa_malleability_demo(1, key=big)
