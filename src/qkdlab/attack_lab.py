@@ -46,17 +46,18 @@ from .quantum_core import (
     Povm,
     _chunks,
     _kron_rows,
-    cq_trace_distance,
     qubit_basis,
 )
 from .security_metrics import (
     IaccSearchResult,
     SecurityReport,
     Strategy,
-    _canonical_ideal_cq,
+    _advantage,
+    _distance,
     _evaluate,
+    _Ideal,
+    _ideal,
     accessible_info_lower,
-    distinguishing_advantage,
 )
 
 __all__ = [
@@ -475,10 +476,10 @@ def secrecy_gap_report(
     fully insecure.
     """
     state = build_attack_state(n)
-    ideal = _canonical_ideal_cq(state.cq)
+    ideal = _ideal(state.cq)
     declared = _declared(n, families)
     iacc = accessible_info_lower(state.cq, search_budget, seed, families, declared=declared, upper=IACC_UPPER_BITS)
-    return _gap_report(state, ideal, cq_trace_distance(state.cq, ideal), iacc)
+    return _gap_report(state, ideal, _distance(state.cq, ideal), iacc)
 
 
 def secrecy_reports(
@@ -514,8 +515,8 @@ def _declared(n: int, families: Sequence[str]) -> dict[str, Povm]:
     return {"even_x_eigenbasis": even_x_eigenbasis(n)} if "declared" in families else {}
 
 
-def _gap_report(state: AttackState, ideal: CqState, upper: float, iacc: IaccSearchResult) -> SecrecyGapReport:
-    advantage = distinguishing_advantage(state.cq, ideal, parity_strategy(state.n))
+def _gap_report(state: AttackState, ideal: _Ideal, upper: float, iacc: IaccSearchResult) -> SecrecyGapReport:
+    advantage = _advantage(state.cq, ideal, parity_strategy(state.n))
     return SecrecyGapReport(
         n=state.n,
         eps_secret_lower=min(1.0, max(0.0, advantage)),

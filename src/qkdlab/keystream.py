@@ -308,14 +308,21 @@ def _columns(p: StreamParams, rounds: int, real_valued: bool = False) -> _Column
     schedule that is the first few thousand rounds; every later one is 0.0 without a call.
     """
     n, ell = _sizes(p, rounds, real_valued)
-    n_float, ell_float = n.astype(np.float64), ell.astype(np.float64)  # an int rate times int64 sizes would wrap
+    # float64 copies, as an int rate times int64 sizes would wrap; each round-length
+    # temporary (8 bytes a round) goes as soon as it is used, and the signal exponent
+    # -gamma (rate_rho n_i - ell_i - ell) is built in the copy of n once auth has read it
+    signal = n.astype(np.float64)
     with np.errstate(over="ignore"):
-        signal = -p.gamma * (p.rate_rho * n_float - ell_float[1:] - p.ell)
-        auth = _add_log(-p.nu * ell_float[:-1], n_float)
-    del n_float, ell_float  # each temporary goes as soon as it is used: 8 bytes a round apiece
+        auth = ell[:-1].astype(np.float64)
+        auth *= -p.nu
+        t_auth = _exp(np.minimum(_add_log(auth, signal), _EXP_MAX, out=auth))
+        del auth
+        signal *= p.rate_rho
+        signal -= ell[1:]
+        signal -= p.ell
+        signal *= -p.gamma
     t_signal = _exp(np.minimum(signal, _EXP_MAX, out=signal))
-    t_auth = _exp(np.minimum(auth, _EXP_MAX, out=auth))
-    del signal, auth
+    del signal
     eps = t_signal + t_auth
     clamped = eps > 1.0
     nonzero = eps != 0.0  # both terms are at least 0.0, so eps is 0.0 only where both are

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -446,20 +446,33 @@ def cq_trace_distance(a: CqState, b: CqState) -> float:
     union = sorted(set(a.labels) | set(b.labels), key=_label_sort_key)
     row = {label: k for k, label in enumerate(union)}
     rows = [np.array([row[s] for s in cq.labels]) for cq in (a, b)]  # increasing, as both are sorted
-    norms, dtype = [], np.result_type(a.matrices, b.matrices)
-    for part in _chunks(len(union), a.dim):
+    dtype = np.result_type(a.matrices, b.matrices)
+
+    def block(part: slice) -> np.ndarray:
         blocks = np.zeros((len(union[part]), a.dim, a.dim), dtype=dtype)
         lo_a, hi_a = np.searchsorted(rows[0], [part.start, part.stop])
         lo_b, hi_b = np.searchsorted(rows[1], [part.start, part.stop])
         blocks[rows[0][lo_a:hi_a] - part.start] = a.probs[lo_a:hi_a, None, None] * a.matrices[lo_a:hi_a]
         blocks[rows[1][lo_b:hi_b] - part.start] -= b.probs[lo_b:hi_b, None, None] * b.matrices[lo_b:hi_b]
-        # fl(x - y) == -fl(y - x): a block whose first nonzero component is negative is
-        # negated, and -0.0 made 0.0, so both argument orders give eigvalsh the same bits
-        flat = blocks.view(np.float64).reshape(len(blocks), -1)
+        return blocks
+
+    return _block_distance(map(block, _chunks(len(union), a.dim)))
+
+
+def _block_distance(blocks: Iterable[np.ndarray]) -> float:
+    """Half the summed trace norms of the Hermitian blocks of a sequence of ``(B, d, d)``
+    stacks, in order, clamped to [0, 1]; each stack is overwritten.
+
+    fl(x - y) == -fl(y - x): a block whose first nonzero component is negative is
+    negated, and -0.0 made 0.0, so a block and its negation give eigvalsh the same bits.
+    """
+    norms = []
+    for stack in blocks:
+        flat = stack.view(np.float64).reshape(len(stack), -1)
         first = flat[np.arange(len(flat)), np.argmax(flat != 0.0, axis=1)]
-        np.negative(blocks, out=blocks, where=(first < 0.0)[:, None, None])
-        blocks += 0.0
-        norms.append(np.abs(np.linalg.eigvalsh(blocks)).sum(axis=1))
+        np.negative(stack, out=stack, where=(first < 0.0)[:, None, None])
+        stack += 0.0
+        norms.append(np.abs(np.linalg.eigvalsh(stack)).sum(axis=1))
     return min(1.0, max(0.0, float(_ordered_sum(0.5 * np.concatenate(norms), 0))))
 
 

@@ -18,6 +18,13 @@ states.  The distance to the canonical ideal (same abort mass,
 branch-averaged register) bounds it from above; the best advantage of
 concrete measure-then-decide strategies against that *canonical* ideal
 is the lower figure, which is not yet a certified lower bound on epsilon.
+
+The ideal is uniform key tensor one register rho', and every figure reads
+it as its :class:`IdealForm`: rho' is one ``(d, d)`` matrix, broadcast
+into each batch of keys, so no ``(2^l, d, d)`` copy of it is made.  The
+arithmetic is that of the copies, so each figure equals, bit for bit, the
+one computed against :meth:`IdealForm.to_cq`, which the tests keep as
+the oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,17 +41,18 @@ from ._json import JsonRecord
 from .quantum_core import (
     PERP,
     DEFAULT_DIM_CAP,
+    _STACK_CHUNK,
     CqState,
     DensityOperator,
     Povm,
     _as_square,
+    _block_distance,
     _chunks,
     _kron_rows,
     _label_sort_key,
     _ordered_sum,
     born_table,
     cq_measure,
-    cq_trace_distance,
     mutual_information,
     product_born_tables,
     product_qubit_povm,
@@ -237,11 +245,13 @@ def robustness_eps(label_distribution: Mapping[str, float]) -> float:
 
 @dataclass(frozen=True, eq=False)
 class IdealForm:
-    """Ideal-state template: uniform key tensor a fixed register.
+    """Ideal-state template: uniform key tensor one fixed register.
 
     ``p_perp`` of the mass sits on the abort branch with register
-    ``rho_dblprime``; the rest is uniform over all keys with the single
-    register state ``rho_prime``.
+    ``rho_dblprime``; the rest is uniform over all keys, c = (1 - p_perp) / 2^l
+    on each key of an l-bit register, with the single register state
+    ``rho_prime``.  The secrecy figures read the form itself: rho' is one
+    matrix, broadcast into each batch of keys, never 2^l copies of it.
     """
 
     p_perp: float
@@ -255,19 +265,54 @@ class IdealForm:
             raise ValueError("register dimensions differ")
 
     def to_cq(self, key_len: int, max_key_len: int = 16) -> CqState:
-        """Materialise the template as a cq-state over ``key_len`` bits."""
-        if key_len > max_key_len:
-            raise ValueError(f"refusing to enumerate 2^{key_len} branches")
+        """Materialise the template as a cq-state over ``key_len`` bits, one copy of
+        ``rho_prime`` per key.  No command calls it: it is the dense oracle that the
+        tests hold the one-matrix figures to, bit for bit."""
         branches: dict[str, tuple[float, DensityOperator]] = {}
         key_mass = 1.0 - self.p_perp
         if key_mass > 0.0:
             p = key_mass / 2**key_len
-            for i in range(2**key_len):
-                label = format(i, f"0{key_len}b") if key_len else ""
+            for label in _key_labels(key_len, max_key_len):
                 branches[label] = (p, self.rho_prime)
         if self.p_perp > 0.0:
             branches[PERP] = (self.p_perp, self.rho_dblprime)
         return CqState(key_len=key_len, branches=branches)
+
+
+def _key_labels(key_len: int, max_key_len: int = 16) -> list[str]:
+    if key_len > max_key_len:
+        raise ValueError(f"refusing to enumerate 2^{key_len} branches")
+    return [format(i, f"0{key_len}b") if key_len else "" for i in range(2**key_len)]
+
+
+class _Ideal(NamedTuple):
+    """An :class:`IdealForm` on a key register, read as the branches of :meth:`IdealForm.to_cq`:
+    the sorted ``labels`` with their ``probs``, the first ``keyed`` of them keys with register
+    ``registers[0]`` (rho'), then the abort label with ``registers[1]`` (rho'') if ``p_perp > 0``.
+    ``registers`` holds the two matrices in their common dtype, as the copies would."""
+
+    labels: tuple[str, ...]
+    probs: np.ndarray
+    keyed: int
+    registers: np.ndarray
+
+    def stack(self, part: slice) -> np.ndarray:
+        """The registers of branches ``part``: a stride-0 view of rho' over keys, with rho''
+        appended where the part holds the abort branch."""
+        stop = min(part.stop, len(self.labels))
+        sigma = np.broadcast_to(self.registers[0], (min(stop, self.keyed) - part.start, *self.registers.shape[1:]))
+        return sigma if stop <= self.keyed else np.concatenate((sigma, self.registers[1:]))
+
+
+def _ideal(cq: CqState, form: IdealForm | None = None) -> _Ideal:
+    """``form`` (by default the canonical ideal of ``cq``) on the key register of ``cq``."""
+    form = canonical_ideal(cq) if form is None else form
+    key_mass = 1.0 - form.p_perp
+    keys = _key_labels(cq.key_len) if key_mass > 0.0 else []
+    abort = [PERP] if form.p_perp > 0.0 else []
+    probs = np.array([key_mass / 2**cq.key_len] * len(keys) + [form.p_perp] * len(abort))
+    registers = np.array([form.rho_prime.matrix, form.rho_dblprime.matrix])
+    return _Ideal((*keys, *abort), probs, len(keys), registers)
 
 
 def canonical_ideal(cq: CqState) -> IdealForm:
@@ -278,6 +323,7 @@ def canonical_ideal(cq: CqState) -> IdealForm:
     exists), and reuses the input's abort register (fully mixed when
     there is none).  This pins down one explicit member of the ideal
     family; the distance to it upper-bounds the true secrecy epsilon.
+    Its register rho' is one ``(d, d)`` matrix, whatever the key length.
     """
     keyed = len(cq.labels) - (cq.labels[-1] == PERP)
     key_mass = float(_ordered_sum(cq.probs[:keyed], 0)) if keyed else 0.0  # left to right, as sum did before 3.12
@@ -302,25 +348,53 @@ def canonical_ideal(cq: CqState) -> IdealForm:
 
 def secrecy_eps_upper(cq: CqState) -> float:
     """Trace distance from the cq-state to its canonical ideal."""
-    return cq_trace_distance(cq, _canonical_ideal_cq(cq))
+    return _distance(cq, _ideal(cq))
 
 
-def _canonical_ideal_cq(cq: CqState) -> CqState:
-    return canonical_ideal(cq).to_cq(cq.key_len)
+def _union(cq: CqState, ideal: _Ideal) -> tuple[str, ...]:
+    return tuple(sorted(set(cq.labels).union(ideal.labels), key=_label_sort_key))
+
+
+def _gaps(cq: CqState, ideal: _Ideal, labels: tuple[str, ...], entries: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """The ``(b, d, d)`` stacks ``p_k rho_k - q_k sigma_k`` over the sorted labels ``labels``,
+    ``entries`` entries a batch, with each batch's slice; a label missing on one side weighs 0
+    there.  The ideal's side is ``c rho'``, formed once and subtracted from every key's block,
+    and ``p_perp rho''`` on the abort label, which sorts last."""
+    rows = _rows(cq.labels, labels)
+    dtype = np.result_type(cq.matrices, ideal.registers)
+    c_rho = ideal.probs[0] * ideal.registers[0] if ideal.keyed else None
+    for part in _chunks(len(labels), cq.dim, entries):
+        gap = _weighted(cq, rows[part]).astype(dtype, copy=False)
+        keys = len(gap) - (labels[part][-1] == PERP)
+        if c_rho is not None:
+            gap[:keys] -= c_rho
+        if keys < len(gap) and ideal.keyed < len(ideal.labels):
+            gap[keys] -= ideal.probs[-1] * ideal.registers[1]
+        yield part, gap
+
+
+def _distance(cq: CqState, ideal: _Ideal) -> float:
+    """:func:`~qkdlab.quantum_core.cq_trace_distance` from ``cq`` to the ideal's cq-state, from the gaps."""
+    return _block_distance(gap for _, gap in _gaps(cq, ideal, _union(cq, ideal), _STACK_CHUNK))
 
 
 def strategy_acceptance(cq: CqState, strategy: Strategy) -> float:
     """Exact acceptance probability ``sum_b p_b tr(M_b rho_b)``, M_b the strategy's effect on label b."""
+    if strategy.effects.shape[1] != cq.dim:
+        raise ValueError(f"dimension mismatch: state {cq.dim}, strategy {strategy.effects.shape[1]}")
+    return _acceptance(strategy, cq.labels, cq.probs, cq.matrices.__getitem__)
+
+
+def _acceptance(strategy: Strategy, labels: Sequence[str], probs: np.ndarray, stack: Callable) -> float:
+    # the acceptance of the branches (labels[b], probs[b], stack(part)[b]), a batch of them at a time
     effects = strategy.effects
-    if effects.shape[1] != cq.dim:
-        raise ValueError(f"dimension mismatch: state {cq.dim}, strategy {effects.shape[1]}")
-    rows = _rows(strategy.labels, cq.labels)
+    rows = _rows(strategy.labels, labels)
     if rows.min() < 0:
-        raise ValueError(f"strategy {strategy.name!r} has no effect for label {cq.labels[rows.argmin()]!r}")
-    # tr(M rho) = sum_ij M_ij conj(rho_ij) for a Hermitian rho, a batch of branches at a time
-    parts = _chunks(len(rows), cq.dim, _BATCH)
-    traces = [np.einsum("bij,bij->b", effects[rows[p]], cq.matrices[p].conj()).real for p in parts]
-    return float(cq.probs @ np.concatenate(traces))
+        raise ValueError(f"strategy {strategy.name!r} has no effect for label {labels[rows.argmin()]!r}")
+    # tr(M rho) = sum_ij M_ij conj(rho_ij) for a Hermitian rho
+    parts = _chunks(len(rows), effects.shape[1], _BATCH)
+    traces = [np.einsum("bij,bij->b", effects[rows[p]], stack(p).conj()).real for p in parts]
+    return float(probs @ np.concatenate(traces))
 
 
 def _rows(labels: Sequence[str], wanted: Sequence[str]) -> np.ndarray:
@@ -334,6 +408,11 @@ def distinguishing_advantage(cq_real: CqState, cq_ideal: CqState, strategy: Stra
     return strategy_acceptance(cq_real, strategy) - strategy_acceptance(cq_ideal, strategy)
 
 
+def _advantage(cq: CqState, ideal: _Ideal, strategy: Strategy) -> float:
+    # distinguishing_advantage against the ideal's cq-state, read from rho' and rho''
+    return strategy_acceptance(cq, strategy) - _acceptance(strategy, ideal.labels, ideal.probs, ideal.stack)
+
+
 def secrecy_eps_lower(cq: CqState, strategies: Sequence[Strategy]) -> float:
     """Best exact distinguishing advantage against the canonical ideal.
 
@@ -345,9 +424,9 @@ def secrecy_eps_lower(cq: CqState, strategies: Sequence[Strategy]) -> float:
     this figure, so it is not yet a certified lower bound on epsilon.
     Computed by exact enumeration, no sampling.
     """
-    ideal = _canonical_ideal_cq(cq)
-    lower = _lower_end([distinguishing_advantage(cq, ideal, s) for s in strategies])
-    return min(lower, cq_trace_distance(cq, ideal))
+    ideal = _ideal(cq)
+    lower = _lower_end([_advantage(cq, ideal, s) for s in strategies])
+    return min(lower, _distance(cq, ideal))
 
 
 def _lower_end(advantages: Sequence[float]) -> float:
@@ -356,10 +435,12 @@ def _lower_end(advantages: Sequence[float]) -> float:
     return min(1.0, max(0.0, max(advantages)))
 
 
-def optimal_decision_rule(cq_real: CqState, cq_ideal: CqState, measurement: Povm) -> Strategy:
+def optimal_decision_rule(cq_real: CqState, ideal: IdealForm, measurement: Povm) -> Strategy:
     """The best strategy that measures every branch with ``measurement``: it accepts
-    outcome z on label k where ``p_k tr(E_z rho_k)`` is larger in the real state."""
-    return _optimal_strategy("optimal", cq_real, cq_ideal, lambda labels, gap: _accepted(gap, measurement))
+    outcome z on label k where ``p_k tr(E_z rho_k)`` is larger in the real state than
+    in the ideal ``ideal`` on the same key register."""
+    on_register = _ideal(cq_real, ideal)
+    return _optimal_strategy("optimal", cq_real, on_register, lambda labels, gap: _accepted(gap, measurement))
 
 
 def _accepted(gap: np.ndarray, povm: Povm) -> np.ndarray:
@@ -375,17 +456,14 @@ def _accepted_in_basis(gap: np.ndarray, v: np.ndarray, weight: float | np.ndarra
     return (np.swapaxes(v, -1, -2) * (accept * weight)[:, None, :]) @ v.conj()
 
 
-def _optimal_strategy(name: str, real: CqState, ideal: CqState, accepted: Callable) -> Strategy:
+def _optimal_strategy(name: str, cq: CqState, ideal: _Ideal, accepted: Callable) -> Strategy:
     """The strategy that accepts outcome z on label k where ``tr(E_z (p_k rho_k - q_k
     sigma_k)) > 0``, i.e. where the real state's (label, outcome) table exceeds the
     ideal's, a missing label weighing 0.  ``accepted(labels, gap)`` sums those E_z
     for a batch of labels, so a per-label basis exists only for its batch."""
-    labels = tuple(sorted(set(real.labels) | set(ideal.labels), key=_label_sort_key))
-    rows = [_rows(cq.labels, labels) for cq in (real, ideal)]
+    labels = _union(cq, ideal)
     effects = None
-    for part in _chunks(len(labels), real.dim, _BATCH):
-        gap = _weighted(real, rows[0][part])
-        gap -= _weighted(ideal, rows[1][part])
+    for part, gap in _gaps(cq, ideal, labels, _BATCH):
         m = accepted(labels[part], gap)
         if effects is None:
             effects = np.empty((len(labels), *m.shape[1:]), dtype=m.dtype)
@@ -429,31 +507,36 @@ def default_strategies(cq: CqState, num_random: int = 8, seed: int = 0) -> list[
     breaks basis-encoded states), and ``num_random`` Haar-random basis
     measurements, each with the optimal rule for the canonical ideal.
     """
-    return [s for s, _ in _default_strategies(cq, _canonical_ideal_cq(cq), num_random, seed)]
+    ideal = _ideal(cq)
+    return [_optimal_strategy(name, cq, ideal, accepted) for name, accepted in _default_rules(cq, num_random, seed)]
 
 
-def _default_strategies(
-    cq: CqState, ideal: CqState, num_random: int, seed: int, *, upper: float = math.inf
-) -> Iterator[tuple[Strategy, float]]:
-    """:func:`default_strategies`, each with its advantage against ``ideal``, one at a time.
+def _default_rules(cq: CqState, num_random: int, seed: int) -> Iterator[tuple[str, Callable]]:
+    # the names and accept rules of default_strategies, in order; a Haar basis is drawn when its rule is reached
+    dim, nq = cq.dim, cq.dim.bit_length() - 1
+    trivial = Povm((("0", np.eye(dim)),))
+    yield "trivial", lambda labels, gap: _accepted(gap, trivial)
+    if dim == 2**nq and 1 <= nq <= cq.key_len:
+        yield "label_basis", lambda labels, gap: _accepted_in_basis(gap, *_label_bases(labels, nq))
+    rng = np.random.default_rng(seed)
+    for i in range(num_random):
+        yield f"haar:{i}", lambda labels, gap, v=_haar_basis(dim, rng): _accepted_in_basis(gap, v)
+
+
+def _default_advantages(
+    cq: CqState, ideal: _Ideal, num_random: int, seed: int, *, upper: float = math.inf
+) -> Iterator[float]:
+    """The advantage against ``ideal`` of each of :func:`default_strategies`, one at a time.
 
     The stock is built and scored in order: trivial, label-basis, then Haar.  Once
     an advantage reaches ``upper`` (a known upper end, such as the trace distance to
     ``ideal``) no more is built, since no advantage can move a lower end clamped to
-    ``upper``; the Haar bases drawn are those of the full stock.
+    ``upper``; the Haar bases drawn are those of the full stock.  Each strategy is
+    dropped once scored, so one effect stack is alive at a time.
     """
-    dim, nq = cq.dim, cq.dim.bit_length() - 1
-    trivial = Povm((("0", np.eye(dim)),))
-    rules = [("trivial", lambda labels, gap: _accepted(gap, trivial))]
-    if dim == 2**nq and 1 <= nq <= cq.key_len:
-        rules.append(("label_basis", lambda labels, gap: _accepted_in_basis(gap, *_label_bases(labels, nq))))
-    rng = np.random.default_rng(seed)  # a Haar basis is drawn when its rule is reached
-    haar = ((f"haar:{i}", lambda labels, gap, v=_haar_basis(dim, rng): _accepted_in_basis(gap, v))
-            for i in range(num_random))
-    for name, accepted in itertools.chain(rules, haar):
-        strategy = _optimal_strategy(name, cq, ideal, accepted)
-        advantage = distinguishing_advantage(cq, ideal, strategy)
-        yield strategy, advantage
+    for name, accepted in _default_rules(cq, num_random, seed):
+        advantage = _advantage(cq, ideal, _optimal_strategy(name, cq, ideal, accepted))
+        yield advantage
         if advantage >= upper:
             return
 
@@ -676,19 +759,19 @@ def _evaluate(
     correctness,
     iacc_declared: Mapping[str, Povm] = MappingProxyType({}),
     iacc_upper: float = math.inf,
-) -> tuple[SecurityReport, CqState, IaccSearchResult]:
-    """:func:`evaluate_cq_security`, also returning the canonical ideal
-    cq-state and the accessible-information search it computed, so that
+) -> tuple[SecurityReport, _Ideal, IaccSearchResult]:
+    """:func:`evaluate_cq_security`, also returning the canonical ideal on
+    the state's key register and the accessible-information search it computed, so that
     a caller reporting more figures on the same state computes neither
     twice.  ``iacc_declared`` is passed to the search as its declared
     measurements, and the reported I_acc lower end is clamped to a known
     upper end ``iacc_upper``, at which the search also stops."""
-    ideal = _canonical_ideal_cq(cq)
-    upper = cq_trace_distance(cq, ideal)
+    ideal = _ideal(cq)
+    upper = _distance(cq, ideal)
     if strategies is None:
-        advantages = [a for _, a in _default_strategies(cq, ideal, num_random_strategies, seed, upper=upper)]
+        advantages = list(_default_advantages(cq, ideal, num_random_strategies, seed, upper=upper))
     else:
-        advantages = [distinguishing_advantage(cq, ideal, s) for s in strategies]
+        advantages = [_advantage(cq, ideal, s) for s in strategies]
     eps_c = 0.0 if correctness is None else correctness_eps(correctness)
     eps_r = robustness_eps(cq.label_distribution())
     lower = _lower_end(advantages)

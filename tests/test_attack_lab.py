@@ -161,6 +161,25 @@ def test_attack_state_factor_build_traces_one_stack_and_a_chunk():
     assert peak <= cq.matrices.nbytes + 2 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
+def test_secrecy_figures_at_n_6_allocate_no_second_stack():
+    # the ideal is read as one matrix rho' and each default strategy is dropped once
+    # scored, so past the real stack (4 MB) only one stack-sized array lives at a time;
+    # 2^7 copies of rho' alone took 4 MB
+    state = build_attack_state(6)
+    families = ("per_qubit", "declared")
+    declared = attack_lab._declared(6, families)
+    tracemalloc.start()
+    try:
+        report, ideal, iacc = security_metrics._evaluate(
+            state.cq, None, 8, 32, 1, families, None, declared, attack_lab.IACC_UPPER_BITS
+        )
+        attack_lab._gap_report(state, ideal, report.eps_secret_upper, iacc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= state.cq.matrices.nbytes + 2 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_complex_attack_state_gives_the_real_figures(n):
     # a global phase leaves every branch W W^dagger as it is but keeps the stack
@@ -570,7 +589,7 @@ def _disable_stops(monkeypatch):
     for module, name in (
         (security_metrics, "accessible_info_lower"),
         (attack_lab, "accessible_info_lower"),
-        (security_metrics, "_default_strategies"),
+        (security_metrics, "_default_advantages"),
     ):
         search = getattr(module, name)
         monkeypatch.setattr(module, name, functools.partial(_unstopped, search))

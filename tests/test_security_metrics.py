@@ -11,6 +11,7 @@ from conftest import (
     bb84,
     entropy_bits,
     rand_cq,
+    rand_density,
     rand_povm,
     standard_basis_povm,
     to_density,
@@ -221,7 +222,7 @@ def test_optimal_decision_rule_achieves_induced_tv():
         real = rand_cq(rng, 1, 2)
         ideal = canonical_ideal(real).to_cq(1)
         povm = rand_povm(rng, 2, 3)
-        rule = optimal_decision_rule(real, ideal, povm)
+        rule = optimal_decision_rule(real, canonical_ideal(real), povm)
         adv = distinguishing_advantage(real, ideal, rule)
         # the optimum for a fixed measurement is the TV of the induced joints
         tv = 0.0
@@ -532,19 +533,64 @@ def test_iacc_search_stops_once_it_meets_the_upper_end():
             accessible_info_lower(cq, upper=bad)
 
 
+def _oracle_state(kind: str, arg: int) -> CqState:
+    rng = np.random.default_rng(arg)
+    if kind == "abort":
+        return rand_cq(rng, 1 + arg % 3, 2 + arg % 3, include_perp=True)
+    if kind == "missing":  # some keys absent, with and without an abort branch
+        key_len = 2 + arg % 2
+        return rand_cq(rng, key_len, 2 + arg % 2, include_perp=arg % 2 == 0, max_branches=2**key_len - 1 - arg % 3)
+    if kind == "all_abort":  # no key mass left: the ideal has no key label, the state one of probability 0
+        return CqState(2, {"01": (0.0, rand_density(rng, 2)), PERP: (1.0, rand_density(rng, 2))})
+    if kind == "wide":  # registers past 8192 entries, where a batch of one contracts in a different order
+        return CqState(0, {"": (0.75, rand_density(rng, arg)), PERP: (0.25, rand_density(rng, arg))})
+    return build_attack_state(arg).cq
+
+
+_ORACLE_STATES = [("abort", seed) for seed in range(4)] + [("missing", seed) for seed in range(4)]
+_ORACLE_STATES += [("all_abort", 0), ("wide", 91), ("wide", 128)] + [("attack", n) for n in range(2, 7)]
+
+
+@pytest.mark.parametrize("kind, arg", _ORACLE_STATES)
+def test_one_matrix_ideal_gives_the_dense_ideals_figures_bit_for_bit(kind, arg):
+    # the ideal's 2^l copies of rho' (IdealForm.to_cq) are the oracle for every figure
+    # read from the one matrix: distance, gaps, every default strategy and parity
+    cq = _oracle_state(kind, arg)
+    dense, ideal = canonical_ideal(cq).to_cq(cq.key_len), security_metrics._ideal(cq)
+    assert ideal.labels == dense.labels and ideal.probs.tobytes() == dense.probs.tobytes()
+    distance = quantum_core.cq_trace_distance(cq, dense)
+    assert security_metrics._distance(cq, ideal) == secrecy_eps_upper(cq) == distance
+    labels = security_metrics._union(cq, ideal)
+    assert labels == tuple(sorted(set(cq.labels) | set(dense.labels), key=quantum_core._label_sort_key))
+    gaps = security_metrics._gaps(cq, ideal, labels, security_metrics._BATCH)
+    want = [_weighted_or_zero(cq, label) - _weighted_or_zero(dense, label) for label in labels]
+    assert np.array_equal(np.concatenate([gap for _, gap in gaps]), want)
+    strategies = default_strategies(cq, num_random=3, seed=arg)
+    if kind == "attack":
+        strategies.append(parity_strategy(arg))
+    for strategy in strategies:
+        assert security_metrics._advantage(cq, ideal, strategy) == distinguishing_advantage(cq, dense, strategy)
+    lower = secrecy_eps_lower(cq, strategies)
+    assert lower == min(distance, max(0.0, *(distinguishing_advantage(cq, dense, s) for s in strategies)))
+
+
+def _weighted_or_zero(cq: CqState, label: str) -> np.ndarray:
+    p, rho = cq.branches.get(label, (0.0, DensityOperator.fully_mixed(cq.dim)))
+    return p * rho.matrix
+
+
 @pytest.mark.parametrize("stop_at", range(10))
 def test_strategy_stock_stops_at_the_first_advantage_that_meets_the_upper_end(stop_at):
     # the stopped stock is a prefix of the full one, Haar bases included
     cq = rand_cq(np.random.default_rng(5), 2, 4)
-    ideal = canonical_ideal(cq).to_cq(cq.key_len)
-    full, advantages = map(list, zip(*security_metrics._default_strategies(cq, ideal, 8, 3)))
-    assert len(full) == 10
+    ideal, dense = security_metrics._ideal(cq), canonical_ideal(cq).to_cq(cq.key_len)
+    full = default_strategies(cq, 8, 3)
+    advantages = list(security_metrics._default_advantages(cq, ideal, 8, 3))
+    assert len(full) == len(advantages) == 10
+    assert advantages == [distinguishing_advantage(cq, dense, s) for s in full]
     upper = advantages[stop_at]
     first = next(i for i, a in enumerate(advantages) if a >= upper)
-    stopped, got = map(list, zip(*security_metrics._default_strategies(cq, ideal, 8, 3, upper=upper)))
-    assert got == advantages[: first + 1] and len(stopped) == first + 1
-    for strategy, want in zip(stopped[2:], full[2:]):
-        assert np.array_equal(strategy.effects, want.effects)
+    assert list(security_metrics._default_advantages(cq, ideal, 8, 3, upper=upper)) == advantages[: first + 1]
 
 
 def test_epsilon_stop_leaves_every_figure_of_the_report_unchanged():
