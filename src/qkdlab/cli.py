@@ -379,22 +379,23 @@ def cmd_keystream_schedule(args: argparse.Namespace, parser: argparse.ArgumentPa
     columns = _columns(params, args.rounds, real_valued=args.real_valued)
     if args.csv is not None:
         _atomic_write(args.csv, _csv(columns))
-    budget = _budget(params, columns.eps, args.real_valued)
+    budget = _budget(params, columns.live_eps(), args.rounds, args.real_valued)
     result = {"params": params.to_json_dict(), "budget": budget.to_json_dict(), "rounds": _ROWS_MARK}
     cli_params = {"rounds": args.rounds, "real_valued": args.real_valued, "csv": args.csv}
-    live = columns.live
 
     def rows(template) -> Iterator[bytes | memoryview]:
-        # Rounds 1..live fill all seven slots, one % per row; every later round has both terms
-        # 0.0, so its template holds them fixed and _int_rows writes ell_i, i and n_i.
-        yield from _fill(template({}), zip(
-            ("true" if clamped else "false" for clamped in _elements(columns.clamped[:live])),
-            _elements(columns.ell[1:live + 1]), _elements(columns.eps[:live]), range(1, live + 1),
-            _elements(columns.n[:live]), _elements(columns.term_auth[:live]), _elements(columns.term_signal[:live]),
-        ))
-        yield from _int_rows(template(_ZERO_ROUND), [
-            columns.ell[live + 1:], range(live + 1, len(columns.eps) + 1), columns.n[live:],
-        ])
+        # A block's live rounds fill all seven slots, one % per row; every later round has
+        # both terms 0.0, so its template holds them fixed and _int_rows writes ell_i, i and n_i.
+        zero = template(_ZERO_ROUND)
+        for c, rounds, n, ell in columns.parts():
+            if c is not None:
+                k = c.live
+                yield from _fill(template({}), zip(
+                    ("true" if clamped else "false" for clamped in _elements(c.clamped[:k])),
+                    _elements(c.ell[1:k + 1]), _elements(c.eps[:k]), range(c.lo, c.lo + k),
+                    _elements(c.n[:k]), _elements(c.term_auth[:k]), _elements(c.term_signal[:k]),
+                ))
+            yield from _int_rows(zero, [ell, rounds, n])
 
     envelope = _envelope("keystream-schedule", None, cli_params, result, args.timestamp)
     _write(_rows_json(envelope, _ROUND_KEYS, rows), args.out)

@@ -14,15 +14,22 @@ is a convergent series summable in closed form.  ``log`` in the second
 exponent is read as the natural logarithm; the default rate constants
 are RATE_RHO_DEFAULT = 1e-2 and GAMMA_DEFAULT = NU_DEFAULT = 1e-3.
 
+Both terms fall below the smallest float within a few thousand rounds,
+after which every round's epsilon is exactly 0.0.  A schedule is
+therefore worked out in blocks of rounds: a block that holds a nonzero
+term keeps its columns, and one that does not keeps only its range of
+rounds, whose sizes are computed again when its rows are written.  No
+array spans every round of a long schedule.
+
 The module also contains an exact bit-conservation simulator for the
 store/consume/emit ledger, which is where accounting bugs would hide.
 Round i's output is ``ell_i`` stored bits followed by ``ell`` emitted
 ones.  The initial secret and then every round's stored part make up the
 stored stream, which authentication reads first in, first out: round i
 consumes its offsets ``[C_{i-1}, C_i)``, ``C_i = ell_0 + ... + ell_{i-1}``.
-The simulator checks in closed form, for all rounds at once, that every
-consumed range exists when it is read, that no two overlap and that no
-stored bit goes missing, so no key bit is used twice, which
+The simulator checks in closed form, a block of rounds at a time, that
+every consumed range exists when it is read, that no two overlap and
+that no stored bit goes missing, so no key bit is used twice, which
 composability forbids.  Only the emitted bits are drawn, in one batch.
 
 Sizes count bits or signals and are evaluated in floating point, so
@@ -32,9 +39,7 @@ holds every integer exactly; larger sizes are a ``ValueError``.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,7 +48,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from ._json import JsonRecord
-from .quantum_core import _ordered_sum
 
 __all__ = [
     "GAMMA_DEFAULT",
@@ -60,9 +64,7 @@ __all__ = [
     "MockKeySource",
     "RoundLedger",
     "StreamLog",
-    "round_eps",
     "schedule",
-    "schedule_csv",
     "total_eps",
     "plan",
     "simulate_stream",
@@ -155,42 +157,42 @@ class RoundRecord:
     clamped: bool
 
 
-def round_eps(p: StreamParams, i: int, ell_prev: float, n_i: float, ell_i: float) -> float:
-    """Per-round epsilon bound, clamped into [0, 1].
-
-    The unclamped value is ``exp(-gamma (rate_rho n_i - ell_i - ell)) +
-    exp(-nu ell_prev + ln n_i)``; blow-ups are handled by the clamp
-    rather than an error (the schedule records carry a flag).
-    """
-    if i < 1:
-        raise ValueError("rounds are numbered from 1")
-    t1 = _safe_exp(-p.gamma * (p.rate_rho * n_i - ell_i - p.ell))
-    t2 = _safe_exp(-p.nu * ell_prev + math.log(n_i))
-    return min(1.0, t1 + t2)
-
-
-def _sizes(p: StreamParams, rounds: int, real_valued: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`StreamParams.signal_count` of rounds 1..rounds and ``stored_len`` of 0..rounds, as arrays."""
+def _check_rounds(p: StreamParams, rounds: int) -> None:
+    """Refuse a schedule of no round, or one whose sizes exceed 2**53."""
     if rounds < 1:
         raise ValueError("need at least one round")
     # sizes grow with i, so the last round bounds them all
     if rounds > _MAX_BITS or max(p.signal_count(rounds, True), p.stored_len(rounds, True)) > _MAX_BITS:
         raise ValueError(f"the sizes of round {rounds} exceed 2**53")
-    i = np.arange(1, rounds + 1)  # an int c keeps int sizes, as in Python
-    n = p.c * i
+
+
+def _sizes(p: StreamParams, lo: int, hi: int, real_valued: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`StreamParams.signal_count` of rounds lo..hi-1 and ``stored_len`` of lo-1..hi-1, as arrays.
+
+    Each element is the same expression whatever the range, so the sizes of
+    a block of rounds equal those of the whole schedule.
+    """
+    _check_rounds(p, hi - 1)
+    i = np.arange(lo - 1, hi)  # an int c keeps int sizes, as in Python
+    n = p.c * i[1:]
     ell = p.c * p.rate_rho * i / 2.0
     if not real_valued:
         n = np.ceil(n).astype(np.int64)
         ell = np.ceil(ell).astype(np.int64)
-    return p.n0 + n, np.concatenate(([p.ell0], p.ell + ell))
+    ell = p.ell + ell
+    if lo == 1:
+        ell[0] = p.ell0
+    return p.n0 + n, ell
 
 
 class _Columns(NamedTuple):
-    """Rounds 1..R of a schedule as parallel arrays; ``ell[0]`` is ``ell0``, ``ell[i]`` round i's.
+    """Rounds ``lo``..``lo + len(eps) - 1`` of a schedule as parallel arrays; ``ell[0]`` is
+    ``ell_{lo-1}``, ``ell[j]`` round ``lo + j - 1``'s.
 
     Every round after the first ``live`` has both terms and ``eps`` exactly 0.0, unclamped.
     """
 
+    lo: int
     n: np.ndarray
     ell: np.ndarray
     term_signal: np.ndarray
@@ -200,7 +202,37 @@ class _Columns(NamedTuple):
     live: int
 
 
-_BATCH = 4096  # array elements turned into Python numbers, or rows written, at a time
+class _Schedule(NamedTuple):
+    """Rounds 1..``rounds`` of a schedule in blocks of ``_BATCH`` rounds, in order.
+
+    A block with a nonzero term is its :class:`_Columns`; a block whose every term
+    is 0.0 keeps only its ``range`` of rounds, whose sizes :func:`_sizes` gives
+    again when they are read.  ``live`` counts the leading rounds that hold every
+    nonzero term.
+    """
+
+    p: StreamParams
+    real_valued: bool
+    blocks: list[_Columns | range]
+    live: int
+
+    def parts(self) -> Iterator[tuple[_Columns | None, range, np.ndarray, np.ndarray]]:
+        """Each block as ``(columns, rounds, n, ell)``: its :class:`_Columns`, or ``None`` for
+        a zero block, then the rounds after its live ones, with their ``n_i`` and ``ell_i``."""
+        for block in self.blocks:
+            if isinstance(block, range):
+                n, ell = _sizes(self.p, block.start, block.stop, self.real_valued)
+                yield None, block, n, ell[1:]
+            else:
+                live = block.live
+                yield block, range(block.lo + live, block.lo + len(block.eps)), block.n[live:], block.ell[live + 1:]
+
+    def live_eps(self) -> Iterator[np.ndarray]:
+        """The epsilons of each block's live rounds, in round order; every other round's is 0.0."""
+        return (block.eps[:block.live] for block in self.blocks if not isinstance(block, range))
+
+
+_BATCH = 4096  # rounds in a block, or array elements turned into Python numbers, or rows written, at a time
 
 
 def _batches(column: np.ndarray | range) -> Iterator[np.ndarray]:
@@ -268,15 +300,14 @@ def _math(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
 
 
 def _math_where(f: Callable[[float], float], x: np.ndarray, called: np.ndarray) -> np.ndarray:
-    """:func:`_math` of ``x`` where ``called`` is true, and 0.0 elsewhere.
-
-    Where every element is called, ``x`` goes in whole: a masked copy of a long
-    column would add 16 bytes a round to the schedule's peak.
-    """
-    if called.all():
+    """:func:`_math` of ``x`` where ``called`` is true, and 0.0 elsewhere; no call at all
+    where nothing is called, as in every block past a schedule's live rounds."""
+    where = called.nonzero()[0]
+    if len(where) == len(x):
         return _math(f, x)
     out = np.zeros(len(x))
-    out[called] = _math(f, x[called])
+    if len(where):
+        out[where] = _math(f, x[where])
     return out
 
 
@@ -297,37 +328,54 @@ def _add_log(x: np.ndarray, n: np.ndarray) -> np.ndarray:
     return x
 
 
-def _columns(p: StreamParams, rounds: int, real_valued: bool = False) -> _Columns:
-    """The schedule of rounds 1..rounds, column by column.
-
-    The exponents are the IEEE operations of :func:`round_eps` on arrays, but every
-    ``exp`` and ``log`` is ``math``'s: numpy's differ in the last unit on some inputs.
-    ``math`` is called only where a term can be nonzero (:func:`_exp`, :func:`_add_log`):
-    ``exp`` of an exponent below ``_EXP_MIN`` is 0.0, and ``log(n_i)`` is needed only
-    where adding ``log(2**53)`` would lift ``-nu ell_{i-1}`` to ``_EXP_MIN``.  In a long
-    schedule that is the first few thousand rounds; every later one is 0.0 without a call.
-    """
-    n, ell = _sizes(p, rounds, real_valued)
-    # float64 copies, as an int rate times int64 sizes would wrap; each round-length
-    # temporary (8 bytes a round) goes as soon as it is used, and the signal exponent
-    # -gamma (rate_rho n_i - ell_i - ell) is built in the copy of n once auth has read it
+def _block(p: StreamParams, lo: int, hi: int, real_valued: bool) -> _Columns:
+    """Rounds lo..hi-1 of the schedule, column by column (see :func:`_columns`)."""
+    n, ell = _sizes(p, lo, hi, real_valued)
+    # float64 copies, as an int rate times int64 sizes would wrap; the signal
+    # exponent -gamma (rate_rho n_i - ell_i - ell) is built in the copy of n
+    # once auth has read it
     signal = n.astype(np.float64)
     with np.errstate(over="ignore"):
         auth = ell[:-1].astype(np.float64)
         auth *= -p.nu
         t_auth = _exp(np.minimum(_add_log(auth, signal), _EXP_MAX, out=auth))
-        del auth
         signal *= p.rate_rho
         signal -= ell[1:]
         signal -= p.ell
         signal *= -p.gamma
     t_signal = _exp(np.minimum(signal, _EXP_MAX, out=signal))
-    del signal
     eps = t_signal + t_auth
     clamped = eps > 1.0
     nonzero = eps != 0.0  # both terms are at least 0.0, so eps is 0.0 only where both are
     live = len(eps) - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
-    return _Columns(n, ell, t_signal, t_auth, np.minimum(eps, 1.0, out=eps), clamped, live)
+    return _Columns(lo, n, ell, t_signal, t_auth, np.minimum(eps, 1.0, out=eps), clamped, live)
+
+
+def _columns(p: StreamParams, rounds: int, real_valued: bool = False) -> _Schedule:
+    """The schedule of rounds 1..rounds, in blocks of ``_BATCH`` rounds, column by column.
+
+    Round i's epsilon is ``min(1, t_signal + t_auth)`` with ``t_signal = exp(min(-gamma
+    (rate_rho n_i - ell_i - ell), 700))`` and ``t_auth = exp(min(-nu ell_{i-1} + log n_i,
+    700))``, the IEEE operations of a per-round loop on arrays, but every ``exp`` and
+    ``log`` is ``math``'s: numpy's differ in the last unit on some inputs.  ``math`` is
+    called only where a term can be nonzero (:func:`_exp`, :func:`_add_log`): ``exp`` of
+    an exponent below ``_EXP_MIN`` is 0.0, and ``log(n_i)`` is needed only where adding
+    ``log(2**53)`` would lift ``-nu ell_{i-1}`` to ``_EXP_MIN``.  In a long schedule that
+    is the first few thousand rounds; every later one is 0.0 without a call, and its
+    block keeps no column (see :class:`_Schedule`), so the schedule holds about 41 bytes
+    a round only up to its last live block.
+    """
+    _check_rounds(p, rounds)
+    blocks, live = [], 0
+    for lo in range(1, rounds + 1, _BATCH):
+        hi = min(lo + _BATCH, rounds + 1)
+        block = _block(p, lo, hi, real_valued)
+        if block.live:
+            blocks.append(block)
+            live = lo - 1 + block.live
+        else:
+            blocks.append(range(lo, hi))
+    return _Schedule(p, real_valued, blocks, live)
 
 
 def schedule(p: StreamParams, rounds: int, real_valued: bool = False) -> list[RoundRecord]:
@@ -338,45 +386,46 @@ def schedule(p: StreamParams, rounds: int, real_valued: bool = False) -> list[Ro
     ratio ``exp(-gamma c rate_rho / 2)`` and exists so that algebraic
     identities can be tested exactly.
     """
-    c = _columns(p, rounds, real_valued)
-    return list(map(
-        RoundRecord, range(1, rounds + 1),
-        *map(_elements, (c.n, c.ell[1:], c.eps, c.term_signal, c.term_auth, c.clamped)),
-    ))
+    records = []
+    for c, rounds_after, n, ell in _columns(p, rounds, real_valued).parts():
+        if c is not None:
+            k = c.live
+            records += map(RoundRecord, range(c.lo, c.lo + k), *map(_elements, (
+                c.n[:k], c.ell[1:k + 1], c.eps[:k], c.term_signal[:k], c.term_auth[:k], c.clamped[:k],
+            )))
+        records += (RoundRecord(i, n_i, ell_i, 0.0, 0.0, 0.0, False)
+                    for i, n_i, ell_i in zip(rounds_after, _elements(n), _elements(ell)))
+    return records
 
 
-def schedule_csv(records: list[RoundRecord]) -> str:
-    """RFC 4180 CSV export of a schedule (with a running epsilon sum)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["i", "n_i", "ell_i", "eps_i", "cumulative_eps"])
-    cumulative = 0.0
-    for r in records:
-        cumulative += r.eps_i
-        writer.writerow([r.i, r.n_i, r.ell_i, repr(r.eps_i), repr(cumulative)])
-    return buf.getvalue()
+def _running_sum(start: float, eps: np.ndarray) -> np.ndarray:
+    """``start + eps[0]``, then each further element added in turn: the left-to-right sum
+    a ``+=`` loop gives (``np.cumsum`` of one axis adds in order).  From 0.0 that is
+    ``np.cumsum(eps)`` itself, as ``0.0 + e`` is ``e`` for every epsilon."""
+    return np.cumsum(np.concatenate(([start], eps)))[1:] if start else np.cumsum(eps)
 
 
-def _csv(columns: _Columns) -> Iterator[bytes | memoryview]:
-    """:func:`schedule_csv` of the rounds in ``columns``, encoded, in pieces of at most ``_BATCH`` rows.
+def _csv(columns: _Schedule) -> Iterator[bytes | memoryview]:
+    """The schedule as RFC 4180 CSV with a running epsilon sum, encoded, in pieces of at most ``_BATCH`` rows.
 
     No field of a row needs quoting, and ``csv`` writes a number as its ``repr``,
-    so each row is a template filled with ``%s``.  The running sum is ``np.cumsum``,
-    a left-to-right sum like the ``+=`` loop.  Rounds after ``live`` have ``eps_i``
-    0.0 and the final sum, so their template holds both fixed and :func:`_int_rows`
-    fills in the sizes.
+    so each row is a template filled with ``%s``.  The running sum is carried from
+    block to block in round order.  Rounds after a block's live ones have ``eps_i``
+    0.0 and the running sum so far, so their template holds both fixed and
+    :func:`_int_rows` fills in the sizes.
     """
-    live = columns.live
-    cumulative = np.cumsum(columns.eps[:live])
-    total = repr(float(cumulative[-1])) if live else "0.0"
+    cumulative = 0.0
     yield b"i,n_i,ell_i,eps_i,cumulative_eps\r\n"
-    yield from _fill("%s,%s,%s,%s,%s\r\n", zip(
-        range(1, live + 1), _elements(columns.n[:live]), _elements(columns.ell[1:live + 1]),
-        _elements(columns.eps[:live]), _elements(cumulative),
-    ))
-    yield from _int_rows(f"%s,%s,%s,0.0,{total}\r\n", [
-        range(live + 1, len(columns.eps) + 1), columns.n[live:], columns.ell[live + 1:],
-    ])
+    for c, rounds, n, ell in columns.parts():
+        if c is not None:
+            k = c.live
+            running = _running_sum(cumulative, c.eps[:k])
+            yield from _fill("%s,%s,%s,%s,%s\r\n", zip(
+                range(c.lo, c.lo + k), _elements(c.n[:k]), _elements(c.ell[1:k + 1]),
+                _elements(c.eps[:k]), _elements(running),
+            ))
+            cumulative = float(running[-1])
+        yield from _int_rows(f"%s,%s,%s,0.0,{cumulative!r}\r\n", [rounds, n, ell])
 
 
 @dataclass(frozen=True)
@@ -409,17 +458,21 @@ def total_eps(p: StreamParams, horizon: int = 200, real_valued: bool = False) ->
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    return _budget(p, _columns(p, horizon, real_valued).eps, real_valued)
+    return _budget(p, _columns(p, horizon, real_valued).live_eps(), horizon, real_valued)
 
 
-def _budget(p: StreamParams, eps: np.ndarray, real_valued: bool) -> StreamBudget:
-    """:func:`total_eps` given the epsilons ``eps`` of rounds 1..len(eps), at least one.
+def _budget(p: StreamParams, eps: Iterable[np.ndarray], horizon: int, real_valued: bool) -> StreamBudget:
+    """:func:`total_eps` of rounds 1..horizon, given the epsilons ``eps`` of those rounds in
+    nonempty blocks, in round order; rounds the blocks leave out have epsilon 0.0.
 
-    They are summed left to right in round order, on every Python version
-    (``sum`` compensates float rounding since 3.12).
+    The partial sum adds them left to right in round order, carried from block
+    to block, on every Python version (``sum`` compensates float rounding since
+    3.12).  Adding 0.0 to a sum of epsilons leaves it as it is, so the rounds
+    left out change nothing.
     """
-    horizon = len(eps)
-    partial = float(_ordered_sum(eps, 0))
+    partial = 0.0
+    for block in eps:
+        partial = float(_running_sum(partial, block)[-1])
 
     g1 = p.gamma * p.c * p.rate_rho / 2.0
     g2 = p.nu * p.c * p.rate_rho / 2.0
@@ -607,9 +660,9 @@ class MockKeySource:
 
 
 def _consumption(ell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stored-stream bits ``[start, end)`` that rounds 1..R consume, each in its round's frame.
+    """The stored-stream bits ``[start, end)`` that rounds lo..hi-1 consume, each in its round's frame.
 
-    ``ell`` holds ``ell_0..ell_R``.  Round i's offsets count from ``C_{i-1}``,
+    ``ell`` holds ``ell_{lo-1}..ell_{hi-1}``.  Round i's offsets count from ``C_{i-1}``,
     where the bits stored by round i-1 begin (see :func:`_check_ledger`).
     First in, first out, round i takes exactly those ``ell_{i-1}`` bits:
     ``[0, ell_{i-1})``, which is ``[C_{i-1}, C_i)`` of the stream.
@@ -662,7 +715,7 @@ class StreamLog:
     def rounds(self) -> tuple[RoundLedger, ...]:
         """One :class:`RoundLedger` per round, replayed from the sizes and the attempts over exact integers."""
         p = self.params
-        n, ell = _sizes(p, len(self.attempts))
+        n, ell = _sizes(p, 1, len(self.attempts) + 1)
         consumed, stored, ledger = 0, p.ell0, []
         for i, n_i, need, ell_i, attempts in zip(
             itertools.count(1), _elements(n), _elements(ell), _elements(ell[1:]), _elements(self.attempts)
@@ -673,39 +726,53 @@ class StreamLog:
         return tuple(ledger)
 
 
-def _check_ledger(p: StreamParams, ell: np.ndarray) -> tuple[int, int]:
+def _check_ledger(p: StreamParams, rounds: int) -> tuple[int, int]:
     """Check every round's consumption of the stored stream; return the final stored and consumed counts.
 
-    ``ell`` holds ``ell_0..ell_R``.  The stored stream is the initial secret
-    followed by each round's stored part, so no emitted bit has an offset in
-    it.  Round i's offsets count from ``C_{i-1} = ell_0 + ... + ell_{i-2}``,
-    where round i-1's stored bits begin: the stream then ends at
-    ``ell_{i-1}``, and round i-1's frame starts at ``-ell_{i-2}``.  The
-    frames keep every offset near 0, so int64 holds them exactly at any
-    stream length; only the totals are summed as Python ints.
+    The stored stream is the initial secret followed by each round's stored
+    part, so no emitted bit has an offset in it.  Round i's offsets count
+    from ``C_{i-1} = ell_0 + ... + ell_{i-2}``, where round i-1's stored bits
+    begin: the stream then ends at ``ell_{i-1}``, and round i-1's frame
+    starts at ``-ell_{i-2}``.  The frames keep every offset near 0, so int64
+    holds them exactly at any stream length; only the totals are summed as
+    Python ints.  The rounds are read ``_BATCH`` at a time, each block
+    carrying where the previous one stopped reading, and every failure
+    names the first round at fault, as a check of all rounds at once would.
     """
-    starts, ends = _consumption(ell)
-    short = np.flatnonzero(ends > ell[:-1])
-    if short.size:
-        i = short[0]
-        raise KeyLedgerUnderflow(f"round {i + 1}: need {ends[i] - starts[i]} bits, have {ell[i] - starts[i]}")
-    # where the previous round stopped reading, in this round's frame; ranges that run
-    # forward, each from at or past the previous one's end, are pairwise disjoint
-    front = np.concatenate(([0], ends[:-1] - ell[:-2]))
-    reused = np.flatnonzero((starts < front) | (ends < starts))
-    if reused.size:
-        i = reused[0]
-        raise LedgerBroken(
-            f"round {i + 1} reuses key bits: it consumes [{starts[i]}, {ends[i]}) of the key stored before it,"
-            f" which earlier rounds read up to offset {front[i]}"
-        )
-    rounds, total = len(ends), sum(_elements(ell))
+    _check_rounds(p, rounds)
+    total, consumed = p.ell0, 0
+    end = back = 0  # the previous round's end in its frame, and ell_{i-2}
+    reuse = skip = None
+    for lo in range(1, rounds + 1, _BATCH):
+        ell = _sizes(p, lo, min(lo + _BATCH, rounds + 1))[1]
+        starts, ends = _consumption(ell)
+        short = np.flatnonzero(ends > ell[:-1])
+        if short.size:
+            i = short[0]
+            raise KeyLedgerUnderflow(f"round {lo + i}: need {ends[i] - starts[i]} bits, have {ell[i] - starts[i]}")
+        # where the previous round stopped reading, in this round's frame; ranges that run
+        # forward, each from at or past the previous one's end, are pairwise disjoint
+        front = np.concatenate(([end - back], ends[:-1] - ell[:-2]))
+        reused = np.flatnonzero((starts < front) | (ends < starts))
+        if reuse is None and reused.size:
+            i = reused[0]
+            reuse = LedgerBroken(
+                f"round {lo + i} reuses key bits: it consumes [{starts[i]}, {ends[i]}) of the key stored before it,"
+                f" which earlier rounds read up to offset {front[i]}"
+            )
+        moved = np.flatnonzero(starts != front)
+        if skip is None and moved.size:
+            skip = lo + int(moved[0])
+        total += sum(ell[1:].tolist())
+        consumed += sum((ends - starts).tolist())
+        end, back = int(ends[-1]), int(ell[-2])
+    if reuse is not None:
+        raise reuse
     emitted = rounds * p.ell
     produced = total - p.ell0 + emitted
-    stored = int(ell[-1]) + int(ell[-2]) - int(ends[-1])  # the bits past the last consumed offset
-    consumed = sum(_elements(ends - starts))
+    stored = int(ell[-1]) + back - end  # the bits past the last consumed offset
     if emitted + stored + consumed != produced + p.ell0:  # some round skipped stored bits
-        raise LedgerBroken(f"ledger broken at round {int(np.argmax(starts != front)) + 1}")
+        raise LedgerBroken(f"ledger broken at round {skip or 1}")
     return stored, consumed
 
 
@@ -722,8 +789,8 @@ def simulate_stream(
     bits of authentication material), stores ``ell_i`` and emits
     ``ell``.  Stored key is read first in, first out: round i consumes
     offsets ``[C_{i-1}, C_i)`` of the stored stream (see the module
-    docstring).  Every round is checked at once, in closed form, over
-    exact integers:
+    docstring).  Every round is checked in closed form, over exact
+    integers, a block of ``_BATCH`` rounds at a time:
 
     - a round that consumes past the stored total raises
       :class:`KeyLedgerUnderflow`;
@@ -740,10 +807,11 @@ def simulate_stream(
     and :class:`RetryLimitExceeded` names the first round that needs more
     than ``max_attempts_per_round``.  The emitted bits of all rounds are
     one :meth:`MockKeySource.generate` draw, kept packed, so the run
-    keeps about ``8 + ell / 8`` bytes per round; while the sizes and the
-    ledger are worked out, about 50 more are in use.
+    keeps about ``8 + ell / 8`` bytes per round; the sizes and the ledger
+    are worked out ``_BATCH`` rounds at a time, so they add no array over
+    every round.
     """
-    stored, consumed = _check_ledger(p, _sizes(p, rounds)[1])
+    stored, consumed = _check_ledger(p, rounds)
     if key_source.abort_prob == 1.0:  # no attempt ever succeeds
         raise RetryLimitExceeded(f"round 1: exceeded {max_attempts_per_round} attempts")
     attempts = rng.geometric(1.0 - key_source.abort_prob, rounds)

@@ -796,8 +796,67 @@ def test_keystream_schedule_json_and_csv_for_every_column_params(
     _assert_schedule_files(capsys, tmp_path, command, want, want_csv)
 
 
+# live is 26, 27 and 28 in 3-round blocks: one round before a block edge, on it and after it
+_LIVE_EDGE_ARGV = [
+    (["--n0", "60000", "--ell0", "12000", "--gamma", "0.1", "--nu", "0.095"],
+     StreamParams(gamma=0.1, nu=0.095, n0=60_000, c=60_000.0, ell0=12_000), 40, 26),
+    (["--n0", "60000", "--ell0", "12000", "--gamma", "0.09", "--nu", "0.1"],
+     StreamParams(gamma=0.09, nu=0.1, n0=60_000, c=60_000.0, ell0=12_000), 40, 27),
+    (["--n0", "60000", "--ell0", "12000", "--gamma", "0.1", "--nu", "0.09"],
+     StreamParams(gamma=0.1, nu=0.09, n0=60_000, c=60_000.0, ell0=12_000), 40, 28),
+    (*SCHEDULES[5], 10, 0),  # every block dropped
+    (*SCHEDULES[0], 10, 10),  # no block dropped
+]
+
+
+@pytest.mark.parametrize("real_valued", [False, True])
+@pytest.mark.parametrize("argv, params, rounds, live", _LIVE_EDGE_ARGV,
+                         ids=["before_edge", "on_edge", "after_edge", "no_live_round", "every_round_live"])
+def test_keystream_schedule_json_and_csv_at_block_and_live_edges(
+    capsys, tmp_path, monkeypatch, argv, params, rounds, live, real_valued
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(keystream, "_BATCH", 3)
+    assert keystream._columns(params, rounds, real_valued).live == live
+    command = ["keystream-schedule", *argv, "--rounds", str(rounds), "--csv", "schedule.csv"]
+    if real_valued:
+        command.append("--real-valued")
+    want, want_csv = _schedule_reference(params, rounds, real_valued, "schedule.csv")
+    _assert_schedule_files(capsys, tmp_path, command, want, want_csv)
+
+
+@pytest.mark.parametrize("real_valued", [False, True])
+def test_keystream_schedule_writes_a_dropped_block_before_a_live_one(capsys, tmp_path, monkeypatch, real_valued):
+    # No parameters give an all-zero block before a nonzero one, so rounds 4..6 are made
+    # zero by hand: their CSV rows carry the running sum of rounds 1..3, not the total.
+    argv, params = SCHEDULES[0]
+    original = keystream._block
+
+    def zeroed(p, lo, hi, real_valued):
+        block = original(p, lo, hi, real_valued)
+        if lo != 4:
+            return block
+        zero = np.zeros(len(block.eps))
+        return block._replace(term_signal=zero, term_auth=zero, eps=zero, clamped=zero != 0.0, live=0)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(keystream, "_BATCH", 3)
+    monkeypatch.setattr(keystream, "_block", zeroed)
+    blocks = keystream._columns(params, 10, real_valued).blocks
+    assert [type(block) for block in blocks] == [keystream._Columns, range, keystream._Columns, keystream._Columns]
+    command = ["keystream-schedule", *argv, "--rounds", "10", "--csv", "schedule.csv"]
+    if real_valued:
+        command.append("--real-valued")
+    want, want_csv = _schedule_reference(params, 10, real_valued, "schedule.csv")
+    running = [row.split(",")[4] for row in want_csv.split("\r\n")[1:-1]]
+    assert running[2] == running[3] == running[5] != running[9]
+    assert '"eps_i": 0.0,' in want
+    _assert_schedule_files(capsys, tmp_path, command, want, want_csv)
+
+
 def test_keystream_schedule_traced_peak_is_bounded(tmp_path):
-    # six float columns of 10^5 rounds are 4.8 MB; a Python object per row is several times that
+    # 2.1 MB: a block of columns and a batch of filled rows; the margin is 0.9 MB.
+    # Six columns over all 10^5 rounds came to 5.9 MB, a Python object per row to several times that
     argv = ["keystream-schedule", "--n0", "60000", "--ell0", "12000", "--rounds", "100000",
             "--out", str(tmp_path / "report.json")]
     tracemalloc.start()
@@ -806,7 +865,26 @@ def test_keystream_schedule_traced_peak_is_bounded(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    assert peak <= 3 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
+def test_keystream_schedule_of_10_to_the_6_rounds_peaks_below_50_mb(tmp_path):
+    # about 40 MB, start-up included: only the blocks up to the last live round keep their
+    # columns; columns over every round took it to 86 MB
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qkdlab.__file__)))
+    argv = ["keystream-schedule", "--n0", "60000", "--ell0", "12000", "--rounds", "1000000",
+            "--out", str(tmp_path / "report.json")]
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout
+    code, peak_kb = map(int, out.split())
+    assert code == EXIT_OK
+    assert peak_kb <= 50 * 1024, f"VmHWM {peak_kb / 1024:.0f} MB"
+    with open(tmp_path / "report.json", "rb") as report:
+        report.seek(-400, os.SEEK_END)
+        assert b'"i": 1000000,' in report.read()
 
 
 # stdout of the benchmark's key-stream commands (workload passes 0 and 1 at seed 1), pinned as sha256

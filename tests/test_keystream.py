@@ -22,14 +22,38 @@ from qkdlab.keystream import (
     PlanningError,
     StreamParams,
     plan,
-    round_eps,
     schedule,
-    schedule_csv,
     simulate_stream,
     total_eps,
 )
 
 SMALL = StreamParams(n0=60_000, c=60_000.0, ell=256, ell0=12_000)
+
+
+def round_eps(p: StreamParams, i: int, ell_prev: float, n_i: float, ell_i: float) -> float:
+    """Per-round epsilon bound, clamped into [0, 1]: the scalar oracle of the schedule's columns.
+
+    The unclamped value is ``exp(-gamma (rate_rho n_i - ell_i - ell)) +
+    exp(-nu ell_prev + ln n_i)``, each exponent capped at 700 so that
+    ``math.exp`` cannot overflow; blow-ups are handled by the clamp.
+    """
+    if i < 1:
+        raise ValueError("rounds are numbered from 1")
+    t1 = math.exp(min(-p.gamma * (p.rate_rho * n_i - ell_i - p.ell), 700.0))
+    t2 = math.exp(min(-p.nu * ell_prev + math.log(n_i), 700.0))
+    return min(1.0, t1 + t2)
+
+
+def schedule_csv(records) -> str:
+    """RFC 4180 CSV export of a schedule (with a running epsilon sum), as ``csv.writer`` writes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(["i", "n_i", "ell_i", "eps_i", "cumulative_eps"])
+    cumulative = 0.0
+    for r in records:
+        cumulative += r.eps_i
+        writer.writerow([r.i, r.n_i, r.ell_i, repr(r.eps_i), repr(cumulative)])
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +155,7 @@ def test_real_valued_terms_are_geometric():
 
 
 def _reference_rounds(p, rounds, real_valued=False):
-    """Rows ``(i, n_i, ell_i, eps_i, term_signal, term_auth, clamped)``, one math call per term."""
+    """Rows ``(i, n_i, ell_i, eps_i, term_signal, term_auth, clamped)``, one math call per term and ``eps_i`` by :func:`round_eps`."""
     rows = []
     for i in range(1, rounds + 1):
         n_i = p.signal_count(i, real_valued)
@@ -139,8 +163,8 @@ def _reference_rounds(p, rounds, real_valued=False):
         ell_prev = p.stored_len(i - 1, real_valued)
         t_signal = math.exp(min(-p.gamma * (p.rate_rho * n_i - ell_i - p.ell), 700.0))
         t_auth = math.exp(min(-p.nu * ell_prev + math.log(n_i), 700.0))
-        raw = t_signal + t_auth
-        rows.append((i, n_i, ell_i, min(1.0, raw), t_signal, t_auth, raw > 1.0))
+        eps = round_eps(p, i, ell_prev, n_i, ell_i)
+        rows.append((i, n_i, ell_i, eps, t_signal, t_auth, t_signal + t_auth > 1.0))
     return rows
 
 
@@ -156,29 +180,53 @@ def _bits(rows):
     return [tuple((type(v), repr(v)) for v in row) for row in rows]
 
 
+def _assert_blocks_are_the_reference(p, cols, want):
+    """Each kept block of ``cols`` is ``want``'s rows bit for bit, and ``want`` is 0.0 on every dropped round.
+
+    The blocks must cover rounds 1..len(want) in order, and ``cols.live`` must
+    count the rounds up to ``want``'s last nonzero epsilon.
+    """
+    lo = 1
+    for block in cols.blocks:
+        if isinstance(block, range):
+            assert block.start == lo and 0 < len(block) <= keystream._BATCH
+            assert all(eps == t_signal == t_auth == 0.0 and not clamped
+                       for _, _, _, eps, t_signal, t_auth, clamped in want[block.start - 1:block.stop - 1])
+            lo = block.stop
+            continue
+        assert block.lo == lo and 0 < block.live <= len(block.eps) <= keystream._BATCH
+        hi = lo + len(block.eps)
+        assert block.ell.tolist()[0] == (p.ell0 if lo == 1 else want[lo - 2][2])
+        columns = (block.n, block.ell[1:], block.eps, block.term_signal, block.term_auth, block.clamped)
+        assert _bits(zip(range(lo, hi), *(column.tolist() for column in columns))) == _bits(want[lo - 1:hi - 1])
+        assert all(row[3] == 0.0 for row in want[lo - 1 + block.live:hi - 1]) and want[lo - 2 + block.live][3] != 0.0
+        lo = hi
+    assert lo == len(want) + 1
+    assert cols.live == max((i for i, _, _, eps, *_ in want if eps != 0.0), default=0)
+
+
+@pytest.mark.parametrize("batch", [4096, 64])
 @pytest.mark.parametrize("real_valued", [False, True])
 @pytest.mark.parametrize("p", COLUMN_PARAMS)
-def test_columns_equal_a_per_round_math_reference_bit_for_bit(p, real_valued):
+def test_columns_equal_a_per_round_math_reference_bit_for_bit(monkeypatch, p, real_valued, batch):
+    monkeypatch.setattr(keystream, "_BATCH", batch)  # in 64-round blocks, some schedules drop blocks
     rounds = 1000
     want = _reference_rounds(p, rounds, real_valued)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow warning from the array arithmetic
         cols = keystream._columns(p, rounds, real_valued)
         records = schedule(p, rounds, real_valued)
-    assert cols.ell.tolist()[0] == p.ell0 and len(cols.ell) == rounds + 1
-    columns = (cols.n, cols.ell[1:], cols.eps, cols.term_signal, cols.term_auth, cols.clamped)
-    got = zip(range(1, rounds + 1), *(column.tolist() for column in columns))
-    assert _bits(got) == _bits(want)
+    _assert_blocks_are_the_reference(p, cols, want)
     fields = ("i", "n_i", "ell_i", "eps_i", "term_signal", "term_auth", "clamped")
     assert _bits([tuple(getattr(r, f) for f in fields) for r in records]) == _bits(want)
 
 
 def test_columns_cover_clamped_and_capped_rounds():
-    clamped = keystream._columns(COLUMN_PARAMS[1], 5)
+    [clamped] = keystream._columns(COLUMN_PARAMS[1], 5).blocks
     assert clamped.clamped.tolist()[0] is True and clamped.eps.tolist()[0] == 1.0
-    capped = keystream._columns(COLUMN_PARAMS[4], 3)
+    [capped] = keystream._columns(COLUMN_PARAMS[4], 3).blocks
     assert capped.term_signal.tolist()[0] == math.exp(700.0)
-    overflowed = keystream._columns(COLUMN_PARAMS[5], 3)
+    [overflowed] = keystream._columns(COLUMN_PARAMS[5], 3).blocks
     assert overflowed.term_signal.tolist() == [0.0, 0.0, 0.0]
 
 
@@ -232,10 +280,8 @@ def test_columns_skip_only_terms_that_are_zero(monkeypatch, real_valued):
 
     monkeypatch.setattr(keystream, "_math", counting)
     cols = keystream._columns(SMALL, rounds, real_valued)
-    want = _reference_rounds(SMALL, rounds, real_valued)
-    columns = (cols.n, cols.ell[1:], cols.eps, cols.term_signal, cols.term_auth, cols.clamped)
-    assert _bits(zip(range(1, rounds + 1), *(column.tolist() for column in columns))) == _bits(want)
-    assert cols.live == max(i for i, _, _, eps, *_ in want if eps != 0.0) == 2546
+    _assert_blocks_are_the_reference(SMALL, cols, _reference_rounds(SMALL, rounds, real_valued))
+    assert cols.live == 2546
     assert sorted(name for name, _ in calls) == ["exp", "exp", "log"]
     assert sum(count for _, count in calls) < 3 * 2600
 
@@ -256,11 +302,13 @@ def test_columns_traced_peak_when_every_term_is_live():
     assert peak <= 62 * rounds, f"traced peak {peak / rounds:.1f} bytes a round"
 
 
+@pytest.mark.parametrize("batch", [4096, 64])
 @pytest.mark.parametrize("real_valued", [False, True])
 @pytest.mark.parametrize("p, rounds", [(SMALL, 100_000), *((p, 1000) for p in COLUMN_PARAMS)])
-def test_partial_sum_adds_the_epsilons_left_to_right(p, rounds, real_valued):
+def test_partial_sum_adds_the_epsilons_left_to_right(monkeypatch, p, rounds, real_valued, batch):
+    monkeypatch.setattr(keystream, "_BATCH", batch)  # in 64-round blocks the sum is carried across blocks
     budget = total_eps(p, rounds, real_valued)
-    assert repr(budget.partial_sum) == repr(_loop_sum(keystream._columns(p, rounds, real_valued).eps.tolist()))
+    assert repr(budget.partial_sum) == repr(_loop_sum(r.eps_i for r in schedule(p, rounds, real_valued)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +346,7 @@ def test_total_eps_is_bitwise_the_per_round_sum_for_every_plan_candidate(monkeyp
     for p, horizon, real_valued, budget in scored:
         eps = [row[3] for row in _reference_rounds(p, horizon, real_valued)]
         # summed left to right in round order, as the per-record generator did
-        want = keystream._budget(p, np.array(eps), real_valued)
+        want = keystream._budget(p, [np.array(eps)], horizon, real_valued)
         assert repr(budget.partial_sum) == repr(_loop_sum(eps))
         assert repr(budget.to_json_dict()) == repr(want.to_json_dict())
 
@@ -537,6 +585,37 @@ def test_a_round_that_skips_stored_bits_breaks_the_ledger(monkeypatch):
     _mutate_consumption(monkeypatch, skip_one_bit)
     with pytest.raises(LedgerBroken, match="^ledger broken at round 5$"):
         simulate_stream(SMALL, 10, MockKeySource(0.0), np.random.default_rng(0))
+
+
+def test_the_ledger_carries_each_block_into_the_next(monkeypatch):
+    # in 3-round blocks the last round of each block leaves its last stored bit unread,
+    # so round 4, the first of the second block, starts past a bit no round consumed
+    def stop_short(starts, ends):
+        ends[-1] -= 1
+        return starts, ends
+
+    monkeypatch.setattr(keystream, "_BATCH", 3)
+    _mutate_consumption(monkeypatch, stop_short)
+    with pytest.raises(LedgerBroken, match="^ledger broken at round 4$"):
+        simulate_stream(SMALL, 10, MockKeySource(0.0), np.random.default_rng(0))
+
+
+def test_an_underflow_in_a_later_block_is_named_before_an_earlier_reuse(monkeypatch):
+    # as when every round is checked at once: no round may consume past the stored total,
+    # then none may reuse a bit; round 2 rereads one bit and round 7 takes one too many
+    def mutate(starts, ends):
+        if ends[0] == SMALL.ell0:  # the block of rounds 1..3
+            starts[1] -= 1
+        elif ends[0] == SMALL.stored_len(6):  # the block of rounds 7..9
+            ends[0] += 1
+        return starts, ends
+
+    monkeypatch.setattr(keystream, "_BATCH", 3)
+    _mutate_consumption(monkeypatch, mutate)
+    with pytest.raises(KeyLedgerUnderflow, match="^round 7: need "):
+        simulate_stream(SMALL, 10, MockKeySource(0.0), np.random.default_rng(0))
+    with pytest.raises(LedgerBroken, match="^round 2 reuses key bits"):
+        simulate_stream(SMALL, 6, MockKeySource(0.0), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("round_no", [1, 2, 30])
