@@ -48,17 +48,7 @@ from .quantum_core import (
     _kron_rows,
     qubit_basis,
 )
-from .security_metrics import (
-    IaccSearchResult,
-    SecurityReport,
-    Strategy,
-    _advantage,
-    _distance,
-    _evaluate,
-    _Ideal,
-    _ideal,
-    accessible_info_lower,
-)
+from .security_metrics import SecurityReport, Strategy, _advantage, _evaluate
 
 __all__ = [
     "MAX_ATTACK_QUBITS",
@@ -72,8 +62,6 @@ __all__ = [
     "fully_mixed_marginal_check",
     "run_otp_attack",
     "run_otp_attacks",
-    "measure_encoded_qubit",
-    "sample_pad",
     "parity_strategy",
     "single_qubit_guess_oracle",
     "BREIDBART",
@@ -137,7 +125,7 @@ class AttackState:
             raise ValueError("attack state has no abort branch")
 
 
-def build_attack_state(n: int, max_qubits: int = MAX_ATTACK_QUBITS) -> AttackState:
+def build_attack_state(n: int) -> AttackState:
     """Construct the basis-encoded parity state for ``n`` qubits.
 
     Every key value ``s`` has probability 2^-(n+1); its register branch
@@ -147,8 +135,8 @@ def build_attack_state(n: int, max_qubits: int = MAX_ATTACK_QUBITS) -> AttackSta
     columns (:meth:`~qkdlab.quantum_core.CqState.from_factors`).  The
     BB84 amplitudes are real, so the branch stack is float64.
     """
-    if not 2 <= n <= max_qubits:
-        raise ValueError(f"n must lie in [2, {max_qubits}]")
+    if not 2 <= n <= MAX_ATTACK_QUBITS:
+        raise ValueError(f"n must lie in [2, {MAX_ATTACK_QUBITS}]")
     return AttackState(n=n, cq=CqState.from_factors(n + 1, *_attack_factors(n)))
 
 
@@ -187,12 +175,13 @@ class MarginalCheck(NamedTuple):
     max_deviation: float
 
 
-def fully_mixed_marginal_check(state: AttackState | CqState, tol: float = 1e-9) -> MarginalCheck:
+def fully_mixed_marginal_check(state: AttackState | CqState) -> MarginalCheck:
     """Verify the register is fully mixed given any first-n-bits prefix.
 
     For every prefix, the half/half mixture of the two branches that
-    extend it must equal I / 2^n elementwise.  This is the property
-    that makes every prefix-oblivious secrecy statistic look perfect.
+    extend it must equal I / 2^n elementwise, to within 1e-9.  This is
+    the property that makes every prefix-oblivious secrecy statistic
+    look perfect.
     """
     cq = state.cq if isinstance(state, AttackState) else state
     every = ["".join(map(str, row)) for row in _bit_rows(cq.key_len).tolist()]
@@ -210,33 +199,13 @@ def fully_mixed_marginal_check(state: AttackState | CqState, tol: float = 1e-9) 
     for part in _chunks(len(mass), d):  # a few prefixes at a time
         mixture = (p[part, 0] * mats[part, 0] + p[part, 1] * mats[part, 1]) / mass[part]
         worst = max(worst, float(np.abs(mixture - fully_mixed).max()))
-    return MarginalCheck(passed=worst < tol, max_deviation=worst)
-
-
-def measure_encoded_qubit(r: int, s: int, basis: int, rng: np.random.Generator) -> int:
-    """Measure the BB84 state |r>_s in BB84 basis ``basis``; return the outcome bit.
-
-    The Born rule gives outcome r with probability exactly 1 when the
-    bases match and a uniform bit otherwise, so the sampling dispatches
-    on basis equality; the numeric Born probabilities are verified
-    separately in the test suite.
-    """
-    if r not in (0, 1) or s not in (0, 1) or basis not in (0, 1):
-        raise ValueError("r, s and basis must be bits")
-    if basis == s:
-        return r
-    return int(rng.integers(0, 2))
+    return MarginalCheck(passed=worst < 1e-9, max_deviation=worst)
 
 
 def _complete_pads(prefix: np.ndarray, parity) -> np.ndarray:
     """Each row of the 0/1 array ``prefix`` extended by the bit that makes its XOR ``parity``."""
     last = np.bitwise_xor.reduce(prefix, axis=1) ^ parity
     return np.concatenate((prefix, last[:, None]), axis=1)
-
-
-def sample_pad(n: int, parity: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Uniform n-bit pad with the given XOR, via n-1 free bits."""
-    return tuple(_complete_pads(rng.integers(0, 2, size=(1, n - 1)), parity)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -293,10 +262,10 @@ def run_otp_attacks(
     A round draws its n+1 key bits, then the n-1 free pad bits, then
     one coin per qubit measured outside its own basis (the Born rule
     gives the pad bit in the right basis and a uniform bit in the
-    complementary one, see :func:`measure_encoded_qubit`).  Recovered
-    bases are all right, or with ``wrong_basis`` all wrong, so a round
-    draws 2n or 3n bits; the rounds are drawn as rows of one array, which
-    consumes ``rng`` exactly as ``trials`` one-round calls would.
+    complementary one).  Recovered bases are all right, or with
+    ``wrong_basis`` all wrong, so a round draws 2n or 3n bits; the rounds
+    are drawn as rows of one array, which consumes ``rng`` exactly as
+    ``trials`` one-round calls would.
     Returns the number of successful rounds and the last transcript.
     """
     if n < 2:
@@ -382,19 +351,17 @@ def _basis_guess_probabilities(thetas: np.ndarray) -> np.ndarray:
     return sum(np.abs(rows[r][0] * a0 + rows[r][1] * a1) ** 2 for r, a0, a1 in encodings) / 4.0
 
 
-@functools.lru_cache(maxsize=None)
-def single_qubit_guess_oracle(sweep_step: float = 1e-4) -> GuessOracle:
+@functools.cache
+def single_qubit_guess_oracle() -> GuessOracle:
     """Best single-basis guess probability, found numerically.
 
-    Sweeps the rotation angle over [0, pi) at ``sweep_step`` and then
+    Sweeps the rotation angle over [0, pi) in steps of 1e-4 and then
     refines the best candidate by ternary search.  The optimum sits at
     the intermediate (Breidbart) angle pi/8 with value cos^2(pi/8)
     (:data:`BREIDBART`); the numeric search is kept independent of that
     closed form so it can serve as an oracle for it.
     """
-    if not 0 < sweep_step <= 1e-4:
-        raise ValueError("sweep_step must be in (0, 1e-4]")
-    thetas = np.arange(0.0, math.pi, sweep_step)
+    thetas = np.arange(0.0, math.pi, 1e-4)
     k = int(np.argmax(_basis_guess_probabilities(thetas)))
     lo = thetas[max(k - 1, 0)]
     hi = thetas[min(k + 1, len(thetas) - 1)]
@@ -426,7 +393,7 @@ def parity_guess_curve(n_max: int, p_star: float | None = None) -> list[tuple[in
     return [(n, 0.5 * (1.0 + edge**n)) for n in range(1, n_max + 1)]
 
 
-def parity_guess_curve_csv(n_max: int, p_star: float | None = None) -> str:
+def parity_guess_curve_csv(n_max: int) -> str:
     """RFC 4180 CSV of :func:`parity_guess_curve`, ready for plotting."""
     import csv
     import io
@@ -434,7 +401,7 @@ def parity_guess_curve_csv(n_max: int, p_star: float | None = None) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(["n", "parity_guess_probability"])
-    for n, p in parity_guess_curve(n_max, p_star=p_star):
+    for n, p in parity_guess_curve(n_max):
         writer.writerow([n, repr(p)])
     return buf.getvalue()
 
@@ -463,7 +430,8 @@ def secrecy_gap_report(
     seed: int = 0,
     families: Sequence[str] = ("per_qubit", "declared"),
 ) -> SecrecyGapReport:
-    """Quantify the counterexample gap for ``n`` register qubits.
+    """Quantify the counterexample gap for ``n`` register qubits: the second report of
+    :func:`secrecy_reports`.
 
     The secrecy bracket comes from the parity distinguisher (lower) and
     the canonical-ideal trace distance (upper); the I_acc bracket from the
@@ -475,11 +443,7 @@ def secrecy_gap_report(
     exceed it before the sufficiency bound could even flag the state as
     fully insecure.
     """
-    state = build_attack_state(n)
-    ideal = _ideal(state.cq)
-    declared = _declared(n, families)
-    iacc = accessible_info_lower(state.cq, search_budget, seed, families, declared=declared, upper=IACC_UPPER_BITS)
-    return _gap_report(state, ideal, _distance(state.cq, ideal), iacc)
+    return secrecy_reports(n, search_budget, seed, families)[1]
 
 
 def secrecy_reports(
@@ -503,28 +467,20 @@ def secrecy_reports(
     ``declared``).
     """
     state = build_attack_state(n)
-    declared = _declared(n, families)
+    # the declared measurement is built only when its family is searched
+    declared = {"even_x_eigenbasis": even_x_eigenbasis(n)} if "declared" in families else {}
     report, ideal, iacc = _evaluate(
         state.cq, None, 8, search_budget, seed, families, correctness, declared, IACC_UPPER_BITS
     )
-    return report, _gap_report(state, ideal, report.eps_secret_upper, iacc)
-
-
-def _declared(n: int, families: Sequence[str]) -> dict[str, Povm]:
-    # the declared measurement is built only when its family is searched
-    return {"even_x_eigenbasis": even_x_eigenbasis(n)} if "declared" in families else {}
-
-
-def _gap_report(state: AttackState, ideal: _Ideal, upper: float, iacc: IaccSearchResult) -> SecrecyGapReport:
-    advantage = _advantage(state.cq, ideal, parity_strategy(state.n))
-    return SecrecyGapReport(
-        n=state.n,
+    advantage = _advantage(state.cq, ideal, parity_strategy(n))
+    return report, SecrecyGapReport(
+        n=n,
         eps_secret_lower=min(1.0, max(0.0, advantage)),
-        eps_secret_upper=upper,
+        eps_secret_upper=report.eps_secret_upper,
         iacc_lower_bits=min(iacc.bits, IACC_UPPER_BITS),
         iacc_family=iacc.family,
         iacc_best_strategy=iacc.best_strategy,
-        ben_or_required_iacc=2.0 ** -(state.n + 3),
+        ben_or_required_iacc=2.0 ** -(n + 3),
         search_budget=iacc.budget,
         seed=iacc.seed,
         iacc_upper_bits=IACC_UPPER_BITS if "declared" in iacc.family else None,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
-import itertools
 import json
 import os
 import sys
@@ -82,6 +81,7 @@ MAX_HORIZON = 10**4
 MAX_AUCTIONS = 10**5
 MAX_TRIALS = 10**7
 MAX_BUDGET = 10**4
+MAX_EMITTED_BITS = 2**32  # keystream-simulate's rounds * ell: 512 MiB packed
 
 
 def _bitstring(value: str) -> str:
@@ -90,14 +90,22 @@ def _bitstring(value: str) -> str:
     return value
 
 
-def _positive_int(value: str) -> int:
+def _integer(value: str, low: int, kind: str) -> int:
     try:
         number = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"{value!r} is not a positive integer")
+    if number < low:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a {kind} integer")
     return number
+
+
+def _positive_int(value: str) -> int:
+    return _integer(value, 1, "positive")
+
+
+def _nonnegative_int(value: str) -> int:
+    return _integer(value, 0, "nonnegative")
 
 
 def _at_most(cap: int, parse=int):
@@ -112,41 +120,36 @@ def _at_most(cap: int, parse=int):
 
 
 def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """``--seed``, else ``QKDLAB_SEED``, else 0; the variable obeys the option's rule."""
     if args.seed is not None:
         return args.seed
-    raw = os.environ.get("QKDLAB_SEED", "0")
     try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"QKDLAB_SEED={raw!r} is not an integer")
+        return _nonnegative_int(os.environ.get("QKDLAB_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"QKDLAB_SEED={exc}")
 
 
 def _atomic_write(path: str, pieces: Iterable[bytes | memoryview]) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qkdlab-", suffix=".tmp")
+    """Write ``pieces`` to ``path`` through a temporary file beside it; an ``OSError`` names ``path``."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".qkdlab-", suffix=".tmp")
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(pieces)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-# Encoder chunks joined into one piece: json.dumps would join them all at once,
-# millions of small strings for a large report.
-_JSON_BATCH = 1 << 14
-
-
 def _emit(payload: dict, out: str | None) -> None:
-    """Write ``_json_text(payload)``, encoded ``_JSON_BATCH`` encoder chunks at a time."""
-    chunks = itertools.chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload), ["\n"])
-    _write(iter(lambda: "".join(itertools.islice(chunks, _JSON_BATCH)).encode(), b""), out)
+    _write([_json_text(payload).encode()], out)
 
 
 def _write(pieces: Iterable[bytes | memoryview], out: str | None) -> None:
@@ -181,7 +184,7 @@ def _envelope(command: str, seed: int | None, parameters: dict, result: dict, ti
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="rng seed (default: $QKDLAB_SEED or 0)")
+    sub.add_argument("--seed", type=_nonnegative_int, default=None, help="rng seed, at least 0 (default: $QKDLAB_SEED or 0)")
     sub.add_argument("--out", default=None, help="write the JSON report to this path (atomic)")
     sub.add_argument("--timestamp", action="store_true", help="include a generation timestamp")
 
@@ -405,6 +408,8 @@ def cmd_keystream_schedule(args: argparse.Namespace, parser: argparse.ArgumentPa
 def cmd_keystream_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     seed = _resolve_seed(args, parser)
     params = _stream_params(args)
+    if args.rounds * args.ell > MAX_EMITTED_BITS:
+        raise ValueError(f"--rounds times --ell is {args.rounds * args.ell} emitted bits, above the cap of {MAX_EMITTED_BITS}")
     rng = np.random.default_rng(seed)
     log = simulate_stream(params, args.rounds, MockKeySource(abort_prob=args.abort_prob), rng)
     result = {

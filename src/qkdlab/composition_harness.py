@@ -55,13 +55,9 @@ __all__ = [
     "otp_majority_zeros_distinguisher",
     "attack_otp_composed_pair",
     "otp_prefix_parity_distinguisher",
-    "RsaKey",
     "AuctionOutcome",
     "AuctionSweep",
     "is_probable_prime",
-    "generate_toy_rsa",
-    "rsa_encrypt",
-    "rsa_decrypt",
     "rsa_malleability_demo",
     "rsa_auction_sweep",
 ]
@@ -425,7 +421,6 @@ def verify_composition_bound(
     mode: str = "auto",
     trials: int = 20_000,
     rng: np.random.Generator | None = None,
-    tol: float = 1e-9,
 ) -> CompositionReport:
     """Check eps-additivity of composition against concrete distinguishers.
 
@@ -435,7 +430,8 @@ def verify_composition_bound(
     telescope, giving both the per-step advantages of the hybrid
     argument and the total advantage compared against
     min(1, eps_source + eps_app): a sampled row breaks the bound only when
-    the certified lower end of its total advantage does.
+    the certified lower end of its total advantage does (past a rounding
+    slack of 1e-9).
     """
     if not distinguishers:
         raise ValueError("need at least one distinguisher")
@@ -470,7 +466,7 @@ def verify_composition_bound(
                 advantage_source_step=abs(step_source),
                 advantage_app_step=abs(step_app),
                 telescope_residual=total - step_source - step_app,
-                within_bound=abs(total) <= bound + hw + tol,
+                within_bound=abs(total) <= bound + hw + 1e-9,
             )
         )
     return CompositionReport(
@@ -710,19 +706,6 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RsaKey:
-    n: int
-    e: int
-    d: int
-    p: int
-    q: int
-
-    @property
-    def modulus_bits(self) -> int:
-        return self.n.bit_length()
-
-
 def _pow_mod(base: np.ndarray, exponent: np.ndarray, modulus: np.ndarray) -> np.ndarray:
     """``pow(b, e, m)`` elementwise, by right-to-left square and multiply; every
     ``modulus`` must be below 2**32, so each product is exact in uint64."""
@@ -772,8 +755,12 @@ _KEY_CHUNK = 4096  # candidates per factor and draw: memory stays flat in the nu
 
 
 def _toy_rsa_factors(count: int, modulus_bits: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(p, q, e)`` for ``count`` keys of :func:`generate_toy_rsa`, as uint64 arrays,
-    drawn a chunk at a time.
+    """``(p, q, e)`` for ``count`` textbook (unpadded) RSA keys with small moduli, as
+    uint64 arrays, drawn a chunk at a time.
+
+    Only 16 to 64 modulus bits are allowed: large enough for the auction
+    numbers, small enough to make clear this is a demo of malleability, not
+    of key strength.
 
     Each chunk draws ``modulus_bits`` candidates for p per key still missing, at most
     ``_KEY_CHUNK``, and as many for q, as uint64 arrays uniform over the odd numbers
@@ -809,34 +796,6 @@ def _toy_rsa_factors(count: int, modulus_bits: int, rng: np.random.Generator) ->
         missing -= len(kept)
         chunks.append((p[kept], q[kept], exponents[usable[kept].argmax(axis=1)]))
     return tuple(map(np.concatenate, zip(*chunks)))
-
-
-def _rsa_key(p: int, q: int, e: int) -> RsaKey:
-    phi = (p - 1) * (q - 1)
-    return RsaKey(n=p * q, e=e, d=pow(e, -1, phi), p=p, q=q)
-
-
-def generate_toy_rsa(modulus_bits: int = 32, rng: np.random.Generator | None = None) -> RsaKey:
-    """Textbook (unpadded) RSA key with a small modulus.
-
-    Only 16 to 64 modulus bits are allowed: large enough for the
-    auction numbers, small enough to make clear this is a demo of
-    malleability, not of key strength.
-    """
-    rng = np.random.default_rng() if rng is None else rng
-    return _rsa_key(*np.concatenate(_toy_rsa_factors(1, modulus_bits, rng)).tolist())
-
-
-def rsa_encrypt(key: RsaKey, m: int) -> int:
-    if not 0 <= m < key.n:
-        raise ValueError("plaintext out of range")
-    return pow(m, key.e, key.n)
-
-
-def rsa_decrypt(key: RsaKey, c: int) -> int:
-    if not 0 <= c < key.n:
-        raise ValueError("ciphertext out of range")
-    return pow(c, key.d, key.n)
 
 
 def _check_bid(bid: int, modulus_bits: int, name: str) -> None:
@@ -902,26 +861,16 @@ def _auctions(bids: np.ndarray, p: np.ndarray, q: np.ndarray, e: np.ndarray) -> 
     ))
 
 
-def rsa_malleability_demo(
-    bid: int,
-    modulus_bits: int = 32,
-    rng: np.random.Generator | None = None,
-    key: RsaKey | None = None,
-) -> AuctionOutcome:
-    """One auction at ``bid``, under ``key`` or else a fresh key of ``modulus_bits`` bits.
+def rsa_malleability_demo(bid: int, modulus_bits: int = 32, rng: np.random.Generator | None = None) -> AuctionOutcome:
+    """One auction at ``bid`` under a fresh key of ``modulus_bits`` bits.
 
     The bid is refused by the rule of :func:`rsa_auction_sweep`, before any key is
     drawn, so the refusal does not depend on the seed.
     """
     if bid < 0:
         raise ValueError("bid must be nonnegative")
-    if key is not None and max(key.p, key.q) >= 2**32:
-        raise ValueError("the key's factors must be below 2**32")
-    _check_bid(bid, modulus_bits if key is None else key.modulus_bits, "bid")
-    if key is None:
-        factors = _toy_rsa_factors(1, modulus_bits, np.random.default_rng() if rng is None else rng)
-    else:
-        factors = (np.array([value], dtype=np.uint64) for value in (key.p, key.q, key.e))
+    _check_bid(bid, modulus_bits, "bid")
+    factors = _toy_rsa_factors(1, modulus_bits, np.random.default_rng() if rng is None else rng)
     return _auctions(np.array([bid]), *factors)[0]
 
 

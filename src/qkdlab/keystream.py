@@ -687,9 +687,8 @@ class StreamLog:
 
     It holds the attempts of each round, the emitted bits packed eight to
     a byte (``np.packbits`` order) and the final stored and consumed
-    counts.  :attr:`rounds` and :attr:`stream_bits` rebuild the per-round
-    ledger and the emitted bits on demand, so a run of 10^6 rounds holds
-    no Python object per round.
+    counts.  :attr:`rounds` rebuilds the per-round ledger on demand, so a
+    run of 10^6 rounds holds no Python object per round.
     """
 
     params: StreamParams
@@ -705,11 +704,6 @@ class StreamLog:
     @property
     def total_retries(self) -> int:
         return int(self.attempts.sum()) - len(self.attempts)
-
-    @property
-    def stream_bits(self) -> np.ndarray:
-        """The emitted bits in order, one uint8 0 or 1 each."""
-        return np.unpackbits(self.packed_bits, count=self.bits_emitted)
 
     @property
     def rounds(self) -> tuple[RoundLedger, ...]:

@@ -70,7 +70,6 @@ __all__ = [
     "secrecy_eps_lower",
     "strategy_acceptance",
     "distinguishing_advantage",
-    "optimal_decision_rule",
     "default_strategies",
     "accessible_info_lower",
     "ben_or_sufficient_eps",
@@ -264,7 +263,7 @@ class IdealForm:
         if self.rho_prime.dim != self.rho_dblprime.dim:
             raise ValueError("register dimensions differ")
 
-    def to_cq(self, key_len: int, max_key_len: int = 16) -> CqState:
+    def to_cq(self, key_len: int) -> CqState:
         """Materialise the template as a cq-state over ``key_len`` bits, one copy of
         ``rho_prime`` per key.  No command calls it: it is the dense oracle that the
         tests hold the one-matrix figures to, bit for bit."""
@@ -272,15 +271,15 @@ class IdealForm:
         key_mass = 1.0 - self.p_perp
         if key_mass > 0.0:
             p = key_mass / 2**key_len
-            for label in _key_labels(key_len, max_key_len):
+            for label in _key_labels(key_len):
                 branches[label] = (p, self.rho_prime)
         if self.p_perp > 0.0:
             branches[PERP] = (self.p_perp, self.rho_dblprime)
         return CqState(key_len=key_len, branches=branches)
 
 
-def _key_labels(key_len: int, max_key_len: int = 16) -> list[str]:
-    if key_len > max_key_len:
+def _key_labels(key_len: int) -> list[str]:
+    if key_len > 16:
         raise ValueError(f"refusing to enumerate 2^{key_len} branches")
     return [format(i, f"0{key_len}b") if key_len else "" for i in range(2**key_len)]
 
@@ -304,9 +303,9 @@ class _Ideal(NamedTuple):
         return sigma if stop <= self.keyed else np.concatenate((sigma, self.registers[1:]))
 
 
-def _ideal(cq: CqState, form: IdealForm | None = None) -> _Ideal:
-    """``form`` (by default the canonical ideal of ``cq``) on the key register of ``cq``."""
-    form = canonical_ideal(cq) if form is None else form
+def _ideal(cq: CqState) -> _Ideal:
+    """The canonical ideal of ``cq`` on its key register."""
+    form = canonical_ideal(cq)
     key_mass = 1.0 - form.p_perp
     keys = _key_labels(cq.key_len) if key_mass > 0.0 else []
     abort = [PERP] if form.p_perp > 0.0 else []
@@ -433,14 +432,6 @@ def _lower_end(advantages: Sequence[float]) -> float:
     if not advantages:
         raise ValueError("need at least one strategy")
     return min(1.0, max(0.0, max(advantages)))
-
-
-def optimal_decision_rule(cq_real: CqState, ideal: IdealForm, measurement: Povm) -> Strategy:
-    """The best strategy that measures every branch with ``measurement``: it accepts
-    outcome z on label k where ``p_k tr(E_z rho_k)`` is larger in the real state than
-    in the ideal ``ideal`` on the same key register."""
-    on_register = _ideal(cq_real, ideal)
-    return _optimal_strategy("optimal", cq_real, on_register, lambda labels, gap: _accepted(gap, measurement))
 
 
 def _accepted(gap: np.ndarray, povm: Povm) -> np.ndarray:

@@ -7,11 +7,12 @@ two is evidence, not tautology.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from qkdlab.attack_lab import _BB84_AMPS
+from qkdlab.attack_lab import _BB84_AMPS, _complete_pads
 from qkdlab.keystream import StreamParams
 from qkdlab.quantum_core import PERP, CqState, DensityOperator, Povm
 
@@ -157,3 +158,57 @@ def assert_same_bytes(got: bytes, want: bytes) -> None:
         f"got {len(got)} bytes, want {len(want)}; first difference at offset {at}:"
         f"\n  got  {got[window]!r}\n  want {want[window]!r}"
     )
+
+
+# ---------------------------------------------------------------------------
+# scalar oracles for the batched attack rounds and the RSA auctions
+
+
+def measure_encoded_qubit(r: int, s: int, basis: int, rng: np.random.Generator) -> int:
+    """Measure the BB84 state |r>_s in BB84 basis ``basis``; return the outcome bit.
+
+    The Born rule gives outcome r with probability exactly 1 when the
+    bases match and a uniform bit otherwise, so the sampling dispatches
+    on basis equality; the numeric Born probabilities are verified
+    separately in the test suite.
+    """
+    if r not in (0, 1) or s not in (0, 1) or basis not in (0, 1):
+        raise ValueError("r, s and basis must be bits")
+    if basis == s:
+        return r
+    return int(rng.integers(0, 2))
+
+
+def sample_pad(n: int, parity: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Uniform n-bit pad with the given XOR, via n-1 free bits."""
+    return tuple(_complete_pads(rng.integers(0, 2, size=(1, n - 1)), parity)[0].tolist())
+
+
+@dataclass(frozen=True)
+class RsaKey:
+    n: int
+    e: int
+    d: int
+    p: int
+    q: int
+
+    @property
+    def modulus_bits(self) -> int:
+        return self.n.bit_length()
+
+
+def _rsa_key(p: int, q: int, e: int) -> RsaKey:
+    phi = (p - 1) * (q - 1)
+    return RsaKey(n=p * q, e=e, d=pow(e, -1, phi), p=p, q=q)
+
+
+def rsa_encrypt(key: RsaKey, m: int) -> int:
+    if not 0 <= m < key.n:
+        raise ValueError("plaintext out of range")
+    return pow(m, key.e, key.n)
+
+
+def rsa_decrypt(key: RsaKey, c: int) -> int:
+    if not 0 <= c < key.n:
+        raise ValueError("ciphertext out of range")
+    return pow(c, key.d, key.n)

@@ -10,9 +10,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _rsa_key, rsa_decrypt, rsa_encrypt, sample_pad
 from qkdlab import attack_lab
 from qkdlab import composition_harness as ch
-from qkdlab.attack_lab import sample_pad
 from qkdlab.composition_harness import (
     Distinguisher,
     _accept_count_sampled,
@@ -24,7 +24,6 @@ from qkdlab.composition_harness import (
     compose,
     estimate_advantage,
     exact_optimal_advantage,
-    generate_toy_rsa,
     iid_bits_total_variation,
     is_probable_prime,
     otp_application,
@@ -32,8 +31,6 @@ from qkdlab.composition_harness import (
     otp_prefix_parity_distinguisher,
     perfect_key_source,
     rsa_auction_sweep,
-    rsa_decrypt,
-    rsa_encrypt,
     rsa_malleability_demo,
     verify_composition_bound,
 )
@@ -669,10 +666,10 @@ def test_is_probable_prime_range_guard():
         is_probable_prime(3_317_044_064_679_887_385_961_981)
 
 
-def test_generate_toy_rsa_properties():
+def test_toy_rsa_key_properties():
     rng = np.random.default_rng(21)
     for bits in (16, 32, 48):
-        key = generate_toy_rsa(bits, rng)
+        [key] = _keys(1, bits, rng)
         assert key.modulus_bits == bits
         assert key.n == key.p * key.q
         assert is_probable_prime(key.p) and is_probable_prime(key.q)
@@ -683,9 +680,9 @@ def test_generate_toy_rsa_properties():
             m = int(rng.integers(0, key.n))
             assert rsa_decrypt(key, rsa_encrypt(key, m)) == m
     with pytest.raises(ValueError):
-        generate_toy_rsa(15, rng)
+        ch._toy_rsa_factors(1, 15, rng)
     with pytest.raises(ValueError):
-        generate_toy_rsa(65, rng)
+        ch._toy_rsa_factors(1, 65, rng)
 
 
 def _valid_factor_pairs(modulus_bits: int) -> dict[tuple[int, int], int]:
@@ -707,7 +704,7 @@ def _valid_factor_pairs(modulus_bits: int) -> dict[tuple[int, int], int]:
 
 def _keys(count: int, modulus_bits: int, rng: np.random.Generator) -> list:
     """The keys of a batched draw, as scalar ``RsaKey`` objects."""
-    return [ch._rsa_key(*key) for key in zip(*(c.tolist() for c in ch._toy_rsa_factors(count, modulus_bits, rng)))]
+    return [_rsa_key(*key) for key in zip(*(c.tolist() for c in ch._toy_rsa_factors(count, modulus_bits, rng)))]
 
 
 @pytest.mark.parametrize("modulus_bits", [16, 17])
@@ -752,13 +749,13 @@ def test_auction_sweep_draws_keys_in_batches(monkeypatch):
     assert calls == [1000] + [ch._KEY_CHUNK] * 6
     # one key draws modulus_bits candidates per factor, not a whole chunk
     calls.clear()
-    key = generate_toy_rsa(32, CountingGenerator(np.random.PCG64(1111)))
-    assert key.modulus_bits == 32
+    outcome = rsa_malleability_demo(100, 32, CountingGenerator(np.random.PCG64(1111)))
+    assert outcome.modulus_bits == 32
     assert calls == [32, 32]
 
 
 def test_rsa_range_validation():
-    key = generate_toy_rsa(20, np.random.default_rng(2))
+    [key] = _keys(1, 20, np.random.default_rng(2))
     with pytest.raises(ValueError):
         rsa_encrypt(key, key.n)
     with pytest.raises(ValueError):
@@ -773,9 +770,8 @@ def test_malleability_doubles_the_bid():
     assert out.winner == "bob"
     tie = rsa_malleability_demo(0, 32, np.random.default_rng(6))
     assert tie.winner == "tie"
-    key = generate_toy_rsa(16, np.random.default_rng(7))
     with pytest.raises(ValueError, match="modulus"):
-        rsa_malleability_demo(key.n // 2 + 1, key=key)
+        rsa_malleability_demo(2**15, 16, np.random.default_rng(7))  # 2 bid has 17 bits
 
 
 def test_auction_sweep_bob_always_wins():
@@ -805,7 +801,7 @@ def test_array_auctions_match_the_scalar_rsa_oracle(modulus_bits):
     factor = np.where(np.arange(count) % 2 == 0, p, q)
     bids[::3] = factor[::3] * (bids[::3] // factor[::3])  # p or q divides these bids
     bids[:2] = 0, max_bid
-    keys = [ch._rsa_key(*key) for key in zip(p.tolist(), q.tolist(), e.tolist())]
+    keys = [_rsa_key(*key) for key in zip(p.tolist(), q.tolist(), e.tolist())]
     for outcome, key, bid in zip(ch._auctions(bids, p, q, e), keys, bids.tolist()):
         assert outcome.bob_bid == opened(key, bid) == 2 * bid
         assert (outcome.modulus_bits, outcome.n, outcome.e, outcome.alice_bid) == (modulus_bits, key.n, key.e, bid)
@@ -820,9 +816,8 @@ def test_array_auctions_match_the_scalar_rsa_oracle(modulus_bits):
 
 
 def test_malleability_demo_is_a_batch_of_one():
-    key = generate_toy_rsa(24, np.random.default_rng(3))
-    outcome = rsa_malleability_demo(5 * key.q, key=key)  # q divides the bid
+    factors = ch._toy_rsa_factors(1, 24, np.random.default_rng(3))
+    [key] = _keys(1, 24, np.random.default_rng(3))  # the same draw, as a scalar key
+    [outcome] = ch._auctions(np.array([5 * key.q]), *factors)  # q divides the bid
     assert (outcome.n, outcome.e, outcome.bob_bid, outcome.winner) == (key.n, key.e, 10 * key.q, "bob")
-    big = ch.RsaKey(n=(2**32 + 15) * 3, e=3, d=1, p=2**32 + 15, q=3)
-    with pytest.raises(ValueError, match="below 2\\*\\*32"):
-        rsa_malleability_demo(1, key=big)
+    assert rsa_malleability_demo(777, 24, np.random.default_rng(3)) == ch._auctions(np.array([777]), *factors)[0]
