@@ -43,12 +43,14 @@ import numpy as np
 from ._json import JsonRecord
 from .quantum_core import (
     CqState,
+    DensityOperator,
     Povm,
     _chunks,
     _kron_rows,
+    _ordered_sum,
     qubit_basis,
 )
-from .security_metrics import SecurityReport, Strategy, _advantage, _evaluate
+from .security_metrics import IdealForm, SecurityReport, Strategy, _evaluate, _Ideal
 
 __all__ = [
     "MAX_ATTACK_QUBITS",
@@ -74,8 +76,9 @@ __all__ = [
     "IACC_UPPER_BITS",
 ]
 
-# Branch dimension is 2^n and there are 2^(n+1) branches, so the cap
-# keeps the full state, a real float64 stack, at 34 MB of dense matrices.
+# There are 2^(n+1) branches of dimension 2^n and rank 2^(n-1): at the cap the
+# state's real factors take 17 MB, and its dense stack, formed only where it is
+# read (the marginal check, the per-qubit I_acc search), 34 MB.
 MAX_ATTACK_QUBITS = 7
 
 IACC_UPPER_BITS = 0.5  # the attack key's accessible information, at every n
@@ -131,9 +134,9 @@ def build_attack_state(n: int) -> AttackState:
     Every key value ``s`` has probability 2^-(n+1); its register branch
     is the uniform mixture, weight 2^-(n-1) each, of the product states
     encoding the parity-constrained pads in the bases ``s_1 .. s_n``.
-    The branch is built from its factor, the weighted pad states as
+    The state keeps each branch's factor, the weighted pad states as
     columns (:meth:`~qkdlab.quantum_core.CqState.from_factors`).  The
-    BB84 amplitudes are real, so the branch stack is float64.
+    BB84 amplitudes are real, so the factors and stack are float64.
     """
     if not 2 <= n <= MAX_ATTACK_QUBITS:
         raise ValueError(f"n must lie in [2, {MAX_ATTACK_QUBITS}]")
@@ -319,6 +322,25 @@ def parity_strategy(n: int) -> Strategy:
     return Strategy("parity", ["".join(map(str, s)) for s in keys.tolist()], effects)
 
 
+def _parity_advantage(cq: CqState, ideal: _Ideal) -> float:
+    """The advantage of :func:`parity_strategy` on the attack state ``cq`` against ``ideal``,
+    read off the factors: ``tr(W^dagger M W) = tr(W^dagger (W + (-1)^p P_s W)) / 2``, row i of
+    ``P_s W`` being ``W[i ^ x]`` signed by the parity of i's Z qubits, x the X qubits of s."""
+    n = cq.key_len - 1
+    keys, bits, rows = _bit_rows(n + 1).astype(np.intp), _bit_rows(n).astype(np.intp), np.arange(2**n)
+    moved = rows ^ (keys[:, :n] @ (1 << np.arange(n - 1, -1, -1)))[:, None]  # qubit 0 is the high bit
+    z_parity = ((1 - keys[:, :n]) @ bits.T) & 1  # of row i's bits on the Z qubits of s
+    signs = (1.0 - 2.0 * keys[:, n, None]) * (1.0 - 2.0 * z_parity)  # times (-1)^p
+    accept = np.empty(len(keys))
+    for part in _chunks(len(keys), 2**n):
+        w = cq.unit_factors(part)
+        flipped = np.take_along_axis(w, moved[part, :, None], axis=1) * signs[part, :, None]
+        accept[part] = np.einsum("bic,bic->b", w.conj(), w + flipped).real / 2
+    sigma = ideal.registers[0]  # tr(P_s sigma) sums sigma[i ^ x, i] with the same signs
+    ideal_accept = (np.trace(sigma).real + (signs * sigma[moved, rows]).sum(axis=1).real) / 2
+    return float(_ordered_sum(cq.probs * accept, 0)) - float(_ordered_sum(ideal.probs * ideal_accept, 0))
+
+
 class GuessOracle(NamedTuple):
     p_star: float
     angle: float
@@ -456,10 +478,15 @@ def secrecy_reports(
     """:func:`~qkdlab.security_metrics.evaluate_cq_security` of the attack
     state together with its :func:`secrecy_gap_report`.
 
-    The attack state, its canonical ideal, the accessible-information
-    search and the upper secrecy bound are computed once and shared by
-    both reports; ``correctness`` is passed to the security report, whose
-    I_acc lower end is clamped like the gap report's.  Each search stops
+    The attack state, the accessible-information search and the upper
+    secrecy bound are computed once and shared by both reports;
+    ``correctness`` is passed to the security report, whose I_acc lower end
+    is clamped like the gap report's.  Both secrecy brackets are taken
+    against a declared ideal, the register I / 2^n on every key: by the
+    covariance of the module docstring it is the exact branch average
+    (which the canonical ideal only rounds to), and any ideal gives an
+    upper end, epsilon being a minimum over ideals.  Every figure reads the
+    state's factors, not its stack.  Each search stops
     once its bracket closes: the I_acc search after the declared basis
     meets ``IACC_UPPER_BITS``, the default strategies after the
     label-basis one meets the trace distance.  So ``search_budget`` and
@@ -469,10 +496,12 @@ def secrecy_reports(
     state = build_attack_state(n)
     # the declared measurement is built only when its family is searched
     declared = {"even_x_eigenbasis": even_x_eigenbasis(n)} if "declared" in families else {}
+    mixed = DensityOperator.fully_mixed(2**n)
     report, ideal, iacc = _evaluate(
-        state.cq, None, 8, search_budget, seed, families, correctness, declared, IACC_UPPER_BITS
+        state.cq, None, 8, search_budget, seed, families, correctness, declared, IACC_UPPER_BITS,
+        IdealForm(0.0, mixed, mixed),
     )
-    advantage = _advantage(state.cq, ideal, parity_strategy(n))
+    advantage = _parity_advantage(state.cq, ideal)
     return report, SecrecyGapReport(
         n=n,
         eps_secret_lower=min(1.0, max(0.0, advantage)),

@@ -18,8 +18,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import os
+import shutil
 import sys
 import tempfile
 from typing import Callable, Iterable, Iterator
@@ -29,6 +31,7 @@ import numpy.random  # numpy loads it lazily: load it with the rest of start-up,
 
 from . import __version__
 from .attack_lab import (
+    _CHUNK_BITS,
     BREIDBART,
     MAX_ATTACK_QUBITS,
     fully_mixed_marginal_check,
@@ -82,6 +85,7 @@ MAX_AUCTIONS = 10**5
 MAX_TRIALS = 10**7
 MAX_BUDGET = 10**4
 MAX_EMITTED_BITS = 2**32  # keystream-simulate's rounds * ell: 512 MiB packed
+MAX_PAD_QUBITS = _CHUNK_BITS // 3  # attack-demo and attack-otp's n: a 3n-bit attack round fits one draw
 
 
 def _bitstring(value: str) -> str:
@@ -194,8 +198,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def cmd_attack_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     seed = _resolve_seed(args, parser)
-    if args.n < 2:
-        raise ValueError("n must be at least 2")
+    if not 2 <= args.n <= MAX_PAD_QUBITS:
+        raise ValueError(f"n must lie in [2, {MAX_PAD_QUBITS}]")
     rng = np.random.default_rng(seed)
     message = args.message if args.message is not None else "".join(
         map(str, rng.integers(0, 2, size=args.n + 1))
@@ -445,6 +449,8 @@ def cmd_verify_composition(args: argparse.Namespace, parser: argparse.ArgumentPa
         result = report.to_json_dict()
         ok = report.all_within_bound
     else:
+        if not 1 <= args.n <= MAX_PAD_QUBITS:
+            raise ValueError(f"n must lie in [1, {MAX_PAD_QUBITS}]")
         message = args.message if args.message is not None else "1" * (args.n + 1)
         pair = attack_otp_composed_pair(args.n, message, declared_eps=args.declared_eps)
         parity = otp_prefix_parity_distinguisher(message)
@@ -501,14 +507,18 @@ def cmd_rsa_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse asks the terminal for its width once per argument added unless the formatter has one
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="qkdlab",
         description="desk-scale laboratory for composable key security",
+        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"qkdlab {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(subs.add_parser, formatter_class=formatter)
 
-    p = subs.add_parser("attack-demo", help="run the encode-the-pad attack end to end")
+    p = add_parser("attack-demo", help="run the encode-the-pad attack end to end")
     p.add_argument("--n", type=int, default=4, help="pad length (key has n+1 bits)")
     p.add_argument("--message", type=_bitstring, default=None, help="n+1 bit message (default: random)")
     p.add_argument("--trials", type=_at_most(MAX_TRIALS, _positive_int), default=200,
@@ -518,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_attack_demo)
 
-    p = subs.add_parser("secrecy", help="security report and I_acc gap for the attack state")
+    p = add_parser("secrecy", help="security report and I_acc gap for the attack state")
     p.add_argument("--n", type=int, default=3, help=f"pad qubits (2..{MAX_ATTACK_QUBITS})")
     p.add_argument("--budget", type=_at_most(MAX_BUDGET), default=32,
                    help="per-qubit bases sampled where the exhaustive per-qubit search is too large, "
@@ -530,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_secrecy)
 
-    p = subs.add_parser("keystream-plan", help="find schedule parameters meeting a target epsilon")
+    p = add_parser("keystream-plan", help="find schedule parameters meeting a target epsilon")
     p.add_argument("--target-eps", type=float, required=True)
     p.add_argument("--gamma", type=float, default=GAMMA_DEFAULT)
     p.add_argument("--rho", type=float, default=RATE_RHO_DEFAULT)
@@ -543,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_keystream_plan)
 
-    p = subs.add_parser("keystream-schedule", help="evaluate a schedule round by round")
+    p = add_parser("keystream-schedule", help="evaluate a schedule round by round")
     _add_stream_args(p)
     p.add_argument("--rounds", type=_at_most(MAX_ROUNDS), default=20,
                    help=f"rounds to schedule (at most {MAX_ROUNDS})")
@@ -552,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_keystream_schedule)
 
-    p = subs.add_parser("keystream-simulate", help="run the bit-conservation ledger simulation")
+    p = add_parser("keystream-simulate", help="run the bit-conservation ledger simulation")
     _add_stream_args(p)
     p.add_argument("--rounds", type=_at_most(MAX_ROUNDS), default=50,
                    help=f"rounds to simulate (at most {MAX_ROUNDS})")
@@ -560,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_keystream_simulate)
 
-    p = subs.add_parser("verify-composition", help="check the additive epsilon bound on examples")
+    p = add_parser("verify-composition", help="check the additive epsilon bound on examples")
     p.add_argument("--example", choices=("biased-otp", "attack-otp"), default="biased-otp")
     p.add_argument("--message", type=_bitstring, default=None)
     p.add_argument("--n", type=int, default=4, help="pad length for attack-otp")
@@ -573,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_verify_composition)
 
-    p = subs.add_parser("rsa-demo", help="textbook RSA sealed-bid malleability")
+    p = add_parser("rsa-demo", help="textbook RSA sealed-bid malleability")
     p.add_argument("--bid", type=int, default=100)
     p.add_argument("--auctions", type=_at_most(MAX_AUCTIONS, _positive_int), default=1,
                    help=f"auctions to run, each with a fresh key (at most {MAX_AUCTIONS})")

@@ -9,11 +9,13 @@ handful of qubits (the accessible-information search refuses registers
 above :data:`DEFAULT_DIM_CAP`).  All containers are immutable after
 construction, so values can be shared freely.
 
-A cq-state is one validated ``(B, d, d)`` stack of branch operators
-with its sorted labels and probabilities, and is read as such.
-Measuring it gives one plain array: the ``(B, K)`` Born table over its
-branch labels and the POVM's outcome labels, which
-:func:`mutual_information` reads directly.
+A cq-state is its sorted labels and probabilities with either one
+validated ``(B, d, d)`` stack of branch operators or, when built from
+factors, the ``(B, d, r)`` stack of the W_b with rho_b = W_b W_b^dagger;
+that state forms its stack only when it is first read.  Measuring it
+gives one plain array: the ``(B, K)`` Born table over its branch labels
+and the POVM's outcome labels, which :func:`mutual_information` reads
+directly.
 
 Conventions:
 
@@ -185,14 +187,16 @@ class CqState:
     strings of that length plus the optional abort label :data:`PERP`.
     Branch probabilities must sum to 1 within 1e-9 and all branch
     operators must share one dimension.  Absent labels mean probability
-    zero.  Branches are stored sorted (bit strings first, PERP last) as
-    a read-only ``(B, d, d)`` stack ``matrices`` with the probability
-    vector ``probs`` and the label tuple ``labels``.  :meth:`from_stack`
-    builds a state from those three; the mapping constructor takes
-    validated :class:`DensityOperator` branches and then the same path.
-    :meth:`from_factors` builds each branch as ``W W^dagger`` from a
-    factor ``W``: such branches are PSD by construction and are not
-    clipped.  The read-only mapping ``branches`` hands out views of the stack.
+    zero.  Branches are stored sorted (bit strings first, PERP last) with
+    the probability vector ``probs`` and the label tuple ``labels``, as a
+    read-only ``(B, d, d)`` stack ``matrices``.  :meth:`from_stack` builds
+    a state from those three; the mapping constructor takes validated
+    :class:`DensityOperator` branches and then the same path.
+    :meth:`from_factors` keeps the read-only ``(B, d, r)`` stack ``factors``
+    of the W_b instead (None for every other state): its branch ``W W^dagger``
+    is PSD by construction and is not clipped, and ``matrices`` is formed
+    from the factors on its first read.  The read-only mapping ``branches``
+    hands out views of the stack.
     """
 
     key_len: int
@@ -200,6 +204,7 @@ class CqState:
     labels: tuple[str, ...] = field(init=False)
     probs: np.ndarray = field(init=False, repr=False)
     matrices: np.ndarray = field(init=False, repr=False)
+    factors: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         labels = tuple(sorted(self.branches, key=_label_sort_key))
@@ -228,36 +233,59 @@ class CqState:
         """The state with branches ``(labels[b], probs[b], W_b W_b^dagger)`` for the
         ``(B, d, r)`` stack ``factors`` of the ``W_b``; the labels as in :meth:`from_stack`.
 
-        Each branch's trace, ``||W_b||_F^2``, must be 1 within 1e-9 and
-        is divided out.  A product ``W W^dagger`` is PSD by construction,
-        so no spectrum is computed: each matrix is only made exactly
-        Hermitian, a few at a time.
+        Each branch's trace, ``||W_b||_F^2``, must be 1 within 1e-9.  A
+        read-only copy of the factors is kept, and :meth:`unit_factors`
+        divides each by the root of its trace; no ``W W^dagger`` is formed.
         """
         labels = tuple(labels)
-        w = _as_exact(factors)
+        w = _as_exact(factors).copy()
         if w.ndim != 3 or min(w.shape[1:]) < 1:
             raise ValueError(f"expected a (B, d, r) stack of factors, got shape {w.shape}")
         if not np.isfinite(w).all():
             raise ValueError("factor has a non-finite entry")
         if len(w) != len(labels):
             raise ValueError(f"{len(labels)} labels for {len(w)} branch factors")
-        out = np.empty((len(w), w.shape[1], w.shape[1]), dtype=w.dtype)
+        tr = np.einsum("bij,bij->b", w, w.conj()).real
+        bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
+        if bad.size:
+            raise ValueError(f"branch {labels[bad[0]]!r} has trace {float(tr[bad[0]])!r}, not 1 within {TRACE_TOL}")
+        w.setflags(write=False)
+        cq = object.__new__(cls)
+        object.__setattr__(cq, "_traces", tr)
+        cq._assemble(key_len, labels, probs, None, w)
+        return cq
+
+    def unit_factors(self, part: slice | np.ndarray) -> np.ndarray:
+        """The factors of the branches ``part``, each divided by the square root of its trace."""
+        return self.factors[part] / np.sqrt(self._traces[part])[:, None, None]
+
+    def branch_batches(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """The branch operators with their slices: the whole stack once it exists, else a few
+        at a time from the factors, each ``W W^dagger`` made exactly Hermitian and divided by
+        its trace, the bits ``matrices`` gets."""
+        if "matrices" in self.__dict__ or self.factors is None:
+            yield slice(0, len(self.labels)), self.matrices
+            return
+        w = self.factors
         for part in _chunks(len(w), w.shape[1]):
             rho = w[part] @ w[part].conj().swapaxes(1, 2)
             rho += rho.conj().swapaxes(1, 2)
             rho /= 2
-            tr = np.trace(rho, axis1=1, axis2=2).real
-            bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
-            if bad.size:
-                name, trace = labels[part][bad[0]], float(tr[bad[0]])
-                raise ValueError(f"branch {name!r} has trace {trace!r}, not 1 within {TRACE_TOL}")
-            np.divide(rho, tr[:, None, None], out=out[part])
-        cq = object.__new__(cls)
-        cq._assemble(key_len, labels, probs, out)
-        return cq
+            rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+            yield part, rho
 
-    def _assemble(self, key_len: int, labels: tuple[str, ...], probs, matrices: np.ndarray) -> None:
-        # the one construction path, for a validated (B, d, d) stack
+    def __getattr__(self, name: str):
+        # a state built from factors forms its stack, and the branch views of it, on first read
+        if name not in ("matrices", "branches") or self.__dict__.get("factors") is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        matrices = np.empty((len(self.labels), self.dim, self.dim), dtype=self.factors.dtype)
+        for part, rho in self.branch_batches():
+            matrices[part] = rho
+        self._set_stack(matrices)
+        return self.__dict__[name]
+
+    def _assemble(self, key_len: int, labels: tuple[str, ...], probs, matrices: np.ndarray | None, factors=None) -> None:
+        # the one construction path, for a validated (B, d, d) stack or (B, d, r) factors
         if not isinstance(key_len, int) or key_len < 0:
             raise ValueError("key_len must be a nonnegative integer")
         if not labels:
@@ -278,18 +306,23 @@ class CqState:
         total = sum(probs.tolist())
         if abs(total - 1.0) > TRACE_TOL:
             raise ValueError(f"branch probabilities sum to {total!r}, not 1")
-        matrices.setflags(write=False)
         probs.setflags(write=False)
-        views = {label: (float(p), DensityOperator._view(m)) for label, p, m in zip(labels, probs, matrices)}
         object.__setattr__(self, "key_len", key_len)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "factors", factors)
+        if matrices is not None:
+            self._set_stack(matrices)
+
+    def _set_stack(self, matrices: np.ndarray) -> None:
+        matrices.setflags(write=False)
+        views = {label: (float(p), DensityOperator._view(m)) for label, p, m in zip(self.labels, self.probs, matrices)}
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "branches", MappingProxyType(views))
 
     @property
     def dim(self) -> int:
-        return self.matrices.shape[1]
+        return (self.matrices if self.factors is None else self.factors).shape[1]
 
     @property
     def p_perp(self) -> float:
@@ -584,10 +617,11 @@ def cq_measure(cq: CqState, povm: Povm) -> np.ndarray:
     tr(E_z rho_s)`` for ``s = cq.labels[b]`` and ``z = povm.labels[k]``.
     The table is renormalised by its total, a factor within the POVM
     completeness tolerance of 1, so its entries sum to 1 up to rounding.
+    A state built from factors is measured a few branches at a time.
     """
     if cq.dim != povm.dim:
         raise ValueError(f"dimension mismatch: state {cq.dim}, POVM {povm.dim}")
-    table = cq.probs[:, None] * born_table(cq.matrices, povm)
+    table = cq.probs[:, None] * np.concatenate([born_table(rho, povm) for _, rho in cq.branch_batches()])
     total = float(_ordered_sum(table.ravel(), 0))
     if not (0.5 < total < 2.0):
         raise ValueError(f"measurement table sums to {total!r}; POVM or state invalid")

@@ -24,7 +24,10 @@ it as its :class:`IdealForm`: rho' is one ``(d, d)`` matrix, broadcast
 into each batch of keys, so no ``(2^l, d, d)`` copy of it is made.  The
 arithmetic is that of the copies, so each figure equals, bit for bit, the
 one computed against :meth:`IdealForm.to_cq`, which the tests keep as
-the oracle.
+the oracle.  A state built from factors W_b is scored from them instead,
+with no ``(d, d)`` branch or effect formed: the distance to an ideal of
+scalar registers from Gram matrices, the default strategies from Born
+tables; those figures equal the dense ones within rounding.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ __all__ = [
     "secrecy_eps_upper",
     "secrecy_eps_lower",
     "strategy_acceptance",
-    "distinguishing_advantage",
     "default_strategies",
     "accessible_info_lower",
     "ben_or_sufficient_eps",
@@ -303,9 +305,9 @@ class _Ideal(NamedTuple):
         return sigma if stop <= self.keyed else np.concatenate((sigma, self.registers[1:]))
 
 
-def _ideal(cq: CqState) -> _Ideal:
-    """The canonical ideal of ``cq`` on its key register."""
-    form = canonical_ideal(cq)
+def _ideal(cq: CqState, form: IdealForm | None = None) -> _Ideal:
+    """The ideal ``form`` of ``cq`` on its key register, by default the canonical one."""
+    form = form or canonical_ideal(cq)
     key_mass = 1.0 - form.p_perp
     keys = _key_labels(cq.key_len) if key_mass > 0.0 else []
     abort = [PERP] if form.p_perp > 0.0 else []
@@ -373,8 +375,29 @@ def _gaps(cq: CqState, ideal: _Ideal, labels: tuple[str, ...], entries: int) -> 
 
 
 def _distance(cq: CqState, ideal: _Ideal) -> float:
-    """:func:`~qkdlab.quantum_core.cq_trace_distance` from ``cq`` to the ideal's cq-state, from the gaps."""
-    return _block_distance(gap for _, gap in _gaps(cq, ideal, _union(cq, ideal), _STACK_CHUNK))
+    """:func:`~qkdlab.quantum_core.cq_trace_distance` from ``cq`` to the ideal's cq-state, from the
+    gaps, or for a state built from factors and an ideal whose registers are each some s I, from
+    Gram matrices: the block ``p W W^dagger - c I`` has the eigenvalues ``p lambda - c``, lambda
+    those of ``W^dagger W`` (or ``W W^dagger``, the smaller), and ``-c`` on the rest of its d."""
+    s = ideal.registers[:, 0, 0].real
+    if cq.factors is None or not np.array_equal(ideal.registers, s[:, None, None] * np.eye(cq.dim)):
+        return _block_distance(gap for _, gap in _gaps(cq, ideal, _union(cq, ideal), _STACK_CHUNK))
+    labels = _union(cq, ideal)
+    theirs, place = _rows(ideal.labels, labels), _rows(labels, cq.labels)
+    c = np.where(theirs >= 0, ideal.probs[theirs], 0.0) * s[_is_abort(labels)]
+    d, r = cq.factors.shape[1:]
+    norms = d * c  # the labels the state lacks
+    for part in _chunks(len(cq.labels), d, _BATCH):
+        w, k = cq.unit_factors(part), place[part]
+        gram = w.conj().swapaxes(1, 2) @ w if r <= d else w @ w.conj().swapaxes(1, 2)
+        spectra = cq.probs[part, None] * np.linalg.eigvalsh(gram) - c[k, None]
+        norms[k] = np.abs(spectra).sum(axis=1) + max(d - r, 0) * c[k]
+    return min(1.0, max(0.0, float(_ordered_sum(0.5 * norms, 0))))
+
+
+def _is_abort(labels: Sequence[str]) -> np.ndarray:
+    # 1 for the abort label, 0 for a key: the index of each label's register in _Ideal.registers
+    return np.array([label == PERP for label in labels], dtype=np.intp)
 
 
 def strategy_acceptance(cq: CqState, strategy: Strategy) -> float:
@@ -402,13 +425,8 @@ def _rows(labels: Sequence[str], wanted: Sequence[str]) -> np.ndarray:
     return np.array([index.get(label, -1) for label in wanted], dtype=np.intp)
 
 
-def distinguishing_advantage(cq_real: CqState, cq_ideal: CqState, strategy: Strategy) -> float:
-    """Acceptance gap of one strategy between two cq-states (exact)."""
-    return strategy_acceptance(cq_real, strategy) - strategy_acceptance(cq_ideal, strategy)
-
-
 def _advantage(cq: CqState, ideal: _Ideal, strategy: Strategy) -> float:
-    # distinguishing_advantage against the ideal's cq-state, read from rho' and rho''
+    # the acceptance gap between cq and the ideal's cq-state, read from rho' and rho''
     return strategy_acceptance(cq, strategy) - _acceptance(strategy, ideal.labels, ideal.probs, ideal.stack)
 
 
@@ -498,20 +516,55 @@ def default_strategies(cq: CqState, num_random: int = 8, seed: int = 0) -> list[
     breaks basis-encoded states), and ``num_random`` Haar-random basis
     measurements, each with the optimal rule for the canonical ideal.
     """
-    ideal = _ideal(cq)
-    return [_optimal_strategy(name, cq, ideal, accepted) for name, accepted in _default_rules(cq, num_random, seed)]
+    ideal, rules = _ideal(cq), _default_rules(cq, num_random, seed)
+    return [_optimal_strategy(name, cq, ideal, _rule(bases, cq.dim)) for name, bases in rules]
 
 
-def _default_rules(cq: CqState, num_random: int, seed: int) -> Iterator[tuple[str, Callable]]:
-    # the names and accept rules of default_strategies, in order; a Haar basis is drawn when its rule is reached
+def _default_rules(cq: CqState, num_random: int, seed: int) -> Iterator[tuple[str, Callable | None]]:
+    """The names of :func:`default_strategies`, in order, each with the bases it measures a batch
+    of labels in, ``bases(labels)`` the rows and weights that :func:`_accepted_in_basis` takes;
+    None for the trivial measurement.  A Haar basis is drawn when its rule is reached."""
     dim, nq = cq.dim, cq.dim.bit_length() - 1
-    trivial = Povm((("0", np.eye(dim)),))
-    yield "trivial", lambda labels, gap: _accepted(gap, trivial)
+    yield "trivial", None
     if dim == 2**nq and 1 <= nq <= cq.key_len:
-        yield "label_basis", lambda labels, gap: _accepted_in_basis(gap, *_label_bases(labels, nq))
+        yield "label_basis", lambda labels: _label_bases(labels, nq)
     rng = np.random.default_rng(seed)
     for i in range(num_random):
-        yield f"haar:{i}", lambda labels, gap, v=_haar_basis(dim, rng): _accepted_in_basis(gap, v)
+        yield f"haar:{i}", lambda labels, v=_haar_basis(dim, rng): (v, 1.0)
+
+
+def _rule(bases: Callable | None, dim: int) -> Callable:
+    # the accept rule of _optimal_strategy for a measurement in bases, None the trivial one
+    if bases is None:
+        trivial = Povm((("0", np.eye(dim)),))
+        return lambda labels, gap: _accepted(gap, trivial)
+    return lambda labels, gap: _accepted_in_basis(gap, *bases(labels))
+
+
+def _table_advantage(cq: CqState, ideal: _Ideal, bases: Callable | None) -> float:
+    """The advantage of ``_optimal_strategy(name, cq, ideal, _rule(bases, cq.dim))`` for a state
+    built from factors, from Born tables instead of effects: ``Pr[z|b] = weight ||v_z^dagger W_b||^2``
+    for the state and ``weight <v_z| sigma |v_z>`` for the ideal's register sigma (for the trivial
+    measurement the traces), outcome z accepted on label b where ``p_b Pr[z|b]`` exceeds the
+    ideal's; the sums run in label order."""
+    labels = _union(cq, ideal)
+    mine, theirs = _rows(cq.labels, labels), _rows(ideal.labels, labels)
+    p = np.where(mine >= 0, cq.probs[mine], 0.0)
+    q = np.where(theirs >= 0, ideal.probs[theirs], 0.0)
+    accepted = []
+    for part in _chunks(len(labels), cq.dim, _BATCH):
+        w, sigma = cq.unit_factors(mine[part]), ideal.registers[_is_abort(labels[part])]
+        if bases is None:
+            real = np.einsum("bij,bij->b", w, w.conj()).real[:, None]
+            fake = np.trace(sigma, axis1=1, axis2=2).real[:, None]
+        else:
+            v, weight = bases(labels[part])
+            real = weight * (np.abs(v.conj() @ w) ** 2).sum(axis=2)
+            fake = weight * ((v.conj() @ sigma) * v).sum(axis=2).real
+        accept = p[part, None] * real - q[part, None] * fake > 0.0
+        accepted.append([_ordered_sum(real * accept, 1), _ordered_sum(fake * accept, 1)])
+    real, fake = np.concatenate(accepted, axis=1)
+    return float(_ordered_sum(p * real, 0)) - float(_ordered_sum(q * fake, 0))
 
 
 def _default_advantages(
@@ -523,10 +576,14 @@ def _default_advantages(
     an advantage reaches ``upper`` (a known upper end, such as the trace distance to
     ``ideal``) no more is built, since no advantage can move a lower end clamped to
     ``upper``; the Haar bases drawn are those of the full stock.  Each strategy is
-    dropped once scored, so one effect stack is alive at a time.
+    dropped once scored, so one effect stack is alive at a time, and none for a
+    state built from factors, which is scored by :func:`_table_advantage`.
     """
-    for name, accepted in _default_rules(cq, num_random, seed):
-        advantage = _advantage(cq, ideal, _optimal_strategy(name, cq, ideal, accepted))
+    for name, bases in _default_rules(cq, num_random, seed):
+        if cq.factors is None:
+            advantage = _advantage(cq, ideal, _optimal_strategy(name, cq, ideal, _rule(bases, cq.dim)))
+        else:
+            advantage = _table_advantage(cq, ideal, bases)
         yield advantage
         if advantage >= upper:
             return
@@ -750,14 +807,18 @@ def _evaluate(
     correctness,
     iacc_declared: Mapping[str, Povm] = MappingProxyType({}),
     iacc_upper: float = math.inf,
+    ideal_form: IdealForm | None = None,
 ) -> tuple[SecurityReport, _Ideal, IaccSearchResult]:
-    """:func:`evaluate_cq_security`, also returning the canonical ideal on
-    the state's key register and the accessible-information search it computed, so that
+    """:func:`evaluate_cq_security`, also returning the ideal on the state's key
+    register and the accessible-information search it computed, so that
     a caller reporting more figures on the same state computes neither
     twice.  ``iacc_declared`` is passed to the search as its declared
     measurements, and the reported I_acc lower end is clamped to a known
-    upper end ``iacc_upper``, at which the search also stops."""
-    ideal = _ideal(cq)
+    upper end ``iacc_upper``, at which the search also stops.  The secrecy
+    bracket is taken against ``ideal_form``, a declared ideal (the upper end
+    bounds epsilon, a minimum over ideals, whichever is given), by default
+    the canonical one."""
+    ideal = _ideal(cq, ideal_form)
     upper = _distance(cq, ideal)
     if strategies is None:
         advantages = list(_default_advantages(cq, ideal, num_random_strategies, seed, upper=upper))

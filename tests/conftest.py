@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, settings
 from qkdlab.attack_lab import _BB84_AMPS, _complete_pads
 from qkdlab.keystream import StreamParams
 from qkdlab.quantum_core import PERP, CqState, DensityOperator, Povm
+from qkdlab.security_metrics import Strategy, strategy_acceptance
 
 settings.register_profile(
     "suite",
@@ -131,6 +132,12 @@ def dense_embedding(cq: CqState, label_order: list[str]) -> np.ndarray:
         sl = slice(idx * dim, (idx + 1) * dim)
         out[sl, sl] = p * rho.matrix
     return out
+
+
+def distinguishing_advantage(cq_real: CqState, cq_ideal: CqState, strategy: Strategy) -> float:
+    """Acceptance gap of one strategy between two cq-states (exact): the dense oracle for
+    the advantages the library reads off an ideal's one register or a state's factors."""
+    return strategy_acceptance(cq_real, strategy) - strategy_acceptance(cq_ideal, strategy)
 
 
 def nuclear_trace_distance(a: np.ndarray, b: np.ndarray) -> float:

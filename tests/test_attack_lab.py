@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import bb84, entropy_bits, measure_encoded_qubit, sample_pad, to_density
+from conftest import bb84, distinguishing_advantage, entropy_bits, measure_encoded_qubit, sample_pad, to_density
 from qkdlab import attack_lab, security_metrics
 from qkdlab.attack_lab import (
     AttackState,
@@ -34,10 +34,10 @@ from qkdlab.quantum_core import (
 )
 from qkdlab.security_metrics import (
     QUBIT_BASIS_ANGLES,
+    IdealForm,
     accessible_info_lower,
     canonical_ideal,
     default_strategies,
-    distinguishing_advantage,
     secrecy_eps_lower,
     secrecy_eps_upper,
     strategy_acceptance,
@@ -212,9 +212,11 @@ def test_marginal_check_passes_for_real_state():
 
 @pytest.mark.parametrize("check", [canonical_ideal, fully_mixed_marginal_check], ids=lambda f: f.__name__)
 def test_stack_readers_trace_little_memory(check):
-    # the real n = 6 branch stack is 4 MB; whole-stack temporaries of the complex
+    # the real n = 6 branch stack is 4 MB, formed from the factors on its first
+    # read (here, before the trace); whole-stack temporaries of the complex
     # stack came to 16 MB and 10 MB here
     cq = build_attack_state(6).cq
+    assert cq.matrices.nbytes == 4 * 2**20
     tracemalloc.start()
     try:
         check(cq)
@@ -605,9 +607,61 @@ def test_secrecy_reports_match_the_unstopped_searches(monkeypatch, n):
         assert full_gap.iacc_family == ("declared", "per_qubit_exhaustive")
 
 
+def _declared_ideal(n):
+    mixed = DensityOperator.fully_mixed(2**n)
+    return IdealForm(0.0, mixed, mixed)
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_gap_report_alone_equals_the_shared_one(n):
-    assert secrecy_gap_report(n) == attack_lab.secrecy_reports(n)[1]
+    # the reports read the state's factors; the dense oracle reads its stack,
+    # against the 2^(n+1) copies of the declared register I / 2^n
+    report, gap = attack_lab.secrecy_reports(n)
+    assert secrecy_gap_report(n) == gap
+    cq = build_attack_state(n).cq
+    form = _declared_ideal(n)
+    dense = form.to_cq(n + 1)
+    upper = cq_trace_distance(cq, dense)
+    label_basis = security_metrics._optimal_strategy(
+        "label_basis", cq, security_metrics._ideal(cq, form),
+        security_metrics._rule(lambda labels: security_metrics._label_bases(labels, n), 2**n),
+    )
+    lower = min(upper, distinguishing_advantage(cq, dense, label_basis))
+    parity = distinguishing_advantage(cq, dense, parity_strategy(n))
+    iacc = mutual_information(cq_measure(cq, attack_lab.even_x_eigenbasis(n)))
+    assert report.eps_secret_upper == gap.eps_secret_upper == pytest.approx(upper, abs=1e-12, rel=0)
+    assert report.eps_secret_lower == pytest.approx(lower, abs=1e-12, rel=0)
+    assert gap.eps_secret_lower == pytest.approx(parity, abs=1e-12, rel=0)
+    assert report.iacc_lower_bits == gap.iacc_lower_bits == min(iacc, attack_lab.IACC_UPPER_BITS)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_factor_figures_equal_the_dense_ones(n):
+    # the figures secrecy prints come from the factors, with no stack formed:
+    # each is 1/2 but the trivial strategy's advantage.  The dense oracle reads
+    # the stack against 2^(n+1) copies of the ideal's register, for the
+    # declared ideal and (whose register is not scalar) the canonical one
+    cq = build_attack_state(n).cq
+    rules = dict(security_metrics._default_rules(cq, 0, 0))  # trivial, label_basis
+    declared = security_metrics._ideal(cq, _declared_ideal(n))
+    got = [security_metrics._distance(cq, declared), attack_lab._parity_advantage(cq, declared)]
+    got += [security_metrics._table_advantage(cq, declared, bases) for bases in rules.values()]
+    joint = cq_measure(cq, attack_lab.even_x_eigenbasis(n))
+    assert "matrices" not in vars(cq)
+    assert got[:2] == [0.5, 0.5] and got[3] == 0.5
+    canonical = security_metrics._ideal(cq)  # reads the stack
+    got.append(attack_lab._parity_advantage(cq, canonical))
+    got += [security_metrics._table_advantage(cq, canonical, bases) for bases in rules.values()]
+    def dense_advantages(form, ideal):
+        strategies = [security_metrics._optimal_strategy(name, cq, ideal, security_metrics._rule(bases, 2**n))
+                      for name, bases in rules.items()]
+        return [distinguishing_advantage(cq, form.to_cq(n + 1), s) for s in (parity_strategy(n), *strategies)]
+
+    want = [cq_trace_distance(cq, _declared_ideal(n).to_cq(n + 1))]
+    want += dense_advantages(_declared_ideal(n), declared) + dense_advantages(canonical_ideal(cq), canonical)
+    assert got == pytest.approx(want, abs=1e-12, rel=0)
+    # the declared basis's Born table, formed a batch at a time, has the stack's bits
+    assert joint.tobytes() == cq_measure(cq, attack_lab.even_x_eigenbasis(n)).tobytes()
 
 
 @pytest.mark.parametrize("families", [("per_qubit",), ("declared",)])

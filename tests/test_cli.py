@@ -1,5 +1,6 @@
 """End-to-end CLI coverage, run in process against qkdlab.cli.main."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -9,6 +10,7 @@ import io
 import json
 import os
 import pkgutil
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 import qkdlab
 from conftest import COLUMN_PARAMS, COLUMN_PARAMS_IDS, assert_same_bytes
-from qkdlab import attack_lab, cli, composition_harness, keystream, security_metrics
+from qkdlab import attack_lab, cli, composition_harness, keystream, quantum_core, security_metrics
 from qkdlab.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
 from qkdlab.keystream import LedgerBroken, StreamParams
 
@@ -95,6 +97,33 @@ CAPPED = [
 def test_documented_caps():
     assert (cli.MAX_ROUNDS, cli.MAX_HORIZON, cli.MAX_AUCTIONS) == (10**6, 10**4, 10**5)
     assert (cli.MAX_TRIALS, cli.MAX_BUDGET) == (10**7, 10**4)
+    # a wrong-basis attack round draws 3n bits, and one draw holds 2^15
+    assert cli.MAX_PAD_QUBITS == 10922 and 3 * cli.MAX_PAD_QUBITS <= attack_lab._CHUNK_BITS
+
+
+@pytest.mark.parametrize("n", [4, 6, 9, cli.MAX_PAD_QUBITS])
+def test_pad_lengths_up_to_the_cap_run(capsys, n):
+    code, payload, _ = run_json(capsys, ["attack-demo", "--n", str(n), "--trials", "3", "--wrong-basis", "--seed", "1"])
+    assert code == EXIT_OK and payload["result"]["n"] == n
+    argv = ["verify-composition", "--example", "attack-otp", "--n", str(n), "--mode", "sample", "--trials", "100"]
+    code, payload, _ = run_json(capsys, argv)
+    assert code == EXIT_OK and payload["result"]["estimate"]["accept_real"] == 1.0  # every parity check passes
+
+
+def test_build_parser_asks_the_terminal_size_once(monkeypatch):
+    # argparse asks once per argument added unless its formatter is given a width;
+    # every parser gets the width a default formatter would ask for, so --help is unchanged
+    calls = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *args: calls.append(args) or size(*args))
+    parser = cli.build_parser()
+    parser.parse_args(["secrecy", "--n", "5"])
+    parser.format_help()
+    assert len(calls) == 1
+    width = argparse.HelpFormatter("qkdlab")._width
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert len(subparsers) == 7
+    assert {p._get_formatter()._width for p in (parser, *subparsers.values())} == {width}
 
 
 @pytest.mark.parametrize("argv, flag, cap", CAPPED)
@@ -189,9 +218,10 @@ print(code, status["VmHWM"].split()[0])
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
-def test_secrecy_at_n_7_peaks_below_160_mb():
-    # about 142 MB: one 32 MB float64 stack past the real state at a time; 2^8 copies of
-    # the ideal's register and two live strategy stacks took it to 179 MB, complex128 to 331 MB
+def test_secrecy_at_n_7_peaks_below_100_mb():
+    # about 73 MB: the state's 17 MB of factors and no (B, d, d) stack; one 32 MB float64
+    # stack past the real state at a time took 142 MB, 2^8 copies of the ideal's register
+    # and two live strategy stacks 179 MB, complex128 331 MB
     src = os.path.dirname(os.path.dirname(os.path.abspath(qkdlab.__file__)))
     argv = ["secrecy", "--n", "7", "--seed", "1"]
     out = subprocess.run(
@@ -200,7 +230,7 @@ def test_secrecy_at_n_7_peaks_below_160_mb():
     ).stdout
     code, peak_kb = map(int, out.split())
     assert code == EXIT_OK
-    assert peak_kb <= 160 * 1024, f"VmHWM {peak_kb / 1024:.0f} MB"
+    assert peak_kb <= 100 * 1024, f"VmHWM {peak_kb / 1024:.0f} MB"
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
@@ -326,6 +356,11 @@ def test_write_errors_name_the_path_given(capsys, tmp_path, argv, flag):
         ["verify-composition", "--example", "attack-otp", "--n", "0"],
         ["verify-composition", "--example", "attack-otp", "--n", str(10**30)],
         ["attack-demo", "--n", "-3"],
+        # pad lengths past the cap, refused before a bit is drawn
+        ["attack-demo", "--n", str(cli.MAX_PAD_QUBITS + 1)],
+        ["attack-demo", "--n", str(10**8), "--wrong-basis"],
+        ["verify-composition", "--example", "attack-otp", "--n", str(cli.MAX_PAD_QUBITS + 1)],
+        ["verify-composition", "--example", "attack-otp", "--n", str(10**8), "--mode", "sample"],
     ],
 )
 def test_unrepresentable_inputs_are_usage_errors(capsys, argv):
@@ -543,22 +578,33 @@ def _count_secrecy_calls(capsys, monkeypatch, argv):
 def test_secrecy_computes_shared_results_once(capsys, monkeypatch):
     argv = ["secrecy", "--n", "3", "--budget", "4", "--seed", "5"]
     calls, payload = _count_secrecy_calls(capsys, monkeypatch, argv)
-    # the default strategies are built up to the label-basis one, whose
-    # advantage meets the trace distance, so the 8 Haar ones are never built;
-    # each strategy is built from one difference of the two states' weighted
-    # branches per batch of labels, and all 16 labels at n = 3 make one batch.
-    # The 1 born table is the trivial strategy's batch: the label-basis
-    # strategy measures in its own per-label bases, and the parity strategy
-    # of the gap report is built from its Pauli strings, so neither calls
-    # born_table (34 born tables when each state and POVM group was measured).
+    # the default strategies are scored up to the label-basis one, whose
+    # advantage meets the trace distance, so the 8 Haar ones are never drawn.
+    # No strategy calls born_table: the trivial and label-basis ones read Born
+    # tables off the state's factors and the parity one applies its Pauli
+    # strings to them (34 born tables when each state and POVM group was measured).
     # The I_acc search scores the declared basis, which meets the 1/2 bit
     # upper end, so the per-qubit family is not searched.
     assert calls == {
-        "build_attack_state": 1, "accessible_info_lower": 1, "born_table": 1, "cq_measure": 1
+        "build_attack_state": 1, "accessible_info_lower": 1, "born_table": 0, "cq_measure": 1
     }
     report, gap = payload["result"]["security_report"], payload["result"]["gap_report"]
     assert gap["iacc_lower_bits"] == report["iacc_lower_bits"]
     assert gap["eps_secret_upper"] == report["eps_secret_upper"]
+
+
+def test_secrecy_never_forms_the_branch_stack(capsys, monkeypatch):
+    # the attack state keeps its factors: every figure secrecy prints reads them,
+    # so the (B, d, d) stack, formed on the first read of matrices, never is
+    def refuse(cq, name):
+        raise AssertionError(f"secrecy read CqState.{name}")
+
+    monkeypatch.setattr(quantum_core.CqState, "__getattr__", refuse)
+    code, out, err = run_cli(capsys, ["secrecy", "--n", "5", "--seed", "1"])
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == dict(
+        (" ".join(argv), digest) for argv, digest in _QUANTUM_OUTPUTS
+    )["secrecy --n 5 --seed 1"]
 
 
 def test_secrecy_rescores_per_qubit_ties_without_a_declared_basis(capsys, monkeypatch):

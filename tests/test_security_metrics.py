@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     bb84,
+    distinguishing_advantage,
     entropy_bits,
     rand_cq,
     rand_density,
@@ -31,6 +32,7 @@ from qkdlab.quantum_core import (
 )
 from qkdlab.security_metrics import (
     QUBIT_BASIS_ANGLES,
+    IdealForm,
     SecurityReport,
     Strategy,
     accessible_info_lower,
@@ -40,7 +42,6 @@ from qkdlab.security_metrics import (
     compose_report,
     correctness_eps,
     default_strategies,
-    distinguishing_advantage,
     evaluate_cq_security,
     robustness_eps,
     secrecy_eps_lower,
@@ -579,6 +580,52 @@ def test_one_matrix_ideal_gives_the_dense_ideals_figures_bit_for_bit(kind, arg):
 def _weighted_or_zero(cq: CqState, label: str) -> np.ndarray:
     p, rho = cq.branches.get(label, (0.0, DensityOperator.fully_mixed(cq.dim)))
     return p * rho.matrix
+
+
+def _factor_state(kind: str, arg: int) -> CqState:
+    """A state built from factors: a random state's branches rebuilt from W = V sqrt(Lambda)
+    (complex, full rank), or random complex factors of rank 1 or rank d + 1, wider than d."""
+    if kind.startswith("rank"):
+        rng, dim = np.random.default_rng(arg), 4
+        shape = (4, dim, 1 if kind == "rank1" else dim + 1)
+        w = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        w /= np.linalg.norm(w, axis=(1, 2))[:, None, None]
+        return CqState.from_factors(2, ["00", "01", "11", PERP], rng.dirichlet(np.ones(4)), w)
+    cq = _oracle_state(kind, arg)
+    w, v = np.linalg.eigh(cq.matrices)
+    return CqState.from_factors(cq.key_len, cq.labels, cq.probs, v * np.sqrt(np.clip(w, 0.0, None))[:, None, :])
+
+
+_FACTOR_STATES = [("abort", seed) for seed in range(4)] + [("missing", seed) for seed in range(4)]
+_FACTOR_STATES += [("all_abort", 0)] + [(kind, seed) for kind in ("rank1", "rank_wide") for seed in range(2)]
+
+
+@pytest.mark.parametrize("kind, arg", _FACTOR_STATES)
+def test_factor_figures_equal_the_dense_ones(kind, arg):
+    # a state built from factors gives its distance to a scalar ideal (I / d on
+    # every label), its strategies' advantages and its Born tables without
+    # forming its stack; the dense path reads the stack, against the ideal's
+    # copies, for that ideal and (not scalar) the canonical one
+    cq = _factor_state(kind, arg)
+    mixed = DensityOperator.fully_mixed(cq.dim)
+    declared = IdealForm(cq.p_perp, mixed, mixed)
+    rules = list(security_metrics._default_rules(cq, 3, arg))
+    povm = rand_povm(np.random.default_rng(arg), cq.dim, 3)
+    ideal = security_metrics._ideal(cq, declared)
+    got = [security_metrics._distance(cq, ideal)]
+    got += [security_metrics._table_advantage(cq, ideal, bases) for _, bases in rules]
+    joint = cq_measure(cq, povm)
+    assert "matrices" not in vars(cq)
+    canonical = security_metrics._ideal(cq)
+    got += [security_metrics._table_advantage(cq, canonical, bases) for _, bases in rules]
+    want = [quantum_core.cq_trace_distance(cq, declared.to_cq(cq.key_len))]
+    for form, reading in ((declared, ideal), (canonical_ideal(cq), canonical)):
+        dense = form.to_cq(cq.key_len)
+        for name, bases in rules:
+            strategy = security_metrics._optimal_strategy(name, cq, reading, security_metrics._rule(bases, cq.dim))
+            want.append(distinguishing_advantage(cq, dense, strategy))
+    assert got == pytest.approx(want, abs=1e-12, rel=0)
+    assert np.abs(joint - cq_measure(cq, povm)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("stop_at", range(10))
