@@ -252,6 +252,18 @@ def run_otp_attack(
     return run_otp_attacks(n, message, rng, 1, wrong_basis=wrong_basis).last
 
 
+def _otp_rounds(draws: np.ndarray, m: np.ndarray, wrong_basis: bool = False):
+    """The attack on each row of ``draws``, the bits of one round of :func:`run_otp_attacks`,
+    for the (n+1)-bit message row ``m``: the rounds' keys, pads, ciphertexts, measured pads
+    and recovered bits ``M_{n+1}``, as arrays of the dtype of ``draws`` and ``m``."""
+    n = len(m) - 1
+    s = draws[:, : n + 1]
+    r = _complete_pads(draws[:, n + 1 : 2 * n], s[:, n])
+    c = s ^ m
+    r_hat = draws[:, 2 * n :] if wrong_basis else r
+    return s, r, c, r_hat, np.bitwise_xor.reduce(r_hat, axis=1) ^ c[:, n]
+
+
 def run_otp_attacks(
     n: int,
     message,
@@ -260,7 +272,7 @@ def run_otp_attacks(
     *,
     wrong_basis: bool = False,
 ) -> AttackTally:
-    """``trials`` rounds of :func:`run_otp_attack`, simulated as arrays.
+    """``trials`` rounds of :func:`run_otp_attack` for ``n >= 1`` qubits, simulated as arrays.
 
     A round draws its n+1 key bits, then the n-1 free pad bits, then
     one coin per qubit measured outside its own basis (the Born rule
@@ -268,11 +280,13 @@ def run_otp_attacks(
     complementary one).  Recovered bases are all right, or with
     ``wrong_basis`` all wrong, so a round draws 2n or 3n bits; the rounds
     are drawn as rows of one array, which consumes ``rng`` exactly as
-    ``trials`` one-round calls would.
+    ``trials`` one-round calls would; each batch is one :func:`_otp_rounds`.
     Returns the number of successful rounds and the last transcript.
+    These rounds are also the real world of ``verify-composition --example
+    attack-otp`` (:func:`~qkdlab.composition_harness.attack_otp_advantage`).
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if trials < 1:
         raise ValueError("trials must be positive")
     m = _bits_from(message, n + 1)
@@ -282,11 +296,7 @@ def run_otp_attacks(
     successes = 0
     for start in range(0, trials, rows):
         draws = rng.integers(0, 2, size=(min(rows, trials - start), width))
-        s = draws[:, : n + 1]
-        r = _complete_pads(draws[:, n + 1 : 2 * n], s[:, n])
-        c = s ^ m_row
-        r_hat = draws[:, 2 * n :] if wrong_basis else r
-        recovered = np.bitwise_xor.reduce(r_hat, axis=1) ^ c[:, n]
+        s, r, c, r_hat, recovered = _otp_rounds(draws, m_row, wrong_basis)
         successes += len(draws) - int(np.count_nonzero(recovered ^ m[n]))
     c_last = tuple(c[-1].tolist())
     recovered_bit = int(recovered[-1])
@@ -456,7 +466,8 @@ def secrecy_gap_report(
     :func:`secrecy_reports`.
 
     The secrecy bracket comes from the parity distinguisher (lower) and
-    the canonical-ideal trace distance (upper); the I_acc bracket from the
+    the trace distance to the declared ideal, the register I / 2^n on
+    every key (upper); the I_acc bracket from the
     selected families (clamped to the upper end, where the search stops)
     and ``IACC_UPPER_BITS``, which :func:`even_x_eigenbasis`, the declared
     family, attains.  The

@@ -43,12 +43,10 @@ from .attack_lab import (
 )
 from .composition_harness import (
     AuctionOutcome,
-    attack_otp_composed_pair,
+    attack_otp_advantage,
     biased_key_source,
-    estimate_advantage,
     otp_application,
     otp_majority_zeros_distinguisher,
-    otp_prefix_parity_distinguisher,
     rsa_auction_sweep,
     rsa_malleability_demo,
     verify_composition_bound,
@@ -451,15 +449,15 @@ def cmd_verify_composition(args: argparse.Namespace, parser: argparse.ArgumentPa
     else:
         if not 1 <= args.n <= MAX_PAD_QUBITS:
             raise ValueError(f"n must lie in [1, {MAX_PAD_QUBITS}]")
+        if not 0.0 <= args.declared_eps <= 1.0:  # NaN too
+            raise ValueError("declared_eps must lie in [0, 1]")
         message = args.message if args.message is not None else "1" * (args.n + 1)
-        pair = attack_otp_composed_pair(args.n, message, declared_eps=args.declared_eps)
-        parity = otp_prefix_parity_distinguisher(message)
-        estimate = estimate_advantage(pair, parity, mode=args.mode, trials=args.trials, rng=rng)
-        violated = estimate.advantage > pair.declared_eps + estimate.half_width + 1e-9
+        estimate = attack_otp_advantage(args.n, message, mode=args.mode, trials=args.trials, rng=rng)
+        violated = estimate.advantage > args.declared_eps + estimate.half_width + 1e-9
         result = {
-            "pair": pair.name,
-            "declared_eps": pair.declared_eps,
-            "distinguisher": parity.name,
+            "pair": f"pad_encoding_attack_otp_{args.n}",
+            "declared_eps": args.declared_eps,
+            "distinguisher": f"pad_parity_{args.n}",
             "estimate": estimate.to_json_dict(),
             "bound_violated": violated,
         }

@@ -13,9 +13,10 @@ against the composed system is bounded by eps_source + eps_app, because
 the middle hybrid (real application on the ideal key) telescopes the
 total difference into two single-step differences.
 
-The module also carries the counterexample machinery: a classical
-bridge for the encode-the-pad attack composed with a one-time pad,
-where a simple parity distinguisher achieves advantage 1/2 against a
+The module also carries the counterexample machinery: the encode-the-pad
+key of :mod:`~qkdlab.attack_lab` used as a one-time pad
+(:func:`attack_otp_advantage`, whose real world is the attack's own
+rounds), where the pad-parity check achieves advantage 1/2 against a
 source from which per-qubit measurements learn at most 2^-n bits, and a
 textbook RSA malleability toy showing the same compositional failure
 for computational assumptions.
@@ -32,7 +33,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ._json import JsonRecord
-from .attack_lab import _bit_rows, _chunk_rows, _complete_pads
+from .attack_lab import _bit_rows, _bits_from, _chunk_rows, _otp_rounds, run_otp_attacks
 from .security_metrics import _cp_upper
 
 __all__ = [
@@ -53,8 +54,7 @@ __all__ = [
     "iid_bits_total_variation",
     "otp_application",
     "otp_majority_zeros_distinguisher",
-    "attack_otp_composed_pair",
-    "otp_prefix_parity_distinguisher",
+    "attack_otp_advantage",
     "AuctionOutcome",
     "AuctionSweep",
     "is_probable_prime",
@@ -269,13 +269,13 @@ def _half_width(hits_a: int, hits_b: int, trials: int, rows: int) -> float:
     return abs(hits_a / trials - hits_b / trials) - lower
 
 
-def _mode(mode: str, pair: ProtocolPair, rng: np.random.Generator | None, trials: int) -> str:
-    """``mode`` with ``"auto"`` resolved (exact when the pair has exact
-    distributions), checked to have what it needs."""
+def _mode(mode: str, exact: bool, name: str, rng: np.random.Generator | None, trials: int) -> str:
+    """``mode`` with ``"auto"`` resolved (exact when the system ``name`` has
+    ``exact`` distributions), checked to have what it needs."""
     if mode == "auto":
-        mode = "exact" if pair.has_exact_dists else "sample"
-    if mode == "exact" and not pair.has_exact_dists:
-        raise ValueError(f"{pair.name} has no exact distributions")
+        mode = "exact" if exact else "sample"
+    if mode == "exact" and not exact:
+        raise ValueError(f"{name} has no exact distributions")
     if mode == "sample" and rng is None:
         raise ValueError("sampling mode needs an rng")
     if mode == "sample" and trials < 100:
@@ -299,7 +299,7 @@ def estimate_advantage(
     picks exact when available.
     """
     decide = distinguisher.decide if isinstance(distinguisher, Distinguisher) else distinguisher
-    if _mode(mode, pair, rng, trials) == "exact":
+    if _mode(mode, pair.has_exact_dists, pair.name, rng, trials) == "exact":
         p_r = _accept_prob(pair.real_dist, decide)
         p_i = _accept_prob(pair.ideal_dist, decide)
         return AdvantageEstimate(abs(p_r - p_i), 0.0, p_r, p_i, "exact", 0)
@@ -436,7 +436,7 @@ def verify_composition_bound(
     if not distinguishers:
         raise ValueError("need at least one distinguisher")
     composed = compose(source, app)
-    mode = _mode(mode, composed, rng, trials)
+    mode = _mode(mode, composed.has_exact_dists, composed.name, rng, trials)
     if mode == "exact":
         hybrid = _convolve(source.ideal_dist, app.real_dist_given_keys)
         worlds = (composed.real_dist, hybrid, composed.ideal_dist)
@@ -603,68 +603,50 @@ def otp_majority_zeros_distinguisher(message: str) -> Distinguisher:
     return Distinguisher(f"otp_majority_zeros_{n}", decide)
 
 
-def attack_otp_composed_pair(n: int, message: str, declared_eps: float = 0.25) -> ProtocolPair:
-    """Classical bridge for the encode-the-pad source composed with an OTP.
+def attack_otp_advantage(
+    n: int,
+    message,
+    mode: str = "auto",
+    trials: int = 20_000,
+    rng: np.random.Generator | None = None,
+) -> AdvantageEstimate:
+    """The parity check's advantage once the attack key of :mod:`~qkdlab.attack_lab`
+    is used as a one-time pad on the (n+1)-bit ``message``, whose first n bits are known.
 
-    The source hands out an (n+1)-bit key whose last bit the adversary
-    can recover exactly once the pad bases leak through the ciphertext;
-    here the quantum part is collapsed to its classical consequence.
-    In the real world the view is (ciphertext, recovered pad) with the
-    ciphertext opening the key, so the pad parity pins down the key's
-    last bit.  In the composed ideal world both parts are uniform and
-    independent.  ``declared_eps`` is whatever bound the source was
-    (wrongly) certified with; the parity distinguisher's exact
-    advantage is 1/2 regardless.
+    The real world is the attack itself, the rounds of
+    :func:`~qkdlab.attack_lab.run_otp_attacks`: the ciphertext opens the
+    bases, and a trial is accepted when the measured pad's parity decodes
+    the last message bit, which it always does.  In the ideal world the
+    ciphertext is uniform and the register is rho' = I / 2^n on every key,
+    so whatever the bases, the measured pad is n uniform bits: a trial is
+    2n+1 uniform bits, accepted when the XOR of bits n..2n is the last
+    message bit.  ``mode`` is as for :func:`estimate_advantage`; exact mode
+    (2n+1 bits at most 21) runs both worlds on every draw row.  Any
+    declared epsilon below 1/2 is broken.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if len(message) != n + 1:
-        raise ValueError(f"message must have {n + 1} bits")
-    if set(message) - {"0", "1"}:
-        raise ValueError("message must be a bitstring")
-    m = np.array(list(message), dtype=np.uint8)
+    m = _bits_from(message, n + 1)
+    width = 2 * n + 1
+    mode = _mode(mode, width <= _EXACT_MAX_BITS, f"pad_encoding_attack_otp_{n}", rng, trials)
 
-    # a trial draws the n+1 key bits, then the n-1 free pad bits
-    def real(rng: np.random.Generator, trials: int) -> Samples:
-        draws = rng.integers(0, 2, size=(trials, 2 * n))
-        key = draws[:, : n + 1]
-        pad = _complete_pads(draws[:, n + 1 :], key[:, n])
-        return draws[:, :0], (key ^ m, pad)  # no output key, as in the exact dists
+    def ideal_accepts(draws: np.ndarray) -> int:
+        return int(np.count_nonzero(np.bitwise_xor.reduce(draws[:, n:], axis=1) == m[n]))
 
-    def ideal(rng: np.random.Generator, trials: int) -> Samples:
-        draws = rng.integers(0, 2, size=(trials, 2 * n + 1))
-        return draws[:, :0], (draws[:, : n + 1], draws[:, n + 1 :])
-
-    return ProtocolPair(
-        name=f"pad_encoding_attack_otp_{n}",
-        output_len=0,
-        declared_eps=declared_eps,
-        real_run=real,
-        ideal_run=ideal,
-        build_exact=lambda: _attack_otp_tables(n, m),
+    if mode == "exact":
+        real = _bit_rows(2 * n)
+        p_r = int(np.count_nonzero(_otp_rounds(real, np.array(m, np.uint8))[-1] == m[n])) / len(real)
+        p_i = ideal_accepts(_bit_rows(width)) / 2**width
+        return AdvantageEstimate(abs(p_r - p_i), 0.0, p_r, p_i, "exact", 0)
+    r_real, r_ideal = rng.spawn(2)
+    k_r = run_otp_attacks(n, m, r_real, trials).successes
+    rows = _chunk_rows(width)
+    k_i = sum(
+        ideal_accepts(r_ideal.integers(0, 2, size=(min(rows, trials - start), width)))
+        for start in range(0, trials, rows)
     )
-
-
-def _attack_otp_tables(n: int, m: np.ndarray) -> tuple[SampleTable, SampleTable]:
-    """Exact distributions of :func:`attack_otp_composed_pair`: uniform over
-    the (ciphertext, pad) pairs whose pad parity opens the last key bit,
-    and uniform over all pairs."""
-    widths = (0, n + 1, n)
-    rows = _bit_rows(2 * n)  # a ciphertext, then the n-1 free pad bits
-    pads = _complete_pads(rows[:, n + 1 :], rows[:, n] ^ m[n])
-    real = np.concatenate((rows[:, : n + 1], pads), axis=1)
-    return _table(real, 0.5 ** (2 * n), widths), _table(_bit_rows(2 * n + 1), 0.5 ** (2 * n + 1), widths)
-
-
-def otp_prefix_parity_distinguisher(message: str) -> Distinguisher:
-    """Accept when the recovered pad's parity matches the opened last key bit."""
-    m_last = int(message[-1])
-
-    def decide(keys: np.ndarray, views: tuple[np.ndarray, ...]) -> np.ndarray:
-        cipher, pad = views
-        return pad.sum(axis=1) % 2 == cipher[:, -1] ^ m_last
-
-    return Distinguisher(f"pad_parity_{len(message) - 1}", decide)
+    p_r, p_i = k_r / trials, k_i / trials
+    return AdvantageEstimate(abs(p_r - p_i), _half_width(k_r, k_i, trials, 1), p_r, p_i, "sample", trials)
 
 
 # ---------------------------------------------------------------------------

@@ -348,11 +348,18 @@ def test_batched_attack_ignores_chunk_boundaries(monkeypatch, wrong_basis):
 def test_attack_rejects_bad_inputs():
     rng = np.random.default_rng(6)
     with pytest.raises(ValueError):
-        run_otp_attack(1, "11", rng)
+        run_otp_attack(0, "1", rng)
     with pytest.raises(ValueError):
         run_otp_attack(2, "1", rng)  # wrong message width
     with pytest.raises(ValueError):
         run_otp_attacks(2, "101", rng, 0)
+
+
+def test_one_qubit_attack_always_succeeds():
+    # attack-otp's real world at n = 1: the one pad bit is the key's last bit
+    for message in ("00", "01", "10", "11"):
+        tally = run_otp_attacks(1, message, np.random.default_rng(3), 200)
+        assert tally.successes == 200 and tally.last.pad == tally.last.key[1:]
 
 
 # ---------------------------------------------------------------------------

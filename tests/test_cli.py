@@ -361,6 +361,9 @@ def test_write_errors_name_the_path_given(capsys, tmp_path, argv, flag):
         ["attack-demo", "--n", str(10**8), "--wrong-basis"],
         ["verify-composition", "--example", "attack-otp", "--n", str(cli.MAX_PAD_QUBITS + 1)],
         ["verify-composition", "--example", "attack-otp", "--n", str(10**8), "--mode", "sample"],
+        ["verify-composition", "--example", "attack-otp", "--declared-eps", "nan"],
+        ["verify-composition", "--example", "attack-otp", "--declared-eps", "1.5"],
+        ["verify-composition", "--example", "attack-otp", "--n", "3", "--message", "01"],
     ],
 )
 def test_unrepresentable_inputs_are_usage_errors(capsys, argv):
@@ -1244,6 +1247,12 @@ def test_verify_composition_sample_mode(capsys):
      EXIT_FINDING, ("estimate",), {"accept_real": "1.0", "accept_ideal": "0.4925"}),
     (["--example", "attack-otp", "--n", "9", "--mode", "exact", "--seed", "3"],
      EXIT_FINDING, ("estimate",), {"accept_real": "1.0", "accept_ideal": "0.5"}),
+    (["--example", "attack-otp", "--n", "1", "--seed", "2"],
+     EXIT_FINDING, ("estimate",), {"accept_real": "1.0", "accept_ideal": "0.5", "mode": "'exact'"}),
+    (["--example", "attack-otp", "--n", "11", "--trials", "500", "--seed", "5"],
+     EXIT_FINDING, ("estimate",), {
+         "accept_ideal": "0.456", "half_width": "0.14292601349383782", "mode": "'sample'",
+     }),
 ])
 def test_verify_composition_seeded_outputs_are_pinned(capsys, argv, code, field, expected):
     got_code, payload, _ = run_json(capsys, ["verify-composition", *argv])

@@ -10,8 +10,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _rsa_key, rsa_decrypt, rsa_encrypt, sample_pad
+from conftest import _rsa_key, rsa_decrypt, rsa_encrypt
 from qkdlab import attack_lab
+from qkdlab.attack_lab import build_attack_state, parity_strategy, run_otp_attacks
 from qkdlab import composition_harness as ch
 from qkdlab.composition_harness import (
     Distinguisher,
@@ -19,7 +20,7 @@ from qkdlab.composition_harness import (
     _table,
     KeyApplication,
     ProtocolPair,
-    attack_otp_composed_pair,
+    attack_otp_advantage,
     biased_key_source,
     compose,
     estimate_advantage,
@@ -28,12 +29,14 @@ from qkdlab.composition_harness import (
     is_probable_prime,
     otp_application,
     otp_majority_zeros_distinguisher,
-    otp_prefix_parity_distinguisher,
     perfect_key_source,
     rsa_auction_sweep,
     rsa_malleability_demo,
     verify_composition_bound,
 )
+from qkdlab.security_metrics import canonical_ideal, strategy_acceptance
+
+DECLARED_EPS = 0.25  # the epsilon verify-composition claims for attack-otp by default
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +168,12 @@ def test_sampled_verdicts_agree_with_exact_mode():
     # exact mode is the oracle: the parity row breaks its bound (advantage
     # 1/2 against 1/4), and the majority row on a biased key keeps it
     message = "1011001"
-    pair = attack_otp_composed_pair(6, message)
-    parity = otp_prefix_parity_distinguisher(message)
-    assert estimate_advantage(pair, parity, mode="exact").advantage > pair.declared_eps
+    assert attack_otp_advantage(6, message, mode="exact").advantage > DECLARED_EPS
     for trials in (2_000, 20_000):
         for seed in range(3):
-            est = estimate_advantage(pair, parity, mode="sample", trials=trials,
-                                     rng=np.random.default_rng(seed))
-            assert est.advantage > pair.declared_eps + est.half_width + 1e-9, (trials, seed)
+            est = attack_otp_advantage(6, message, mode="sample", trials=trials,
+                                       rng=np.random.default_rng(seed))
+            assert est.advantage > DECLARED_EPS + est.half_width + 1e-9, (trials, seed)
     for p_zero, message in ((0.6, "1"), (0.6, "01"), (0.8, "110")):
         source, app = biased_key_source(len(message), p_zero), otp_application(message)
         majority = [otp_majority_zeros_distinguisher(message)]
@@ -219,42 +220,60 @@ def test_otp_application_validation():
 # the composed attack
 
 
-def test_attack_otp_pair_exact_distributions():
-    pair = attack_otp_composed_pair(3, "0110")
-    assert math.fsum(pair.real_dist.weights) == pytest.approx(1.0, abs=1e-12)
-    assert math.fsum(pair.ideal_dist.weights) == pytest.approx(1.0, abs=1e-12)
-    assert len(pair.ideal_dist.codes) == 2**7
-    assert len(pair.real_dist.codes) == 2**6  # parity kills half the pads
+def test_attack_otp_exact_mode_runs_the_attack_on_every_draw_row(monkeypatch):
+    # the real world is the attack's round on each 2n-bit draw (a key, then the
+    # n-1 free pad bits: parity fixes the rest), the ideal every (2n+1)-bit row
+    rounds, enumerated = [], []
+    otp_rounds, bit_rows = ch._otp_rounds, ch._bit_rows
+    monkeypatch.setattr(ch, "_otp_rounds", lambda draws, m: rounds.append(draws) or otp_rounds(draws, m))
+    monkeypatch.setattr(ch, "_bit_rows", lambda n: enumerated.append(n) or bit_rows(n))
+    est = attack_otp_advantage(3, "0110", mode="exact")
+    assert enumerated == [6, 7]
+    assert len(rounds) == 1 and np.array_equal(rounds[0], bit_rows(6))
+    assert (est.accept_real, est.accept_ideal) == (1.0, 0.5)
 
 
 def test_attack_otp_parity_advantage_is_half():
     for n, message in ((2, "011"), (4, "10101")):
-        pair = attack_otp_composed_pair(n, message)
-        est = estimate_advantage(pair, otp_prefix_parity_distinguisher(message))
+        est = attack_otp_advantage(n, message)
         assert est.mode == "exact"
         assert est.accept_real == pytest.approx(1.0, abs=1e-12)
         assert est.accept_ideal == pytest.approx(0.5, abs=1e-12)
         assert est.advantage == pytest.approx(0.5, abs=1e-12)
-        assert est.advantage > pair.declared_eps  # the declared bound is a lie
+        assert est.advantage > DECLARED_EPS  # the declared bound is a lie
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_attack_otp_exact_acceptances_are_the_quantum_models(n):
+    # the cq-state is the oracle: the parity strategy on the attack state, and
+    # on its canonical ideal, accepts exactly as the two worlds do
+    cq = build_attack_state(n).cq
+    real = strategy_acceptance(cq, parity_strategy(n))
+    ideal = strategy_acceptance(canonical_ideal(cq).to_cq(n + 1), parity_strategy(n))
+    for message in ("1" * (n + 1), "0" * (n + 1), ("01" * n)[: n + 1]):
+        est = attack_otp_advantage(n, message, mode="exact")
+        assert (est.accept_real, est.accept_ideal) == (real, ideal)
 
 
 def test_attack_otp_sampled_agrees():
-    message = "11111"
-    pair = attack_otp_composed_pair(4, message)
-    est = estimate_advantage(pair, otp_prefix_parity_distinguisher(message),
-                             mode="sample", trials=4_000, rng=np.random.default_rng(3))
+    est = attack_otp_advantage(4, "11111", mode="sample", trials=4_000, rng=np.random.default_rng(3))
     assert abs(est.advantage - 0.5) <= est.half_width + 0.01
     assert est.accept_real == 1.0  # certainty survives sampling
 
 
 def test_attack_otp_validation():
-    with pytest.raises(ValueError, match="bits"):
-        attack_otp_composed_pair(3, "01")
-    with pytest.raises(ValueError, match="bitstring"):
-        attack_otp_composed_pair(2, "0ab")
+    for message in ("01", "01101", "0121"):
+        with pytest.raises(ValueError, match="expected 4 bits"):
+            attack_otp_advantage(3, message)
+    with pytest.raises(ValueError, match="'a'"):
+        attack_otp_advantage(2, "0ab")
     for n in (0, -1):
         with pytest.raises(ValueError, match="at least 1"):
-            attack_otp_composed_pair(n, "1" * (n + 1))
+            attack_otp_advantage(n, "1" * (n + 1))
+    with pytest.raises(ValueError, match="pad_encoding_attack_otp_11 has no exact distributions"):
+        attack_otp_advantage(11, "1" * 12, mode="exact")
+    with pytest.raises(ValueError, match="rng"):
+        attack_otp_advantage(3, "1111", mode="sample")
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +318,7 @@ def _ref_tv(real, ideal):
 
 
 def _string_accept_prob(table, accept):
-    """The acceptance of ``table`` under a one-sample string rule, as fsum over items()."""
+    """The acceptance of ``table`` (or a sample dict) under a one-sample string rule, as fsum over items()."""
     return math.fsum(w for s, w in table.items() if w > 0.0 and accept(s))
 
 
@@ -310,25 +329,20 @@ def _as_dict(table):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_attack_otp_tables_match_dict_reference(n):
+def test_attack_otp_acceptance_matches_dict_reference(n):
     for message in ("1" * (n + 1), "0" * (n + 1), ("01" * n)[: n + 1]):
-        pair = attack_otp_composed_pair(n, message)
         real, ideal = _ref_attack(n, message)
-        assert _as_dict(pair.real_dist) == real
-        assert _as_dict(pair.ideal_dist) == ideal
-        assert exact_optimal_advantage(pair) == _ref_tv(real, ideal)
-        parity = otp_prefix_parity_distinguisher(message).decide
         accept = lambda s: s[1][1].count("1") % 2 == int(_xor(s[1][0], message)[-1])
-        for table in (pair.real_dist, pair.ideal_dist):
-            assert ch._accept_prob(table, parity) == _string_accept_prob(table, accept)
+        est = attack_otp_advantage(n, message, mode="exact")
+        assert est.accept_real == _string_accept_prob(real, accept)
+        assert est.accept_ideal == _string_accept_prob(ideal, accept)
+        assert est.advantage == _ref_tv(real, ideal)  # the parity check is the best test
 
 
-def test_source_and_attack_tables_need_no_merge():
+def test_source_tables_need_no_merge():
     # these tables keep their rows unmerged, so the rows must already be
     # distinct and in code order: merging them must change nothing
-    messages = lambda n: ("1" * (n + 1), "0" * (n + 1), ("01" * n)[: n + 1])
-    pairs = [attack_otp_composed_pair(n, m) for n in range(1, 9) for m in messages(n)]
-    pairs += [make(k) for make in (perfect_key_source, biased_key_source) for k in range(1, 11)]
+    pairs = [make(k) for make in (perfect_key_source, biased_key_source) for k in range(1, 11)]
     for pair in pairs:
         for table in (pair.real_dist, pair.ideal_dist):
             codes, weights = ch._merge(table.codes, table.weights)
@@ -372,23 +386,29 @@ def test_distinguishers_match_string_xor():
         rows = lambda strings: np.array([list(map(int, s)) for s in strings], dtype).reshape(len(strings), -1)
         for message in _strings(m):
             majority = otp_majority_zeros_distinguisher(message).decide
-            parity = otp_prefix_parity_distinguisher(message).decide
             ciphers = _strings(m)
             got = majority(rows([""] * len(ciphers)), (rows(ciphers),))
             assert got.tolist() == [_xor(c, message).count("0") * 2 > m for c in ciphers]
-            pairs = list(itertools.product(ciphers, _strings(m - 1)))
-            got = parity(rows([""] * len(pairs)), (rows([c for c, _ in pairs]), rows([p for _, p in pairs])))
-            assert got.tolist() == [p.count("1") % 2 == int(_xor(c, message)[-1]) for c, p in pairs]
+            # the attack round on every draw of n = m - 1 qubits (exact mode's uint8
+            # rows, the sampled int64 ones): key, free pad bits, then the rest
+            if m < 2:
+                continue
+            n, draws = m - 1, _strings(2 * (m - 1))
+            key, pad, cipher, measured, recovered = ch._otp_rounds(rows(draws), rows([message])[0])
+            assert recovered.dtype == dtype
+            for d, k, p, c, r_hat, bit in zip(draws, key, pad, cipher, measured, recovered):
+                want_pad = d[n + 1 :] + str((d[n + 1 :].count("1") + int(d[n])) % 2)
+                assert "".join(map(str, k)) == d[: n + 1] and "".join(map(str, p)) == want_pad
+                assert "".join(map(str, c)) == _xor(d[: n + 1], message)
+                assert np.array_equal(r_hat, p)  # measured in the right bases
+                assert bit == (want_pad.count("1") + int(_xor(d[: n + 1], message)[-1])) % 2 == int(message[-1])
 
 
 def test_auto_mode_is_exact_up_to_21_bit_samples(monkeypatch):
     monkeypatch.setattr(ch, "_accept_prob", lambda table, decide: 0.0)  # build, skip deciding
     rng = np.random.default_rng(10)
-    for n, mode in ((10, "exact"), (11, "sample")):
-        message = "1" * (n + 1)
-        pair = attack_otp_composed_pair(n, message)
-        est = estimate_advantage(pair, otp_prefix_parity_distinguisher(message), trials=100, rng=rng)
-        assert est.mode == mode
+    for n, mode in ((10, "exact"), (11, "sample")):  # 21- and 23-bit trials
+        assert attack_otp_advantage(n, "1" * (n + 1), trials=100, rng=rng).mode == mode
     for make in (biased_key_source, perfect_key_source):
         for m, mode in ((10, "exact"), (11, "sample")):
             message = "1" * m
@@ -403,19 +423,21 @@ def test_sample_mode_builds_no_exact_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("built an exact table")
 
-    for name in ("_attack_otp_tables", "_convolve", "_bit_rows"):
+    for name in ("_convolve", "_bit_rows"):
         monkeypatch.setattr(ch, name, refuse)
     rng = np.random.default_rng(12)
-    message = "1" * 11
-    pair = attack_otp_composed_pair(10, message)
-    parity = otp_prefix_parity_distinguisher(message)
-    assert estimate_advantage(pair, parity, mode="sample", trials=100, rng=rng).mode == "sample"
     source, app, majority = biased_key_source(3), otp_application("101"), otp_majority_zeros_distinguisher("101")
+    composed = compose(source, app)
+    assert estimate_advantage(composed, majority, mode="sample", trials=100, rng=rng).mode == "sample"
     report = verify_composition_bound(source, app, [majority], mode="sample", trials=100, rng=rng)
     assert report.mode == "sample"
+    message = "1" * 11
+    assert attack_otp_advantage(10, message, mode="sample", trials=100, rng=rng).mode == "sample"
     # exact mode does go through the builders
     with pytest.raises(AssertionError, match="built"):
-        estimate_advantage(pair, parity, mode="exact")
+        estimate_advantage(composed, majority, mode="exact")
+    with pytest.raises(AssertionError, match="built"):
+        attack_otp_advantage(10, message, mode="exact")
     with pytest.raises(AssertionError, match="built"):
         verify_composition_bound(source, app, [majority], mode="exact")
 
@@ -464,20 +486,15 @@ def test_histogram_acceptance_counts_every_trial(widths, trials, p_one, seed, sa
 
 
 def test_batched_runs_replay_the_per_trial_draws():
-    n, message = 3, "0110"
-    m = [int(b) for b in message]
-    pair = attack_otp_composed_pair(n, message)
+    n, message, trials = 3, "0110", 150
+    est = attack_otp_advantage(n, message, mode="sample", trials=trials, rng=np.random.default_rng(7))
+    real, ideal = np.random.default_rng(7).spawn(2)
+    # the real world is the attack's rounds (replayed round by round in test_attack_lab)
+    assert est.accept_real == run_otp_attacks(n, message, real, trials).successes / trials
+    # an ideal trial is a uniform ciphertext, then a uniform measured pad
+    hits = sum(int(ideal.integers(0, 2, size=2 * n + 1)[n:].sum() % 2 == int(message[n])) for _ in range(trials))
+    assert est.accept_ideal == hits / trials
     batched, reference = np.random.default_rng(7), np.random.default_rng(7)
-    key, (cipher, pad) = pair.real_run(batched, 50)
-    assert key.shape == (50, 0)
-    for row in range(50):
-        s = reference.integers(0, 2, size=n + 1)
-        assert cipher[row].tolist() == [a ^ b for a, b in zip(s.tolist(), m)]
-        assert pad[row].tolist() == list(sample_pad(n, int(s[n]), reference))
-    _, (cipher, pad) = pair.ideal_run(batched, 50)
-    for row in range(50):
-        assert cipher[row].tolist() == reference.integers(0, 2, size=n + 1).tolist()
-        assert pad[row].tolist() == reference.integers(0, 2, size=n).tolist()
     keys, view = biased_key_source(4, p_zero=0.3).real_run(batched, 50)
     assert view == ()
     for row in range(50):
@@ -485,10 +502,10 @@ def test_batched_runs_replay_the_per_trial_draws():
 
 
 def test_sampled_estimate_ignores_chunk_boundaries(monkeypatch):
-    message = "1011001"
-    pair = attack_otp_composed_pair(6, message)
-    parity = otp_prefix_parity_distinguisher(message)
-    whole = estimate_advantage(pair, parity, mode="sample", trials=1001, rng=np.random.default_rng(4))
+    pair = biased_key_source(13)
+    majority = lambda keys, views: keys.sum(axis=1) * 2 < 13
+    whole = estimate_advantage(pair, majority, mode="sample", trials=1001, rng=np.random.default_rng(4))
+    attack = attack_otp_advantage(6, "1011001", mode="sample", trials=1001, rng=np.random.default_rng(4))
     # three 13-bit samples per draw, each draw decided on its own
     monkeypatch.setattr(attack_lab, "_CHUNK_BITS", 40)
     requested = []
@@ -498,25 +515,31 @@ def test_sampled_estimate_ignores_chunk_boundaries(monkeypatch):
         requested.append(trials)
         return ideal_run(rng, trials)
 
-    small = ProtocolPair(pair.name, 0, pair.declared_eps, pair.real_run, recording)
-    chunked = estimate_advantage(small, parity, mode="sample", trials=1001, rng=np.random.default_rng(4))
+    small = ProtocolPair(pair.name, 13, pair.declared_eps, pair.real_run, recording)
+    chunked = estimate_advantage(small, majority, mode="sample", trials=1001, rng=np.random.default_rng(4))
     assert chunked == whole
     assert sum(requested) == 1001 and max(requested) == 3
+    # the attack's worlds draw 12- and 13-bit rows, three to a draw
+    assert attack_otp_advantage(6, "1011001", mode="sample", trials=1001, rng=np.random.default_rng(4)) == attack
 
 
 def test_sampled_memory_does_not_grow_with_trials(monkeypatch):
     monkeypatch.setattr(attack_lab, "_CHUNK_BITS", 2**10)  # 16 samples of 61 bits per draw
-    pair = attack_otp_composed_pair(30, "1" * 31)  # every ideal sample is new
+    pair = perfect_key_source(61)  # every sample is new
 
-    def peak(trials):
+    def peak(count, trials):
         tracemalloc.start()
         try:
-            _accept_count_sampled(pair.ideal_run, _accept_all, trials, np.random.default_rng(0))
+            count(trials)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(8_000) < 2 * peak(1_000)
+    sampled = lambda trials: _accept_count_sampled(pair.ideal_run, _accept_all, trials, np.random.default_rng(0))
+    assert peak(sampled, 8_000) < 2 * peak(sampled, 1_000)
+    # the attack's worlds draw 60- and 61-bit rows
+    attack = lambda trials: attack_otp_advantage(30, "1" * 31, mode="sample", trials=trials, rng=np.random.default_rng(0))
+    assert peak(attack, 8_000) < 2 * peak(attack, 1_000)
 
 
 def _counting(decide):
@@ -530,12 +553,11 @@ def _counting(decide):
 
 
 def test_exact_mode_decides_each_world_table_once():
-    message = "10110"
-    pair = attack_otp_composed_pair(4, message)
-    parity = _counting(otp_prefix_parity_distinguisher(message).decide)
-    estimate_advantage(pair, parity, mode="exact")
-    assert parity.rows == [len(pair.real_dist.codes), len(pair.ideal_dist.codes)]
     source, app = biased_key_source(3), otp_application("101")
+    composed = compose(source, app)
+    majority = _counting(otp_majority_zeros_distinguisher("101").decide)
+    estimate_advantage(composed, majority, mode="exact")
+    assert majority.rows == [len(composed.real_dist.codes), len(composed.ideal_dist.codes)]
     majority = _counting(otp_majority_zeros_distinguisher("101").decide)
     verify_composition_bound(source, app, [Distinguisher("m", majority)], mode="exact")
     hybrid = ch._convolve(source.ideal_dist, app.real_dist_given_keys)
@@ -545,18 +567,17 @@ def test_exact_mode_decides_each_world_table_once():
 
 def test_sampled_mode_decides_each_drawn_chunk_once(monkeypatch):
     monkeypatch.setattr(attack_lab, "_CHUNK_BITS", 40)  # three 13-bit samples per draw
-    message = "1011001"
-    pair = attack_otp_composed_pair(6, message)
+    pair = perfect_key_source(13)
     drawn = []
 
     def recording(rng, trials):
         drawn.append(trials)
         return pair.ideal_run(rng, trials)
 
-    parity = _counting(otp_prefix_parity_distinguisher(message).decide)
-    _accept_count_sampled(recording, parity, 1001, np.random.default_rng(4))
+    majority = _counting(lambda keys, views: keys.sum(axis=1) * 2 < 13)
+    _accept_count_sampled(recording, majority, 1001, np.random.default_rng(4))
     assert drawn[0] == 0  # the layout draw is not decided
-    assert parity.rows == drawn[1:] and sum(parity.rows) == 1001 and max(parity.rows) == 3
+    assert majority.rows == drawn[1:] and sum(majority.rows) == 1001 and max(majority.rows) == 3
 
 
 @pytest.mark.parametrize("bad", [
@@ -579,10 +600,12 @@ def test_decide_must_give_one_flag_per_row(bad):
 
 def test_sampled_mode_has_no_width_limit():
     message = "1" * 41
-    pair = attack_otp_composed_pair(40, message)  # 81-bit samples
-    assert not pair.has_exact_dists
-    est = estimate_advantage(pair, otp_prefix_parity_distinguisher(message), mode="sample",
+    composed = compose(perfect_key_source(41), otp_application(message))  # 82-bit samples
+    assert not composed.has_exact_dists
+    est = estimate_advantage(composed, otp_majority_zeros_distinguisher(message), mode="sample",
                              trials=2_000, rng=np.random.default_rng(5))
+    assert abs(est.accept_real - 0.5) <= 0.05 and abs(est.accept_ideal - 0.5) <= 0.05
+    est = attack_otp_advantage(40, message, mode="sample", trials=2_000, rng=np.random.default_rng(5))  # 81-bit trials
     assert est.accept_real == 1.0
     assert abs(est.accept_ideal - 0.5) <= 0.05
 

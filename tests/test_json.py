@@ -15,12 +15,10 @@ from qkdlab.composition_harness import (
     AuctionSweep,
     CompositionReport,
     DistinguisherRow,
-    attack_otp_composed_pair,
+    attack_otp_advantage,
     biased_key_source,
-    estimate_advantage,
     otp_application,
     otp_majority_zeros_distinguisher,
-    otp_prefix_parity_distinguisher,
     rsa_auction_sweep,
     verify_composition_bound,
 )
@@ -36,9 +34,7 @@ def _records() -> tuple[JsonRecord, ...]:
         biased_key_source(1, p_zero=0.6), otp_application("1"),
         [otp_majority_zeros_distinguisher("1")], mode="exact",
     )
-    estimate = estimate_advantage(
-        attack_otp_composed_pair(2, "111"), otp_prefix_parity_distinguisher("111"), mode="exact"
-    )
+    estimate = attack_otp_advantage(2, "111", mode="exact")
     sweep = rsa_auction_sweep(3, rng=np.random.default_rng(2))
     return (
         report, gap, params, keystream.total_eps(params, 5), estimate,
