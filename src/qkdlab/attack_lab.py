@@ -94,9 +94,10 @@ def _chunk_rows(width: int) -> int:
     return max(1, _CHUNK_BITS // max(1, width))
 
 
-def _bit_rows(n: int) -> np.ndarray:
-    """Every n-bit 0/1 row, as uint8, in lexicographic order: row v spells v in binary."""
-    values = (np.arange(1 << n, dtype=np.uint32) << (32 - n)).astype(">u4")
+def _bit_rows(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Every n-bit 0/1 row, or rows ``start`` to ``stop`` (exclusive) of them, as uint8,
+    in lexicographic order: row v spells v in binary."""
+    values = (np.arange(start, 1 << n if stop is None else stop, dtype=np.uint32) << (32 - n)).astype(">u4")
     return np.unpackbits(values[:, None].view(np.uint8), axis=1, count=n)
 
 

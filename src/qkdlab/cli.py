@@ -16,7 +16,6 @@ expectation), 2 for usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import functools
 import json
@@ -25,6 +24,10 @@ import shutil
 import sys
 import tempfile
 from typing import Callable, Iterable, Iterator
+
+# The lab's matrices are at most 128 x 128: OpenBLAS threads only contend for the cores
+# there.  Set before numpy loads OpenBLAS, and a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import numpy.random  # numpy loads it lazily: load it with the rest of start-up, not in a command
@@ -43,11 +46,12 @@ from .attack_lab import (
 )
 from .composition_harness import (
     AuctionOutcome,
+    AuctionSweep,
+    _auction_sweep,
     attack_otp_advantage,
     biased_key_source,
     otp_application,
     otp_majority_zeros_distinguisher,
-    rsa_auction_sweep,
     rsa_malleability_demo,
     verify_composition_bound,
 )
@@ -475,7 +479,8 @@ def cmd_verify_composition(args: argparse.Namespace, parser: argparse.ArgumentPa
     return EXIT_OK if ok else EXIT_FINDING
 
 
-# An auction outcome's keys in sort_keys order, and the fields its rows hold fixed
+# An auction outcome's keys in sort_keys order, and the fields its rows hold fixed: every
+# key of a sweep has a modulus of exactly --modulus-bits bits
 _OUTCOME_KEYS = ("alice_bid", "bob_bid", "e", "forgery_doubled", "modulus_bits", "n", "type", "winner")
 _OUTCOME_FIXED = {"type": json.dumps(AuctionOutcome.JSON_TYPE), "winner": '"%s"'}
 
@@ -488,45 +493,33 @@ def cmd_rsa_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         outcome = rsa_malleability_demo(args.bid, args.modulus_bits, rng)
         _emit(_envelope("rsa-demo", seed, params, outcome.to_json_dict(), args.timestamp), args.out)
         return EXIT_OK if outcome.forgery_doubled else EXIT_FINDING
-    sweep = rsa_auction_sweep(args.auctions, args.modulus_bits, args.max_bid, rng)
-    result = dataclasses.replace(sweep, outcomes=_ROWS_MARK).to_json_dict()
+    auctions = _auction_sweep(args.auctions, args.modulus_bits, args.max_bid, rng)
+    result = AuctionSweep(_ROWS_MARK, auctions.bob_win_rate, auctions.all_forgeries_doubled).to_json_dict()
 
     def rows(template) -> Iterator[bytes]:
-        return _fill(template(_OUTCOME_FIXED), (
-            (o.alice_bid, o.bob_bid, o.e, "true" if o.forgery_doubled else "false", o.modulus_bits, o.n, o.winner)
-            for o in sweep.outcomes
+        return _fill(template({**_OUTCOME_FIXED, "modulus_bits": str(args.modulus_bits)}), zip(
+            _elements(auctions.alice_bid), _elements(auctions.bob_bid), _elements(auctions.e),
+            ("true" if doubled else "false" for doubled in _elements(auctions.forgery_doubled)),
+            _elements(auctions.n), _elements(auctions.winner),
         ))
 
     _write(_rows_json(_envelope("rsa-demo", seed, params, result, args.timestamp), _OUTCOME_KEYS, rows), args.out)
-    return EXIT_OK if sweep.all_forgeries_doubled else EXIT_FINDING
+    return EXIT_OK if auctions.all_forgeries_doubled else EXIT_FINDING
 
 
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # argparse asks the terminal for its width once per argument added unless the formatter has one
-    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    parser = argparse.ArgumentParser(
-        prog="qkdlab",
-        description="desk-scale laboratory for composable key security",
-        formatter_class=formatter,
-    )
-    parser.add_argument("--version", action="version", version=f"qkdlab {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(subs.add_parser, formatter_class=formatter)
-
-    p = add_parser("attack-demo", help="run the encode-the-pad attack end to end")
+def _attack_demo_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=4, help="pad length (key has n+1 bits)")
     p.add_argument("--message", type=_bitstring, default=None, help="n+1 bit message (default: random)")
     p.add_argument("--trials", type=_at_most(MAX_TRIALS, _positive_int), default=200,
                    help=f"attack rounds (at most {MAX_TRIALS})")
     p.add_argument("--wrong-basis", action="store_true", help="control run with complementary bases")
     p.add_argument("--curve-csv", default=None, help="also write the parity guess curve as CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_attack_demo)
 
-    p = add_parser("secrecy", help="security report and I_acc gap for the attack state")
+
+def _secrecy_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=3, help=f"pad qubits (2..{MAX_ATTACK_QUBITS})")
     p.add_argument("--budget", type=_at_most(MAX_BUDGET), default=32,
                    help="per-qubit bases sampled where the exhaustive per-qubit search is too large, "
@@ -535,10 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", default=",".join(_FAMILY_CHOICES),
                    help="I_acc families, comma-separated: per_qubit, declared (the even-X eigenbasis)")
     p.add_argument("--correctness-file", default=None, help="JSON with 'samples' or 'distribution'")
-    _add_common(p)
-    p.set_defaults(func=cmd_secrecy)
 
-    p = add_parser("keystream-plan", help="find schedule parameters meeting a target epsilon")
+
+def _keystream_plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target-eps", type=float, required=True)
     p.add_argument("--gamma", type=float, default=GAMMA_DEFAULT)
     p.add_argument("--rho", type=float, default=RATE_RHO_DEFAULT)
@@ -548,27 +540,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=_at_most(MAX_HORIZON), default=200,
                    help=f"rounds summed before the tail bound (at most {MAX_HORIZON})")
     p.add_argument("--max-n0", type=int, default=2**40)
-    _add_common(p)
-    p.set_defaults(func=cmd_keystream_plan)
 
-    p = add_parser("keystream-schedule", help="evaluate a schedule round by round")
+
+def _keystream_schedule_args(p: argparse.ArgumentParser) -> None:
     _add_stream_args(p)
     p.add_argument("--rounds", type=_at_most(MAX_ROUNDS), default=20,
                    help=f"rounds to schedule (at most {MAX_ROUNDS})")
     p.add_argument("--real-valued", action="store_true", help="drop the integer ceilings")
     p.add_argument("--csv", default=None, help="write the schedule as CSV to this path")
-    _add_common(p)
-    p.set_defaults(func=cmd_keystream_schedule)
 
-    p = add_parser("keystream-simulate", help="run the bit-conservation ledger simulation")
+
+def _keystream_simulate_args(p: argparse.ArgumentParser) -> None:
     _add_stream_args(p)
     p.add_argument("--rounds", type=_at_most(MAX_ROUNDS), default=50,
                    help=f"rounds to simulate (at most {MAX_ROUNDS})")
     p.add_argument("--abort-prob", type=float, default=0.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_keystream_simulate)
 
-    p = add_parser("verify-composition", help="check the additive epsilon bound on examples")
+
+def _verify_composition_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--example", choices=("biased-otp", "attack-otp"), default="biased-otp")
     p.add_argument("--message", type=_bitstring, default=None)
     p.add_argument("--n", type=int, default=4, help="pad length for attack-otp")
@@ -578,23 +567,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("auto", "exact", "sample"), default="auto")
     p.add_argument("--trials", type=_at_most(MAX_TRIALS), default=20_000,
                    help=f"samples per world in sample mode (at most {MAX_TRIALS})")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_composition)
 
-    p = add_parser("rsa-demo", help="textbook RSA sealed-bid malleability")
+
+def _rsa_demo_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bid", type=int, default=100)
     p.add_argument("--auctions", type=_at_most(MAX_AUCTIONS, _positive_int), default=1,
                    help=f"auctions to run, each with a fresh key (at most {MAX_AUCTIONS})")
     p.add_argument("--max-bid", type=int, default=1000)
     p.add_argument("--modulus-bits", type=int, default=32)
-    _add_common(p)
-    p.set_defaults(func=cmd_rsa_demo)
 
+
+# Each subcommand: its help line, the function that adds its own arguments, and its command
+_COMMANDS = {
+    "attack-demo": ("run the encode-the-pad attack end to end", _attack_demo_args, cmd_attack_demo),
+    "secrecy": ("security report and I_acc gap for the attack state", _secrecy_args, cmd_secrecy),
+    "keystream-plan": ("find schedule parameters meeting a target epsilon", _keystream_plan_args, cmd_keystream_plan),
+    "keystream-schedule": ("evaluate a schedule round by round", _keystream_schedule_args, cmd_keystream_schedule),
+    "keystream-simulate": ("run the bit-conservation ledger simulation", _keystream_simulate_args, cmd_keystream_simulate),
+    "verify-composition": ("check the additive epsilon bound on examples", _verify_composition_args, cmd_verify_composition),
+    "rsa-demo": ("textbook RSA sealed-bid malleability", _rsa_demo_args, cmd_rsa_demo),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``qkdlab`` parser, with every subcommand registered under its name and help.
+
+    Only ``command``'s sub-parser gets its arguments, or every one when ``command``
+    is None: a run parses one subcommand, and adding all seven's arguments takes
+    milliseconds.  The other sub-parsers hold only ``-h``, which leaves the
+    top-level help, usage and invalid-choice errors those of the full parser.
+    """
+    # argparse asks the terminal for its width once per argument added unless the formatter has one
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(
+        prog="qkdlab",
+        description="desk-scale laboratory for composable key security",
+        formatter_class=formatter,
+    )
+    parser.add_argument("--version", action="version", version=f"qkdlab {__version__}")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, func) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text, formatter_class=formatter)
+        if command in (None, name):
+            add_arguments(sub)
+            _add_common(sub)
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser has no option that takes a value, so its first
+    # argument that is not an option names the subcommand, if there is one
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)

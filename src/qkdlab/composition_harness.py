@@ -603,6 +603,19 @@ def otp_majority_zeros_distinguisher(message: str) -> Distinguisher:
     return Distinguisher(f"otp_majority_zeros_{n}", decide)
 
 
+_EXACT_BLOCK_ROWS = 2**12  # rows enumerated at a time: about 90 KB of bits in the widest exact world
+
+
+def _every_row_count(width: int, count: Callable[[np.ndarray], int]) -> int:
+    """The sum of ``count`` over every ``width``-bit 0/1 row, enumerated in blocks of
+    ``_EXACT_BLOCK_ROWS`` rows: the integer total does not depend on the blocks."""
+    total = 1 << width
+    return sum(
+        count(_bit_rows(width, start, min(start + _EXACT_BLOCK_ROWS, total)))
+        for start in range(0, total, _EXACT_BLOCK_ROWS)
+    )
+
+
 def attack_otp_advantage(
     n: int,
     message,
@@ -621,8 +634,9 @@ def attack_otp_advantage(
     so whatever the bases, the measured pad is n uniform bits: a trial is
     2n+1 uniform bits, accepted when the XOR of bits n..2n is the last
     message bit.  ``mode`` is as for :func:`estimate_advantage`; exact mode
-    (2n+1 bits at most 21) runs both worlds on every draw row.  Any
-    declared epsilon below 1/2 is broken.
+    (2n+1 bits at most 21) runs both worlds on every draw row, counting the
+    accepted rows in blocks (:func:`_every_row_count`), so its memory does
+    not grow with n.  Any declared epsilon below 1/2 is broken.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -634,9 +648,13 @@ def attack_otp_advantage(
         return int(np.count_nonzero(np.bitwise_xor.reduce(draws[:, n:], axis=1) == m[n]))
 
     if mode == "exact":
-        real = _bit_rows(2 * n)
-        p_r = int(np.count_nonzero(_otp_rounds(real, np.array(m, np.uint8))[-1] == m[n])) / len(real)
-        p_i = ideal_accepts(_bit_rows(width)) / 2**width
+        m_row = np.array(m, np.uint8)
+
+        def real_accepts(draws: np.ndarray) -> int:
+            return int(np.count_nonzero(_otp_rounds(draws, m_row)[-1] == m[n]))
+
+        p_r = _every_row_count(2 * n, real_accepts) / 2 ** (2 * n)
+        p_i = _every_row_count(width, ideal_accepts) / 2**width
         return AdvantageEstimate(abs(p_r - p_i), 0.0, p_r, p_i, "exact", 0)
     r_real, r_ideal = rng.spawn(2)
     k_r = run_otp_attacks(n, m, r_real, trials).successes
@@ -700,9 +718,9 @@ def _pow_mod(base: np.ndarray, exponent: np.ndarray, modulus: np.ndarray) -> np.
     return result
 
 
-def _is_prime_u64(n: np.ndarray) -> np.ndarray:
+def _is_miller_rabin_prime_u64(n: np.ndarray) -> np.ndarray:
     """:func:`is_probable_prime` of every element of the uint64 array ``n``,
-    each of which must be below 2**32.
+    each of which must be below 2**32, by vector Miller-Rabin.
 
     Trial division by ``_MR_WITNESSES``, then strong-probable-prime tests to
     the bases {2, 7, 61}, which are deterministic below 4,759,123,141.  Below
@@ -733,6 +751,35 @@ def _is_prime_u64(n: np.ndarray) -> np.ndarray:
     return prime
 
 
+_SIEVE_BELOW = 2**16  # every factor of a modulus of at most 32 bits
+
+
+@functools.cache
+def _prime_table() -> np.ndarray:
+    """Whether each number below ``_SIEVE_BELOW`` is prime: a read-only 64 KB sieve of
+    Eratosthenes, built once per process."""
+    table = np.ones(_SIEVE_BELOW, dtype=bool)
+    table[:2] = False
+    for p in range(2, math.isqrt(_SIEVE_BELOW - 1) + 1):
+        if table[p]:
+            table[p * p::p] = False
+    table.flags.writeable = False
+    return table
+
+
+def _is_prime_u64(n: np.ndarray) -> np.ndarray:
+    """:func:`is_probable_prime` of every element of the uint64 array ``n``,
+    each of which must be below 2**32.
+
+    When every element is below 2**16, which covers both factors of a modulus
+    of at most 32 bits, this reads :func:`_prime_table`; otherwise it runs
+    :func:`_is_miller_rabin_prime_u64`, which decides every element the same.
+    """
+    if int(n.max(initial=0)) < _SIEVE_BELOW:
+        return _prime_table()[n]
+    return _is_miller_rabin_prime_u64(n)
+
+
 _KEY_CHUNK = 4096  # candidates per factor and draw: memory stays flat in the number of keys
 
 
@@ -746,8 +793,10 @@ def _toy_rsa_factors(count: int, modulus_bits: int, rng: np.random.Generator) ->
 
     Each chunk draws ``modulus_bits`` candidates for p per key still missing, at most
     ``_KEY_CHUNK``, and as many for q, as uint64 arrays uniform over the odd numbers
-    of the factor's bit length, and tests them in one call.  The primes
-    among them are paired in draw order, and a pair is kept when p != q, p q has exactly
+    of the factor's bit length, and tests them in one call of :func:`_is_prime_u64`:
+    up to 32 modulus bits both factors are below 2**16 and are read from its sieve,
+    above that they go through vector Miller-Rabin.  The primes among them are
+    paired in draw order, and a pair is kept when p != q, p q has exactly
     ``modulus_bits`` bits and some public exponent below phi is prime to phi (the
     first such one in ``_PUBLIC_EXPONENTS`` is e).  Kept pairs are iid and uniform
     over the valid (p, q), as a one-pair-at-a-time rejection sampler gives them.  The
@@ -830,17 +879,42 @@ def _opened_bids(bids: np.ndarray, p: np.ndarray, q: np.ndarray, e: np.ndarray) 
     return opened_q + q * ((opened_p + p - opened_q % p) % p * q_inverse % p)
 
 
-def _auctions(bids: np.ndarray, p: np.ndarray, q: np.ndarray, e: np.ndarray) -> list[AuctionOutcome]:
+@dataclass(frozen=True)
+class _Auctions:
+    """Auctions as columns, one element per auction: its key's modulus ``n = p q``
+    and exponent ``e``, Alice's bid, Bob's opened bid, whether his forgery doubled
+    hers, and the winner ("bob", "tie" or "alice")."""
+
+    n: np.ndarray
+    e: np.ndarray
+    alice_bid: np.ndarray
+    bob_bid: np.ndarray
+    forgery_doubled: np.ndarray
+    winner: np.ndarray
+
+    @property
+    def bob_win_rate(self) -> float:
+        return int(np.count_nonzero(self.winner == "bob")) / len(self.winner)
+
+    @property
+    def all_forgeries_doubled(self) -> bool:
+        return bool(self.forgery_doubled.all())
+
+    def outcomes(self) -> list[AuctionOutcome]:
+        n = self.n.tolist()
+        return list(map(
+            AuctionOutcome, map(int.bit_length, n), n, self.e.tolist(), self.alice_bid.tolist(),
+            self.bob_bid.tolist(), self.forgery_doubled.tolist(), self.winner.tolist(),
+        ))
+
+
+def _auctions(bids: np.ndarray, p: np.ndarray, q: np.ndarray, e: np.ndarray) -> _Auctions:
     """The auction at each of ``bids`` under the key with the same index, as one batch."""
     bids = bids.astype(np.uint64)
     opened = _opened_bids(bids, p, q, e)
     doubled = opened == 2 * bids
     winner = np.where(doubled & (opened > bids), "bob", np.where(opened == bids, "tie", "alice"))
-    n = (p * q).tolist()
-    return list(map(
-        AuctionOutcome, map(int.bit_length, n), n, e.tolist(), bids.tolist(), opened.tolist(),
-        doubled.tolist(), winner.tolist(),
-    ))
+    return _Auctions(p * q, e, bids, opened, doubled, winner)
 
 
 def rsa_malleability_demo(bid: int, modulus_bits: int = 32, rng: np.random.Generator | None = None) -> AuctionOutcome:
@@ -853,7 +927,7 @@ def rsa_malleability_demo(bid: int, modulus_bits: int = 32, rng: np.random.Gener
         raise ValueError("bid must be nonnegative")
     _check_bid(bid, modulus_bits, "bid")
     factors = _toy_rsa_factors(1, modulus_bits, np.random.default_rng() if rng is None else rng)
-    return _auctions(np.array([bid]), *factors)[0]
+    return _auctions(np.array([bid]), *factors).outcomes()[0]
 
 
 @dataclass(frozen=True)
@@ -865,13 +939,11 @@ class AuctionSweep(JsonRecord):
     all_forgeries_doubled: bool
 
 
-def rsa_auction_sweep(
-    num_auctions: int = 20,
-    modulus_bits: int = 32,
-    max_bid: int = 1000,
-    rng: np.random.Generator | None = None,
-) -> AuctionSweep:
-    """Fresh key and random positive bid per auction; Bob forges every time."""
+def _auction_sweep(
+    num_auctions: int, modulus_bits: int, max_bid: int, rng: np.random.Generator | None
+) -> _Auctions:
+    """The auctions of :func:`rsa_auction_sweep`, as columns; every key's modulus has
+    exactly ``modulus_bits`` bits."""
     if num_auctions < 1:
         raise ValueError("need at least one auction")
     if max_bid < 1:
@@ -879,10 +951,20 @@ def rsa_auction_sweep(
     _check_bid(max_bid, modulus_bits, "max_bid")
     rng = np.random.default_rng() if rng is None else rng
     bids = rng.integers(1, max_bid + 1, size=num_auctions)
-    outcomes = _auctions(bids, *_toy_rsa_factors(num_auctions, modulus_bits, rng))
-    wins = sum(1 for o in outcomes if o.winner == "bob")
-    return AuctionSweep(
-        outcomes=tuple(outcomes),
-        bob_win_rate=wins / num_auctions,
-        all_forgeries_doubled=all(o.forgery_doubled for o in outcomes),
-    )
+    return _auctions(bids, *_toy_rsa_factors(num_auctions, modulus_bits, rng))
+
+
+def rsa_auction_sweep(
+    num_auctions: int = 20,
+    modulus_bits: int = 32,
+    max_bid: int = 1000,
+    rng: np.random.Generator | None = None,
+) -> AuctionSweep:
+    """Fresh key and random positive bid per auction; Bob forges every time.
+
+    The auctions run as one batch of columns (``_auction_sweep``), which
+    ``rsa-demo`` writes row by row without building the outcomes; this
+    function builds one :class:`AuctionOutcome` per auction from them.
+    """
+    auctions = _auction_sweep(num_auctions, modulus_bits, max_bid, rng)
+    return AuctionSweep(tuple(auctions.outcomes()), auctions.bob_win_rate, auctions.all_forgeries_doubled)

@@ -126,6 +126,57 @@ def test_build_parser_asks_the_terminal_size_once(monkeypatch):
     assert {p._get_formatter()._width for p in (parser, *subparsers.values())} == {width}
 
 
+def _parse_output(capsys, parse, argv) -> tuple:
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bogus"], [], *([name, "--help"] for name in cli._COMMANDS)],
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_help_and_usage_errors_are_the_full_parsers(capsys, argv):
+    # main adds only the invoked subcommand's arguments; what it prints is unchanged
+    full = _parse_output(capsys, cli.build_parser().parse_args, argv)
+    assert full[0] in (0, EXIT_USAGE) and full[1] + full[2]
+    assert _parse_output(capsys, main, argv) == full
+
+
+def test_main_adds_only_the_invoked_subcommands_arguments(capsys, monkeypatch):
+    added = {}
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(parser, *args, **kwargs):
+        added.setdefault(parser.prog, []).append(args[0])
+        return add_argument(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    cli.build_parser()
+    every = dict(added)
+    added.clear()
+    code, _, _ = run_json(capsys, ["secrecy", "--n", "2", "--budget", "2", "--families", "declared", "--seed", "1"])
+    assert code == EXIT_OK
+    assert len(every) == 8 and sum(map(len, every.values())) == 79
+    assert added["qkdlab secrecy"] == every["qkdlab secrecy"] != ["-h"]
+    assert added["qkdlab"] == every["qkdlab"] == ["-h", "--version"]
+    assert {prog: names for prog, names in added.items() if prog not in ("qkdlab", "qkdlab secrecy")} == {
+        f"qkdlab {name}": ["-h"] for name in cli._COMMANDS if name != "secrecy"
+    }
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_the_cli_pins_openblas_to_one_thread_unless_told_otherwise(preset, expected):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qkdlab.__file__)))
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = "import os, qkdlab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**env, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == f"{expected}\n"
+
+
 @pytest.mark.parametrize("argv, flag, cap", CAPPED)
 def test_counts_above_their_cap_are_usage_errors(capsys, argv, flag, cap):
     # the parser refuses the value, so no loop runs
@@ -217,35 +268,45 @@ print(code, status["VmHWM"].split()[0])
 """
 
 
+def _main_peak_kb(argv) -> tuple[int, int]:
+    """The exit code and VmHWM in kB of ``main(argv)`` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qkdlab.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout
+    code, peak_kb = map(int, out.split())
+    return code, peak_kb
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
 def test_secrecy_at_n_7_peaks_below_100_mb():
     # about 73 MB: the state's 17 MB of factors and no (B, d, d) stack; one 32 MB float64
     # stack past the real state at a time took 142 MB, 2^8 copies of the ideal's register
     # and two live strategy stacks 179 MB, complex128 331 MB
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qkdlab.__file__)))
-    argv = ["secrecy", "--n", "7", "--seed", "1"]
-    out = subprocess.run(
-        [sys.executable, "-c", _PEAK_PROBE, *argv],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
-    ).stdout
-    code, peak_kb = map(int, out.split())
+    code, peak_kb = _main_peak_kb(["secrecy", "--n", "7", "--seed", "1"])
     assert code == EXIT_OK
     assert peak_kb <= 100 * 1024, f"VmHWM {peak_kb / 1024:.0f} MB"
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
-def test_rsa_demo_of_10_to_the_5_auctions_peaks_below_100_mb(tmp_path):
-    # its rows are written from a template, 4096 at a time; the whole report is 23 MB
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qkdlab.__file__)))
+def test_rsa_demo_of_10_to_the_5_auctions_peaks_below_70_mb(tmp_path):
+    # about 60 MB: the auctions are columns and their rows are written from a template,
+    # 4096 at a time; one frozen outcome object per auction took 82 MB
     argv = ["rsa-demo", "--auctions", str(cli.MAX_AUCTIONS), "--seed", "1", "--out", str(tmp_path / "report.json")]
-    out = subprocess.run(
-        [sys.executable, "-c", _PEAK_PROBE, *argv],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
-    ).stdout
-    code, peak_kb = map(int, out.split())
+    code, peak_kb = _main_peak_kb(argv)
     assert code == EXIT_OK
-    assert peak_kb <= 100 * 1024, f"VmHWM {peak_kb / 1024:.0f} MB"
+    assert peak_kb <= 70 * 1024, f"VmHWM {peak_kb / 1024:.0f} MB"
     assert (tmp_path / "report.json").read_bytes().count(b'"type": "auction_outcome"') == cli.MAX_AUCTIONS
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
+def test_exact_attack_otp_at_n_10_peaks_below_50_mb():
+    # about 38 MB, start-up included: both worlds' rows are counted a block at a time;
+    # all 2^20 real and 2^21 ideal rows at once took 116 MB
+    code, peak_kb = _main_peak_kb(["verify-composition", "--example", "attack-otp", "--n", "10", "--mode", "exact"])
+    assert code == EXIT_FINDING
+    assert peak_kb <= 50 * 1024, f"VmHWM {peak_kb / 1024:.0f} MB"
 
 
 def test_bad_env_seed_rejected(capsys, monkeypatch):
@@ -972,14 +1033,9 @@ def test_keystream_schedule_traced_peak_is_bounded(tmp_path):
 def test_keystream_schedule_of_10_to_the_6_rounds_peaks_below_50_mb(tmp_path):
     # about 40 MB, start-up included: only the blocks up to the last live round keep their
     # columns; columns over every round took it to 86 MB
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qkdlab.__file__)))
     argv = ["keystream-schedule", "--n0", "60000", "--ell0", "12000", "--rounds", "1000000",
             "--out", str(tmp_path / "report.json")]
-    out = subprocess.run(
-        [sys.executable, "-c", _PEAK_PROBE, *argv],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
-    ).stdout
-    code, peak_kb = map(int, out.split())
+    code, peak_kb = _main_peak_kb(argv)
     assert code == EXIT_OK
     assert peak_kb <= 50 * 1024, f"VmHWM {peak_kb / 1024:.0f} MB"
     with open(tmp_path / "report.json", "rb") as report:

@@ -226,11 +226,16 @@ def test_attack_otp_exact_mode_runs_the_attack_on_every_draw_row(monkeypatch):
     rounds, enumerated = [], []
     otp_rounds, bit_rows = ch._otp_rounds, ch._bit_rows
     monkeypatch.setattr(ch, "_otp_rounds", lambda draws, m: rounds.append(draws) or otp_rounds(draws, m))
-    monkeypatch.setattr(ch, "_bit_rows", lambda n: enumerated.append(n) or bit_rows(n))
+    monkeypatch.setattr(ch, "_bit_rows", lambda *args: enumerated.append(args) or bit_rows(*args))
     est = attack_otp_advantage(3, "0110", mode="exact")
-    assert enumerated == [6, 7]
+    assert enumerated == [(6, 0, 64), (7, 0, 128)]
     assert len(rounds) == 1 and np.array_equal(rounds[0], bit_rows(6))
     assert (est.accept_real, est.accept_ideal) == (1.0, 0.5)
+    # in blocks that do not divide 2^6, every row is still counted once, in order
+    rounds.clear()
+    monkeypatch.setattr(ch, "_EXACT_BLOCK_ROWS", 5)
+    assert attack_otp_advantage(3, "0110", mode="exact") == est
+    assert len(rounds) == 13 and np.array_equal(np.concatenate(rounds), bit_rows(6))
 
 
 def test_attack_otp_parity_advantage_is_half():
@@ -638,8 +643,10 @@ def test_is_probable_prime_rejects_carmichael_numbers():
 def test_vector_prime_test_rejects_pseudoprimes_and_guards_its_domain():
     # Carmichael numbers, then the first strong pseudoprimes to the bases {2},
     # {2, 3}, {2, 3, 5} and {2, 3, 5, 7}
+    # (those below 2**16 would reach only the sieve through _is_prime_u64)
     fooling = [561, 1105, 1729, 41041, 825265, 321197185, 2047, 1373653, 25326001, 3215031751]
     assert not any(is_probable_prime(n) for n in fooling)
+    assert not ch._is_miller_rabin_prime_u64(np.array(fooling, dtype=np.uint64)).any()
     assert not ch._is_prime_u64(np.array(fooling, dtype=np.uint64)).any()
     assert not ch._is_prime_u64(np.array([2**32 - 1], dtype=np.uint64))[0]  # 3 * 5 * 17 * 257 * 65537
     assert ch._is_prime_u64(np.array([4294967291], dtype=np.uint64))[0]  # the largest prime below 2**32
@@ -661,6 +668,24 @@ def test_three_witness_path_is_exact_on_every_odd_n_below_2e6():
     # the vector test, in one call on every n: 0, 1 (where n - 1 has no odd part),
     # the even numbers and the witnesses 2, 7 and 61 among them
     assert np.array_equal(ch._is_prime_u64(np.arange(limit, dtype=np.uint64)), sieve)
+
+
+def test_prime_table_is_the_miller_rabin_test_below_2_to_the_16():
+    n = np.arange(2**16, dtype=np.uint64)
+    table = ch._is_prime_u64(n)
+    assert np.array_equal(table, ch._is_miller_rabin_prime_u64(n))
+    assert table.tolist() == [sympy.isprime(k) for k in range(2**16)]
+    # one element at or above 2**16 sends the whole array through Miller-Rabin
+    assert ch._is_prime_u64(np.array([65521, 65537], dtype=np.uint64)).tolist() == [True, True]
+
+
+def test_prime_table_is_built_once_per_process():
+    ch._prime_table.cache_clear()
+    rsa_auction_sweep(50, 32, 1000, np.random.default_rng(5))
+    rsa_auction_sweep(50, 24, 1000, np.random.default_rng(6))
+    assert ch._is_prime_u64(np.array([3, 4], dtype=np.uint64)).tolist() == [True, False]
+    assert ch._prime_table.cache_info().misses == 1
+    assert not ch._prime_table().flags.writeable  # every caller shares the one table
 
 
 def test_three_witness_path_agrees_with_the_12_witness_path(monkeypatch):
@@ -825,7 +850,7 @@ def test_array_auctions_match_the_scalar_rsa_oracle(modulus_bits):
     bids[::3] = factor[::3] * (bids[::3] // factor[::3])  # p or q divides these bids
     bids[:2] = 0, max_bid
     keys = [_rsa_key(*key) for key in zip(p.tolist(), q.tolist(), e.tolist())]
-    for outcome, key, bid in zip(ch._auctions(bids, p, q, e), keys, bids.tolist()):
+    for outcome, key, bid in zip(ch._auctions(bids, p, q, e).outcomes(), keys, bids.tolist()):
         assert outcome.bob_bid == opened(key, bid) == 2 * bid
         assert (outcome.modulus_bits, outcome.n, outcome.e, outcome.alice_bid) == (modulus_bits, key.n, key.e, bid)
         assert outcome.forgery_doubled and outcome.winner == ("tie" if bid == 0 else "bob")
@@ -841,6 +866,6 @@ def test_array_auctions_match_the_scalar_rsa_oracle(modulus_bits):
 def test_malleability_demo_is_a_batch_of_one():
     factors = ch._toy_rsa_factors(1, 24, np.random.default_rng(3))
     [key] = _keys(1, 24, np.random.default_rng(3))  # the same draw, as a scalar key
-    [outcome] = ch._auctions(np.array([5 * key.q]), *factors)  # q divides the bid
+    [outcome] = ch._auctions(np.array([5 * key.q]), *factors).outcomes()  # q divides the bid
     assert (outcome.n, outcome.e, outcome.bob_bid, outcome.winner) == (key.n, key.e, 10 * key.q, "bob")
-    assert rsa_malleability_demo(777, 24, np.random.default_rng(3)) == ch._auctions(np.array([777]), *factors)[0]
+    assert rsa_malleability_demo(777, 24, np.random.default_rng(3)) == ch._auctions(np.array([777]), *factors).outcomes()[0]
