@@ -356,10 +356,11 @@ def _rows_json(payload: dict, keys: tuple[str, ...], rows: Callable[..., Iterato
 
     ``json.dumps`` indents in pure Python, which takes seconds on 10^5 rows;
     each row is written from a template instead, in the same layout, and the
-    rows are streamed in batches.  ``rows(template)`` gives the encoded rows,
-    at least one: ``template(fixed)`` is a row with the object keys ``keys``
-    (in sort order), each followed by the JSON text ``fixed[key]``, which may
-    itself hold a slot, or else by ``%s``, for :func:`_fill` or :func:`_int_rows`.
+    rows are streamed in pieces of at most ``keystream._PIECE_BYTES`` plus one
+    row.  ``rows(template)`` gives the encoded rows, at least one:
+    ``template(fixed)`` is a row with the object keys ``keys`` (in sort
+    order), each followed by the JSON text ``fixed[key]``, which may itself
+    hold a slot, or else by ``%s``, for :func:`_fill` or :func:`_int_rows`.
     """
     head, tail = _json_text(payload).split(json.dumps(_ROWS_MARK))  # exactly once
     line = head[head.rfind("\n") + 1:]

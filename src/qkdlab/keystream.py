@@ -232,7 +232,11 @@ class _Schedule(NamedTuple):
         return (block.eps[:block.live] for block in self.blocks if not isinstance(block, range))
 
 
-_BATCH = 4096  # rounds in a block, or array elements turned into Python numbers, or rows written, at a time
+# rounds in a block of _columns or _check_ledger, or array elements turned into Python numbers, at a time
+_BATCH = 4096
+# bytes of rows that _fill and _int_rows write out as one piece: a piece is at most this plus one
+# row, whatever the row count, so a writer holds one bounded piece however long its rows are
+_PIECE_BYTES = 2**18
 
 
 def _batches(column: np.ndarray | range) -> Iterator[np.ndarray]:
@@ -248,11 +252,30 @@ def _elements(column: np.ndarray | range) -> Iterator:
     return itertools.chain.from_iterable(batch.tolist() for batch in _batches(column))
 
 
+def _joined(parts: list[str]) -> bytes:
+    """``parts`` joined and encoded, emptying ``parts`` first: neither the rows nor their
+    join outlive the call, and the caller keeps no reference to the piece it hands on."""
+    text = "".join(parts)
+    parts.clear()
+    return text.encode()
+
+
 def _fill(template: str, rows: Iterable[tuple]) -> Iterator[bytes]:
-    """``template % row`` for each of ``rows``, one Python fill per row, encoded ``_BATCH`` rows per piece."""
-    rows = iter(rows)
-    while piece := "".join(map(template.__mod__, itertools.islice(rows, _BATCH))).encode():
-        yield piece
+    """``template % row`` for each of ``rows``, one Python fill per row, encoded in pieces.
+
+    A piece is joined once its rows reach ``_PIECE_BYTES`` characters (bytes, for the
+    ASCII rows the commands write), so it is at most that plus one row, however long
+    or short the rows are; ``_BATCH`` does not bound it.
+    """
+    parts, size = [], 0
+    for row in map(template.__mod__, rows):
+        parts.append(row)
+        size += len(row)
+        if size >= _PIECE_BYTES:
+            yield _joined(parts)
+            size = 0
+    if parts:
+        yield _joined(parts)
 
 
 # 10, 100, ..., 10**18: a non-negative int64 has one digit more than the number of these it reaches
@@ -265,10 +288,14 @@ def _int_rows(template: str, columns: list[np.ndarray | range]) -> Iterator[byte
     Integer columns (sizes and round numbers, never negative) are written by array
     arithmetic instead, ``_BATCH`` rows at a time (see :func:`_batches`).  Each run of
     rows whose values have the same digit counts (found by a ``searchsorted`` on powers
-    of ten) is one ``(rows, width)`` uint8 block: the row template with every slot as
-    wide as its value, whose digits are then written column by column from the lowest.
-    Each block is a piece, a byte view of the array, so no block is copied.  A batch
-    with a float column, printed by ``repr``, goes through :func:`_fill`.
+    of ten) has its digits worked out over the whole run, one numpy call per digit
+    place, into a ``(rows, width)`` uint8 matrix per column.  Only then is the run
+    written, as pieces of at most ``_PIECE_BYTES`` (or one row, if a row is longer):
+    each piece is a ``(rows, len(row))`` uint8 block, the row template with every slot
+    as wide as its value and the digit matrices copied into the slots, yielded as a byte
+    view of the array.  So no more than one piece of rows is held, while the arithmetic
+    still runs on up to ``_BATCH`` rows at a time.  A batch with a float column, printed
+    by ``repr``, goes through :func:`_fill`.
     """
     literals = [part.encode() for part in template.split("%s")]
     for batch in zip(*map(_batches, columns)):
@@ -280,18 +307,32 @@ def _int_rows(template: str, columns: list[np.ndarray | range]) -> Iterator[byte
         for lo, hi in zip([0, *edges], [*edges, len(batch[0])]):
             digits = widths[:, lo].tolist()
             row = literals[0] + b"".join(b"0" * width + literal for width, literal in zip(digits, literals[1:]))
-            block = np.empty((hi - lo, len(row)), np.uint8)
-            block[:] = np.frombuffer(row, np.uint8)
-            end = len(literals[0])
+            slots, end = [], len(literals[0])
             for column, width, literal in zip(batch, digits, literals[1:]):
-                end += width
+                matrix = np.empty((hi - lo, width), np.uint8)
                 x = column[lo:hi]
-                for place in range(end - 1, end - width - 1, -1):
+                for place in range(width - 1, -1, -1):
                     quotient = x // 10
-                    block[:, place] = x - 10 * quotient + 48  # the ASCII digit
+                    matrix[:, place] = x - 10 * quotient + 48  # the ASCII digit
                     x = quotient
-                end += len(literal)
-            yield memoryview(block).cast("B")
+                slots.append((slice(end, end + width), matrix))
+                end += width + len(literal)
+            step = max(1, _PIECE_BYTES // len(row))
+            for start in range(0, hi - lo, step):
+                yield _piece(row, slots, start, min(start + step, hi - lo))
+
+
+def _piece(row: bytes, slots: list[tuple[slice, np.ndarray]], start: int, stop: int) -> memoryview:
+    """Rows start..stop-1 of a run of :func:`_int_rows` as one ``(rows, len(row))`` uint8
+    block, a byte view of the array: ``row`` in every row, then each digit matrix in its
+    slot.  The caller keeps no reference to it, so it is freed once written, before the
+    next piece is made.
+    """
+    piece = np.empty((stop - start, len(row)), np.uint8)
+    piece[:] = np.frombuffer(row, np.uint8)
+    for slot, matrix in slots:
+        piece[:, slot] = matrix[start:stop]
+    return memoryview(piece).cast("B")
 
 
 def _math(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
@@ -406,7 +447,8 @@ def _running_sum(start: float, eps: np.ndarray) -> np.ndarray:
 
 
 def _csv(columns: _Schedule) -> Iterator[bytes | memoryview]:
-    """The schedule as RFC 4180 CSV with a running epsilon sum, encoded, in pieces of at most ``_BATCH`` rows.
+    """The schedule as RFC 4180 CSV with a running epsilon sum, encoded, in pieces of at most
+    ``_PIECE_BYTES`` plus one row (the header is a piece of its own).
 
     No field of a row needs quoting, and ``csv`` writes a number as its ``repr``,
     so each row is a template filled with ``%s``.  The running sum is carried from
@@ -685,10 +727,11 @@ class RoundLedger:
 class StreamLog:
     """One :func:`simulate_stream` run, kept in arrays.
 
-    It holds the attempts of each round, the emitted bits packed eight to
-    a byte (``np.packbits`` order) and the final stored and consumed
-    counts.  :attr:`rounds` rebuilds the per-round ledger on demand, so a
-    run of 10^6 rounds holds no Python object per round.
+    It holds the attempts of each round (in the smallest unsigned type that
+    holds the run's cap on them), the emitted bits packed eight to a byte
+    (``np.packbits`` order) and the final stored and consumed counts.
+    :attr:`rounds` rebuilds the per-round ledger on demand, so a run of
+    10^6 rounds holds no Python object per round.
     """
 
     params: StreamParams
@@ -800,9 +843,11 @@ def simulate_stream(
     authentication budget; every round's attempt count is drawn at once,
     and :class:`RetryLimitExceeded` names the first round that needs more
     than ``max_attempts_per_round``.  The emitted bits of all rounds are
-    one :meth:`MockKeySource.generate` draw, kept packed, so the run
-    keeps about ``8 + ell / 8`` bytes per round; the sizes and the ledger
-    are worked out ``_BATCH`` rounds at a time, so they add no array over
+    one :meth:`MockKeySource.generate` draw, kept packed, and the attempt
+    counts are kept in the smallest unsigned type that holds
+    ``max_attempts_per_round`` (uint32 at the default), so the run keeps
+    about ``4 + ell / 8`` bytes per round; the sizes and the ledger are
+    worked out ``_BATCH`` rounds at a time, so they add no array over
     every round.
     """
     stored, consumed = _check_ledger(p, rounds)
@@ -812,6 +857,9 @@ def simulate_stream(
     over = np.flatnonzero(attempts > max_attempts_per_round)
     if over.size:
         raise RetryLimitExceeded(f"round {over[0] + 1}: exceeded {max_attempts_per_round} attempts")
+    # every count is at most the cap, so the smallest unsigned type that holds it holds them all;
+    # narrowed before the emitted bits are drawn, so the int64 draw is gone by then
+    attempts = attempts.astype(np.min_scalar_type(max_attempts_per_round))
     return StreamLog(
         params=p,
         attempts=attempts,

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -261,22 +262,30 @@ def test_default_commands_start_and_run_without_scipy(tmp_path):
 _PEAK_PROBE = """
 import contextlib, io, sys
 from qkdlab.cli import main
+def vmhwm():
+    with open("/proc/self/status") as status:
+        return next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+start = vmhwm()
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-status = dict(line.split(":", 1) for line in open("/proc/self/status"))
-print(code, status["VmHWM"].split()[0])
+print(code, start, vmhwm())
 """
 
 
-def _main_peak_kb(argv) -> tuple[int, int]:
-    """The exit code and VmHWM in kB of ``main(argv)`` in a fresh interpreter."""
+def _main_peak_kb(argv) -> tuple[int, int, int]:
+    """The exit code of ``main(argv)`` in a fresh interpreter, and its VmHWM in kB once
+    ``qkdlab.cli`` is imported and once ``main`` has returned.
+
+    Start-up moves with the length of the source and with bytecode caching, so a bound
+    on what a command adds is read against the first figure, not a fixed start-up.
+    """
     src = os.path.dirname(os.path.dirname(os.path.abspath(qkdlab.__file__)))
     out = subprocess.run(
         [sys.executable, "-c", _PEAK_PROBE, *argv],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     ).stdout
-    code, peak_kb = map(int, out.split())
-    return code, peak_kb
+    code, start_kb, peak_kb = map(int, out.split())
+    return code, start_kb, peak_kb
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
@@ -284,7 +293,7 @@ def test_secrecy_at_n_7_peaks_below_100_mb():
     # about 73 MB: the state's 17 MB of factors and no (B, d, d) stack; one 32 MB float64
     # stack past the real state at a time took 142 MB, 2^8 copies of the ideal's register
     # and two live strategy stacks 179 MB, complex128 331 MB
-    code, peak_kb = _main_peak_kb(["secrecy", "--n", "7", "--seed", "1"])
+    code, _, peak_kb = _main_peak_kb(["secrecy", "--n", "7", "--seed", "1"])
     assert code == EXIT_OK
     assert peak_kb <= 100 * 1024, f"VmHWM {peak_kb / 1024:.0f} MB"
 
@@ -294,7 +303,7 @@ def test_rsa_demo_of_10_to_the_5_auctions_peaks_below_70_mb(tmp_path):
     # about 60 MB: the auctions are columns and their rows are written from a template,
     # 4096 at a time; one frozen outcome object per auction took 82 MB
     argv = ["rsa-demo", "--auctions", str(cli.MAX_AUCTIONS), "--seed", "1", "--out", str(tmp_path / "report.json")]
-    code, peak_kb = _main_peak_kb(argv)
+    code, _, peak_kb = _main_peak_kb(argv)
     assert code == EXIT_OK
     assert peak_kb <= 70 * 1024, f"VmHWM {peak_kb / 1024:.0f} MB"
     assert (tmp_path / "report.json").read_bytes().count(b'"type": "auction_outcome"') == cli.MAX_AUCTIONS
@@ -304,7 +313,7 @@ def test_rsa_demo_of_10_to_the_5_auctions_peaks_below_70_mb(tmp_path):
 def test_exact_attack_otp_at_n_10_peaks_below_50_mb():
     # about 38 MB, start-up included: both worlds' rows are counted a block at a time;
     # all 2^20 real and 2^21 ideal rows at once took 116 MB
-    code, peak_kb = _main_peak_kb(["verify-composition", "--example", "attack-otp", "--n", "10", "--mode", "exact"])
+    code, _, peak_kb = _main_peak_kb(["verify-composition", "--example", "attack-otp", "--n", "10", "--mode", "exact"])
     assert code == EXIT_FINDING
     assert peak_kb <= 50 * 1024, f"VmHWM {peak_kb / 1024:.0f} MB"
 
@@ -923,16 +932,25 @@ def test_keystream_schedule_json_and_csv_at_batch_edges(capsys, tmp_path, monkey
     _assert_schedule_files(capsys, tmp_path, command, want, want_csv)
 
 
+# the default piece, one row a piece, and about five rows a piece, whose edges fall inside runs
+# of rows with equal digit counts, on the edges between them and short of a run's end
+_PIECES = [keystream._PIECE_BYTES, 1, 1000]
+_PIECE_IDS = ["default_piece", "one_row_a_piece", "a_few_rows_a_piece"]
+
+
+@pytest.mark.parametrize("piece_bytes", _PIECES, ids=_PIECE_IDS)
 @pytest.mark.parametrize("real_valued", [False, True])
 @pytest.mark.parametrize("schedule, rounds, live", [(5, keystream._BATCH + 1, 0), (0, 1000, 1000)],
                          ids=["no_live_round", "every_round_live"])
 def test_keystream_schedule_with_every_round_in_one_template(
-    capsys, tmp_path, monkeypatch, schedule, rounds, live, real_valued
+    capsys, tmp_path, monkeypatch, schedule, rounds, live, real_valued, piece_bytes
 ):
-    # every row from the zero-term template (written by array arithmetic past a batch edge), or none
+    # every row from the zero-term template (written by array arithmetic past a batch edge), or none;
+    # the floats of --real-valued go through _fill
     argv, params = SCHEDULES[schedule]
     assert keystream._columns(params, rounds, real_valued).live == live
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(keystream, "_PIECE_BYTES", piece_bytes)
     command = ["keystream-schedule", *argv, "--rounds", str(rounds), "--csv", "schedule.csv"]
     if real_valued:
         command.append("--real-valued")
@@ -1016,8 +1034,9 @@ def test_keystream_schedule_writes_a_dropped_block_before_a_live_one(capsys, tmp
 
 
 def test_keystream_schedule_traced_peak_is_bounded(tmp_path):
-    # 2.1 MB: a block of columns and a batch of filled rows; the margin is 0.9 MB.
-    # Six columns over all 10^5 rounds came to 5.9 MB, a Python object per row to several times that
+    # 1.4 MB: a block of columns, its live rows as Python numbers and one piece of rows;
+    # the margin is 0.35 MB.  Pieces of 4096 rows came to 2.1 MB, six columns over all
+    # 10^5 rounds to 5.9 MB, a Python object per row to several times that
     argv = ["keystream-schedule", "--n0", "60000", "--ell0", "12000", "--rounds", "100000",
             "--out", str(tmp_path / "report.json")]
     tracemalloc.start()
@@ -1026,16 +1045,26 @@ def test_keystream_schedule_traced_peak_is_bounded(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    assert peak <= 1.75 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
+def test_keystream_schedule_of_10_to_the_5_rounds_adds_at_most_1_5_mb_to_start_up(tmp_path):
+    # about 1.2 MB: the writers hold one piece of rows at a time; pieces of 4096 rows,
+    # about 1 MB of JSON each, added 2.6 MB
+    argv = [*_BENCHMARK_STREAM_OUTPUTS[2][0], "--out", str(tmp_path / "report.json")]
+    code, start_kb, peak_kb = _main_peak_kb(argv)
+    assert code == EXIT_OK
+    assert peak_kb - start_kb <= 1.5 * 1024, f"VmHWM {start_kb / 1024:.2f} -> {peak_kb / 1024:.2f} MB"
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
 def test_keystream_schedule_of_10_to_the_6_rounds_peaks_below_50_mb(tmp_path):
-    # about 40 MB, start-up included: only the blocks up to the last live round keep their
+    # about 39 MB, start-up included: only the blocks up to the last live round keep their
     # columns; columns over every round took it to 86 MB
     argv = ["keystream-schedule", "--n0", "60000", "--ell0", "12000", "--rounds", "1000000",
             "--out", str(tmp_path / "report.json")]
-    code, peak_kb = _main_peak_kb(argv)
+    code, _, peak_kb = _main_peak_kb(argv)
     assert code == EXIT_OK
     assert peak_kb <= 50 * 1024, f"VmHWM {peak_kb / 1024:.0f} MB"
     with open(tmp_path / "report.json", "rb") as report:
@@ -1171,6 +1200,49 @@ def test_keystream_schedule_fills_a_template_per_row_only_for_live_rounds(capsys
     files = ["--csv", str(tmp_path / "schedule.csv"), "--out", str(tmp_path / "report.json")]
     assert run_cli(capsys, [*argv, *files]) == (EXIT_OK, "", "")
     assert len(filled) == 2 * 2546  # the JSON rows and the CSV rows
+
+
+def _recording_pieces(monkeypatch) -> dict[str, list[int]]:
+    """Record the byte length of every piece written to a file, by file name."""
+    sizes = {}
+    original = cli._atomic_write
+
+    def recording(path, pieces):
+        record = sizes.setdefault(os.path.basename(path), [])
+
+        def counted():
+            for piece in pieces:
+                record.append(memoryview(piece).nbytes)
+                yield piece
+        original(path, counted())
+
+    monkeypatch.setattr(cli, "_atomic_write", recording)
+    return sizes
+
+
+def _longest_row(data: bytes) -> int:
+    """The longest row, in bytes, of a CSV file, or of a report's list of flat objects
+    (each row with the ``,`` before it)."""
+    if data.startswith(b"{"):
+        return 1 + max(map(len, re.findall(rb"\n *\{[^{}]*\}", data)))
+    return 2 + max(map(len, data.split(b"\r\n")))
+
+
+@pytest.mark.parametrize("argv, files", [
+    ([*_BENCHMARK_STREAM_OUTPUTS[2][0], "--csv", "schedule.csv"], ["report.json", "schedule.csv"]),
+    (["rsa-demo", "--auctions", "5000", "--seed", "1"], ["report.json"]),
+], ids=["benchmark_schedule", "rsa_demo_sweep"])
+def test_written_pieces_hold_at_most_the_piece_bytes_and_one_row(tmp_path, monkeypatch, argv, files):
+    # the benchmark's schedule writes 2546 rows by _fill and the rest by _int_rows, to both files;
+    # pieces of 4096 rows of about 250 bytes each were four times the budget
+    monkeypatch.chdir(tmp_path)
+    sizes = _recording_pieces(monkeypatch)
+    assert main([*argv, "--out", "report.json"]) == EXIT_OK
+    assert sorted(sizes) == files
+    for name, pieces in sizes.items():
+        data = (tmp_path / name).read_bytes()
+        assert sum(pieces) == len(data) and len(pieces) > 2, name
+        assert max(pieces) <= keystream._PIECE_BYTES + _longest_row(data), name
 
 
 @pytest.mark.parametrize("argv", [
@@ -1389,8 +1461,10 @@ _RSA_OUTPUTS = [
 ]
 
 
+@pytest.mark.parametrize("piece_bytes", _PIECES[:2], ids=_PIECE_IDS[:2])
 @pytest.mark.parametrize("argv, digest", _RSA_OUTPUTS, ids=_argv_id)
-def test_rsa_demo_prints_the_pinned_bytes(capsys, argv, digest):
+def test_rsa_demo_prints_the_pinned_bytes(capsys, monkeypatch, argv, digest, piece_bytes):
+    monkeypatch.setattr(keystream, "_PIECE_BYTES", piece_bytes)
     code, out, err = run_cli(capsys, argv)
     assert (code, err) == (EXIT_OK, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

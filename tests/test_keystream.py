@@ -4,6 +4,7 @@ import io
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -495,6 +496,21 @@ def test_retry_limit_names_the_first_round_over_it(seed):
     assert np.array_equal(capped.attempts, free.attempts)
 
 
+@pytest.mark.parametrize("cap, dtype", [(None, np.uint32), (2**33, np.uint64), (200, np.uint8)],
+                         ids=["default_cap", "cap_above_2_to_the_32", "cap_below_2_to_the_8"])
+def test_attempts_are_kept_in_the_smallest_type_that_holds_the_cap(cap, dtype):
+    # the default cap of 100,000 needs 4 bytes a round, not the 8 of the int64 draw
+    kwargs = {} if cap is None else {"max_attempts_per_round": cap}
+    log = simulate_stream(SMALL, 300, MockKeySource(0.5), np.random.default_rng(4), **kwargs)
+    drawn = np.random.default_rng(4).geometric(0.5, 300)  # the run's first draw
+    assert log.attempts.dtype == dtype
+    assert log.attempts.tolist() == drawn.tolist()
+    assert log.total_retries == int(drawn.sum()) - 300
+    assert log.rounds == simulate_stream(
+        SMALL, 300, MockKeySource(0.5), np.random.default_rng(4), max_attempts_per_round=2**62
+    ).rounds
+
+
 def _recording_generate(monkeypatch) -> list[tuple[int, np.ndarray]]:
     """Record every ``MockKeySource.generate`` call as ``(num_bits, packed result)``."""
     calls = []
@@ -679,18 +695,29 @@ def test_ledger_fuzz(seed, n0_scale, rounds, abort):
 # CSV export
 
 
+# the default piece, one row a piece, and a few rows a piece, whose edges fall inside runs
+# of rows with equal digit counts, on the edges between them and short of a run's end
+_PIECES = [keystream._PIECE_BYTES, 1, 200]
+_PIECE_IDS = ["default_piece", "one_row_a_piece", "a_few_rows_a_piece"]
+
+
+@pytest.mark.parametrize("piece_bytes", _PIECES, ids=_PIECE_IDS)
 @pytest.mark.parametrize("real_valued", [False, True])
 @pytest.mark.parametrize("p, rounds, live", [
     (SMALL, 3000, 2546),  # every round after 2546 comes from the zero template
     (StreamParams(n0=60_000, c=1.0, ell0=12_000), 3000, 3000),  # no term underflows
     (StreamParams(n0=200_000_000, c=200_000_000.0, ell0=1_000_000), 40, 0),  # every term underflows
 ])
-def test_templated_csv_is_schedule_csv_byte_for_byte(p, rounds, live, real_valued):
+def test_templated_csv_is_schedule_csv_byte_for_byte(monkeypatch, p, rounds, live, real_valued, piece_bytes):
+    monkeypatch.setattr(keystream, "_PIECE_BYTES", piece_bytes)
     columns = keystream._columns(p, rounds, real_valued)
     assert columns.live == live
+    pieces = [bytes(piece) for piece in keystream._csv(columns)]
+    want = schedule_csv(schedule(p, rounds, real_valued)).split("\r\n")
     # compared row by row: a failing assert on the whole text would make pytest diff it with difflib
-    rows = b"".join(keystream._csv(columns)).decode().split("\r\n")
-    assert rows == schedule_csv(schedule(p, rounds, real_valued)).split("\r\n")
+    assert b"".join(pieces).decode().split("\r\n") == want
+    longest = max(map(len, want)) + 2
+    assert max(map(len, pieces)) <= piece_bytes + longest
 
 
 # 0, 2**53, the largest int64 and both sides of every power of ten it holds
@@ -704,8 +731,9 @@ _DIGIT_EDGES = sorted({0, 2**53, 2**63 - 1} | {10**k + d for k in range(1, 19) f
     st.sampled_from([0, 1, 2, 7, keystream._BATCH - 1, keystream._BATCH, keystream._BATCH + 1]),
     st.sampled_from(["sorted", "shuffled", "runs"]),
     st.integers(0, 2**32 - 1),
+    st.sampled_from([*_PIECES, 64]),
 )
-def test_int_rows_are_the_template_filled_row_by_row(literals, values, rows, order, seed):
+def test_int_rows_are_the_template_filled_row_by_row(literals, values, rows, order, seed, piece_bytes):
     template = "%s".join(literals) + "\n"
     rng = np.random.default_rng(seed)
     columns = []
@@ -716,15 +744,33 @@ def test_int_rows_are_the_template_filled_row_by_row(literals, values, rows, ord
         elif order == "runs":  # a few runs of one width, as in a schedule, in no order
             column = np.repeat(column[:4], -(-rows // 4))[:rows]
         columns.append(column)
-    got = b"".join(keystream._int_rows(template, columns)).decode().split("\n")
-    assert got == "".join(map(template.__mod__, zip(*(c.tolist() for c in columns)))).split("\n")
+    with mock.patch.object(keystream, "_PIECE_BYTES", piece_bytes):
+        pieces = [bytes(piece) for piece in keystream._int_rows(template, columns)]
+    want = [template % row for row in zip(*(c.tolist() for c in columns))]
+    assert b"".join(pieces).decode().split("\n") == "".join(want).split("\n")
+    longest = max((len(row.encode()) for row in want), default=0)
+    assert max(map(len, pieces), default=0) <= max(piece_bytes, longest)
 
 
-def test_int_rows_fills_a_float_column_row_by_row():
-    columns = [np.array([0.5, 1e300, 3.0, 7.25]), np.arange(4)]  # real-valued sizes print by repr
+@pytest.mark.parametrize("piece_bytes", _PIECES, ids=_PIECE_IDS)
+def test_int_rows_fills_a_float_column_row_by_row(monkeypatch, piece_bytes):
+    monkeypatch.setattr(keystream, "_PIECE_BYTES", piece_bytes)
+    columns = [np.array([0.5, 1e300, 3.0, 7.25] * 20), np.arange(80)]  # real-valued sizes print by repr
     template = "%s|%s\r\n"
     want = "".join(map(template.__mod__, zip(*(c.tolist() for c in columns)))).encode()
     assert b"".join(keystream._int_rows(template, columns)) == want
+
+
+@given(st.lists(st.text("ab", max_size=40), max_size=60), st.sampled_from([1, 7, 50, keystream._PIECE_BYTES]))
+def test_fill_joins_a_piece_once_its_rows_reach_the_piece_bytes(fields, piece_bytes):
+    rows = [(field,) for field in fields]
+    with mock.patch.object(keystream, "_PIECE_BYTES", piece_bytes):
+        pieces = list(keystream._fill("<%s>", rows))
+    assert b"".join(pieces) == "".join(f"<{field}>" for field in fields).encode()
+    longest = max((len(field) + 2 for field in fields), default=0)
+    # short rows make no short piece, and long ones no piece longer than the budget and its last row
+    assert all(len(piece) >= piece_bytes for piece in pieces[:-1])
+    assert all(len(piece) < piece_bytes + longest for piece in pieces)
 
 
 def test_schedule_csv_layout():
