@@ -47,10 +47,9 @@ from .quantum_core import (
     Povm,
     _chunks,
     _kron_rows,
-    _ordered_sum,
     qubit_basis,
 )
-from .security_metrics import IdealForm, SecurityReport, Strategy, _evaluate, _Ideal
+from .security_metrics import IdealForm, SecurityReport, Strategy, _evaluate
 
 __all__ = [
     "MAX_ATTACK_QUBITS",
@@ -333,25 +332,6 @@ def parity_strategy(n: int) -> Strategy:
     return Strategy("parity", ["".join(map(str, s)) for s in keys.tolist()], effects)
 
 
-def _parity_advantage(cq: CqState, ideal: _Ideal) -> float:
-    """The advantage of :func:`parity_strategy` on the attack state ``cq`` against ``ideal``,
-    read off the factors: ``tr(W^dagger M W) = tr(W^dagger (W + (-1)^p P_s W)) / 2``, row i of
-    ``P_s W`` being ``W[i ^ x]`` signed by the parity of i's Z qubits, x the X qubits of s."""
-    n = cq.key_len - 1
-    keys, bits, rows = _bit_rows(n + 1).astype(np.intp), _bit_rows(n).astype(np.intp), np.arange(2**n)
-    moved = rows ^ (keys[:, :n] @ (1 << np.arange(n - 1, -1, -1)))[:, None]  # qubit 0 is the high bit
-    z_parity = ((1 - keys[:, :n]) @ bits.T) & 1  # of row i's bits on the Z qubits of s
-    signs = (1.0 - 2.0 * keys[:, n, None]) * (1.0 - 2.0 * z_parity)  # times (-1)^p
-    accept = np.empty(len(keys))
-    for part in _chunks(len(keys), 2**n):
-        w = cq.unit_factors(part)
-        flipped = np.take_along_axis(w, moved[part, :, None], axis=1) * signs[part, :, None]
-        accept[part] = np.einsum("bic,bic->b", w.conj(), w + flipped).real / 2
-    sigma = ideal.registers[0]  # tr(P_s sigma) sums sigma[i ^ x, i] with the same signs
-    ideal_accept = (np.trace(sigma).real + (signs * sigma[moved, rows]).sum(axis=1).real) / 2
-    return float(_ordered_sum(cq.probs * accept, 0)) - float(_ordered_sum(ideal.probs * ideal_accept, 0))
-
-
 class GuessOracle(NamedTuple):
     p_star: float
     angle: float
@@ -441,7 +421,8 @@ def parity_guess_curve_csv(n_max: int) -> str:
 
 @dataclass(frozen=True)
 class SecrecyGapReport(JsonRecord):
-    """Side-by-side: what I_acc suggests vs what a distinguisher achieves."""
+    """Side-by-side: what I_acc suggests vs what a distinguisher achieves; all but
+    ``ben_or_required_iacc`` and ``iacc_upper_bits`` is the security report's (:func:`secrecy_reports`)."""
 
     JSON_TYPE = "secrecy_gap_report"
 
@@ -490,14 +471,15 @@ def secrecy_reports(
     """:func:`~qkdlab.security_metrics.evaluate_cq_security` of the attack
     state together with its :func:`secrecy_gap_report`.
 
-    The attack state, the accessible-information search and the upper
-    secrecy bound are computed once and shared by both reports;
-    ``correctness`` is passed to the security report, whose I_acc lower end
-    is clamped like the gap report's.  Both secrecy brackets are taken
+    The gap report's secrecy bracket, I_acc lower end and search provenance
+    are read off the security report, computed once; ``correctness`` is
+    passed to the security report.  Both secrecy ends are taken
     against a declared ideal, the register I / 2^n on every key: by the
     covariance of the module docstring it is the exact branch average
     (which the canonical ideal only rounds to), and any ideal gives an
-    upper end, epsilon being a minimum over ideals.  Every figure reads the
+    upper end, epsilon being a minimum over ideals.  The lower end is the
+    label-basis strategy's advantage; on this state that strategy is
+    :func:`parity_strategy`, effect for effect.  Every figure reads the
     state's factors, not its stack.  Each search stops
     once its bracket closes: the I_acc search after the declared basis
     meets ``IACC_UPPER_BITS``, the default strategies after the
@@ -509,20 +491,20 @@ def secrecy_reports(
     # the declared measurement is built only when its family is searched
     declared = {"even_x_eigenbasis": even_x_eigenbasis(n)} if "declared" in families else {}
     mixed = DensityOperator.fully_mixed(2**n)
-    report, ideal, iacc = _evaluate(
+    report = _evaluate(
         state.cq, None, 8, search_budget, seed, families, correctness, declared, IACC_UPPER_BITS,
         IdealForm(0.0, mixed, mixed),
     )
-    advantage = _parity_advantage(state.cq, ideal)
+    searched = tuple(report.provenance["iacc_family"])
     return report, SecrecyGapReport(
         n=n,
-        eps_secret_lower=min(1.0, max(0.0, advantage)),
+        eps_secret_lower=report.eps_secret_lower,
         eps_secret_upper=report.eps_secret_upper,
-        iacc_lower_bits=min(iacc.bits, IACC_UPPER_BITS),
-        iacc_family=iacc.family,
-        iacc_best_strategy=iacc.best_strategy,
+        iacc_lower_bits=report.iacc_lower_bits,
+        iacc_family=searched,
+        iacc_best_strategy=report.provenance["iacc_best_strategy"],
         ben_or_required_iacc=2.0 ** -(n + 3),
-        search_budget=iacc.budget,
-        seed=iacc.seed,
-        iacc_upper_bits=IACC_UPPER_BITS if "declared" in iacc.family else None,
+        search_budget=report.provenance["search_budget"],
+        seed=report.provenance["seed"],
+        iacc_upper_bits=IACC_UPPER_BITS if "declared" in searched else None,
     )

@@ -540,7 +540,7 @@ def _keystream_plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ell", type=int, default=256)
     p.add_argument("--horizon", type=_at_most(MAX_HORIZON), default=200,
                    help=f"rounds summed before the tail bound (at most {MAX_HORIZON})")
-    p.add_argument("--max-n0", type=int, default=2**40)
+    p.add_argument("--max-n0", type=_positive_int, default=2**40)
 
 
 def _keystream_schedule_args(p: argparse.ArgumentParser) -> None:

@@ -574,7 +574,8 @@ def plan(
     scored with :func:`total_eps`, n0 is swept geometrically to find a
     feasible point, then bisected down to the smallest feasible value.
     Tightening the target can only push n0 up.  Each candidate n0 is
-    scored once per call.
+    scored once per call, and none above ``max_n0``; when none meets the
+    target a :class:`PlanningError` carries the best one scored, if any.
     """
     return _plan(target_eps, gamma, rate_rho, nu, eps0, ell, horizon, max_n0)[0]
 
@@ -591,6 +592,8 @@ def _plan(
     for name, value in (("gamma", gamma), ("rate_rho", rate_rho), ("nu", nu)):
         _check_rate(name, value)
     _check_size("ell", ell)
+    if max_n0 < 1:
+        raise ValueError("max_n0 must be positive")
 
     def candidates(n0: int):
         for c_mult in (0.5, 1.0, 2.0):
@@ -624,20 +627,22 @@ def _plan(
 
     overall_best: tuple[StreamParams, StreamBudget] | None = None
     lo = max(1, _ceil_size(2.0 * ell / rate_rho, "signal count") + 1)
+    if lo > max_n0:
+        raise PlanningError(f"no schedule with n0 <= {max_n0} exists: the key rate needs n0 >= {lo}")
     hi = lo
     found = feasible(hi)
     while found is None:
         probe = best_for(hi)
         if probe is not None and (overall_best is None or probe[1].eps_total < overall_best[1].eps_total):
             overall_best = probe
-        if hi > max_n0:
+        if hi >= max_n0:
             raise PlanningError(
                 f"no schedule with n0 <= {max_n0} reaches eps_total <= {target_eps}",
                 best_params=overall_best[0] if overall_best else None,
                 best_budget=overall_best[1] if overall_best else None,
             )
         lo = hi
-        hi *= 2
+        hi = min(2 * hi, max_n0)
         found = feasible(hi)
 
     # smallest feasible n0 in (lo, hi]

@@ -93,18 +93,18 @@ def _chunks(count: int, dim: int, entries: int = _STACK_CHUNK) -> Iterator[slice
 
 def _hermitian_psd(m: np.ndarray, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The symmetrised ``(B, d, d)`` stack, checked Hermitian and PSD to the operator
-    tolerances, and each matrix's lowest eigenvalue; errors name ``names[b]``."""
+    tolerances, and each matrix's spectrum, ascending; errors name ``names[b]``."""
     mh = m.conj().swapaxes(1, 2)
     herm_dev = np.abs(m - mh).max(axis=(1, 2))
     bad = np.flatnonzero(herm_dev > HERM_TOL)
     if bad.size:
         raise ValueError(f"{names[bad[0]]} is not Hermitian (deviation {herm_dev[bad[0]]:.3e})")
     m = (m + mh) / 2
-    low = np.linalg.eigvalsh(m)[:, 0]
-    bad = np.flatnonzero(low < -EIG_TOL)
+    spectra = np.linalg.eigvalsh(m)
+    bad = np.flatnonzero(spectra[:, 0] < -EIG_TOL)
     if bad.size:
-        raise ValueError(f"{names[bad[0]]} is not PSD (min eigenvalue {low[bad[0]]:.3e})")
-    return m, low
+        raise ValueError(f"{names[bad[0]]} is not PSD (min eigenvalue {spectra[bad[0], 0]:.3e})")
+    return m, spectra
 
 
 def _density_stack(m: np.ndarray, names: Sequence[str]) -> np.ndarray:
@@ -116,8 +116,8 @@ def _density_stack(m: np.ndarray, names: Sequence[str]) -> np.ndarray:
     """
     out = np.empty(m.shape, dtype=m.dtype)
     for part in _chunks(len(m), m.shape[1]):
-        rho, low = _hermitian_psd(m[part], names[part])
-        dips = low < 0.0
+        rho, spectra = _hermitian_psd(m[part], names[part])
+        dips = spectra[:, 0] < 0.0
         if dips.any():
             w, v = np.linalg.eigh(rho[dips])
             rho[dips] = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().swapaxes(1, 2)
@@ -424,20 +424,17 @@ def qubit_basis(theta: float, phi: float = 0.0) -> np.ndarray:
     return np.array([[c, ph * s], [-s, ph * c]])
 
 
-def product_qubit_povm(thetas: Sequence[float], phis: Sequence[float] | None = None) -> Povm:
-    """Product of single-qubit projective measurements, one angle per qubit.
+def product_qubit_povm(thetas: Sequence[float]) -> Povm:
+    """Product of single-qubit projective measurements, one angle per qubit
+    (the real bases :func:`qubit_basis` ``(theta)``).
 
     Outcome labels are bit strings with qubit 0 as the leftmost bit.
     An empty angle list yields the trivial measurement on dimension 1.
     """
-    if phis is None:
-        phis = [0.0] * len(thetas)
-    if len(phis) != len(thetas):
-        raise ValueError("need one phase per angle")
     v = np.ones((1, 1))
-    for theta, phi in zip(thetas, phis):
+    for theta in thetas:
         # Kronecker product v (x) u, without np.kron's per-call overhead
-        v = (v[:, None, :, None] * qubit_basis(theta, phi)[None, :, None, :]).reshape(2 * len(v), -1)
+        v = (v[:, None, :, None] * qubit_basis(theta)[None, :, None, :]).reshape(2 * len(v), -1)
     n = len(thetas)
     labels = [format(i, f"0{n}b") if n else "" for i in range(2**n)]
     return Povm.from_basis(v, labels=labels)

@@ -42,6 +42,7 @@ import numpy as np
 
 from ._json import JsonRecord
 from .quantum_core import (
+    EIG_TOL,
     PERP,
     DEFAULT_DIM_CAP,
     _STACK_CHUNK,
@@ -51,6 +52,7 @@ from .quantum_core import (
     _as_square,
     _block_distance,
     _chunks,
+    _hermitian_psd,
     _kron_rows,
     _label_sort_key,
     _ordered_sum,
@@ -102,8 +104,9 @@ class Strategy:
     Whatever it measures, a strategy accepts a branch labelled ``labels[k]``
     with probability ``tr(M_k rho)``, ``M_k = effects[k]`` the sum of the
     effects of the outcomes it accepts there.  ``effects`` is a read-only
-    ``(B, d, d)`` stack, taken as given (``0 <= M_k <= I`` is not checked);
-    a state with a branch whose label is not listed cannot be scored.
+    ``(B, d, d)`` stack, each effect checked Hermitian with its spectrum in
+    [0, 1] (``0 <= M_k <= I``) to the operator tolerances; a state with a
+    branch whose label is not listed cannot be scored.
     """
 
     name: str
@@ -116,6 +119,12 @@ class Strategy:
         if len(effects) != len(labels) or len(set(labels)) != len(labels):
             raise ValueError(f"need one effect per distinct label: {len(effects)} effects, "
                              f"{len(labels)} labels ({len(set(labels))} distinct)")
+        for part in _chunks(len(labels), effects.shape[1], _BATCH):
+            names = [f"effect of strategy {self.name!r} on label {label!r}" for label in labels[part]]
+            spectra = _hermitian_psd(effects[part], names)[1]
+            bad = np.flatnonzero(spectra[:, -1] > 1.0 + EIG_TOL)
+            if bad.size:
+                raise ValueError(f"{names[bad[0]]} exceeds I (max eigenvalue {spectra[bad[0], -1]:.3e})")
         effects.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "effects", effects)
@@ -615,6 +624,10 @@ RESCORE_MARGIN_BITS = 1e-9
 # shows 9e-16) and count as 0: rounding a lower bound down keeps it certified.
 IACC_FLOOR_BITS = 1e-12
 
+# The per-qubit family is enumerated while its estimated work stays under this,
+# else sampled; accessible_info_lower reads it at each call.
+EXHAUSTIVE_WORK_CAP = 10**9
+
 
 def _product_information(cq: CqState, thetas: Sequence[float]) -> np.ndarray:
     """Mutual information of every product measurement over ``thetas``, in
@@ -633,7 +646,6 @@ def accessible_info_lower(
     search_budget: int = 64,
     rng_seed: int = 0,
     families: Sequence[str] = ("per_qubit", "declared"),
-    exhaustive_work_cap: int = 10**9,
     declared: Mapping[str, Povm] = MappingProxyType({}),
     *,
     upper: float = math.inf,
@@ -651,7 +663,7 @@ def accessible_info_lower(
     * ``per_qubit``: products of computational / diagonal / Breidbart
       single-qubit bases when the register is a qubit register.  The
       3^n family is enumerated exhaustively while the estimated work
-      stays under ``exhaustive_work_cap``; beyond that, ``search_budget``
+      stays under ``EXHAUSTIVE_WORK_CAP``; beyond that, ``search_budget``
       members are sampled.  The exhaustive family is ranked by the
       prefix-tree kernel :func:`product_born_tables`; each member within
       ``RESCORE_MARGIN_BITS`` of its best is then re-scored by the dense
@@ -693,7 +705,7 @@ def accessible_info_lower(
     if "per_qubit" in families and cq.dim == 2**nq and nq >= 1 and best_bits < upper:
         basis_names = list(QUBIT_BASIS_ANGLES)
         work = (3**nq) * len(cq.labels) * (2**nq) * cq.dim
-        if work <= exhaustive_work_cap:
+        if work <= EXHAUSTIVE_WORK_CAP:
             searched.append("per_qubit_exhaustive")
             assignments = list(itertools.product(basis_names, repeat=nq))
             ranked = _product_information(cq, list(QUBIT_BASIS_ANGLES.values()))
@@ -794,7 +806,7 @@ def evaluate_cq_security(
     only while the secrecy bracket is open; ``strategy_count`` in the
     provenance counts the strategies scored.
     """
-    return _evaluate(cq, strategies, num_random_strategies, search_budget, seed, iacc_families, correctness)[0]
+    return _evaluate(cq, strategies, num_random_strategies, search_budget, seed, iacc_families, correctness)
 
 
 def _evaluate(
@@ -808,16 +820,16 @@ def _evaluate(
     iacc_declared: Mapping[str, Povm] = MappingProxyType({}),
     iacc_upper: float = math.inf,
     ideal_form: IdealForm | None = None,
-) -> tuple[SecurityReport, _Ideal, IaccSearchResult]:
-    """:func:`evaluate_cq_security`, also returning the ideal on the state's key
-    register and the accessible-information search it computed, so that
-    a caller reporting more figures on the same state computes neither
-    twice.  ``iacc_declared`` is passed to the search as its declared
+) -> SecurityReport:
+    """:func:`evaluate_cq_security` with the knobs a state's builder sets.
+    ``iacc_declared`` is passed to the search as its declared
     measurements, and the reported I_acc lower end is clamped to a known
     upper end ``iacc_upper``, at which the search also stops.  The secrecy
     bracket is taken against ``ideal_form``, a declared ideal (the upper end
     bounds epsilon, a minimum over ideals, whichever is given), by default
-    the canonical one."""
+    the canonical one.  A caller reporting more figures on the same state
+    reads them off the report and its provenance, which name the search's
+    families, best strategy, budget and seed."""
     ideal = _ideal(cq, ideal_form)
     upper = _distance(cq, ideal)
     if strategies is None:
@@ -828,7 +840,7 @@ def _evaluate(
     eps_r = robustness_eps(cq.label_distribution())
     lower = _lower_end(advantages)
     iacc = accessible_info_lower(cq, search_budget, seed, iacc_families, declared=iacc_declared, upper=iacc_upper)
-    report = SecurityReport(
+    return SecurityReport(
         key_len=cq.key_len,
         eps_correct=eps_c,
         eps_robust=eps_r,
@@ -849,4 +861,3 @@ def _evaluate(
             ),
         },
     )
-    return report, ideal, iacc

@@ -2,6 +2,7 @@ import csv
 import functools
 import io
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import bb84, distinguishing_advantage, entropy_bits, measure_encoded_qubit, sample_pad, to_density
-from qkdlab import attack_lab, security_metrics
+from qkdlab import attack_lab, cli, security_metrics
 from qkdlab.attack_lab import (
     AttackState,
     SecrecyGapReport,
@@ -393,6 +394,38 @@ def test_parity_effects_are_the_pauli_string_projectors(n):
     assert np.abs(strategy.effects.sum(axis=0) - 2**n * eye).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_label_basis_strategy_is_the_parity_strategy(n):
+    # on the attack key the label-basis rule accepts exactly the outcomes of the
+    # right pad parity: the default strategy secrecy scores is the parity
+    # distinguisher, label for label and bit for bit, against the declared ideal
+    # I / 2^n and against the canonical one
+    cq = build_attack_state(n).cq
+    parity = parity_strategy(n)
+    rule = security_metrics._rule(lambda labels: security_metrics._label_bases(labels, n), 2**n)
+    for ideal in (security_metrics._ideal(cq, _declared_ideal(n)), security_metrics._ideal(cq)):
+        label_basis = security_metrics._optimal_strategy("label_basis", cq, ideal, rule)
+        assert label_basis.labels == parity.labels
+        assert np.array_equal(label_basis.effects, parity.effects)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_secrecy_scores_two_strategies_once(monkeypatch, capsys, n):
+    # the trivial strategy, then the label-basis one, whose advantage meets the
+    # trace distance; the gap report reads its lower end off the security report
+    scored = []
+    table_advantage = security_metrics._table_advantage
+
+    def counted(cq, ideal, bases):
+        scored.append(bases)
+        return table_advantage(cq, ideal, bases)
+
+    monkeypatch.setattr(security_metrics, "_table_advantage", counted)
+    assert cli.main(["secrecy", "--n", str(n)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["gap_report"]["eps_secret_lower"] == 0.5
+    assert len(scored) == 2 and scored[0] is None and scored[1] is not None
+
+
 # ---------------------------------------------------------------------------
 # guessing curves
 
@@ -637,7 +670,8 @@ def test_gap_report_alone_equals_the_shared_one(n):
     parity = distinguishing_advantage(cq, dense, parity_strategy(n))
     iacc = mutual_information(cq_measure(cq, attack_lab.even_x_eigenbasis(n)))
     assert report.eps_secret_upper == gap.eps_secret_upper == pytest.approx(upper, abs=1e-12, rel=0)
-    assert report.eps_secret_lower == pytest.approx(lower, abs=1e-12, rel=0)
+    # the gap report's lower end is the security report's, the parity distinguisher's advantage
+    assert report.eps_secret_lower == gap.eps_secret_lower == pytest.approx(lower, abs=1e-12, rel=0)
     assert gap.eps_secret_lower == pytest.approx(parity, abs=1e-12, rel=0)
     assert report.iacc_lower_bits == gap.iacc_lower_bits == min(iacc, attack_lab.IACC_UPPER_BITS)
 
@@ -647,26 +681,29 @@ def test_factor_figures_equal_the_dense_ones(n):
     # the figures secrecy prints come from the factors, with no stack formed:
     # each is 1/2 but the trivial strategy's advantage.  The dense oracle reads
     # the stack against 2^(n+1) copies of the ideal's register, for the
-    # declared ideal and (whose register is not scalar) the canonical one
+    # declared ideal and (whose register is not scalar) the canonical one;
+    # the label-basis figure is also the parity distinguisher's there
     cq = build_attack_state(n).cq
     rules = dict(security_metrics._default_rules(cq, 0, 0))  # trivial, label_basis
     declared = security_metrics._ideal(cq, _declared_ideal(n))
-    got = [security_metrics._distance(cq, declared), attack_lab._parity_advantage(cq, declared)]
+    got = [security_metrics._distance(cq, declared)]
     got += [security_metrics._table_advantage(cq, declared, bases) for bases in rules.values()]
     joint = cq_measure(cq, attack_lab.even_x_eigenbasis(n))
     assert "matrices" not in vars(cq)
-    assert got[:2] == [0.5, 0.5] and got[3] == 0.5
+    assert got[0] == got[2] == 0.5
     canonical = security_metrics._ideal(cq)  # reads the stack
-    got.append(attack_lab._parity_advantage(cq, canonical))
     got += [security_metrics._table_advantage(cq, canonical, bases) for bases in rules.values()]
     def dense_advantages(form, ideal):
         strategies = [security_metrics._optimal_strategy(name, cq, ideal, security_metrics._rule(bases, 2**n))
                       for name, bases in rules.items()]
-        return [distinguishing_advantage(cq, form.to_cq(n + 1), s) for s in (parity_strategy(n), *strategies)]
+        return [distinguishing_advantage(cq, form.to_cq(n + 1), s) for s in strategies]
 
     want = [cq_trace_distance(cq, _declared_ideal(n).to_cq(n + 1))]
     want += dense_advantages(_declared_ideal(n), declared) + dense_advantages(canonical_ideal(cq), canonical)
     assert got == pytest.approx(want, abs=1e-12, rel=0)
+    parity = [distinguishing_advantage(cq, form.to_cq(n + 1), parity_strategy(n))
+              for form in (_declared_ideal(n), canonical_ideal(cq))]
+    assert [got[2], got[4]] == pytest.approx(parity, abs=1e-12, rel=0)
     # the declared basis's Born table, formed a batch at a time, has the stack's bits
     assert joint.tobytes() == cq_measure(cq, attack_lab.even_x_eigenbasis(n)).tobytes()
 

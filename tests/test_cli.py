@@ -805,6 +805,17 @@ def test_keystream_plan_infeasible(capsys):
     assert out == ""
     detail = json.loads(err)
     assert detail["error"] == "planning_failed"
+    # 1000 lies below the smallest n0 the key rate allows: no schedule was scored
+    assert "best_params" not in detail and "best_budget" not in detail
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_keystream_plan_refuses_a_nonpositive_max_n0(capsys, bound):
+    with pytest.raises(SystemExit) as exc:
+        main(["keystream-plan", "--target-eps", "1", "--max-n0", bound])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE and captured.out == ""
+    assert f"argument --max-n0: '{bound}' is not a positive integer" in captured.err
 
 
 def test_keystream_schedule_with_csv(capsys, tmp_path):

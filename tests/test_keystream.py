@@ -399,6 +399,51 @@ def test_plan_validation_and_failure_carries_best():
     assert info.value.best_budget is None or info.value.best_budget.eps_total > 1e-9
 
 
+def _scored_n0s(monkeypatch) -> list[int]:
+    scored = []
+    original = keystream.total_eps
+
+    def recording(params, *args, **kwargs):
+        scored.append(params.n0)
+        return original(params, *args, **kwargs)
+
+    monkeypatch.setattr(keystream, "total_eps", recording)
+    return scored
+
+
+def test_plan_returns_the_smallest_n0_within_its_bound(monkeypatch):
+    # the sweep doubles n0 from 51201 to 819216; the next doubling would pass the
+    # bound, so it probes the bound itself, and bisects down to 1635301, the
+    # smallest n0 that meets 0.5
+    scored = _scored_n0s(monkeypatch)
+    assert plan(0.5, max_n0=1_636_000).n0 == 1_635_301
+    assert max(scored) == 1_636_000
+
+
+def test_plan_never_scores_past_its_bound(monkeypatch):
+    # only n0 = 1635301 and above meet 0.5: the sweep used to probe 1638432
+    # past a bound of 10^6 and return 1635301 from there
+    scored = _scored_n0s(monkeypatch)
+    with pytest.raises(PlanningError, match="n0 <= 1000000") as info:
+        plan(0.5, max_n0=10**6)
+    assert max(scored) == 10**6
+    assert info.value.best_params.n0 <= 10**6 and info.value.best_budget.eps_total > 0.5
+
+
+def test_plan_below_the_smallest_useful_n0_carries_no_best(monkeypatch):
+    # the key rate needs n0 >= 51201 at the default ell and rate: nothing is scored
+    scored = _scored_n0s(monkeypatch)
+    with pytest.raises(PlanningError, match="needs n0 >= 51201") as info:
+        plan(1.0, max_n0=1000)
+    assert scored == [] and info.value.best_params is None and info.value.best_budget is None
+
+
+@pytest.mark.parametrize("max_n0", [0, -3])
+def test_plan_refuses_a_nonpositive_bound(max_n0):
+    with pytest.raises(ValueError, match="max_n0 must be positive"):
+        plan(1.0, max_n0=max_n0)
+
+
 def test_plan_scores_each_candidate_once(monkeypatch):
     scored = []
     original = keystream.total_eps

@@ -510,7 +510,7 @@ def test_batched_kernel_matches_per_branch_oracle(seed, perp, kind):
         z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         povm = Povm.from_basis(np.linalg.qr(z)[0].T)
     elif kind == "product":
-        povm = product_qubit_povm(rng.uniform(0, math.pi, 2), rng.uniform(0, 2 * math.pi, 2))
+        povm = product_qubit_povm(rng.uniform(0, math.pi, 2))
     else:
         povm = rand_povm(rng, 4, 5)
     table = born_table(cq.matrices, povm)

@@ -257,6 +257,23 @@ def test_strategy_refuses_effects_that_do_not_fit():
         strategy_acceptance(cq, Strategy("partial", ("0",), eye[None]))
 
 
+def test_strategy_refuses_effects_outside_zero_and_identity():
+    # 3 |z><z| would accept the one-bit read-out state with probability 3, an
+    # advantage of 1.5 that secrecy_eps_lower would clamp to 1/2 unseen
+    basis = standard_basis_povm(2).stacked()
+    with pytest.raises(ValueError, match="effect of strategy 'x' on label '0' exceeds I"):
+        Strategy("x", ("0", "1"), 3 * basis)
+    with pytest.raises(ValueError, match="strategy 'negative' on label '1' is not PSD"):
+        Strategy("negative", ("0", "1"), np.stack([basis[0], -basis[1]]))
+    with pytest.raises(ValueError, match="strategy 'skew' on label '1' is not Hermitian"):
+        Strategy("skew", ("0", "1"), np.stack([basis[0], [[0.5, 0.25], [0.0, 0.5]]]))
+    # the library's own strategies are effects, however many batches they span
+    for n in range(2, 7):
+        assert len(parity_strategy(n).labels) == 2 ** (n + 1)
+    for cq in (rand_cq(np.random.default_rng(3), 2, 4, include_perp=True), build_attack_state(4).cq):
+        assert len(default_strategies(cq, num_random=8, seed=1)) == 10
+
+
 def _dense_acceptance(cq, strategy, povm_for):
     """The acceptance of a strategy that measures label s with ``povm_for(s)`` and
     accepts the outcomes its effect projects on, from the dense Born rule: the sum
@@ -658,11 +675,12 @@ def test_epsilon_stop_leaves_every_figure_of_the_report_unchanged():
     assert stopped == 3  # the stop fires where an advantage rounds up to the trace distance
 
 
-def test_accessible_info_sampling_fallback_and_validation():
+def test_accessible_info_sampling_fallback_and_validation(monkeypatch):
     from qkdlab.attack_lab import build_attack_state
 
     cq = build_attack_state(2).cq
-    res = accessible_info_lower(cq, search_budget=5, families=("per_qubit",), exhaustive_work_cap=1)
+    monkeypatch.setattr(security_metrics, "EXHAUSTIVE_WORK_CAP", 1)
+    res = accessible_info_lower(cq, search_budget=5, families=("per_qubit",))
     assert "per_qubit_sampled" in res.family
     assert res.evaluations == 5
     with pytest.raises(ValueError, match="budget"):
