@@ -47,9 +47,8 @@ from .quantum_core import (
     Povm,
     _chunks,
     _kron_rows,
-    qubit_basis,
 )
-from .security_metrics import IdealForm, SecurityReport, Strategy, _evaluate
+from .security_metrics import IdealForm, SecurityReport, Strategy, evaluate_cq_security
 
 __all__ = [
     "MAX_ATTACK_QUBITS",
@@ -346,14 +345,10 @@ def basis_guess_probability(theta: float) -> float:
 
     Measures in the basis rotated by ``theta`` and reads the outcome as
     the guess, averaged over the four equally likely encodings.  The
-    computational basis (theta = 0) achieves 0.75.
+    computational basis (theta = 0) achieves 0.75.  The one-angle case of
+    :func:`_basis_guess_probabilities`.
     """
-    v = qubit_basis(theta)
-    total = 0.0
-    for basis in _BB84_AMPS:
-        for r, amps in enumerate(basis):
-            total += abs(np.vdot(v[r], amps)) ** 2
-    return float(total) / 4.0
+    return float(_basis_guess_probabilities(theta))
 
 
 def _basis_guess_probabilities(thetas: np.ndarray) -> np.ndarray:
@@ -469,7 +464,8 @@ def secrecy_reports(
     correctness=None,
 ) -> tuple[SecurityReport, SecrecyGapReport]:
     """:func:`~qkdlab.security_metrics.evaluate_cq_security` of the attack
-    state together with its :func:`secrecy_gap_report`.
+    state together with its :func:`secrecy_gap_report`: ``secrecy`` runs the
+    public evaluator, with the knobs this state's builder sets by keyword.
 
     The gap report's secrecy bracket, I_acc lower end and search provenance
     are read off the security report, computed once; ``correctness`` is
@@ -491,9 +487,15 @@ def secrecy_reports(
     # the declared measurement is built only when its family is searched
     declared = {"even_x_eigenbasis": even_x_eigenbasis(n)} if "declared" in families else {}
     mixed = DensityOperator.fully_mixed(2**n)
-    report = _evaluate(
-        state.cq, None, 8, search_budget, seed, families, correctness, declared, IACC_UPPER_BITS,
-        IdealForm(0.0, mixed, mixed),
+    report = evaluate_cq_security(
+        state.cq,
+        search_budget=search_budget,
+        seed=seed,
+        iacc_families=families,
+        correctness=correctness,
+        iacc_declared=declared,
+        iacc_upper=IACC_UPPER_BITS,
+        ideal_form=IdealForm(0.0, mixed, mixed),
     )
     searched = tuple(report.provenance["iacc_family"])
     return report, SecrecyGapReport(

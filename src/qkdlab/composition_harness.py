@@ -644,8 +644,8 @@ def attack_otp_advantage(
     width = 2 * n + 1
     mode = _mode(mode, width <= _EXACT_MAX_BITS, f"pad_encoding_attack_otp_{n}", rng, trials)
 
-    def ideal_accepts(draws: np.ndarray) -> int:
-        return int(np.count_nonzero(np.bitwise_xor.reduce(draws[:, n:], axis=1) == m[n]))
+    def ideal_accept(draws: np.ndarray, views: tuple = ()) -> np.ndarray:
+        return np.bitwise_xor.reduce(draws[:, n:], axis=1) == m[n]
 
     if mode == "exact":
         m_row = np.array(m, np.uint8)
@@ -654,14 +654,13 @@ def attack_otp_advantage(
             return int(np.count_nonzero(_otp_rounds(draws, m_row)[-1] == m[n]))
 
         p_r = _every_row_count(2 * n, real_accepts) / 2 ** (2 * n)
-        p_i = _every_row_count(width, ideal_accepts) / 2**width
+        p_i = _every_row_count(width, lambda draws: int(np.count_nonzero(ideal_accept(draws)))) / 2**width
         return AdvantageEstimate(abs(p_r - p_i), 0.0, p_r, p_i, "exact", 0)
     r_real, r_ideal = rng.spawn(2)
     k_r = run_otp_attacks(n, m, r_real, trials).successes
-    rows = _chunk_rows(width)
-    k_i = sum(
-        ideal_accepts(r_ideal.integers(0, 2, size=(min(rows, trials - start), width)))
-        for start in range(0, trials, rows)
+    # the ideal world's trials are its draw rows (a zero-row draw, which sizes them, takes no state)
+    k_i = _accept_count_sampled(
+        lambda rng, rows: (rng.integers(0, 2, size=(rows, width)), ()), ideal_accept, trials, r_ideal
     )
     p_r, p_i = k_r / trials, k_i / trials
     return AdvantageEstimate(abs(p_r - p_i), _half_width(k_r, k_i, trials, 1), p_r, p_i, "sample", trials)

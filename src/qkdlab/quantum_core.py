@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -411,22 +411,20 @@ def _default_outcome_labels(dim: int) -> list[str]:
     return [str(i) for i in range(dim)]
 
 
-def qubit_basis(theta: float, phi: float = 0.0) -> np.ndarray:
-    """Orthonormal qubit basis rotated by ``theta`` with relative phase ``phi``.
+def qubit_basis(theta: float) -> np.ndarray:
+    """Real orthonormal qubit basis rotated by ``theta``.
 
-    Row 0 is ``cos(theta)|0> + e^{i phi} sin(theta)|1>``; theta = 0 is
-    the computational basis, pi/4 the diagonal basis, pi/8 the Breidbart
-    (intermediate) basis.  The matrix is float64 when ``phi`` is 0 and
-    complex128 otherwise.
+    Row 0 is ``cos(theta)|0> + sin(theta)|1>``; theta = 0 is the
+    computational basis, pi/4 the diagonal basis, pi/8 the Breidbart
+    (intermediate) basis.
     """
     c, s = math.cos(theta), math.sin(theta)
-    ph = complex(math.cos(phi), math.sin(phi)) if phi else 1.0
-    return np.array([[c, ph * s], [-s, ph * c]])
+    return np.array([[c, s], [-s, c]])
 
 
 def product_qubit_povm(thetas: Sequence[float]) -> Povm:
-    """Product of single-qubit projective measurements, one angle per qubit
-    (the real bases :func:`qubit_basis` ``(theta)``).
+    """Product of single-qubit projective measurements in the bases
+    :func:`qubit_basis`, one angle per qubit.
 
     Outcome labels are bit strings with qubit 0 as the leftmost bit.
     An empty angle list yields the trivial measurement on dimension 1.
@@ -465,28 +463,65 @@ def cq_trace_distance(a: CqState, b: CqState) -> float:
     ``0.5 * || p_s rho_a^s - q_s rho_b^s ||_1``, which equals the trace
     distance of the dense classical-quantum embeddings.  Labels present
     on one side only contribute with the missing side treated as
-    probability zero.  Both states are laid out on their sorted label
-    union, the blocks' eigenvalues come from batched calls over a few
-    blocks at a time, and the blocks are summed in label order.
+    probability zero.  The blocks are the :func:`_gaps` of ``a`` laid out
+    against ``b`` (:func:`_pair`); their eigenvalues come from batched
+    calls over a few blocks at a time, and they are summed in label order.
     """
     if a.key_len != b.key_len:
         raise ValueError("cq-states have different key lengths")
     if a.dim != b.dim:
         raise ValueError("cq-states have different branch dimensions")
-    union = sorted(set(a.labels) | set(b.labels), key=_label_sort_key)
-    row = {label: k for k, label in enumerate(union)}
-    rows = [np.array([row[s] for s in cq.labels]) for cq in (a, b)]  # increasing, as both are sorted
-    dtype = np.result_type(a.matrices, b.matrices)
+    pair = _pair(a, b.labels, b.probs, b.matrices)
+    return _block_distance(gap for _, gap in _gaps(a, pair, _STACK_CHUNK))
 
-    def block(part: slice) -> np.ndarray:
-        blocks = np.zeros((len(union[part]), a.dim, a.dim), dtype=dtype)
-        lo_a, hi_a = np.searchsorted(rows[0], [part.start, part.stop])
-        lo_b, hi_b = np.searchsorted(rows[1], [part.start, part.stop])
-        blocks[rows[0][lo_a:hi_a] - part.start] = a.probs[lo_a:hi_a, None, None] * a.matrices[lo_a:hi_a]
-        blocks[rows[1][lo_b:hi_b] - part.start] -= b.probs[lo_b:hi_b, None, None] * b.matrices[lo_b:hi_b]
-        return blocks
 
-    return _block_distance(map(block, _chunks(len(union), a.dim)))
+class _Pair(NamedTuple):
+    """A cq-state laid out against another side on their sorted label union ``labels``:
+    for each label, the state's row ``rows`` (-1 where it lacks the label) and probability
+    ``p``, and the other side's probability ``q`` and operator ``stack[index]`` (q is 0, and
+    index 0, where that side lacks the label)."""
+
+    labels: tuple[str, ...]
+    rows: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    index: np.ndarray
+    stack: np.ndarray
+
+
+def _pair(cq: CqState, labels: Sequence[str], probs: np.ndarray, stack: np.ndarray, index=None) -> _Pair:
+    """``cq`` against the side whose sorted ``labels`` have probabilities ``probs`` and
+    operators ``stack[index]``, by default ``stack`` itself, one operator per label."""
+    union = tuple(sorted(set(cq.labels).union(labels), key=_label_sort_key))
+    rows, theirs = _rows(cq.labels, union), _rows(labels, union)
+    index = np.arange(len(labels)) if index is None else np.asarray(index, dtype=np.intp)
+    return _Pair(
+        union,
+        rows,
+        np.where(rows >= 0, cq.probs[rows], 0.0),
+        np.where(theirs >= 0, probs[theirs], 0.0),
+        np.where(theirs >= 0, index[theirs], 0),
+        stack,
+    )
+
+
+def _rows(labels: Sequence[str], wanted: Sequence[str]) -> np.ndarray:
+    """The index in ``labels`` of each label of ``wanted``, -1 where it is missing."""
+    index = {label: k for k, label in enumerate(labels)}
+    return np.array([index.get(label, -1) for label in wanted], dtype=np.intp)
+
+
+def _gaps(a: CqState, pair: _Pair, entries: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """The ``(b, d, d)`` stacks ``p_k rho_k - q_k sigma_k`` over the pair's labels, ``entries``
+    entries a batch, with each batch's slice: ``rho_k`` is the branch of ``a`` and ``sigma_k``
+    the other side's operator, and a label missing on one side weighs 0 there."""
+    dtype = np.result_type(a.matrices, pair.stack)
+    for part in _chunks(len(pair.labels), a.dim, entries):
+        gap = a.matrices[pair.rows[part]]
+        gap *= pair.p[part, None, None]
+        gap = gap.astype(dtype, copy=False)
+        gap -= pair.q[part, None, None] * pair.stack[pair.index[part]]
+        yield part, gap
 
 
 def _block_distance(blocks: Iterable[np.ndarray]) -> float:

@@ -20,14 +20,16 @@ concrete measure-then-decide strategies against that *canonical* ideal
 is the lower figure, which is not yet a certified lower bound on epsilon.
 
 The ideal is uniform key tensor one register rho', and every figure reads
-it as its :class:`IdealForm`: rho' is one ``(d, d)`` matrix, broadcast
-into each batch of keys, so no ``(2^l, d, d)`` copy of it is made.  The
-arithmetic is that of the copies, so each figure equals, bit for bit, the
-one computed against :meth:`IdealForm.to_cq`, which the tests keep as
-the oracle.  A state built from factors W_b is scored from them instead,
-with no ``(d, d)`` branch or effect formed: the distance to an ideal of
-scalar registers from Gram matrices, the default strategies from Born
-tables; those figures equal the dense ones within rounding.
+the state laid out once against its :class:`IdealForm` on their label
+union (:func:`_ideal`): the ideal's side is the stack (rho', rho''), which
+each label indexes, so rho' is copied for one batch of keys at a time,
+never into a ``(2^l, d, d)`` stack.  The arithmetic is that of the copies,
+so each figure equals, bit for bit, the one computed against
+:meth:`IdealForm.to_cq`, which the tests keep as the oracle.  A state
+built from factors W_b is scored from them instead, with no ``(d, d)``
+branch or effect formed: the distance to an ideal of scalar registers
+from Gram matrices, the default strategies from Born tables; those
+figures equal the dense ones within rounding.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -49,13 +51,16 @@ from .quantum_core import (
     CqState,
     DensityOperator,
     Povm,
+    _Pair,
     _as_square,
     _block_distance,
     _chunks,
+    _gaps,
     _hermitian_psd,
     _kron_rows,
-    _label_sort_key,
     _ordered_sum,
+    _pair,
+    _rows,
     born_table,
     cq_measure,
     mutual_information,
@@ -261,7 +266,7 @@ class IdealForm:
     ``rho_dblprime``; the rest is uniform over all keys, c = (1 - p_perp) / 2^l
     on each key of an l-bit register, with the single register state
     ``rho_prime``.  The secrecy figures read the form itself: rho' is one
-    matrix, broadcast into each batch of keys, never 2^l copies of it.
+    matrix that each batch of keys indexes, never 2^l copies of it.
     """
 
     p_perp: float
@@ -295,34 +300,17 @@ def _key_labels(key_len: int) -> list[str]:
     return [format(i, f"0{key_len}b") if key_len else "" for i in range(2**key_len)]
 
 
-class _Ideal(NamedTuple):
-    """An :class:`IdealForm` on a key register, read as the branches of :meth:`IdealForm.to_cq`:
-    the sorted ``labels`` with their ``probs``, the first ``keyed`` of them keys with register
-    ``registers[0]`` (rho'), then the abort label with ``registers[1]`` (rho'') if ``p_perp > 0``.
-    ``registers`` holds the two matrices in their common dtype, as the copies would."""
-
-    labels: tuple[str, ...]
-    probs: np.ndarray
-    keyed: int
-    registers: np.ndarray
-
-    def stack(self, part: slice) -> np.ndarray:
-        """The registers of branches ``part``: a stride-0 view of rho' over keys, with rho''
-        appended where the part holds the abort branch."""
-        stop = min(part.stop, len(self.labels))
-        sigma = np.broadcast_to(self.registers[0], (min(stop, self.keyed) - part.start, *self.registers.shape[1:]))
-        return sigma if stop <= self.keyed else np.concatenate((sigma, self.registers[1:]))
-
-
-def _ideal(cq: CqState, form: IdealForm | None = None) -> _Ideal:
-    """The ideal ``form`` of ``cq`` on its key register, by default the canonical one."""
+def _ideal(cq: CqState, form: IdealForm | None = None) -> _Pair:
+    """``cq`` laid out against the ideal ``form`` on its key register, by default the canonical
+    one: the branches of :meth:`IdealForm.to_cq`, read from the ``stack`` (rho', rho'') of the
+    two matrices in their common dtype, as the copies would be, index 0 on keys, 1 on abort."""
     form = form or canonical_ideal(cq)
     key_mass = 1.0 - form.p_perp
     keys = _key_labels(cq.key_len) if key_mass > 0.0 else []
     abort = [PERP] if form.p_perp > 0.0 else []
     probs = np.array([key_mass / 2**cq.key_len] * len(keys) + [form.p_perp] * len(abort))
-    registers = np.array([form.rho_prime.matrix, form.rho_dblprime.matrix])
-    return _Ideal((*keys, *abort), probs, len(keys), registers)
+    stack = np.array([form.rho_prime.matrix, form.rho_dblprime.matrix])
+    return _pair(cq, (*keys, *abort), probs, stack, [0] * len(keys) + [1] * len(abort))
 
 
 def canonical_ideal(cq: CqState) -> IdealForm:
@@ -361,39 +349,16 @@ def secrecy_eps_upper(cq: CqState) -> float:
     return _distance(cq, _ideal(cq))
 
 
-def _union(cq: CqState, ideal: _Ideal) -> tuple[str, ...]:
-    return tuple(sorted(set(cq.labels).union(ideal.labels), key=_label_sort_key))
-
-
-def _gaps(cq: CqState, ideal: _Ideal, labels: tuple[str, ...], entries: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """The ``(b, d, d)`` stacks ``p_k rho_k - q_k sigma_k`` over the sorted labels ``labels``,
-    ``entries`` entries a batch, with each batch's slice; a label missing on one side weighs 0
-    there.  The ideal's side is ``c rho'``, formed once and subtracted from every key's block,
-    and ``p_perp rho''`` on the abort label, which sorts last."""
-    rows = _rows(cq.labels, labels)
-    dtype = np.result_type(cq.matrices, ideal.registers)
-    c_rho = ideal.probs[0] * ideal.registers[0] if ideal.keyed else None
-    for part in _chunks(len(labels), cq.dim, entries):
-        gap = _weighted(cq, rows[part]).astype(dtype, copy=False)
-        keys = len(gap) - (labels[part][-1] == PERP)
-        if c_rho is not None:
-            gap[:keys] -= c_rho
-        if keys < len(gap) and ideal.keyed < len(ideal.labels):
-            gap[keys] -= ideal.probs[-1] * ideal.registers[1]
-        yield part, gap
-
-
-def _distance(cq: CqState, ideal: _Ideal) -> float:
-    """:func:`~qkdlab.quantum_core.cq_trace_distance` from ``cq`` to the ideal's cq-state, from the
-    gaps, or for a state built from factors and an ideal whose registers are each some s I, from
-    Gram matrices: the block ``p W W^dagger - c I`` has the eigenvalues ``p lambda - c``, lambda
+def _distance(cq: CqState, ideal: _Pair) -> float:
+    """:func:`~qkdlab.quantum_core.cq_trace_distance` from ``cq`` to the side of its pair ``ideal``,
+    from the gaps, or for a state built from factors and a side whose operators are each some s I,
+    from Gram matrices: the block ``p W W^dagger - c I`` has the eigenvalues ``p lambda - c``, lambda
     those of ``W^dagger W`` (or ``W W^dagger``, the smaller), and ``-c`` on the rest of its d."""
-    s = ideal.registers[:, 0, 0].real
-    if cq.factors is None or not np.array_equal(ideal.registers, s[:, None, None] * np.eye(cq.dim)):
-        return _block_distance(gap for _, gap in _gaps(cq, ideal, _union(cq, ideal), _STACK_CHUNK))
-    labels = _union(cq, ideal)
-    theirs, place = _rows(ideal.labels, labels), _rows(labels, cq.labels)
-    c = np.where(theirs >= 0, ideal.probs[theirs], 0.0) * s[_is_abort(labels)]
+    s = ideal.stack[:, 0, 0].real
+    if cq.factors is None or not np.array_equal(ideal.stack, s[:, None, None] * np.eye(cq.dim)):
+        return _block_distance(gap for _, gap in _gaps(cq, ideal, _STACK_CHUNK))
+    c = ideal.q * s[ideal.index]
+    place = np.flatnonzero(ideal.rows >= 0)  # the union position of each of the state's labels
     d, r = cq.factors.shape[1:]
     norms = d * c  # the labels the state lacks
     for part in _chunks(len(cq.labels), d, _BATCH):
@@ -402,11 +367,6 @@ def _distance(cq: CqState, ideal: _Ideal) -> float:
         spectra = cq.probs[part, None] * np.linalg.eigvalsh(gram) - c[k, None]
         norms[k] = np.abs(spectra).sum(axis=1) + max(d - r, 0) * c[k]
     return min(1.0, max(0.0, float(_ordered_sum(0.5 * norms, 0))))
-
-
-def _is_abort(labels: Sequence[str]) -> np.ndarray:
-    # 1 for the abort label, 0 for a key: the index of each label's register in _Ideal.registers
-    return np.array([label == PERP for label in labels], dtype=np.intp)
 
 
 def strategy_acceptance(cq: CqState, strategy: Strategy) -> float:
@@ -428,15 +388,13 @@ def _acceptance(strategy: Strategy, labels: Sequence[str], probs: np.ndarray, st
     return float(probs @ np.concatenate(traces))
 
 
-def _rows(labels: Sequence[str], wanted: Sequence[str]) -> np.ndarray:
-    """The index in ``labels`` of each label of ``wanted``, -1 where it is missing."""
-    index = {label: k for k, label in enumerate(labels)}
-    return np.array([index.get(label, -1) for label in wanted], dtype=np.intp)
-
-
-def _advantage(cq: CqState, ideal: _Ideal, strategy: Strategy) -> float:
-    # the acceptance gap between cq and the ideal's cq-state, read from rho' and rho''
-    return strategy_acceptance(cq, strategy) - _acceptance(strategy, ideal.labels, ideal.probs, ideal.stack)
+def _advantage(cq: CqState, ideal: _Pair, strategy: Strategy) -> float:
+    # the acceptance gap between cq and the ideal's cq-state, whose branches are the labels
+    # the ideal gives a probability, read from rho' and rho''
+    own = np.flatnonzero(ideal.q > 0.0)
+    labels = [ideal.labels[k] for k in own]
+    ideal_acceptance = _acceptance(strategy, labels, ideal.q[own], lambda part: ideal.stack[ideal.index[own[part]]])
+    return strategy_acceptance(cq, strategy) - ideal_acceptance
 
 
 def secrecy_eps_lower(cq: CqState, strategies: Sequence[Strategy]) -> float:
@@ -474,26 +432,18 @@ def _accepted_in_basis(gap: np.ndarray, v: np.ndarray, weight: float | np.ndarra
     return (np.swapaxes(v, -1, -2) * (accept * weight)[:, None, :]) @ v.conj()
 
 
-def _optimal_strategy(name: str, cq: CqState, ideal: _Ideal, accepted: Callable) -> Strategy:
+def _optimal_strategy(name: str, cq: CqState, ideal: _Pair, accepted: Callable) -> Strategy:
     """The strategy that accepts outcome z on label k where ``tr(E_z (p_k rho_k - q_k
     sigma_k)) > 0``, i.e. where the real state's (label, outcome) table exceeds the
     ideal's, a missing label weighing 0.  ``accepted(labels, gap)`` sums those E_z
     for a batch of labels, so a per-label basis exists only for its batch."""
-    labels = _union(cq, ideal)
     effects = None
-    for part, gap in _gaps(cq, ideal, labels, _BATCH):
-        m = accepted(labels[part], gap)
+    for part, gap in _gaps(cq, ideal, _BATCH):
+        m = accepted(ideal.labels[part], gap)
         if effects is None:
-            effects = np.empty((len(labels), *m.shape[1:]), dtype=m.dtype)
+            effects = np.empty((len(ideal.labels), *m.shape[1:]), dtype=m.dtype)
         effects[part] = m
-    return Strategy(name, labels, effects)
-
-
-def _weighted(cq: CqState, rows: np.ndarray) -> np.ndarray:
-    # p_b rho_b for each row b of the state, 0 where the row is -1 (a label it lacks)
-    x = cq.matrices[rows]
-    x *= np.where(rows >= 0, cq.probs[rows], 0.0)[:, None, None]
-    return x
+    return Strategy(name, ideal.labels, effects)
 
 
 def _haar_basis(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -550,19 +500,16 @@ def _rule(bases: Callable | None, dim: int) -> Callable:
     return lambda labels, gap: _accepted_in_basis(gap, *bases(labels))
 
 
-def _table_advantage(cq: CqState, ideal: _Ideal, bases: Callable | None) -> float:
+def _table_advantage(cq: CqState, ideal: _Pair, bases: Callable | None) -> float:
     """The advantage of ``_optimal_strategy(name, cq, ideal, _rule(bases, cq.dim))`` for a state
     built from factors, from Born tables instead of effects: ``Pr[z|b] = weight ||v_z^dagger W_b||^2``
     for the state and ``weight <v_z| sigma |v_z>`` for the ideal's register sigma (for the trivial
     measurement the traces), outcome z accepted on label b where ``p_b Pr[z|b]`` exceeds the
     ideal's; the sums run in label order."""
-    labels = _union(cq, ideal)
-    mine, theirs = _rows(cq.labels, labels), _rows(ideal.labels, labels)
-    p = np.where(mine >= 0, cq.probs[mine], 0.0)
-    q = np.where(theirs >= 0, ideal.probs[theirs], 0.0)
+    labels, p, q = ideal.labels, ideal.p, ideal.q
     accepted = []
     for part in _chunks(len(labels), cq.dim, _BATCH):
-        w, sigma = cq.unit_factors(mine[part]), ideal.registers[_is_abort(labels[part])]
+        w, sigma = cq.unit_factors(ideal.rows[part]), ideal.stack[ideal.index[part]]
         if bases is None:
             real = np.einsum("bij,bij->b", w, w.conj()).real[:, None]
             fake = np.trace(sigma, axis1=1, axis2=2).real[:, None]
@@ -577,7 +524,7 @@ def _table_advantage(cq: CqState, ideal: _Ideal, bases: Callable | None) -> floa
 
 
 def _default_advantages(
-    cq: CqState, ideal: _Ideal, num_random: int, seed: int, *, upper: float = math.inf
+    cq: CqState, ideal: _Pair, num_random: int, seed: int, *, upper: float = math.inf
 ) -> Iterator[float]:
     """The advantage against ``ideal`` of each of :func:`default_strategies`, one at a time.
 
@@ -791,6 +738,9 @@ def evaluate_cq_security(
     seed: int = 0,
     iacc_families: Sequence[str] = ("per_qubit", "declared"),
     correctness=None,
+    iacc_declared: Mapping[str, Povm] = MappingProxyType({}),
+    iacc_upper: float = math.inf,
+    ideal_form: IdealForm | None = None,
 ) -> SecurityReport:
     """Assemble a full :class:`SecurityReport` for a cq-state.
 
@@ -805,31 +755,19 @@ def evaluate_cq_security(
     (the upper end), so ``num_random_strategies`` and ``seed`` matter
     only while the secrecy bracket is open; ``strategy_count`` in the
     provenance counts the strategies scored.
-    """
-    return _evaluate(cq, strategies, num_random_strategies, search_budget, seed, iacc_families, correctness)
 
-
-def _evaluate(
-    cq: CqState,
-    strategies: Sequence[Strategy] | None,
-    num_random_strategies: int,
-    search_budget: int,
-    seed: int,
-    iacc_families: Sequence[str],
-    correctness,
-    iacc_declared: Mapping[str, Povm] = MappingProxyType({}),
-    iacc_upper: float = math.inf,
-    ideal_form: IdealForm | None = None,
-) -> SecurityReport:
-    """:func:`evaluate_cq_security` with the knobs a state's builder sets.
+    The last three knobs are those a state's builder sets.
     ``iacc_declared`` is passed to the search as its declared
     measurements, and the reported I_acc lower end is clamped to a known
     upper end ``iacc_upper``, at which the search also stops.  The secrecy
     bracket is taken against ``ideal_form``, a declared ideal (the upper end
     bounds epsilon, a minimum over ideals, whichever is given), by default
-    the canonical one.  A caller reporting more figures on the same state
-    reads them off the report and its provenance, which name the search's
-    families, best strategy, budget and seed."""
+    the canonical one; the state is laid out against it once
+    (:func:`_ideal`), and every secrecy figure reads that layout.  A caller
+    reporting more figures on the same state reads them off the report and
+    its provenance, which name the search's families, best strategy, budget
+    and seed.
+    """
     ideal = _ideal(cq, ideal_form)
     upper = _distance(cq, ideal)
     if strategies is None:

@@ -412,18 +412,27 @@ def test_label_basis_strategy_is_the_parity_strategy(n):
 @pytest.mark.parametrize("n", range(2, 6))
 def test_secrecy_scores_two_strategies_once(monkeypatch, capsys, n):
     # the trivial strategy, then the label-basis one, whose advantage meets the
-    # trace distance; the gap report reads its lower end off the security report
-    scored = []
-    table_advantage = security_metrics._table_advantage
+    # trace distance; the gap report reads its lower end off the security report,
+    # which secrecy computes by one call of the public evaluator
+    scored, evaluated = [], []
+    table_advantage, evaluate = security_metrics._table_advantage, security_metrics.evaluate_cq_security
 
     def counted(cq, ideal, bases):
         scored.append(bases)
         return table_advantage(cq, ideal, bases)
 
+    def counted_evaluate(*args, **kwargs):
+        evaluated.append(args)
+        return evaluate(*args, **kwargs)
+
     monkeypatch.setattr(security_metrics, "_table_advantage", counted)
+    for module in (security_metrics, attack_lab):  # every module that binds it, as a tracer wraps it
+        if vars(module).get("evaluate_cq_security") is evaluate:
+            monkeypatch.setattr(module, "evaluate_cq_security", counted_evaluate)
     assert cli.main(["secrecy", "--n", str(n)]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["gap_report"]["eps_secret_lower"] == 0.5
     assert len(scored) == 2 and scored[0] is None and scored[1] is not None
+    assert len(evaluated) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +444,12 @@ def test_computational_basis_guess_value():
 
 
 def test_guess_sweep_matches_the_scalar_probability():
+    # the independent oracle: cos^2 theta on the computational encodings and
+    # (cos theta + sin theta)^2 / 2 on the diagonal ones average to this closed form
     thetas = np.linspace(0.0, math.pi, 2001)
-    swept = attack_lab._basis_guess_probabilities(thetas)
-    scalar = [basis_guess_probability(t) for t in thetas]
-    assert np.abs(swept - scalar).max() <= 1e-15
+    closed = [0.5 + (math.cos(2 * t) + math.sin(2 * t)) / 4 for t in thetas]
+    assert np.abs(attack_lab._basis_guess_probabilities(thetas) - closed).max() <= 1e-15
+    assert np.abs(np.array([basis_guess_probability(t) for t in thetas]) - closed).max() <= 1e-15
 
 
 def test_oracle_finds_intermediate_angle():

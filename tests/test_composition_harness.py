@@ -1,8 +1,10 @@
 import collections
 import itertools
 import math
+import re
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,14 @@ from qkdlab.composition_harness import (
 from qkdlab.security_metrics import canonical_ideal, strategy_acceptance
 
 DECLARED_EPS = 0.25  # the epsilon verify-composition claims for attack-otp by default
+
+
+def test_numpy_floor_has_generator_spawn():
+    # every sampled estimate splits its rng with Generator.spawn, which NumPy 1.25 added:
+    # the declared floor must not admit a numpy without it
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    floor = re.findall(r'"numpy>=(\d+)\.(\d+)[^"]*"', pyproject)
+    assert len(floor) == 1 and tuple(map(int, floor[0])) >= (1, 25)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,9 @@ def test_attack_state_its_ideal_and_the_declared_basis_are_real(n):
     assert cq.matrices.dtype == canonical_ideal(cq).to_cq(cq.key_len).matrices.dtype == np.float64
     assert even_x_eigenbasis(n).basis.dtype == np.float64
     assert product_qubit_povm([0.0, math.pi / 4] * (n // 2)).basis.dtype == np.float64
-    assert qubit_basis(math.pi / 8).dtype == np.float64 and qubit_basis(0.0, 0.5).dtype == np.complex128
+    assert qubit_basis(math.pi / 8).dtype == np.float64
+    # a basis with a relative phase e^{i phi} on |1> stays complex
+    assert Povm.from_basis(qubit_basis(0.0) * [1.0, np.exp(0.5j)]).basis.dtype == np.complex128
 
 
 def test_a_state_with_a_phase_stays_complex():
@@ -430,7 +432,7 @@ def test_povm_from_basis_checks_orthonormality():
 
 def test_qubit_basis_rows_orthonormal():
     for theta in (0.0, math.pi / 8, math.pi / 4, 1.1):
-        v = qubit_basis(theta, phi=0.7)
+        v = qubit_basis(theta) * [1.0, np.exp(0.7j)]  # relative phase e^{0.7 i} on |1>
         assert np.abs(v @ v.conj().T - np.eye(2)).max() < 1e-12
 
 
@@ -557,7 +559,7 @@ def test_mutual_information_takes_batch_axes():
 
 
 def test_projective_povm_keeps_basis_and_stacks_once():
-    v = qubit_basis(0.4, 0.9)
+    v = qubit_basis(0.4) * [1.0, np.exp(0.9j)]  # a complex basis
     povm = Povm.from_basis(v, labels=["a", "b"])
     assert np.array_equal(povm.basis, v) and povm.dim == 2
     stack = povm.stacked()
