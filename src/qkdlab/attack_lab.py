@@ -143,32 +143,43 @@ def build_attack_state(n: int) -> AttackState:
 
 
 def _attack_factors(n: int) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The branch labels, probabilities and real ``(B, d, r)`` factors of :func:`build_attack_state`."""
+    """The branch labels, probabilities and real ``(B, d, r)`` factors of :func:`build_attack_state`,
+    the factors read-only in one array of their own, which :meth:`CqState.from_factors` adopts."""
     p_branch = 2.0 ** -(n + 1)
     weight = 2.0 ** -(n - 1)
     keys = _bit_rows(n + 1)
     pads = np.stack([_complete_pads(_bit_rows(n - 1), parity) for parity in (0, 1)])[keys[:, -1]]
-    # rows[s, k] is the product state of pad k in the bases of key s,
-    # built qubit by qubit as a Kronecker product
-    rows = np.ones((len(keys), pads.shape[1], 1))
+    # column k of factor s is the product state of pad k in the bases of key s, built
+    # qubit by qubit as a Kronecker product in place: after qubit i, the rows whose
+    # last n - i - 1 bits are 0 hold the product of the first i + 1 amplitudes
+    w = np.empty((len(keys), 2**n, pads.shape[1]))
+    w[:, 0] = 1.0
     for i in range(n):
         factor = _BB84_AMPS[keys[:, i, None], pads[:, :, i]]
-        rows = (rows[:, :, :, None] * factor[:, :, None, :]).reshape(len(keys), pads.shape[1], -1)
+        grid = w.reshape(len(keys), 2**i, 2, -1, pads.shape[1])[:, :, :, 0]
+        for bit in (1, 0):  # the rows of bit 0 are the source
+            np.multiply(grid[:, :, 0], factor[:, None, :, bit], out=grid[:, :, bit])
     labels = ["".join(map(str, s)) for s in keys.tolist()]
-    # column k of factor s is pad k's state, weighted: W_s W_s^dagger is the branch of s
-    rows *= math.sqrt(weight)
-    return labels, np.full(len(keys), p_branch), rows.transpose(0, 2, 1)
+    # weighted: W_s W_s^dagger is the branch of s
+    w *= math.sqrt(weight)
+    w.setflags(write=False)
+    return labels, np.full(len(keys), p_branch), w
 
 
 def even_x_eigenbasis(n: int) -> Povm:
     """Joint eigenbasis of the strings ``P_s`` with an even number of X (module docstring).
 
-    It is the eigenbasis of a fixed-seed real combination of them, whose eigenvalues are distinct.
+    It is the eigenbasis of a fixed-seed real combination of them, whose eigenvalues are distinct,
+    added term by term from 0 in key order, one string formed at a time.
     """
     keys = _bit_rows(n)
     keys = keys[(keys.sum(axis=1) & 1) == 0]
     weights = np.random.default_rng(0).standard_normal(len(keys))
-    combination = sum(w * p for w, p in zip(weights, _kron_rows(_ZX[keys])))
+    combination = np.zeros((2**n, 2**n))
+    for w, key in zip(weights, keys):
+        term = _kron_rows(_ZX[key][None])[0]
+        term *= w
+        combination += term
     return Povm.from_basis(np.linalg.eigh(combination)[1].T)
 
 

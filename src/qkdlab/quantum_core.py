@@ -234,11 +234,15 @@ class CqState:
         ``(B, d, r)`` stack ``factors`` of the ``W_b``; the labels as in :meth:`from_stack`.
 
         Each branch's trace, ``||W_b||_F^2``, must be 1 within 1e-9.  A
-        read-only copy of the factors is kept, and :meth:`unit_factors`
-        divides each by the root of its trace; no ``W W^dagger`` is formed.
+        read-only C-contiguous float64 or complex128 array that owns its
+        memory is adopted as it is; any other input is copied, read-only.
+        :meth:`unit_factors` divides each factor by the root of its trace;
+        no ``W W^dagger`` is formed.
         """
         labels = tuple(labels)
-        w = _as_exact(factors).copy()
+        w = _as_exact(factors)
+        if w.flags.writeable or not (w.flags.owndata and w.flags.c_contiguous):
+            w = w.copy()
         if w.ndim != 3 or min(w.shape[1:]) < 1:
             raise ValueError(f"expected a (B, d, r) stack of factors, got shape {w.shape}")
         if not np.isfinite(w).all():

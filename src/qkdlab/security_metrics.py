@@ -22,14 +22,15 @@ is the lower figure, which is not yet a certified lower bound on epsilon.
 The ideal is uniform key tensor one register rho', and every figure reads
 the state laid out once against its :class:`IdealForm` on their label
 union (:func:`_ideal`): the ideal's side is the stack (rho', rho''), which
-each label indexes, so rho' is copied for one batch of keys at a time,
-never into a ``(2^l, d, d)`` stack.  The arithmetic is that of the copies,
-so each figure equals, bit for bit, the one computed against
-:meth:`IdealForm.to_cq`, which the tests keep as the oracle.  A state
-built from factors W_b is scored from them instead, with no ``(d, d)``
-branch or effect formed: the distance to an ideal of scalar registers
-from Gram matrices, the default strategies from Born tables; those
-figures equal the dense ones within rounding.
+each label indexes, never a ``(2^l, d, d)`` stack: rho' is copied for one
+batch of keys at a time, or, for the Born tables of a state built from
+factors, read once per operator, as the scalar s where it is s I.  The
+arithmetic is that of the copies, so each figure equals, bit for bit, the
+one computed against :meth:`IdealForm.to_cq`, which the tests keep as the
+oracle.  A state built from factors W_b is scored from them instead, with
+no ``(d, d)`` branch or effect formed: the distance to an ideal of scalar
+registers from Gram matrices, the default strategies from Born tables;
+those figures equal the dense ones within rounding.
 """
 
 from __future__ import annotations
@@ -313,6 +314,16 @@ def _ideal(cq: CqState, form: IdealForm | None = None) -> _Pair:
     return _pair(cq, (*keys, *abort), probs, stack, [0] * len(keys) + [1] * len(abort))
 
 
+def _scalars(stack: np.ndarray) -> np.ndarray | None:
+    """The real ``s`` with ``stack[j] == s[j] I`` exactly for every j, in the stack's dtype, or
+    None where some operator is not a real multiple of the identity."""
+    diagonal = np.diagonal(stack, axis1=1, axis2=2)
+    s = diagonal[:, 0]
+    if np.count_nonzero(stack) == np.count_nonzero(diagonal) and (diagonal == s.real[:, None]).all():
+        return s
+    return None
+
+
 def canonical_ideal(cq: CqState) -> IdealForm:
     """Canonical ideal template for a given cq-state.
 
@@ -354,10 +365,10 @@ def _distance(cq: CqState, ideal: _Pair) -> float:
     from the gaps, or for a state built from factors and a side whose operators are each some s I,
     from Gram matrices: the block ``p W W^dagger - c I`` has the eigenvalues ``p lambda - c``, lambda
     those of ``W^dagger W`` (or ``W W^dagger``, the smaller), and ``-c`` on the rest of its d."""
-    s = ideal.stack[:, 0, 0].real
-    if cq.factors is None or not np.array_equal(ideal.stack, s[:, None, None] * np.eye(cq.dim)):
+    s = _scalars(ideal.stack)
+    if cq.factors is None or s is None:
         return _block_distance(gap for _, gap in _gaps(cq, ideal, _STACK_CHUNK))
-    c = ideal.q * s[ideal.index]
+    c = ideal.q * s.real[ideal.index]
     place = np.flatnonzero(ideal.rows >= 0)  # the union position of each of the state's labels
     d, r = cq.factors.shape[1:]
     norms = d * c  # the labels the state lacks
@@ -505,22 +516,44 @@ def _table_advantage(cq: CqState, ideal: _Pair, bases: Callable | None) -> float
     built from factors, from Born tables instead of effects: ``Pr[z|b] = weight ||v_z^dagger W_b||^2``
     for the state and ``weight <v_z| sigma |v_z>`` for the ideal's register sigma (for the trivial
     measurement the traces), outcome z accepted on label b where ``p_b Pr[z|b]`` exceeds the
-    ideal's; the sums run in label order."""
-    labels, p, q = ideal.labels, ideal.p, ideal.q
+    ideal's; the sums run in label order.
+
+    The ideal's side is read per operator of its stack, never gathered per label: its traces,
+    and ``v_z^dagger sigma`` as ``s v_z^dagger`` where sigma is s I (:func:`_scalars`), else
+    each operator's product once per batch; either way with the bits a per-label copy gives."""
+    labels, p, q, stack = ideal.labels, ideal.p, ideal.q, ideal.stack
+    s, traces = _scalars(stack), np.trace(stack, axis1=1, axis2=2).real
     accepted = []
     for part in _chunks(len(labels), cq.dim, _BATCH):
-        w, sigma = cq.unit_factors(ideal.rows[part]), ideal.stack[ideal.index[part]]
+        index = ideal.index[part]
         if bases is None:
-            real = np.einsum("bij,bij->b", w, w.conj()).real[:, None]
-            fake = np.trace(sigma, axis1=1, axis2=2).real[:, None]
+            w = cq.unit_factors(ideal.rows[part])
+            real, fake = np.einsum("bij,bij->b", w, w.conj()).real[:, None], traces[index][:, None]
         else:
-            v, weight = bases(labels[part])
-            real = weight * (np.abs(v.conj() @ w) ** 2).sum(axis=2)
-            fake = weight * ((v.conj() @ sigma) * v).sum(axis=2).real
+            real, fake = _basis_tables(cq.unit_factors(ideal.rows[part]), stack, s, index, *bases(labels[part]))
         accept = p[part, None] * real - q[part, None] * fake > 0.0
         accepted.append([_ordered_sum(real * accept, 1), _ordered_sum(fake * accept, 1)])
     real, fake = np.concatenate(accepted, axis=1)
     return float(_ordered_sum(p * real, 0)) - float(_ordered_sum(q * fake, 0))
+
+
+def _basis_tables(w: np.ndarray, stack: np.ndarray, s: np.ndarray | None, index: np.ndarray, v: np.ndarray,
+                  weight) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(b, d)`` tables ``weight ||v_z^dagger W_k||^2`` and ``weight <v_z| stack[index[k]] |v_z>``
+    of :func:`_table_advantage`, for the unit factors ``w``, the rows ``v`` of one basis or of one
+    per label, and the stack's scalars ``s`` (:func:`_scalars`) or None."""
+    # <v_z| sigma_j |v_z> for each operator j the batch reads, on the axis before v's rows; the
+    # scalar product is laid out in C order like the matrix product, since the sum's order follows it
+    used, at = np.unique(index, return_inverse=True)
+    vh = v.conj()[..., None, :, :]
+    sandwich = np.multiply(vh, s[used, None, None], order="C") if s is not None else vh @ stack[used]
+    sandwich *= v[..., None, :, :]
+    table = sandwich.sum(axis=-1).real
+    fake = weight * (table[at] if v.ndim == 2 else table[np.arange(len(at)), at])
+    amp = v.conj() @ w
+    amp = np.abs(amp) if np.iscomplexobj(amp) else amp  # |x|^2 = x^2 for a real x
+    amp *= amp
+    return weight * amp.sum(axis=2), fake
 
 
 def _default_advantages(

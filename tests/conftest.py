@@ -7,6 +7,7 @@ two is evidence, not tautology.
 """
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +139,15 @@ def distinguishing_advantage(cq_real: CqState, cq_ideal: CqState, strategy: Stra
     """Acceptance gap of one strategy between two cq-states (exact): the dense oracle for
     the advantages the library reads off an ideal's one register or a state's factors."""
     return strategy_acceptance(cq_real, strategy) - strategy_acceptance(cq_ideal, strategy)
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory that Python and numpy traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def nuclear_trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -4,13 +4,20 @@ import io
 import itertools
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import bb84, distinguishing_advantage, entropy_bits, measure_encoded_qubit, sample_pad, to_density
-from qkdlab import attack_lab, cli, security_metrics
+from conftest import (
+    bb84,
+    distinguishing_advantage,
+    entropy_bits,
+    measure_encoded_qubit,
+    sample_pad,
+    to_density,
+    traced_peak,
+)
+from qkdlab import attack_lab, cli, quantum_core, security_metrics
 from qkdlab.attack_lab import (
     AttackState,
     SecrecyGapReport,
@@ -91,10 +98,10 @@ def test_bit_rows_enumerate_like_itertools():
         assert rows.tolist() == [list(r) for r in itertools.product((0, 1), repeat=n)]
 
 
-def _itertools_attack_rows(n):
+def _itertools_attack_rows(n, dtype=np.complex128):
     # the branch labels and pad states (rows[s, k] is pad k's product state in the
     # bases of key s) from itertools enumerations of keys and pads, with the same
-    # Kronecker products as build_attack_state
+    # Kronecker products as build_attack_state, one new array a qubit
     amps = np.array([[bb84(r, s) for r in (0, 1)] for s in (0, 1)])
     keys = np.array(list(itertools.product((0, 1), repeat=n + 1)))
     by_parity = [
@@ -102,7 +109,7 @@ def _itertools_attack_rows(n):
         for parity in (0, 1)
     ]
     pads = np.array(by_parity)[keys[:, -1]]
-    rows = np.ones((len(keys), pads.shape[1], 1), dtype=np.complex128)
+    rows = np.ones((len(keys), pads.shape[1], 1), dtype=dtype)
     for i in range(n):
         factor = amps[keys[:, i, None], pads[:, :, i]]
         rows = (rows[:, :, :, None] * factor[:, :, None, :]).reshape(len(keys), pads.shape[1], -1)
@@ -149,13 +156,26 @@ def test_attack_state_factor_build_traces_one_stack_and_a_chunk():
     labels, rows = _itertools_attack_rows(n)
     factors = rows.transpose(0, 2, 1) * math.sqrt(2.0 ** -(n - 1))
     probs = np.full(len(labels), 2.0 ** -(n + 1))
-    tracemalloc.start()
-    try:
-        cq = CqState.from_factors(n + 1, labels, probs, factors)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    cq, peak = traced_peak(lambda: CqState.from_factors(n + 1, labels, probs, factors))
     assert peak <= cq.matrices.nbytes + 2 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_attack_factors_have_the_bits_of_the_kronecker_loop(n):
+    # the in-place build multiplies in the loop's order, into one array that the state adopts
+    labels, rows = _itertools_attack_rows(n, np.float64)
+    want = rows.transpose(0, 2, 1) * math.sqrt(2.0 ** -(n - 1))
+    got_labels, probs, factors = attack_lab._attack_factors(n)
+    assert got_labels == labels and factors.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert factors.flags.owndata and factors.flags.c_contiguous and not factors.flags.writeable
+    assert CqState.from_factors(n + 1, labels, probs, factors).factors is factors
+
+
+def test_attack_state_build_traces_its_factors_and_little_more():
+    # 16 MB of factors at n = 7; a new array a Kronecker step and a copy for the state took 34 MB
+    state, peak = traced_peak(lambda: build_attack_state(7))
+    assert state.cq.factors.nbytes == 16 * 2**20
+    assert peak <= state.cq.factors.nbytes + 3 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_secrecy_figures_at_n_6_allocate_no_second_stack(monkeypatch):
@@ -166,12 +186,7 @@ def test_secrecy_figures_at_n_6_allocate_no_second_stack(monkeypatch):
     state, declared = build_attack_state(6), attack_lab.even_x_eigenbasis(6)
     monkeypatch.setattr(attack_lab, "build_attack_state", lambda n: state)
     monkeypatch.setattr(attack_lab, "even_x_eigenbasis", lambda n: declared)
-    tracemalloc.start()
-    try:
-        attack_lab.secrecy_reports(6, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: attack_lab.secrecy_reports(6, seed=1))[1]
     assert peak <= state.cq.matrices.nbytes + 2 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
@@ -218,12 +233,7 @@ def test_stack_readers_trace_little_memory(check):
     # stack came to 16 MB and 10 MB here
     cq = build_attack_state(6).cq
     assert cq.matrices.nbytes == 4 * 2**20
-    tracemalloc.start()
-    try:
-        check(cq)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: check(cq))[1]
     assert peak <= 2 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
@@ -537,6 +547,25 @@ def test_even_x_eigenbasis_diagonalises_every_even_x_string(n):
         rotated = v @ string @ v.conj().T
         assert np.abs(rotated - np.diag(np.diag(rotated))).max() < 1e-12
         assert np.allclose(np.abs(np.diag(rotated)), 1.0, atol=1e-12)
+
+
+def _stacked_even_x_combination(n):
+    # the fixed-seed combination as sum() added it over the stack of every even-X string
+    keys = attack_lab._bit_rows(n)
+    keys = keys[(keys.sum(axis=1) & 1) == 0]
+    weights = np.random.default_rng(0).standard_normal(len(keys))
+    return sum(w * p for w, p in zip(weights, quantum_core._kron_rows(attack_lab._ZX[keys])))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_even_x_eigenbasis_has_the_bits_of_the_stacked_sum(n):
+    want = np.linalg.eigh(_stacked_even_x_combination(n))[1].T
+    assert attack_lab.even_x_eigenbasis(n).basis.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_even_x_eigenbasis_traces_one_string_at_a_time():
+    # a 128 KB string at n = 7; the stack of all 64 came to a 10.1 MB peak
+    assert traced_peak(lambda: attack_lab.even_x_eigenbasis(7))[1] < 2 * 2**20
 
 
 @pytest.mark.parametrize("n", range(2, 7))

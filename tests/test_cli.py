@@ -14,7 +14,6 @@ import re
 import shutil
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qkdlab
-from conftest import COLUMN_PARAMS, COLUMN_PARAMS_IDS, assert_same_bytes
+from conftest import COLUMN_PARAMS, COLUMN_PARAMS_IDS, assert_same_bytes, traced_peak
 from qkdlab import attack_lab, cli, composition_harness, keystream, quantum_core, security_metrics
 from qkdlab.cli import EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
 from qkdlab.keystream import LedgerBroken, StreamParams
@@ -1050,12 +1049,8 @@ def test_keystream_schedule_traced_peak_is_bounded(tmp_path):
     # 10^5 rounds to 5.9 MB, a Python object per row to several times that
     argv = ["keystream-schedule", "--n0", "60000", "--ell0", "12000", "--rounds", "100000",
             "--out", str(tmp_path / "report.json")]
-    tracemalloc.start()
-    try:
-        assert main(argv) == EXIT_OK
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(argv))
+    assert code == EXIT_OK
     assert peak <= 1.75 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
 
 

@@ -2,7 +2,6 @@ import collections
 import itertools
 import math
 import re
-import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -12,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _rsa_key, rsa_decrypt, rsa_encrypt
+from conftest import _rsa_key, rsa_decrypt, rsa_encrypt, traced_peak
 from qkdlab import attack_lab
 from qkdlab.attack_lab import build_attack_state, parity_strategy, run_otp_attacks
 from qkdlab import composition_harness as ch
@@ -543,12 +542,7 @@ def test_sampled_memory_does_not_grow_with_trials(monkeypatch):
     pair = perfect_key_source(61)  # every sample is new
 
     def peak(count, trials):
-        tracemalloc.start()
-        try:
-            count(trials)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: count(trials))[1]
 
     sampled = lambda trials: _accept_count_sampled(pair.ideal_run, _accept_all, trials, np.random.default_rng(0))
     assert peak(sampled, 8_000) < 2 * peak(sampled, 1_000)

@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import io
 import math
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COLUMN_PARAMS
+from conftest import COLUMN_PARAMS, traced_peak
 from qkdlab import keystream
 from qkdlab.keystream import (
     GAMMA_DEFAULT,
@@ -292,12 +291,7 @@ def test_columns_traced_peak_when_every_term_is_live():
     # copy of every round in the exp and log steps would add 16 more
     p = StreamParams(n0=60_000, c=1.0, ell0=12_000)
     rounds = 200_000
-    tracemalloc.start()
-    try:
-        cols = keystream._columns(p, rounds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    cols, peak = traced_peak(lambda: keystream._columns(p, rounds))
     assert cols.live == rounds
     assert peak <= 62 * rounds, f"traced peak {peak / rounds:.1f} bytes a round"
 
@@ -705,12 +699,7 @@ def test_stream_counters_pass_int64_at_the_size_cap():
 
 def test_simulate_stream_traced_peak_is_bounded():
     # a uint8 per emitted bit and a RoundLedger per round came to 11 MB here
-    tracemalloc.start()
-    try:
-        log = simulate_stream(SMALL, 20_000, MockKeySource(0.0), np.random.default_rng(5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    log, peak = traced_peak(lambda: simulate_stream(SMALL, 20_000, MockKeySource(0.0), np.random.default_rng(5)))
     assert log.bits_emitted == 20_000 * SMALL.ell
     assert peak <= 4 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 

@@ -382,6 +382,20 @@ def test_from_factors_keeps_a_copy_and_forms_the_stack_on_first_read():
         object.__new__(CqState).matrices
 
 
+def test_from_factors_adopts_a_read_only_array_of_its_own_and_copies_every_other():
+    w = _unit_factors(np.random.default_rng(7), 2, 4, 2)
+    w.setflags(write=False)
+    assert w.flags.owndata
+    assert CqState.from_factors(1, ["0", "1"], [0.5, 0.5], w).factors is w
+    fortran = np.asfortranarray(w)
+    fortran.setflags(write=False)
+    assert fortran.flags.owndata and not fortran.flags.c_contiguous
+    for given in (w[:], w.copy(), fortran):  # a read-only view, a writeable array, a column-major one
+        factors = CqState.from_factors(1, ["0", "1"], [0.5, 0.5], given).factors
+        assert not np.shares_memory(factors, given) and not factors.flags.writeable
+        assert factors.flags.c_contiguous and factors.tobytes() == w.tobytes()
+
+
 _HALF_FACTOR = np.eye(2) / math.sqrt(2)
 _BAD_FACTORS = {
     # case: (labels, factors), message

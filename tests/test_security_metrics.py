@@ -648,6 +648,68 @@ def test_factor_figures_equal_the_dense_ones(kind, arg):
     assert np.abs(joint - cq_measure(cq, povm)).max() <= 1e-12
 
 
+def _gathered_table_advantage(cq: CqState, ideal, dense: CqState, bases) -> float:
+    """:func:`security_metrics._table_advantage` with the ideal's operator gathered for each
+    label from the dense ideal ``dense`` (rho' where it lacks the label) and multiplied there."""
+    _ordered_sum = quantum_core._ordered_sum
+    stack = np.concatenate([dense.matrices, ideal.stack[:1]])
+    dense_rows = quantum_core._rows(dense.labels, ideal.labels)  # -1, the last, reads rho'
+    labels, p, q = ideal.labels, ideal.p, ideal.q
+    accepted = []
+    for part in quantum_core._chunks(len(labels), cq.dim, security_metrics._BATCH):
+        w, sigma = cq.unit_factors(ideal.rows[part]), stack[dense_rows[part]]
+        if bases is None:
+            real = np.einsum("bij,bij->b", w, w.conj()).real[:, None]
+            fake = np.trace(sigma, axis1=1, axis2=2).real[:, None]
+        else:
+            v, weight = bases(labels[part])
+            real = weight * (np.abs(v.conj() @ w) ** 2).sum(axis=2)
+            fake = weight * ((v.conj() @ sigma) * v).sum(axis=2).real
+        accept = p[part, None] * real - q[part, None] * fake > 0.0
+        accepted.append([_ordered_sum(real * accept, 1), _ordered_sum(fake * accept, 1)])
+    real, fake = np.concatenate(accepted, axis=1)
+    return float(_ordered_sum(p * real, 0)) - float(_ordered_sum(q * fake, 0))
+
+
+_TABLE_STATES = [("attack", n) for n in range(2, 6)]
+_TABLE_STATES += [(kind, seed) for kind in ("abort", "missing") for seed in range(4)]
+
+
+@pytest.mark.parametrize("kind, arg", _TABLE_STATES)
+def test_factor_advantages_have_the_bits_of_the_dense_ideals_copies(kind, arg):
+    # every default rule (all ten on the attack state), Haar included, scored with no
+    # stop: the ideal read once per operator (s for a scalar s I) gives the bits of the
+    # per-label copies of IdealForm.to_cq, for the scalar ideal I / d and for the
+    # canonical one, whose rounded average (and a random abort register) is not scalar
+    cq = build_attack_state(arg).cq if kind == "attack" else _factor_state(kind, arg)
+    mixed = DensityOperator.fully_mixed(cq.dim)
+    declared = IdealForm(cq.p_perp, mixed, mixed)
+    for form in (declared, canonical_ideal(cq)):
+        ideal, dense = security_metrics._ideal(cq, form), form.to_cq(cq.key_len)
+        assert (security_metrics._scalars(ideal.stack) is not None) == (form is declared)
+        got = list(security_metrics._default_advantages(cq, ideal, 8, arg))
+        rules = security_metrics._default_rules(cq, 8, arg)
+        want = [_gathered_table_advantage(cq, ideal, dense, bases) for _, bases in rules]
+        assert len(got) == len(want) == 10 or kind != "attack"  # random states may lack the label basis
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("stack, scalars", [
+    (np.array([np.eye(3) / 3, 2 * np.eye(3)]), [1 / 3, 2.0]),
+    (np.array([np.eye(2), np.zeros((2, 2))]), [1.0, 0.0]),
+    (np.eye(2, dtype=complex)[None] * 0.5, [0.5]),
+    (np.array([np.eye(2), np.diag([1.0, 1.0 + 2**-52])]), None),  # a diagonal off by one ulp
+    (np.array([np.eye(2), np.eye(2) + 1e-300 * np.eye(2)[::-1]]), None),  # a tiny off-diagonal entry
+    (np.eye(2)[None] * (0.5 + 1e-17j), None),  # a complex diagonal
+])
+def test_scalars_reads_s_only_where_each_operator_is_exactly_s_times_the_identity(stack, scalars):
+    got = security_metrics._scalars(stack)
+    if scalars is None:
+        assert got is None
+    else:
+        assert got.dtype == stack.dtype and got.tolist() == scalars
+
+
 @pytest.mark.parametrize("stop_at", range(10))
 def test_strategy_stock_stops_at_the_first_advantage_that_meets_the_upper_end(stop_at):
     # the stopped stock is a prefix of the full one, Haar bases included
