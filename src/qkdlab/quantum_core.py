@@ -235,7 +235,10 @@ class CqState:
 
         Each branch's trace, ``||W_b||_F^2``, must be 1 within 1e-9.  A
         read-only C-contiguous float64 or complex128 array that owns its
-        memory is adopted as it is; any other input is copied, read-only.
+        memory is adopted as it is: the caller hands it over and must not
+        make it writeable again, for the checks, the traces and the stack
+        formed on first read hold only while it is unchanged.  Any other
+        input is copied, read-only.
         :meth:`unit_factors` divides each factor by the root of its trace;
         no ``W W^dagger`` is formed.
         """

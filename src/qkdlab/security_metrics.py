@@ -24,7 +24,7 @@ the state laid out once against its :class:`IdealForm` on their label
 union (:func:`_ideal`): the ideal's side is the stack (rho', rho''), which
 each label indexes, never a ``(2^l, d, d)`` stack: rho' is copied for one
 batch of keys at a time, or, for the Born tables of a state built from
-factors, read once per operator, as the scalar s where it is s I.  The
+factors, multiplied once per operator and batch.  The
 arithmetic is that of the copies, so each figure equals, bit for bit, the
 one computed against :meth:`IdealForm.to_cq`, which the tests keep as the
 oracle.  A state built from factors W_b is scored from them instead, with
@@ -519,10 +519,10 @@ def _table_advantage(cq: CqState, ideal: _Pair, bases: Callable | None) -> float
     ideal's; the sums run in label order.
 
     The ideal's side is read per operator of its stack, never gathered per label: its traces,
-    and ``v_z^dagger sigma`` as ``s v_z^dagger`` where sigma is s I (:func:`_scalars`), else
-    each operator's product once per batch; either way with the bits a per-label copy gives."""
+    and the products ``v_z^dagger sigma`` of :func:`_basis_tables`, with the bits a per-label
+    copy gives."""
     labels, p, q, stack = ideal.labels, ideal.p, ideal.q, ideal.stack
-    s, traces = _scalars(stack), np.trace(stack, axis1=1, axis2=2).real
+    traces = np.trace(stack, axis1=1, axis2=2).real
     accepted = []
     for part in _chunks(len(labels), cq.dim, _BATCH):
         index = ideal.index[part]
@@ -530,27 +530,31 @@ def _table_advantage(cq: CqState, ideal: _Pair, bases: Callable | None) -> float
             w = cq.unit_factors(ideal.rows[part])
             real, fake = np.einsum("bij,bij->b", w, w.conj()).real[:, None], traces[index][:, None]
         else:
-            real, fake = _basis_tables(cq.unit_factors(ideal.rows[part]), stack, s, index, *bases(labels[part]))
+            real, fake = _basis_tables(cq.unit_factors(ideal.rows[part]), stack, index, *bases(labels[part]))
         accept = p[part, None] * real - q[part, None] * fake > 0.0
         accepted.append([_ordered_sum(real * accept, 1), _ordered_sum(fake * accept, 1)])
     real, fake = np.concatenate(accepted, axis=1)
     return float(_ordered_sum(p * real, 0)) - float(_ordered_sum(q * fake, 0))
 
 
-def _basis_tables(w: np.ndarray, stack: np.ndarray, s: np.ndarray | None, index: np.ndarray, v: np.ndarray,
+def _basis_tables(w: np.ndarray, stack: np.ndarray, index: np.ndarray, v: np.ndarray,
                   weight) -> tuple[np.ndarray, np.ndarray]:
     """The ``(b, d)`` tables ``weight ||v_z^dagger W_k||^2`` and ``weight <v_z| stack[index[k]] |v_z>``
-    of :func:`_table_advantage`, for the unit factors ``w``, the rows ``v`` of one basis or of one
-    per label, and the stack's scalars ``s`` (:func:`_scalars`) or None."""
-    # <v_z| sigma_j |v_z> for each operator j the batch reads, on the axis before v's rows; the
-    # scalar product is laid out in C order like the matrix product, since the sum's order follows it
-    used, at = np.unique(index, return_inverse=True)
-    vh = v.conj()[..., None, :, :]
-    sandwich = np.multiply(vh, s[used, None, None], order="C") if s is not None else vh @ stack[used]
-    sandwich *= v[..., None, :, :]
-    table = sandwich.sum(axis=-1).real
-    fake = weight * (table[at] if v.ndim == 2 else table[np.arange(len(at)), at])
-    amp = v.conj() @ w
+    of :func:`_table_advantage`, for the unit factors ``w`` and the rows ``v`` of one basis or of
+    one per label."""
+    vh = v.conj()
+    if v.ndim == 2:  # one basis: each operator the batch reads is multiplied once, its table read per label
+        used, at = np.unique(index, return_inverse=True)
+        sandwich = vh @ stack[used]
+    else:  # a basis per label: each label's rows times its own operator, run by run of one operator
+        at = slice(None)
+        sandwich = np.empty(v.shape, np.result_type(v, stack))
+        starts = np.flatnonzero(np.r_[True, index[1:] != index[:-1]])
+        for a, b in zip(starts, [*starts[1:], len(index)]):
+            np.matmul(vh[a:b], stack[index[a]], out=sandwich[a:b])
+    sandwich *= v
+    fake = weight * sandwich.sum(axis=-1).real[at]
+    amp = vh @ w
     amp = np.abs(amp) if np.iscomplexobj(amp) else amp  # |x|^2 = x^2 for a real x
     amp *= amp
     return weight * amp.sum(axis=2), fake

@@ -678,9 +678,9 @@ _TABLE_STATES += [(kind, seed) for kind in ("abort", "missing") for seed in rang
 @pytest.mark.parametrize("kind, arg", _TABLE_STATES)
 def test_factor_advantages_have_the_bits_of_the_dense_ideals_copies(kind, arg):
     # every default rule (all ten on the attack state), Haar included, scored with no
-    # stop: the ideal read once per operator (s for a scalar s I) gives the bits of the
-    # per-label copies of IdealForm.to_cq, for the scalar ideal I / d and for the
-    # canonical one, whose rounded average (and a random abort register) is not scalar
+    # stop: the ideal multiplied once per operator (per label for the label bases) gives
+    # the bits of the per-label copies of IdealForm.to_cq, for the scalar ideal I / d and
+    # for the canonical one, whose rounded average (and a random abort register) is not scalar
     cq = build_attack_state(arg).cq if kind == "attack" else _factor_state(kind, arg)
     mixed = DensityOperator.fully_mixed(cq.dim)
     declared = IdealForm(cq.p_perp, mixed, mixed)
@@ -692,6 +692,21 @@ def test_factor_advantages_have_the_bits_of_the_dense_ideals_copies(kind, arg):
         want = [_gathered_table_advantage(cq, ideal, dense, bases) for _, bases in rules]
         assert len(got) == len(want) == 10 or kind != "attack"  # random states may lack the label basis
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_basis_tables_multiply_each_label_once_against_its_own_operator():
+    # per-label bases over an index that changes operator several times: the tables have the
+    # bits of the gathered copies, one product per label
+    rng = np.random.default_rng(5)
+    d, b = 4, 7
+    stack = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    index = np.array([2, 2, 0, 1, 1, 0, 2])
+    v = rng.standard_normal((b, d, d)) + 1j * rng.standard_normal((b, d, d))
+    w = rng.standard_normal((b, d, 2))
+    weight = rng.random((b, 1))
+    real, fake = security_metrics._basis_tables(w, stack, index, v, weight)
+    assert real.tobytes() == (weight * (np.abs(v.conj() @ w) ** 2).sum(axis=2)).tobytes()
+    assert fake.tobytes() == (weight * ((v.conj() @ stack[index]) * v).sum(axis=2).real).tobytes()
 
 
 @pytest.mark.parametrize("stack, scalars", [
