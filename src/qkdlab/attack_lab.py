@@ -15,7 +15,12 @@ itself, at every n >= 2.  With s the first n key bits, p the last one and
 ``P_s`` the string of Z (s_i = 0) and X (s_i = 1), the branch of (s, p) is
 ``(I + (-1)^p P_s) / 2^n``.  The 2^(n-1) strings with an even number of X
 commute, and their joint eigenbasis (:func:`even_x_eigenbasis`, the Bell
-basis at n = 2) learns 1/2 bit.  No measurement learns more:
+basis at n = 2) learns 1/2 bit.  It has a closed form: ``X = -i Y Z``, so
+``P_s = (-i)^|s| Y^s Z^(x)n``; for even |s|, ``Y^s`` has one sign on each pair
+``{|y>_Y, |not y>_Y}`` of Y-basis product states and ``Z^(x)n`` swaps the two,
+so the real and imaginary parts of ``|y>_Y`` (``y_1 = 0``), each times sqrt 2,
+are eigenvectors of all of them: real 0/+-2^(-(n-1)/2) rows.  No measurement
+learns more:
 
 1. The ensemble is covariant under {I, H, Y, HY}^(x)n, which acts
    irreducibly; twirling an optimal POVM and refining it to rank one
@@ -111,6 +116,7 @@ def _bits_from(value, width: int) -> tuple[int, ...]:
 _H = 1.0 / math.sqrt(2.0)
 _BB84_AMPS = np.array([[(1.0, 0.0), (0.0, 1.0)], [(_H, _H), (_H, -_H)]])
 _ZX = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])  # Z for key bit 0, X for 1
+_I_POWERS = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])  # Re and Im of i^k, k = 0..3
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,20 +173,23 @@ def _attack_factors(n: int) -> tuple[list[str], np.ndarray, np.ndarray]:
 
 
 def even_x_eigenbasis(n: int) -> Povm:
-    """Joint eigenbasis of the strings ``P_s`` with an even number of X (module docstring).
+    """Joint eigenbasis of the strings ``P_s`` with an even number of X (module docstring),
+    in closed form, real float64.
 
-    It is the eigenbasis of a fixed-seed real combination of them, whose eigenvalues are distinct,
-    added term by term from 0 in key order, one string formed at a time.
+    As ``X = -i Y Z``, ``P_s = (-i)^|s| Y^s Z^(x)n``.  For even ``|s|``, ``Y^s`` has one sign
+    on both of the Y-basis product states ``|y>_Y`` and ``|not y>_Y``, and ``Z^(x)n`` swaps
+    them, so ``sqrt 2 Re`` and ``sqrt 2 Im`` of ``|y>_Y``, over the y with ``y_1 = 0``, are
+    eigenvectors of every such string.  ``|y>_Y`` has the amplitudes ``2^(-n/2) i^|x|
+    (-1)^(x.y)``, so the rows, the real parts and then the imaginary parts, are
+    ``2^(-(n-1)/2) (-1)^(x.y) (-1)^floor(|x|/2)`` on the even-weight x or on the odd-weight
+    x, and 0 elsewhere.
     """
-    keys = _bit_rows(n)
-    keys = keys[(keys.sum(axis=1) & 1) == 0]
-    weights = np.random.default_rng(0).standard_normal(len(keys))
-    combination = np.zeros((2**n, 2**n))
-    for w, key in zip(weights, keys):
-        term = _kron_rows(_ZX[key][None])[0]
-        term *= w
-        combination += term
-    return Povm.from_basis(np.linalg.eigh(combination)[1].T)
+    x = _bit_rows(n)
+    signs = 1.0 - 2.0 * ((x[: 2 ** (n - 1)] @ x.T) & 1)  # (-1)^(x.y), y the rows with y_1 = 0
+    parts = _I_POWERS[x.sum(axis=1) % 4].T  # Re and Im of i^|x|
+    basis = (parts[:, None, :] * signs).reshape(2**n, 2**n)
+    basis *= 2.0 ** (-(n - 1) / 2)
+    return Povm.from_basis(basis)
 
 
 class MarginalCheck(NamedTuple):

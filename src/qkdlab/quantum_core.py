@@ -248,11 +248,13 @@ class CqState:
             w = w.copy()
         if w.ndim != 3 or min(w.shape[1:]) < 1:
             raise ValueError(f"expected a (B, d, r) stack of factors, got shape {w.shape}")
-        if not np.isfinite(w).all():
+        tr = np.einsum("bij,bij->b", w, w.conj()).real
+        # a trace sums |w|^2 terms, which cannot cancel: a NaN or inf entry leaves its branch's
+        # trace non-finite, so only those branches' entries are read
+        if not np.isfinite(w[~np.isfinite(tr)]).all():
             raise ValueError("factor has a non-finite entry")
         if len(w) != len(labels):
             raise ValueError(f"{len(labels)} labels for {len(w)} branch factors")
-        tr = np.einsum("bij,bij->b", w, w.conj()).real
         bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
         if bad.size:
             raise ValueError(f"branch {labels[bad[0]]!r} has trace {float(tr[bad[0]])!r}, not 1 within {TRACE_TOL}")
@@ -521,14 +523,23 @@ def _rows(labels: Sequence[str], wanted: Sequence[str]) -> np.ndarray:
 def _gaps(a: CqState, pair: _Pair, entries: int) -> Iterator[tuple[slice, np.ndarray]]:
     """The ``(b, d, d)`` stacks ``p_k rho_k - q_k sigma_k`` over the pair's labels, ``entries``
     entries a batch, with each batch's slice: ``rho_k`` is the branch of ``a`` and ``sigma_k``
-    the other side's operator, and a label missing on one side weighs 0 there."""
+    the other side's operator, and a label missing on one side weighs 0 there.  ``q sigma``
+    is subtracted run by run of labels that share an operator, which is never gathered."""
     dtype = np.result_type(a.matrices, pair.stack)
     for part in _chunks(len(pair.labels), a.dim, entries):
         gap = a.matrices[pair.rows[part]]
         gap *= pair.p[part, None, None]
         gap = gap.astype(dtype, copy=False)
-        gap -= pair.q[part, None, None] * pair.stack[pair.index[part]]
+        q, index = pair.q[part, None, None], pair.index[part]
+        for run in _runs(index):
+            gap[run] -= q[run] * pair.stack[index[run.start]]
         yield part, gap
+
+
+def _runs(index: np.ndarray) -> Iterator[slice]:
+    """The slices of the runs of equal entries of the 1-d ``index``, in order."""
+    starts = np.flatnonzero(np.r_[True, index[1:] != index[:-1]]).tolist()
+    return (slice(a, b) for a, b in zip(starts, [*starts[1:], len(index)]))
 
 
 def _block_distance(blocks: Iterable[np.ndarray]) -> float:

@@ -62,6 +62,7 @@ from .quantum_core import (
     _ordered_sum,
     _pair,
     _rows,
+    _runs,
     born_table,
     cq_measure,
     mutual_information,
@@ -549,9 +550,8 @@ def _basis_tables(w: np.ndarray, stack: np.ndarray, index: np.ndarray, v: np.nda
     else:  # a basis per label: each label's rows times its own operator, run by run of one operator
         at = slice(None)
         sandwich = np.empty(v.shape, np.result_type(v, stack))
-        starts = np.flatnonzero(np.r_[True, index[1:] != index[:-1]])
-        for a, b in zip(starts, [*starts[1:], len(index)]):
-            np.matmul(vh[a:b], stack[index[a]], out=sandwich[a:b])
+        for run in _runs(index):
+            np.matmul(vh[run], stack[index[run.start]], out=sandwich[run])
     sandwich *= v
     fake = weight * sandwich.sum(axis=-1).real[at]
     amp = vh @ w

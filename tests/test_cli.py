@@ -679,6 +679,19 @@ def test_secrecy_never_forms_the_branch_stack(capsys, monkeypatch):
     )["secrecy --n 5 --seed 1"]
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_secrecy_draws_no_random_number(capsys, monkeypatch, n):
+    # the declared basis is built in closed form and closes the I_acc bracket, and the
+    # label-basis strategy closes the secrecy one, so no random generator is made
+    def refuse(*args, **kwargs):
+        raise AssertionError("secrecy made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    code, out, err = run_cli(capsys, ["secrecy", "--n", str(n), "--seed", "1"])
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["result"]["gap_report"]["iacc_best_strategy"] == "declared:even_x_eigenbasis"
+
+
 def test_secrecy_rescores_per_qubit_ties_without_a_declared_basis(capsys, monkeypatch):
     calls, _ = _count_secrecy_calls(
         capsys, monkeypatch, ["secrecy", "--n", "3", "--families", "per_qubit", "--seed", "5"]

@@ -18,7 +18,9 @@ from conftest import (
     rand_pure_vec,
     standard_basis_povm,
     to_density,
+    traced_peak,
 )
+from qkdlab import attack_lab, quantum_core
 from qkdlab.attack_lab import build_attack_state, even_x_eigenbasis
 from qkdlab.quantum_core import (
     PERP,
@@ -250,6 +252,31 @@ def test_attack_state_upper_bound_is_exactly_one_half_either_way(n):
     assert cq_trace_distance(cq, ideal) == cq_trace_distance(ideal, cq) == 0.5
 
 
+@pytest.mark.parametrize("entries", [4 * 4**2, quantum_core._STACK_CHUNK])
+def test_gaps_subtract_each_operator_run_with_the_bits_of_the_gathered_copies(entries):
+    # the other side's operator changes several times along the labels, PERP included, and the
+    # state lacks some of them; batches of 4 labels split the runs, one batch holds them all
+    rng = np.random.default_rng(9)
+    cq = rand_cq(rng, 3, 4, include_perp=True, max_branches=5)
+    stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    labels = [format(k, "03b") for k in range(8)] + [PERP]
+    index = [2, 2, 0, 1, 1, 0, 2, 2, 1]
+    pair = quantum_core._pair(cq, labels, rng.dirichlet(np.ones(9)), stack, index)
+    assert len(pair.labels) == 9 and (pair.rows < 0).any()
+    got = np.concatenate([gap for _, gap in quantum_core._gaps(cq, pair, entries)])
+    weighted = (cq.matrices[pair.rows] * pair.p[:, None, None]).astype(complex)
+    assert got.tobytes() == (weighted - pair.q[:, None, None] * pair.stack[pair.index]).tobytes()
+
+
+def test_cq_trace_distance_gathers_no_copy_of_the_other_side():
+    # d = 32 complex: a batch of 4 blocks is 64 KB; gathering the other side's operators
+    # and scaling them added two such arrays, a 0.32 MB peak
+    rng = np.random.default_rng(3)
+    a, b = rand_cq(rng, 3, 32, include_perp=True), rand_cq(rng, 3, 32)
+    peak = traced_peak(lambda: cq_trace_distance(a, b))[1]
+    assert peak < 0.25 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
+
+
 def test_cq_trace_distance_mismatches():
     rho = DensityOperator.fully_mixed(2)
     a = CqState(1, {"0": (1.0, rho)})
@@ -394,6 +421,14 @@ def test_from_factors_adopts_a_read_only_array_of_its_own_and_copies_every_other
         factors = CqState.from_factors(1, ["0", "1"], [0.5, 0.5], given).factors
         assert not np.shares_memory(factors, given) and not factors.flags.writeable
         assert factors.flags.c_contiguous and factors.tobytes() == w.tobytes()
+
+
+def test_from_factors_checks_an_adopted_stack_without_a_copy_of_its_size():
+    # the finiteness check reads the traces: np.isfinite over the 16 MB of factors at n = 7 took 2 MB
+    labels, probs, w = attack_lab._attack_factors(7)
+    cq, peak = traced_peak(lambda: CqState.from_factors(8, labels, probs, w))
+    assert cq.factors is w
+    assert peak < 0.1 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
 
 
 _HALF_FACTOR = np.eye(2) / math.sqrt(2)
