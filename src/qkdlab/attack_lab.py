@@ -50,6 +50,7 @@ from .quantum_core import (
     CqState,
     DensityOperator,
     Povm,
+    _bit_strings,
     _chunks,
     _kron_rows,
 )
@@ -165,11 +166,10 @@ def _attack_factors(n: int) -> tuple[list[str], np.ndarray, np.ndarray]:
         grid = w.reshape(len(keys), 2**i, 2, -1, pads.shape[1])[:, :, :, 0]
         for bit in (1, 0):  # the rows of bit 0 are the source
             np.multiply(grid[:, :, 0], factor[:, None, :, bit], out=grid[:, :, bit])
-    labels = ["".join(map(str, s)) for s in keys.tolist()]
     # weighted: W_s W_s^dagger is the branch of s
     w *= math.sqrt(weight)
     w.setflags(write=False)
-    return labels, np.full(len(keys), p_branch), w
+    return _bit_strings(n + 1), np.full(len(keys), p_branch), w
 
 
 def even_x_eigenbasis(n: int) -> Povm:
@@ -206,7 +206,7 @@ def fully_mixed_marginal_check(state: AttackState | CqState) -> MarginalCheck:
     look perfect.
     """
     cq = state.cq if isinstance(state, AttackState) else state
-    every = ["".join(map(str, row)) for row in _bit_rows(cq.key_len).tolist()]
+    every = _bit_strings(cq.key_len)
     missing = sorted(set(every) - set(cq.labels))
     if missing:
         raise ValueError(f"state is missing branch {missing[0]!r}")
@@ -348,7 +348,7 @@ def parity_strategy(n: int) -> Strategy:
     factors[:, 0] *= (0.5 - keys[:, n]).reshape(-1, 1, 1)  # (-1)^p / 2
     effects = _kron_rows(factors)
     effects[:, range(2**n), range(2**n)] += 0.5
-    return Strategy("parity", ["".join(map(str, s)) for s in keys.tolist()], effects)
+    return Strategy("parity", _bit_strings(n + 1), effects)
 
 
 class GuessOracle(NamedTuple):

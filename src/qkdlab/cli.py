@@ -254,7 +254,10 @@ def _is_distribution_entry(entry) -> bool:
 
 def _load_correctness(path: str):
     with open(path) as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError("correctness file nests too deeply") from None
     if isinstance(data, dict) and "samples" in data:
         samples = data["samples"]
         if not (isinstance(samples, list) and all(isinstance(s, list) and len(s) == 2 for s in samples)):

@@ -269,6 +269,17 @@ def _half_width(hits_a: int, hits_b: int, trials: int, rows: int) -> float:
     return abs(hits_a / trials - hits_b / trials) - lower
 
 
+def _exact_estimate(p_r: float, p_i: float) -> AdvantageEstimate:
+    """The estimate from the exact acceptance probabilities of the real and ideal worlds."""
+    return AdvantageEstimate(abs(p_r - p_i), 0.0, p_r, p_i, "exact", 0)
+
+
+def _sampled_estimate(k_r: int, k_i: int, trials: int) -> AdvantageEstimate:
+    """The estimate from the accepted counts of ``trials`` samples of the real and ideal worlds."""
+    p_r, p_i = k_r / trials, k_i / trials
+    return AdvantageEstimate(abs(p_r - p_i), _half_width(k_r, k_i, trials, 1), p_r, p_i, "sample", trials)
+
+
 def _mode(mode: str, exact: bool, name: str, rng: np.random.Generator | None, trials: int) -> str:
     """``mode`` with ``"auto"`` resolved (exact when the system ``name`` has
     ``exact`` distributions), checked to have what it needs."""
@@ -300,14 +311,11 @@ def estimate_advantage(
     """
     decide = distinguisher.decide if isinstance(distinguisher, Distinguisher) else distinguisher
     if _mode(mode, pair.has_exact_dists, pair.name, rng, trials) == "exact":
-        p_r = _accept_prob(pair.real_dist, decide)
-        p_i = _accept_prob(pair.ideal_dist, decide)
-        return AdvantageEstimate(abs(p_r - p_i), 0.0, p_r, p_i, "exact", 0)
+        return _exact_estimate(_accept_prob(pair.real_dist, decide), _accept_prob(pair.ideal_dist, decide))
     r_real, r_ideal = rng.spawn(2)
     k_r = _accept_count_sampled(pair.real_run, decide, trials, r_real)
     k_i = _accept_count_sampled(pair.ideal_run, decide, trials, r_ideal)
-    p_r, p_i = k_r / trials, k_i / trials
-    return AdvantageEstimate(abs(p_r - p_i), _half_width(k_r, k_i, trials, 1), p_r, p_i, "sample", trials)
+    return _sampled_estimate(k_r, k_i, trials)
 
 
 def exact_optimal_advantage(pair: ProtocolPair) -> float:
@@ -655,15 +663,14 @@ def attack_otp_advantage(
 
         p_r = _every_row_count(2 * n, real_accepts) / 2 ** (2 * n)
         p_i = _every_row_count(width, lambda draws: int(np.count_nonzero(ideal_accept(draws)))) / 2**width
-        return AdvantageEstimate(abs(p_r - p_i), 0.0, p_r, p_i, "exact", 0)
+        return _exact_estimate(p_r, p_i)
     r_real, r_ideal = rng.spawn(2)
     k_r = run_otp_attacks(n, m, r_real, trials).successes
     # the ideal world's trials are its draw rows (a zero-row draw, which sizes them, takes no state)
     k_i = _accept_count_sampled(
         lambda rng, rows: (rng.integers(0, 2, size=(rows, width)), ()), ideal_accept, trials, r_ideal
     )
-    p_r, p_i = k_r / trials, k_i / trials
-    return AdvantageEstimate(abs(p_r - p_i), _half_width(k_r, k_i, trials, 1), p_r, p_i, "sample", trials)
+    return _sampled_estimate(k_r, k_i, trials)
 
 
 # ---------------------------------------------------------------------------

@@ -415,9 +415,14 @@ class Povm:
 def _default_outcome_labels(dim: int) -> list[str]:
     # bit strings when dim is a power of two, decimal strings otherwise
     n = dim.bit_length() - 1
-    if dim == 2**n:
-        return [format(i, f"0{max(n, 1)}b") if n else "" for i in range(dim)]
-    return [str(i) for i in range(dim)]
+    return _bit_strings(n) if dim == 2**n else [str(i) for i in range(dim)]
+
+
+def _bit_strings(n: int) -> list[str]:
+    """Every n-bit string in lexicographic order (string v spells v in binary), "" for n = 0."""
+    if n > 16:
+        raise ValueError(f"refusing to enumerate 2^{n} bit strings")
+    return [format(i, f"0{n}b") if n else "" for i in range(2**n)]
 
 
 def qubit_basis(theta: float) -> np.ndarray:
@@ -442,9 +447,7 @@ def product_qubit_povm(thetas: Sequence[float]) -> Povm:
     for theta in thetas:
         # Kronecker product v (x) u, without np.kron's per-call overhead
         v = (v[:, None, :, None] * qubit_basis(theta)[None, :, None, :]).reshape(2 * len(v), -1)
-    n = len(thetas)
-    labels = [format(i, f"0{n}b") if n else "" for i in range(2**n)]
-    return Povm.from_basis(v, labels=labels)
+    return Povm.from_basis(v, labels=_bit_strings(len(thetas)))
 
 
 def _kron_rows(factors: np.ndarray) -> np.ndarray:

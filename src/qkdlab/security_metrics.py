@@ -54,6 +54,7 @@ from .quantum_core import (
     Povm,
     _Pair,
     _as_square,
+    _bit_strings,
     _block_distance,
     _chunks,
     _gaps,
@@ -289,17 +290,11 @@ class IdealForm:
         key_mass = 1.0 - self.p_perp
         if key_mass > 0.0:
             p = key_mass / 2**key_len
-            for label in _key_labels(key_len):
+            for label in _bit_strings(key_len):
                 branches[label] = (p, self.rho_prime)
         if self.p_perp > 0.0:
             branches[PERP] = (self.p_perp, self.rho_dblprime)
         return CqState(key_len=key_len, branches=branches)
-
-
-def _key_labels(key_len: int) -> list[str]:
-    if key_len > 16:
-        raise ValueError(f"refusing to enumerate 2^{key_len} branches")
-    return [format(i, f"0{key_len}b") if key_len else "" for i in range(2**key_len)]
 
 
 def _ideal(cq: CqState, form: IdealForm | None = None) -> _Pair:
@@ -308,7 +303,7 @@ def _ideal(cq: CqState, form: IdealForm | None = None) -> _Pair:
     two matrices in their common dtype, as the copies would be, index 0 on keys, 1 on abort."""
     form = form or canonical_ideal(cq)
     key_mass = 1.0 - form.p_perp
-    keys = _key_labels(cq.key_len) if key_mass > 0.0 else []
+    keys = _bit_strings(cq.key_len) if key_mass > 0.0 else []
     abort = [PERP] if form.p_perp > 0.0 else []
     probs = np.array([key_mass / 2**cq.key_len] * len(keys) + [form.p_perp] * len(abort))
     stack = np.array([form.rho_prime.matrix, form.rho_dblprime.matrix])
@@ -431,27 +426,23 @@ def _lower_end(advantages: Sequence[float]) -> float:
     return min(1.0, max(0.0, max(advantages)))
 
 
-def _accepted(gap: np.ndarray, povm: Povm) -> np.ndarray:
-    # for each matrix X of the (b, d, d) stack gap, the sum of the effects E_z with tr(E_z X) > 0
-    return np.tensordot(born_table(gap, povm) > 0.0, povm.stacked(), 1)
-
-
-def _accepted_in_basis(gap: np.ndarray, v: np.ndarray, weight: float | np.ndarray = 1.0) -> np.ndarray:
-    """:func:`_accepted` for effects ``weight |v_z><v_z|``, v the orthogonal rows of one
-    ``(d, d)`` basis or of a ``(b, d, d)`` stack of them, one per matrix, each row of
-    squared norm ``1 / weight`` (a scalar or a ``(b, 1)`` column)."""
-    accept = np.einsum("...kj,...kj->...k", v.conj() @ gap, v).real > 0.0  # <v_z| X |v_z> > 0
-    return (np.swapaxes(v, -1, -2) * (accept * weight)[:, None, :]) @ v.conj()
-
-
-def _optimal_strategy(name: str, cq: CqState, ideal: _Pair, accepted: Callable) -> Strategy:
+def _optimal_strategy(name: str, cq: CqState, ideal: _Pair, bases: Callable | None) -> Strategy:
     """The strategy that accepts outcome z on label k where ``tr(E_z (p_k rho_k - q_k
     sigma_k)) > 0``, i.e. where the real state's (label, outcome) table exceeds the
-    ideal's, a missing label weighing 0.  ``accepted(labels, gap)`` sums those E_z
-    for a batch of labels, so a per-label basis exists only for its batch."""
+    ideal's, a missing label weighing 0.  The effects are ``weight |v_z><v_z|`` for the
+    rows and weights ``v, weight = bases(labels)`` of a batch of labels: the orthogonal
+    rows of one ``(d, d)`` basis or of a ``(b, d, d)`` stack of them, one per label, each
+    row of squared norm ``1 / weight`` (a scalar or a ``(b, 1)`` column), so a per-label
+    basis exists only for its batch.  None is the trivial measurement, its one effect I."""
+    trivial = Povm((("0", np.eye(cq.dim)),)) if bases is None else None
     effects = None
     for part, gap in _gaps(cq, ideal, _BATCH):
-        m = accepted(ideal.labels[part], gap)
+        if bases is None:
+            m = np.tensordot(born_table(gap, trivial) > 0.0, trivial.stacked(), 1)
+        else:
+            v, weight = bases(ideal.labels[part])
+            accept = np.einsum("...kj,...kj->...k", v.conj() @ gap, v).real > 0.0  # <v_z| X |v_z> > 0
+            m = (np.swapaxes(v, -1, -2) * (accept * weight)[:, None, :]) @ v.conj()
         if effects is None:
             effects = np.empty((len(ideal.labels), *m.shape[1:]), dtype=m.dtype)
         effects[part] = m
@@ -472,7 +463,7 @@ _BB84_ROWS = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [-1.0, 1.0]]])
 
 def _label_bases(labels: Sequence[str], nq: int) -> tuple[np.ndarray, np.ndarray]:
     """The product bases that read the first ``nq`` qubits' BB84 bases off each key label
-    (computational for PERP), with their weights as :func:`_accepted_in_basis` takes them;
+    (computational for PERP), with their weights as :func:`_optimal_strategy` takes them;
     the rows are 0/1/-1 vectors, so every sum of effects comes out exact."""
     bits = np.array([[b == "1" for b in label[:nq]] if label != PERP else [False] * nq for label in labels])
     return _kron_rows(_BB84_ROWS[bits.astype(np.intp)]), 0.5 ** bits.sum(axis=1, keepdims=True)
@@ -487,13 +478,13 @@ def default_strategies(cq: CqState, num_random: int = 8, seed: int = 0) -> list[
     breaks basis-encoded states), and ``num_random`` Haar-random basis
     measurements, each with the optimal rule for the canonical ideal.
     """
-    ideal, rules = _ideal(cq), _default_rules(cq, num_random, seed)
-    return [_optimal_strategy(name, cq, ideal, _rule(bases, cq.dim)) for name, bases in rules]
+    ideal = _ideal(cq)
+    return [_optimal_strategy(name, cq, ideal, bases) for name, bases in _default_rules(cq, num_random, seed)]
 
 
 def _default_rules(cq: CqState, num_random: int, seed: int) -> Iterator[tuple[str, Callable | None]]:
     """The names of :func:`default_strategies`, in order, each with the bases it measures a batch
-    of labels in, ``bases(labels)`` the rows and weights that :func:`_accepted_in_basis` takes;
+    of labels in, ``bases(labels)`` the rows and weights that :func:`_optimal_strategy` takes;
     None for the trivial measurement.  A Haar basis is drawn when its rule is reached."""
     dim, nq = cq.dim, cq.dim.bit_length() - 1
     yield "trivial", None
@@ -504,17 +495,9 @@ def _default_rules(cq: CqState, num_random: int, seed: int) -> Iterator[tuple[st
         yield f"haar:{i}", lambda labels, v=_haar_basis(dim, rng): (v, 1.0)
 
 
-def _rule(bases: Callable | None, dim: int) -> Callable:
-    # the accept rule of _optimal_strategy for a measurement in bases, None the trivial one
-    if bases is None:
-        trivial = Povm((("0", np.eye(dim)),))
-        return lambda labels, gap: _accepted(gap, trivial)
-    return lambda labels, gap: _accepted_in_basis(gap, *bases(labels))
-
-
 def _table_advantage(cq: CqState, ideal: _Pair, bases: Callable | None) -> float:
-    """The advantage of ``_optimal_strategy(name, cq, ideal, _rule(bases, cq.dim))`` for a state
-    built from factors, from Born tables instead of effects: ``Pr[z|b] = weight ||v_z^dagger W_b||^2``
+    """The advantage of ``_optimal_strategy(name, cq, ideal, bases)`` for a state built from
+    factors, from Born tables instead of effects: ``Pr[z|b] = weight ||v_z^dagger W_b||^2``
     for the state and ``weight <v_z| sigma |v_z>`` for the ideal's register sigma (for the trivial
     measurement the traces), outcome z accepted on label b where ``p_b Pr[z|b]`` exceeds the
     ideal's; the sums run in label order.
@@ -542,18 +525,18 @@ def _basis_tables(w: np.ndarray, stack: np.ndarray, index: np.ndarray, v: np.nda
                   weight) -> tuple[np.ndarray, np.ndarray]:
     """The ``(b, d)`` tables ``weight ||v_z^dagger W_k||^2`` and ``weight <v_z| stack[index[k]] |v_z>``
     of :func:`_table_advantage`, for the unit factors ``w`` and the rows ``v`` of one basis or of
-    one per label."""
+    one per label.  The products ``v_z^dagger sigma`` are formed run by run of labels that share an
+    operator sigma: once a run for one basis, once a label for a basis per label."""
     vh = v.conj()
-    if v.ndim == 2:  # one basis: each operator the batch reads is multiplied once, its table read per label
-        used, at = np.unique(index, return_inverse=True)
-        sandwich = vh @ stack[used]
-    else:  # a basis per label: each label's rows times its own operator, run by run of one operator
-        at = slice(None)
-        sandwich = np.empty(v.shape, np.result_type(v, stack))
-        for run in _runs(index):
-            np.matmul(vh[run], stack[index[run.start]], out=sandwich[run])
+    sandwich = np.empty((len(index), *v.shape[-2:]), np.result_type(v, stack))
+    for run in _runs(index):
+        sigma = stack[index[run.start]]
+        if v.ndim == 2:
+            sandwich[run] = vh @ sigma
+        else:
+            np.matmul(vh[run], sigma, out=sandwich[run])
     sandwich *= v
-    fake = weight * sandwich.sum(axis=-1).real[at]
+    fake = weight * sandwich.sum(axis=-1).real
     amp = vh @ w
     amp = np.abs(amp) if np.iscomplexobj(amp) else amp  # |x|^2 = x^2 for a real x
     amp *= amp
@@ -574,7 +557,7 @@ def _default_advantages(
     """
     for name, bases in _default_rules(cq, num_random, seed):
         if cq.factors is None:
-            advantage = _advantage(cq, ideal, _optimal_strategy(name, cq, ideal, _rule(bases, cq.dim)))
+            advantage = _advantage(cq, ideal, _optimal_strategy(name, cq, ideal, bases))
         else:
             advantage = _table_advantage(cq, ideal, bases)
         yield advantage
@@ -769,7 +752,6 @@ class SecurityReport(JsonRecord):
 def evaluate_cq_security(
     cq: CqState,
     *,
-    strategies: Sequence[Strategy] | None = None,
     num_random_strategies: int = 8,
     search_budget: int = 64,
     seed: int = 0,
@@ -787,11 +769,11 @@ def evaluate_cq_security(
     the provenance.  The total epsilon uses the conservative end of the
     secrecy bracket.
 
-    Without explicit ``strategies``, the :func:`default_strategies` stock
-    is scored in order only until an advantage reaches the trace distance
-    (the upper end), so ``num_random_strategies`` and ``seed`` matter
-    only while the secrecy bracket is open; ``strategy_count`` in the
-    provenance counts the strategies scored.
+    The :func:`default_strategies` stock is scored in order only until an
+    advantage reaches the trace distance (the upper end), so
+    ``num_random_strategies`` and ``seed`` matter only while the secrecy
+    bracket is open; ``strategy_count`` in the provenance counts the
+    strategies scored.
 
     The last three knobs are those a state's builder sets.
     ``iacc_declared`` is passed to the search as its declared
@@ -807,10 +789,7 @@ def evaluate_cq_security(
     """
     ideal = _ideal(cq, ideal_form)
     upper = _distance(cq, ideal)
-    if strategies is None:
-        advantages = list(_default_advantages(cq, ideal, num_random_strategies, seed, upper=upper))
-    else:
-        advantages = [_advantage(cq, ideal, s) for s in strategies]
+    advantages = list(_default_advantages(cq, ideal, num_random_strategies, seed, upper=upper))
     eps_c = 0.0 if correctness is None else correctness_eps(correctness)
     eps_r = robustness_eps(cq.label_distribution())
     lower = _lower_end(advantages)

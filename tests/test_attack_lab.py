@@ -412,9 +412,9 @@ def test_label_basis_strategy_is_the_parity_strategy(n):
     # I / 2^n and against the canonical one
     cq = build_attack_state(n).cq
     parity = parity_strategy(n)
-    rule = security_metrics._rule(lambda labels: security_metrics._label_bases(labels, n), 2**n)
+    bases = functools.partial(security_metrics._label_bases, nq=n)
     for ideal in (security_metrics._ideal(cq, _declared_ideal(n)), security_metrics._ideal(cq)):
-        label_basis = security_metrics._optimal_strategy("label_basis", cq, ideal, rule)
+        label_basis = security_metrics._optimal_strategy("label_basis", cq, ideal, bases)
         assert label_basis.labels == parity.labels
         assert np.array_equal(label_basis.effects, parity.effects)
 
@@ -717,7 +717,7 @@ def test_gap_report_alone_equals_the_shared_one(n):
     upper = cq_trace_distance(cq, dense)
     label_basis = security_metrics._optimal_strategy(
         "label_basis", cq, security_metrics._ideal(cq, form),
-        security_metrics._rule(lambda labels: security_metrics._label_bases(labels, n), 2**n),
+        functools.partial(security_metrics._label_bases, nq=n),
     )
     lower = min(upper, distinguishing_advantage(cq, dense, label_basis))
     parity = distinguishing_advantage(cq, dense, parity_strategy(n))
@@ -747,8 +747,7 @@ def test_factor_figures_equal_the_dense_ones(n):
     canonical = security_metrics._ideal(cq)  # reads the stack
     got += [security_metrics._table_advantage(cq, canonical, bases) for bases in rules.values()]
     def dense_advantages(form, ideal):
-        strategies = [security_metrics._optimal_strategy(name, cq, ideal, security_metrics._rule(bases, 2**n))
-                      for name, bases in rules.items()]
+        strategies = [security_metrics._optimal_strategy(name, cq, ideal, bases) for name, bases in rules.items()]
         return [distinguishing_advantage(cq, form.to_cq(n + 1), s) for s in strategies]
 
     want = [cq_trace_distance(cq, _declared_ideal(n).to_cq(n + 1))]

@@ -744,11 +744,12 @@ def test_secrecy_correctness_file_bad_shape(capsys, tmp_path):
         {"distribution": [["0", "0", "0.5"]]},
         {"distribution": [["0", "0", True]]},
         {"distribution": {"00": 1.0}},
+        "[" * 200_000 + "]" * 200_000,  # raw text: json.dumps cannot nest this deep
     ],
 )
 def test_malformed_correctness_file_is_a_usage_error(capsys, tmp_path, content):
     path = tmp_path / "corr.json"
-    path.write_text(json.dumps(content))
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
     code, out, err = run_cli(
         capsys, ["secrecy", "--n", "2", "--budget", "2", "--correctness-file", str(path)]
     )

@@ -221,10 +221,11 @@ def test_optimal_decision_rule_achieves_induced_tv():
     for _ in range(20):
         real = rand_cq(rng, 1, 2)
         ideal = canonical_ideal(real).to_cq(1)
-        povm = rand_povm(rng, 2, 3)
+        v = security_metrics._haar_basis(2, rng)
+        povm = Povm.from_basis(v)
         # the rule the default strategies apply to each of their measurements
         rule = security_metrics._optimal_strategy(
-            "optimal", real, security_metrics._ideal(real), lambda labels, gap: security_metrics._accepted(gap, povm)
+            "optimal", real, security_metrics._ideal(real), lambda labels: (v, 1.0)
         )
         adv = distinguishing_advantage(real, ideal, rule)
         # the optimum for a fixed measurement is the TV of the induced joints
@@ -642,7 +643,7 @@ def test_factor_figures_equal_the_dense_ones(kind, arg):
     for form, reading in ((declared, ideal), (canonical_ideal(cq), canonical)):
         dense = form.to_cq(cq.key_len)
         for name, bases in rules:
-            strategy = security_metrics._optimal_strategy(name, cq, reading, security_metrics._rule(bases, cq.dim))
+            strategy = security_metrics._optimal_strategy(name, cq, reading, bases)
             want.append(distinguishing_advantage(cq, dense, strategy))
     assert got == pytest.approx(want, abs=1e-12, rel=0)
     assert np.abs(joint - cq_measure(cq, povm)).max() <= 1e-12
@@ -695,18 +696,19 @@ def test_factor_advantages_have_the_bits_of_the_dense_ideals_copies(kind, arg):
 
 
 def test_basis_tables_multiply_each_label_once_against_its_own_operator():
-    # per-label bases over an index that changes operator several times: the tables have the
-    # bits of the gathered copies, one product per label
+    # per-label bases, then one basis, over an index that changes operator several times: the
+    # tables have the bits of the gathered copies, one product per label or one per run
     rng = np.random.default_rng(5)
     d, b = 4, 7
     stack = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
     index = np.array([2, 2, 0, 1, 1, 0, 2])
-    v = rng.standard_normal((b, d, d)) + 1j * rng.standard_normal((b, d, d))
-    w = rng.standard_normal((b, d, 2))
-    weight = rng.random((b, 1))
-    real, fake = security_metrics._basis_tables(w, stack, index, v, weight)
-    assert real.tobytes() == (weight * (np.abs(v.conj() @ w) ** 2).sum(axis=2)).tobytes()
-    assert fake.tobytes() == (weight * ((v.conj() @ stack[index]) * v).sum(axis=2).real).tobytes()
+    for shape in ((b, d, d), (d, d)):
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        w = rng.standard_normal((b, d, 2))
+        weight = rng.random((b, 1)) if v.ndim == 3 else rng.random()
+        real, fake = security_metrics._basis_tables(w, stack, index, v, weight)
+        assert real.tobytes() == (weight * (np.abs(v.conj() @ w) ** 2).sum(axis=2)).tobytes()
+        assert fake.tobytes() == (weight * ((v.conj() @ stack[index]) * v).sum(axis=2).real).tobytes()
 
 
 @pytest.mark.parametrize("stack, scalars", [
@@ -740,18 +742,17 @@ def test_strategy_stock_stops_at_the_first_advantage_that_meets_the_upper_end(st
 
 
 def test_epsilon_stop_leaves_every_figure_of_the_report_unchanged():
-    # without strategies, the report scores the default stock only until an
-    # advantage meets the trace distance; with the full stock given, it scores all
+    # the report scores the default stock only until an advantage meets the trace
+    # distance; its lower end is that of the full stock, every strategy scored
     stopped = 0
     for seed in range(50):
         cq = rand_cq(np.random.default_rng(seed), 1 + seed % 3, 2 + seed % 2, include_perp=seed % 5 == 0)
-        options = {"search_budget": 2, "seed": seed, "iacc_families": ("per_qubit",)}
-        report = evaluate_cq_security(cq, num_random_strategies=8, **options)
-        full = evaluate_cq_security(cq, strategies=default_strategies(cq, 8, seed), **options)
-        assert repr(report.eps_secret_lower) == repr(full.eps_secret_lower)
-        count, full_count = report.provenance["strategy_count"], full.provenance["strategy_count"]
-        assert report.to_json_dict() == {**full.to_json_dict(), "provenance": {**full.provenance, "strategy_count": count}}
-        stopped += count < full_count
+        report = evaluate_cq_security(cq, num_random_strategies=8, search_budget=2, seed=seed,
+                                      iacc_families=("per_qubit",))
+        full = default_strategies(cq, 8, seed)
+        assert repr(report.eps_secret_lower) == repr(secrecy_eps_lower(cq, full))
+        assert report.eps_secret_upper == secrecy_eps_upper(cq)
+        stopped += report.provenance["strategy_count"] < len(full)
     assert stopped == 3  # the stop fires where an advantage rounds up to the trace distance
 
 
