@@ -54,7 +54,7 @@ from .quantum_core import (
     _chunks,
     _kron_rows,
 )
-from .security_metrics import IdealForm, SecurityReport, Strategy, evaluate_cq_security
+from .security_metrics import IACC_FAMILIES, IdealForm, SecurityReport, Strategy, evaluate_cq_security
 
 __all__ = [
     "MAX_ATTACK_QUBITS",
@@ -422,16 +422,9 @@ def parity_guess_curve(n_max: int, p_star: float | None = None) -> list[tuple[in
 
 
 def parity_guess_curve_csv(n_max: int) -> str:
-    """RFC 4180 CSV of :func:`parity_guess_curve`, ready for plotting."""
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["n", "parity_guess_probability"])
-    for n, p in parity_guess_curve(n_max):
-        writer.writerow([n, repr(p)])
-    return buf.getvalue()
+    """RFC 4180 CSV of :func:`parity_guess_curve`, ready for plotting: no field needs quoting, and
+    ``csv`` writes a number as its ``repr``, so each row fills a template, as ``keystream._csv`` does."""
+    return "n,parity_guess_probability\r\n" + "".join("%s,%s\r\n" % row for row in parity_guess_curve(n_max))
 
 
 @dataclass(frozen=True)
@@ -457,7 +450,7 @@ def secrecy_gap_report(
     n: int,
     search_budget: int = 32,
     seed: int = 0,
-    families: Sequence[str] = ("per_qubit", "declared"),
+    families: Sequence[str] = IACC_FAMILIES,
 ) -> SecrecyGapReport:
     """Quantify the counterexample gap for ``n`` register qubits: the second report of
     :func:`secrecy_reports`.
@@ -480,7 +473,7 @@ def secrecy_reports(
     n: int,
     search_budget: int = 32,
     seed: int = 0,
-    families: Sequence[str] = ("per_qubit", "declared"),
+    families: Sequence[str] = IACC_FAMILIES,
     correctness=None,
 ) -> tuple[SecurityReport, SecrecyGapReport]:
     """:func:`~qkdlab.security_metrics.evaluate_cq_security` of the attack

@@ -72,13 +72,11 @@ from .keystream import (
     _plan,
     simulate_stream,
 )
-from .security_metrics import ben_or_sufficient_eps
+from .security_metrics import IACC_FAMILIES, ben_or_sufficient_eps
 
 EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
-
-_FAMILY_CHOICES = ("per_qubit", "declared")
 
 # Loop counts above these caps are usage errors, not long runs.
 MAX_ROUNDS = 10**6
@@ -114,14 +112,13 @@ def _nonnegative_int(value: str) -> int:
     return _integer(value, 0, "nonnegative")
 
 
-def _at_most(cap: int, parse=int):
-    """An argparse type: ``parse`` the value, then refuse one above ``cap``."""
+def _at_most(cap: int):
+    """An argparse type: a positive integer, at most ``cap``."""
     def count(value: str) -> int:
-        number = parse(value)
+        number = _positive_int(value)
         if number > cap:
             raise argparse.ArgumentTypeError(f"{value!r} exceeds the cap of {cap}")
         return number
-    count.__name__ = parse.__name__  # argparse names it in "invalid int value"
     return count
 
 
@@ -245,36 +242,43 @@ def cmd_attack_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     return EXIT_OK if expected and marginal_ok else EXIT_FINDING
 
 
-def _is_distribution_entry(entry) -> bool:
-    return (
-        isinstance(entry, list) and len(entry) == 3
-        and isinstance(entry[2], (int, float)) and not isinstance(entry[2], bool)
+def _outcome_rows(entries, width: int) -> bool:
+    """Whether ``entries`` is a list of lists of ``width`` items, each starting with two strings."""
+    return isinstance(entries, list) and all(
+        isinstance(e, list) and len(e) == width and isinstance(e[0], str) and isinstance(e[1], str) for e in entries
     )
 
 
 def _load_correctness(path: str):
-    with open(path) as handle:
+    """UTF-8 JSON with either ``samples``, ``[alice, bob]`` pairs, or ``distribution``,
+    ``[alice, bob, probability]`` entries naming each pair once; every output is a string."""
+    with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
         except RecursionError:
             raise ValueError("correctness file nests too deeply") from None
-    if isinstance(data, dict) and "samples" in data:
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            raise ValueError(f"correctness file {path!r} is not UTF-8 JSON: {exc}") from None
+    if not (isinstance(data, dict) and ("samples" in data) != ("distribution" in data)):
+        raise ValueError("correctness file needs a 'samples' or a 'distribution' field, not both")
+    if "samples" in data:
         samples = data["samples"]
-        if not (isinstance(samples, list) and all(isinstance(s, list) and len(s) == 2 for s in samples)):
-            raise ValueError("correctness 'samples' must be a list of [alice, bob] pairs")
-        return [tuple(map(str, pair)) for pair in samples]
-    if isinstance(data, dict) and "distribution" in data:
-        entries = data["distribution"]
-        if not (isinstance(entries, list) and all(_is_distribution_entry(e) for e in entries)):
-            raise ValueError("correctness 'distribution' must be a list of [alice, bob, probability] entries")
-        return {tuple(map(str, entry[:2])): float(entry[2]) for entry in entries}
-    raise ValueError("correctness file needs a 'samples' or 'distribution' field")
+        if not _outcome_rows(samples, 2):
+            raise ValueError("correctness 'samples' must be a list of [alice, bob] pairs of strings")
+        return [tuple(pair) for pair in samples]
+    entries = data["distribution"]
+    if not (_outcome_rows(entries, 3) and all(type(e[2]) in (int, float) for e in entries)):
+        raise ValueError("correctness 'distribution' must be a list of [alice, bob, probability] entries with string outputs")
+    distribution = {tuple(entry[:2]): float(entry[2]) for entry in entries}
+    if len(distribution) < len(entries):
+        raise ValueError("correctness 'distribution' lists an [alice, bob] pair more than once")
+    return distribution
 
 
 def cmd_secrecy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     seed = _resolve_seed(args, parser)
     families = tuple(args.families.split(","))
-    unknown = set(families) - set(_FAMILY_CHOICES)
+    unknown = set(families) - set(IACC_FAMILIES)
     if unknown:
         parser.error(f"unknown families: {sorted(unknown)}")
     correctness = _load_correctness(args.correctness_file) if args.correctness_file else None
@@ -314,15 +318,20 @@ def _stream_params(args: argparse.Namespace) -> StreamParams:
     )
 
 
-def _add_stream_args(sub: argparse.ArgumentParser) -> None:
+def _add_rate_args(sub: argparse.ArgumentParser) -> None:
+    """The stream-rate options, which ``keystream-plan`` shares with the stream commands."""
     sub.add_argument("--gamma", type=float, default=GAMMA_DEFAULT)
     sub.add_argument("--rho", type=float, default=RATE_RHO_DEFAULT, help="secret-key rate")
     sub.add_argument("--nu", type=float, default=NU_DEFAULT)
+    sub.add_argument("--ell", type=int, default=256, help="bits emitted per round")
+    sub.add_argument("--eps0", type=float, default=0.0, help="epsilon of the initial secret")
+
+
+def _add_stream_args(sub: argparse.ArgumentParser) -> None:
+    _add_rate_args(sub)
     sub.add_argument("--n0", type=int, required=True, help="round-1 signal count")
     sub.add_argument("--c", type=float, default=None, help="per-round signal growth (default: n0)")
-    sub.add_argument("--ell", type=int, default=256, help="bits emitted per round")
     sub.add_argument("--ell0", type=int, required=True, help="initial stored secret")
-    sub.add_argument("--eps0", type=float, default=0.0, help="epsilon of the initial secret")
 
 
 def cmd_keystream_plan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -517,7 +526,7 @@ def cmd_rsa_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 def _attack_demo_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=4, help="pad length (key has n+1 bits)")
     p.add_argument("--message", type=_bitstring, default=None, help="n+1 bit message (default: random)")
-    p.add_argument("--trials", type=_at_most(MAX_TRIALS, _positive_int), default=200,
+    p.add_argument("--trials", type=_at_most(MAX_TRIALS), default=200,
                    help=f"attack rounds (at most {MAX_TRIALS})")
     p.add_argument("--wrong-basis", action="store_true", help="control run with complementary bases")
     p.add_argument("--curve-csv", default=None, help="also write the parity guess curve as CSV")
@@ -529,18 +538,14 @@ def _secrecy_args(p: argparse.ArgumentParser) -> None:
                    help="per-qubit bases sampled where the exhaustive per-qubit search is too large, "
                         "as at n = 7; the per-qubit family runs only while the I_acc bracket is open, "
                         f"i.e. without the declared basis, which closes it (at most {MAX_BUDGET})")
-    p.add_argument("--families", default=",".join(_FAMILY_CHOICES),
+    p.add_argument("--families", default=",".join(IACC_FAMILIES),
                    help="I_acc families, comma-separated: per_qubit, declared (the even-X eigenbasis)")
     p.add_argument("--correctness-file", default=None, help="JSON with 'samples' or 'distribution'")
 
 
 def _keystream_plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target-eps", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=GAMMA_DEFAULT)
-    p.add_argument("--rho", type=float, default=RATE_RHO_DEFAULT)
-    p.add_argument("--nu", type=float, default=NU_DEFAULT)
-    p.add_argument("--eps0", type=float, default=0.0)
-    p.add_argument("--ell", type=int, default=256)
+    _add_rate_args(p)
     p.add_argument("--horizon", type=_at_most(MAX_HORIZON), default=200,
                    help=f"rounds summed before the tail bound (at most {MAX_HORIZON})")
     p.add_argument("--max-n0", type=_positive_int, default=2**40)
@@ -575,7 +580,7 @@ def _verify_composition_args(p: argparse.ArgumentParser) -> None:
 
 def _rsa_demo_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bid", type=int, default=100)
-    p.add_argument("--auctions", type=_at_most(MAX_AUCTIONS, _positive_int), default=1,
+    p.add_argument("--auctions", type=_at_most(MAX_AUCTIONS), default=1,
                    help=f"auctions to run, each with a fresh key (at most {MAX_AUCTIONS})")
     p.add_argument("--max-bid", type=int, default=1000)
     p.add_argument("--modulus-bits", type=int, default=32)

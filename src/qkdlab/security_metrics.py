@@ -87,6 +87,7 @@ __all__ = [
     "ben_or_sufficient_eps",
     "compose_report",
     "evaluate_cq_security",
+    "IACC_FAMILIES",
     "QUBIT_BASIS_ANGLES",
     "Strategy",
 ]
@@ -99,6 +100,10 @@ QUBIT_BASIS_ANGLES: dict[str, float] = {
     "diag": math.pi / 4,
     "breidbart": math.pi / 8,
 }
+
+# The accessible-information search's measurement families, in the order
+# that ``secrecy --families`` prints as its default.
+IACC_FAMILIES = ("per_qubit", "declared")
 
 # Strategies are built and scored a batch of labels at a time: this many entries
 # (256 KB of float64) per (b, d, d) temporary, such as the batch's per-label bases
@@ -573,8 +578,6 @@ class IaccSearchResult:
     family: tuple[str, ...]
     best_strategy: str
     evaluations: int
-    seed: int
-    budget: int
 
 
 def _povm_information(cq: CqState, povm: Povm) -> float:
@@ -612,7 +615,7 @@ def accessible_info_lower(
     cq: CqState,
     search_budget: int = 64,
     rng_seed: int = 0,
-    families: Sequence[str] = ("per_qubit", "declared"),
+    families: Sequence[str] = IACC_FAMILIES,
     declared: Mapping[str, Povm] = MappingProxyType({}),
     *,
     upper: float = math.inf,
@@ -651,7 +654,7 @@ def accessible_info_lower(
         raise ValueError(f"upper={upper!r} must be nonnegative")
     if cq.dim > DEFAULT_DIM_CAP:
         raise ValueError(f"register dimension {cq.dim} exceeds cap {DEFAULT_DIM_CAP}")
-    unknown = set(families) - {"per_qubit", "declared"}
+    unknown = set(families) - set(IACC_FAMILIES)
     if unknown:
         raise ValueError(f"unknown families: {sorted(unknown)}")
 
@@ -695,8 +698,6 @@ def accessible_info_lower(
         family=tuple(searched),
         best_strategy=best_desc,
         evaluations=evaluations,
-        seed=rng_seed,
-        budget=search_budget,
     )
 
 
@@ -755,7 +756,7 @@ def evaluate_cq_security(
     num_random_strategies: int = 8,
     search_budget: int = 64,
     seed: int = 0,
-    iacc_families: Sequence[str] = ("per_qubit", "declared"),
+    iacc_families: Sequence[str] = IACC_FAMILIES,
     correctness=None,
     iacc_declared: Mapping[str, Povm] = MappingProxyType({}),
     iacc_upper: float = math.inf,

@@ -496,6 +496,21 @@ def test_parity_guess_curve_csv_round_trips():
     assert parsed == parity_guess_curve(5)  # repr round trip is lossless
 
 
+def _csv_writer_curve(n_max: int) -> str:
+    # what parity_guess_curve_csv wrote through csv.writer, kept as its oracle
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(["n", "parity_guess_probability"])
+    for n, p in parity_guess_curve(n_max):
+        writer.writerow([n, repr(p)])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n_max", range(1, 17))
+def test_parity_guess_curve_csv_is_what_csv_writer_writes(n_max):
+    assert parity_guess_curve_csv(n_max) == _csv_writer_curve(n_max)
+
+
 # ---------------------------------------------------------------------------
 # gap report
 

@@ -6,14 +6,17 @@ import csv
 import dataclasses
 import hashlib
 import importlib
+import inspect
 import io
 import json
+import math
 import os
 import pkgutil
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -74,6 +77,8 @@ def test_wrong_message_length_rejected(capsys):
         ["attack-demo", "--n", "2", "--trials", "-4"],
         ["rsa-demo", "--auctions", "0"],
         ["rsa-demo", "--auctions", "-2"],
+        ["verify-composition", "--trials", "0"],
+        ["verify-composition", "--trials", "-4"],
     ],
 )
 def test_nonpositive_counts_are_usage_errors(capsys, argv):
@@ -191,6 +196,43 @@ def test_counts_above_their_cap_are_usage_errors(capsys, argv, flag, cap):
     with pytest.raises(SystemExit):
         main([argv[0], "--help"])
     assert f"(at most {cap})" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("argv, flag, cap", CAPPED)
+def test_counts_below_one_are_usage_errors(capsys, argv, flag, cap):
+    # every capped count is a positive integer, refused by the parser before any work
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "0"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: '0' is not a positive integer" in captured.err
+
+
+def test_every_iacc_family_default_is_the_one_list():
+    families = security_metrics.IACC_FAMILIES
+    assert families == ("per_qubit", "declared")
+    defaults = [
+        (security_metrics.accessible_info_lower, "families"),
+        (security_metrics.evaluate_cq_security, "iacc_families"),
+        (attack_lab.secrecy_reports, "families"),
+        (attack_lab.secrecy_gap_report, "families"),
+    ]
+    for function, name in defaults:
+        assert inspect.signature(function).parameters[name].default is families
+    assert cli.build_parser().parse_args(["secrecy"]).families == "per_qubit,declared"
+
+
+def test_stream_rate_options_are_the_same_on_every_keystream_command():
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    commands = ("keystream-plan", "keystream-schedule", "keystream-simulate")
+    for flag in ("--gamma", "--rho", "--nu", "--ell", "--eps0"):
+        actions = [
+            next(a for a in subparsers[name]._actions if flag in a.option_strings) for name in commands
+        ]
+        assert len({(a.type, a.default, a.help, a.required) for a in actions}) == 1, flag
 
 
 def test_every_name_in_all_resolves():
@@ -530,6 +572,70 @@ def test_any_argv_maps_to_a_documented_exit_code(argv):
         assert out.getvalue() == ""
 
 
+_OUTPUT = st.text("01", max_size=3)
+_PROBABILITY = st.sampled_from([0, 1, 0.25, 0.5, 1.0, -0.5, 1e-13, -1e-13])
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-2, 2), _PROBABILITY, _OUTPUT),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.sampled_from(["samples", "distribution", "x"]), children, max_size=3),
+    ),
+    max_leaves=12,
+)
+# files near the valid forms, so that some are accepted
+_CORRECTNESS = st.one_of(
+    _JSON,
+    st.fixed_dictionaries({}, optional={
+        "samples": st.lists(st.one_of(st.lists(_OUTPUT, min_size=2, max_size=2), _JSON), max_size=4),
+        "distribution": st.lists(
+            st.one_of(st.tuples(_OUTPUT, _OUTPUT, _PROBABILITY).map(list), _JSON), max_size=4
+        ),
+        "x": _JSON,
+    }),
+)
+
+
+def _accepts_correctness(data) -> bool:
+    """The correctness-file rules of the README, checked apart from the CLI."""
+    if not isinstance(data, dict) or ("samples" in data) == ("distribution" in data):
+        return False
+    samples = "samples" in data
+    rows = data["samples" if samples else "distribution"]
+    if not (isinstance(rows, list) and all(
+        isinstance(row, list) and len(row) == (2 if samples else 3) and all(isinstance(x, str) for x in row[:2])
+        for row in rows
+    )):
+        return False
+    if samples:
+        return len(rows) > 0
+    probabilities = [row[2] for row in rows]
+    return (
+        all(type(p) in (int, float) and p >= -1e-12 for p in probabilities)
+        and len({(row[0], row[1]) for row in rows}) == len(rows)
+        and abs(math.fsum(probabilities) - 1.0) <= 1e-9
+    )
+
+
+@given(_CORRECTNESS)
+@settings(max_examples=50, deadline=None)
+def test_any_correctness_file_maps_to_a_documented_exit_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corr.json")
+        with open(path, "w") as handle:
+            json.dump(data, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["secrecy", "--n", "2", "--correctness-file", path])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (EXIT_OK, EXIT_FINDING, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    assert (code == EXIT_OK) == _accepts_correctness(data), (code, err.getvalue())
+    if code == EXIT_USAGE:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # attack-demo
 
@@ -700,7 +806,7 @@ def test_secrecy_rescores_per_qubit_ties_without_a_declared_basis(capsys, monkey
 
 
 def test_secrecy_rejects_unknown_family(capsys):
-    for family in ("psychic", "random", "hill_climb"):
+    for family in ("psychic", "random", "hill_climb", "per_qubit,psychic"):
         with pytest.raises(SystemExit) as exc:
             main(["secrecy", "--n", "2", "--families", family])
         assert exc.value.code == EXIT_USAGE
@@ -745,11 +851,22 @@ def test_secrecy_correctness_file_bad_shape(capsys, tmp_path):
         {"distribution": [["0", "0", True]]},
         {"distribution": {"00": 1.0}},
         "[" * 200_000 + "]" * 200_000,  # raw text: json.dumps cannot nest this deep
+        b"",  # as /dev/null reads
+        "not json",
+        b"\x80\xff{}",  # not UTF-8
+        {"samples": [[True, None]]},
+        {"samples": [[["0"], "0"]]},
+        {"distribution": [[0, 0, 1.0]]},
+        {"distribution": [["00", "01", 0.5], ["00", "00", 0.5], ["00", "01", 0.5]]},  # a repeated pair
+        {"samples": [["0", "0"]], "distribution": [["0", "0", 1.0]]},
     ],
 )
 def test_malformed_correctness_file_is_a_usage_error(capsys, tmp_path, content):
     path = tmp_path / "corr.json"
-    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
     code, out, err = run_cli(
         capsys, ["secrecy", "--n", "2", "--budget", "2", "--correctness-file", str(path)]
     )
