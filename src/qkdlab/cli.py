@@ -599,12 +599,13 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``qkdlab`` parser, with every subcommand registered under its name and help.
+    """The ``qkdlab`` parser, with every subcommand, or with ``command``'s alone.
 
-    Only ``command``'s sub-parser gets its arguments, or every one when ``command``
-    is None: a run parses one subcommand, and adding all seven's arguments takes
-    milliseconds.  The other sub-parsers hold only ``-h``, which leaves the
-    top-level help, usage and invalid-choice errors those of the full parser.
+    A run parses one subcommand, and building the other six sub-parsers takes
+    milliseconds.  With ``command`` given, the subcommand metavar spells every
+    name, so the usage line that errors print is that of the full parser; the
+    full parser's own errors name the argument ``command``, so it keeps the
+    default metavar.
     """
     # argparse asks the terminal for its width once per argument added unless the formatter has one
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
@@ -614,21 +615,22 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"qkdlab {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, func) in _COMMANDS.items():
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_arguments, func = _COMMANDS[name]
         sub = subs.add_parser(name, help=help_text, formatter_class=formatter)
-        if command in (None, name):
-            add_arguments(sub)
-            _add_common(sub)
+        add_arguments(sub)
+        _add_common(sub)
         sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser has no option that takes a value, so its first
-    # argument that is not an option names the subcommand, if there is one
-    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
+    # a run parses one subcommand: build its parser alone when the first argument
+    # names it; -h, --version and a missing or unknown subcommand get the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)

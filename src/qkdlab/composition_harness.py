@@ -791,11 +791,8 @@ _KEY_CHUNK = 4096  # candidates per factor and draw: memory stays flat in the nu
 
 def _toy_rsa_factors(count: int, modulus_bits: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(p, q, e)`` for ``count`` textbook (unpadded) RSA keys with small moduli, as
-    uint64 arrays, drawn a chunk at a time.
-
-    Only 16 to 64 modulus bits are allowed: large enough for the auction
-    numbers, small enough to make clear this is a demo of malleability, not
-    of key strength.
+    uint64 arrays, drawn a chunk at a time, for ``modulus_bits`` in the range that
+    :func:`_check_modulus_bits` allows.
 
     Each chunk draws ``modulus_bits`` candidates for p per key still missing, at most
     ``_KEY_CHUNK``, and as many for q, as uint64 arrays uniform over the odd numbers
@@ -808,8 +805,6 @@ def _toy_rsa_factors(count: int, modulus_bits: int, rng: np.random.Generator) ->
     over the valid (p, q), as a one-pair-at-a-time rejection sampler gives them.  The
     factors are below 2**32, so p q and phi fit in uint64.
     """
-    if not 16 <= modulus_bits <= 64:
-        raise ValueError("modulus_bits must lie in [16, 64]")
     half = modulus_bits // 2
     exponents = np.array(_PUBLIC_EXPONENTS, dtype=np.uint64)
     chunks = []
@@ -833,6 +828,14 @@ def _toy_rsa_factors(count: int, modulus_bits: int, rng: np.random.Generator) ->
         missing -= len(kept)
         chunks.append((p[kept], q[kept], exponents[usable[kept].argmax(axis=1)]))
     return tuple(map(np.concatenate, zip(*chunks)))
+
+
+def _check_modulus_bits(modulus_bits: int) -> None:
+    """Only 16 to 64 modulus bits are allowed: large enough for the auction
+    numbers, small enough to make clear this is a demo of malleability, not of
+    key strength.  Checked before any bid, so the refusal does not depend on one."""
+    if not 16 <= modulus_bits <= 64:
+        raise ValueError("modulus_bits must lie in [16, 64]")
 
 
 def _check_bid(bid: int, modulus_bits: int, name: str) -> None:
@@ -929,6 +932,7 @@ def rsa_malleability_demo(bid: int, modulus_bits: int = 32, rng: np.random.Gener
     The bid is refused by the rule of :func:`rsa_auction_sweep`, before any key is
     drawn, so the refusal does not depend on the seed.
     """
+    _check_modulus_bits(modulus_bits)
     if bid < 0:
         raise ValueError("bid must be nonnegative")
     _check_bid(bid, modulus_bits, "bid")
@@ -950,6 +954,7 @@ def _auction_sweep(
 ) -> _Auctions:
     """The auctions of :func:`rsa_auction_sweep`, as columns; every key's modulus has
     exactly ``modulus_bits`` bits."""
+    _check_modulus_bits(modulus_bits)
     if num_auctions < 1:
         raise ValueError("need at least one auction")
     if max_bid < 1:

@@ -788,10 +788,11 @@ def evaluate_cq_security(
     its provenance, which name the search's families, best strategy, budget
     and seed.
     """
+    # malformed correctness figures fail before any epsilon work
+    eps_c = 0.0 if correctness is None else correctness_eps(correctness)
     ideal = _ideal(cq, ideal_form)
     upper = _distance(cq, ideal)
     advantages = list(_default_advantages(cq, ideal, num_random_strategies, seed, upper=upper))
-    eps_c = 0.0 if correctness is None else correctness_eps(correctness)
     eps_r = robustness_eps(cq.label_distribution())
     lower = _lower_end(advantages)
     iacc = accessible_info_lower(cq, search_budget, seed, iacc_families, declared=iacc_declared, upper=iacc_upper)

@@ -138,35 +138,83 @@ def _parse_output(capsys, parse, argv) -> tuple:
     return exc.value.code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["bogus"], [], *([name, "--help"] for name in cli._COMMANDS)],
-                         ids=lambda argv: " ".join(argv) or "no-arguments")
-def test_help_and_usage_errors_are_the_full_parsers(capsys, argv):
-    # main adds only the invoked subcommand's arguments; what it prints is unchanged
-    full = _parse_output(capsys, cli.build_parser().parse_args, argv)
+_SEEDED = {"attack-demo": [], "secrecy": [], "keystream-simulate": ["--n0", "1", "--ell0", "1"],
+           "verify-composition": [], "rsa-demo": []}
+FULL_PARSER_CASES = [
+    *((argv, None) for argv in (["--help"], ["bogus"], [])),
+    *(([name, *tail], None) for name in cli._COMMANDS for tail in (["--help"], ["--bogus"], ["stray"], ["--version"])),
+    *(([*head, name], None) for name in cli._COMMANDS for head in (["-h"], ["--version"])),
+    # errors a command raises through parser.error, after parsing
+    (["secrecy", "--families", "psychic"], None),
+    (["attack-demo", "--n", "3", "--message", "01"], None),
+    *(([name, *rest], "-4") for name, rest in _SEEDED.items()),
+]
+
+
+@pytest.mark.parametrize("argv, seed_env", FULL_PARSER_CASES,
+                         ids=[" ".join(argv) + (f" QKDLAB_SEED={env}" if env else "") or "no-arguments"
+                              for argv, env in FULL_PARSER_CASES])
+def test_help_and_usage_errors_are_the_full_parsers(capsys, monkeypatch, argv, seed_env):
+    # main builds only the invoked subcommand's parser; what it prints is unchanged
+    if seed_env is not None:
+        monkeypatch.setenv("QKDLAB_SEED", seed_env)
+    ours = _parse_output(capsys, main, argv)
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    full = _parse_output(capsys, main, argv)
     assert full[0] in (0, EXIT_USAGE) and full[1] + full[2]
-    assert _parse_output(capsys, main, argv) == full
+    assert ours == full
+
+
+def test_a_missing_or_unknown_subcommand_is_named_command(capsys):
+    # the full parser keeps argparse's default metavar, so these errors name the dest
+    assert _parse_output(capsys, main, [])[2].endswith("error: the following arguments are required: command\n")
+    assert "qkdlab: error: argument command: invalid choice: 'bogus'" in _parse_output(capsys, main, ["bogus"])[2]
 
 
 def test_main_adds_only_the_invoked_subcommands_arguments(capsys, monkeypatch):
     added = {}
     add_argument = argparse.ArgumentParser.add_argument
+    constructed = []
+    init = argparse.ArgumentParser.__init__
 
     def counting(parser, *args, **kwargs):
         added.setdefault(parser.prog, []).append(args[0])
         return add_argument(parser, *args, **kwargs)
 
+    def constructing(parser, *args, **kwargs):
+        constructed.append(parser)
+        init(parser, *args, **kwargs)
+
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", constructing)
     cli.build_parser()
     every = dict(added)
+    assert len(constructed) == 8
     added.clear()
+    constructed.clear()
     code, _, _ = run_json(capsys, ["secrecy", "--n", "2", "--budget", "2", "--families", "declared", "--seed", "1"])
     assert code == EXIT_OK
     assert len(every) == 8 and sum(map(len, every.values())) == 79
     assert added["qkdlab secrecy"] == every["qkdlab secrecy"] != ["-h"]
     assert added["qkdlab"] == every["qkdlab"] == ["-h", "--version"]
-    assert {prog: names for prog, names in added.items() if prog not in ("qkdlab", "qkdlab secrecy")} == {
-        f"qkdlab {name}": ["-h"] for name in cli._COMMANDS if name != "secrecy"
-    }
+    assert len(constructed) == 2
+
+
+def test_the_module_runs_as_main_prints_what_main_prints(capsysbinary):
+    # README documents python -m qkdlab.cli; the installed qkdlab script calls the same main
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qkdlab.__file__)))
+    env = {key: value for key, value in os.environ.items() if key != "QKDLAB_SEED"}
+    for argv in (["--version"], ["secrecy", "--n", "2", "--seed", "1"]):
+        run = subprocess.run([sys.executable, "-m", "qkdlab.cli", *argv], env={**env, "PYTHONPATH": src},
+                             capture_output=True, check=False)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsysbinary.readouterr()
+        assert (run.returncode, run.stderr) == (code, captured.err)
+        assert_same_bytes(run.stdout, captured.out)
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
@@ -876,6 +924,22 @@ def test_malformed_correctness_file_is_a_usage_error(capsys, tmp_path, content):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("content, message", [
+    ('{"distribution": [["0", "0", 0.5]]}', "error: probabilities sum to 0.5, not 1\n"),
+    ('{"samples": []}', "error: empty sample set\n"),
+    ('{"distribution": [["0", "0", 1e400]]}', "error: probabilities sum to inf, not 1\n"),
+    ('{"distribution": [["0", "0", 1%s]]}' % ("0" * 400), "error: int too large to convert to float\n"),
+])
+def test_malformed_correctness_figures_fail_before_any_epsilon_work(capsys, monkeypatch, tmp_path, content, message):
+    def spy(*args, **kwargs):
+        raise AssertionError("the trace distance ran before the correctness figures were checked")
+
+    monkeypatch.setattr(security_metrics, "_distance", spy)
+    path = tmp_path / "corr.json"
+    path.write_text(content)
+    assert run_cli(capsys, ["secrecy", "--n", "7", "--correctness-file", str(path)]) == (EXIT_USAGE, "", message)
+
+
 def test_secrecy_correctness_file_distribution(capsys, tmp_path):
     path = tmp_path / "corr.json"
     path.write_text(json.dumps({"distribution": [["00", "00", 0.75], ["01", "00", 0.25]]}))
@@ -1566,6 +1630,20 @@ def test_rsa_demo_refuses_bids_by_the_modulus_size_on_every_seed(capsys, seed):
     sweep = [*argv, "--auctions", "2", "--max-bid"]
     assert run_cli(capsys, [*sweep, "16384"]) == (EXIT_USAGE, "", "error: max_bid too large for the modulus\n")
     assert run_cli(capsys, [*sweep, "0"]) == (EXIT_USAGE, "", "error: max_bid must be at least 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--modulus-bits", "0"],
+    ["--modulus-bits", "8", "--bid", "1"],
+    ["--modulus-bits", "8", "--bid", "-1"],
+    ["--modulus-bits", "65"],
+    ["--auctions", "5", "--modulus-bits", "8"],
+    ["--auctions", "2", "--modulus-bits", "8", "--max-bid", "0"],
+    ["--auctions", "2", "--modulus-bits", "65", "--max-bid", "1"],
+])
+def test_rsa_demo_refuses_a_modulus_size_outside_the_range_whatever_the_bid(capsys, argv):
+    # the range is checked first, in the one-auction and the sweep mode alike
+    assert run_cli(capsys, ["rsa-demo", *argv]) == (EXIT_USAGE, "", "error: modulus_bits must lie in [16, 64]\n")
 
 
 @pytest.mark.parametrize("auctions", [2, 5000])

@@ -731,10 +731,12 @@ def test_toy_rsa_key_properties():
         for _ in range(10):
             m = int(rng.integers(0, key.n))
             assert rsa_decrypt(key, rsa_encrypt(key, m)) == m
-    with pytest.raises(ValueError):
-        ch._toy_rsa_factors(1, 15, rng)
-    with pytest.raises(ValueError):
-        ch._toy_rsa_factors(1, 65, rng)
+    # the range is checked by the public entry points, before any bid
+    for bits in (15, 65):
+        with pytest.raises(ValueError, match=r"modulus_bits must lie in \[16, 64\]"):
+            rsa_malleability_demo(10**30, bits, rng)
+        with pytest.raises(ValueError, match=r"modulus_bits must lie in \[16, 64\]"):
+            rsa_auction_sweep(1, bits, 10**30, rng)
 
 
 def _valid_factor_pairs(modulus_bits: int) -> dict[tuple[int, int], int]:
