@@ -20,6 +20,12 @@ def _fields(cls: type) -> tuple[tuple[str, bool], ...]:  # (name, optional)
     return tuple((f.name, f.default is None) for f in dataclasses.fields(cls))
 
 
+def json_keys(cls: type) -> tuple[str, ...]:
+    """The keys of a ``cls`` record's JSON object, with every field set, in ``sort_keys`` order."""
+    names = [name for name, _ in _fields(cls)]
+    return tuple(sorted(names if getattr(cls, "JSON_TYPE", None) is None else [*names, "type"]))
+
+
 def _plain(value: Any) -> Any:
     if isinstance(value, (str, int, float, type(None))):  # most fields; checked first, as it is cheapest
         return value

@@ -33,6 +33,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily: load it with the rest of start-up, not in a command
 
 from . import __version__
+from ._json import json_keys
 from .attack_lab import (
     _CHUNK_BITS,
     BREIDBART,
@@ -61,6 +62,7 @@ from .keystream import (
     RATE_RHO_DEFAULT,
     MockKeySource,
     PlanningError,
+    RoundRecord,
     StreamError,
     StreamParams,
     _budget,
@@ -72,7 +74,7 @@ from .keystream import (
     _plan,
     simulate_stream,
 )
-from .security_metrics import IACC_FAMILIES, ben_or_sufficient_eps
+from .security_metrics import IACC_FAMILIES, ben_or_sufficient_eps, check_families
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -120,6 +122,14 @@ def _at_most(cap: int):
             raise argparse.ArgumentTypeError(f"{value!r} exceeds the cap of {cap}")
         return number
     return count
+
+
+def _families(value: str) -> tuple[str, ...]:
+    """An argparse type: comma-separated I_acc family names, each one of ``IACC_FAMILIES``."""
+    try:
+        return check_families(value.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -269,7 +279,10 @@ def _load_correctness(path: str):
     entries = data["distribution"]
     if not (_outcome_rows(entries, 3) and all(type(e[2]) in (int, float) for e in entries)):
         raise ValueError("correctness 'distribution' must be a list of [alice, bob, probability] entries with string outputs")
-    distribution = {tuple(entry[:2]): float(entry[2]) for entry in entries}
+    try:
+        distribution = {tuple(entry[:2]): float(entry[2]) for entry in entries}
+    except OverflowError:
+        raise ValueError("correctness 'distribution' holds a probability too large for a float") from None
     if len(distribution) < len(entries):
         raise ValueError("correctness 'distribution' lists an [alice, bob] pair more than once")
     return distribution
@@ -277,14 +290,10 @@ def _load_correctness(path: str):
 
 def cmd_secrecy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     seed = _resolve_seed(args, parser)
-    families = tuple(args.families.split(","))
-    unknown = set(families) - set(IACC_FAMILIES)
-    if unknown:
-        parser.error(f"unknown families: {sorted(unknown)}")
     correctness = _load_correctness(args.correctness_file) if args.correctness_file else None
 
     report, gap = secrecy_reports(
-        args.n, search_budget=args.budget, seed=seed, families=families, correctness=correctness
+        args.n, search_budget=args.budget, seed=seed, families=args.families, correctness=correctness
     )
     result = {
         "security_report": report.to_json_dict(),
@@ -294,7 +303,7 @@ def cmd_secrecy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     params = {
         "n": args.n,
         "budget": args.budget,
-        "families": list(families),
+        "families": list(args.families),
         "correctness_file": args.correctness_file,
     }
     _emit(_envelope("secrecy", seed, params, result, args.timestamp), args.out)
@@ -363,16 +372,17 @@ def cmd_keystream_plan(args: argparse.Namespace, parser: argparse.ArgumentParser
 _ROWS_MARK = "\0rows\0"
 
 
-def _rows_json(payload: dict, keys: tuple[str, ...], rows: Callable[..., Iterator[bytes | memoryview]]) -> Iterator[bytes | memoryview]:
+def _rows_json(payload: dict, record: type, rows: Callable[..., Iterator[bytes | memoryview]]) -> Iterator[bytes | memoryview]:
     """``_json_text(payload)``, encoded, with a list of flat rows in place of ``_ROWS_MARK``.
 
     ``json.dumps`` indents in pure Python, which takes seconds on 10^5 rows;
     each row is written from a template instead, in the same layout, and the
     rows are streamed in pieces of at most ``keystream._PIECE_BYTES`` plus one
     row.  ``rows(template)`` gives the encoded rows, at least one:
-    ``template(fixed)`` is a row with the object keys ``keys`` (in sort
+    ``template(fixed)`` is a row with the JSON keys of a ``record`` (in sort
     order), each followed by the JSON text ``fixed[key]``, which may itself
-    hold a slot, or else by ``%s``, for :func:`_fill` or :func:`_int_rows`.
+    hold a slot, or else by ``%s``, for :func:`_fill` or :func:`_int_rows`;
+    ``%s`` of a Python int or finite float is what json prints.
     """
     head, tail = _json_text(payload).split(json.dumps(_ROWS_MARK))  # exactly once
     line = head[head.rfind("\n") + 1:]
@@ -380,7 +390,7 @@ def _rows_json(payload: dict, keys: tuple[str, ...], rows: Callable[..., Iterato
     item = outer + "  "
 
     def template(fixed: dict) -> str:
-        fields = ",".join(f'\n{item}  "{key}": {fixed.get(key, "%s")}' for key in keys)
+        fields = ",".join(f'\n{item}  "{key}": {fixed.get(key, "%s")}' for key in json_keys(record))
         return f",\n{item}{{{fields}\n{item}}}"
 
     pieces = rows(template)
@@ -390,8 +400,6 @@ def _rows_json(payload: dict, keys: tuple[str, ...], rows: Callable[..., Iterato
     yield f"\n{outer}]{tail}".encode()
 
 
-# A round's keys in sort_keys order; "%s" of a Python int or finite float is what json prints.
-_ROUND_KEYS = ("clamped", "ell_i", "eps_i", "i", "n_i", "term_auth", "term_signal")
 # What json prints for the fields of a round whose terms are both 0.0.
 _ZERO_ROUND = {"clamped": "false", "eps_i": "0.0", "term_auth": "0.0", "term_signal": "0.0"}
 
@@ -401,7 +409,7 @@ def cmd_keystream_schedule(args: argparse.Namespace, parser: argparse.ArgumentPa
     columns = _columns(params, args.rounds, real_valued=args.real_valued)
     if args.csv is not None:
         _atomic_write(args.csv, _csv(columns))
-    budget = _budget(params, columns.live_eps(), args.rounds, args.real_valued)
+    budget = _budget(params, (block.eps for block in columns.blocks), args.rounds, args.real_valued)
     result = {"params": params.to_json_dict(), "budget": budget.to_json_dict(), "rounds": _ROWS_MARK}
     cli_params = {"rounds": args.rounds, "real_valued": args.real_valued, "csv": args.csv}
 
@@ -410,17 +418,15 @@ def cmd_keystream_schedule(args: argparse.Namespace, parser: argparse.ArgumentPa
         # both terms 0.0, so its template holds them fixed and _int_rows writes ell_i, i and n_i.
         zero = template(_ZERO_ROUND)
         for c, rounds, n, ell in columns.parts():
-            if c is not None:
-                k = c.live
-                yield from _fill(template({}), zip(
-                    ("true" if clamped else "false" for clamped in _elements(c.clamped[:k])),
-                    _elements(c.ell[1:k + 1]), _elements(c.eps[:k]), range(c.lo, c.lo + k),
-                    _elements(c.n[:k]), _elements(c.term_auth[:k]), _elements(c.term_signal[:k]),
-                ))
+            yield from _fill(template({}), zip(
+                ("true" if clamped else "false" for clamped in _elements(c.clamped)),
+                _elements(c.ell[1:]), _elements(c.eps), c.rounds,
+                _elements(c.n), _elements(c.term_auth), _elements(c.term_signal),
+            ))
             yield from _int_rows(zero, [ell, rounds, n])
 
     envelope = _envelope("keystream-schedule", None, cli_params, result, args.timestamp)
-    _write(_rows_json(envelope, _ROUND_KEYS, rows), args.out)
+    _write(_rows_json(envelope, RoundRecord, rows), args.out)
     return EXIT_OK
 
 
@@ -492,9 +498,8 @@ def cmd_verify_composition(args: argparse.Namespace, parser: argparse.ArgumentPa
     return EXIT_OK if ok else EXIT_FINDING
 
 
-# An auction outcome's keys in sort_keys order, and the fields its rows hold fixed: every
-# key of a sweep has a modulus of exactly --modulus-bits bits
-_OUTCOME_KEYS = ("alice_bid", "bob_bid", "e", "forgery_doubled", "modulus_bits", "n", "type", "winner")
+# The fields an auction outcome's rows hold fixed: every key of a sweep has a modulus
+# of exactly --modulus-bits bits
 _OUTCOME_FIXED = {"type": json.dumps(AuctionOutcome.JSON_TYPE), "winner": '"%s"'}
 
 
@@ -516,7 +521,7 @@ def cmd_rsa_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             _elements(auctions.n), _elements(auctions.winner),
         ))
 
-    _write(_rows_json(_envelope("rsa-demo", seed, params, result, args.timestamp), _OUTCOME_KEYS, rows), args.out)
+    _write(_rows_json(_envelope("rsa-demo", seed, params, result, args.timestamp), AuctionOutcome, rows), args.out)
     return EXIT_OK if auctions.all_forgeries_doubled else EXIT_FINDING
 
 
@@ -538,7 +543,7 @@ def _secrecy_args(p: argparse.ArgumentParser) -> None:
                    help="per-qubit bases sampled where the exhaustive per-qubit search is too large, "
                         "as at n = 7; the per-qubit family runs only while the I_acc bracket is open, "
                         f"i.e. without the declared basis, which closes it (at most {MAX_BUDGET})")
-    p.add_argument("--families", default=",".join(IACC_FAMILIES),
+    p.add_argument("--families", type=_families, default=",".join(IACC_FAMILIES),
                    help="I_acc families, comma-separated: per_qubit, declared (the even-X eigenbasis)")
     p.add_argument("--correctness-file", default=None, help="JSON with 'samples' or 'distribution'")
 

@@ -16,10 +16,10 @@ are RATE_RHO_DEFAULT = 1e-2 and GAMMA_DEFAULT = NU_DEFAULT = 1e-3.
 
 Both terms fall below the smallest float within a few thousand rounds,
 after which every round's epsilon is exactly 0.0.  A schedule is
-therefore worked out in blocks of rounds: a block that holds a nonzero
-term keeps its columns, and one that does not keeps only its range of
-rounds, whose sizes are computed again when its rows are written.  No
-array spans every round of a long schedule.
+therefore worked out in blocks of rounds, and a block keeps the columns
+of its rounds up to its last nonzero term only, none if it has none;
+the sizes of its later rounds are computed again when their rows are
+written.  No array spans every round of a long schedule.
 
 The module also contains an exact bit-conservation simulator for the
 store/consume/emit ledger, which is where accounting bugs would hide.
@@ -186,50 +186,43 @@ def _sizes(p: StreamParams, lo: int, hi: int, real_valued: bool = False) -> tupl
 
 
 class _Columns(NamedTuple):
-    """Rounds ``lo``..``lo + len(eps) - 1`` of a schedule as parallel arrays; ``ell[0]`` is
-    ``ell_{lo-1}``, ``ell[j]`` round ``lo + j - 1``'s.
-
-    Every round after the first ``live`` has both terms and ``eps`` exactly 0.0, unclamped.
-    """
+    """Rounds lo..hi-1 of a schedule; its live rounds ``lo``..``lo + len(eps) - 1``, those up to
+    its last nonzero term, are parallel arrays, with ``ell[0]`` ``ell_{lo-1}`` and ``ell[j]``
+    round ``lo + j - 1``'s.  Every later round has both terms and ``eps`` exactly 0.0, unclamped."""
 
     lo: int
+    hi: int
     n: np.ndarray
     ell: np.ndarray
     term_signal: np.ndarray
     term_auth: np.ndarray
     eps: np.ndarray
     clamped: np.ndarray
-    live: int
+
+    @property
+    def rounds(self) -> range:
+        """The live rounds."""
+        return range(self.lo, self.lo + len(self.eps))
 
 
 class _Schedule(NamedTuple):
-    """Rounds 1..``rounds`` of a schedule in blocks of ``_BATCH`` rounds, in order.
-
-    A block with a nonzero term is its :class:`_Columns`; a block whose every term
-    is 0.0 keeps only its ``range`` of rounds, whose sizes :func:`_sizes` gives
-    again when they are read.  ``live`` counts the leading rounds that hold every
-    nonzero term.
-    """
+    """Rounds 1..``rounds`` of a schedule as its :class:`_Columns`, blocks of ``_BATCH`` rounds, in order."""
 
     p: StreamParams
     real_valued: bool
-    blocks: list[_Columns | range]
-    live: int
+    blocks: list[_Columns]
 
-    def parts(self) -> Iterator[tuple[_Columns | None, range, np.ndarray, np.ndarray]]:
-        """Each block as ``(columns, rounds, n, ell)``: its :class:`_Columns`, or ``None`` for
-        a zero block, then the rounds after its live ones, with their ``n_i`` and ``ell_i``."""
+    @property
+    def live(self) -> int:
+        """The last round with a nonzero term, or 0 if there is none."""
+        return max((block.rounds.stop - 1 for block in self.blocks if len(block.eps)), default=0)
+
+    def parts(self) -> Iterator[tuple[_Columns, np.ndarray, np.ndarray, np.ndarray]]:
+        """Each block as ``(columns, i, n, ell)``: its :class:`_Columns`, then the rounds
+        after its live ones, with their ``n_i`` and ``ell_i`` from :func:`_sizes`."""
         for block in self.blocks:
-            if isinstance(block, range):
-                n, ell = _sizes(self.p, block.start, block.stop, self.real_valued)
-                yield None, block, n, ell[1:]
-            else:
-                live = block.live
-                yield block, range(block.lo + live, block.lo + len(block.eps)), block.n[live:], block.ell[live + 1:]
-
-    def live_eps(self) -> Iterator[np.ndarray]:
-        """The epsilons of each block's live rounds, in round order; every other round's is 0.0."""
-        return (block.eps[:block.live] for block in self.blocks if not isinstance(block, range))
+            n, ell = _sizes(self.p, block.rounds.stop, block.hi, self.real_valued)
+            yield block, np.arange(block.rounds.stop, block.hi), n, ell[1:]
 
 
 # rounds in a block of _columns or _check_ledger, or array elements turned into Python numbers, at a time
@@ -239,15 +232,12 @@ _BATCH = 4096
 _PIECE_BYTES = 2**18
 
 
-def _batches(column: np.ndarray | range) -> Iterator[np.ndarray]:
-    """``column`` in slices of ``_BATCH`` elements; a ``range`` (of round numbers) is made
-    an array one slice at a time, so a long one takes no array of its own length."""
-    for start in range(0, len(column), _BATCH):
-        part = column[start:start + _BATCH]
-        yield np.arange(part.start, part.stop, part.step) if isinstance(part, range) else part
+def _batches(column: np.ndarray) -> Iterator[np.ndarray]:
+    """``column`` in slices of ``_BATCH`` elements."""
+    return (column[start:start + _BATCH] for start in range(0, len(column), _BATCH))
 
 
-def _elements(column: np.ndarray | range) -> Iterator:
+def _elements(column: np.ndarray) -> Iterator:
     """The elements of ``column`` in order, as Python numbers, converted ``_BATCH`` at a time."""
     return itertools.chain.from_iterable(batch.tolist() for batch in _batches(column))
 
@@ -282,20 +272,20 @@ def _fill(template: str, rows: Iterable[tuple]) -> Iterator[bytes]:
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
-def _int_rows(template: str, columns: list[np.ndarray | range]) -> Iterator[bytes | memoryview]:
+def _int_rows(template: str, columns: list[np.ndarray]) -> Iterator[bytes | memoryview]:
     """:func:`_fill` of ``template``, one ``%s`` per column, with the rows of ``columns``.
 
     Integer columns (sizes and round numbers, never negative) are written by array
-    arithmetic instead, ``_BATCH`` rows at a time (see :func:`_batches`).  Each run of
-    rows whose values have the same digit counts (found by a ``searchsorted`` on powers
-    of ten) has its digits worked out over the whole run, one numpy call per digit
-    place, into a ``(rows, width)`` uint8 matrix per column.  Only then is the run
-    written, as pieces of at most ``_PIECE_BYTES`` (or one row, if a row is longer):
-    each piece is a ``(rows, len(row))`` uint8 block, the row template with every slot
-    as wide as its value and the digit matrices copied into the slots, yielded as a byte
-    view of the array.  So no more than one piece of rows is held, while the arithmetic
-    still runs on up to ``_BATCH`` rows at a time.  A batch with a float column, printed
-    by ``repr``, goes through :func:`_fill`.
+    arithmetic instead, ``_BATCH`` rows at a time.  Each run of rows whose values have
+    the same digit counts (found by a ``searchsorted`` on powers of ten) has its digits
+    worked out over the whole run, one numpy call per digit place, into a ``(rows,
+    width)`` uint8 matrix per column.  Only then is the run written, as pieces of at
+    most ``_PIECE_BYTES`` (or one row, if a row is longer): each piece is a ``(rows,
+    len(row))`` uint8 block, the row template with every slot as wide as its value and
+    the digit matrices copied into the slots, yielded as a byte view of the array.  So
+    no more than one piece of rows is held, while the arithmetic still runs on up to
+    ``_BATCH`` rows at a time.  A batch with a float column, printed by ``repr``, goes
+    through :func:`_fill`.
     """
     literals = [part.encode() for part in template.split("%s")]
     for batch in zip(*map(_batches, columns)):
@@ -386,10 +376,11 @@ def _block(p: StreamParams, lo: int, hi: int, real_valued: bool) -> _Columns:
         signal *= -p.gamma
     t_signal = _exp(np.minimum(signal, _EXP_MAX, out=signal))
     eps = t_signal + t_auth
-    clamped = eps > 1.0
     nonzero = eps != 0.0  # both terms are at least 0.0, so eps is 0.0 only where both are
     live = len(eps) - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
-    return _Columns(lo, n, ell, t_signal, t_auth, np.minimum(eps, 1.0, out=eps), clamped, live)
+    # copies of the live rounds: a view would keep the whole work arrays alive
+    return _Columns(lo, hi, n[:live].copy(), ell[:live + 1].copy(), t_signal[:live].copy(), t_auth[:live].copy(),
+                    np.minimum(eps[:live], 1.0), eps[:live] > 1.0)
 
 
 def _columns(p: StreamParams, rounds: int, real_valued: bool = False) -> _Schedule:
@@ -402,21 +393,14 @@ def _columns(p: StreamParams, rounds: int, real_valued: bool = False) -> _Schedu
     called only where a term can be nonzero (:func:`_exp`, :func:`_add_log`): ``exp`` of
     an exponent below ``_EXP_MIN`` is 0.0, and ``log(n_i)`` is needed only where adding
     ``log(2**53)`` would lift ``-nu ell_{i-1}`` to ``_EXP_MIN``.  In a long schedule that
-    is the first few thousand rounds; every later one is 0.0 without a call, and its
-    block keeps no column (see :class:`_Schedule`), so the schedule holds about 41 bytes
-    a round only up to its last live block.
+    is the first few thousand rounds; every later one is 0.0 without a call, and a block
+    keeps its columns only up to its last nonzero term (see :class:`_Columns`), so the
+    schedule holds about 41 bytes a round only up to its last live round.
     """
     _check_rounds(p, rounds)
-    blocks, live = [], 0
-    for lo in range(1, rounds + 1, _BATCH):
-        hi = min(lo + _BATCH, rounds + 1)
-        block = _block(p, lo, hi, real_valued)
-        if block.live:
-            blocks.append(block)
-            live = lo - 1 + block.live
-        else:
-            blocks.append(range(lo, hi))
-    return _Schedule(p, real_valued, blocks, live)
+    return _Schedule(p, real_valued, [
+        _block(p, lo, min(lo + _BATCH, rounds + 1), real_valued) for lo in range(1, rounds + 1, _BATCH)
+    ])
 
 
 def schedule(p: StreamParams, rounds: int, real_valued: bool = False) -> list[RoundRecord]:
@@ -429,21 +413,17 @@ def schedule(p: StreamParams, rounds: int, real_valued: bool = False) -> list[Ro
     """
     records = []
     for c, rounds_after, n, ell in _columns(p, rounds, real_valued).parts():
-        if c is not None:
-            k = c.live
-            records += map(RoundRecord, range(c.lo, c.lo + k), *map(_elements, (
-                c.n[:k], c.ell[1:k + 1], c.eps[:k], c.term_signal[:k], c.term_auth[:k], c.clamped[:k],
-            )))
+        records += map(RoundRecord, c.rounds,
+                       *map(_elements, (c.n, c.ell[1:], c.eps, c.term_signal, c.term_auth, c.clamped)))
         records += (RoundRecord(i, n_i, ell_i, 0.0, 0.0, 0.0, False)
-                    for i, n_i, ell_i in zip(rounds_after, _elements(n), _elements(ell)))
+                    for i, n_i, ell_i in zip(*map(_elements, (rounds_after, n, ell))))
     return records
 
 
 def _running_sum(start: float, eps: np.ndarray) -> np.ndarray:
-    """``start + eps[0]``, then each further element added in turn: the left-to-right sum
-    a ``+=`` loop gives (``np.cumsum`` of one axis adds in order).  From 0.0 that is
-    ``np.cumsum(eps)`` itself, as ``0.0 + e`` is ``e`` for every epsilon."""
-    return np.cumsum(np.concatenate(([start], eps)))[1:] if start else np.cumsum(eps)
+    """``start``, then ``start + eps[0]`` and each further element added in turn: the
+    left-to-right sums a ``+=`` loop gives (``np.cumsum`` of one axis adds in order)."""
+    return np.cumsum(np.concatenate(([start], eps)))
 
 
 def _csv(columns: _Schedule) -> Iterator[bytes | memoryview]:
@@ -459,14 +439,11 @@ def _csv(columns: _Schedule) -> Iterator[bytes | memoryview]:
     cumulative = 0.0
     yield b"i,n_i,ell_i,eps_i,cumulative_eps\r\n"
     for c, rounds, n, ell in columns.parts():
-        if c is not None:
-            k = c.live
-            running = _running_sum(cumulative, c.eps[:k])
-            yield from _fill("%s,%s,%s,%s,%s\r\n", zip(
-                range(c.lo, c.lo + k), _elements(c.n[:k]), _elements(c.ell[1:k + 1]),
-                _elements(c.eps[:k]), _elements(running),
-            ))
-            cumulative = float(running[-1])
+        running = _running_sum(cumulative, c.eps)
+        yield from _fill("%s,%s,%s,%s,%s\r\n", zip(
+            c.rounds, _elements(c.n), _elements(c.ell[1:]), _elements(c.eps), _elements(running[1:]),
+        ))
+        cumulative = float(running[-1])
         yield from _int_rows(f"%s,%s,%s,0.0,{cumulative!r}\r\n", [rounds, n, ell])
 
 
@@ -500,17 +477,17 @@ def total_eps(p: StreamParams, horizon: int = 200, real_valued: bool = False) ->
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    return _budget(p, _columns(p, horizon, real_valued).live_eps(), horizon, real_valued)
+    return _budget(p, (block.eps for block in _columns(p, horizon, real_valued).blocks), horizon, real_valued)
 
 
 def _budget(p: StreamParams, eps: Iterable[np.ndarray], horizon: int, real_valued: bool) -> StreamBudget:
     """:func:`total_eps` of rounds 1..horizon, given the epsilons ``eps`` of those rounds in
-    nonempty blocks, in round order; rounds the blocks leave out have epsilon 0.0.
+    blocks, in round order; rounds the blocks leave out have epsilon 0.0.
 
     The partial sum adds them left to right in round order, carried from block
     to block, on every Python version (``sum`` compensates float rounding since
     3.12).  Adding 0.0 to a sum of epsilons leaves it as it is, so the rounds
-    left out change nothing.
+    left out change nothing, and an empty block leaves the sum as it is.
     """
     partial = 0.0
     for block in eps:

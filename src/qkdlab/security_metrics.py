@@ -88,6 +88,7 @@ __all__ = [
     "compose_report",
     "evaluate_cq_security",
     "IACC_FAMILIES",
+    "check_families",
     "QUBIT_BASIS_ANGLES",
     "Strategy",
 ]
@@ -104,6 +105,15 @@ QUBIT_BASIS_ANGLES: dict[str, float] = {
 # The accessible-information search's measurement families, in the order
 # that ``secrecy --families`` prints as its default.
 IACC_FAMILIES = ("per_qubit", "declared")
+
+
+def check_families(families: Sequence[str]) -> tuple[str, ...]:
+    """``families`` as a tuple, refusing a name that is not one of ``IACC_FAMILIES``."""
+    unknown = set(families) - set(IACC_FAMILIES)
+    if unknown:
+        raise ValueError(f"unknown families: {sorted(unknown)}")
+    return tuple(families)
+
 
 # Strategies are built and scored a batch of labels at a time: this many entries
 # (256 KB of float64) per (b, d, d) temporary, such as the batch's per-label bases
@@ -159,18 +169,18 @@ def correctness_eps(outcomes) -> float:
         for (sa, sb), p in outcomes.items():
             p = float(p)
             if math.isnan(p):
-                raise ValueError("probability is not a number")
+                raise ValueError("correctness probability is not a number")
             if p < -1e-12:
-                raise ValueError(f"negative probability {p!r}")
+                raise ValueError(f"correctness probability {p!r} is negative")
             total += p
             if sa != sb:
                 bad += p
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+            raise ValueError(f"correctness probabilities sum to {total!r}, not 1")
         return min(1.0, max(0.0, bad))
     samples = list(outcomes)
     if not samples:
-        raise ValueError("empty sample set")
+        raise ValueError("correctness sample set is empty")
     failures = sum(1 for sa, sb in samples if sa != sb)
     return clopper_pearson_upper(failures, len(samples))
 
@@ -654,9 +664,7 @@ def accessible_info_lower(
         raise ValueError(f"upper={upper!r} must be nonnegative")
     if cq.dim > DEFAULT_DIM_CAP:
         raise ValueError(f"register dimension {cq.dim} exceeds cap {DEFAULT_DIM_CAP}")
-    unknown = set(families) - set(IACC_FAMILIES)
-    if unknown:
-        raise ValueError(f"unknown families: {sorted(unknown)}")
+    check_families(families)
 
     best_bits = IACC_FLOOR_BITS
     best_desc = "none"

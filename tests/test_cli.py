@@ -144,8 +144,8 @@ FULL_PARSER_CASES = [
     *((argv, None) for argv in (["--help"], ["bogus"], [])),
     *(([name, *tail], None) for name in cli._COMMANDS for tail in (["--help"], ["--bogus"], ["stray"], ["--version"])),
     *(([*head, name], None) for name in cli._COMMANDS for head in (["-h"], ["--version"])),
+    (["secrecy", "--families", "psychic"], None),  # refused by the option's type
     # errors a command raises through parser.error, after parsing
-    (["secrecy", "--families", "psychic"], None),
     (["attack-demo", "--n", "3", "--message", "01"], None),
     *(([name, *rest], "-4") for name, rest in _SEEDED.items()),
 ]
@@ -268,7 +268,7 @@ def test_every_iacc_family_default_is_the_one_list():
     ]
     for function, name in defaults:
         assert inspect.signature(function).parameters[name].default is families
-    assert cli.build_parser().parse_args(["secrecy"]).families == "per_qubit,declared"
+    assert cli.build_parser().parse_args(["secrecy"]).families == families
 
 
 def test_stream_rate_options_are_the_same_on_every_keystream_command():
@@ -860,6 +860,8 @@ def test_secrecy_rejects_unknown_family(capsys):
         assert exc.value.code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "unknown families" in err and "Traceback" not in err
+    assert err.startswith("usage: qkdlab secrecy ")
+    assert err.endswith("qkdlab secrecy: error: argument --families: unknown families: ['psychic']\n")
 
 
 def test_secrecy_correctness_file_samples(capsys, tmp_path):
@@ -925,10 +927,11 @@ def test_malformed_correctness_file_is_a_usage_error(capsys, tmp_path, content):
 
 
 @pytest.mark.parametrize("content, message", [
-    ('{"distribution": [["0", "0", 0.5]]}', "error: probabilities sum to 0.5, not 1\n"),
-    ('{"samples": []}', "error: empty sample set\n"),
-    ('{"distribution": [["0", "0", 1e400]]}', "error: probabilities sum to inf, not 1\n"),
-    ('{"distribution": [["0", "0", 1%s]]}' % ("0" * 400), "error: int too large to convert to float\n"),
+    ('{"distribution": [["0", "0", 0.5]]}', "error: correctness probabilities sum to 0.5, not 1\n"),
+    ('{"samples": []}', "error: correctness sample set is empty\n"),
+    ('{"distribution": [["0", "0", 1e400]]}', "error: correctness probabilities sum to inf, not 1\n"),
+    ('{"distribution": [["0", "0", 1%s]]}' % ("0" * 400),
+     "error: correctness 'distribution' holds a probability too large for a float\n"),
 ])
 def test_malformed_correctness_figures_fail_before_any_epsilon_work(capsys, monkeypatch, tmp_path, content, message):
     def spy(*args, **kwargs):
@@ -937,6 +940,7 @@ def test_malformed_correctness_figures_fail_before_any_epsilon_work(capsys, monk
     monkeypatch.setattr(security_metrics, "_distance", spy)
     path = tmp_path / "corr.json"
     path.write_text(content)
+    assert message.startswith("error: correctness ")
     assert run_cli(capsys, ["secrecy", "--n", "7", "--correctness-file", str(path)]) == (EXIT_USAGE, "", message)
 
 
@@ -1220,14 +1224,14 @@ def test_keystream_schedule_writes_a_dropped_block_before_a_live_one(capsys, tmp
         block = original(p, lo, hi, real_valued)
         if lo != 4:
             return block
-        zero = np.zeros(len(block.eps))
-        return block._replace(term_signal=zero, term_auth=zero, eps=zero, clamped=zero != 0.0, live=0)
+        return block._replace(n=block.n[:0], ell=block.ell[:1], term_signal=block.term_signal[:0],
+                              term_auth=block.term_auth[:0], eps=block.eps[:0], clamped=block.clamped[:0])
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(keystream, "_BATCH", 3)
     monkeypatch.setattr(keystream, "_block", zeroed)
     blocks = keystream._columns(params, 10, real_valued).blocks
-    assert [type(block) for block in blocks] == [keystream._Columns, range, keystream._Columns, keystream._Columns]
+    assert [len(block.eps) > 0 for block in blocks] == [True, False, True, True]
     command = ["keystream-schedule", *argv, "--rounds", "10", "--csv", "schedule.csv"]
     if real_valued:
         command.append("--real-valued")

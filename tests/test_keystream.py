@@ -180,26 +180,23 @@ def _bits(rows):
 
 
 def _assert_blocks_are_the_reference(p, cols, want):
-    """Each kept block of ``cols`` is ``want``'s rows bit for bit, and ``want`` is 0.0 on every dropped round.
+    """Each block's live columns are ``want``'s rows bit for bit, and ``want`` is 0.0 on every later round of the block.
 
     The blocks must cover rounds 1..len(want) in order, and ``cols.live`` must
     count the rounds up to ``want``'s last nonzero epsilon.
     """
     lo = 1
     for block in cols.blocks:
-        if isinstance(block, range):
-            assert block.start == lo and 0 < len(block) <= keystream._BATCH
-            assert all(eps == t_signal == t_auth == 0.0 and not clamped
-                       for _, _, _, eps, t_signal, t_auth, clamped in want[block.start - 1:block.stop - 1])
-            lo = block.stop
-            continue
-        assert block.lo == lo and 0 < block.live <= len(block.eps) <= keystream._BATCH
-        hi = lo + len(block.eps)
-        assert block.ell.tolist()[0] == (p.ell0 if lo == 1 else want[lo - 2][2])
+        assert block.lo == lo < block.hi <= lo + keystream._BATCH
+        live = lo + len(block.eps)  # the first round after the live ones
         columns = (block.n, block.ell[1:], block.eps, block.term_signal, block.term_auth, block.clamped)
-        assert _bits(zip(range(lo, hi), *(column.tolist() for column in columns))) == _bits(want[lo - 1:hi - 1])
-        assert all(row[3] == 0.0 for row in want[lo - 1 + block.live:hi - 1]) and want[lo - 2 + block.live][3] != 0.0
-        lo = hi
+        assert live <= block.hi and {len(column) for column in columns} == {live - lo}
+        assert block.ell.tolist()[0] == (p.ell0 if lo == 1 else want[lo - 2][2])
+        assert _bits(zip(range(lo, live), *(column.tolist() for column in columns))) == _bits(want[lo - 1:live - 1])
+        assert all(eps == t_signal == t_auth == 0.0 and not clamped
+                   for _, _, _, eps, t_signal, t_auth, clamped in want[live - 1:block.hi - 1])
+        assert live == lo or want[live - 2][3] != 0.0
+        lo = block.hi
     assert lo == len(want) + 1
     assert cols.live == max((i for i, _, _, eps, *_ in want if eps != 0.0), default=0)
 
