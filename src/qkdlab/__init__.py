@@ -11,7 +11,7 @@ The package is organised around six pieces:
   a key whose adversary register has fully mixed marginals, and from
   which per-qubit (product) measurements learn at most 2^-n bits, but
   which leaks a bit with certainty once used as a one-time pad.  A joint
-  measurement of the register learns at least 1/2 bit, so its accessible
+  measurement of the register learns exactly 1/2 bit, so its accessible
   information is not small either.
 * :mod:`qkdlab.keystream` -- epsilon budgeting for an unbounded
   authenticated key stream, plus an exact bit-accounting simulator.

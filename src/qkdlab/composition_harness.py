@@ -33,7 +33,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ._json import JsonRecord
-from .attack_lab import _bit_rows, _bits_from, _chunk_rows, _otp_rounds, run_otp_attacks
+from .attack_lab import _bit_rows, _bits_from, _chunk_rows, _otp_rounds
 from .security_metrics import _cp_upper
 
 __all__ = [
@@ -634,17 +634,17 @@ def attack_otp_advantage(
     """The parity check's advantage once the attack key of :mod:`~qkdlab.attack_lab`
     is used as a one-time pad on the (n+1)-bit ``message``, whose first n bits are known.
 
-    The real world is the attack itself, the rounds of
-    :func:`~qkdlab.attack_lab.run_otp_attacks`: the ciphertext opens the
-    bases, and a trial is accepted when the measured pad's parity decodes
-    the last message bit, which it always does.  In the ideal world the
-    ciphertext is uniform and the register is rho' = I / 2^n on every key,
-    so whatever the bases, the measured pad is n uniform bits: a trial is
-    2n+1 uniform bits, accepted when the XOR of bits n..2n is the last
-    message bit.  ``mode`` is as for :func:`estimate_advantage`; exact mode
-    (2n+1 bits at most 21) runs both worlds on every draw row, counting the
-    accepted rows in blocks (:func:`_every_row_count`), so its memory does
-    not grow with n.  Any declared epsilon below 1/2 is broken.
+    The real world is the attack itself: a trial is the 2n uniform bits of
+    one attack round (:func:`~qkdlab.attack_lab._otp_rounds`), whose
+    ciphertext opens the bases, accepted when the measured pad's parity
+    decodes the last message bit, which it always does.  In the ideal
+    world the ciphertext is uniform and the register is rho' = I / 2^n on
+    every key, so whatever the bases, the measured pad is n uniform bits:
+    a trial is 2n+1 uniform bits, accepted when the XOR of bits n..2n is
+    the last message bit.  ``mode`` is as for :func:`estimate_advantage`;
+    exact mode (2n+1 bits at most 21) runs both worlds on every draw row,
+    counting the accepted rows in blocks (:func:`_every_row_count`), so
+    its memory does not grow with n.  Any declared epsilon below 1/2 is broken.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -652,23 +652,21 @@ def attack_otp_advantage(
     width = 2 * n + 1
     mode = _mode(mode, width <= _EXACT_MAX_BITS, f"pad_encoding_attack_otp_{n}", rng, trials)
 
-    def ideal_accept(draws: np.ndarray, views: tuple = ()) -> np.ndarray:
-        return np.bitwise_xor.reduce(draws[:, n:], axis=1) == m[n]
-
+    m_row = np.array(m, np.uint8)
+    # each world is a draw width and an accept rule on rows of that many uniform bits
+    worlds = (
+        (2 * n, lambda draws, views=(): _otp_rounds(draws, m_row)[-1] == m[n]),
+        (width, lambda draws, views=(): np.bitwise_xor.reduce(draws[:, n:], axis=1) == m[n]),
+    )
     if mode == "exact":
-        m_row = np.array(m, np.uint8)
-
-        def real_accepts(draws: np.ndarray) -> int:
-            return int(np.count_nonzero(_otp_rounds(draws, m_row)[-1] == m[n]))
-
-        p_r = _every_row_count(2 * n, real_accepts) / 2 ** (2 * n)
-        p_i = _every_row_count(width, lambda draws: int(np.count_nonzero(ideal_accept(draws)))) / 2**width
+        p_r, p_i = (
+            _every_row_count(w, lambda draws: int(np.count_nonzero(accept(draws)))) / 2**w for w, accept in worlds
+        )
         return _exact_estimate(p_r, p_i)
-    r_real, r_ideal = rng.spawn(2)
-    k_r = run_otp_attacks(n, m, r_real, trials).successes
-    # the ideal world's trials are its draw rows (a zero-row draw, which sizes them, takes no state)
-    k_i = _accept_count_sampled(
-        lambda rng, rows: (rng.integers(0, 2, size=(rows, width)), ()), ideal_accept, trials, r_ideal
+    # a world's trials are its draw rows (a zero-row draw, which sizes them, takes no state)
+    k_r, k_i = (
+        _accept_count_sampled(lambda rng, rows: (rng.integers(0, 2, size=(rows, w)), ()), accept, trials, r)
+        for (w, accept), r in zip(worlds, rng.spawn(2))
     )
     return _sampled_estimate(k_r, k_i, trials)
 

@@ -30,6 +30,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -179,7 +180,7 @@ def _label_sort_key(label: str):
     return (label == PERP, label)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CqState:
     """Classical-quantum state: a labelled mixture ``{(s, p_s, rho_s)}``.
 
@@ -187,34 +188,32 @@ class CqState:
     strings of that length plus the optional abort label :data:`PERP`.
     Branch probabilities must sum to 1 within 1e-9 and all branch
     operators must share one dimension.  Absent labels mean probability
-    zero.  Branches are stored sorted (bit strings first, PERP last) with
-    the probability vector ``probs`` and the label tuple ``labels``, as a
+    zero.  Branches are kept sorted (bit strings first, PERP last) as the
+    label tuple ``labels``, the probability vector ``probs`` and the
     read-only ``(B, d, d)`` stack ``matrices``.  :meth:`from_stack` builds
-    a state from those three; the mapping constructor takes validated
+    a state from those three; the mapping constructor takes
     :class:`DensityOperator` branches and then the same path.
     :meth:`from_factors` keeps the read-only ``(B, d, r)`` stack ``factors``
     of the W_b instead (None for every other state): its branch ``W W^dagger``
-    is PSD by construction and is not clipped, and ``matrices`` is formed
-    from the factors on its first read.  The read-only mapping ``branches``
-    hands out views of the stack.
+    is PSD by construction and is not clipped, and ``matrices`` is filled
+    from :meth:`branch_batches` on its first read.  The read-only mapping
+    ``branches`` of views of the stack is built on its first read.
     """
 
     key_len: int
-    branches: Mapping[str, tuple[float, DensityOperator]]
-    labels: tuple[str, ...] = field(init=False)
-    probs: np.ndarray = field(init=False, repr=False)
-    matrices: np.ndarray = field(init=False, repr=False)
-    factors: np.ndarray | None = field(init=False, repr=False)
+    labels: tuple[str, ...]
+    probs: np.ndarray = field(repr=False)
+    factors: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self):
-        labels = tuple(sorted(self.branches, key=_label_sort_key))
-        entries = [self.branches[label] for label in labels]
+    def __init__(self, key_len: int, branches: Mapping[str, tuple[float, DensityOperator]]):
+        labels = tuple(sorted(branches, key=_label_sort_key))
+        entries = [branches[label] for label in labels]
         if not all(isinstance(rho, DensityOperator) for _, rho in entries):
             raise ValueError("branch operators must be DensityOperator instances")
         if len({rho.dim for _, rho in entries}) > 1:
             raise ValueError("all branch operators must share one dimension")
         matrices = np.array([rho.matrix for _, rho in entries])
-        self._assemble(self.key_len, labels, [p for p, _ in entries], matrices)
+        self._assemble(key_len, labels, [p for p, _ in entries], matrices)
 
     @classmethod
     def from_stack(cls, key_len: int, labels: Sequence[str], probs, matrices) -> "CqState":
@@ -260,8 +259,7 @@ class CqState:
             raise ValueError(f"branch {labels[bad[0]]!r} has trace {float(tr[bad[0]])!r}, not 1 within {TRACE_TOL}")
         w.setflags(write=False)
         cq = object.__new__(cls)
-        object.__setattr__(cq, "_traces", tr)
-        cq._assemble(key_len, labels, probs, None, w)
+        cq._assemble(key_len, labels, probs, factors=w, traces=tr)
         return cq
 
     def unit_factors(self, part: slice | np.ndarray) -> np.ndarray:
@@ -283,18 +281,8 @@ class CqState:
             rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
             yield part, rho
 
-    def __getattr__(self, name: str):
-        # a state built from factors forms its stack, and the branch views of it, on first read
-        if name not in ("matrices", "branches") or self.__dict__.get("factors") is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        matrices = np.empty((len(self.labels), self.dim, self.dim), dtype=self.factors.dtype)
-        for part, rho in self.branch_batches():
-            matrices[part] = rho
-        self._set_stack(matrices)
-        return self.__dict__[name]
-
-    def _assemble(self, key_len: int, labels: tuple[str, ...], probs, matrices: np.ndarray | None, factors=None) -> None:
-        # the one construction path, for a validated (B, d, d) stack or (B, d, r) factors
+    def _assemble(self, key_len: int, labels: tuple[str, ...], probs, matrices=None, factors=None, traces=None) -> None:
+        # the one path that sets attributes, for a validated stack or factors with their traces
         if not isinstance(key_len, int) or key_len < 0:
             raise ValueError("key_len must be a nonnegative integer")
         if not labels:
@@ -320,14 +308,25 @@ class CqState:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_traces", traces)
         if matrices is not None:
-            self._set_stack(matrices)
+            matrices.setflags(write=False)
+            object.__setattr__(self, "matrices", matrices)
 
-    def _set_stack(self, matrices: np.ndarray) -> None:
+    @functools.cached_property
+    def matrices(self) -> np.ndarray:
+        # a state built from factors fills its stack on first read; every other state stores it
+        matrices = np.empty((len(self.labels), self.dim, self.dim), dtype=self.factors.dtype)
+        for part, rho in self.branch_batches():
+            matrices[part] = rho
         matrices.setflags(write=False)
-        views = {label: (float(p), DensityOperator._view(m)) for label, p, m in zip(self.labels, self.probs, matrices)}
-        object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "branches", MappingProxyType(views))
+        return matrices
+
+    @functools.cached_property
+    def branches(self) -> Mapping[str, tuple[float, DensityOperator]]:
+        return MappingProxyType(
+            {label: (float(p), DensityOperator._view(m)) for label, p, m in zip(self.labels, self.probs, self.matrices)}
+        )
 
     @property
     def dim(self) -> int:

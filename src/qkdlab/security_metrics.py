@@ -801,7 +801,7 @@ def evaluate_cq_security(
     ideal = _ideal(cq, ideal_form)
     upper = _distance(cq, ideal)
     advantages = list(_default_advantages(cq, ideal, num_random_strategies, seed, upper=upper))
-    eps_r = robustness_eps(cq.label_distribution())
+    eps_r = cq.p_perp
     lower = _lower_end(advantages)
     iacc = accessible_info_lower(cq, search_budget, seed, iacc_families, declared=iacc_declared, upper=iacc_upper)
     return SecurityReport(

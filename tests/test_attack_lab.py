@@ -190,6 +190,13 @@ def test_secrecy_figures_at_n_6_allocate_no_second_stack(monkeypatch):
     assert peak <= state.cq.matrices.nbytes + 2 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
+def test_attack_state_repr_shows_its_labels_and_forms_no_stack():
+    # the stack at n = 7 is 34 MB; repr names the fields key_len and labels only
+    cq = build_attack_state(7).cq
+    assert repr(cq) == f"CqState(key_len=8, labels={cq.labels!r})"
+    assert "matrices" not in vars(cq) and "branches" not in vars(cq)
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_complex_attack_state_gives_the_real_figures(n):
     # a global phase leaves every branch W W^dagger as it is but keeps the stack

@@ -822,10 +822,13 @@ def test_secrecy_computes_shared_results_once(capsys, monkeypatch):
 def test_secrecy_never_forms_the_branch_stack(capsys, monkeypatch):
     # the attack state keeps its factors: every figure secrecy prints reads them,
     # so the (B, d, d) stack, formed on the first read of matrices, never is
-    def refuse(cq, name):
-        raise AssertionError(f"secrecy read CqState.{name}")
+    def refuse(name):
+        def read(cq):
+            raise AssertionError(f"secrecy read CqState.{name}")
+        return property(read)
 
-    monkeypatch.setattr(quantum_core.CqState, "__getattr__", refuse)
+    for name in ("matrices", "branches"):
+        monkeypatch.setattr(quantum_core.CqState, name, refuse(name))
     code, out, err = run_cli(capsys, ["secrecy", "--n", "5", "--seed", "1"])
     assert (code, err) == (EXIT_OK, "")
     assert hashlib.sha256(out.encode()).hexdigest() == dict(

@@ -405,8 +405,30 @@ def test_from_factors_keeps_a_copy_and_forms_the_stack_on_first_read():
     assert np.abs(cq.matrices - products).max() <= 1e-15
     with pytest.raises(AttributeError, match="no attribute 'stack'"):
         cq.stack
-    with pytest.raises(AttributeError, match="no attribute 'matrices'"):
+    with pytest.raises(AttributeError, match="no attribute 'labels'"):  # the first attribute matrices reads
         object.__new__(CqState).matrices
+
+
+@pytest.mark.parametrize("build", [CqState.from_stack, _from_mapping], ids=["from_stack", "mapping"])
+def test_branch_views_are_made_on_the_first_read_of_branches(monkeypatch, build):
+    labels, probs = ["00", "01", "11", PERP], [0.25, 0.25, 0.125, 0.375]
+    raw = _raw_stack(np.random.default_rng(8), len(labels), 2, False)
+    made = []
+    view = DensityOperator._view
+
+    def counted(matrix):
+        made.append(matrix)
+        return view(matrix)
+
+    monkeypatch.setattr(DensityOperator, "_view", staticmethod(counted))
+    cq = build(2, labels, probs, raw)
+    assert made == [] and "branches" not in vars(cq)
+    branches = cq.branches
+    assert len(made) == len(labels) and tuple(branches) == cq.labels
+    for b, (p, rho) in enumerate(branches.values()):
+        assert p == float(cq.probs[b]) and isinstance(rho, DensityOperator)
+        assert np.shares_memory(rho.matrix, cq.matrices) and rho.matrix.tobytes() == cq.matrices[b].tobytes()
+    assert cq.branches is branches and len(made) == len(labels)  # a second read makes none
 
 
 def test_from_factors_adopts_a_read_only_array_of_its_own_and_copies_every_other():

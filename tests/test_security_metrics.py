@@ -338,6 +338,15 @@ def test_default_strategy_lower_end_matches_the_report(perp):
         assert min(lower, report.eps_secret_upper) == report.eps_secret_lower
 
 
+@pytest.mark.parametrize("perp", [False, True])
+def test_report_reads_the_abort_mass_off_the_state(perp):
+    for seed in range(6):
+        cq = rand_cq(np.random.default_rng(seed), 1 + seed % 3, 2, include_perp=perp)
+        report = evaluate_cq_security(cq, num_random_strategies=0, search_budget=2, iacc_families=("per_qubit",))
+        assert report.eps_robust.hex() == robustness_eps(cq.label_distribution()).hex()
+        assert (report.eps_robust > 0.0) == perp
+
+
 @pytest.mark.parametrize("seed", [8, 14, 63])
 def test_lower_end_never_exceeds_the_upper_end(seed):
     # here the best advantage comes out a few ulps above the trace distance,
