@@ -34,6 +34,15 @@ learns more:
    ``sum_s <P_s>^2 = <A + B> <= ||A + B||``, ``sum_s <P_s>^2 <= 2^(n-1)``.
 
 Hence ``I_acc <= 2^-n sum_s <P_s>^2 <= 1/2`` bit (``IACC_UPPER_BITS``).
+
+The same covariance fixes every figure that ``secrecy`` prints.  H on qubit i
+takes the branch of (s, p) to that of s with s_i toggled, and X on the last
+qubit takes (0...0, 0) to (0...0, 1); both fix the declared ideal I / 2^n and
+map each label's product basis onto another label's.  So the branches are the
+orbit of branch 0 under the group they generate, and each figure is 2^(n+1)
+times branch 0's term.  :func:`secrecy_reports` checks that orbit before it
+scores: branch 0 must equal its closed form and every other branch the image of
+its parent under one generator, or the state is refused, never mis-scored.
 """
 
 from __future__ import annotations
@@ -48,13 +57,25 @@ import numpy as np
 from ._json import JsonRecord
 from .quantum_core import (
     CqState,
-    DensityOperator,
     Povm,
     _bit_strings,
     _chunks,
     _kron_rows,
+    _ordered_sum,
+    mutual_information,
 )
-from .security_metrics import IACC_FAMILIES, IdealForm, SecurityReport, Strategy, evaluate_cq_security
+from .security_metrics import (
+    _BATCH,
+    IACC_FAMILIES,
+    IACC_FLOOR_BITS,
+    IaccSearchResult,
+    SecurityReport,
+    Strategy,
+    _report,
+    accessible_info_lower,
+    check_families,
+    correctness_figures,
+)
 
 __all__ = [
     "MAX_ATTACK_QUBITS",
@@ -184,12 +205,15 @@ def even_x_eigenbasis(n: int) -> Povm:
     ``2^(-(n-1)/2) (-1)^(x.y) (-1)^floor(|x|/2)`` on the even-weight x or on the odd-weight
     x, and 0 elsewhere.
     """
+    return Povm.from_basis(_even_x_signs(n) * 2.0 ** (-(n - 1) / 2))
+
+
+def _even_x_signs(n: int) -> np.ndarray:
+    """The rows of :func:`even_x_eigenbasis` times ``2^((n-1)/2)``: float64 entries 0 and +-1."""
     x = _bit_rows(n)
     signs = 1.0 - 2.0 * ((x[: 2 ** (n - 1)] @ x.T) & 1)  # (-1)^(x.y), y the rows with y_1 = 0
     parts = _I_POWERS[x.sum(axis=1) % 4].T  # Re and Im of i^|x|
-    basis = (parts[:, None, :] * signs).reshape(2**n, 2**n)
-    basis *= 2.0 ** (-(n - 1) / 2)
-    return Povm.from_basis(basis)
+    return (parts[:, None, :] * signs).reshape(2**n, 2**n)
 
 
 class MarginalCheck(NamedTuple):
@@ -474,42 +498,48 @@ def secrecy_reports(
     search_budget: int = 32,
     seed: int = 0,
     families: Sequence[str] = IACC_FAMILIES,
-    correctness=None,
+    correctness: tuple[float, str] | None = None,
 ) -> tuple[SecurityReport, SecrecyGapReport]:
-    """:func:`~qkdlab.security_metrics.evaluate_cq_security` of the attack
-    state together with its :func:`secrecy_gap_report`: ``secrecy`` runs the
-    public evaluator, with the knobs this state's builder sets by keyword.
+    """The security report of the attack state together with its :func:`secrecy_gap_report`,
+    scored from one branch per orbit.
 
-    The gap report's secrecy bracket, I_acc lower end and search provenance
-    are read off the security report, computed once; ``correctness`` is
-    passed to the security report.  Both secrecy ends are taken
-    against a declared ideal, the register I / 2^n on every key: by the
-    covariance of the module docstring it is the exact branch average
-    (which the canonical ideal only rounds to), and any ideal gives an
-    upper end, epsilon being a minimum over ideals.  The lower end is the
-    label-basis strategy's advantage; on this state that strategy is
-    :func:`parity_strategy`, effect for effect.  Every figure reads the
-    state's factors, not its stack.  Each search stops
-    once its bracket closes: the I_acc search after the declared basis
-    meets ``IACC_UPPER_BITS``, the default strategies after the
-    label-basis one meets the trace distance.  So ``search_budget`` and
-    ``seed`` matter only where a bracket stays open (``families`` without
-    ``declared``).
+    The state is built and checked to be the orbit of its first branch W_0 under the
+    group of the module docstring (:func:`_orbit_representative`); a branch off its
+    image refuses the state.  Every figure is then B times branch 0's term, B = 2^(n+1):
+    the trace distance to the declared ideal, the register I / 2^n on every key (by the
+    covariance it is the exact branch average, and any ideal gives an upper end, epsilon
+    being a minimum over ideals), and the trivial and label-basis advantages, scored in
+    order until one meets that distance, as :func:`~qkdlab.security_metrics.evaluate_cq_security`
+    stops its default stock; the label-basis strategy is :func:`parity_strategy`, effect
+    for effect, and meets it.  The I_acc search scores the ``declared`` family from the
+    sign table of :func:`_even_x_table`, which meets ``IACC_UPPER_BITS``; ``per_qubit`` runs
+    :func:`~qkdlab.security_metrics.accessible_info_lower` on the state only while that
+    bracket is open (``families`` without ``declared``), and only then do ``search_budget``
+    and ``seed`` matter.  The report equals the evaluator's with the declared ideal,
+    measurement and I_acc upper end, which the tests keep as the oracle.
+
+    ``correctness`` is the pair that :func:`~qkdlab.security_metrics.correctness_figures`
+    scores, so a caller checks it before any state is built; None reports 0.  The gap
+    report reads its secrecy bracket, I_acc lower end and search provenance off the
+    security report.
     """
+    families = check_families(families)
+    if search_budget <= 0:
+        raise ValueError("search_budget must be positive")
     state = build_attack_state(n)
-    # the declared measurement is built only when its family is searched
-    declared = {"even_x_eigenbasis": even_x_eigenbasis(n)} if "declared" in families else {}
-    mixed = DensityOperator.fully_mixed(2**n)
-    report = evaluate_cq_security(
-        state.cq,
-        search_budget=search_budget,
-        seed=seed,
-        iacc_families=families,
-        correctness=correctness,
-        iacc_declared=declared,
-        iacc_upper=IACC_UPPER_BITS,
-        ideal_form=IdealForm(0.0, mixed, mixed),
-    )
+    upper, advantages = _orbit_bracket(_orbit_representative(state), n)
+    iacc = IaccSearchResult(0.0, (), "none", 0)
+    if "declared" in families:
+        bits = mutual_information(_even_x_table(n, state.cq.probs))
+        found = bits > IACC_FLOOR_BITS  # as accessible_info_lower counts a score
+        iacc = IaccSearchResult(bits if found else 0.0, ("declared",), "declared:even_x_eigenbasis" if found else "none", 1)
+    if "per_qubit" in families and iacc.bits < IACC_UPPER_BITS:
+        search = accessible_info_lower(state.cq, search_budget, seed, ("per_qubit",), upper=IACC_UPPER_BITS)
+        best = search if search.bits > iacc.bits else iacc
+        iacc = IaccSearchResult(best.bits, iacc.family + search.family, best.best_strategy,
+                                iacc.evaluations + search.evaluations)
+    report = _report(state.cq.key_len, correctness or correctness_figures(None), state.cq.p_perp, upper,
+                     advantages, iacc, IACC_UPPER_BITS, search_budget, seed)
     searched = tuple(report.provenance["iacc_family"])
     return report, SecrecyGapReport(
         n=n,
@@ -523,3 +553,97 @@ def secrecy_reports(
         seed=report.provenance["seed"],
         iacc_upper_bits=IACC_UPPER_BITS if "declared" in searched else None,
     )
+
+
+def _orbit_representative(state: AttackState) -> np.ndarray:
+    """The factor W_0 of branch ``0...0``, once every branch is checked (module docstring).
+
+    W_0 must be its closed form, the even-parity computational pad states of weight
+    2^-(n-1), and every other branch's factor the image of its parent's under one
+    generator, entry for entry to within 1e-12: X on the last qubit takes (0...0, 0) to
+    (0...0, 1), and H on qubit i takes the parent (s, p) to the child with s_i set, where
+    s_i is the child's last 1, the lowest set bit of s read in binary.  By induction every
+    branch is then ``G W_0``.  A generator's children and their parents are strided views
+    of the factor stack, read a batch at a time.  A branch off its image raises
+    ``ValueError`` naming the first.
+    """
+    n, w = state.n, state.cq.factors
+    d, r = w.shape[1:]
+    deviation = np.empty(len(w))
+    pads = 2 * np.arange(r) + (_bit_rows(n - 1).sum(axis=1, dtype=np.intp) & 1)  # pad k: k's bits, then their parity
+    closed = np.zeros((d, r))
+    closed[pads, np.arange(r)] = math.sqrt(2.0 ** -(n - 1))
+    deviation[0] = np.abs(w[0] - closed).max()
+    deviation[1] = np.abs(w[1] - w[0].reshape(-1, 2, r)[:, ::-1].reshape(d, r)).max()
+    for j in range(n):  # the children whose lowest set key bit is bit j of s, that of qubit n - 1 - j
+        grid = w.reshape(-1, 2, 2**j, 2, 2 ** (n - 1 - j), 2, 2**j, r)  # (rest, s_j, lower s, p, row bits)
+        children, parents = grid[:, 1, 0], grid[:, 0, 0]
+        worst = deviation.reshape(-1, 2, 2**j, 2)[:, 1, 0]
+        for part in _chunks(len(children), d, _BATCH):
+            child, parent = children[part], parents[part]
+            images = (parent[:, :, :, 0] + parent[:, :, :, 1], parent[:, :, :, 0] - parent[:, :, :, 1])
+            for q, image in enumerate(images):  # H rows (1, 1) and (1, -1), times 1/sqrt 2
+                image *= _H
+                image -= child[:, :, :, q]
+                np.abs(image, out=image)
+            worst[part] = np.maximum(*images, out=images[0]).max(axis=(2, 3, 4))
+    bad = np.flatnonzero(deviation > 1e-12)
+    if bad.size:
+        raise ValueError(f"branch {state.cq.labels[bad[0]]!r} is off its image under the attack state's "
+                         f"group by {deviation[bad[0]]:.3e}")
+    return w[0]
+
+
+def _orbit_bracket(w0: np.ndarray, n: int) -> tuple[float, list[float]]:
+    """The trace distance from the attack state to the declared ideal and the advantages of
+    the default strategies scored up to it, each B times branch 0's term (factor ``w0``).
+
+    Each branch and the ideal weigh p = 2^-(n+1).  The distance takes the spectrum of
+    ``W_0^T W_0 / tr``, the unit factor's Gram matrix that
+    :func:`~qkdlab.security_metrics._distance` reads per branch: dividing the Gram, not the
+    factor, by the trace keeps its eigenvalues exact.  Branch 0's label basis is the
+    computational one, in which it reads ``Pr[z] = ||row z of W_0||^2 / tr``; the trivial
+    measurement reads the trace, 1.
+    """
+    d, r = w0.shape
+    count, p = 2 ** (n + 1), 2.0 ** -(n + 1)
+    c = p / d  # the ideal's block, c I
+    gram = w0.T @ w0
+    trace = np.trace(gram)
+    block = np.abs(p * np.linalg.eigvalsh(gram / trace) - c).sum() + (d - r) * c
+    upper = min(1.0, max(0.0, count * (0.5 * block)))
+    rows = (w0 * w0).sum(axis=1) / trace
+    advantages = []
+    for real, fake in ((rows.sum(keepdims=True), np.ones(1)), (rows, np.full(d, 1.0 / d))):  # trivial, label basis
+        accept = p * real - p * fake > 0.0
+        advantages.append(count * (p * float(_ordered_sum(real * accept, 0)) - p * float(_ordered_sum(fake * accept, 0))))
+        if advantages[-1] >= upper:
+            break
+    return upper, advantages
+
+
+def _even_x_table(n: int, probs: np.ndarray) -> np.ndarray:
+    """The ``(B, d)`` joint distribution of key and outcome that :func:`even_x_eigenbasis`
+    gives on the attack state of branch probabilities ``probs``, from signs alone.
+
+    Branch (s, p) is ``(I + (-1)^p P_s) / 2^n`` (module docstring), so outcome j has
+    probability ``(1 + (-1)^p <P_s>_j) / d``.  With ``u_j`` the 0/+-1 rows of
+    :func:`_even_x_signs` and ``P_s |x> = (-1)^|x and not s| |x xor s>``, ``2^(n-1) <P_s>_j =
+    sum_x u_j(x) (-1)^|x and not s| u_j(x xor s)``, a sum of integers, exact in float64; a few
+    s at a time, so no ``(d, d, d)`` array is held.  The table is renormalised by its total,
+    as :func:`~qkdlab.quantum_core.cq_measure` renormalises its own.
+    """
+    u = _even_x_signs(n).T  # u[x, j]
+    d = len(u)
+    bits = _bit_rows(n).astype(np.int8)  # signed: 1 - bits must not wrap
+    chi = 1.0 - 2.0 * ((bits @ (1 - bits).T) & 1)  # chi[x, s] = (-1)^|x and not s|
+    x = np.arange(d)
+    expect = np.empty((d, d))  # expect[s, j] = 2^(n-1) <P_s>_j
+    for part in _chunks(d, d, _BATCH):
+        terms = u[x[part, None] ^ x]  # [s, x, j] = u_j(x xor s)
+        terms *= u
+        terms *= chi.T[part, :, None]
+        expect[part] = terms.sum(axis=1)
+    expect *= 2.0 ** -(n - 1)
+    table = probs[:, None] * ((1.0 + np.stack((expect, -expect), axis=1).reshape(2 * d, d)) / d)
+    return table / _ordered_sum(table.ravel(), 0)

@@ -74,7 +74,7 @@ from .keystream import (
     _plan,
     simulate_stream,
 )
-from .security_metrics import IACC_FAMILIES, ben_or_sufficient_eps, check_families
+from .security_metrics import IACC_FAMILIES, ben_or_sufficient_eps, check_families, correctness_figures
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -259,39 +259,47 @@ def _outcome_rows(entries, width: int) -> bool:
     )
 
 
-def _load_correctness(path: str):
-    """UTF-8 JSON with either ``samples``, ``[alice, bob]`` pairs, or ``distribution``,
-    ``[alice, bob, probability]`` entries naming each pair once; every output is a string."""
+def _load_correctness(path: str) -> tuple[float, str]:
+    """The figures (:func:`~qkdlab.security_metrics.correctness_figures`) of a UTF-8 JSON file with
+    either ``samples``, ``[alice, bob]`` pairs, or ``distribution``, ``[alice, bob, probability]``
+    entries naming each pair once; every output is a string.  Each refusal names the file."""
+    try:
+        return correctness_figures(_read_correctness(path))
+    except ValueError as exc:
+        raise ValueError(f"correctness file {path!r}: {exc}") from None
+
+
+def _read_correctness(path: str):
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
         except RecursionError:
-            raise ValueError("correctness file nests too deeply") from None
+            raise ValueError("nests too deeply") from None
         except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
-            raise ValueError(f"correctness file {path!r} is not UTF-8 JSON: {exc}") from None
+            raise ValueError(f"not UTF-8 JSON: {exc}") from None
     if not (isinstance(data, dict) and ("samples" in data) != ("distribution" in data)):
-        raise ValueError("correctness file needs a 'samples' or a 'distribution' field, not both")
+        raise ValueError("needs a 'samples' or a 'distribution' field, not both")
     if "samples" in data:
         samples = data["samples"]
         if not _outcome_rows(samples, 2):
-            raise ValueError("correctness 'samples' must be a list of [alice, bob] pairs of strings")
+            raise ValueError("'samples' must be a list of [alice, bob] pairs of strings")
         return [tuple(pair) for pair in samples]
     entries = data["distribution"]
     if not (_outcome_rows(entries, 3) and all(type(e[2]) in (int, float) for e in entries)):
-        raise ValueError("correctness 'distribution' must be a list of [alice, bob, probability] entries with string outputs")
+        raise ValueError("'distribution' must be a list of [alice, bob, probability] entries with string outputs")
     try:
         distribution = {tuple(entry[:2]): float(entry[2]) for entry in entries}
     except OverflowError:
-        raise ValueError("correctness 'distribution' holds a probability too large for a float") from None
+        raise ValueError("'distribution' holds a probability too large for a float") from None
     if len(distribution) < len(entries):
-        raise ValueError("correctness 'distribution' lists an [alice, bob] pair more than once")
+        raise ValueError("'distribution' lists an [alice, bob] pair more than once")
     return distribution
 
 
 def cmd_secrecy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     seed = _resolve_seed(args, parser)
+    # the correctness figures are scored before any state is built
     correctness = _load_correctness(args.correctness_file) if args.correctness_file else None
-
     report, gap = secrecy_reports(
         args.n, search_budget=args.budget, seed=seed, families=args.families, correctness=correctness
     )

@@ -336,9 +336,6 @@ class CqState:
     def p_perp(self) -> float:
         return float(self.probs[-1]) if self.labels[-1] == PERP else 0.0
 
-    def label_distribution(self) -> dict[str, float]:
-        return dict(zip(self.labels, self.probs.tolist()))
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class Povm:

@@ -76,8 +76,8 @@ __all__ = [
     "SecurityReport",
     "IaccSearchResult",
     "correctness_eps",
+    "correctness_figures",
     "clopper_pearson_upper",
-    "robustness_eps",
     "canonical_ideal",
     "secrecy_eps_upper",
     "secrecy_eps_lower",
@@ -185,6 +185,14 @@ def correctness_eps(outcomes) -> float:
     return clopper_pearson_upper(failures, len(samples))
 
 
+def correctness_figures(outcomes) -> tuple[float, str]:
+    """The ``eps_correct`` of :func:`correctness_eps` and the ``correctness_source`` a report
+    names for ``outcomes``: ``distribution``, ``samples``, or for None, 0 and ``assumed_zero``."""
+    if outcomes is None:
+        return 0.0, "assumed_zero"
+    return correctness_eps(outcomes), "distribution" if isinstance(outcomes, Mapping) else "samples"
+
+
 def clopper_pearson_upper(failures: int, trials: int, confidence: float = 0.99) -> float:
     """One-sided exact binomial (Clopper-Pearson) upper bound, rounded up:
     P[Binomial(trials, bound) <= failures] <= 1 - confidence."""
@@ -266,14 +274,6 @@ def _cp_upper(k: int, n: int, conf: float) -> float:
         else:
             lo, glo, ghi, side = p, gp, ghi * 0.5 if side < 0 else ghi, -1
     return hi
-
-
-def robustness_eps(label_distribution: Mapping[str, float]) -> float:
-    """Abort probability: the mass the output places on the abort label."""
-    total = sum(float(p) for p in label_distribution.values())
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
-    return min(1.0, max(0.0, float(label_distribution.get(PERP, 0.0))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -797,20 +797,37 @@ def evaluate_cq_security(
     and seed.
     """
     # malformed correctness figures fail before any epsilon work
-    eps_c = 0.0 if correctness is None else correctness_eps(correctness)
+    correct = correctness_figures(correctness)
     ideal = _ideal(cq, ideal_form)
     upper = _distance(cq, ideal)
     advantages = list(_default_advantages(cq, ideal, num_random_strategies, seed, upper=upper))
-    eps_r = cq.p_perp
-    lower = _lower_end(advantages)
     iacc = accessible_info_lower(cq, search_budget, seed, iacc_families, declared=iacc_declared, upper=iacc_upper)
+    return _report(cq.key_len, correct, cq.p_perp, upper, advantages, iacc, iacc_upper, search_budget, seed)
+
+
+def _report(
+    key_len: int,
+    correctness: tuple[float, str],
+    eps_r: float,
+    upper: float,
+    advantages: Sequence[float],
+    iacc: IaccSearchResult,
+    iacc_upper: float,
+    search_budget: int,
+    seed: int,
+) -> SecurityReport:
+    """The :class:`SecurityReport` of figures scored elsewhere, by :func:`evaluate_cq_security` or
+    from one branch per orbit (``attack_lab.secrecy_reports``): ``correctness`` the pair of
+    :func:`correctness_figures`, the trace distance ``upper`` to the ideal, the ``advantages``
+    scored, and the I_acc search ``iacc``, whose figure is clamped to ``iacc_upper``."""
+    eps_c, source = correctness
     return SecurityReport(
-        key_len=cq.key_len,
+        key_len=key_len,
         eps_correct=eps_c,
         eps_robust=eps_r,
-        eps_secret_lower=min(lower, upper),
+        eps_secret_lower=min(_lower_end(advantages), upper),
         eps_secret_upper=upper,
-        iacc_lower_bits=min(iacc.bits, float(cq.key_len), iacc_upper),
+        iacc_lower_bits=min(iacc.bits, float(key_len), iacc_upper),
         eps_total=compose_report(eps_c, upper, eps_r),
         provenance={
             "strategy_count": len(advantages),
@@ -819,9 +836,6 @@ def evaluate_cq_security(
             "iacc_evaluations": iacc.evaluations,
             "search_budget": search_budget,
             "seed": seed,
-            "correctness_source": (
-                "assumed_zero" if correctness is None
-                else ("distribution" if isinstance(correctness, Mapping) else "samples")
-            ),
+            "correctness_source": source,
         },
     )

@@ -34,6 +34,7 @@ from qkdlab.attack_lab import (
 )
 from qkdlab.quantum_core import (
     CqState,
+    _bit_strings,
     DensityOperator,
     Povm,
     cq_measure,
@@ -41,11 +42,13 @@ from qkdlab.quantum_core import (
     mutual_information,
 )
 from qkdlab.security_metrics import (
+    IACC_FAMILIES,
     QUBIT_BASIS_ANGLES,
     IdealForm,
     accessible_info_lower,
     canonical_ideal,
     default_strategies,
+    evaluate_cq_security,
     secrecy_eps_lower,
     secrecy_eps_upper,
     strategy_acceptance,
@@ -179,15 +182,14 @@ def test_attack_state_build_traces_its_factors_and_little_more():
 
 
 def test_secrecy_figures_at_n_6_allocate_no_second_stack(monkeypatch):
-    # the ideal is read as one matrix rho' and each default strategy is dropped once
-    # scored, so past the real stack (4 MB) only one stack-sized array lives at a time;
-    # 2^7 copies of rho' alone took 4 MB.  The state and the declared basis are built
-    # before the trace starts.
-    state, declared = build_attack_state(6), attack_lab.even_x_eigenbasis(6)
+    # the orbit path reads branch 0's factor, checks the others a batch at a time and
+    # builds the sign table a few keys at a time: 0.6 MB past the state's 2 MB of
+    # factors, which are built before the trace starts.  The factor path held one
+    # stack-sized array (4 MB) at a time, and 2^7 copies of rho' alone took 4 MB
+    state = build_attack_state(6)
     monkeypatch.setattr(attack_lab, "build_attack_state", lambda n: state)
-    monkeypatch.setattr(attack_lab, "even_x_eigenbasis", lambda n: declared)
     peak = traced_peak(lambda: attack_lab.secrecy_reports(6, seed=1))[1]
-    assert peak <= state.cq.matrices.nbytes + 2 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    assert peak <= 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_attack_state_repr_shows_its_labels_and_forms_no_stack():
@@ -426,30 +428,12 @@ def test_label_basis_strategy_is_the_parity_strategy(n):
         assert np.array_equal(label_basis.effects, parity.effects)
 
 
-@pytest.mark.parametrize("n", range(2, 6))
-def test_secrecy_scores_two_strategies_once(monkeypatch, capsys, n):
+@pytest.mark.parametrize("n", range(2, 8))
+def test_orbit_bracket_scores_two_strategies(n):
     # the trivial strategy, then the label-basis one, whose advantage meets the
-    # trace distance; the gap report reads its lower end off the security report,
-    # which secrecy computes by one call of the public evaluator
-    scored, evaluated = [], []
-    table_advantage, evaluate = security_metrics._table_advantage, security_metrics.evaluate_cq_security
-
-    def counted(cq, ideal, bases):
-        scored.append(bases)
-        return table_advantage(cq, ideal, bases)
-
-    def counted_evaluate(*args, **kwargs):
-        evaluated.append(args)
-        return evaluate(*args, **kwargs)
-
-    monkeypatch.setattr(security_metrics, "_table_advantage", counted)
-    for module in (security_metrics, attack_lab):  # every module that binds it, as a tracer wraps it
-        if vars(module).get("evaluate_cq_security") is evaluate:
-            monkeypatch.setattr(module, "evaluate_cq_security", counted_evaluate)
-    assert cli.main(["secrecy", "--n", str(n)]) == 0
-    assert json.loads(capsys.readouterr().out)["result"]["gap_report"]["eps_secret_lower"] == 0.5
-    assert len(scored) == 2 and scored[0] is None and scored[1] is not None
-    assert len(evaluated) == 1
+    # trace distance, each B times branch 0's term
+    upper, advantages = attack_lab._orbit_bracket(attack_lab._orbit_representative(build_attack_state(n)), n)
+    assert upper == 0.5 and len(advantages) == 2 and advantages[0] < upper == advantages[1]
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +612,7 @@ def test_iacc_lower_end_is_clamped_to_the_upper_end(monkeypatch):
     monkeypatch.setattr(attack_lab, "even_x_eigenbasis", lambda n: Povm.from_basis(vectors.T))
     raw = accessible_info_lower(build_attack_state(2).cq, declared={"basis": attack_lab.even_x_eigenbasis(2)})
     assert raw.bits > 0.5
-    report, gap = attack_lab.secrecy_reports(2)
-    assert report.iacc_lower_bits == gap.iacc_lower_bits == 0.5
+    assert _evaluated(2).iacc_lower_bits == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -711,20 +694,66 @@ def test_secrecy_reports_match_the_unstopped_searches(monkeypatch, n):
         report, gap = attack_lab.secrecy_reports(n, seed=seed)
         with monkeypatch.context() as patch:
             _disable_stops(patch)
-            full_report, full_gap = attack_lab.secrecy_reports(n, seed=seed)
+            full_report = _evaluated(n, seed)
         assert _without_search_fields(report) == _without_search_fields(full_report)
-        assert _without_search_fields(gap) == _without_search_fields(full_gap)
         # the stops cut both searches short, and only those three fields say so
         assert (report.provenance["strategy_count"], full_report.provenance["strategy_count"]) == (2, 10)
         assert report.provenance["iacc_evaluations"] == 1
         assert full_report.provenance["iacc_evaluations"] == 1 + 3**n
         assert gap.iacc_family == tuple(report.provenance["iacc_family"]) == ("declared",)
-        assert full_gap.iacc_family == ("declared", "per_qubit_exhaustive")
+        assert full_report.provenance["iacc_family"] == ["declared", "per_qubit_exhaustive"]
 
 
 def _declared_ideal(n):
     mixed = DensityOperator.fully_mixed(2**n)
     return IdealForm(0.0, mixed, mixed)
+
+
+def _evaluated(n, seed=0, families=IACC_FAMILIES):
+    """The attack state's security report by the factor path, the oracle of the orbit path:
+    the public evaluator with the ideal, measurement and I_acc upper end that secrecy declares."""
+    declared = {"even_x_eigenbasis": attack_lab.even_x_eigenbasis(n)} if "declared" in families else {}
+    return evaluate_cq_security(
+        build_attack_state(n).cq, search_budget=32, seed=seed, iacc_families=families,
+        iacc_declared=declared, iacc_upper=attack_lab.IACC_UPPER_BITS, ideal_form=_declared_ideal(n),
+    )
+
+
+_REPORT_FLOATS = ("eps_correct", "eps_robust", "eps_secret_lower", "eps_secret_upper", "iacc_lower_bits", "eps_total")
+
+
+@pytest.mark.parametrize("families", [IACC_FAMILIES, ("declared",), ("per_qubit",)])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_orbit_report_equals_the_factor_path(n, families):
+    report = attack_lab.secrecy_reports(n, seed=1, families=families)[0]
+    oracle = _evaluated(n, 1, families)
+    assert report.to_json_dict() == oracle.to_json_dict()
+    assert [getattr(report, f).hex() for f in _REPORT_FLOATS] == [getattr(oracle, f).hex() for f in _REPORT_FLOATS]
+
+
+@pytest.mark.parametrize("n", [2, 5, 7])
+@pytest.mark.parametrize("branch", [0, -1])
+def test_a_branch_moved_by_1e_9_is_refused(monkeypatch, n, branch):
+    # branch 0 against its closed form (row 1 is a zero row there), the last branch against
+    # its parent's image under H; the traces stay within 1e-9 of 1
+    labels, probs, factors = attack_lab._attack_factors(n)
+    moved = factors.copy()
+    moved[branch, 1, 0] += 1e-9
+    state = AttackState(n=n, cq=CqState.from_factors(n + 1, labels, probs, moved))
+    monkeypatch.setattr(attack_lab, "build_attack_state", lambda n: state)
+    with pytest.raises(ValueError, match=f"^branch '{labels[branch]}' is off its image .* by 1.000e-09$"):
+        attack_lab.secrecy_reports(n)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_sign_table_is_the_declared_bases_born_table(n):
+    cq = build_attack_state(n).cq
+    table = attack_lab._even_x_table(n, cq.probs)
+    assert np.abs(table - cq_measure(cq, attack_lab.even_x_eigenbasis(n))).max() <= 1e-15
+    assert mutual_information(table) == 0.5
+    # <P_s> is exactly 0 on an odd-X string: each outcome has probability p / d
+    odd = np.repeat([label.count("1") % 2 == 1 for label in _bit_strings(n)], 2)
+    assert (table[odd] == cq.probs[odd, None] / 2**n).all()
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -785,10 +814,9 @@ def test_factor_figures_equal_the_dense_ones(n):
 @pytest.mark.parametrize("families", [("per_qubit",), ("declared",)])
 @pytest.mark.parametrize("n", range(2, 5))
 def test_one_family_reports_differ_from_the_unstopped_ones_in_strategy_count_only(monkeypatch, n, families):
-    report, gap = attack_lab.secrecy_reports(n, seed=1, families=families)
+    report = attack_lab.secrecy_reports(n, seed=1, families=families)[0]
     with monkeypatch.context() as patch:
         _disable_stops(patch)
-        full_report, full_gap = attack_lab.secrecy_reports(n, seed=1, families=families)
-    assert gap == full_gap
+        full_report = _evaluated(n, 1, families)
     count = {"strategy_count": 2}
     assert report.to_json_dict() == {**full_report.to_json_dict(), "provenance": {**full_report.provenance, **count}}

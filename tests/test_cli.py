@@ -804,36 +804,39 @@ def _count_secrecy_calls(capsys, monkeypatch, argv):
 def test_secrecy_computes_shared_results_once(capsys, monkeypatch):
     argv = ["secrecy", "--n", "3", "--budget", "4", "--seed", "5"]
     calls, payload = _count_secrecy_calls(capsys, monkeypatch, argv)
-    # the default strategies are scored up to the label-basis one, whose
-    # advantage meets the trace distance, so the 8 Haar ones are never drawn.
-    # No strategy calls born_table: the trivial and label-basis ones read Born
-    # tables off the state's factors and the parity one applies its Pauli
-    # strings to them (34 born tables when each state and POVM group was measured).
-    # The I_acc search scores the declared basis, which meets the 1/2 bit
-    # upper end, so the per-qubit family is not searched.
+    # the state is built once and scored from one branch per orbit: the default
+    # strategies up to the label-basis one, whose advantage meets the trace distance,
+    # so the 8 Haar ones are never drawn, and the declared basis from its sign table,
+    # which meets the 1/2 bit upper end, so the per-qubit family is not searched and
+    # nothing is measured (34 born tables when each state and POVM group was measured)
     assert calls == {
-        "build_attack_state": 1, "accessible_info_lower": 1, "born_table": 0, "cq_measure": 1
+        "build_attack_state": 1, "accessible_info_lower": 0, "born_table": 0, "cq_measure": 0
     }
     report, gap = payload["result"]["security_report"], payload["result"]["gap_report"]
     assert gap["iacc_lower_bits"] == report["iacc_lower_bits"]
     assert gap["eps_secret_upper"] == report["eps_secret_upper"]
 
 
-def test_secrecy_never_forms_the_branch_stack(capsys, monkeypatch):
-    # the attack state keeps its factors: every figure secrecy prints reads them,
-    # so the (B, d, d) stack, formed on the first read of matrices, never is
+@pytest.mark.parametrize("n", range(2, 8))
+def test_secrecy_never_forms_the_branch_stack(capsys, monkeypatch, n):
+    # with the default families every figure secrecy prints comes from branch 0's
+    # factor and the declared basis's sign table: the (B, d, d) stack, formed on the
+    # first read of matrices, never is, and the factor path's kernels never run
     def refuse(name):
-        def read(cq):
-            raise AssertionError(f"secrecy read CqState.{name}")
-        return property(read)
+        def read(*args, **kwargs):
+            raise AssertionError(f"secrecy called {name}")
+        return read
 
     for name in ("matrices", "branches"):
-        monkeypatch.setattr(quantum_core.CqState, name, refuse(name))
-    code, out, err = run_cli(capsys, ["secrecy", "--n", "5", "--seed", "1"])
+        monkeypatch.setattr(quantum_core.CqState, name, property(refuse(f"CqState.{name}")))
+    for module, name in ((security_metrics, "_distance"), (security_metrics, "_table_advantage"),
+                         (security_metrics, "cq_measure"), (quantum_core, "cq_measure")):
+        monkeypatch.setattr(module, name, refuse(name))
+    code, out, err = run_cli(capsys, ["secrecy", "--n", str(n), "--seed", "1"])
     assert (code, err) == (EXIT_OK, "")
     assert hashlib.sha256(out.encode()).hexdigest() == dict(
         (" ".join(argv), digest) for argv, digest in _QUANTUM_OUTPUTS
-    )["secrecy --n 5 --seed 1"]
+    )[f"secrecy --n {n} --seed 1"]
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -925,26 +928,25 @@ def test_malformed_correctness_file_is_a_usage_error(capsys, tmp_path, content):
     )
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith("error: correctness ") and err.count("\n") == 1
+    assert err.startswith(f"error: correctness file {str(path)!r}: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("content, message", [
-    ('{"distribution": [["0", "0", 0.5]]}', "error: correctness probabilities sum to 0.5, not 1\n"),
-    ('{"samples": []}', "error: correctness sample set is empty\n"),
-    ('{"distribution": [["0", "0", 1e400]]}', "error: correctness probabilities sum to inf, not 1\n"),
-    ('{"distribution": [["0", "0", 1%s]]}' % ("0" * 400),
-     "error: correctness 'distribution' holds a probability too large for a float\n"),
+    ('{"distribution": [["0", "0", 0.5]]}', "correctness probabilities sum to 0.5, not 1"),
+    ('{"samples": []}', "correctness sample set is empty"),
+    ('{"distribution": [["0", "0", 1e400]]}', "correctness probabilities sum to inf, not 1"),
+    ('{"distribution": [["0", "0", 1%s]]}' % ("0" * 400), "'distribution' holds a probability too large for a float"),
 ])
-def test_malformed_correctness_figures_fail_before_any_epsilon_work(capsys, monkeypatch, tmp_path, content, message):
+def test_malformed_correctness_figures_fail_before_any_state_is_built(capsys, monkeypatch, tmp_path, content, message):
     def spy(*args, **kwargs):
-        raise AssertionError("the trace distance ran before the correctness figures were checked")
+        raise AssertionError("the attack state was built before the correctness figures were checked")
 
-    monkeypatch.setattr(security_metrics, "_distance", spy)
+    monkeypatch.setattr(attack_lab, "build_attack_state", spy)
     path = tmp_path / "corr.json"
     path.write_text(content)
-    assert message.startswith("error: correctness ")
-    assert run_cli(capsys, ["secrecy", "--n", "7", "--correctness-file", str(path)]) == (EXIT_USAGE, "", message)
+    want = f"error: correctness file {str(path)!r}: {message}\n"
+    assert run_cli(capsys, ["secrecy", "--n", "7", "--correctness-file", str(path)]) == (EXIT_USAGE, "", want)
 
 
 def test_secrecy_correctness_file_distribution(capsys, tmp_path):

@@ -43,7 +43,6 @@ from qkdlab.security_metrics import (
     correctness_eps,
     default_strategies,
     evaluate_cq_security,
-    robustness_eps,
     secrecy_eps_lower,
     secrecy_eps_upper,
     strategy_acceptance,
@@ -122,11 +121,13 @@ def test_clopper_pearson_is_conservative_and_tight_against_mpmath():
         assert _binom_cdf(k, n, mpmath.mpf(upper) * (1 - mpmath.mpf(10) ** -8)) > alpha, (k, n, confidence)
 
 
-def test_robustness_eps_reads_abort_mass():
-    assert robustness_eps({"00": 0.9, PERP: 0.1}) == pytest.approx(0.1, abs=1e-15)
-    assert robustness_eps({"00": 1.0}) == 0.0
-    with pytest.raises(ValueError):
-        robustness_eps({"00": 0.5})
+def test_abort_mass_is_p_perp_and_the_probabilities_must_sum_to_1():
+    # the robustness figure is the state's p_perp; the constructors' one sum check refuses the rest
+    rho = DensityOperator.fully_mixed(4)
+    assert CqState(2, {"00": (0.9, rho), PERP: (0.1, rho)}).p_perp == pytest.approx(0.1, abs=1e-15)
+    assert CqState(2, {"00": (1.0, rho)}).p_perp == 0.0
+    with pytest.raises(ValueError, match="sum to 0.5, not 1"):
+        CqState(2, {"00": (0.5, rho)})
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +344,7 @@ def test_report_reads_the_abort_mass_off_the_state(perp):
     for seed in range(6):
         cq = rand_cq(np.random.default_rng(seed), 1 + seed % 3, 2, include_perp=perp)
         report = evaluate_cq_security(cq, num_random_strategies=0, search_budget=2, iacc_families=("per_qubit",))
-        assert report.eps_robust.hex() == robustness_eps(cq.label_distribution()).hex()
+        assert report.eps_robust.hex() == (float(cq.probs[cq.labels.index(PERP)]) if perp else 0.0).hex()
         assert (report.eps_robust > 0.0) == perp
 
 
@@ -818,13 +819,13 @@ _HALF = np.eye(2) / 2
         lambda: CqState.from_stack(1, ["0", "1"], [0.5, 0.5], [_HALF, np.diag([math.nan, 0.5])]),
         lambda: Povm([("0", np.diag([1.0, math.nan])), ("1", np.diag([0.0, 1.0]))]),
         lambda: Povm.from_basis(np.array([[1.0, 0.0], [0.0, math.nan]])),
-        lambda: robustness_eps({"0": math.nan, PERP: 0.5}),
+        lambda: CqState.from_factors(1, ["0", PERP], [0.5, math.nan], np.full((2, 2, 1), math.sqrt(0.5))),
         lambda: ben_or_sufficient_eps(math.nan, 3),
         lambda: clopper_pearson_upper(1, 10, 1.5),
         lambda: clopper_pearson_upper(1, 10, math.nan),
     ],
     ids=["cq_branch", "density", "cq_stack", "povm", "povm_from_basis",
-         "robustness", "ben_or", "confidence_above_1", "confidence_nan"],
+         "abort_mass", "ben_or", "confidence_above_1", "confidence_nan"],
 )
 def test_nan_and_out_of_range_inputs_are_refused(build):
     with pytest.raises(ValueError):
