@@ -598,10 +598,10 @@ def _orbit_bracket(w0: np.ndarray, n: int) -> tuple[float, list[float]]:
     """The trace distance from the attack state to the declared ideal and the advantages of
     the default strategies scored up to it, each B times branch 0's term (factor ``w0``).
 
-    Each branch and the ideal weigh p = 2^-(n+1).  The distance takes the spectrum of
-    ``W_0^T W_0 / tr``, the unit factor's Gram matrix that
-    :func:`~qkdlab.security_metrics._distance` reads per branch: dividing the Gram, not the
-    factor, by the trace keeps its eigenvalues exact.  Branch 0's label basis is the
+    Each branch and the ideal weigh p = 2^-(n+1).  The block ``p W_0 W_0^T / tr - c I`` has
+    the eigenvalues ``p lambda - c``, lambda those of the ``(r, r)`` Gram matrix
+    ``W_0^T W_0 / tr``, and ``-c`` on the rest of its d: dividing the Gram, not the factor,
+    by the trace keeps its eigenvalues exact.  Branch 0's label basis is the
     computational one, in which it reads ``Pr[z] = ||row z of W_0||^2 / tr``; the trivial
     measurement reads the trace, 1.
     """

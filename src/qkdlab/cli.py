@@ -37,6 +37,7 @@ from ._json import json_keys
 from .attack_lab import (
     _CHUNK_BITS,
     BREIDBART,
+    IACC_UPPER_BITS,
     MAX_ATTACK_QUBITS,
     fully_mixed_marginal_check,
     build_attack_state,
@@ -306,7 +307,8 @@ def cmd_secrecy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     result = {
         "security_report": report.to_json_dict(),
         "gap_report": gap.to_json_dict(),
-        "ben_or_sufficient_eps": ben_or_sufficient_eps(report.iacc_lower_bits, report.key_len),
+        # the sufficiency condition needs an upper end on I_acc: the key's proven one, whatever was searched
+        "ben_or_sufficient_eps": ben_or_sufficient_eps(IACC_UPPER_BITS, report.key_len),
     }
     params = {
         "n": args.n,

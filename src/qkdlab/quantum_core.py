@@ -195,8 +195,10 @@ class CqState:
     :class:`DensityOperator` branches and then the same path.
     :meth:`from_factors` keeps the read-only ``(B, d, r)`` stack ``factors``
     of the W_b instead (None for every other state): its branch ``W W^dagger``
-    is PSD by construction and is not clipped, and ``matrices`` is filled
-    from :meth:`branch_batches` on its first read.  The read-only mapping
+    is PSD by construction and is not clipped, and ``matrices`` is formed from
+    the factors, a few branches at a time, on its first read.  Every figure
+    but the attack key's ``secrecy`` figures reads that stack; those read
+    ``factors``, one branch per orbit.  The read-only mapping
     ``branches`` of views of the stack is built on its first read.
     """
 
@@ -235,11 +237,10 @@ class CqState:
         Each branch's trace, ``||W_b||_F^2``, must be 1 within 1e-9.  A
         read-only C-contiguous float64 or complex128 array that owns its
         memory is adopted as it is: the caller hands it over and must not
-        make it writeable again, for the checks, the traces and the stack
-        formed on first read hold only while it is unchanged.  Any other
+        make it writeable again, for the checks and the stack formed on
+        first read hold only while it is unchanged.  Any other
         input is copied, read-only.
-        :meth:`unit_factors` divides each factor by the root of its trace;
-        no ``W W^dagger`` is formed.
+        No ``W W^dagger`` is formed until ``matrices`` is first read.
         """
         labels = tuple(labels)
         w = _as_exact(factors)
@@ -259,30 +260,11 @@ class CqState:
             raise ValueError(f"branch {labels[bad[0]]!r} has trace {float(tr[bad[0]])!r}, not 1 within {TRACE_TOL}")
         w.setflags(write=False)
         cq = object.__new__(cls)
-        cq._assemble(key_len, labels, probs, factors=w, traces=tr)
+        cq._assemble(key_len, labels, probs, factors=w)
         return cq
 
-    def unit_factors(self, part: slice | np.ndarray) -> np.ndarray:
-        """The factors of the branches ``part``, each divided by the square root of its trace."""
-        return self.factors[part] / np.sqrt(self._traces[part])[:, None, None]
-
-    def branch_batches(self) -> Iterator[tuple[slice, np.ndarray]]:
-        """The branch operators with their slices: the whole stack once it exists, else a few
-        at a time from the factors, each ``W W^dagger`` made exactly Hermitian and divided by
-        its trace, the bits ``matrices`` gets."""
-        if "matrices" in self.__dict__ or self.factors is None:
-            yield slice(0, len(self.labels)), self.matrices
-            return
-        w = self.factors
-        for part in _chunks(len(w), w.shape[1]):
-            rho = w[part] @ w[part].conj().swapaxes(1, 2)
-            rho += rho.conj().swapaxes(1, 2)
-            rho /= 2
-            rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-            yield part, rho
-
-    def _assemble(self, key_len: int, labels: tuple[str, ...], probs, matrices=None, factors=None, traces=None) -> None:
-        # the one path that sets attributes, for a validated stack or factors with their traces
+    def _assemble(self, key_len: int, labels: tuple[str, ...], probs, matrices=None, factors=None) -> None:
+        # the one path that sets attributes, for a validated stack or checked factors
         if not isinstance(key_len, int) or key_len < 0:
             raise ValueError("key_len must be a nonnegative integer")
         if not labels:
@@ -308,16 +290,21 @@ class CqState:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_traces", traces)
         if matrices is not None:
             matrices.setflags(write=False)
             object.__setattr__(self, "matrices", matrices)
 
     @functools.cached_property
     def matrices(self) -> np.ndarray:
-        # a state built from factors fills its stack on first read; every other state stores it
-        matrices = np.empty((len(self.labels), self.dim, self.dim), dtype=self.factors.dtype)
-        for part, rho in self.branch_batches():
+        # a state built from factors fills its stack on first read, a few branches at a time,
+        # each W W^dagger made exactly Hermitian and divided by its trace; every other state stores it
+        w = self.factors
+        matrices = np.empty((len(w), self.dim, self.dim), dtype=w.dtype)
+        for part in _chunks(len(w), w.shape[1]):
+            rho = w[part] @ w[part].conj().swapaxes(1, 2)
+            rho += rho.conj().swapaxes(1, 2)
+            rho /= 2
+            rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
             matrices[part] = rho
         matrices.setflags(write=False)
         return matrices
@@ -666,11 +653,11 @@ def cq_measure(cq: CqState, povm: Povm) -> np.ndarray:
     tr(E_z rho_s)`` for ``s = cq.labels[b]`` and ``z = povm.labels[k]``.
     The table is renormalised by its total, a factor within the POVM
     completeness tolerance of 1, so its entries sum to 1 up to rounding.
-    A state built from factors is measured a few branches at a time.
+    A state built from factors is measured through its stack, formed on first read.
     """
     if cq.dim != povm.dim:
         raise ValueError(f"dimension mismatch: state {cq.dim}, POVM {povm.dim}")
-    table = cq.probs[:, None] * np.concatenate([born_table(rho, povm) for _, rho in cq.branch_batches()])
+    table = cq.probs[:, None] * born_table(cq.matrices, povm)
     total = float(_ordered_sum(table.ravel(), 0))
     if not (0.5 < total < 2.0):
         raise ValueError(f"measurement table sums to {total!r}; POVM or state invalid")

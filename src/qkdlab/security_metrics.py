@@ -22,15 +22,13 @@ is the lower figure, which is not yet a certified lower bound on epsilon.
 The ideal is uniform key tensor one register rho', and every figure reads
 the state laid out once against its :class:`IdealForm` on their label
 union (:func:`_ideal`): the ideal's side is the stack (rho', rho''), which
-each label indexes, never a ``(2^l, d, d)`` stack: rho' is copied for one
-batch of keys at a time, or, for the Born tables of a state built from
-factors, multiplied once per operator and batch.  The
-arithmetic is that of the copies, so each figure equals, bit for bit, the
-one computed against :meth:`IdealForm.to_cq`, which the tests keep as the
-oracle.  A state built from factors W_b is scored from them instead, with
-no ``(d, d)`` branch or effect formed: the distance to an ideal of scalar
-registers from Gram matrices, the default strategies from Born tables;
-those figures equal the dense ones within rounding.
+each label indexes, never a ``(2^l, d, d)`` stack: rho' is read for
+one batch of keys at a time.  The arithmetic is that of
+the copies, so each figure equals, bit for bit, the one computed against
+:meth:`IdealForm.to_cq`, which the tests keep as the oracle.  Every figure
+reads the state's ``(B, d, d)`` stack ``matrices``; only ``secrecy``'s
+attack key is scored from its factors, one branch per orbit
+(``attack_lab.secrecy_reports``).
 """
 
 from __future__ import annotations
@@ -63,7 +61,6 @@ from .quantum_core import (
     _ordered_sum,
     _pair,
     _rows,
-    _runs,
     born_table,
     cq_measure,
     mutual_information,
@@ -325,16 +322,6 @@ def _ideal(cq: CqState, form: IdealForm | None = None) -> _Pair:
     return _pair(cq, (*keys, *abort), probs, stack, [0] * len(keys) + [1] * len(abort))
 
 
-def _scalars(stack: np.ndarray) -> np.ndarray | None:
-    """The real ``s`` with ``stack[j] == s[j] I`` exactly for every j, in the stack's dtype, or
-    None where some operator is not a real multiple of the identity."""
-    diagonal = np.diagonal(stack, axis1=1, axis2=2)
-    s = diagonal[:, 0]
-    if np.count_nonzero(stack) == np.count_nonzero(diagonal) and (diagonal == s.real[:, None]).all():
-        return s
-    return None
-
-
 def canonical_ideal(cq: CqState) -> IdealForm:
     """Canonical ideal template for a given cq-state.
 
@@ -373,22 +360,8 @@ def secrecy_eps_upper(cq: CqState) -> float:
 
 def _distance(cq: CqState, ideal: _Pair) -> float:
     """:func:`~qkdlab.quantum_core.cq_trace_distance` from ``cq`` to the side of its pair ``ideal``,
-    from the gaps, or for a state built from factors and a side whose operators are each some s I,
-    from Gram matrices: the block ``p W W^dagger - c I`` has the eigenvalues ``p lambda - c``, lambda
-    those of ``W^dagger W`` (or ``W W^dagger``, the smaller), and ``-c`` on the rest of its d."""
-    s = _scalars(ideal.stack)
-    if cq.factors is None or s is None:
-        return _block_distance(gap for _, gap in _gaps(cq, ideal, _STACK_CHUNK))
-    c = ideal.q * s.real[ideal.index]
-    place = np.flatnonzero(ideal.rows >= 0)  # the union position of each of the state's labels
-    d, r = cq.factors.shape[1:]
-    norms = d * c  # the labels the state lacks
-    for part in _chunks(len(cq.labels), d, _BATCH):
-        w, k = cq.unit_factors(part), place[part]
-        gram = w.conj().swapaxes(1, 2) @ w if r <= d else w @ w.conj().swapaxes(1, 2)
-        spectra = cq.probs[part, None] * np.linalg.eigvalsh(gram) - c[k, None]
-        norms[k] = np.abs(spectra).sum(axis=1) + max(d - r, 0) * c[k]
-    return min(1.0, max(0.0, float(_ordered_sum(0.5 * norms, 0))))
+    from the eigenvalues of their gaps, a batch of labels at a time."""
+    return _block_distance(gap for _, gap in _gaps(cq, ideal, _STACK_CHUNK))
 
 
 def strategy_acceptance(cq: CqState, strategy: Strategy) -> float:
@@ -510,54 +483,6 @@ def _default_rules(cq: CqState, num_random: int, seed: int) -> Iterator[tuple[st
         yield f"haar:{i}", lambda labels, v=_haar_basis(dim, rng): (v, 1.0)
 
 
-def _table_advantage(cq: CqState, ideal: _Pair, bases: Callable | None) -> float:
-    """The advantage of ``_optimal_strategy(name, cq, ideal, bases)`` for a state built from
-    factors, from Born tables instead of effects: ``Pr[z|b] = weight ||v_z^dagger W_b||^2``
-    for the state and ``weight <v_z| sigma |v_z>`` for the ideal's register sigma (for the trivial
-    measurement the traces), outcome z accepted on label b where ``p_b Pr[z|b]`` exceeds the
-    ideal's; the sums run in label order.
-
-    The ideal's side is read per operator of its stack, never gathered per label: its traces,
-    and the products ``v_z^dagger sigma`` of :func:`_basis_tables`, with the bits a per-label
-    copy gives."""
-    labels, p, q, stack = ideal.labels, ideal.p, ideal.q, ideal.stack
-    traces = np.trace(stack, axis1=1, axis2=2).real
-    accepted = []
-    for part in _chunks(len(labels), cq.dim, _BATCH):
-        index = ideal.index[part]
-        if bases is None:
-            w = cq.unit_factors(ideal.rows[part])
-            real, fake = np.einsum("bij,bij->b", w, w.conj()).real[:, None], traces[index][:, None]
-        else:
-            real, fake = _basis_tables(cq.unit_factors(ideal.rows[part]), stack, index, *bases(labels[part]))
-        accept = p[part, None] * real - q[part, None] * fake > 0.0
-        accepted.append([_ordered_sum(real * accept, 1), _ordered_sum(fake * accept, 1)])
-    real, fake = np.concatenate(accepted, axis=1)
-    return float(_ordered_sum(p * real, 0)) - float(_ordered_sum(q * fake, 0))
-
-
-def _basis_tables(w: np.ndarray, stack: np.ndarray, index: np.ndarray, v: np.ndarray,
-                  weight) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(b, d)`` tables ``weight ||v_z^dagger W_k||^2`` and ``weight <v_z| stack[index[k]] |v_z>``
-    of :func:`_table_advantage`, for the unit factors ``w`` and the rows ``v`` of one basis or of
-    one per label.  The products ``v_z^dagger sigma`` are formed run by run of labels that share an
-    operator sigma: once a run for one basis, once a label for a basis per label."""
-    vh = v.conj()
-    sandwich = np.empty((len(index), *v.shape[-2:]), np.result_type(v, stack))
-    for run in _runs(index):
-        sigma = stack[index[run.start]]
-        if v.ndim == 2:
-            sandwich[run] = vh @ sigma
-        else:
-            np.matmul(vh[run], sigma, out=sandwich[run])
-    sandwich *= v
-    fake = weight * sandwich.sum(axis=-1).real
-    amp = vh @ w
-    amp = np.abs(amp) if np.iscomplexobj(amp) else amp  # |x|^2 = x^2 for a real x
-    amp *= amp
-    return weight * amp.sum(axis=2), fake
-
-
 def _default_advantages(
     cq: CqState, ideal: _Pair, num_random: int, seed: int, *, upper: float = math.inf
 ) -> Iterator[float]:
@@ -567,14 +492,10 @@ def _default_advantages(
     an advantage reaches ``upper`` (a known upper end, such as the trace distance to
     ``ideal``) no more is built, since no advantage can move a lower end clamped to
     ``upper``; the Haar bases drawn are those of the full stock.  Each strategy is
-    dropped once scored, so one effect stack is alive at a time, and none for a
-    state built from factors, which is scored by :func:`_table_advantage`.
+    dropped once scored, so one effect stack is alive at a time.
     """
     for name, bases in _default_rules(cq, num_random, seed):
-        if cq.factors is None:
-            advantage = _advantage(cq, ideal, _optimal_strategy(name, cq, ideal, bases))
-        else:
-            advantage = _table_advantage(cq, ideal, bases)
+        advantage = _advantage(cq, ideal, _optimal_strategy(name, cq, ideal, bases))
         yield advantage
         if advantage >= upper:
             return

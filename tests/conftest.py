@@ -137,7 +137,7 @@ def dense_embedding(cq: CqState, label_order: list[str]) -> np.ndarray:
 
 def distinguishing_advantage(cq_real: CqState, cq_ideal: CqState, strategy: Strategy) -> float:
     """Acceptance gap of one strategy between two cq-states (exact): the dense oracle for
-    the advantages the library reads off an ideal's one register or a state's factors."""
+    the advantages the library reads off an ideal's one register or one branch per orbit."""
     return strategy_acceptance(cq_real, strategy) - strategy_acceptance(cq_ideal, strategy)
 
 

@@ -122,7 +122,7 @@ def _itertools_attack_rows(n, dtype=np.complex128):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_attack_state_matches_the_dense_oracle_build(n):
     # the dense path (each branch formed, then checked and clipped by from_stack) is the oracle;
-    # the factor path skips the clip, so the last bits move, by at most 1e-15
+    # the factor build skips the clip, so the last bits move, by at most 1e-15
     labels, rows = _itertools_attack_rows(n)
     dense = CqState.from_stack(n + 1, labels, [2.0 ** -(n + 1)] * len(labels),
                                2.0 ** -(n - 1) * (rows.transpose(0, 2, 1) @ rows.conj()))
@@ -184,8 +184,8 @@ def test_attack_state_build_traces_its_factors_and_little_more():
 def test_secrecy_figures_at_n_6_allocate_no_second_stack(monkeypatch):
     # the orbit path reads branch 0's factor, checks the others a batch at a time and
     # builds the sign table a few keys at a time: 0.6 MB past the state's 2 MB of
-    # factors, which are built before the trace starts.  The factor path held one
-    # stack-sized array (4 MB) at a time, and 2^7 copies of rho' alone took 4 MB
+    # factors, which are built before the trace starts.  The dense path forms the 4 MB
+    # stack, and 2^7 copies of rho' alone took 4 MB
     state = build_attack_state(6)
     monkeypatch.setattr(attack_lab, "build_attack_state", lambda n: state)
     peak = traced_peak(lambda: attack_lab.secrecy_reports(6, seed=1))[1]
@@ -710,8 +710,9 @@ def _declared_ideal(n):
 
 
 def _evaluated(n, seed=0, families=IACC_FAMILIES):
-    """The attack state's security report by the factor path, the oracle of the orbit path:
-    the public evaluator with the ideal, measurement and I_acc upper end that secrecy declares."""
+    """The attack state's security report by the dense path, the oracle of the orbit path: the
+    public evaluator, which reads the state's branch stack, with the ideal, measurement and
+    I_acc upper end that secrecy declares."""
     declared = {"even_x_eigenbasis": attack_lab.even_x_eigenbasis(n)} if "declared" in families else {}
     return evaluate_cq_security(
         build_attack_state(n).cq, search_budget=32, seed=seed, iacc_families=families,
@@ -724,7 +725,7 @@ _REPORT_FLOATS = ("eps_correct", "eps_robust", "eps_secret_lower", "eps_secret_u
 
 @pytest.mark.parametrize("families", [IACC_FAMILIES, ("declared",), ("per_qubit",)])
 @pytest.mark.parametrize("n", range(2, 8))
-def test_orbit_report_equals_the_factor_path(n, families):
+def test_orbit_report_equals_the_dense_path(n, families):
     report = attack_lab.secrecy_reports(n, seed=1, families=families)[0]
     oracle = _evaluated(n, 1, families)
     assert report.to_json_dict() == oracle.to_json_dict()
@@ -782,33 +783,26 @@ def test_gap_report_alone_equals_the_shared_one(n):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_factor_figures_equal_the_dense_ones(n):
-    # the figures secrecy prints come from the factors, with no stack formed:
-    # each is 1/2 but the trivial strategy's advantage.  The dense oracle reads
-    # the stack against 2^(n+1) copies of the ideal's register, for the
-    # declared ideal and (whose register is not scalar) the canonical one;
-    # the label-basis figure is also the parity distinguisher's there
+    # the state built from factors, scored by the library from its stack: each figure
+    # is 1/2 but the trivial strategy's advantage.  The dense oracle scores the same
+    # strategies against 2^(n+1) copies of the ideal's register, for the declared
+    # ideal and (whose register is not scalar) the canonical one; the label-basis
+    # figure is also the parity distinguisher's there
     cq = build_attack_state(n).cq
     rules = dict(security_metrics._default_rules(cq, 0, 0))  # trivial, label_basis
-    declared = security_metrics._ideal(cq, _declared_ideal(n))
-    got = [security_metrics._distance(cq, declared)]
-    got += [security_metrics._table_advantage(cq, declared, bases) for bases in rules.values()]
-    joint = cq_measure(cq, attack_lab.even_x_eigenbasis(n))
-    assert "matrices" not in vars(cq)
-    assert got[0] == got[2] == 0.5
-    canonical = security_metrics._ideal(cq)  # reads the stack
-    got += [security_metrics._table_advantage(cq, canonical, bases) for bases in rules.values()]
-    def dense_advantages(form, ideal):
-        strategies = [security_metrics._optimal_strategy(name, cq, ideal, bases) for name, bases in rules.items()]
-        return [distinguishing_advantage(cq, form.to_cq(n + 1), s) for s in strategies]
-
+    got = [security_metrics._distance(cq, security_metrics._ideal(cq, _declared_ideal(n)))]
     want = [cq_trace_distance(cq, _declared_ideal(n).to_cq(n + 1))]
-    want += dense_advantages(_declared_ideal(n), declared) + dense_advantages(canonical_ideal(cq), canonical)
+    for form in (_declared_ideal(n), canonical_ideal(cq)):
+        ideal, dense = security_metrics._ideal(cq, form), form.to_cq(n + 1)
+        for name, bases in rules.items():
+            strategy = security_metrics._optimal_strategy(name, cq, ideal, bases)
+            got.append(security_metrics._advantage(cq, ideal, strategy))
+            want.append(distinguishing_advantage(cq, dense, strategy))
+    assert got[0] == got[2] == 0.5
     assert got == pytest.approx(want, abs=1e-12, rel=0)
     parity = [distinguishing_advantage(cq, form.to_cq(n + 1), parity_strategy(n))
               for form in (_declared_ideal(n), canonical_ideal(cq))]
     assert [got[2], got[4]] == pytest.approx(parity, abs=1e-12, rel=0)
-    # the declared basis's Born table, formed a batch at a time, has the stack's bits
-    assert joint.tobytes() == cq_measure(cq, attack_lab.even_x_eigenbasis(n)).tobytes()
 
 
 @pytest.mark.parametrize("families", [("per_qubit",), ("declared",)])

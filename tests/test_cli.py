@@ -821,7 +821,7 @@ def test_secrecy_computes_shared_results_once(capsys, monkeypatch):
 def test_secrecy_never_forms_the_branch_stack(capsys, monkeypatch, n):
     # with the default families every figure secrecy prints comes from branch 0's
     # factor and the declared basis's sign table: the (B, d, d) stack, formed on the
-    # first read of matrices, never is, and the factor path's kernels never run
+    # first read of matrices, never is, and the dense path's kernels never run
     def refuse(name):
         def read(*args, **kwargs):
             raise AssertionError(f"secrecy called {name}")
@@ -829,14 +829,31 @@ def test_secrecy_never_forms_the_branch_stack(capsys, monkeypatch, n):
 
     for name in ("matrices", "branches"):
         monkeypatch.setattr(quantum_core.CqState, name, property(refuse(f"CqState.{name}")))
-    for module, name in ((security_metrics, "_distance"), (security_metrics, "_table_advantage"),
-                         (security_metrics, "cq_measure"), (quantum_core, "cq_measure")):
+    for module, name in ((security_metrics, "_distance"), (security_metrics, "_gaps"), (quantum_core, "_gaps"),
+                         (security_metrics, "_optimal_strategy"), (security_metrics, "cq_measure"),
+                         (quantum_core, "cq_measure")):
         monkeypatch.setattr(module, name, refuse(name))
     code, out, err = run_cli(capsys, ["secrecy", "--n", str(n), "--seed", "1"])
     assert (code, err) == (EXIT_OK, "")
     assert hashlib.sha256(out.encode()).hexdigest() == dict(
         (" ".join(argv), digest) for argv, digest in _QUANTUM_OUTPUTS
     )[f"secrecy --n {n} --seed 1"]
+
+
+def test_secrecy_reads_the_ben_or_figure_from_the_iacc_upper_end(capsys, monkeypatch):
+    # the sufficiency condition needs an upper end on I_acc: a lower end of 0 would
+    # certify every epsilon (0.0), while the key's proven 1/2 bit certifies none (1.0)
+    reports = attack_lab.secrecy_reports
+
+    def lower_end_zero(*args, **kwargs):
+        report, gap = reports(*args, **kwargs)
+        return dataclasses.replace(report, iacc_lower_bits=0.0), gap
+
+    monkeypatch.setattr(cli, "secrecy_reports", lower_end_zero)
+    code, payload, err = run_json(capsys, ["secrecy", "--n", "3", "--seed", "1"])
+    assert (code, err) == (EXIT_OK, "")
+    assert payload["result"]["security_report"]["iacc_lower_bits"] == 0.0
+    assert payload["result"]["ben_or_sufficient_eps"] == 1.0
 
 
 @pytest.mark.parametrize("n", range(2, 8))

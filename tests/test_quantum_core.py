@@ -385,7 +385,8 @@ def test_from_factors_matches_from_stack_of_the_products(seed, dim, rank):
 def test_from_factors_divides_out_a_trace_within_tolerance():
     w = _unit_factors(np.random.default_rng(5), 2, 3, 2) * math.sqrt(1.0 + 5e-10)
     cq = CqState.from_factors(1, ["0", "1"], [0.5, 0.5], w)
-    assert np.abs(np.linalg.norm(cq.unit_factors(slice(0, 2)), axis=(1, 2)) - 1.0).max() <= 1e-15
+    units = w @ w.conj().swapaxes(1, 2) / (1.0 + 5e-10)
+    assert np.abs(cq.matrices - units).max() <= 1e-15
     assert np.abs(np.trace(cq.matrices, axis1=1, axis2=2) - 1.0).max() <= 1e-15
 
 
@@ -396,16 +397,18 @@ def test_from_factors_keeps_a_copy_and_forms_the_stack_on_first_read():
     w[:] = 0.0  # the caller's array is not the state's
     assert cq.dim == 4 and cq.factors.shape == (3, 4, 2) and not cq.factors.flags.writeable
     assert "matrices" not in vars(cq) and "branches" not in vars(cq)
-    batches = [rho for _, rho in cq.branch_batches()]
     assert cq.branches[PERP][0] == 0.5  # the first read of the mapping forms the stack
     assert vars(cq)["matrices"] is cq.matrices and not cq.matrices.flags.writeable
-    assert np.concatenate(batches).tobytes() == cq.matrices.tobytes()
-    assert [rho for _, rho in cq.branch_batches()][0] is cq.matrices
     products = cq.factors @ cq.factors.conj().swapaxes(1, 2)
     assert np.abs(cq.matrices - products).max() <= 1e-15
+    # each product made exactly Hermitian, then divided by its trace
+    products += products.conj().swapaxes(1, 2)
+    products /= 2
+    products /= np.trace(products, axis1=1, axis2=2).real[:, None, None]
+    assert cq.matrices.tobytes() == products.tobytes()
     with pytest.raises(AttributeError, match="no attribute 'stack'"):
         cq.stack
-    with pytest.raises(AttributeError, match="no attribute 'labels'"):  # the first attribute matrices reads
+    with pytest.raises(AttributeError, match="no attribute 'factors'"):  # the first attribute matrices reads
         object.__new__(CqState).matrices
 
 

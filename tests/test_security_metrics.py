@@ -575,17 +575,24 @@ def _oracle_state(kind: str, arg: int) -> CqState:
         return CqState(2, {"01": (0.0, rand_density(rng, 2)), PERP: (1.0, rand_density(rng, 2))})
     if kind == "wide":  # registers past 8192 entries, where a batch of one contracts in a different order
         return CqState(0, {"": (0.75, rand_density(rng, arg)), PERP: (0.25, rand_density(rng, arg))})
+    if kind.startswith("rank"):  # random complex factors of rank 1 or rank d + 1, wider than d
+        shape = (4, 4, 1 if kind == "rank1" else 5)
+        w = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        w /= np.linalg.norm(w, axis=(1, 2))[:, None, None]
+        return CqState.from_factors(2, ["00", "01", "11", PERP], rng.dirichlet(np.ones(4)), w)
     return build_attack_state(arg).cq
 
 
 _ORACLE_STATES = [("abort", seed) for seed in range(4)] + [("missing", seed) for seed in range(4)]
 _ORACLE_STATES += [("all_abort", 0), ("wide", 91), ("wide", 128)] + [("attack", n) for n in range(2, 7)]
+_ORACLE_STATES += [(kind, seed) for kind in ("rank1", "rank_wide") for seed in range(2)]
 
 
 @pytest.mark.parametrize("kind, arg", _ORACLE_STATES)
 def test_one_matrix_ideal_gives_the_dense_ideals_figures_bit_for_bit(kind, arg):
     # the ideal's 2^l copies of rho' (IdealForm.to_cq) are the oracle for every figure
-    # read from the one matrix: distance, gaps, every default strategy and parity
+    # read from the one matrix: distance, gaps, every default strategy and parity; a
+    # state built from factors (the attack state, rank1, rank_wide) is scored from its stack
     cq = _oracle_state(kind, arg)
     dense, ideal = canonical_ideal(cq).to_cq(cq.key_len), security_metrics._ideal(cq)
     # the ideal side's own labels are the ones it gives a probability
@@ -616,13 +623,9 @@ def _weighted_or_zero(cq: CqState, label: str) -> np.ndarray:
 def _factor_state(kind: str, arg: int) -> CqState:
     """A state built from factors: a random state's branches rebuilt from W = V sqrt(Lambda)
     (complex, full rank), or random complex factors of rank 1 or rank d + 1, wider than d."""
-    if kind.startswith("rank"):
-        rng, dim = np.random.default_rng(arg), 4
-        shape = (4, dim, 1 if kind == "rank1" else dim + 1)
-        w = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        w /= np.linalg.norm(w, axis=(1, 2))[:, None, None]
-        return CqState.from_factors(2, ["00", "01", "11", PERP], rng.dirichlet(np.ones(4)), w)
     cq = _oracle_state(kind, arg)
+    if kind.startswith("rank"):
+        return cq
     w, v = np.linalg.eigh(cq.matrices)
     return CqState.from_factors(cq.key_len, cq.labels, cq.probs, v * np.sqrt(np.clip(w, 0.0, None))[:, None, :])
 
@@ -633,108 +636,52 @@ _FACTOR_STATES += [("all_abort", 0)] + [(kind, seed) for kind in ("rank1", "rank
 
 @pytest.mark.parametrize("kind, arg", _FACTOR_STATES)
 def test_factor_figures_equal_the_dense_ones(kind, arg):
-    # a state built from factors gives its distance to a scalar ideal (I / d on
-    # every label), its strategies' advantages and its Born tables without
-    # forming its stack; the dense path reads the stack, against the ideal's
-    # copies, for that ideal and (not scalar) the canonical one
+    # a state built from factors is scored from its stack, formed on the first read of
+    # matrices: its distance to a scalar ideal (I / d on every label), its strategies'
+    # advantages and its Born tables are the dense oracle's, which reads the ideal's
+    # copies, for that ideal and (not scalar) the canonical one; the Born oracle is
+    # p tr(E W W^dagger), read off the factors themselves
     cq = _factor_state(kind, arg)
     mixed = DensityOperator.fully_mixed(cq.dim)
     declared = IdealForm(cq.p_perp, mixed, mixed)
     rules = list(security_metrics._default_rules(cq, 3, arg))
     povm = rand_povm(np.random.default_rng(arg), cq.dim, 3)
-    ideal = security_metrics._ideal(cq, declared)
-    got = [security_metrics._distance(cq, ideal)]
-    got += [security_metrics._table_advantage(cq, ideal, bases) for _, bases in rules]
-    joint = cq_measure(cq, povm)
-    assert "matrices" not in vars(cq)
-    canonical = security_metrics._ideal(cq)
-    got += [security_metrics._table_advantage(cq, canonical, bases) for _, bases in rules]
+    got = [security_metrics._distance(cq, security_metrics._ideal(cq, declared))]
     want = [quantum_core.cq_trace_distance(cq, declared.to_cq(cq.key_len))]
-    for form, reading in ((declared, ideal), (canonical_ideal(cq), canonical)):
-        dense = form.to_cq(cq.key_len)
+    for form in (declared, canonical_ideal(cq)):
+        ideal, dense = security_metrics._ideal(cq, form), form.to_cq(cq.key_len)
         for name, bases in rules:
-            strategy = security_metrics._optimal_strategy(name, cq, reading, bases)
+            strategy = security_metrics._optimal_strategy(name, cq, ideal, bases)
+            got.append(security_metrics._advantage(cq, ideal, strategy))
             want.append(distinguishing_advantage(cq, dense, strategy))
     assert got == pytest.approx(want, abs=1e-12, rel=0)
-    assert np.abs(joint - cq_measure(cq, povm)).max() <= 1e-12
-
-
-def _gathered_table_advantage(cq: CqState, ideal, dense: CqState, bases) -> float:
-    """:func:`security_metrics._table_advantage` with the ideal's operator gathered for each
-    label from the dense ideal ``dense`` (rho' where it lacks the label) and multiplied there."""
-    _ordered_sum = quantum_core._ordered_sum
-    stack = np.concatenate([dense.matrices, ideal.stack[:1]])
-    dense_rows = quantum_core._rows(dense.labels, ideal.labels)  # -1, the last, reads rho'
-    labels, p, q = ideal.labels, ideal.p, ideal.q
-    accepted = []
-    for part in quantum_core._chunks(len(labels), cq.dim, security_metrics._BATCH):
-        w, sigma = cq.unit_factors(ideal.rows[part]), stack[dense_rows[part]]
-        if bases is None:
-            real = np.einsum("bij,bij->b", w, w.conj()).real[:, None]
-            fake = np.trace(sigma, axis1=1, axis2=2).real[:, None]
-        else:
-            v, weight = bases(labels[part])
-            real = weight * (np.abs(v.conj() @ w) ** 2).sum(axis=2)
-            fake = weight * ((v.conj() @ sigma) * v).sum(axis=2).real
-        accept = p[part, None] * real - q[part, None] * fake > 0.0
-        accepted.append([_ordered_sum(real * accept, 1), _ordered_sum(fake * accept, 1)])
-    real, fake = np.concatenate(accepted, axis=1)
-    return float(_ordered_sum(p * real, 0)) - float(_ordered_sum(q * fake, 0))
+    w = cq.factors
+    born = np.einsum("kij,bjr,bir->bk", povm.stacked(), w, w.conj()).real
+    born *= (cq.probs / np.einsum("bir,bir->b", w, w.conj()).real)[:, None]
+    assert np.abs(cq_measure(cq, povm) - born / born.sum()).max() <= 1e-12
 
 
 _TABLE_STATES = [("attack", n) for n in range(2, 6)]
 _TABLE_STATES += [(kind, seed) for kind in ("abort", "missing") for seed in range(4)]
+_TABLE_STATES += [(kind, seed) for kind in ("rank1", "rank_wide") for seed in range(2)]
 
 
 @pytest.mark.parametrize("kind, arg", _TABLE_STATES)
 def test_factor_advantages_have_the_bits_of_the_dense_ideals_copies(kind, arg):
     # every default rule (all ten on the attack state), Haar included, scored with no
-    # stop: the ideal multiplied once per operator (per label for the label bases) gives
-    # the bits of the per-label copies of IdealForm.to_cq, for the scalar ideal I / d and
-    # for the canonical one, whose rounded average (and a random abort register) is not scalar
+    # stop: each advantage read off the ideal's two matrices has the bits of the one
+    # scored against the per-label copies of IdealForm.to_cq, for the scalar ideal I / d
+    # and for the canonical one, whose rounded average (and a random abort register) is not scalar
     cq = build_attack_state(arg).cq if kind == "attack" else _factor_state(kind, arg)
     mixed = DensityOperator.fully_mixed(cq.dim)
-    declared = IdealForm(cq.p_perp, mixed, mixed)
-    for form in (declared, canonical_ideal(cq)):
+    for form in (IdealForm(cq.p_perp, mixed, mixed), canonical_ideal(cq)):
         ideal, dense = security_metrics._ideal(cq, form), form.to_cq(cq.key_len)
-        assert (security_metrics._scalars(ideal.stack) is not None) == (form is declared)
         got = list(security_metrics._default_advantages(cq, ideal, 8, arg))
         rules = security_metrics._default_rules(cq, 8, arg)
-        want = [_gathered_table_advantage(cq, ideal, dense, bases) for _, bases in rules]
+        strategies = [security_metrics._optimal_strategy(name, cq, ideal, bases) for name, bases in rules]
+        want = [distinguishing_advantage(cq, dense, strategy) for strategy in strategies]
         assert len(got) == len(want) == 10 or kind != "attack"  # random states may lack the label basis
         assert np.array(got).tobytes() == np.array(want).tobytes()
-
-
-def test_basis_tables_multiply_each_label_once_against_its_own_operator():
-    # per-label bases, then one basis, over an index that changes operator several times: the
-    # tables have the bits of the gathered copies, one product per label or one per run
-    rng = np.random.default_rng(5)
-    d, b = 4, 7
-    stack = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
-    index = np.array([2, 2, 0, 1, 1, 0, 2])
-    for shape in ((b, d, d), (d, d)):
-        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        w = rng.standard_normal((b, d, 2))
-        weight = rng.random((b, 1)) if v.ndim == 3 else rng.random()
-        real, fake = security_metrics._basis_tables(w, stack, index, v, weight)
-        assert real.tobytes() == (weight * (np.abs(v.conj() @ w) ** 2).sum(axis=2)).tobytes()
-        assert fake.tobytes() == (weight * ((v.conj() @ stack[index]) * v).sum(axis=2).real).tobytes()
-
-
-@pytest.mark.parametrize("stack, scalars", [
-    (np.array([np.eye(3) / 3, 2 * np.eye(3)]), [1 / 3, 2.0]),
-    (np.array([np.eye(2), np.zeros((2, 2))]), [1.0, 0.0]),
-    (np.eye(2, dtype=complex)[None] * 0.5, [0.5]),
-    (np.array([np.eye(2), np.diag([1.0, 1.0 + 2**-52])]), None),  # a diagonal off by one ulp
-    (np.array([np.eye(2), np.eye(2) + 1e-300 * np.eye(2)[::-1]]), None),  # a tiny off-diagonal entry
-    (np.eye(2)[None] * (0.5 + 1e-17j), None),  # a complex diagonal
-])
-def test_scalars_reads_s_only_where_each_operator_is_exactly_s_times_the_identity(stack, scalars):
-    got = security_metrics._scalars(stack)
-    if scalars is None:
-        assert got is None
-    else:
-        assert got.dtype == stack.dtype and got.tolist() == scalars
 
 
 @pytest.mark.parametrize("stop_at", range(10))
