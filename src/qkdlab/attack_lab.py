@@ -40,9 +40,11 @@ takes the branch of (s, p) to that of s with s_i toggled, and X on the last
 qubit takes (0...0, 0) to (0...0, 1); both fix the declared ideal I / 2^n and
 map each label's product basis onto another label's.  So the branches are the
 orbit of branch 0 under the group they generate, and each figure is 2^(n+1)
-times branch 0's term.  :func:`secrecy_reports` checks that orbit before it
-scores: branch 0 must equal its closed form and every other branch the image of
-its parent under one generator, or the state is refused, never mis-scored.
+times branch 0's term.  :func:`secrecy_reports` reads them off closed forms: the
+factor W_0 of branch 0 (:func:`_representative`) and the declared basis's sign
+table (:func:`_sign_table`).  That :func:`build_attack_state` gives exactly this
+orbit is checked by the tests, branch by branch, at every n it accepts; the state
+is built only where ``per_qubit`` is searched.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from .quantum_core import (
     mutual_information,
 )
 from .security_metrics import (
-    _BATCH,
     IACC_FAMILIES,
     IACC_FLOOR_BITS,
     IaccSearchResult,
@@ -501,44 +502,47 @@ def secrecy_reports(
     correctness: tuple[float, str] | None = None,
 ) -> tuple[SecurityReport, SecrecyGapReport]:
     """The security report of the attack state together with its :func:`secrecy_gap_report`,
-    scored from one branch per orbit.
+    scored from one branch per orbit, in closed form.
 
-    The state is built and checked to be the orbit of its first branch W_0 under the
-    group of the module docstring (:func:`_orbit_representative`); a branch off its
-    image refuses the state.  Every figure is then B times branch 0's term, B = 2^(n+1):
-    the trace distance to the declared ideal, the register I / 2^n on every key (by the
-    covariance it is the exact branch average, and any ideal gives an upper end, epsilon
-    being a minimum over ideals), and the trivial and label-basis advantages, scored in
-    order until one meets that distance, as :func:`~qkdlab.security_metrics.evaluate_cq_security`
-    stops its default stock; the label-basis strategy is :func:`parity_strategy`, effect
-    for effect, and meets it.  The I_acc search scores the ``declared`` family from the
-    sign table of :func:`_even_x_table`, which meets ``IACC_UPPER_BITS``; ``per_qubit`` runs
-    :func:`~qkdlab.security_metrics.accessible_info_lower` on the state only while that
-    bracket is open (``families`` without ``declared``), and only then do ``search_budget``
-    and ``seed`` matter.  The report equals the evaluator's with the declared ideal,
-    measurement and I_acc upper end, which the tests keep as the oracle.
+    Every figure is B times branch 0's term, B = 2^(n+1) (module docstring), each branch
+    of probability 1/B and no abort: the trace distance to the declared ideal, the
+    register I / 2^n on every key (by the covariance it is the exact branch average,
+    and any ideal gives an upper end, epsilon being a minimum over ideals), and the
+    trivial and label-basis advantages, scored from the factor W_0 of
+    :func:`_representative` in order until one meets that distance, as
+    :func:`~qkdlab.security_metrics.evaluate_cq_security` stops its default stock; the
+    label-basis strategy is :func:`parity_strategy`, effect for effect, and meets it.
+    The I_acc search scores the ``declared`` family from :func:`_sign_table`, which meets
+    ``IACC_UPPER_BITS``.  Only ``per_qubit`` needs the state: while that bracket is open
+    (``families`` without ``declared``), :func:`build_attack_state` runs and
+    :func:`~qkdlab.security_metrics.accessible_info_lower` searches it, and only then do
+    ``search_budget`` and ``seed`` matter.  The report equals the evaluator's on the built
+    state with the declared ideal, measurement and I_acc upper end, which the tests keep
+    as the oracle, as they check that the built state is the orbit of W_0.
 
     ``correctness`` is the pair that :func:`~qkdlab.security_metrics.correctness_figures`
-    scores, so a caller checks it before any state is built; None reports 0.  The gap
+    scores, so a caller checks it before any figure is scored; None reports 0.  The gap
     report reads its secrecy bracket, I_acc lower end and search provenance off the
     security report.
     """
     families = check_families(families)
     if search_budget <= 0:
         raise ValueError("search_budget must be positive")
-    state = build_attack_state(n)
-    upper, advantages = _orbit_bracket(_orbit_representative(state), n)
+    if not 2 <= n <= MAX_ATTACK_QUBITS:
+        raise ValueError(f"n must lie in [2, {MAX_ATTACK_QUBITS}]")
+    upper, advantages = _orbit_bracket(_representative(n), n)
     iacc = IaccSearchResult(0.0, (), "none", 0)
     if "declared" in families:
-        bits = mutual_information(_even_x_table(n, state.cq.probs))
+        bits = mutual_information(_sign_table(n))
         found = bits > IACC_FLOOR_BITS  # as accessible_info_lower counts a score
         iacc = IaccSearchResult(bits if found else 0.0, ("declared",), "declared:even_x_eigenbasis" if found else "none", 1)
     if "per_qubit" in families and iacc.bits < IACC_UPPER_BITS:
-        search = accessible_info_lower(state.cq, search_budget, seed, ("per_qubit",), upper=IACC_UPPER_BITS)
+        search = accessible_info_lower(build_attack_state(n).cq, search_budget, seed, ("per_qubit",),
+                                       upper=IACC_UPPER_BITS)
         best = search if search.bits > iacc.bits else iacc
         iacc = IaccSearchResult(best.bits, iacc.family + search.family, best.best_strategy,
                                 iacc.evaluations + search.evaluations)
-    report = _report(state.cq.key_len, correctness or correctness_figures(None), state.cq.p_perp, upper,
+    report = _report(n + 1, correctness or correctness_figures(None), 0.0, upper,
                      advantages, iacc, IACC_UPPER_BITS, search_budget, seed)
     searched = tuple(report.provenance["iacc_family"])
     return report, SecrecyGapReport(
@@ -555,43 +559,15 @@ def secrecy_reports(
     )
 
 
-def _orbit_representative(state: AttackState) -> np.ndarray:
-    """The factor W_0 of branch ``0...0``, once every branch is checked (module docstring).
-
-    W_0 must be its closed form, the even-parity computational pad states of weight
-    2^-(n-1), and every other branch's factor the image of its parent's under one
-    generator, entry for entry to within 1e-12: X on the last qubit takes (0...0, 0) to
-    (0...0, 1), and H on qubit i takes the parent (s, p) to the child with s_i set, where
-    s_i is the child's last 1, the lowest set bit of s read in binary.  By induction every
-    branch is then ``G W_0``.  A generator's children and their parents are strided views
-    of the factor stack, read a batch at a time.  A branch off its image raises
-    ``ValueError`` naming the first.
-    """
-    n, w = state.n, state.cq.factors
-    d, r = w.shape[1:]
-    deviation = np.empty(len(w))
-    pads = 2 * np.arange(r) + (_bit_rows(n - 1).sum(axis=1, dtype=np.intp) & 1)  # pad k: k's bits, then their parity
-    closed = np.zeros((d, r))
-    closed[pads, np.arange(r)] = math.sqrt(2.0 ** -(n - 1))
-    deviation[0] = np.abs(w[0] - closed).max()
-    deviation[1] = np.abs(w[1] - w[0].reshape(-1, 2, r)[:, ::-1].reshape(d, r)).max()
-    for j in range(n):  # the children whose lowest set key bit is bit j of s, that of qubit n - 1 - j
-        grid = w.reshape(-1, 2, 2**j, 2, 2 ** (n - 1 - j), 2, 2**j, r)  # (rest, s_j, lower s, p, row bits)
-        children, parents = grid[:, 1, 0], grid[:, 0, 0]
-        worst = deviation.reshape(-1, 2, 2**j, 2)[:, 1, 0]
-        for part in _chunks(len(children), d, _BATCH):
-            child, parent = children[part], parents[part]
-            images = (parent[:, :, :, 0] + parent[:, :, :, 1], parent[:, :, :, 0] - parent[:, :, :, 1])
-            for q, image in enumerate(images):  # H rows (1, 1) and (1, -1), times 1/sqrt 2
-                image *= _H
-                image -= child[:, :, :, q]
-                np.abs(image, out=image)
-            worst[part] = np.maximum(*images, out=images[0]).max(axis=(2, 3, 4))
-    bad = np.flatnonzero(deviation > 1e-12)
-    if bad.size:
-        raise ValueError(f"branch {state.cq.labels[bad[0]]!r} is off its image under the attack state's "
-                         f"group by {deviation[bad[0]]:.3e}")
-    return w[0]
+def _representative(n: int) -> np.ndarray:
+    """The factor W_0 of branch ``0...0`` in closed form: column k is the computational pad
+    state of the k-th even-parity pad (k's n - 1 bits, then their parity), weight
+    2^-(n-1), so ``W_0 W_0^T`` is the branch."""
+    r = 2 ** (n - 1)
+    pads = 2 * np.arange(r) + (_bit_rows(n - 1).sum(axis=1, dtype=np.intp) & 1)
+    w0 = np.zeros((2**n, r))
+    w0[pads, np.arange(r)] = math.sqrt(2.0 ** -(n - 1))
+    return w0
 
 
 def _orbit_bracket(w0: np.ndarray, n: int) -> tuple[float, list[float]]:
@@ -603,7 +579,8 @@ def _orbit_bracket(w0: np.ndarray, n: int) -> tuple[float, list[float]]:
     ``W_0^T W_0 / tr``, and ``-c`` on the rest of its d: dividing the Gram, not the factor,
     by the trace keeps its eigenvalues exact.  Branch 0's label basis is the
     computational one, in which it reads ``Pr[z] = ||row z of W_0||^2 / tr``; the trivial
-    measurement reads the trace, 1.
+    measurement reads the trace, 1.  The spectrum is computed, not taken from the closed
+    form ``W_0^T W_0 = 2^-(n-1) I``, so a ``w0`` that is not a branch's factor shows in the figure.
     """
     d, r = w0.shape
     count, p = 2 ** (n + 1), 2.0 ** -(n + 1)
@@ -622,28 +599,18 @@ def _orbit_bracket(w0: np.ndarray, n: int) -> tuple[float, list[float]]:
     return upper, advantages
 
 
-def _even_x_table(n: int, probs: np.ndarray) -> np.ndarray:
+def _sign_table(n: int) -> np.ndarray:
     """The ``(B, d)`` joint distribution of key and outcome that :func:`even_x_eigenbasis`
-    gives on the attack state of branch probabilities ``probs``, from signs alone.
+    gives on the attack state, in closed form.
 
     Branch (s, p) is ``(I + (-1)^p P_s) / 2^n`` (module docstring), so outcome j has
-    probability ``(1 + (-1)^p <P_s>_j) / d``.  With ``u_j`` the 0/+-1 rows of
-    :func:`_even_x_signs` and ``P_s |x> = (-1)^|x and not s| |x xor s>``, ``2^(n-1) <P_s>_j =
-    sum_x u_j(x) (-1)^|x and not s| u_j(x xor s)``, a sum of integers, exact in float64; a few
-    s at a time, so no ``(d, d, d)`` array is held.  The table is renormalised by its total,
-    as :func:`~qkdlab.quantum_core.cq_measure` renormalises its own.
+    probability ``(1 + (-1)^p <P_s>_j) / d``, times the branch's 1/B.  Row j is ``sqrt 2 Re``
+    or ``sqrt 2 Im`` of ``|y_j>_Y``, on which ``P_s = (-i)^|s| Y^s Z^(x)n`` has
+    ``<P_s>_j = Re(i^|s|) (-1)^(s.y_j)``, negated on the imaginary rows: 0 for odd ``|s|``.
+    One GF(2) product ``s.y`` gives the table; its entries are dyadic and sum to 1 exactly.
     """
-    u = _even_x_signs(n).T  # u[x, j]
-    d = len(u)
-    bits = _bit_rows(n).astype(np.int8)  # signed: 1 - bits must not wrap
-    chi = 1.0 - 2.0 * ((bits @ (1 - bits).T) & 1)  # chi[x, s] = (-1)^|x and not s|
-    x = np.arange(d)
-    expect = np.empty((d, d))  # expect[s, j] = 2^(n-1) <P_s>_j
-    for part in _chunks(d, d, _BATCH):
-        terms = u[x[part, None] ^ x]  # [s, x, j] = u_j(x xor s)
-        terms *= u
-        terms *= chi.T[part, :, None]
-        expect[part] = terms.sum(axis=1)
-    expect *= 2.0 ** -(n - 1)
-    table = probs[:, None] * ((1.0 + np.stack((expect, -expect), axis=1).reshape(2 * d, d)) / d)
-    return table / _ordered_sum(table.ravel(), 0)
+    d = 2**n
+    s = _bit_rows(n)
+    real = _I_POWERS[s.sum(axis=1) % 4, :1] * (1.0 - 2.0 * ((s @ s[: d // 2].T) & 1))  # y_j: the rows with y_1 = 0
+    expect = np.concatenate((real, -real), axis=1)  # expect[s, j] = <P_s>_j
+    return 2.0 ** -(n + 1) * ((1.0 + np.stack((expect, -expect), axis=1).reshape(2 * d, d)) / d)

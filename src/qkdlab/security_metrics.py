@@ -27,8 +27,8 @@ one batch of keys at a time.  The arithmetic is that of
 the copies, so each figure equals, bit for bit, the one computed against
 :meth:`IdealForm.to_cq`, which the tests keep as the oracle.  Every figure
 reads the state's ``(B, d, d)`` stack ``matrices``; only ``secrecy``'s
-attack key is scored from its factors, one branch per orbit
-(``attack_lab.secrecy_reports``).
+attack key is scored from closed forms, one branch per orbit, with no
+state built (``attack_lab.secrecy_reports``).
 """
 
 from __future__ import annotations

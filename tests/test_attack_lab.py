@@ -35,6 +35,8 @@ from qkdlab.attack_lab import (
 from qkdlab.quantum_core import (
     CqState,
     _bit_strings,
+    _chunks,
+    _ordered_sum,
     DensityOperator,
     Povm,
     cq_measure,
@@ -181,15 +183,12 @@ def test_attack_state_build_traces_its_factors_and_little_more():
     assert peak <= state.cq.factors.nbytes + 3 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
-def test_secrecy_figures_at_n_6_allocate_no_second_stack(monkeypatch):
-    # the orbit path reads branch 0's factor, checks the others a batch at a time and
-    # builds the sign table a few keys at a time: 0.6 MB past the state's 2 MB of
-    # factors, which are built before the trace starts.  The dense path forms the 4 MB
-    # stack, and 2^7 copies of rho' alone took 4 MB
-    state = build_attack_state(6)
-    monkeypatch.setattr(attack_lab, "build_attack_state", lambda n: state)
-    peak = traced_peak(lambda: attack_lab.secrecy_reports(6, seed=1))[1]
-    assert peak <= 2**20, f"traced peak {peak / 2**20:.1f} MB"
+def test_secrecy_figures_at_n_7_build_no_state():
+    # the default route reads branch 0's factor and the sign table, both in closed form:
+    # about 0.75 MB at the cap, nothing built before the trace starts.  Building the
+    # state's 16 MB of factors and walking its orbit took 17.2 MB
+    peak = traced_peak(lambda: attack_lab.secrecy_reports(7, seed=1))[1]
+    assert peak <= 2**20, f"traced peak {peak / 2**20:.2f} MB"
 
 
 def test_attack_state_repr_shows_its_labels_and_forms_no_stack():
@@ -432,7 +431,7 @@ def test_label_basis_strategy_is_the_parity_strategy(n):
 def test_orbit_bracket_scores_two_strategies(n):
     # the trivial strategy, then the label-basis one, whose advantage meets the
     # trace distance, each B times branch 0's term
-    upper, advantages = attack_lab._orbit_bracket(attack_lab._orbit_representative(build_attack_state(n)), n)
+    upper, advantages = attack_lab._orbit_bracket(attack_lab._representative(n), n)
     assert upper == 0.5 and len(advantages) == 2 and advantages[0] < upper == advantages[1]
 
 
@@ -732,24 +731,100 @@ def test_orbit_report_equals_the_dense_path(n, families):
     assert [getattr(report, f).hex() for f in _REPORT_FLOATS] == [getattr(oracle, f).hex() for f in _REPORT_FLOATS]
 
 
+def _check_orbit(state):
+    """The factor W_0 of branch ``0...0``, once every branch is checked (module docstring of
+    ``attack_lab``): what lets ``secrecy_reports`` score the built state from closed forms.
+
+    W_0 must be its closed form (``attack_lab._representative``), and every other branch's
+    factor the image of its parent's under one generator, entry for entry to within 1e-12:
+    X on the last qubit takes (0...0, 0) to (0...0, 1), and H on qubit i takes the parent
+    (s, p) to the child with s_i set, where s_i is the child's last 1, the lowest set bit of
+    s read in binary.  By induction every branch is then ``G W_0``.  A generator's children
+    and their parents are strided views of the factor stack, read a batch at a time.  A
+    branch off its image raises ``ValueError`` naming the first.
+    """
+    n, w = state.n, state.cq.factors
+    d, r = w.shape[1:]
+    deviation = np.empty(len(w))
+    deviation[0] = np.abs(w[0] - attack_lab._representative(n)).max()
+    deviation[1] = np.abs(w[1] - w[0].reshape(-1, 2, r)[:, ::-1].reshape(d, r)).max()
+    for j in range(n):  # the children whose lowest set key bit is bit j of s, that of qubit n - 1 - j
+        grid = w.reshape(-1, 2, 2**j, 2, 2 ** (n - 1 - j), 2, 2**j, r)  # (rest, s_j, lower s, p, row bits)
+        children, parents = grid[:, 1, 0], grid[:, 0, 0]
+        worst = deviation.reshape(-1, 2, 2**j, 2)[:, 1, 0]
+        for part in _chunks(len(children), d, security_metrics._BATCH):
+            child, parent = children[part], parents[part]
+            images = (parent[:, :, :, 0] + parent[:, :, :, 1], parent[:, :, :, 0] - parent[:, :, :, 1])
+            for q, image in enumerate(images):  # H rows (1, 1) and (1, -1), times 1/sqrt 2
+                image *= attack_lab._H
+                image -= child[:, :, :, q]
+                np.abs(image, out=image)
+            worst[part] = np.maximum(*images, out=images[0]).max(axis=(2, 3, 4))
+    bad = np.flatnonzero(deviation > 1e-12)
+    if bad.size:
+        raise ValueError(f"branch {state.cq.labels[bad[0]]!r} is off its image under the attack state's "
+                         f"group by {deviation[bad[0]]:.3e}")
+    return w[0]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_built_state_is_the_orbit_of_the_closed_form_representative(n):
+    # secrecy scores every figure from W_0 in closed form and never builds the state, so
+    # the orbit check runs here, on the builder's output at every n that it accepts
+    w0 = _check_orbit(build_attack_state(n))
+    assert w0.tobytes() == attack_lab._representative(n).tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 5, 7])
 @pytest.mark.parametrize("branch", [0, -1])
-def test_a_branch_moved_by_1e_9_is_refused(monkeypatch, n, branch):
+def test_a_branch_moved_by_1e_9_is_refused(n, branch):
     # branch 0 against its closed form (row 1 is a zero row there), the last branch against
     # its parent's image under H; the traces stay within 1e-9 of 1
     labels, probs, factors = attack_lab._attack_factors(n)
     moved = factors.copy()
     moved[branch, 1, 0] += 1e-9
     state = AttackState(n=n, cq=CqState.from_factors(n + 1, labels, probs, moved))
-    monkeypatch.setattr(attack_lab, "build_attack_state", lambda n: state)
     with pytest.raises(ValueError, match=f"^branch '{labels[branch]}' is off its image .* by 1.000e-09$"):
-        attack_lab.secrecy_reports(n)
+        _check_orbit(state)
+
+
+def _even_x_table(n, probs):
+    """The ``(B, d)`` joint distribution of key and outcome that ``even_x_eigenbasis`` gives
+    on the attack state of branch probabilities ``probs``, by a sum over x: the oracle of the
+    closed form ``attack_lab._sign_table``.
+
+    Outcome j has probability ``(1 + (-1)^p <P_s>_j) / d``.  With ``u_j`` the 0/+-1 rows of
+    ``attack_lab._even_x_signs`` and ``P_s |x> = (-1)^|x and not s| |x xor s>``, ``2^(n-1)
+    <P_s>_j = sum_x u_j(x) (-1)^|x and not s| u_j(x xor s)``, a sum of integers, exact in
+    float64; a few s at a time, so no ``(d, d, d)`` array is held.  The table is renormalised
+    by its total, as ``cq_measure`` renormalises its own.
+    """
+    u = attack_lab._even_x_signs(n).T  # u[x, j]
+    d = len(u)
+    bits = attack_lab._bit_rows(n).astype(np.int8)  # signed: 1 - bits must not wrap
+    chi = 1.0 - 2.0 * ((bits @ (1 - bits).T) & 1)  # chi[x, s] = (-1)^|x and not s|
+    x = np.arange(d)
+    expect = np.empty((d, d))  # expect[s, j] = 2^(n-1) <P_s>_j
+    for part in _chunks(d, d, security_metrics._BATCH):
+        terms = u[x[part, None] ^ x]  # [s, x, j] = u_j(x xor s)
+        terms *= u
+        terms *= chi.T[part, :, None]
+        expect[part] = terms.sum(axis=1)
+    expect *= 2.0 ** -(n - 1)
+    table = probs[:, None] * ((1.0 + np.stack((expect, -expect), axis=1).reshape(2 * d, d)) / d)
+    return table / _ordered_sum(table.ravel(), 0)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_closed_sign_table_has_the_bits_of_the_sum_over_x(n):
+    oracle = _even_x_table(n, build_attack_state(n).cq.probs)
+    assert attack_lab._sign_table(n).view(np.int64).tobytes() == oracle.view(np.int64).tobytes()
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_sign_table_is_the_declared_bases_born_table(n):
     cq = build_attack_state(n).cq
-    table = attack_lab._even_x_table(n, cq.probs)
+    table = attack_lab._sign_table(n)
     assert np.abs(table - cq_measure(cq, attack_lab.even_x_eigenbasis(n))).max() <= 1e-15
     assert mutual_information(table) == 0.5
     # <P_s> is exactly 0 on an odd-X string: each outcome has probability p / d

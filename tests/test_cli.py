@@ -379,9 +379,9 @@ def _main_peak_kb(argv) -> tuple[int, int, int]:
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
 def test_secrecy_at_n_7_peaks_below_100_mb():
-    # about 73 MB: the state's 17 MB of factors and no (B, d, d) stack; one 32 MB float64
-    # stack past the real state at a time took 142 MB, 2^8 copies of the ideal's register
-    # and two live strategy stacks 179 MB, complex128 331 MB
+    # about 40 MB, 2.5 MB past start-up: no state is built.  Its 16 MB of factors took
+    # 56 MB, one 32 MB float64 stack past the real state at a time 142 MB, 2^8 copies of
+    # the ideal's register and two live strategy stacks 179 MB, complex128 331 MB
     code, _, peak_kb = _main_peak_kb(["secrecy", "--n", "7", "--seed", "1"])
     assert code == EXIT_OK
     assert peak_kb <= 100 * 1024, f"VmHWM {peak_kb / 1024:.0f} MB"
@@ -804,13 +804,13 @@ def _count_secrecy_calls(capsys, monkeypatch, argv):
 def test_secrecy_computes_shared_results_once(capsys, monkeypatch):
     argv = ["secrecy", "--n", "3", "--budget", "4", "--seed", "5"]
     calls, payload = _count_secrecy_calls(capsys, monkeypatch, argv)
-    # the state is built once and scored from one branch per orbit: the default
-    # strategies up to the label-basis one, whose advantage meets the trace distance,
-    # so the 8 Haar ones are never drawn, and the declared basis from its sign table,
-    # which meets the 1/2 bit upper end, so the per-qubit family is not searched and
+    # no state is built: every figure is scored from one branch per orbit in closed form,
+    # the default strategies up to the label-basis one, whose advantage meets the trace
+    # distance, so the 8 Haar ones are never drawn, and the declared basis from its sign
+    # table, which meets the 1/2 bit upper end, so the per-qubit family is not searched and
     # nothing is measured (34 born tables when each state and POVM group was measured)
     assert calls == {
-        "build_attack_state": 1, "accessible_info_lower": 0, "born_table": 0, "cq_measure": 0
+        "build_attack_state": 0, "accessible_info_lower": 0, "born_table": 0, "cq_measure": 0
     }
     report, gap = payload["result"]["security_report"], payload["result"]["gap_report"]
     assert gap["iacc_lower_bits"] == report["iacc_lower_bits"]
@@ -820,8 +820,9 @@ def test_secrecy_computes_shared_results_once(capsys, monkeypatch):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_secrecy_never_forms_the_branch_stack(capsys, monkeypatch, n):
     # with the default families every figure secrecy prints comes from branch 0's
-    # factor and the declared basis's sign table: the (B, d, d) stack, formed on the
-    # first read of matrices, never is, and the dense path's kernels never run
+    # factor and the declared basis's sign table, both in closed form: no state is
+    # built, the (B, d, d) stack, formed on the first read of matrices, never is, and
+    # the dense path's kernels never run
     def refuse(name):
         def read(*args, **kwargs):
             raise AssertionError(f"secrecy called {name}")
@@ -829,9 +830,10 @@ def test_secrecy_never_forms_the_branch_stack(capsys, monkeypatch, n):
 
     for name in ("matrices", "branches"):
         monkeypatch.setattr(quantum_core.CqState, name, property(refuse(f"CqState.{name}")))
+    monkeypatch.setattr(quantum_core.CqState, "from_factors", refuse("CqState.from_factors"))
     for module, name in ((security_metrics, "_distance"), (security_metrics, "_gaps"), (quantum_core, "_gaps"),
                          (security_metrics, "_optimal_strategy"), (security_metrics, "cq_measure"),
-                         (quantum_core, "cq_measure")):
+                         (quantum_core, "cq_measure"), (attack_lab, "build_attack_state")):
         monkeypatch.setattr(module, name, refuse(name))
     code, out, err = run_cli(capsys, ["secrecy", "--n", str(n), "--seed", "1"])
     assert (code, err) == (EXIT_OK, "")
@@ -867,6 +869,25 @@ def test_secrecy_draws_no_random_number(capsys, monkeypatch, n):
     code, out, err = run_cli(capsys, ["secrecy", "--n", str(n), "--seed", "1"])
     assert (code, err) == (EXIT_OK, "")
     assert json.loads(out)["result"]["gap_report"]["iacc_best_strategy"] == "declared:even_x_eigenbasis"
+
+
+def test_secrecy_builds_the_state_once_where_per_qubit_is_searched(capsys, monkeypatch):
+    # the per-qubit search reads the branch stack, so that route alone builds the state
+    calls, payload = _count_secrecy_calls(
+        capsys, monkeypatch, ["secrecy", "--n", "3", "--families", "per_qubit", "--seed", "5"]
+    )
+    assert calls["build_attack_state"] == 1 and calls["accessible_info_lower"] == 1
+    assert payload["result"]["gap_report"]["iacc_family"] == ["per_qubit_exhaustive"]
+
+
+@pytest.mark.parametrize("n", ["0", "1", "8", "-1"])
+def test_secrecy_refuses_n_outside_2_to_7_before_building_anything(capsys, monkeypatch, n):
+    # the refusal is secrecy_reports' own, with the text the state's builder gives
+    def refuse(*args, **kwargs):
+        raise AssertionError("secrecy built the state")
+
+    monkeypatch.setattr(attack_lab, "build_attack_state", refuse)
+    assert run_cli(capsys, ["secrecy", "--n", n, "--seed", "1"]) == (EXIT_USAGE, "", "error: n must lie in [2, 7]\n")
 
 
 def test_secrecy_rescores_per_qubit_ties_without_a_declared_basis(capsys, monkeypatch):
