@@ -103,8 +103,7 @@ __all__ = [
 ]
 
 # There are 2^(n+1) branches of dimension 2^n and rank 2^(n-1): at the cap the
-# state's real factors take 17 MB, and its dense stack, formed only where it is
-# read (the marginal check, the per-qubit I_acc search), 34 MB.
+# state's dense stack takes 34 MB, formed from 17 MB of real factors that it does not keep.
 MAX_ATTACK_QUBITS = 7
 
 IACC_UPPER_BITS = 0.5  # the attack key's accessible information, at every n
@@ -162,7 +161,7 @@ def build_attack_state(n: int) -> AttackState:
     Every key value ``s`` has probability 2^-(n+1); its register branch
     is the uniform mixture, weight 2^-(n-1) each, of the product states
     encoding the parity-constrained pads in the bases ``s_1 .. s_n``.
-    The state keeps each branch's factor, the weighted pad states as
+    The stack is formed from each branch's factor, the weighted pad states as
     columns (:meth:`~qkdlab.quantum_core.CqState.from_factors`).  The
     BB84 amplitudes are real, so the factors and stack are float64.
     """
@@ -172,8 +171,7 @@ def build_attack_state(n: int) -> AttackState:
 
 
 def _attack_factors(n: int) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The branch labels, probabilities and real ``(B, d, r)`` factors of :func:`build_attack_state`,
-    the factors read-only in one array of their own, which :meth:`CqState.from_factors` adopts."""
+    """The branch labels, probabilities and real ``(B, d, r)`` factors of :func:`build_attack_state`."""
     p_branch = 2.0 ** -(n + 1)
     weight = 2.0 ** -(n - 1)
     keys = _bit_rows(n + 1)
@@ -190,7 +188,6 @@ def _attack_factors(n: int) -> tuple[list[str], np.ndarray, np.ndarray]:
             np.multiply(grid[:, :, 0], factor[:, None, :, bit], out=grid[:, :, bit])
     # weighted: W_s W_s^dagger is the branch of s
     w *= math.sqrt(weight)
-    w.setflags(write=False)
     return _bit_strings(n + 1), np.full(len(keys), p_branch), w
 
 

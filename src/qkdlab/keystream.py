@@ -125,10 +125,11 @@ class StreamParams(JsonRecord):
     eps0: float = 0.0
 
     def __post_init__(self):
-        for name in ("gamma", "rate_rho", "nu", "c"):
-            _check_rate(name, float(getattr(self, name)))
+        # sizes first: c defaults to n0 on the command line, so a bad n0 is named as n0
         for name in ("n0", "ell", "ell0"):
             _check_size(name, getattr(self, name))
+        for name in ("gamma", "rate_rho", "nu", "c"):
+            _check_rate(name, float(getattr(self, name)))
         if not 0.0 <= self.eps0 <= 1.0:
             raise ValueError("eps0 must lie in [0, 1]")
 

@@ -9,13 +9,11 @@ handful of qubits (the accessible-information search refuses registers
 above :data:`DEFAULT_DIM_CAP`).  All containers are immutable after
 construction, so values can be shared freely.
 
-A cq-state is its sorted labels and probabilities with either one
-validated ``(B, d, d)`` stack of branch operators or, when built from
-factors, the ``(B, d, r)`` stack of the W_b with rho_b = W_b W_b^dagger;
-that state forms its stack only when it is first read.  Measuring it
-gives one plain array: the ``(B, K)`` Born table over its branch labels
-and the POVM's outcome labels, which :func:`mutual_information` reads
-directly.
+A cq-state is its sorted labels and probabilities with one validated
+``(B, d, d)`` stack of branch operators, however it was built.
+Measuring it gives one plain array: the ``(B, K)`` Born table over its
+branch labels and the POVM's outcome labels, which
+:func:`mutual_information` reads directly.
 
 Conventions:
 
@@ -193,19 +191,14 @@ class CqState:
     read-only ``(B, d, d)`` stack ``matrices``.  :meth:`from_stack` builds
     a state from those three; the mapping constructor takes
     :class:`DensityOperator` branches and then the same path.
-    :meth:`from_factors` keeps the read-only ``(B, d, r)`` stack ``factors``
-    of the W_b instead (None for every other state): its branch ``W W^dagger``
-    is PSD by construction and is not clipped, and ``matrices`` is formed from
-    the factors, a few branches at a time, on its first read.  Every figure
-    but the attack key's ``secrecy`` figures reads that stack; those read
-    ``factors``, one branch per orbit.  The read-only mapping
-    ``branches`` of views of the stack is built on its first read.
+    :meth:`from_factors` forms that stack from the W_b with rho_b = W_b W_b^dagger.
+    The read-only mapping ``branches`` of views of the stack is built on its first read.
     """
 
     key_len: int
     labels: tuple[str, ...]
     probs: np.ndarray = field(repr=False)
-    factors: np.ndarray | None = field(repr=False)
+    matrices: np.ndarray = field(repr=False)
 
     def __init__(self, key_len: int, branches: Mapping[str, tuple[float, DensityOperator]]):
         labels = tuple(sorted(branches, key=_label_sort_key))
@@ -234,18 +227,13 @@ class CqState:
         """The state with branches ``(labels[b], probs[b], W_b W_b^dagger)`` for the
         ``(B, d, r)`` stack ``factors`` of the ``W_b``; the labels as in :meth:`from_stack`.
 
-        Each branch's trace, ``||W_b||_F^2``, must be 1 within 1e-9.  A
-        read-only C-contiguous float64 or complex128 array that owns its
-        memory is adopted as it is: the caller hands it over and must not
-        make it writeable again, for the checks and the stack formed on
-        first read hold only while it is unchanged.  Any other
-        input is copied, read-only.
-        No ``W W^dagger`` is formed until ``matrices`` is first read.
+        Each branch's trace, ``||W_b||_F^2``, must be 1 within 1e-9.  The
+        stack is formed at once, a few branches at a time: each ``W W^dagger``,
+        PSD by construction and not clipped, is made exactly Hermitian and
+        divided by its trace.  No reference to ``factors`` is kept.
         """
         labels = tuple(labels)
         w = _as_exact(factors)
-        if w.flags.writeable or not (w.flags.owndata and w.flags.c_contiguous):
-            w = w.copy()
         if w.ndim != 3 or min(w.shape[1:]) < 1:
             raise ValueError(f"expected a (B, d, r) stack of factors, got shape {w.shape}")
         tr = np.einsum("bij,bij->b", w, w.conj()).real
@@ -258,13 +246,19 @@ class CqState:
         bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
         if bad.size:
             raise ValueError(f"branch {labels[bad[0]]!r} has trace {float(tr[bad[0]])!r}, not 1 within {TRACE_TOL}")
-        w.setflags(write=False)
+        matrices = np.empty((len(w), w.shape[1], w.shape[1]), dtype=w.dtype)
+        for part in _chunks(len(w), w.shape[1]):
+            rho = w[part] @ w[part].conj().swapaxes(1, 2)
+            rho += rho.conj().swapaxes(1, 2)
+            rho /= 2
+            rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+            matrices[part] = rho
         cq = object.__new__(cls)
-        cq._assemble(key_len, labels, probs, factors=w)
+        cq._assemble(key_len, labels, probs, matrices)
         return cq
 
-    def _assemble(self, key_len: int, labels: tuple[str, ...], probs, matrices=None, factors=None) -> None:
-        # the one path that sets attributes, for a validated stack or checked factors
+    def _assemble(self, key_len: int, labels: tuple[str, ...], probs, matrices: np.ndarray) -> None:
+        # the one path that sets attributes, for a validated stack
         if not isinstance(key_len, int) or key_len < 0:
             raise ValueError("key_len must be a nonnegative integer")
         if not labels:
@@ -289,25 +283,8 @@ class CqState:
         object.__setattr__(self, "key_len", key_len)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "factors", factors)
-        if matrices is not None:
-            matrices.setflags(write=False)
-            object.__setattr__(self, "matrices", matrices)
-
-    @functools.cached_property
-    def matrices(self) -> np.ndarray:
-        # a state built from factors fills its stack on first read, a few branches at a time,
-        # each W W^dagger made exactly Hermitian and divided by its trace; every other state stores it
-        w = self.factors
-        matrices = np.empty((len(w), self.dim, self.dim), dtype=w.dtype)
-        for part in _chunks(len(w), w.shape[1]):
-            rho = w[part] @ w[part].conj().swapaxes(1, 2)
-            rho += rho.conj().swapaxes(1, 2)
-            rho /= 2
-            rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-            matrices[part] = rho
         matrices.setflags(write=False)
-        return matrices
+        object.__setattr__(self, "matrices", matrices)
 
     @functools.cached_property
     def branches(self) -> Mapping[str, tuple[float, DensityOperator]]:
@@ -317,7 +294,7 @@ class CqState:
 
     @property
     def dim(self) -> int:
-        return (self.matrices if self.factors is None else self.factors).shape[1]
+        return self.matrices.shape[1]
 
     @property
     def p_perp(self) -> float:
@@ -653,7 +630,6 @@ def cq_measure(cq: CqState, povm: Povm) -> np.ndarray:
     tr(E_z rho_s)`` for ``s = cq.labels[b]`` and ``z = povm.labels[k]``.
     The table is renormalised by its total, a factor within the POVM
     completeness tolerance of 1, so its entries sum to 1 up to rounding.
-    A state built from factors is measured through its stack, formed on first read.
     """
     if cq.dim != povm.dim:
         raise ValueError(f"dimension mismatch: state {cq.dim}, POVM {povm.dim}")

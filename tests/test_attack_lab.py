@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,20 +168,26 @@ def test_attack_state_factor_build_traces_one_stack_and_a_chunk():
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_attack_factors_have_the_bits_of_the_kronecker_loop(n):
-    # the in-place build multiplies in the loop's order, into one array that the state adopts
+    # the in-place build multiplies in the loop's order
     labels, rows = _itertools_attack_rows(n, np.float64)
     want = rows.transpose(0, 2, 1) * math.sqrt(2.0 ** -(n - 1))
-    got_labels, probs, factors = attack_lab._attack_factors(n)
+    got_labels, _, factors = attack_lab._attack_factors(n)
     assert got_labels == labels and factors.tobytes() == np.ascontiguousarray(want).tobytes()
-    assert factors.flags.owndata and factors.flags.c_contiguous and not factors.flags.writeable
-    assert CqState.from_factors(n + 1, labels, probs, factors).factors is factors
 
 
-def test_attack_state_build_traces_its_factors_and_little_more():
-    # 16 MB of factors at n = 7; a new array a Kronecker step and a copy for the state took 34 MB
-    state, peak = traced_peak(lambda: build_attack_state(7))
-    assert state.cq.factors.nbytes == 16 * 2**20
-    assert peak <= state.cq.factors.nbytes + 3 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+def test_attack_state_build_keeps_its_stack_and_no_factors():
+    # at n = 7 the stack is 32 MB, formed from 16 MB of factors one branch at a time;
+    # once built, the state holds the stack alone
+    tracemalloc.start()
+    try:
+        state = build_attack_state(7)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stack = state.cq.matrices.nbytes
+    assert stack == 32 * 2**20
+    assert current <= stack + 2**20, f"traced current {current / 2**20:.1f} MB"
+    assert peak <= stack + 16 * 2**20 + 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_secrecy_figures_at_n_7_build_no_state():
@@ -191,11 +198,11 @@ def test_secrecy_figures_at_n_7_build_no_state():
     assert peak <= 2**20, f"traced peak {peak / 2**20:.2f} MB"
 
 
-def test_attack_state_repr_shows_its_labels_and_forms_no_stack():
+def test_attack_state_repr_shows_its_labels_and_forms_no_branch_map():
     # the stack at n = 7 is 34 MB; repr names the fields key_len and labels only
     cq = build_attack_state(7).cq
     assert repr(cq) == f"CqState(key_len=8, labels={cq.labels!r})"
-    assert "matrices" not in vars(cq) and "branches" not in vars(cq)
+    assert "branches" not in vars(cq)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -236,9 +243,8 @@ def test_marginal_check_passes_for_real_state():
 
 @pytest.mark.parametrize("check", [canonical_ideal, fully_mixed_marginal_check], ids=lambda f: f.__name__)
 def test_stack_readers_trace_little_memory(check):
-    # the real n = 6 branch stack is 4 MB, formed from the factors on its first
-    # read (here, before the trace); whole-stack temporaries of the complex
-    # stack came to 16 MB and 10 MB here
+    # the real n = 6 branch stack is 4 MB, formed from the factors before the
+    # trace; whole-stack temporaries of the complex stack came to 16 MB and 10 MB here
     cq = build_attack_state(6).cq
     assert cq.matrices.nbytes == 4 * 2**20
     peak = traced_peak(lambda: check(cq))[1]
@@ -731,9 +737,10 @@ def test_orbit_report_equals_the_dense_path(n, families):
     assert [getattr(report, f).hex() for f in _REPORT_FLOATS] == [getattr(oracle, f).hex() for f in _REPORT_FLOATS]
 
 
-def _check_orbit(state):
-    """The factor W_0 of branch ``0...0``, once every branch is checked (module docstring of
-    ``attack_lab``): what lets ``secrecy_reports`` score the built state from closed forms.
+def _check_orbit(n, labels, w):
+    """The factor W_0 of branch ``0...0``, once every branch of the ``(B, d, r)`` factors ``w``
+    of the attack state is checked (module docstring of ``attack_lab``): what lets
+    ``secrecy_reports`` score the built state from closed forms.
 
     W_0 must be its closed form (``attack_lab._representative``), and every other branch's
     factor the image of its parent's under one generator, entry for entry to within 1e-12:
@@ -743,7 +750,6 @@ def _check_orbit(state):
     and their parents are strided views of the factor stack, read a batch at a time.  A
     branch off its image raises ``ValueError`` naming the first.
     """
-    n, w = state.n, state.cq.factors
     d, r = w.shape[1:]
     deviation = np.empty(len(w))
     deviation[0] = np.abs(w[0] - attack_lab._representative(n)).max()
@@ -762,7 +768,7 @@ def _check_orbit(state):
             worst[part] = np.maximum(*images, out=images[0]).max(axis=(2, 3, 4))
     bad = np.flatnonzero(deviation > 1e-12)
     if bad.size:
-        raise ValueError(f"branch {state.cq.labels[bad[0]]!r} is off its image under the attack state's "
+        raise ValueError(f"branch {labels[bad[0]]!r} is off its image under the attack state's "
                          f"group by {deviation[bad[0]]:.3e}")
     return w[0]
 
@@ -770,9 +776,13 @@ def _check_orbit(state):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_built_state_is_the_orbit_of_the_closed_form_representative(n):
     # secrecy scores every figure from W_0 in closed form and never builds the state, so
-    # the orbit check runs here, on the builder's output at every n that it accepts
-    w0 = _check_orbit(build_attack_state(n))
+    # the orbit check runs here, on the builder's factors at every n that it accepts, and
+    # the built state's stack is the one those factors form
+    labels, probs, w = attack_lab._attack_factors(n)
+    w0 = _check_orbit(n, labels, w)
     assert w0.tobytes() == attack_lab._representative(n).tobytes()
+    stack = CqState.from_factors(n + 1, labels, probs, w).matrices
+    assert build_attack_state(n).cq.matrices.tobytes() == stack.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 5, 7])
@@ -781,11 +791,10 @@ def test_a_branch_moved_by_1e_9_is_refused(n, branch):
     # branch 0 against its closed form (row 1 is a zero row there), the last branch against
     # its parent's image under H; the traces stay within 1e-9 of 1
     labels, probs, factors = attack_lab._attack_factors(n)
-    moved = factors.copy()
-    moved[branch, 1, 0] += 1e-9
-    state = AttackState(n=n, cq=CqState.from_factors(n + 1, labels, probs, moved))
+    factors[branch, 1, 0] += 1e-9
+    AttackState(n=n, cq=CqState.from_factors(n + 1, labels, probs, factors))
     with pytest.raises(ValueError, match=f"^branch '{labels[branch]}' is off its image .* by 1.000e-09$"):
-        _check_orbit(state)
+        _check_orbit(n, labels, factors)
 
 
 def _even_x_table(n, probs):

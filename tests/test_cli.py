@@ -532,6 +532,15 @@ def test_unrepresentable_inputs_are_usage_errors(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n0", ["-5", "0"])
+@pytest.mark.parametrize("command", ["keystream-schedule", "keystream-simulate"])
+def test_a_bad_n0_is_named_not_the_rate_c_it_defaults(capsys, command, n0):
+    # c defaults to n0, so checking rates first named c for a bad n0
+    code, out, err = run_cli(capsys, [command, "--n0", n0, "--ell0", "12000"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: n0 must be a positive integer at most 2**53\n"
+
+
 _NUMBER = st.one_of(
     st.sampled_from(["0", "-1", "inf", "-inf", "nan", "1e308", "1e-300", "5e-324",
                      str(2**53), str(2**53 + 1), str(10**30)]),
@@ -821,16 +830,16 @@ def test_secrecy_computes_shared_results_once(capsys, monkeypatch):
 def test_secrecy_never_forms_the_branch_stack(capsys, monkeypatch, n):
     # with the default families every figure secrecy prints comes from branch 0's
     # factor and the declared basis's sign table, both in closed form: no state is
-    # built, the (B, d, d) stack, formed on the first read of matrices, never is, and
-    # the dense path's kernels never run
+    # built, so no (B, d, d) stack is formed (every constructor stores its stack through
+    # _assemble), and the dense path's kernels never run
     def refuse(name):
         def read(*args, **kwargs):
             raise AssertionError(f"secrecy called {name}")
         return read
 
-    for name in ("matrices", "branches"):
-        monkeypatch.setattr(quantum_core.CqState, name, property(refuse(f"CqState.{name}")))
-    monkeypatch.setattr(quantum_core.CqState, "from_factors", refuse("CqState.from_factors"))
+    monkeypatch.setattr(quantum_core.CqState, "branches", property(refuse("CqState.branches")))
+    for name in ("from_factors", "_assemble"):
+        monkeypatch.setattr(quantum_core.CqState, name, refuse(f"CqState.{name}"))
     for module, name in ((security_metrics, "_distance"), (security_metrics, "_gaps"), (quantum_core, "_gaps"),
                          (security_metrics, "_optimal_strategy"), (security_metrics, "cq_measure"),
                          (quantum_core, "cq_measure"), (attack_lab, "build_attack_state")):

@@ -575,11 +575,8 @@ def _oracle_state(kind: str, arg: int) -> CqState:
         return CqState(2, {"01": (0.0, rand_density(rng, 2)), PERP: (1.0, rand_density(rng, 2))})
     if kind == "wide":  # registers past 8192 entries, where a batch of one contracts in a different order
         return CqState(0, {"": (0.75, rand_density(rng, arg)), PERP: (0.25, rand_density(rng, arg))})
-    if kind.startswith("rank"):  # random complex factors of rank 1 or rank d + 1, wider than d
-        shape = (4, 4, 1 if kind == "rank1" else 5)
-        w = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        w /= np.linalg.norm(w, axis=(1, 2))[:, None, None]
-        return CqState.from_factors(2, ["00", "01", "11", PERP], rng.dirichlet(np.ones(4)), w)
+    if kind.startswith("rank"):
+        return _factor_state(kind, arg)[0]
     return build_attack_state(arg).cq
 
 
@@ -620,14 +617,20 @@ def _weighted_or_zero(cq: CqState, label: str) -> np.ndarray:
     return p * rho.matrix
 
 
-def _factor_state(kind: str, arg: int) -> CqState:
-    """A state built from factors: a random state's branches rebuilt from W = V sqrt(Lambda)
-    (complex, full rank), or random complex factors of rank 1 or rank d + 1, wider than d."""
-    cq = _oracle_state(kind, arg)
+def _factor_state(kind: str, arg: int) -> tuple[CqState, np.ndarray]:
+    """A state built from factors, and its factors W: a random state's branches rebuilt from
+    W = V sqrt(Lambda) (complex, full rank), or random complex factors of rank 1 or rank d + 1,
+    wider than d."""
     if kind.startswith("rank"):
-        return cq
-    w, v = np.linalg.eigh(cq.matrices)
-    return CqState.from_factors(cq.key_len, cq.labels, cq.probs, v * np.sqrt(np.clip(w, 0.0, None))[:, None, :])
+        rng = np.random.default_rng(arg)
+        shape = (4, 4, 1 if kind == "rank1" else 5)
+        w = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        w /= np.linalg.norm(w, axis=(1, 2))[:, None, None]
+        return CqState.from_factors(2, ["00", "01", "11", PERP], rng.dirichlet(np.ones(4)), w), w
+    cq = _oracle_state(kind, arg)
+    lam, v = np.linalg.eigh(cq.matrices)
+    w = v * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]
+    return CqState.from_factors(cq.key_len, cq.labels, cq.probs, w), w
 
 
 _FACTOR_STATES = [("abort", seed) for seed in range(4)] + [("missing", seed) for seed in range(4)]
@@ -636,12 +639,11 @@ _FACTOR_STATES += [("all_abort", 0)] + [(kind, seed) for kind in ("rank1", "rank
 
 @pytest.mark.parametrize("kind, arg", _FACTOR_STATES)
 def test_factor_figures_equal_the_dense_ones(kind, arg):
-    # a state built from factors is scored from its stack, formed on the first read of
-    # matrices: its distance to a scalar ideal (I / d on every label), its strategies'
-    # advantages and its Born tables are the dense oracle's, which reads the ideal's
-    # copies, for that ideal and (not scalar) the canonical one; the Born oracle is
-    # p tr(E W W^dagger), read off the factors themselves
-    cq = _factor_state(kind, arg)
+    # a state built from factors is scored from the stack it formed: its distance to a
+    # scalar ideal (I / d on every label), its strategies' advantages and its Born tables
+    # are the dense oracle's, which reads the ideal's copies, for that ideal and (not
+    # scalar) the canonical one; the Born oracle is p tr(E W W^dagger), read off the factors
+    cq, w = _factor_state(kind, arg)
     mixed = DensityOperator.fully_mixed(cq.dim)
     declared = IdealForm(cq.p_perp, mixed, mixed)
     rules = list(security_metrics._default_rules(cq, 3, arg))
@@ -655,7 +657,6 @@ def test_factor_figures_equal_the_dense_ones(kind, arg):
             got.append(security_metrics._advantage(cq, ideal, strategy))
             want.append(distinguishing_advantage(cq, dense, strategy))
     assert got == pytest.approx(want, abs=1e-12, rel=0)
-    w = cq.factors
     born = np.einsum("kij,bjr,bir->bk", povm.stacked(), w, w.conj()).real
     born *= (cq.probs / np.einsum("bir,bir->b", w, w.conj()).real)[:, None]
     assert np.abs(cq_measure(cq, povm) - born / born.sum()).max() <= 1e-12
@@ -672,7 +673,7 @@ def test_factor_advantages_have_the_bits_of_the_dense_ideals_copies(kind, arg):
     # stop: each advantage read off the ideal's two matrices has the bits of the one
     # scored against the per-label copies of IdealForm.to_cq, for the scalar ideal I / d
     # and for the canonical one, whose rounded average (and a random abort register) is not scalar
-    cq = build_attack_state(arg).cq if kind == "attack" else _factor_state(kind, arg)
+    cq = build_attack_state(arg).cq if kind == "attack" else _factor_state(kind, arg)[0]
     mixed = DensityOperator.fully_mixed(cq.dim)
     for form in (IdealForm(cq.p_perp, mixed, mixed), canonical_ideal(cq)):
         ideal, dense = security_metrics._ideal(cq, form), form.to_cq(cq.key_len)
