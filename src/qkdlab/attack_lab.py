@@ -68,7 +68,6 @@ from .quantum_core import (
 )
 from .security_metrics import (
     IACC_FAMILIES,
-    IACC_FLOOR_BITS,
     IaccSearchResult,
     SecurityReport,
     Strategy,
@@ -509,13 +508,13 @@ def secrecy_reports(
     :func:`_representative` in order until one meets that distance, as
     :func:`~qkdlab.security_metrics.evaluate_cq_security` stops its default stock; the
     label-basis strategy is :func:`parity_strategy`, effect for effect, and meets it.
-    The I_acc search scores the ``declared`` family from :func:`_sign_table`, which meets
-    ``IACC_UPPER_BITS``.  Only ``per_qubit`` needs the state: while that bracket is open
-    (``families`` without ``declared``), :func:`build_attack_state` runs and
-    :func:`~qkdlab.security_metrics.accessible_info_lower` searches it, and only then do
-    ``search_budget`` and ``seed`` matter.  The report equals the evaluator's on the built
-    state with the declared ideal, measurement and I_acc upper end, which the tests keep
-    as the oracle, as they check that the built state is the orbit of W_0.
+    The I_acc search scores the ``declared`` family from :func:`_sign_table`: exactly
+    ``IACC_UPPER_BITS`` at every n, which closes the bracket, so no other family runs.
+    Only ``families`` without ``declared`` need the state: then :func:`build_attack_state`
+    runs and :func:`~qkdlab.security_metrics.accessible_info_lower` searches it, and only
+    then do ``search_budget`` and ``seed`` matter.  The report equals the evaluator's on
+    the built state with the declared ideal, measurement and I_acc upper end, which the
+    tests keep as the oracle, as they check that the built state is the orbit of W_0.
 
     ``correctness`` is the pair that :func:`~qkdlab.security_metrics.correctness_figures`
     scores, so a caller checks it before any figure is scored; None reports 0.  The gap
@@ -528,17 +527,10 @@ def secrecy_reports(
     if not 2 <= n <= MAX_ATTACK_QUBITS:
         raise ValueError(f"n must lie in [2, {MAX_ATTACK_QUBITS}]")
     upper, advantages = _orbit_bracket(_representative(n), n)
-    iacc = IaccSearchResult(0.0, (), "none", 0)
     if "declared" in families:
-        bits = mutual_information(_sign_table(n))
-        found = bits > IACC_FLOOR_BITS  # as accessible_info_lower counts a score
-        iacc = IaccSearchResult(bits if found else 0.0, ("declared",), "declared:even_x_eigenbasis" if found else "none", 1)
-    if "per_qubit" in families and iacc.bits < IACC_UPPER_BITS:
-        search = accessible_info_lower(build_attack_state(n).cq, search_budget, seed, ("per_qubit",),
-                                       upper=IACC_UPPER_BITS)
-        best = search if search.bits > iacc.bits else iacc
-        iacc = IaccSearchResult(best.bits, iacc.family + search.family, best.best_strategy,
-                                iacc.evaluations + search.evaluations)
+        iacc = IaccSearchResult(mutual_information(_sign_table(n)), ("declared",), "declared:even_x_eigenbasis", 1)
+    else:
+        iacc = accessible_info_lower(build_attack_state(n).cq, search_budget, seed, families)
     report = _report(n + 1, correctness or correctness_figures(None), 0.0, upper,
                      advantages, iacc, IACC_UPPER_BITS, search_budget, seed)
     searched = tuple(report.provenance["iacc_family"])

@@ -50,6 +50,8 @@ from .composition_harness import (
     AuctionOutcome,
     AuctionSweep,
     _auction_sweep,
+    _check_bid,
+    _check_modulus_bits,
     attack_otp_advantage,
     biased_key_source,
     otp_application,
@@ -517,6 +519,10 @@ def cmd_rsa_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     seed = _resolve_seed(args, parser)
     rng = np.random.default_rng(seed)
     params = {"auctions": args.auctions, "bid": args.bid, "max_bid": args.max_bid, "modulus_bits": args.modulus_bits}
+    # both bid options are checked whichever mode runs, the running mode's own first
+    _check_modulus_bits(args.modulus_bits)
+    for name in ("bid", "max_bid") if args.auctions == 1 else ("max_bid", "bid"):
+        _check_bid(name, getattr(args, name), args.modulus_bits)
     if args.auctions == 1:
         outcome = rsa_malleability_demo(args.bid, args.modulus_bits, rng)
         _emit(_envelope("rsa-demo", seed, params, outcome.to_json_dict(), args.timestamp), args.out)
@@ -598,7 +604,8 @@ def _rsa_demo_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--auctions", type=_at_most(MAX_AUCTIONS), default=1,
                    help=f"auctions to run, each with a fresh key (at most {MAX_AUCTIONS})")
     p.add_argument("--max-bid", type=int, default=1000)
-    p.add_argument("--modulus-bits", type=int, default=32)
+    p.add_argument("--modulus-bits", type=int, default=32,
+                   help="bits of each toy RSA modulus (16..32, so every product mod n fits in 64 bits)")
 
 
 # Each subcommand: its help line, the function that adds its own arguments, and its command

@@ -722,39 +722,6 @@ def _pow_mod(base: np.ndarray, exponent: np.ndarray, modulus: np.ndarray) -> np.
     return result
 
 
-def _is_miller_rabin_prime_u64(n: np.ndarray) -> np.ndarray:
-    """:func:`is_probable_prime` of every element of the uint64 array ``n``,
-    each of which must be below 2**32, by vector Miller-Rabin.
-
-    Trial division by ``_MR_WITNESSES``, then strong-probable-prime tests to
-    the bases {2, 7, 61}, which are deterministic below 4,759,123,141.  Below
-    2**32 every ``x * x % n`` fits in uint64, so the arithmetic is exact.
-    """
-    if n.size and int(n.max()) >= 2**32:
-        raise ValueError("the vector Miller-Rabin test covers n below 2**32")
-    prime = np.zeros(n.shape, dtype=bool)
-    undecided = n >= 2
-    for p in map(np.uint64, _MR_WITNESSES):
-        prime |= n == p
-        undecided &= n % p != 0
-    m = n[undecided]  # above 37 and odd: n - 1 = d 2^r with d odd and r >= 1
-    minus_one = m - 1
-    lowest_bit = minus_one & (~minus_one + 1)  # 2^r, below 2**32: its log2 is exact
-    r = np.log2(lowest_bit).astype(np.uint64)
-    witness = np.array(_MR_SMALL_WITNESSES, dtype=np.uint64)[:, None] % m  # 0 where a witness is n
-    x = _pow_mod(witness, minus_one >> r, m)
-    passed = (x == 1) | (x == minus_one) | (witness == 0)
-    # Squaring past an element's own r - 1 steps passes no composite: x = n - 1 there
-    # means a^((n - 1) 2^k) = -1 mod n for some k >= 0, so mod each prime factor p the
-    # order of a, a divisor of p - 1, is divisible by 2^(r + k + 1); then every p, and
-    # so n, is 1 mod 2^(r + 1), which contradicts n - 1 = d 2^r with d odd.
-    for _ in range(1, int(r.max(initial=0))):
-        x = x * x % m
-        passed |= x == minus_one
-    prime[undecided] = passed.all(axis=0)
-    return prime
-
-
 _SIEVE_BELOW = 2**16  # every factor of a modulus of at most 32 bits
 
 
@@ -771,19 +738,6 @@ def _prime_table() -> np.ndarray:
     return table
 
 
-def _is_prime_u64(n: np.ndarray) -> np.ndarray:
-    """:func:`is_probable_prime` of every element of the uint64 array ``n``,
-    each of which must be below 2**32.
-
-    When every element is below 2**16, which covers both factors of a modulus
-    of at most 32 bits, this reads :func:`_prime_table`; otherwise it runs
-    :func:`_is_miller_rabin_prime_u64`, which decides every element the same.
-    """
-    if int(n.max(initial=0)) < _SIEVE_BELOW:
-        return _prime_table()[n]
-    return _is_miller_rabin_prime_u64(n)
-
-
 _KEY_CHUNK = 4096  # candidates per factor and draw: memory stays flat in the number of keys
 
 
@@ -794,14 +748,12 @@ def _toy_rsa_factors(count: int, modulus_bits: int, rng: np.random.Generator) ->
 
     Each chunk draws ``modulus_bits`` candidates for p per key still missing, at most
     ``_KEY_CHUNK``, and as many for q, as uint64 arrays uniform over the odd numbers
-    of the factor's bit length, and tests them in one call of :func:`_is_prime_u64`:
-    up to 32 modulus bits both factors are below 2**16 and are read from its sieve,
-    above that they go through vector Miller-Rabin.  The primes among them are
+    of the factor's bit length, and looks them all up in :func:`_prime_table`: with at
+    most 32 modulus bits both factors are below 2**16.  The primes among them are
     paired in draw order, and a pair is kept when p != q, p q has exactly
     ``modulus_bits`` bits and some public exponent below phi is prime to phi (the
     first such one in ``_PUBLIC_EXPONENTS`` is e).  Kept pairs are iid and uniform
-    over the valid (p, q), as a one-pair-at-a-time rejection sampler gives them.  The
-    factors are below 2**32, so p q and phi fit in uint64.
+    over the valid (p, q), as a one-pair-at-a-time rejection sampler gives them.
     """
     half = modulus_bits // 2
     exponents = np.array(_PUBLIC_EXPONENTS, dtype=np.uint64)
@@ -815,7 +767,7 @@ def _toy_rsa_factors(count: int, modulus_bits: int, rng: np.random.Generator) ->
             rng.integers(1 << (bits - 1), 1 << bits, size=size, dtype=np.uint64) | np.uint64(1)
             for bits in (modulus_bits - half, half)
         ])
-        prime = _is_prime_u64(candidates)
+        prime = _prime_table()[candidates]
         p, q = p[prime[0]], q[prime[1]]
         pairs = min(len(p), len(q))
         p, q = p[:pairs], q[:pairs]
@@ -829,14 +781,24 @@ def _toy_rsa_factors(count: int, modulus_bits: int, rng: np.random.Generator) ->
 
 
 def _check_modulus_bits(modulus_bits: int) -> None:
-    """Only 16 to 64 modulus bits are allowed: large enough for the auction
+    """Only 16 to 32 modulus bits are allowed: large enough for the auction
     numbers, small enough to make clear this is a demo of malleability, not of
-    key strength.  Checked before any bid, so the refusal does not depend on one."""
-    if not 16 <= modulus_bits <= 64:
-        raise ValueError("modulus_bits must lie in [16, 64]")
+    key strength, and to keep every product mod n exact in uint64.  Checked
+    before any bid, so the refusal does not depend on one."""
+    if not 16 <= modulus_bits <= 32:
+        raise ValueError("modulus_bits must lie in [16, 32]")
 
 
-def _check_bid(bid: int, modulus_bits: int, name: str) -> None:
+# each bid option's least value and the refusal below it
+_BID_FLOORS = {"bid": (0, "bid must be nonnegative"), "max_bid": (1, "max_bid must be at least 1")}
+
+
+def _check_bid(name: str, bid: int, modulus_bits: int) -> None:
+    """Refuse the bid option ``name`` below its floor, or when twice it may not fit below a
+    modulus of ``modulus_bits`` bits; it depends on no key, so it is checked before any is drawn."""
+    least, message = _BID_FLOORS[name]
+    if bid < least:
+        raise ValueError(message)
     if (2 * bid).bit_length() >= modulus_bits:  # 2 bid < 2^(modulus_bits - 1) <= n, without a huge power
         raise ValueError(f"{name} too large for the modulus")
 
@@ -864,26 +826,18 @@ class AuctionOutcome(JsonRecord):
 
 def _opened_bids(bids: np.ndarray, p: np.ndarray, q: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Bob's opened bid in each auction, textbook RSA's dec(enc(2) enc(bid) mod n) under the
-    key (n = p q, e) with the same index, for uint64 arrays with factors below 2**32.
+    key (n = p q, e) with the same index, for uint64 arrays with every bid below its n.
 
-    The work runs in residue form.  Z_n is Z_p x Z_q (the Chinese remainder theorem),
-    and x -> x^k mod n acts on each residue alone, so encrypting, Bob's product and
-    decrypting mod p and mod q give the residues of the very numbers that textbook RSA
-    mod n gives.  Decryption mod p takes d mod (p - 1) for d = e^-1 mod phi, which
-    leaves x^d mod p unchanged by Fermat (and 0 at 0); Garner's recombination
-    m_q + q ((m_p - m_q) q^-1 mod p), below n, gives the plaintext mod n.  Every
-    residue is below 2**32, so each product is exact in uint64, and so is the
-    recombination, below n <= 2**64.  Bob's factor enc(2) uses only the public
-    (n, e), and no ciphertext value leaves this function.
+    Alice encrypts, Bob forges and the auctioneer decrypts mod n with d = e^-1 mod phi.
+    n is below 2**32, so every product mod n is exact in uint64.  Bob's factor enc(2)
+    uses only the public (n, e), and no ciphertext value leaves this function.
     """
+    n = p * q
     phi = (p - 1) * (q - 1)
     d = np.array(list(map(pow, e.tolist(), itertools.repeat(-1), phi.tolist())), dtype=np.uint64)
-    moduli = np.stack([p, q])
-    sealed = _pow_mod(bids % moduli, e, moduli)  # Alice's enc(bid)
-    forged = _pow_mod(np.uint64(2) % moduli, e, moduli) * sealed % moduli  # enc(2) enc(bid)
-    opened_p, opened_q = _pow_mod(forged, d % (moduli - 1), moduli)
-    q_inverse = _pow_mod(q % p, p - 2, p)  # Fermat: p is prime
-    return opened_q + q * ((opened_p + p - opened_q % p) % p * q_inverse % p)
+    sealed = _pow_mod(bids, e, n)  # Alice's enc(bid)
+    forged = _pow_mod(np.full_like(n, 2), e, n) * sealed % n  # enc(2) enc(bid)
+    return _pow_mod(forged, d, n)
 
 
 @dataclass(frozen=True)
@@ -931,9 +885,7 @@ def rsa_malleability_demo(bid: int, modulus_bits: int = 32, rng: np.random.Gener
     drawn, so the refusal does not depend on the seed.
     """
     _check_modulus_bits(modulus_bits)
-    if bid < 0:
-        raise ValueError("bid must be nonnegative")
-    _check_bid(bid, modulus_bits, "bid")
+    _check_bid("bid", bid, modulus_bits)
     factors = _toy_rsa_factors(1, modulus_bits, np.random.default_rng() if rng is None else rng)
     return _auctions(np.array([bid]), *factors).outcomes()[0]
 
@@ -955,9 +907,7 @@ def _auction_sweep(
     _check_modulus_bits(modulus_bits)
     if num_auctions < 1:
         raise ValueError("need at least one auction")
-    if max_bid < 1:
-        raise ValueError("max_bid must be at least 1")
-    _check_bid(max_bid, modulus_bits, "max_bid")
+    _check_bid("max_bid", max_bid, modulus_bits)
     rng = np.random.default_rng() if rng is None else rng
     bids = rng.integers(1, max_bid + 1, size=num_auctions)
     return _auctions(bids, *_toy_rsa_factors(num_auctions, modulus_bits, rng))

@@ -841,6 +841,23 @@ def test_sign_table_is_the_declared_bases_born_table(n):
     assert (table[odd] == cq.probs[odd, None] / 2**n).all()
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_declared_figure_is_exactly_the_upper_end(monkeypatch, n):
+    # mutual_information(_sign_table(n)) is 0x1p-1 = IACC_UPPER_BITS, so the declared
+    # family closes the bracket and no state is built or searched beside it
+    assert mutual_information(attack_lab._sign_table(n)).hex() == attack_lab.IACC_UPPER_BITS.hex() == (0.5).hex()
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the per-qubit search ran")
+
+    monkeypatch.setattr(attack_lab, "build_attack_state", unused)
+    monkeypatch.setattr(attack_lab, "accessible_info_lower", unused)
+    for families in (("declared",), ("declared", "per_qubit"), ("per_qubit", "declared")):
+        report, gap = attack_lab.secrecy_reports(n, families=families)
+        assert report.iacc_lower_bits == gap.iacc_upper_bits == 0.5
+        assert report.provenance["iacc_family"] == ["declared"]
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_gap_report_alone_equals_the_shared_one(n):
     # the reports read the state's factors; the dense oracle reads its stack,

@@ -644,18 +644,13 @@ def test_is_probable_prime_rejects_carmichael_numbers():
         assert not is_probable_prime(n)
 
 
-def test_vector_prime_test_rejects_pseudoprimes_and_guards_its_domain():
+def test_is_probable_prime_rejects_strong_pseudoprimes():
     # Carmichael numbers, then the first strong pseudoprimes to the bases {2},
     # {2, 3}, {2, 3, 5} and {2, 3, 5, 7}
-    # (those below 2**16 would reach only the sieve through _is_prime_u64)
     fooling = [561, 1105, 1729, 41041, 825265, 321197185, 2047, 1373653, 25326001, 3215031751]
     assert not any(is_probable_prime(n) for n in fooling)
-    assert not ch._is_miller_rabin_prime_u64(np.array(fooling, dtype=np.uint64)).any()
-    assert not ch._is_prime_u64(np.array(fooling, dtype=np.uint64)).any()
-    assert not ch._is_prime_u64(np.array([2**32 - 1], dtype=np.uint64))[0]  # 3 * 5 * 17 * 257 * 65537
-    assert ch._is_prime_u64(np.array([4294967291], dtype=np.uint64))[0]  # the largest prime below 2**32
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        ch._is_prime_u64(np.array([5, 2**32], dtype=np.uint64))
+    assert not is_probable_prime(2**32 - 1)  # 3 * 5 * 17 * 257 * 65537
+    assert is_probable_prime(4294967291)  # the largest prime below 2**32
 
 
 def test_three_witness_path_is_exact_on_every_odd_n_below_2e6():
@@ -669,25 +664,22 @@ def test_three_witness_path_is_exact_on_every_odd_n_below_2e6():
             sieve[p * p::p] = False
     odd = range(1, limit, 2)
     assert [is_probable_prime(n) for n in odd] == sieve[1::2].tolist()
-    # the vector test, in one call on every n: 0, 1 (where n - 1 has no odd part),
-    # the even numbers and the witnesses 2, 7 and 61 among them
-    assert np.array_equal(ch._is_prime_u64(np.arange(limit, dtype=np.uint64)), sieve)
+    # the key generator's table is this sieve's first 2**16 entries
+    assert np.array_equal(ch._prime_table(), sieve[:2**16])
 
 
-def test_prime_table_is_the_miller_rabin_test_below_2_to_the_16():
-    n = np.arange(2**16, dtype=np.uint64)
-    table = ch._is_prime_u64(n)
-    assert np.array_equal(table, ch._is_miller_rabin_prime_u64(n))
+def test_prime_table_decides_every_factor_below_2_to_the_16():
+    table = ch._prime_table()
+    assert table.shape == (2**16,)
     assert table.tolist() == [sympy.isprime(k) for k in range(2**16)]
-    # one element at or above 2**16 sends the whole array through Miller-Rabin
-    assert ch._is_prime_u64(np.array([65521, 65537], dtype=np.uint64)).tolist() == [True, True]
+    assert table[65521] and not table[65535]  # the largest prime below 2**16, and 3 * 5 * 17 * 257
 
 
 def test_prime_table_is_built_once_per_process():
     ch._prime_table.cache_clear()
     rsa_auction_sweep(50, 32, 1000, np.random.default_rng(5))
     rsa_auction_sweep(50, 24, 1000, np.random.default_rng(6))
-    assert ch._is_prime_u64(np.array([3, 4], dtype=np.uint64)).tolist() == [True, False]
+    assert ch._prime_table()[np.array([3, 4], dtype=np.uint64)].tolist() == [True, False]
     assert ch._prime_table.cache_info().misses == 1
     assert not ch._prime_table().flags.writeable  # every caller shares the one table
 
@@ -696,7 +688,6 @@ def test_three_witness_path_agrees_with_the_12_witness_path(monkeypatch):
     rng = np.random.default_rng(2024)
     odd = (rng.integers(2**31, 2**32, size=100_000) | 1).tolist()
     fast = [is_probable_prime(n) for n in odd]
-    assert ch._is_prime_u64(np.array(odd, dtype=np.uint64)).tolist() == fast
     monkeypatch.setattr(ch, "_MR_SMALL_BELOW", 0)
     assert fast == [is_probable_prime(n) for n in odd]
     assert sum(fast) > 8000  # about 1 in 11 odd 32-bit numbers is prime
@@ -720,7 +711,7 @@ def test_is_probable_prime_range_guard():
 
 def test_toy_rsa_key_properties():
     rng = np.random.default_rng(21)
-    for bits in (16, 32, 48):
+    for bits in (16, 24, 32):
         [key] = _keys(1, bits, rng)
         assert key.modulus_bits == bits
         assert key.n == key.p * key.q
@@ -732,10 +723,10 @@ def test_toy_rsa_key_properties():
             m = int(rng.integers(0, key.n))
             assert rsa_decrypt(key, rsa_encrypt(key, m)) == m
     # the range is checked by the public entry points, before any bid
-    for bits in (15, 65):
-        with pytest.raises(ValueError, match=r"modulus_bits must lie in \[16, 64\]"):
+    for bits in (15, 33, 48, 64, 65):
+        with pytest.raises(ValueError, match=r"modulus_bits must lie in \[16, 32\]"):
             rsa_malleability_demo(10**30, bits, rng)
-        with pytest.raises(ValueError, match=r"modulus_bits must lie in \[16, 64\]"):
+        with pytest.raises(ValueError, match=r"modulus_bits must lie in \[16, 32\]"):
             rsa_auction_sweep(1, bits, 10**30, rng)
 
 
@@ -772,16 +763,6 @@ def test_batched_keys_are_uniform_over_the_valid_factor_pairs(modulus_bits):
     share = 1.0 / len(valid)
     sigma = math.sqrt(draws * share * (1.0 - share))
     assert all(abs(counts[pair] - draws * share) <= 5.0 * sigma for pair in valid)
-
-
-def test_batched_keys_at_64_bits():
-    keys = _keys(1000, 64, np.random.default_rng(64))
-    assert len(keys) == 1000
-    for key in keys:
-        phi = (key.p - 1) * (key.q - 1)
-        assert key.n == key.p * key.q and key.n.bit_length() == 64
-        assert is_probable_prime(key.p) and is_probable_prime(key.q)
-        assert key.e * key.d % phi == 1
 
 
 def test_auction_sweep_draws_keys_in_batches(monkeypatch):
@@ -841,9 +822,9 @@ def test_auction_sweep_bob_always_wins():
         rsa_auction_sweep(2, 16, 0)
 
 
-@pytest.mark.parametrize("modulus_bits", [16, 24, 32, 48, 64])
+@pytest.mark.parametrize("modulus_bits", [16, 24, 32])
 def test_array_auctions_match_the_scalar_rsa_oracle(modulus_bits):
-    # the residue-form batch against pow(c, d, n) on Python ints, key by key
+    # the uint64 batch mod n against pow(c, d, n) on Python ints, key by key
     def opened(key, bid):
         return rsa_decrypt(key, rsa_encrypt(key, 2) * rsa_encrypt(key, bid) % key.n)
 
