@@ -479,9 +479,8 @@ def secrecy_gap_report(
     The secrecy bracket comes from the parity distinguisher (lower) and
     the trace distance to the declared ideal, the register I / 2^n on
     every key (upper); the I_acc bracket from the
-    selected families (clamped to the upper end, where the search stops)
-    and ``IACC_UPPER_BITS``, which :func:`even_x_eigenbasis`, the declared
-    family, attains.  The
+    selected families (clamped to the upper end) and ``IACC_UPPER_BITS``,
+    which :func:`even_x_eigenbasis`, the declared family, attains.  The
     ``ben_or_required_iacc`` field is the threshold ``2^-(key_len + 2)``
     at epsilon = 1, i.e. the accessible information would have to
     exceed it before the sufficiency bound could even flag the state as
@@ -508,13 +507,17 @@ def secrecy_reports(
     :func:`_representative` in order until one meets that distance, as
     :func:`~qkdlab.security_metrics.evaluate_cq_security` stops its default stock; the
     label-basis strategy is :func:`parity_strategy`, effect for effect, and meets it.
-    The I_acc search scores the ``declared`` family from :func:`_sign_table`: exactly
-    ``IACC_UPPER_BITS`` at every n, which closes the bracket, so no other family runs.
+    With ``declared`` among ``families``, the I_acc figure is the declared basis's, read
+    from :func:`_sign_table`: exactly ``IACC_UPPER_BITS`` at every n, which closes the
+    bracket, so no other family runs.
     Only ``families`` without ``declared`` need the state: then :func:`build_attack_state`
     runs and :func:`~qkdlab.security_metrics.accessible_info_lower` searches it, and only
-    then do ``search_budget`` and ``seed`` matter.  The report equals the evaluator's on
-    the built state with the declared ideal, measurement and I_acc upper end, which the
-    tests keep as the oracle, as they check that the built state is the orbit of W_0.
+    then do ``search_budget`` and ``seed`` matter; either I_acc figure is clamped to
+    ``IACC_UPPER_BITS``.  The tests hold every figure to the dense primitives on the
+    built state, bit for bit: the trace distance to the declared ideal's copies, the
+    acceptance of :func:`parity_strategy` on the state and on that ideal, and the mutual
+    information of :func:`even_x_eigenbasis`'s Born table; they check that the built
+    state is the orbit of W_0.
 
     ``correctness`` is the pair that :func:`~qkdlab.security_metrics.correctness_figures`
     scores, so a caller checks it before any figure is scored; None reports 0.  The gap

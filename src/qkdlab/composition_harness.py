@@ -497,18 +497,42 @@ def _random_bits(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
     return rng.integers(0, 2, size=(trials, n))
 
 
+# Every C(k, j) is a finite float up to this length; C(1030, 515) is past 2^1024
+_TV_TERMS_MAX_LEN = 1029
+
+
 def iid_bits_total_variation(key_len: int, p_zero: float) -> float:
     """Exact TV distance between iid-biased and uniform key strings.
 
-    Grouped over the number of zeros, so it stays cheap for any length.
+    Grouped over the number j of zeros, so it stays cheap for any length: half the sum
+    over j of C(k, j) |p^j (1 - p)^(k - j) - 2^-k|.  Past ``_TV_TERMS_MAX_LEN`` bits, where
+    C(k, j) leaves the float range and 2^-k underflows, it is half the L1 distance
+    between the laws of j, Binomial(k, p_zero) and Binomial(k, 1/2) (:func:`_binomial_pmf`).
     """
     if not 0.0 <= p_zero <= 1.0:
         raise ValueError("p_zero must lie in [0, 1]")
+    if key_len > _TV_TERMS_MAX_LEN:
+        return 0.5 * math.fsum(np.abs(_binomial_pmf(key_len, p_zero) - _binomial_pmf(key_len, 0.5)))
     u = 0.5**key_len
     return 0.5 * math.fsum(
         math.comb(key_len, j) * abs(p_zero**j * (1.0 - p_zero) ** (key_len - j) - u)
         for j in range(key_len + 1)
     )
+
+
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    """P[j] of Binomial(n, p) for j = 0..n, with no factorial or power that could overflow or
+    underflow: the ratios of successive terms are multiplied out from the mode, scaled to 1,
+    in both directions and divided by their sum.  A term t steps from the mode is within
+    about 3t ulps of its value, and the terms that carry the mass lie within a few sqrt(n)."""
+    if p in (0.0, 1.0):
+        return np.eye(1, n + 1, round(p * n))[0]  # j = 0 or j = n for sure
+    j = np.arange(n + 1, dtype=float)
+    mode, odds = min(n, math.floor((n + 1) * p)), p / (1.0 - p)
+    up = np.cumprod((n - j[mode:-1]) / (j[mode:-1] + 1.0) * odds)  # P[j + 1] / P[mode]
+    down = np.cumprod(j[mode:0:-1] / (n - j[mode:0:-1] + 1.0) / odds)  # P[j - 1] / P[mode]
+    weights = np.concatenate((down[::-1], [1.0], up))
+    return weights / math.fsum(weights)
 
 
 def perfect_key_source(key_len: int) -> ProtocolPair:

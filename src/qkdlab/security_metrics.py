@@ -7,8 +7,8 @@ and the adversary register:
 * robustness (abort probability),
 * secrecy, between the best explicit-distinguisher advantage and the
   trace distance to a canonical ideal state (an upper bound),
-* an accessible-information lower bound, the best of the measurements
-  that the state's builder declares and a per-qubit search,
+* an accessible-information lower bound, from a search over per-qubit
+  product measurements,
 * the Ben-Or style sufficiency threshold relating accessible
   information to a secrecy epsilon, and
 * the union-bound total epsilon.
@@ -547,31 +547,19 @@ def accessible_info_lower(
     search_budget: int = 64,
     rng_seed: int = 0,
     families: Sequence[str] = IACC_FAMILIES,
-    declared: Mapping[str, Povm] = MappingProxyType({}),
-    *,
-    upper: float = math.inf,
 ) -> IaccSearchResult:
     """Lower-bound the accessible information ``max_Z I(S : Z)`` by search.
 
-    Two measurement families are tried (either can be selected), each
-    only while the bracket is open: once the best score reaches ``upper``,
-    a known upper end on the accessible information, no later family is
-    searched (nor tagged in ``family`` or counted in ``evaluations``),
-    since none could move a figure clamped to ``upper``:
-
-    * ``declared``: the named POVMs in ``declared``, which the state's
-      builder supplies from its structure; they are scored first.
-    * ``per_qubit``: products of computational / diagonal / Breidbart
-      single-qubit bases when the register is a qubit register.  The
-      3^n family is enumerated exhaustively while the estimated work
-      stays under ``EXHAUSTIVE_WORK_CAP``; beyond that, ``search_budget``
-      members are sampled.  The exhaustive family is ranked by the
-      prefix-tree kernel :func:`product_born_tables`; each member within
-      ``RESCORE_MARGIN_BITS`` of its best is then re-scored by the dense
-      Born rule in enumeration order, so the reported figure and
-      strategy are those of the dense search over all 3^n members.  The
-      re-scoring is skipped when the kernel's best plus that margin
-      cannot beat the figure already in hand.
+    Of the families in ``families``, the search runs ``per_qubit``: products of
+    computational / diagonal / Breidbart single-qubit bases when the register is a
+    qubit register.  The 3^n family is enumerated exhaustively while the estimated
+    work stays under ``EXHAUSTIVE_WORK_CAP``; beyond that, ``search_budget`` members
+    are sampled.  The exhaustive family is ranked by the prefix-tree kernel
+    :func:`product_born_tables`; each member within ``RESCORE_MARGIN_BITS`` of its best
+    is then re-scored by the dense Born rule in enumeration order, so the reported
+    figure and strategy are those of the dense search over all 3^n members.
+    ``declared`` names a measurement that a state's builder scores itself, in closed
+    form (``attack_lab.secrecy_reports``); the search has none to score, so it skips it.
 
     Every candidate is scored by the exact mutual information of the
     induced joint distribution, so the maximum found is a certified
@@ -581,42 +569,26 @@ def accessible_info_lower(
     """
     if search_budget <= 0:
         raise ValueError("search_budget must be positive")
-    if not upper >= 0.0:
-        raise ValueError(f"upper={upper!r} must be nonnegative")
     if cq.dim > DEFAULT_DIM_CAP:
         raise ValueError(f"register dimension {cq.dim} exceeds cap {DEFAULT_DIM_CAP}")
     check_families(families)
 
-    best_bits = IACC_FLOOR_BITS
-    best_desc = "none"
-    evaluations = 0
-    searched: list[str] = []
-
-    if "declared" in families and declared and best_bits < upper:
-        searched.append("declared")
-        evaluations += len(declared)
-        for name, povm in declared.items():
-            bits = _povm_information(cq, povm)
-            if bits > best_bits:
-                best_bits, best_desc = bits, f"declared:{name}"
-
+    best_bits, best_desc, evaluations, searched = IACC_FLOOR_BITS, "none", 0, ()
     nq = cq.dim.bit_length() - 1
-    if "per_qubit" in families and cq.dim == 2**nq and nq >= 1 and best_bits < upper:
+    if "per_qubit" in families and cq.dim == 2**nq and nq >= 1:
         basis_names = list(QUBIT_BASIS_ANGLES)
         work = (3**nq) * len(cq.labels) * (2**nq) * cq.dim
         if work <= EXHAUSTIVE_WORK_CAP:
-            searched.append("per_qubit_exhaustive")
+            searched = ("per_qubit_exhaustive",)
             assignments = list(itertools.product(basis_names, repeat=nq))
             ranked = _product_information(cq, list(QUBIT_BASIS_ANGLES.values()))
-            top = ranked.max()
-            tied = ranked >= top - RESCORE_MARGIN_BITS
-            rescored = itertools.compress(assignments, tied) if top + RESCORE_MARGIN_BITS > best_bits else ()
+            rescored = itertools.compress(assignments, ranked >= ranked.max() - RESCORE_MARGIN_BITS)
         else:
-            searched.append("per_qubit_sampled")
+            searched = ("per_qubit_sampled",)
             rng = np.random.default_rng(rng_seed)
             assignments = [tuple(basis_names[i] for i in rng.integers(0, 3, size=nq)) for _ in range(search_budget)]
             rescored = assignments
-        evaluations += len(assignments)
+        evaluations = len(assignments)
         for names in rescored:
             bits = _povm_information(cq, product_qubit_povm([QUBIT_BASIS_ANGLES[b] for b in names]))
             if bits > best_bits:
@@ -624,7 +596,7 @@ def accessible_info_lower(
 
     return IaccSearchResult(
         bits=0.0 if best_desc == "none" else best_bits,
-        family=tuple(searched),
+        family=searched,
         best_strategy=best_desc,
         evaluations=evaluations,
     )
@@ -687,9 +659,6 @@ def evaluate_cq_security(
     seed: int = 0,
     iacc_families: Sequence[str] = IACC_FAMILIES,
     correctness=None,
-    iacc_declared: Mapping[str, Povm] = MappingProxyType({}),
-    iacc_upper: float = math.inf,
-    ideal_form: IdealForm | None = None,
 ) -> SecurityReport:
     """Assemble a full :class:`SecurityReport` for a cq-state.
 
@@ -699,31 +668,26 @@ def evaluate_cq_security(
     the provenance.  The total epsilon uses the conservative end of the
     secrecy bracket.
 
-    The :func:`default_strategies` stock is scored in order only until an
+    The secrecy bracket is taken against the canonical ideal
+    (:func:`canonical_ideal`); the state is laid out against it once
+    (:func:`_ideal`), and every secrecy figure reads that layout.  The
+    :func:`default_strategies` stock is scored in order only until an
     advantage reaches the trace distance (the upper end), so
     ``num_random_strategies`` and ``seed`` matter only while the secrecy
     bracket is open; ``strategy_count`` in the provenance counts the
-    strategies scored.
-
-    The last three knobs are those a state's builder sets.
-    ``iacc_declared`` is passed to the search as its declared
-    measurements, and the reported I_acc lower end is clamped to a known
-    upper end ``iacc_upper``, at which the search also stops.  The secrecy
-    bracket is taken against ``ideal_form``, a declared ideal (the upper end
-    bounds epsilon, a minimum over ideals, whichever is given), by default
-    the canonical one; the state is laid out against it once
-    (:func:`_ideal`), and every secrecy figure reads that layout.  A caller
-    reporting more figures on the same state reads them off the report and
-    its provenance, which name the search's families, best strategy, budget
-    and seed.
+    strategies scored.  The I_acc lower end is :func:`accessible_info_lower`
+    over ``iacc_families``, whose families, best strategy, budget and seed
+    the provenance names.  No command calls the evaluator: it is the
+    general dense path, and ``attack_lab.secrecy_reports`` scores the attack
+    key from closed forms.
     """
     # malformed correctness figures fail before any epsilon work
     correct = correctness_figures(correctness)
-    ideal = _ideal(cq, ideal_form)
+    ideal = _ideal(cq)
     upper = _distance(cq, ideal)
     advantages = list(_default_advantages(cq, ideal, num_random_strategies, seed, upper=upper))
-    iacc = accessible_info_lower(cq, search_budget, seed, iacc_families, declared=iacc_declared, upper=iacc_upper)
-    return _report(cq.key_len, correct, cq.p_perp, upper, advantages, iacc, iacc_upper, search_budget, seed)
+    iacc = accessible_info_lower(cq, search_budget, seed, iacc_families)
+    return _report(cq.key_len, correct, cq.p_perp, upper, advantages, iacc, math.inf, search_budget, seed)
 
 
 def _report(
@@ -740,7 +704,8 @@ def _report(
     """The :class:`SecurityReport` of figures scored elsewhere, by :func:`evaluate_cq_security` or
     from one branch per orbit (``attack_lab.secrecy_reports``): ``correctness`` the pair of
     :func:`correctness_figures`, the trace distance ``upper`` to the ideal, the ``advantages``
-    scored, and the I_acc search ``iacc``, whose figure is clamped to ``iacc_upper``."""
+    scored, and the I_acc search ``iacc``, whose figure is clamped to ``iacc_upper``, a known
+    upper end on the accessible information (``math.inf`` where none is known)."""
     eps_c, source = correctness
     return SecurityReport(
         key_len=key_len,

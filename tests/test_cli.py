@@ -1657,6 +1657,15 @@ def test_biased_otp_at_its_tight_bound_is_no_finding(capsys, seed):
     assert code == EXIT_OK and payload["result"]["all_within_bound"] is True
 
 
+def test_biased_otp_runs_on_a_message_past_1029_bits(capsys):
+    # the declared epsilon of a 1100-bit biased key is its total variation, whose grouped
+    # terms leave the float range from 1030 bits; the run ends in a verdict, not a usage error
+    code, payload, err = run_json(capsys, ["verify-composition", "--example", "biased-otp", "--mode", "sample",
+                                           "--trials", "100", "--message", "1" * 1100])
+    assert code in (EXIT_OK, EXIT_FINDING) and err == ""
+    assert payload["result"]["eps_source"] == composition_harness.iid_bits_total_variation(1100, 0.6)
+
+
 def test_rsa_demo_single(capsys):
     code, payload, _ = run_json(capsys, ["rsa-demo", "--bid", "123", "--seed", "4"])
     assert code == EXIT_OK

@@ -5,6 +5,7 @@ import re
 import zlib
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -117,6 +118,45 @@ def test_iid_bits_total_variation_brute_force(key_len, p_zero):
         for v in range(2**key_len)
     )
     assert iid_bits_total_variation(key_len, p_zero) == pytest.approx(want, abs=1e-12)
+
+
+def _tv_oracle(key_len: int, p_zero: float) -> float:
+    """The total variation of iid_bits_total_variation to 50 digits: each C(k, j) an exact
+    integer, the powers of p and 1 - p running products."""
+    with mpmath.workdps(50):
+        p, q, u = mpmath.mpf(p_zero), 1 - mpmath.mpf(p_zero), mpmath.mpf(2) ** -key_len
+        q_powers = [mpmath.mpf(1)]
+        for _ in range(key_len):
+            q_powers.append(q_powers[-1] * q)
+        comb, p_power, total = 1, mpmath.mpf(1), mpmath.mpf(0)
+        for j in range(key_len + 1):
+            total += comb * abs(p_power * q_powers[key_len - j] - u)
+            comb, p_power = comb * (key_len - j) // (j + 1), p_power * p
+        return float(total / 2)
+
+
+@pytest.mark.parametrize("key_len", [1030, 1100, 2500, 10**4])
+@pytest.mark.parametrize("p_zero", [0.0, 0.5, 1.0, 0.6, 0.499, 0.5000001, 1e-3])
+def test_iid_bits_total_variation_past_the_float_range_of_its_terms(key_len, p_zero):
+    # from 1030 bits some C(k, j) is past 2^1024 and 2^-k underflows; the distance is still
+    # within 1e-12 of the 50-digit sum, exactly 0 at p = 1/2 and 1 at p = 0 and p = 1
+    got = iid_bits_total_variation(key_len, p_zero)
+    assert abs(got - _tv_oracle(key_len, p_zero)) <= 1e-12
+    if p_zero in (0.0, 0.5, 1.0):
+        assert got == float(p_zero != 0.5)
+
+
+def test_iid_bits_total_variation_sums_its_terms_up_to_1029_bits():
+    # the grouped sum runs while every C(k, j) is a finite float, and gives its own bits
+    assert float(math.comb(1029, 514)) < math.inf
+    with pytest.raises(OverflowError):
+        float(math.comb(1030, 515))
+    for key_len, p_zero in ((1029, 0.6), (1029, 0.5), (700, 0.499), (1, 0.6)):
+        terms = 0.5 * math.fsum(
+            math.comb(key_len, j) * abs(p_zero**j * (1.0 - p_zero) ** (key_len - j) - 0.5**key_len)
+            for j in range(key_len + 1)
+        )
+        assert iid_bits_total_variation(key_len, p_zero).hex() == terms.hex()
 
 
 # ---------------------------------------------------------------------------

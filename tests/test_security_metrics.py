@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -18,7 +19,7 @@ from conftest import (
     to_density,
 )
 from qkdlab import quantum_core, security_metrics
-from qkdlab.attack_lab import build_attack_state, even_x_eigenbasis, parity_strategy
+from qkdlab.attack_lab import build_attack_state, parity_strategy
 from qkdlab.quantum_core import (
     PERP,
     CqState,
@@ -32,6 +33,7 @@ from qkdlab.quantum_core import (
 )
 from qkdlab.security_metrics import (
     QUBIT_BASIS_ANGLES,
+    IaccSearchResult,
     IdealForm,
     SecurityReport,
     Strategy,
@@ -527,41 +529,27 @@ def test_rounding_noise_is_not_reported_as_information(monkeypatch, branches):
     assert noise.evaluations == got.evaluations
 
 
-def test_declared_measurements_are_scored_first_and_skip_hopeless_rescoring(monkeypatch):
+def test_search_skips_the_declared_family_and_rescores_every_per_qubit_tie(monkeypatch):
+    # the declared measurement is scored by its state's builder: the library search has
+    # none, so a search of that family alone does nothing.  On the attack state the
+    # exhaustive per-qubit family ranks its 27 members and re-scores its 8 tied best ones
     cq = build_attack_state(3).cq
+    assert accessible_info_lower(cq, families=("declared",)) == IaccSearchResult(0.0, (), "none", 0)
     calls = []
     monkeypatch.setattr(security_metrics, "cq_measure", lambda *args: calls.append(1) or cq_measure(*args))
-    declared = {"computational": standard_basis_povm(8), "even_x": even_x_eigenbasis(3)}
-    got = accessible_info_lower(cq, declared=declared)
-    assert got.family == ("declared", "per_qubit_exhaustive")
-    assert got.best_strategy == "declared:even_x" and got.bits == pytest.approx(0.5, abs=1e-12)
-    assert got.evaluations == 2 + 27 and len(calls) == 2  # no per-qubit tie can reach 1/2 bit
-    # a declared figure below the per-qubit best leaves the tie re-scoring in place
-    calls.clear()
-    low = accessible_info_lower(cq, declared={"trivial": Povm((("0", np.eye(8)),))})
-    assert low.best_strategy.startswith("per_qubit:") and len(calls) == 1 + 8
-    # without candidates the family does not apply; without the family they are ignored
-    assert accessible_info_lower(cq, families=("declared",)).family == ()
-    assert accessible_info_lower(cq, families=("per_qubit",), declared=declared).best_strategy != "declared:even_x"
+    got = accessible_info_lower(cq)
+    assert (got.family, got.evaluations, len(calls)) == (("per_qubit_exhaustive",), 27, 8)
+    assert got.best_strategy.startswith("per_qubit:")
 
 
-def test_iacc_search_stops_once_it_meets_the_upper_end():
-    cq = build_attack_state(3).cq
-    declared = {"even_x": even_x_eigenbasis(3)}
-    closed = accessible_info_lower(cq, declared=declared, upper=0.5)
-    assert (closed.family, closed.evaluations, closed.best_strategy) == (("declared",), 1, "declared:even_x")
-    full = accessible_info_lower(cq, declared=declared)
-    assert full.family == ("declared", "per_qubit_exhaustive") and full.bits == closed.bits
-    # an end the declared basis does not reach leaves the per-qubit family in place,
-    # and so does an upper end without a declared basis
-    assert accessible_info_lower(cq, declared=declared, upper=0.75).family == full.family
-    assert accessible_info_lower(cq, families=("per_qubit",), upper=0.5).evaluations == 27
-    # a zero upper end leaves nothing to search: 0 bits is already certified
-    nothing = accessible_info_lower(cq, declared=declared, upper=0.0)
-    assert (nothing.bits, nothing.family, nothing.evaluations) == (0.0, (), 0)
-    for bad in (-0.1, math.nan):
-        with pytest.raises(ValueError, match="upper"):
-            accessible_info_lower(cq, upper=bad)
+def test_the_search_and_the_evaluator_take_no_declared_knob():
+    # the search and the evaluator read the state alone: no declared measurement, I_acc
+    # upper end or ideal is passed in
+    assert list(inspect.signature(accessible_info_lower).parameters) == [
+        "cq", "search_budget", "rng_seed", "families"]
+    parameters = inspect.signature(evaluate_cq_security).parameters
+    assert list(parameters) == ["cq", "num_random_strategies", "search_budget", "seed", "iacc_families", "correctness"]
+    assert all(parameters[name].kind is inspect.Parameter.KEYWORD_ONLY for name in list(parameters)[1:])
 
 
 def _oracle_state(kind: str, arg: int) -> CqState:
