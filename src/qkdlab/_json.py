@@ -1,7 +1,17 @@
-"""One JSON form for the report dataclasses.
+"""The report records and their one JSON form.
 
-The rule: a record's JSON object holds every dataclass field under its
-own name, plus ``"type": JSON_TYPE`` when the class sets that plain class
+A record is a :class:`Record` subclass.  Its fields are the names its class
+body annotates, in order (a ``ClassVar`` annotation names a class attribute
+instead); a field's value in the body is its default, or a :func:`field`
+with an option.  The base serves every record from shared methods, built
+by no generated code: ``__init__`` takes the fields by position or keyword
+and then runs ``__post_init__``; the repr names the fields; a record is
+frozen unless its class says ``frozen=False``; records of one class compare
+and (if frozen) hash by value unless the class says ``eq=False``, which
+keeps identity.
+
+The JSON rule: a record's JSON object holds every field under its own
+name, plus ``"type": JSON_TYPE`` when the class sets that plain class
 attribute; an optional field (default None) is left out while it is None.
 Mappings become dicts, tuples and lists become lists, and a nested record
 becomes its own object, all recursively.
@@ -9,20 +19,132 @@ becomes its own object, all recursively.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 from collections.abc import Mapping
-from typing import Any, ClassVar
+from typing import Any, Callable, ClassVar
+
+_MISSING = object()  # a field with no default
 
 
-@functools.cache
-def _fields(cls: type) -> tuple[tuple[str, bool], ...]:  # (name, optional)
-    return tuple((f.name, f.default is None) for f in dataclasses.fields(cls))
+class Field:
+    """One field of a record: its default (``_MISSING`` if none), or the factory that makes
+    one for each record, whether ``__init__`` takes it, and whether the repr shows it."""
+
+    __slots__ = ("default", "default_factory", "init", "repr")
+
+    def __init__(self, default: Any = _MISSING, default_factory: Callable[[], Any] | None = None,
+                 init: bool = True, repr: bool = True):
+        self.default = default
+        self.default_factory = default_factory
+        self.init = init
+        self.repr = repr
 
 
-def json_keys(cls: type) -> tuple[str, ...]:
+def field(*, default_factory: Callable[[], Any] | None = None, init: bool = True, repr: bool = True) -> Field:
+    """A field with an option, for a record's class body: ``default_factory`` makes each record's
+    default, ``init=False`` leaves the value to ``__post_init__``, ``repr=False`` keeps it out of the repr."""
+    return Field(_MISSING, default_factory, init, repr)
+
+
+def _values(self: Record) -> tuple:
+    return tuple([getattr(self, name) for name in self._fields])
+
+
+def _eq(self: Record, other: object) -> bool:
+    if other.__class__ is self.__class__:
+        return _values(self) == _values(other)
+    return NotImplemented
+
+
+def _hash(self: Record) -> int:
+    return hash(_values(self))
+
+
+def _frozen_setattr(self: Record, name: str, value: Any) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: Record, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Record:
+    """Base of the records: reads each subclass's fields once, when the class is made
+    (see the module docstring).  A class that defines its own ``__init__`` keeps it."""
+
+    _fields: ClassVar[dict[str, Field]] = {}  # the field table, in order
+    _init_names: ClassVar[tuple[str, ...]] = ()  # the fields __init__ takes, in order
+
+    def __init_subclass__(cls, *, frozen: bool = True, eq: bool = True, **kwargs: Any):
+        super().__init_subclass__(**kwargs)
+        fields = dict(cls._fields)
+        for name, annotation in vars(cls).get("__annotations__", {}).items():
+            if str(annotation).startswith(("ClassVar", "typing.ClassVar")):
+                continue
+            value = vars(cls).get(name, _MISSING)
+            if isinstance(value, Field):
+                delattr(cls, name)  # the class keeps a plain default only
+            else:
+                value = Field(value)
+            fields[name] = value
+        cls._fields = fields
+        cls._init_names = tuple(name for name, f in fields.items() if f.init)
+        if frozen:
+            cls.__setattr__ = _frozen_setattr
+            cls.__delattr__ = _frozen_delattr
+        if eq:
+            cls.__eq__ = _eq
+            cls.__hash__ = _hash if frozen else None
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        names = self._init_names
+        self.__dict__.update(zip(names, args))  # the common call: every field by position
+        if kwargs or len(args) != len(names):
+            self._init_rest(args, kwargs)
+        self.__post_init__()
+
+    def _init_rest(self, args: tuple, kwargs: dict) -> None:
+        # the rest of __init__: keywords, defaults and factories, and the argument errors
+        cls = type(self)
+        names = cls._init_names
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} positional arguments but {len(args)} were given")
+        for name in names[: len(args)]:
+            if name in kwargs:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+        values, fields = self.__dict__, cls._fields
+        for name in names[len(args) :]:
+            value = kwargs.pop(name, _MISSING)
+            if value is _MISSING:
+                f = fields[name]
+                if f.default is not _MISSING:
+                    value = f.default
+                elif f.default_factory is not None:
+                    value = f.default_factory()
+                else:
+                    raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+            values[name] = value
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {next(iter(kwargs))!r}")
+
+    def __post_init__(self) -> None:
+        """Checks and derived fields, run once ``__init__`` has set the fields; none here."""
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name, f in self._fields.items() if f.repr])
+        return f"{type(self).__qualname__}({fields})"
+
+    def _asdict(self) -> dict[str, Any]:
+        """The fields by name, in order."""
+        return {name: getattr(self, name) for name in self._fields}
+
+    def _replace(self, **changes: Any) -> Record:
+        """A new record with ``changes`` to the fields ``__init__`` takes; ``__post_init__`` runs again."""
+        return type(self)(**{**{name: getattr(self, name) for name in self._init_names}, **changes})
+
+
+def json_keys(cls: type[Record]) -> tuple[str, ...]:
     """The keys of a ``cls`` record's JSON object, with every field set, in ``sort_keys`` order."""
-    names = [name for name, _ in _fields(cls)]
+    names = list(cls._fields)
     return tuple(sorted(names if getattr(cls, "JSON_TYPE", None) is None else [*names, "type"]))
 
 
@@ -38,15 +160,15 @@ def _plain(value: Any) -> Any:
     return value
 
 
-class JsonRecord:
-    """Mixin for a dataclass whose JSON form is its fields (see the module docstring)."""
+class JsonRecord(Record):
+    """A record whose JSON form is its fields (see the module docstring)."""
 
     JSON_TYPE: ClassVar[str | None] = None
 
     def to_json_dict(self) -> dict:
         data = {} if self.JSON_TYPE is None else {"type": self.JSON_TYPE}
-        for name, optional in _fields(type(self)):
+        for name, f in self._fields.items():
             value = getattr(self, name)
-            if not (optional and value is None):
+            if not (value is None and f.default is None):
                 data[name] = _plain(value)
         return data

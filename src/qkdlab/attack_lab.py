@@ -51,12 +51,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._json import JsonRecord
+from ._json import JsonRecord, Record
 from .quantum_core import (
     CqState,
     Povm,
@@ -140,8 +139,7 @@ _ZX = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])  # Z for k
 _I_POWERS = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])  # Re and Im of i^k, k = 0..3
 
 
-@dataclass(frozen=True, eq=False)
-class AttackState:
+class AttackState(Record, eq=False):
     """The counterexample state for ``n`` register qubits (key length n+1)."""
 
     n: int
@@ -251,8 +249,7 @@ def _complete_pads(prefix: np.ndarray, parity) -> np.ndarray:
     return np.concatenate((prefix, last[:, None]), axis=1)
 
 
-@dataclass(frozen=True)
-class AttackTranscript:
+class AttackTranscript(Record):
     n: int
     message: tuple[int, ...]
     key: tuple[int, ...]
@@ -448,7 +445,6 @@ def parity_guess_curve_csv(n_max: int) -> str:
     return "n,parity_guess_probability\r\n" + "".join("%s,%s\r\n" % row for row in parity_guess_curve(n_max))
 
 
-@dataclass(frozen=True)
 class SecrecyGapReport(JsonRecord):
     """Side-by-side: what I_acc suggests vs what a distinguisher achieves; all but
     ``ben_or_required_iacc`` and ``iacc_upper_bits`` is the security report's (:func:`secrecy_reports`)."""

@@ -27,12 +27,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._json import JsonRecord
+from ._json import JsonRecord, Record, field
 from .attack_lab import _bit_rows, _bits_from, _chunk_rows, _otp_rounds
 from .security_metrics import _cp_upper
 
@@ -92,8 +91,7 @@ def _merge(codes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return codes, np.bincount(inverse, weights=weights, minlength=len(codes))
 
 
-@dataclass(frozen=True, eq=False)
-class SampleTable:
+class SampleTable(Record, eq=False):
     """An exact distribution: distinct samples (packed row codes, the key
     and then each view ``widths`` bits wide) with their probabilities."""
 
@@ -117,8 +115,7 @@ def _table(bits: np.ndarray, weights, widths: Sequence[int]) -> SampleTable:
     return SampleTable(_row_codes(bits), np.full(len(bits), weights, dtype=np.float64), tuple(widths))
 
 
-@dataclass(frozen=True)
-class ProtocolPair:
+class ProtocolPair(Record):
     """A real/ideal pair of systems emitting (key, view) samples.
 
     ``real_run(rng, trials)``/``ideal_run(rng, trials)`` draw ``trials``
@@ -170,8 +167,7 @@ class ProtocolPair:
         return self._exact[1]
 
 
-@dataclass(frozen=True)
-class KeyApplication:
+class KeyApplication(Record):
     """A protocol consuming a key, given as key-conditioned real/ideal runs.
 
     ``real_run(keys, rng)`` maps a (trials, key_len) 0/1 key array to
@@ -198,15 +194,13 @@ class KeyApplication:
             raise ValueError("key_len must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Distinguisher:
+class Distinguisher(Record):
     """A named test: ``decide(keys, views)`` takes :data:`Samples`, gives one bool per row."""
 
     name: str
     decide: Decide
 
 
-@dataclass(frozen=True)
 class AdvantageEstimate(JsonRecord):
     """|P_real(accept) - P_ideal(accept)| and its ``half_width``: the
     advantage minus its certified lower end (0 in exact mode)."""
@@ -382,7 +376,6 @@ def compose(source: ProtocolPair, app: KeyApplication) -> ProtocolPair:
     )
 
 
-@dataclass(frozen=True)
 class DistinguisherRow(JsonRecord):
     """Per-distinguisher outcome of a composition check.
 
@@ -404,7 +397,6 @@ class DistinguisherRow(JsonRecord):
     within_bound: bool
 
 
-@dataclass(frozen=True)
 class CompositionReport(JsonRecord):
     JSON_TYPE = "composition_report"
 
@@ -827,7 +819,6 @@ def _check_bid(name: str, bid: int, modulus_bits: int) -> None:
         raise ValueError(f"{name} too large for the modulus")
 
 
-@dataclass(frozen=True)
 class AuctionOutcome(JsonRecord):
     """One sealed-bid auction where the second bidder doubles the first bid.
 
@@ -864,8 +855,7 @@ def _opened_bids(bids: np.ndarray, p: np.ndarray, q: np.ndarray, e: np.ndarray) 
     return _pow_mod(forged, d, n)
 
 
-@dataclass(frozen=True)
-class _Auctions:
+class _Auctions(Record):
     """Auctions as columns, one element per auction: its key's modulus ``n = p q``
     and exponent ``e``, Alice's bid, Bob's opened bid, whether his forgery doubled
     hers, and the winner ("bob", "tie" or "alice")."""
@@ -914,7 +904,6 @@ def rsa_malleability_demo(bid: int, modulus_bits: int = 32, rng: np.random.Gener
     return _auctions(np.array([bid]), *factors).outcomes()[0]
 
 
-@dataclass(frozen=True)
 class AuctionSweep(JsonRecord):
     JSON_TYPE = "auction_sweep"
 

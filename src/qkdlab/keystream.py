@@ -42,12 +42,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from ._json import JsonRecord
+from ._json import JsonRecord, Record
 
 __all__ = [
     "GAMMA_DEFAULT",
@@ -101,7 +100,6 @@ def _ceil_size(x: float, what: str) -> int:
     return math.ceil(x)
 
 
-@dataclass(frozen=True)
 class StreamParams(JsonRecord):
     """Parameters of the key-stream schedule.
 
@@ -145,8 +143,7 @@ class StreamParams(JsonRecord):
         return self.ell + (raw if real_valued else math.ceil(raw))
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(Record):
     """One scheduled round: sizes, the two epsilon terms, and their clamped sum."""
 
     i: int
@@ -448,7 +445,6 @@ def _csv(columns: _Schedule) -> Iterator[bytes | memoryview]:
         yield from _int_rows(f"%s,%s,%s,0.0,{cumulative!r}\r\n", [rounds, n, ell])
 
 
-@dataclass(frozen=True)
 class StreamBudget(JsonRecord):
     """Total-epsilon accounting: explicit rounds plus an infinite-tail bound."""
 
@@ -659,8 +655,7 @@ class LedgerBroken(StreamError):
     error = "ledger_broken"
 
 
-@dataclass
-class MockKeySource:
+class MockKeySource(Record, frozen=False):
     """Stand-in key source: fresh random bits, or an abort with fixed probability.
 
     An aborted attempt is retried, so a round takes a geometric number of
@@ -695,8 +690,7 @@ def _consumption(ell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros_like(ell[:-1]), ell[:-1].copy()
 
 
-@dataclass(frozen=True)
-class RoundLedger:
+class RoundLedger(Record):
     i: int
     n_i: float
     ell_i: float
@@ -706,8 +700,7 @@ class RoundLedger:
     emitted_after: int
 
 
-@dataclass(frozen=True)
-class StreamLog:
+class StreamLog(Record):
     """One :func:`simulate_stream` run, kept in arrays.
 
     It holds the attempts of each round (in the smallest unsigned type that

@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
+
+from ._json import Record, field
 
 __all__ = [
     "PERP",
@@ -131,8 +132,7 @@ def _density_stack(m: np.ndarray, names: Sequence[str]) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
+class DensityOperator(Record, eq=False):
     """Hermitian, positive semidefinite, unit-trace matrix: float64 when the input is real.
 
     Construction validates all three properties, as a stack of one.
@@ -178,8 +178,7 @@ def _label_sort_key(label: str):
     return (label == PERP, label)
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class CqState:
+class CqState(Record, eq=False):
     """Classical-quantum state: a labelled mixture ``{(s, p_s, rho_s)}``.
 
     ``key_len`` is the classical register width in bits; labels are bit
@@ -301,8 +300,7 @@ class CqState:
         return float(self.probs[-1]) if self.labels[-1] == PERP else 0.0
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Povm:
+class Povm(Record, eq=False):
     """POVM: an ordered tuple of outcome labels with one effect each.
 
     Built from ``(outcome_label, effect)`` pairs, each effect must be

@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._json import JsonRecord
+from ._json import JsonRecord, Record, field
 from .quantum_core import (
     EIG_TOL,
     PERP,
@@ -117,8 +116,7 @@ def check_families(families: Sequence[str]) -> tuple[str, ...]:
 _BATCH = 2**15
 
 
-@dataclass(frozen=True, eq=False)
-class Strategy:
+class Strategy(Record, eq=False):
     """A distinguisher, as its accepted effect on each key label.
 
     Whatever it measures, a strategy accepts a branch labelled ``labels[k]``
@@ -273,8 +271,7 @@ def _cp_upper(k: int, n: int, conf: float) -> float:
     return hi
 
 
-@dataclass(frozen=True, eq=False)
-class IdealForm:
+class IdealForm(Record, eq=False):
     """Ideal-state template: uniform key tensor one fixed register.
 
     ``p_perp`` of the mass sits on the abort branch with register
@@ -501,8 +498,7 @@ def _default_advantages(
             return
 
 
-@dataclass(frozen=True)
-class IaccSearchResult:
+class IaccSearchResult(Record):
     """Outcome of an accessible-information search (a lower bound)."""
 
     bits: float
@@ -624,7 +620,6 @@ def compose_report(eps_correct: float, eps_secret: float, eps_robust: float) -> 
     return min(1.0, eps_correct + eps_secret + eps_robust)
 
 
-@dataclass(frozen=True)
 class SecurityReport(JsonRecord):
     """Bundle of the security figures for one produced key."""
 

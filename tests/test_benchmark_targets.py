@@ -9,6 +9,9 @@ import functools
 import importlib
 import importlib.util
 import io
+import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -41,6 +44,19 @@ def test_every_traced_name_resolves_in_qkdlab():
         if not callable(owner):
             missing.append(qualname)
     assert missing == []
+
+
+def test_a_bare_import_of_the_cli_loads_every_traced_module():
+    # Tracer.install looks each traced module up in sys.modules right after `import qkdlab.cli`,
+    # so a module imported later, inside a command, would go untraced
+    modules = sorted({f"qkdlab.{qualname.split('.')[0]}" for qualname in _load("spans").TARGETS})
+    probe = "import json, sys; import qkdlab.cli; print(json.dumps([m for m in sys.argv[1:] if m not in sys.modules]))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *modules],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout
+    assert len(modules) == 6 and json.loads(out) == []
 
 
 def test_born_hook_counts_a_cq_state_built_from_a_stack():

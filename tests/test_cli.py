@@ -3,7 +3,6 @@
 import argparse
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -301,6 +300,7 @@ added = {m.split(".")[0] for m in sys.modules} - bare - set(sys.stdlib_module_na
 report = {
     "added": sorted(m for m in added if sys.modules[m].__spec__ is not None),
     "numpy.random": "numpy.random" in sys.modules,
+    "dataclasses": "dataclasses" in sys.modules,
     "runs": [],
 }
 for argv in json.loads(sys.argv[2]):
@@ -339,6 +339,7 @@ def test_default_commands_start_and_run_without_scipy(tmp_path):
     report = json.loads(run(_STARTUP_PROBE, bare, json.dumps(commands)))
     assert report["added"] == ["numpy", "qkdlab"]
     assert report["numpy.random"]
+    assert not report["dataclasses"]  # the records are built by no generated code
     *default_runs, (_, code, loaded, out) = report["runs"]
     for name, exit_code, loaded_before, _ in default_runs:
         assert exit_code in (EXIT_OK, EXIT_FINDING) and loaded_before == [], name
@@ -858,7 +859,7 @@ def test_secrecy_reads_the_ben_or_figure_from_the_iacc_upper_end(capsys, monkeyp
 
     def lower_end_zero(*args, **kwargs):
         report, gap = reports(*args, **kwargs)
-        return dataclasses.replace(report, iacc_lower_bits=0.0), gap
+        return report._replace(iacc_lower_bits=0.0), gap
 
     monkeypatch.setattr(cli, "secrecy_reports", lower_end_zero)
     code, payload, err = run_json(capsys, ["secrecy", "--n", "3", "--seed", "1"])
@@ -1133,7 +1134,7 @@ def _schedule_reference(params, rounds, real_valued, csv_path, timestamp=None):
         "result": {
             "params": params.to_json_dict(),
             "budget": keystream.total_eps(params, rounds, real_valued).to_json_dict(),
-            "rounds": [dataclasses.asdict(r) for r in records],
+            "rounds": [r._asdict() for r in records],
         },
     }
     if timestamp is not None:

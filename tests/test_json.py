@@ -1,6 +1,5 @@
 """The one JSON form shared by every report the CLI prints (qkdlab._json)."""
 
-import dataclasses
 import functools
 import json
 
@@ -73,7 +72,7 @@ def test_tag_rule():
         else:
             assert data["type"] == type(record).JSON_TYPE
         # an optional field (default None) is left out while it is None
-        optional = {f.name for f in dataclasses.fields(record) if f.default is None}
+        optional = {name for name, f in record._fields.items() if f.default is None}
         skipped = {f for f in optional if getattr(record, f) is None}
         assert set(data) - {"type"} == {f for f in vars(record) if not f.startswith("_")} - skipped
     assert AdvantageEstimate.JSON_TYPE is None and DistinguisherRow.JSON_TYPE is None
@@ -90,8 +89,8 @@ def test_nested_values_become_plain_json():
 
 def test_all_within_bound_is_derived_from_the_rows():
     composition = _records()[6]
-    failing = dataclasses.replace(composition.rows[0], within_bound=False)
-    mixed = dataclasses.replace(composition, rows=(composition.rows[0], failing))
+    failing = composition.rows[0]._replace(within_bound=False)
+    mixed = composition._replace(rows=(composition.rows[0], failing))
     assert composition.all_within_bound and not mixed.all_within_bound
     data = mixed.to_json_dict()
     assert data["all_within_bound"] is False
