@@ -5,10 +5,9 @@ body annotates, in order (a ``ClassVar`` annotation names a class attribute
 instead); a field's value in the body is its default, or a :func:`field`
 with an option.  The base serves every record from shared methods, built
 by no generated code: ``__init__`` takes the fields by position or keyword
-and then runs ``__post_init__``; the repr names the fields; a record is
-frozen unless its class says ``frozen=False``; records of one class compare
-and (if frozen) hash by value unless the class says ``eq=False``, which
-keeps identity.
+and then runs ``__post_init__``; the repr names the fields; every record is
+frozen; records of one class compare and hash by value unless the class
+says ``eq=False``, which keeps identity.
 
 The JSON rule: a record's JSON object holds every field under its own
 name, plus ``"type": JSON_TYPE`` when the class sets that plain class
@@ -20,29 +19,27 @@ becomes its own object, all recursively.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Any, Callable, ClassVar
+from typing import Any, ClassVar
 
 _MISSING = object()  # a field with no default
 
 
 class Field:
-    """One field of a record: its default (``_MISSING`` if none), or the factory that makes
-    one for each record, whether ``__init__`` takes it, and whether the repr shows it."""
+    """One field of a record: its default (``_MISSING`` if none), whether ``__init__`` takes it,
+    and whether the repr shows it."""
 
-    __slots__ = ("default", "default_factory", "init", "repr")
+    __slots__ = ("default", "init", "repr")
 
-    def __init__(self, default: Any = _MISSING, default_factory: Callable[[], Any] | None = None,
-                 init: bool = True, repr: bool = True):
+    def __init__(self, default: Any = _MISSING, init: bool = True, repr: bool = True):
         self.default = default
-        self.default_factory = default_factory
         self.init = init
         self.repr = repr
 
 
-def field(*, default_factory: Callable[[], Any] | None = None, init: bool = True, repr: bool = True) -> Field:
-    """A field with an option, for a record's class body: ``default_factory`` makes each record's
-    default, ``init=False`` leaves the value to ``__post_init__``, ``repr=False`` keeps it out of the repr."""
-    return Field(_MISSING, default_factory, init, repr)
+def field(*, init: bool = True, repr: bool = True) -> Field:
+    """A field with an option, for a record's class body: ``init=False`` leaves the value to
+    ``__post_init__``, ``repr=False`` keeps it out of the repr."""
+    return Field(_MISSING, init, repr)
 
 
 def _values(self: Record) -> tuple:
@@ -74,7 +71,7 @@ class Record:
     _fields: ClassVar[dict[str, Field]] = {}  # the field table, in order
     _init_names: ClassVar[tuple[str, ...]] = ()  # the fields __init__ takes, in order
 
-    def __init_subclass__(cls, *, frozen: bool = True, eq: bool = True, **kwargs: Any):
+    def __init_subclass__(cls, *, eq: bool = True, **kwargs: Any):
         super().__init_subclass__(**kwargs)
         fields = dict(cls._fields)
         for name, annotation in vars(cls).get("__annotations__", {}).items():
@@ -88,12 +85,11 @@ class Record:
             fields[name] = value
         cls._fields = fields
         cls._init_names = tuple(name for name, f in fields.items() if f.init)
-        if frozen:
-            cls.__setattr__ = _frozen_setattr
-            cls.__delattr__ = _frozen_delattr
+        cls.__setattr__ = _frozen_setattr
+        cls.__delattr__ = _frozen_delattr
         if eq:
             cls.__eq__ = _eq
-            cls.__hash__ = _hash if frozen else None
+            cls.__hash__ = _hash
 
     def __init__(self, *args: Any, **kwargs: Any):
         names = self._init_names
@@ -103,7 +99,7 @@ class Record:
         self.__post_init__()
 
     def _init_rest(self, args: tuple, kwargs: dict) -> None:
-        # the rest of __init__: keywords, defaults and factories, and the argument errors
+        # the rest of __init__: keywords and defaults, and the argument errors
         cls = type(self)
         names = cls._init_names
         if len(args) > len(names):
@@ -115,12 +111,8 @@ class Record:
         for name in names[len(args) :]:
             value = kwargs.pop(name, _MISSING)
             if value is _MISSING:
-                f = fields[name]
-                if f.default is not _MISSING:
-                    value = f.default
-                elif f.default_factory is not None:
-                    value = f.default_factory()
-                else:
+                value = fields[name].default
+                if value is _MISSING:
                     raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
             values[name] = value
         if kwargs:
@@ -132,14 +124,6 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name, f in self._fields.items() if f.repr])
         return f"{type(self).__qualname__}({fields})"
-
-    def _asdict(self) -> dict[str, Any]:
-        """The fields by name, in order."""
-        return {name: getattr(self, name) for name in self._fields}
-
-    def _replace(self, **changes: Any) -> Record:
-        """A new record with ``changes`` to the fields ``__init__`` takes; ``__post_init__`` runs again."""
-        return type(self)(**{**{name: getattr(self, name) for name in self._init_names}, **changes})
 
 
 def json_keys(cls: type[Record]) -> tuple[str, ...]:

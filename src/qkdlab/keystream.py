@@ -655,7 +655,7 @@ class LedgerBroken(StreamError):
     error = "ledger_broken"
 
 
-class MockKeySource(Record, frozen=False):
+class MockKeySource(Record):
     """Stand-in key source: fresh random bits, or an abort with fixed probability.
 
     An aborted attempt is retried, so a round takes a geometric number of

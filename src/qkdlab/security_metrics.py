@@ -632,7 +632,7 @@ class SecurityReport(JsonRecord):
     eps_secret_upper: float
     iacc_lower_bits: float
     eps_total: float
-    provenance: Mapping[str, Any] = field(default_factory=dict)
+    provenance: Mapping[str, Any] = MappingProxyType({})
 
     def __post_init__(self):
         for name in ("eps_correct", "eps_robust", "eps_secret_lower", "eps_secret_upper", "eps_total"):

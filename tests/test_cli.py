@@ -859,7 +859,7 @@ def test_secrecy_reads_the_ben_or_figure_from_the_iacc_upper_end(capsys, monkeyp
 
     def lower_end_zero(*args, **kwargs):
         report, gap = reports(*args, **kwargs)
-        return report._replace(iacc_lower_bits=0.0), gap
+        return security_metrics.SecurityReport(**{**vars(report), "iacc_lower_bits": 0.0}), gap
 
     monkeypatch.setattr(cli, "secrecy_reports", lower_end_zero)
     code, payload, err = run_json(capsys, ["secrecy", "--n", "3", "--seed", "1"])
@@ -1134,7 +1134,7 @@ def _schedule_reference(params, rounds, real_valued, csv_path, timestamp=None):
         "result": {
             "params": params.to_json_dict(),
             "budget": keystream.total_eps(params, rounds, real_valued).to_json_dict(),
-            "rounds": [r._asdict() for r in records],
+            "rounds": [vars(r) for r in records],
         },
     }
     if timestamp is not None:

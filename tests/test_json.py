@@ -89,8 +89,9 @@ def test_nested_values_become_plain_json():
 
 def test_all_within_bound_is_derived_from_the_rows():
     composition = _records()[6]
-    failing = composition.rows[0]._replace(within_bound=False)
-    mixed = composition._replace(rows=(composition.rows[0], failing))
+    failing = DistinguisherRow(**{**vars(composition.rows[0]), "within_bound": False})
+    args = [getattr(composition, name) for name in CompositionReport._init_names if name != "rows"]
+    mixed = CompositionReport(*args, (composition.rows[0], failing))
     assert composition.all_within_bound and not mixed.all_within_bound
     data = mixed.to_json_dict()
     assert data["all_within_bound"] is False

@@ -89,7 +89,7 @@ def test_params_reject_nonfinite_and_unrepresentable(field, value, match):
 
 def test_params_json_form():
     data = SMALL.to_json_dict()
-    assert data == {"type": "stream_params", **SMALL._asdict()}
+    assert data == {"type": "stream_params", **vars(SMALL)}
 
 
 def test_size_formulas_integer_and_real():

@@ -1,6 +1,6 @@
 """The record base (qkdlab._json.Record): every report and value class of the lab is one of its
-subclasses, built from shared methods, and keeps the fields, defaults, checks, frozenness,
-equality, hash and repr it has always had."""
+subclasses, built from shared methods; every record is frozen and keeps the fields, defaults,
+checks, equality, hash and repr it has always had."""
 
 import re
 from types import MappingProxyType
@@ -15,42 +15,42 @@ from qkdlab.keystream import MockKeySource, RoundRecord, StreamParams
 from qkdlab.quantum_core import CqState
 from qkdlab.security_metrics import SecurityReport, Strategy
 
-# class: (frozen, equality, fields in order); "value" compares and hashes by the fields,
-# "identity" keeps object identity, "unhashable" compares by value and has no hash
+# class: (equality, fields in order); "value" compares and hashes by the fields,
+# "identity" keeps object identity
 RECORDS = {
-    "AttackState": (True, "identity", ("n", "cq")),
-    "AttackTranscript": (True, "value", ("n", "message", "key", "pad", "ciphertext", "recovered_bases",
+    "AttackState": ("identity", ("n", "cq")),
+    "AttackTranscript": ("value", ("n", "message", "key", "pad", "ciphertext", "recovered_bases",
                                          "measured_pad", "recovered_bit", "success")),
-    "SecrecyGapReport": (True, "value", ("n", "eps_secret_lower", "eps_secret_upper", "iacc_lower_bits",
+    "SecrecyGapReport": ("value", ("n", "eps_secret_lower", "eps_secret_upper", "iacc_lower_bits",
                                          "iacc_family", "iacc_best_strategy", "ben_or_required_iacc",
                                          "search_budget", "seed", "iacc_upper_bits")),
-    "SampleTable": (True, "identity", ("codes", "weights", "widths")),
-    "ProtocolPair": (True, "value", ("name", "output_len", "declared_eps", "real_run", "ideal_run", "build_exact")),
-    "KeyApplication": (True, "value", ("name", "key_len", "declared_eps", "real_run", "ideal_run",
+    "SampleTable": ("identity", ("codes", "weights", "widths")),
+    "ProtocolPair": ("value", ("name", "output_len", "declared_eps", "real_run", "ideal_run", "build_exact")),
+    "KeyApplication": ("value", ("name", "key_len", "declared_eps", "real_run", "ideal_run",
                                        "real_dist_given_keys", "ideal_dist_given_keys")),
-    "Distinguisher": (True, "value", ("name", "decide")),
-    "AdvantageEstimate": (True, "value", ("advantage", "half_width", "accept_real", "accept_ideal", "mode", "trials")),
-    "DistinguisherRow": (True, "value", ("name", "advantage_total", "half_width", "advantage_source_step",
+    "Distinguisher": ("value", ("name", "decide")),
+    "AdvantageEstimate": ("value", ("advantage", "half_width", "accept_real", "accept_ideal", "mode", "trials")),
+    "DistinguisherRow": ("value", ("name", "advantage_total", "half_width", "advantage_source_step",
                                          "advantage_app_step", "telescope_residual", "within_bound")),
-    "CompositionReport": (True, "value", ("source", "application", "eps_source", "eps_app", "eps_bound", "mode",
+    "CompositionReport": ("value", ("source", "application", "eps_source", "eps_app", "eps_bound", "mode",
                                           "trials", "rows", "all_within_bound")),
-    "AuctionOutcome": (True, "value", ("modulus_bits", "n", "e", "alice_bid", "bob_bid", "forgery_doubled", "winner")),
-    "_Auctions": (True, "value", ("n", "e", "alice_bid", "bob_bid", "forgery_doubled", "winner")),
-    "AuctionSweep": (True, "value", ("outcomes", "bob_win_rate", "all_forgeries_doubled")),
-    "StreamParams": (True, "value", ("gamma", "rate_rho", "nu", "n0", "c", "ell", "ell0", "eps0")),
-    "RoundRecord": (True, "value", ("i", "n_i", "ell_i", "eps_i", "term_signal", "term_auth", "clamped")),
-    "StreamBudget": (True, "value", ("horizon", "real_valued", "partial_sum", "tail_bound", "eps_total", "divergent")),
-    "MockKeySource": (False, "unhashable", ("abort_prob",)),
-    "RoundLedger": (True, "value", ("i", "n_i", "ell_i", "attempts", "consumed_after", "stored_after",
+    "AuctionOutcome": ("value", ("modulus_bits", "n", "e", "alice_bid", "bob_bid", "forgery_doubled", "winner")),
+    "_Auctions": ("value", ("n", "e", "alice_bid", "bob_bid", "forgery_doubled", "winner")),
+    "AuctionSweep": ("value", ("outcomes", "bob_win_rate", "all_forgeries_doubled")),
+    "StreamParams": ("value", ("gamma", "rate_rho", "nu", "n0", "c", "ell", "ell0", "eps0")),
+    "RoundRecord": ("value", ("i", "n_i", "ell_i", "eps_i", "term_signal", "term_auth", "clamped")),
+    "StreamBudget": ("value", ("horizon", "real_valued", "partial_sum", "tail_bound", "eps_total", "divergent")),
+    "MockKeySource": ("value", ("abort_prob",)),
+    "RoundLedger": ("value", ("i", "n_i", "ell_i", "attempts", "consumed_after", "stored_after",
                                     "emitted_after")),
-    "StreamLog": (True, "value", ("params", "attempts", "packed_bits", "stored_final", "consumed_final")),
-    "DensityOperator": (True, "identity", ("matrix",)),
-    "CqState": (True, "identity", ("key_len", "labels", "probs", "matrices")),
-    "Povm": (True, "identity", ("labels", "basis", "_stack")),
-    "Strategy": (True, "identity", ("name", "labels", "effects")),
-    "IdealForm": (True, "identity", ("p_perp", "rho_prime", "rho_dblprime")),
-    "IaccSearchResult": (True, "value", ("bits", "family", "best_strategy", "evaluations")),
-    "SecurityReport": (True, "value", ("key_len", "eps_correct", "eps_robust", "eps_secret_lower",
+    "StreamLog": ("value", ("params", "attempts", "packed_bits", "stored_final", "consumed_final")),
+    "DensityOperator": ("identity", ("matrix",)),
+    "CqState": ("identity", ("key_len", "labels", "probs", "matrices")),
+    "Povm": ("identity", ("labels", "basis", "_stack")),
+    "Strategy": ("identity", ("name", "labels", "effects")),
+    "IdealForm": ("identity", ("p_perp", "rho_prime", "rho_dblprime")),
+    "IaccSearchResult": ("value", ("bits", "family", "best_strategy", "evaluations")),
+    "SecurityReport": ("value", ("key_len", "eps_correct", "eps_robust", "eps_secret_lower",
                                        "eps_secret_upper", "iacc_lower_bits", "eps_total", "provenance")),
 }
 
@@ -97,11 +97,11 @@ def _report(**changes) -> SecurityReport:
     return SecurityReport(**{**fields, **changes})
 
 
-def test_every_record_class_keeps_its_fields_frozenness_and_equality():
+def test_every_record_class_is_frozen_and_keeps_its_fields_and_equality():
     classes = _classes(Record)
     assert sorted(classes) == sorted(RECORDS)
     for name, cls in classes.items():
-        frozen, equality, fields = RECORDS[name]
+        equality, fields = RECORDS[name]
         assert tuple(cls._fields) == fields, name
         # the shared __init__, save the two classes that build from their own arguments
         assert ("__init__" in vars(cls)) == (name in ("CqState", "Povm")), name
@@ -112,22 +112,14 @@ def test_every_record_class_keeps_its_fields_frozenness_and_equality():
         else:
             assert a == b and a != _blank(cls, {**values, fields[0]: -1}), name
             assert a != (*values.values(),), name
-            if equality == "value":
-                assert hash(a) == hash(b) == hash(tuple(values.values())), name
-            else:
-                with pytest.raises(TypeError, match="unhashable"):
-                    hash(a)
-        if frozen:
-            with pytest.raises(AttributeError, match=f"cannot assign to field '{fields[0]}'"):
-                setattr(a, fields[0], -1)
-            with pytest.raises(AttributeError, match=f"cannot delete field '{fields[0]}'"):
-                delattr(a, fields[0])
-            with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
-                a.extra = 1
-            assert vars(a) == values, name
-        else:
+            assert hash(a) == hash(b) == hash(tuple(values.values())), name
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{fields[0]}'"):
             setattr(a, fields[0], -1)
-            assert getattr(a, fields[0]) == -1
+        with pytest.raises(AttributeError, match=f"cannot delete field '{fields[0]}'"):
+            delattr(a, fields[0])
+        with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+            a.extra = 1
+        assert vars(a) == values, name
 
 
 def test_json_keys_of_every_json_record():
@@ -152,12 +144,12 @@ def test_construction_by_position_keyword_and_default():
     assert MockKeySource().abort_prob == 0.0 and MockKeySource(0.25) == MockKeySource(abort_prob=0.25)
 
 
-def test_default_factory_gives_each_record_its_own_value():
-    a, b = _report(), _report()
-    assert a.provenance == {} and type(a.provenance) is MappingProxyType
-    assert a.provenance is not b.provenance
-    assert "provenance" not in vars(SecurityReport)  # a factory field leaves no class attribute
-    assert _report(provenance={"note": "x"}).provenance == {"note": "x"}
+def test_provenance_is_a_read_only_copy():
+    assert _report().provenance == {} and type(_report().provenance) is MappingProxyType
+    given = {"note": "x"}
+    report = _report(provenance=given)
+    given["note"] = "y"
+    assert report.provenance == {"note": "x"} and type(report.provenance) is MappingProxyType
 
 
 @pytest.mark.parametrize("call, message", [
@@ -179,7 +171,7 @@ def test_a_non_init_field_is_set_by_post_init():
     report = CompositionReport(*args, (row,))
     assert report.all_within_bound is True
     assert "all_within_bound" not in CompositionReport._init_names
-    failing = report._replace(rows=(row, row._replace(within_bound=False)))
+    failing = CompositionReport(*args, (row, DistinguisherRow(**{**vars(row), "within_bound": False})))
     assert failing.all_within_bound is False and report.all_within_bound is True
     assert repr(report).endswith("all_within_bound=True)")
 
@@ -206,14 +198,5 @@ def test_repr_names_the_fields_and_leaves_out_the_excluded_ones():
     assert repr(_cq()) == "CqState(key_len=1, labels=('0', '1'))"
     strategy = Strategy("s", ("0", "1"), np.stack([np.eye(2)] * 2))
     assert repr(strategy) == "Strategy(name='s', labels=('0', '1'))"
-    assert repr(_blank(composition_harness._Auctions, dict.fromkeys(RECORDS["_Auctions"][2], 1))) == (
+    assert repr(_blank(composition_harness._Auctions, dict.fromkeys(RECORDS["_Auctions"][1], 1))) == (
         "_Auctions(n=1, e=1, alice_bid=1, bob_bid=1, forgery_doubled=1, winner=1)")
-
-
-def test_asdict_and_replace():
-    record = RoundRecord(1, 2.0, 3.0, 0.5, 0.25, 0.25, False)
-    assert record._asdict() == vars(record) and list(record._asdict()) == list(RoundRecord._fields)
-    moved = record._replace(i=2)
-    assert moved == RoundRecord(2, 2.0, 3.0, 0.5, 0.25, 0.25, False) and record.i == 1
-    with pytest.raises(ValueError, match=re.escape("eps0 must lie in [0, 1]")):
-        StreamParams()._replace(eps0=2.0)
