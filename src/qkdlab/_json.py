@@ -56,14 +56,6 @@ def _hash(self: Record) -> int:
     return hash(_values(self))
 
 
-def _frozen_setattr(self: Record, name: str, value: Any) -> None:
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self: Record, name: str) -> None:
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
 class Record:
     """Base of the records: reads each subclass's fields once, when the class is made
     (see the module docstring).  A class that defines its own ``__init__`` keeps it."""
@@ -85,8 +77,6 @@ class Record:
             fields[name] = value
         cls._fields = fields
         cls._init_names = tuple(name for name, f in fields.items() if f.init)
-        cls.__setattr__ = _frozen_setattr
-        cls.__delattr__ = _frozen_delattr
         if eq:
             cls.__eq__ = _eq
             cls.__hash__ = _hash
@@ -124,6 +114,12 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name, f in self._fields.items() if f.repr])
         return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def json_keys(cls: type[Record]) -> tuple[str, ...]:
