@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import gc
 import json
 import os
 import shutil
@@ -670,6 +671,11 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return EXIT_USAGE
 
+
+# Everything loaded by now, numpy included (about 22,500 objects), lives until the process
+# exits: freeze it so that no later collection walks it, the one at exit included.
+# Process-wide, like the OpenBLAS default above, so not in main, which tests also call.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

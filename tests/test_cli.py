@@ -200,13 +200,19 @@ def test_main_adds_only_the_invoked_subcommands_arguments(capsys, monkeypatch):
     assert len(constructed) == 2
 
 
-def test_the_module_runs_as_main_prints_what_main_prints(capsysbinary):
-    # README documents python -m qkdlab.cli; the installed qkdlab script calls the same main
+def _fresh(*args, **kwargs) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports qkdlab from this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qkdlab.__file__)))
     env = {key: value for key, value in os.environ.items() if key != "QKDLAB_SEED"}
-    for argv in (["--version"], ["secrecy", "--n", "2", "--seed", "1"]):
-        run = subprocess.run([sys.executable, "-m", "qkdlab.cli", *argv], env={**env, "PYTHONPATH": src},
-                             capture_output=True, check=False)
+    return subprocess.run([sys.executable, *args], env={**env, "PYTHONPATH": src}, **kwargs)
+
+
+def test_the_module_runs_as_main_prints_what_main_prints(capsysbinary):
+    # README documents python -m qkdlab.cli; the installed qkdlab script calls the same main.
+    # The 19 MB schedule is all written before the process exits, its heap frozen
+    schedule = ["keystream-schedule", "--n0", "60000", "--ell0", "12000", "--rounds", "100000"]
+    for argv in (["--version"], ["secrecy", "--n", "2", "--seed", "1"], schedule):
+        run = _fresh("-m", "qkdlab.cli", *argv, capture_output=True, check=False)
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -227,6 +233,55 @@ def test_the_cli_pins_openblas_to_one_thread_unless_told_otherwise(preset, expec
         [sys.executable, "-c", probe], env={**env, "PYTHONPATH": src}, capture_output=True, text=True, check=True
     ).stdout
     assert out == f"{expected}\n"
+
+
+@pytest.mark.parametrize("modules, frozen", [
+    (["qkdlab.cli"], True),
+    (["qkdlab.attack_lab", "qkdlab.keystream", "qkdlab.composition_harness"], False),
+])
+def test_only_the_cli_import_freezes_the_heap(modules, frozen):
+    # the command line's start-up heap lives until exit, so no collection walks it, the
+    # one at exit included; a library import leaves its caller's collections alone
+    probe = "import gc, importlib, sys\nfor m in sys.argv[1:]: importlib.import_module(m)\nprint(gc.get_freeze_count())"
+    out = _fresh("-c", probe, *modules, capture_output=True, text=True, check=True).stdout
+    assert (int(out) > 0) == frozen
+
+
+def test_main_freezes_nothing():
+    # tests and library callers call main in process: it must not freeze their garbage.
+    # Frozen objects can still be freed (six are, on a first secrecy run), so the count may fall
+    probe = """
+import contextlib, gc, io, sys
+from qkdlab.cli import main
+before = gc.get_freeze_count()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, before, gc.get_freeze_count())
+"""
+    out = _fresh("-c", probe, "secrecy", "--n", "2", "--seed", "1", capture_output=True, text=True, check=True).stdout
+    code, before, after = map(int, out.split())
+    assert code == EXIT_OK and 0 < after <= before
+
+
+def test_a_stdout_pipe_closed_early_is_an_error_line_not_a_traceback():
+    # the reader takes 10 bytes of the 19 MB schedule and closes the pipe: the next write
+    # fails with EPIPE, reported like any other OSError, and nothing is left to flush at exit
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qkdlab.__file__)))
+    argv = ["keystream-schedule", "--n0", "60000", "--ell0", "12000", "--rounds", "100000"]
+    with subprocess.Popen([sys.executable, "-m", "qkdlab.cli", *argv], env={**os.environ, "PYTHONPATH": src},
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as run:
+        assert len(run.stdout.read(10)) == 10
+        run.stdout.close()
+        err = run.stderr.read()
+    assert (run.returncode, err) == (EXIT_USAGE, b"error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_device_is_an_error_line_not_a_traceback():
+    with open("/dev/full", "wb") as full:
+        run = _fresh("-m", "qkdlab.cli", "keystream-plan", "--target-eps", "1e-9",
+                     stdout=full, stderr=subprocess.PIPE, check=False)
+    assert (run.returncode, run.stderr) == (EXIT_USAGE, b"error: [Errno 28] No space left on device\n")
 
 
 @pytest.mark.parametrize("argv, flag, cap", CAPPED)
@@ -350,11 +405,17 @@ def test_default_commands_start_and_run_without_scipy(tmp_path):
 
 
 _PEAK_PROBE = """
-import contextlib, io, sys
+import contextlib, glob, io, os, sys
+import qkdlab
 from qkdlab.cli import main
 def vmhwm():
     with open("/proc/self/status") as status:
         return next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+# compiling a module raises VmHWM, and the import compiles only what has no cached
+# bytecode: compile every module once, so that the start figure is the same either way
+for path in glob.glob(os.path.join(os.path.dirname(qkdlab.__file__), "*.py")):
+    with open(path, "rb") as source:
+        compile(source.read(), path, "exec")
 start = vmhwm()
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
@@ -364,16 +425,12 @@ print(code, start, vmhwm())
 
 def _main_peak_kb(argv) -> tuple[int, int, int]:
     """The exit code of ``main(argv)`` in a fresh interpreter, and its VmHWM in kB once
-    ``qkdlab.cli`` is imported and once ``main`` has returned.
+    ``qkdlab.cli`` is imported and every module compiled, and once ``main`` has returned.
 
-    Start-up moves with the length of the source and with bytecode caching, so a bound
-    on what a command adds is read against the first figure, not a fixed start-up.
+    Start-up moves with the length of the source, so a bound on what a command adds is
+    read against the first figure, not a fixed start-up.
     """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qkdlab.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", _PEAK_PROBE, *argv],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
-    ).stdout
+    out = _fresh("-c", _PEAK_PROBE, *argv, capture_output=True, text=True, check=True).stdout
     code, start_kb, peak_kb = map(int, out.split())
     return code, start_kb, peak_kb
 
@@ -390,7 +447,7 @@ def test_secrecy_at_n_7_peaks_below_100_mb():
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
 def test_rsa_demo_of_10_to_the_5_auctions_peaks_below_70_mb(tmp_path):
-    # about 60 MB: the auctions are columns and their rows are written from a template,
+    # about 56 MB: the auctions are columns and their rows are written from a template,
     # 4096 at a time; one frozen outcome object per auction took 82 MB
     argv = ["rsa-demo", "--auctions", str(cli.MAX_AUCTIONS), "--seed", "1", "--out", str(tmp_path / "report.json")]
     code, _, peak_kb = _main_peak_kb(argv)
