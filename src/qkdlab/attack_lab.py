@@ -43,8 +43,15 @@ orbit of branch 0 under the group they generate, and each figure is 2^(n+1)
 times branch 0's term.  :func:`secrecy_reports` reads them off closed forms: the
 factor W_0 of branch 0 (:func:`_representative`) and the declared basis's sign
 table (:func:`_sign_table`).  That :func:`build_attack_state` gives exactly this
-orbit is checked by the tests, branch by branch, at every n it accepts; the state
-is built only where ``per_qubit`` is searched.
+orbit is checked by the tests, branch by branch, at every n it accepts.
+
+The per-qubit family has a closed form too.  A product of qubit bases at angles
+``theta_i`` gives outcome z of branch (s, p) the probability ``(1 + (-1)^p prod_i
+(-1)^(z_i) c_i) / 2^n``, with ``c_i = cos 2 theta_i`` where ``s_i = 0`` and ``sin 2
+theta_i`` where ``s_i = 1``, so ``I(S : Z) = 1 - 2^-n sum_s h((1 + m_s) / 2)`` with ``m_s
+= prod_i |c_i|`` (:func:`_per_qubit_search`).  And a prefix's two branches average to
+I / 2^n, so the marginal check reads one pair (:func:`_orbit_marginal_check`).  No
+command builds the state.
 """
 
 from __future__ import annotations
@@ -71,7 +78,6 @@ from .security_metrics import (
     SecurityReport,
     Strategy,
     _report,
-    accessible_info_lower,
     check_families,
     correctness_figures,
 )
@@ -505,15 +511,15 @@ def secrecy_reports(
     label-basis strategy is :func:`parity_strategy`, effect for effect, and meets it.
     With ``declared`` among ``families``, the I_acc figure is the declared basis's, read
     from :func:`_sign_table`: exactly ``IACC_UPPER_BITS`` at every n, which closes the
-    bracket, so no other family runs.
-    Only ``families`` without ``declared`` need the state: then :func:`build_attack_state`
-    runs and :func:`~qkdlab.security_metrics.accessible_info_lower` searches it, and only
-    then do ``search_budget`` and ``seed`` matter; either I_acc figure is clamped to
-    ``IACC_UPPER_BITS``.  The tests hold every figure to the dense primitives on the
-    built state, bit for bit: the trace distance to the declared ideal's copies, the
-    acceptance of :func:`parity_strategy` on the state and on that ideal, and the mutual
-    information of :func:`even_x_eigenbasis`'s Born table; they check that the built
-    state is the orbit of W_0.
+    bracket, so no other family runs.  Without it, the per-qubit family is scored in
+    closed form, every member counted (:func:`_per_qubit_search`); either I_acc figure is
+    clamped to ``IACC_UPPER_BITS``.  No state is built and nothing is sampled, so
+    ``search_budget`` and ``seed`` are only recorded.  The tests hold every figure to
+    the dense primitives on the built state, bit for bit: the trace distance to the
+    declared ideal's copies, the acceptance of :func:`parity_strategy` on the state and
+    on that ideal, and the mutual information of :func:`even_x_eigenbasis`'s Born table
+    or the per-qubit search of :func:`~qkdlab.security_metrics.accessible_info_lower`;
+    they check that the built state is the orbit of W_0.
 
     ``correctness`` is the pair that :func:`~qkdlab.security_metrics.correctness_figures`
     scores, so a caller checks it before any figure is scored; None reports 0.  The gap
@@ -529,7 +535,7 @@ def secrecy_reports(
     if "declared" in families:
         iacc = IaccSearchResult(mutual_information(_sign_table(n)), ("declared",), "declared:even_x_eigenbasis", 1)
     else:
-        iacc = accessible_info_lower(build_attack_state(n).cq, search_budget, seed, families)
+        iacc = _per_qubit_search(n)
     report = _report(n + 1, correctness or correctness_figures(None), 0.0, upper,
                      advantages, iacc, IACC_UPPER_BITS, search_budget, seed)
     searched = tuple(report.provenance["iacc_family"])
@@ -547,15 +553,62 @@ def secrecy_reports(
     )
 
 
-def _representative(n: int) -> np.ndarray:
-    """The factor W_0 of branch ``0...0`` in closed form: column k is the computational pad
-    state of the k-th even-parity pad (k's n - 1 bits, then their parity), weight
-    2^-(n-1), so ``W_0 W_0^T`` is the branch."""
+def _pad_columns(n: int, parity: int) -> np.ndarray:
+    """The 0/1 ``(d, r)`` matrix whose column k is the computational state of the k-th pad
+    of parity ``parity`` (k's n - 1 bits, then the bit that makes the parity): the factor of
+    branch ``(0...0, parity)`` over the square root of its weight 2^-(n-1)."""
     r = 2 ** (n - 1)
-    pads = 2 * np.arange(r) + (_bit_rows(n - 1).sum(axis=1, dtype=np.intp) & 1)
-    w0 = np.zeros((2**n, r))
-    w0[pads, np.arange(r)] = math.sqrt(2.0 ** -(n - 1))
-    return w0
+    pads = 2 * np.arange(r) + ((_bit_rows(n - 1).sum(axis=1, dtype=np.intp) + parity) & 1)
+    columns = np.zeros((2**n, r))
+    columns[pads, np.arange(r)] = 1.0
+    return columns
+
+
+def _representative(n: int) -> np.ndarray:
+    """The factor W_0 of branch ``0...0`` in closed form: the even-parity pad states, weight
+    2^-(n-1), so ``W_0 W_0^T`` is the branch."""
+    return _pad_columns(n, 0) * math.sqrt(2.0 ** -(n - 1))
+
+
+def _orbit_marginal_check(n: int) -> MarginalCheck:
+    """:func:`fully_mixed_marginal_check` on the two branches that extend the prefix
+    ``0...0``, from their factors in closed form.
+
+    H on qubit i takes the pair of prefix s to that of s with s_i toggled and fixes
+    I / 2^n (module docstring), so every prefix's mixture is I / 2^n when this one is;
+    the tests check that :func:`build_attack_state` is that orbit.  The factors are kept
+    0/1 and their weight applied to the products, so the mixture is exact and the
+    deviation 0.0, where the built state's stack carries rounding.
+    """
+    mixture = sum(np.einsum("ik,jk->ij", a, a) for a in (_pad_columns(n, 0), _pad_columns(n, 1)))
+    worst = float(np.abs(mixture * 2.0**-n - np.eye(2**n) / 2**n).max())
+    return MarginalCheck(passed=worst < 1e-9, max_deviation=worst)
+
+
+def _per_qubit_search(n: int) -> IaccSearchResult:
+    """The exhaustive per-qubit search of :func:`~qkdlab.security_metrics.accessible_info_lower`
+    on the attack state, in closed form.
+
+    Over the std, diag and Breidbart bases, ``c_i`` (module docstring) is ``1 - s_i`` on a std
+    qubit, ``s_i`` on a diag one and ``2^-1/2`` on a Breidbart one.  So ``m_s = 0`` unless
+    ``s_i = 0`` on every std qubit and 1 on every diag one, and then ``2^(-b/2)``, b the number
+    of Breidbart qubits: a product scores :func:`_product_score`, a function of b alone, taken
+    here for every b, so every one of the 3^n members is counted.  As ``1 - h((1 + x) / 2) <= x^2``,
+    b = 0 scores most, exactly 2^-n, and the first member in the search's order with b
+    Breidbart qubits is std on the first n - b.
+    """
+    scores = [_product_score(n, b) for b in range(n + 1)]
+    b = scores.index(max(scores))
+    names = ("std",) * (n - b) + ("breidbart",) * b
+    return IaccSearchResult(scores[b], ("per_qubit_exhaustive",), "per_qubit:" + ",".join(names), 3**n)
+
+
+def _product_score(n: int, b: int) -> float:
+    """``I(S : Z) = 2^-(n-b) (1 - h((1 + 2^(-b/2)) / 2))`` bits, h the binary entropy: what a
+    product of std, diag and ``b`` Breidbart bases learns about the attack key (:func:`_per_qubit_search`)."""
+    q = (1.0 + 2.0 ** (-b / 2)) / 2
+    entropy = 0.0 if q == 1.0 else -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
+    return 2.0 ** -(n - b) * (1.0 - entropy)
 
 
 def _orbit_bracket(w0: np.ndarray, n: int) -> tuple[float, list[float]]:
@@ -567,15 +620,16 @@ def _orbit_bracket(w0: np.ndarray, n: int) -> tuple[float, list[float]]:
     ``W_0^T W_0 / tr``, and ``-c`` on the rest of its d: dividing the Gram, not the factor,
     by the trace keeps its eigenvalues exact.  Branch 0's label basis is the
     computational one, in which it reads ``Pr[z] = ||row z of W_0||^2 / tr``; the trivial
-    measurement reads the trace, 1.  The spectrum is computed, not taken from the closed
-    form ``W_0^T W_0 = 2^-(n-1) I``, so a ``w0`` that is not a branch's factor shows in the figure.
+    measurement reads the trace, 1.  The spectrum is read from ``w0`` (:func:`_gram_spectrum`),
+    not taken from the closed form ``W_0^T W_0 = 2^-(n-1) I``, so a ``w0`` that is not a
+    branch's factor shows in the figure.  :func:`_representative` has one nonzero per column,
+    in distinct rows, so its Gram is diagonal and no BLAS or LAPACK routine runs.
     """
     d, r = w0.shape
     count, p = 2 ** (n + 1), 2.0 ** -(n + 1)
     c = p / d  # the ideal's block, c I
-    gram = w0.T @ w0
-    trace = np.trace(gram)
-    block = np.abs(p * np.linalg.eigvalsh(gram / trace) - c).sum() + (d - r) * c
+    spectrum, trace = _gram_spectrum(w0)
+    block = np.abs(p * spectrum - c).sum() + (d - r) * c
     upper = min(1.0, max(0.0, count * (0.5 * block)))
     rows = (w0 * w0).sum(axis=1) / trace
     advantages = []
@@ -585,6 +639,21 @@ def _orbit_bracket(w0: np.ndarray, n: int) -> tuple[float, list[float]]:
         if advantages[-1] >= upper:
             break
     return upper, advantages
+
+
+def _gram_spectrum(w: np.ndarray) -> tuple[np.ndarray, float]:
+    """The eigenvalues of ``W^T W / tr``, ascending, and the trace ``tr`` of ``W^T W``.
+
+    The Gram matrix is formed by numpy's own loop (``einsum``), not BLAS.  Where it is
+    diagonal, as one nonzero per column in distinct rows makes it, the eigenvalues are its
+    sorted diagonal, which ``eigvalsh`` returns bit for bit; ``eigvalsh`` runs only on a Gram
+    that is not diagonal.
+    """
+    gram = np.einsum("ij,ik->jk", w, w)
+    trace = np.trace(gram)
+    if np.count_nonzero(gram) == np.count_nonzero(np.diagonal(gram)):
+        return np.sort(np.diagonal(gram) / trace), trace
+    return np.linalg.eigvalsh(gram / trace), trace
 
 
 def _sign_table(n: int) -> np.ndarray:

@@ -40,8 +40,7 @@ from .attack_lab import (
     BREIDBART,
     IACC_UPPER_BITS,
     MAX_ATTACK_QUBITS,
-    fully_mixed_marginal_check,
-    build_attack_state,
+    _orbit_marginal_check,
     parity_guess_curve,
     parity_guess_curve_csv,
     run_otp_attacks,
@@ -224,7 +223,7 @@ def cmd_attack_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
     marginal = None
     if args.n <= MAX_ATTACK_QUBITS:
-        check = fully_mixed_marginal_check(build_attack_state(args.n))
+        check = _orbit_marginal_check(args.n)
         marginal = {"passed": check.passed, "max_deviation": check.max_deviation}
 
     curve_at_n = parity_guess_curve(args.n)[-1][1] if args.n <= 16 else None
@@ -557,9 +556,8 @@ def _attack_demo_args(p: argparse.ArgumentParser) -> None:
 def _secrecy_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=3, help=f"pad qubits (2..{MAX_ATTACK_QUBITS})")
     p.add_argument("--budget", type=_at_most(MAX_BUDGET), default=32,
-                   help="per-qubit bases sampled where the exhaustive per-qubit search is too large, "
-                        "as at n = 7; the per-qubit family runs only while the I_acc bracket is open, "
-                        f"i.e. without the declared basis, which closes it (at most {MAX_BUDGET})")
+                   help="recorded in the report: the attack key's per-qubit family is scored in closed "
+                        f"form, every member counted, so no bases are sampled (at most {MAX_BUDGET})")
     p.add_argument("--families", type=_families, default=",".join(IACC_FAMILIES),
                    help="I_acc families, comma-separated: per_qubit, declared (the even-X eigenbasis)")
     p.add_argument("--correctness-file", default=None, help="JSON with 'samples' or 'distribution'")

@@ -6,6 +6,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -43,6 +44,7 @@ from qkdlab.quantum_core import (
     cq_measure,
     cq_trace_distance,
     mutual_information,
+    product_qubit_povm,
 )
 from qkdlab.security_metrics import (
     IACC_FAMILIES,
@@ -231,6 +233,20 @@ def test_complex_attack_state_gives_the_real_figures(n):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_marginal_check_deviation_is_at_rounding_level(n):
     assert fully_mixed_marginal_check(build_attack_state(n)).max_deviation <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_closed_form_marginal_pair_passes_where_the_dense_check_does(n):
+    # attack-demo checks the pair of branches that extend 0...0, from 0/1 factors whose
+    # weight is applied to the products: exact, so the deviation is 0.0.  The pair is the
+    # built state's first two branches, whose orbit is the rest of the state
+    # (test_built_state_is_the_orbit_of_the_closed_form_representative)
+    dense = fully_mixed_marginal_check(build_attack_state(n))
+    assert attack_lab._orbit_marginal_check(n) == (dense.passed, 0.0) == (True, 0.0)
+    factors = attack_lab._attack_factors(n)[2]
+    for parity in (0, 1):
+        pair = attack_lab._pad_columns(n, parity) * math.sqrt(2.0 ** -(n - 1))
+        assert factors[parity].tobytes() == pair.tobytes()
 
 
 def test_marginal_check_passes_for_real_state():
@@ -619,7 +635,7 @@ def test_iacc_lower_end_is_clamped_to_the_upper_end(monkeypatch):
     monkeypatch.setattr(attack_lab, "_sign_table", lambda n: table)
     assert attack_lab.secrecy_reports(2)[0].iacc_lower_bits == 0.5
     above = security_metrics.IaccSearchResult(0.75, ("per_qubit_exhaustive",), "per_qubit:std,std", 9)
-    monkeypatch.setattr(attack_lab, "accessible_info_lower", lambda *args: above)
+    monkeypatch.setattr(attack_lab, "_per_qubit_search", lambda n: above)
     assert attack_lab.secrecy_reports(2, families=("per_qubit",))[0].iacc_lower_bits == 0.5
 
 
@@ -637,6 +653,72 @@ def test_no_per_qubit_product_learns_more_than_2_to_the_minus_n(n):
     iacc = accessible_info_lower(cq, families=("per_qubit",))
     assert iacc.family == ("per_qubit_exhaustive",) and iacc.evaluations == 3**n
     assert iacc.bits <= 2.0**-n + 1e-12
+
+
+def _exact_product_score(n, b):
+    """``2^-(n-b) (1 - h((1 + 2^(-b/2)) / 2))`` to 40 digits."""
+    with mpmath.workdps(40):
+        q = (1 + mpmath.mpf(2) ** (-mpmath.mpf(b) / 2)) / 2
+        entropy = 0 if b == 0 else -q * mpmath.log(q, 2) - (1 - q) * mpmath.log(1 - q, 2)
+        return mpmath.mpf(2) ** (b - n) * (1 - entropy)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_product_score_is_the_dense_score_of_every_product(n):
+    # every one of the 3^n products, scored by the dense Born rule on the built state as
+    # accessible_info_lower re-scores its members, against the closed form in the number
+    # b of Breidbart qubits.  The formula is within a few ulps of its 40-digit value; the
+    # dense score rounds further from it, by up to 3.4e-13 at n = 5 and 1.2e-12 at n = 6
+    cq = build_attack_state(n).cq
+    for b in range(n + 1):
+        exact = _exact_product_score(n, b)
+        assert abs(attack_lab._product_score(n, b) - exact) <= 1e-14 * exact
+    for names in itertools.product(QUBIT_BASIS_ANGLES, repeat=n):
+        dense = security_metrics._povm_information(cq, product_qubit_povm([QUBIT_BASIS_ANGLES[x] for x in names]))
+        assert abs(dense - attack_lab._product_score(n, names.count("breidbart"))) <= 2e-12, names
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_closed_form_per_qubit_search_is_the_dense_search(n):
+    # figure, family, best strategy and evaluation count: the first product at the
+    # maximum, std on every qubit, learns exactly 2^-n bits
+    got = attack_lab._per_qubit_search(n)
+    assert got == accessible_info_lower(build_attack_state(n).cq, families=("per_qubit",))
+    assert (got.bits, got.best_strategy) == (2.0**-n, "per_qubit:" + ",".join(["std"] * n))
+
+
+def _gram_eigvalsh(w):
+    gram = w.T @ w
+    return np.linalg.eigvalsh(gram / np.trace(gram))
+
+
+def _refuse_eigvalsh(*args, **kwargs):
+    raise AssertionError("eigvalsh ran")
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_gram_spectrum_of_one_nonzero_per_column_is_eigvalsh_bit_for_bit(monkeypatch, n):
+    # the representative, and the same columns with unequal norms
+    w0 = attack_lab._representative(n)
+    scaled = attack_lab._pad_columns(n, 1) * np.random.default_rng(n).uniform(0.1, 2.0, size=2 ** (n - 1))
+    want = [(_gram_eigvalsh(w), np.trace(w.T @ w)) for w in (w0, scaled)]
+    monkeypatch.setattr(np.linalg, "eigvalsh", _refuse_eigvalsh)
+    for w, (spectrum, trace) in zip((w0, scaled), want):
+        got, got_trace = attack_lab._gram_spectrum(w)
+        assert [x.hex() for x in got] == [x.hex() for x in spectrum] and got_trace.hex() == trace.hex()
+    assert len(set(want[1][0])) == 2 ** (n - 1)  # the norms differ, so the sort is exercised
+
+
+def test_gram_spectrum_of_a_non_diagonal_gram_runs_eigvalsh(monkeypatch):
+    w = np.random.default_rng(3).standard_normal((8, 4))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    spectrum, trace = attack_lab._gram_spectrum(w)
+    gram = np.einsum("ij,ik->jk", w, w)
+    assert calls == [1]
+    assert [x.hex() for x in spectrum] == [x.hex() for x in eigvalsh(gram / np.trace(gram))]
+    assert spectrum == pytest.approx(_gram_eigvalsh(w), abs=1e-15, rel=0)
 
 
 @pytest.mark.parametrize("n", range(2, 5))
@@ -849,7 +931,7 @@ def test_declared_figure_is_exactly_the_upper_end(monkeypatch, n):
         raise AssertionError("the per-qubit search ran")
 
     monkeypatch.setattr(attack_lab, "build_attack_state", unused)
-    monkeypatch.setattr(attack_lab, "accessible_info_lower", unused)
+    monkeypatch.setattr(attack_lab, "_per_qubit_search", unused)
     for families in (("declared",), ("declared", "per_qubit"), ("per_qubit", "declared")):
         report, gap = attack_lab.secrecy_reports(n, families=families)
         assert report.iacc_lower_bits == gap.iacc_upper_bits == 0.5

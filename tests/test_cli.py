@@ -446,6 +446,15 @@ def test_secrecy_at_n_7_peaks_below_100_mb():
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
+def test_secrecy_at_n_5_adds_at_most_1_05_mb_to_start_up():
+    # about 0.9 MB: no BLAS or LAPACK routine runs, as W_0's Gram is formed by einsum and
+    # is diagonal.  Its float matmul and eigvalsh paged in OpenBLAS and LAPACK: 1.25 MB
+    code, start_kb, peak_kb = _main_peak_kb(["secrecy", "--n", "5", "--seed", "1"])
+    assert code == EXIT_OK
+    assert peak_kb - start_kb <= 1.05 * 1024, f"VmHWM {start_kb / 1024:.2f} -> {peak_kb / 1024:.2f} MB"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
 def test_rsa_demo_of_10_to_the_5_auctions_peaks_below_70_mb(tmp_path):
     # about 56 MB: the auctions are columns and their rows are written from a template,
     # 4096 at a time; one frozen outcome object per auction took 82 MB
@@ -938,13 +947,48 @@ def test_secrecy_draws_no_random_number(capsys, monkeypatch, n):
     assert json.loads(out)["result"]["gap_report"]["iacc_best_strategy"] == "declared:even_x_eigenbasis"
 
 
-def test_secrecy_builds_the_state_once_where_per_qubit_is_searched(capsys, monkeypatch):
-    # the per-qubit search reads the branch stack, so that route alone builds the state
+def test_secrecy_builds_no_state_where_per_qubit_is_scored(capsys, monkeypatch):
+    # the per-qubit family is scored in closed form, every member counted: nothing is built,
+    # searched or measured (the search re-scored the 8 of 27 members tied at its maximum)
     calls, payload = _count_secrecy_calls(
         capsys, monkeypatch, ["secrecy", "--n", "3", "--families", "per_qubit", "--seed", "5"]
     )
-    assert calls["build_attack_state"] == 1 and calls["accessible_info_lower"] == 1
-    assert payload["result"]["gap_report"]["iacc_family"] == ["per_qubit_exhaustive"]
+    assert calls == {"build_attack_state": 0, "accessible_info_lower": 0, "born_table": 0, "cq_measure": 0}
+    gap = payload["result"]["gap_report"]
+    assert (gap["iacc_family"], gap["iacc_best_strategy"]) == (["per_qubit_exhaustive"], "per_qubit:std,std,std")
+
+
+def _refuse_dense_work(monkeypatch):
+    """Make the state's builder, the factor-stack constructor and ``eigvalsh`` raise."""
+    def refuse(name):
+        def called(*args, **kwargs):
+            raise AssertionError(f"called {name}")
+        return called
+
+    monkeypatch.setattr(attack_lab, "build_attack_state", refuse("build_attack_state"))
+    monkeypatch.setattr(quantum_core.CqState, "from_factors", refuse("CqState.from_factors"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse("numpy.linalg.eigvalsh"))
+
+
+@pytest.mark.parametrize("families", ["per_qubit,declared", "declared", "per_qubit"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_secrecy_builds_no_state_and_runs_no_eigvalsh(capsys, monkeypatch, n, families):
+    # every figure is read from closed forms: W_0's Gram is diagonal, so its spectrum is
+    # its diagonal, and the per-qubit family has a formula in its Breidbart count
+    argv = ["secrecy", "--n", str(n), "--families", families, "--seed", "1"]
+    expected = run_cli(capsys, argv)
+    _refuse_dense_work(monkeypatch)
+    assert run_cli(capsys, argv) == expected and expected[0] == EXIT_OK
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_attack_demo_builds_no_state_and_runs_no_eigvalsh(capsys, monkeypatch, n):
+    # the marginal check reads the pair of branches of prefix 0...0 from closed-form factors
+    argv = ["attack-demo", "--n", str(n), "--trials", "100", "--seed", "1"]
+    _refuse_dense_work(monkeypatch)
+    code, payload, err = run_json(capsys, argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert payload["result"]["marginal_check"] == {"passed": True, "max_deviation": 0.0}
 
 
 @pytest.mark.parametrize("n", ["0", "1", "8", "-1"])
@@ -955,13 +999,6 @@ def test_secrecy_refuses_n_outside_2_to_7_before_building_anything(capsys, monke
 
     monkeypatch.setattr(attack_lab, "build_attack_state", refuse)
     assert run_cli(capsys, ["secrecy", "--n", n, "--seed", "1"]) == (EXIT_USAGE, "", "error: n must lie in [2, 7]\n")
-
-
-def test_secrecy_rescores_per_qubit_ties_without_a_declared_basis(capsys, monkeypatch):
-    calls, _ = _count_secrecy_calls(
-        capsys, monkeypatch, ["secrecy", "--n", "3", "--families", "per_qubit", "--seed", "5"]
-    )
-    assert calls["cq_measure"] == 8  # the 8 of 27 members tied at the kernel's maximum
 
 
 def test_secrecy_rejects_unknown_family(capsys):
@@ -1427,21 +1464,27 @@ _QUANTUM_OUTPUTS = [
     (["secrecy", "--n", "5", "--seed", "9973"], "59437e7414c3aa9a38bb72ee6016cd6b3fbbd95476ba2756ee4b03ea8c588f7f"),
     (["secrecy", "--n", "4", "--families", "per_qubit", "--seed", "3"],
      "ced53bad8e7923c4d1619f05bb4ed251219396b91bd04b3b3e3c7d0bd7beac54"),
-    # attack-demo prints the closed-form Breidbart angle pi/8 and the factor-built state's marginal deviation;
-    # the n = 5 and n = 7 digests changed when the real attack state became a float64 stack: only
-    # marginal_check.max_deviation moved, within rounding (6.9e-18 -> 1.4e-18 and 1.7e-18 -> 2.6e-18)
+    # the per-qubit family at the cap, scored in closed form: every member counted, so it
+    # reports the exhaustive search (2187 evaluations, std on every qubit, 2^-7 bits) where
+    # 32 members were sampled, with the same figure
+    (["secrecy", "--n", "7", "--families", "per_qubit", "--seed", "1"],
+     "a452176d2997ad07281aa877cc0932880fefba3432a261dd3174924f5d4d31c8"),
+    # attack-demo prints the closed-form Breidbart angle pi/8 and the marginal deviation of the
+    # pair of branches of prefix 0...0, exact from 0/1 factors: every digest changed when the
+    # check left the built state, whose rounding showed in marginal_check.max_deviation alone
+    # (1.4e-18 to 5.6e-18 -> 0.0)
     (["attack-demo", "--n", "2", "--trials", "1000", "--seed", "3"],
-     "c859d26e7751e442ea7cc4d9192e4bcc50c7da00ea370a1e62ec3ee4a00cd0b0"),
+     "9c5adaa6bd7dfa6533e233df18bd7c110da0a0e3c731dd45183eb525f1c0e8be"),
     (["attack-demo", "--n", "3", "--trials", "1000", "--seed", "3"],
-     "09b94123aabf2f8c48354ab81e002b03234e75d77039e1c38b6b70e50f63caa8"),
+     "70b8dc54eeafb8bcf41fdb2bc645b0385a09e6c9cae3c3ce1c6b71e9a5c4ff84"),
     (["attack-demo", "--n", "4", "--trials", "1000", "--seed", "3"],
-     "097b0a40efa20e53f9f76254dc4e56fcceea57f88f52f99851c152a5542909fe"),
+     "639340ed055e94f92ec53bb1ecfb240bbf59d8b0f19502bb24929b26eddcfd8d"),
     (["attack-demo", "--n", "5", "--trials", "1000", "--seed", "3"],
-     "628aaf1e8501b4cc1d070f2299278e4dff68f5620296481346d66059fede95aa"),
+     "bf2797979e6bd64d8d5327c86aa013949be3695fced0007cb280397d0ba4cd8b"),
     (["attack-demo", "--n", "6", "--trials", "1000", "--seed", "3"],
-     "9a2351d34b003ba3f01c7c92567e62b8df688f604ab33a71fb2ee725eb6d323e"),
+     "cab7b61f182e47e6d68616fa92d96bceded0921e3d5cf1869f916070cc889910"),
     (["attack-demo", "--n", "7", "--trials", "1000", "--seed", "3"],
-     "b595db5c3372b802073113bb299fc86ffe02b5bcdf1557d621672878848ed7d0"),
+     "750b9db828c5002bb0697d811626a5d21cbeea41e6c5bb8614c7d0ea59e2afdf"),
 ]
 
 
