@@ -464,14 +464,12 @@ class SecrecyGapReport(JsonRecord):
     iacc_family: tuple[str, ...]
     iacc_best_strategy: str
     ben_or_required_iacc: float
-    search_budget: int
     seed: int
     iacc_upper_bits: float | None = None  # IACC_UPPER_BITS where the declared family was searched
 
 
 def secrecy_gap_report(
     n: int,
-    search_budget: int = 32,
     seed: int = 0,
     families: Sequence[str] = IACC_FAMILIES,
 ) -> SecrecyGapReport:
@@ -488,12 +486,11 @@ def secrecy_gap_report(
     exceed it before the sufficiency bound could even flag the state as
     fully insecure.
     """
-    return secrecy_reports(n, search_budget, seed, families)[1]
+    return secrecy_reports(n, seed, families)[1]
 
 
 def secrecy_reports(
     n: int,
-    search_budget: int = 32,
     seed: int = 0,
     families: Sequence[str] = IACC_FAMILIES,
     correctness: tuple[float, str] | None = None,
@@ -514,7 +511,7 @@ def secrecy_reports(
     bracket, so no other family runs.  Without it, the per-qubit family is scored in
     closed form, every member counted (:func:`_per_qubit_search`); either I_acc figure is
     clamped to ``IACC_UPPER_BITS``.  No state is built and nothing is sampled, so
-    ``search_budget`` and ``seed`` are only recorded.  The tests hold every figure to
+    ``seed`` is only recorded.  The tests hold every figure to
     the dense primitives on the built state, bit for bit: the trace distance to the
     declared ideal's copies, the acceptance of :func:`parity_strategy` on the state and
     on that ideal, and the mutual information of :func:`even_x_eigenbasis`'s Born table
@@ -527,8 +524,6 @@ def secrecy_reports(
     security report.
     """
     families = check_families(families)
-    if search_budget <= 0:
-        raise ValueError("search_budget must be positive")
     if not 2 <= n <= MAX_ATTACK_QUBITS:
         raise ValueError(f"n must lie in [2, {MAX_ATTACK_QUBITS}]")
     upper, advantages = _orbit_bracket(_representative(n), n)
@@ -537,7 +532,7 @@ def secrecy_reports(
     else:
         iacc = _per_qubit_search(n)
     report = _report(n + 1, correctness or correctness_figures(None), 0.0, upper,
-                     advantages, iacc, IACC_UPPER_BITS, search_budget, seed)
+                     advantages, iacc, IACC_UPPER_BITS, {"seed": seed})
     searched = tuple(report.provenance["iacc_family"])
     return report, SecrecyGapReport(
         n=n,
@@ -547,7 +542,6 @@ def secrecy_reports(
         iacc_family=searched,
         iacc_best_strategy=report.provenance["iacc_best_strategy"],
         ben_or_required_iacc=2.0 ** -(n + 3),
-        search_budget=report.provenance["search_budget"],
         seed=report.provenance["seed"],
         iacc_upper_bits=IACC_UPPER_BITS if "declared" in searched else None,
     )
@@ -592,23 +586,11 @@ def _per_qubit_search(n: int) -> IaccSearchResult:
     Over the std, diag and Breidbart bases, ``c_i`` (module docstring) is ``1 - s_i`` on a std
     qubit, ``s_i`` on a diag one and ``2^-1/2`` on a Breidbart one.  So ``m_s = 0`` unless
     ``s_i = 0`` on every std qubit and 1 on every diag one, and then ``2^(-b/2)``, b the number
-    of Breidbart qubits: a product scores :func:`_product_score`, a function of b alone, taken
-    here for every b, so every one of the 3^n members is counted.  As ``1 - h((1 + x) / 2) <= x^2``,
-    b = 0 scores most, exactly 2^-n, and the first member in the search's order with b
-    Breidbart qubits is std on the first n - b.
+    of Breidbart qubits: a product learns ``2^-(n-b) (1 - h((1 + 2^(-b/2)) / 2))`` bits.  As
+    ``1 - h((1 + x) / 2) <= x^2``, with equality at x = 1, b = 0 scores most, exactly 2^-n, and
+    the first of the 3^n members in the search's order is std on every qubit.
     """
-    scores = [_product_score(n, b) for b in range(n + 1)]
-    b = scores.index(max(scores))
-    names = ("std",) * (n - b) + ("breidbart",) * b
-    return IaccSearchResult(scores[b], ("per_qubit_exhaustive",), "per_qubit:" + ",".join(names), 3**n)
-
-
-def _product_score(n: int, b: int) -> float:
-    """``I(S : Z) = 2^-(n-b) (1 - h((1 + 2^(-b/2)) / 2))`` bits, h the binary entropy: what a
-    product of std, diag and ``b`` Breidbart bases learns about the attack key (:func:`_per_qubit_search`)."""
-    q = (1.0 + 2.0 ** (-b / 2)) / 2
-    entropy = 0.0 if q == 1.0 else -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
-    return 2.0 ** -(n - b) * (1.0 - entropy)
+    return IaccSearchResult(2.0**-n, ("per_qubit_exhaustive",), "per_qubit:" + ",".join(["std"] * n), 3**n)
 
 
 def _orbit_bracket(w0: np.ndarray, n: int) -> tuple[float, list[float]]:
@@ -621,9 +603,8 @@ def _orbit_bracket(w0: np.ndarray, n: int) -> tuple[float, list[float]]:
     by the trace keeps its eigenvalues exact.  Branch 0's label basis is the
     computational one, in which it reads ``Pr[z] = ||row z of W_0||^2 / tr``; the trivial
     measurement reads the trace, 1.  The spectrum is read from ``w0`` (:func:`_gram_spectrum`),
-    not taken from the closed form ``W_0^T W_0 = 2^-(n-1) I``, so a ``w0`` that is not a
-    branch's factor shows in the figure.  :func:`_representative` has one nonzero per column,
-    in distinct rows, so its Gram is diagonal and no BLAS or LAPACK routine runs.
+    not taken from the closed form ``W_0^T W_0 = 2^-(n-1) I``, so column weights that are not a
+    branch's show in the figure; no BLAS or LAPACK routine runs.
     """
     d, r = w0.shape
     count, p = 2 ** (n + 1), 2.0 ** -(n + 1)
@@ -642,18 +623,20 @@ def _orbit_bracket(w0: np.ndarray, n: int) -> tuple[float, list[float]]:
 
 
 def _gram_spectrum(w: np.ndarray) -> tuple[np.ndarray, float]:
-    """The eigenvalues of ``W^T W / tr``, ascending, and the trace ``tr`` of ``W^T W``.
+    """The eigenvalues of ``W^T W / tr``, ascending, and the trace ``tr`` of ``W^T W``, for a
+    ``w`` with one nonzero per column, in distinct rows, as a branch's factor has.
 
-    The Gram matrix is formed by numpy's own loop (``einsum``), not BLAS.  Where it is
-    diagonal, as one nonzero per column in distinct rows makes it, the eigenvalues are its
-    sorted diagonal, which ``eigvalsh`` returns bit for bit; ``eigvalsh`` runs only on a Gram
-    that is not diagonal.
+    Its Gram is then diagonal, the squared column norms, so the eigenvalues are those norms,
+    sorted, over their sum, bit for bit what ``eigvalsh`` returns; any other ``w`` is refused.
+    The structure is r nonzeros, in r columns and in r rows, r the number of columns: three
+    counts of nonzeros, with no Gram formed (an entry whose square underflows counts as zero).
     """
-    gram = np.einsum("ij,ik->jk", w, w)
-    trace = np.trace(gram)
-    if np.count_nonzero(gram) == np.count_nonzero(np.diagonal(gram)):
-        return np.sort(np.diagonal(gram) / trace), trace
-    return np.linalg.eigvalsh(gram / trace), trace
+    squares = w * w
+    norms = squares.sum(axis=0)
+    if not np.count_nonzero(w) == np.count_nonzero(norms) == np.count_nonzero(squares.sum(axis=1)) == w.shape[1]:
+        raise ValueError("w must have one nonzero per column, in distinct rows")
+    trace = norms.sum()
+    return np.sort(norms / trace), trace
 
 
 def _sign_table(n: int) -> np.ndarray:

@@ -88,7 +88,6 @@ MAX_ROUNDS = 10**6
 MAX_HORIZON = 10**4
 MAX_AUCTIONS = 10**5
 MAX_TRIALS = 10**7
-MAX_BUDGET = 10**4
 MAX_EMITTED_BITS = 2**32  # keystream-simulate's rounds * ell: 512 MiB packed
 MAX_PAD_QUBITS = _CHUNK_BITS // 3  # attack-demo and attack-otp's n: a 3n-bit attack round fits one draw
 
@@ -303,9 +302,7 @@ def cmd_secrecy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     seed = _resolve_seed(args, parser)
     # the correctness figures are scored before any state is built
     correctness = _load_correctness(args.correctness_file) if args.correctness_file else None
-    report, gap = secrecy_reports(
-        args.n, search_budget=args.budget, seed=seed, families=args.families, correctness=correctness
-    )
+    report, gap = secrecy_reports(args.n, seed=seed, families=args.families, correctness=correctness)
     result = {
         "security_report": report.to_json_dict(),
         "gap_report": gap.to_json_dict(),
@@ -314,7 +311,6 @@ def cmd_secrecy(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     }
     params = {
         "n": args.n,
-        "budget": args.budget,
         "families": list(args.families),
         "correctness_file": args.correctness_file,
     }
@@ -555,9 +551,6 @@ def _attack_demo_args(p: argparse.ArgumentParser) -> None:
 
 def _secrecy_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=3, help=f"pad qubits (2..{MAX_ATTACK_QUBITS})")
-    p.add_argument("--budget", type=_at_most(MAX_BUDGET), default=32,
-                   help="recorded in the report: the attack key's per-qubit family is scored in closed "
-                        f"form, every member counted, so no bases are sampled (at most {MAX_BUDGET})")
     p.add_argument("--families", type=_families, default=",".join(IACC_FAMILIES),
                    help="I_acc families, comma-separated: per_qubit, declared (the even-X eigenbasis)")
     p.add_argument("--correctness-file", default=None, help="JSON with 'samples' or 'distribution'")

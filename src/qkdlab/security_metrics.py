@@ -682,7 +682,8 @@ def evaluate_cq_security(
     upper = _distance(cq, ideal)
     advantages = list(_default_advantages(cq, ideal, num_random_strategies, seed, upper=upper))
     iacc = accessible_info_lower(cq, search_budget, seed, iacc_families)
-    return _report(cq.key_len, correct, cq.p_perp, upper, advantages, iacc, math.inf, search_budget, seed)
+    return _report(cq.key_len, correct, cq.p_perp, upper, advantages, iacc, math.inf,
+                   {"search_budget": search_budget, "seed": seed})
 
 
 def _report(
@@ -693,14 +694,15 @@ def _report(
     advantages: Sequence[float],
     iacc: IaccSearchResult,
     iacc_upper: float,
-    search_budget: int,
-    seed: int,
+    search: dict[str, int],
 ) -> SecurityReport:
     """The :class:`SecurityReport` of figures scored elsewhere, by :func:`evaluate_cq_security` or
     from one branch per orbit (``attack_lab.secrecy_reports``): ``correctness`` the pair of
     :func:`correctness_figures`, the trace distance ``upper`` to the ideal, the ``advantages``
     scored, and the I_acc search ``iacc``, whose figure is clamped to ``iacc_upper``, a known
-    upper end on the accessible information (``math.inf`` where none is known)."""
+    upper end on the accessible information (``math.inf`` where none is known), and ``search``
+    the search's parameters that the provenance names: its budget and seed, or the seed alone
+    where nothing was sampled."""
     eps_c, source = correctness
     return SecurityReport(
         key_len=key_len,
@@ -715,8 +717,7 @@ def _report(
             "iacc_family": list(iacc.family),
             "iacc_best_strategy": iacc.best_strategy,
             "iacc_evaluations": iacc.evaluations,
-            "search_budget": search_budget,
-            "seed": seed,
+            **search,
             "correctness_source": source,
         },
     )

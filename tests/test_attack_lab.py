@@ -536,7 +536,7 @@ def test_bell_basis_learns_half_a_bit_of_the_n2_key():
 
 
 def test_secrecy_gap_report_fields_and_json():
-    report = secrecy_gap_report(2, search_budget=6, seed=1, families=("per_qubit",))
+    report = secrecy_gap_report(2, seed=1, families=("per_qubit",))
     assert report.eps_secret_lower == pytest.approx(0.5, abs=1e-12)
     assert report.eps_secret_upper == pytest.approx(0.5, abs=1e-12)
     assert report.iacc_lower_bits == pytest.approx(0.25, abs=1e-9)
@@ -655,8 +655,16 @@ def test_no_per_qubit_product_learns_more_than_2_to_the_minus_n(n):
     assert iacc.bits <= 2.0**-n + 1e-12
 
 
+def _product_score(n, b):
+    """``I(S : Z) = 2^-(n-b) (1 - h((1 + 2^(-b/2)) / 2))`` bits, h the binary entropy: what a
+    product of std, diag and ``b`` Breidbart bases learns about the attack key."""
+    q = (1.0 + 2.0 ** (-b / 2)) / 2
+    entropy = 0.0 if q == 1.0 else -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
+    return 2.0 ** -(n - b) * (1.0 - entropy)
+
+
 def _exact_product_score(n, b):
-    """``2^-(n-b) (1 - h((1 + 2^(-b/2)) / 2))`` to 40 digits."""
+    """:func:`_product_score` to 40 digits."""
     with mpmath.workdps(40):
         q = (1 + mpmath.mpf(2) ** (-mpmath.mpf(b) / 2)) / 2
         entropy = 0 if b == 0 else -q * mpmath.log(q, 2) - (1 - q) * mpmath.log(1 - q, 2)
@@ -672,10 +680,21 @@ def test_product_score_is_the_dense_score_of_every_product(n):
     cq = build_attack_state(n).cq
     for b in range(n + 1):
         exact = _exact_product_score(n, b)
-        assert abs(attack_lab._product_score(n, b) - exact) <= 1e-14 * exact
+        assert abs(_product_score(n, b) - exact) <= 1e-14 * exact
     for names in itertools.product(QUBIT_BASIS_ANGLES, repeat=n):
         dense = security_metrics._povm_information(cq, product_qubit_povm([QUBIT_BASIS_ANGLES[x] for x in names]))
-        assert abs(dense - attack_lab._product_score(n, names.count("breidbart"))) <= 2e-12, names
+        assert abs(dense - _product_score(n, names.count("breidbart"))) <= 2e-12, names
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_closed_form_per_qubit_search_reports_the_formulas_maximum(n):
+    # b = 0 scores exactly 2^-n and every b > 0 strictly less, so the search reports
+    # 2^-n with std on every qubit, the first member in its order, over all 3^n members
+    scores = [_product_score(n, b) for b in range(n + 1)]
+    assert scores[0] == 2.0**-n and max(scores[1:]) < 2.0**-n
+    got = attack_lab._per_qubit_search(n)
+    std = "per_qubit:" + ",".join(["std"] * n)
+    assert got == security_metrics.IaccSearchResult(2.0**-n, ("per_qubit_exhaustive",), std, 3**n)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -687,38 +706,28 @@ def test_closed_form_per_qubit_search_is_the_dense_search(n):
     assert (got.bits, got.best_strategy) == (2.0**-n, "per_qubit:" + ",".join(["std"] * n))
 
 
-def _gram_eigvalsh(w):
-    gram = w.T @ w
-    return np.linalg.eigvalsh(gram / np.trace(gram))
-
-
-def _refuse_eigvalsh(*args, **kwargs):
-    raise AssertionError("eigvalsh ran")
-
-
 @pytest.mark.parametrize("n", range(2, 8))
-def test_gram_spectrum_of_one_nonzero_per_column_is_eigvalsh_bit_for_bit(monkeypatch, n):
-    # the representative, and the same columns with unequal norms
+def test_gram_spectrum_of_one_nonzero_per_column_is_eigvalsh_bit_for_bit(n):
+    # the representative, and the other parity's columns with unequal norms
     w0 = attack_lab._representative(n)
     scaled = attack_lab._pad_columns(n, 1) * np.random.default_rng(n).uniform(0.1, 2.0, size=2 ** (n - 1))
-    want = [(_gram_eigvalsh(w), np.trace(w.T @ w)) for w in (w0, scaled)]
-    monkeypatch.setattr(np.linalg, "eigvalsh", _refuse_eigvalsh)
-    for w, (spectrum, trace) in zip((w0, scaled), want):
+    assert len(set(np.abs(scaled).max(axis=0))) == 2 ** (n - 1)  # the norms differ, so the sort is exercised
+    for w in (w0, scaled):
+        gram = w.T @ w
+        spectrum, trace = np.linalg.eigvalsh(gram / np.trace(gram)), np.trace(gram)
         got, got_trace = attack_lab._gram_spectrum(w)
         assert [x.hex() for x in got] == [x.hex() for x in spectrum] and got_trace.hex() == trace.hex()
-    assert len(set(want[1][0])) == 2 ** (n - 1)  # the norms differ, so the sort is exercised
 
 
-def test_gram_spectrum_of_a_non_diagonal_gram_runs_eigvalsh(monkeypatch):
-    w = np.random.default_rng(3).standard_normal((8, 4))
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
-    spectrum, trace = attack_lab._gram_spectrum(w)
-    gram = np.einsum("ij,ik->jk", w, w)
-    assert calls == [1]
-    assert [x.hex() for x in spectrum] == [x.hex() for x in eigvalsh(gram / np.trace(gram))]
-    assert spectrum == pytest.approx(_gram_eigvalsh(w), abs=1e-15, rel=0)
+@pytest.mark.parametrize("w", [
+    np.random.default_rng(3).standard_normal((8, 4)),  # dense
+    np.eye(4)[:, [0, 1, 1]],  # two columns in one row
+    np.eye(4)[:, :3] + np.eye(4)[:, 1:],  # two nonzeros in a column
+    np.eye(4)[:, :3] * [1.0, 0.0, 1.0],  # an empty column
+], ids=["dense", "shared_row", "two_in_a_column", "empty_column"])
+def test_gram_spectrum_refuses_a_factor_without_one_nonzero_per_column_in_distinct_rows(w):
+    with pytest.raises(ValueError, match="one nonzero per column"):
+        attack_lab._gram_spectrum(w)
 
 
 @pytest.mark.parametrize("n", range(2, 5))

@@ -92,7 +92,6 @@ CAPPED = [
     (["keystream-simulate", "--n0", "60000", "--ell0", "12000"], "--rounds", cli.MAX_ROUNDS),
     (["keystream-plan", "--target-eps", "1e-9"], "--horizon", cli.MAX_HORIZON),
     (["rsa-demo"], "--auctions", cli.MAX_AUCTIONS),
-    (["secrecy", "--n", "2"], "--budget", cli.MAX_BUDGET),
     (["attack-demo", "--n", "2"], "--trials", cli.MAX_TRIALS),
     (["verify-composition", "--example", "biased-otp", "--mode", "sample"], "--trials", cli.MAX_TRIALS),
 ]
@@ -100,7 +99,7 @@ CAPPED = [
 
 def test_documented_caps():
     assert (cli.MAX_ROUNDS, cli.MAX_HORIZON, cli.MAX_AUCTIONS) == (10**6, 10**4, 10**5)
-    assert (cli.MAX_TRIALS, cli.MAX_BUDGET) == (10**7, 10**4)
+    assert cli.MAX_TRIALS == 10**7
     # a wrong-basis attack round draws 3n bits, and one draw holds 2^15
     assert cli.MAX_PAD_QUBITS == 10922 and 3 * cli.MAX_PAD_QUBITS <= attack_lab._CHUNK_BITS
 
@@ -192,9 +191,9 @@ def test_main_adds_only_the_invoked_subcommands_arguments(capsys, monkeypatch):
     assert len(constructed) == 8
     added.clear()
     constructed.clear()
-    code, _, _ = run_json(capsys, ["secrecy", "--n", "2", "--budget", "2", "--families", "declared", "--seed", "1"])
+    code, _, _ = run_json(capsys, ["secrecy", "--n", "2", "--families", "declared", "--seed", "1"])
     assert code == EXIT_OK
-    assert len(every) == 8 and sum(map(len, every.values())) == 79
+    assert len(every) == 8 and sum(map(len, every.values())) == 78
     assert added["qkdlab secrecy"] == every["qkdlab secrecy"] != ["-h"]
     assert added["qkdlab"] == every["qkdlab"] == ["-h", "--version"]
     assert len(constructed) == 2
@@ -389,7 +388,7 @@ def test_default_commands_start_and_run_without_scipy(tmp_path):
          "--abort-prob", "0.1", "--seed", "6"],
         ["keystream-schedule", "--n0", "60000", "--ell0", "12000", "--rounds", "1000"],
         ["keystream-plan", "--target-eps", "1e-9"],
-        ["secrecy", "--n", "2", "--budget", "2", "--correctness-file", str(samples), "--seed", "0"],
+        ["secrecy", "--n", "2", "--correctness-file", str(samples), "--seed", "0"],
     ]
     report = json.loads(run(_STARTUP_PROBE, bare, json.dumps(commands)))
     assert report["added"] == ["numpy", "qkdlab"]
@@ -447,8 +446,8 @@ def test_secrecy_at_n_7_peaks_below_100_mb():
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
 def test_secrecy_at_n_5_adds_at_most_1_05_mb_to_start_up():
-    # about 0.9 MB: no BLAS or LAPACK routine runs, as W_0's Gram is formed by einsum and
-    # is diagonal.  Its float matmul and eigvalsh paged in OpenBLAS and LAPACK: 1.25 MB
+    # about 0.8 MB: no BLAS or LAPACK routine runs, as W_0's Gram spectrum is read off its
+    # column norms.  Its float matmul and eigvalsh paged in OpenBLAS and LAPACK: 1.25-1.35 MB
     code, start_kb, peak_kb = _main_peak_kb(["secrecy", "--n", "5", "--seed", "1"])
     assert code == EXIT_OK
     assert peak_kb - start_kb <= 1.05 * 1024, f"VmHWM {start_kb / 1024:.2f} -> {peak_kb / 1024:.2f} MB"
@@ -669,9 +668,6 @@ _ARGV = st.one_of(
     }, {"--declared-eps": _RATE, "--seed": _SEED}),
     _argv("secrecy", {
         "--n": st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["8", "nan", str(10**30)])),
-        "--budget": st.one_of(
-            st.integers(-2, 4).map(str), st.sampled_from(["nan", str(cli.MAX_BUDGET + 1), str(10**30)])
-        ),
     }, {
         "--families": st.sampled_from(["per_qubit", "declared", "per_qubit,declared", "random", "hill_climb", "psychic", ""]),
         "--seed": _SEED,
@@ -838,10 +834,16 @@ def test_attack_demo_out_file_and_curve_csv(capsys, tmp_path):
 # secrecy
 
 
+def test_secrecy_has_no_budget_option(capsys):
+    # neither route samples per-qubit bases, so there is no search budget to set
+    with pytest.raises(SystemExit) as exc:
+        main(["secrecy", "--n", "2", "--budget", "2"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --budget 2" in capsys.readouterr().err
+
+
 def test_secrecy_report(capsys):
-    code, payload, _ = run_json(
-        capsys, ["secrecy", "--n", "2", "--budget", "4", "--families", "per_qubit", "--seed", "0"]
-    )
+    code, payload, _ = run_json(capsys, ["secrecy", "--n", "2", "--families", "per_qubit", "--seed", "0"])
     assert code == EXIT_OK
     report = payload["result"]["security_report"]
     assert report["eps_secret_lower"] == pytest.approx(0.5, abs=1e-9)
@@ -878,7 +880,7 @@ def _count_secrecy_calls(capsys, monkeypatch, argv):
 
 
 def test_secrecy_computes_shared_results_once(capsys, monkeypatch):
-    argv = ["secrecy", "--n", "3", "--budget", "4", "--seed", "5"]
+    argv = ["secrecy", "--n", "3", "--seed", "5"]
     calls, payload = _count_secrecy_calls(capsys, monkeypatch, argv)
     # no state is built: every figure is scored from one branch per orbit in closed form,
     # the default strategies up to the label-basis one, whose advantage meets the trace
@@ -1018,8 +1020,7 @@ def test_secrecy_correctness_file_samples(capsys, tmp_path):
                                             ["010", "011"], ["111", "111"]]}))
     code, payload, _ = run_json(
         capsys,
-        ["secrecy", "--n", "2", "--budget", "4", "--families", "per_qubit",
-         "--correctness-file", str(path), "--seed", "0"],
+        ["secrecy", "--n", "2", "--families", "per_qubit", "--correctness-file", str(path), "--seed", "0"],
     )
     assert code == EXIT_OK
     report = payload["result"]["security_report"]
@@ -1065,9 +1066,7 @@ def test_malformed_correctness_file_is_a_usage_error(capsys, tmp_path, content):
         path.write_bytes(content)
     else:
         path.write_text(content if isinstance(content, str) else json.dumps(content))
-    code, out, err = run_cli(
-        capsys, ["secrecy", "--n", "2", "--budget", "2", "--correctness-file", str(path)]
-    )
+    code, out, err = run_cli(capsys, ["secrecy", "--n", "2", "--correctness-file", str(path)])
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith(f"error: correctness file {str(path)!r}: ") and err.count("\n") == 1
@@ -1096,8 +1095,7 @@ def test_secrecy_correctness_file_distribution(capsys, tmp_path):
     path.write_text(json.dumps({"distribution": [["00", "00", 0.75], ["01", "00", 0.25]]}))
     code, payload, _ = run_json(
         capsys,
-        ["secrecy", "--n", "2", "--budget", "2", "--families", "per_qubit",
-         "--correctness-file", str(path)],
+        ["secrecy", "--n", "2", "--families", "per_qubit", "--correctness-file", str(path)],
     )
     assert code == EXIT_OK
     report = payload["result"]["security_report"]
@@ -1451,24 +1449,26 @@ def test_keystream_benchmark_commands_print_the_pinned_bytes(capsys, argv, diges
 # The secrecy digests changed when each search began to stop once its bracket
 # closes: only the provenance fields iacc_family, iacc_evaluations and
 # strategy_count moved (every figure is unchanged; see
-# test_attack_lab.py::test_secrecy_reports_match_the_unstopped_searches)
+# test_attack_lab.py::test_secrecy_reports_match_the_unstopped_searches).  They
+# changed again when secrecy dropped --budget, as it samples nothing: the
+# parameters' budget and both reports' search_budget fields went, nothing else
 _QUANTUM_OUTPUTS = [
-    (["secrecy", "--n", "2", "--seed", "1"], "74f38040fdb7e36a57310713390cb2b101ac6b855029bd6c6ab2d15539d6b5b1"),
-    (["secrecy", "--n", "3", "--seed", "1"], "d08072fc68f375fd3231a541d3a2970d77ae5246753cda1ece4590e7d3de588c"),
-    (["secrecy", "--n", "4", "--seed", "1"], "c125816ac5a5291e014a85d731e51d134063fa7cdaa6213594d4ff346cf01c0e"),
-    (["secrecy", "--n", "5", "--seed", "1"], "c8438fd21bd2ac2460f586a02e6b8fbd9f4b8f9725de93997b7cd9108ac01d5d"),
-    (["secrecy", "--n", "6", "--seed", "1"], "38439773813a568b6c3ff17545062231507669cf6c2e026f36b52e15e00c106c"),
+    (["secrecy", "--n", "2", "--seed", "1"], "c9d4a64ce86fc9951709bcca5a56b2fafbdf2ae97f4280b4018654054506bef0"),
+    (["secrecy", "--n", "3", "--seed", "1"], "b8865adbef2d61be1660441a5ba68d1f9162e728950015bf3f3731f51f06cc7b"),
+    (["secrecy", "--n", "4", "--seed", "1"], "1cda0588775fb19c32769910db548f8b442fd24f85b054c2c973182060754e85"),
+    (["secrecy", "--n", "5", "--seed", "1"], "32088a92cf04f9afa016c346709d88deb793995967008039ab70ae38c35df421"),
+    (["secrecy", "--n", "6", "--seed", "1"], "3ca8ec87bbaa61a8f654355a84174c700373630a01632b709fec9baa0f1e1d45"),
     (["secrecy", "--n", "3", "--families", "per_qubit", "--seed", "4"],
-     "e08dc760baa849273f4a76f334f032095273e30a2a1410a1207b0acc1e5c7917"),
-    (["secrecy", "--n", "7", "--seed", "1"], "a67a2ddfdd9a419387cfc999235b58f26013b372b47c290135a7ff627a598c05"),
-    (["secrecy", "--n", "5", "--seed", "9973"], "59437e7414c3aa9a38bb72ee6016cd6b3fbbd95476ba2756ee4b03ea8c588f7f"),
+     "a4b9137914dd7bb630e5807a49d9f613df2c0f7e2104ce21071a8946fb7978a7"),
+    (["secrecy", "--n", "7", "--seed", "1"], "a6ffd57d06fa831de6ed03aabd8f70e1f141070aea0c20f259a04e33cd41296e"),
+    (["secrecy", "--n", "5", "--seed", "9973"], "ea079cfa39696385cb32fc28cdd499e8c68b323fe5d80d19918131de80aa067a"),
     (["secrecy", "--n", "4", "--families", "per_qubit", "--seed", "3"],
-     "ced53bad8e7923c4d1619f05bb4ed251219396b91bd04b3b3e3c7d0bd7beac54"),
+     "364c536970e9bbc191916dbc89ef46aec9d8fdbccb4dea77a0dee6c41bf3c149"),
     # the per-qubit family at the cap, scored in closed form: every member counted, so it
     # reports the exhaustive search (2187 evaluations, std on every qubit, 2^-7 bits) where
     # 32 members were sampled, with the same figure
     (["secrecy", "--n", "7", "--families", "per_qubit", "--seed", "1"],
-     "a452176d2997ad07281aa877cc0932880fefba3432a261dd3174924f5d4d31c8"),
+     "edd9229d4443fd8c21c77072f51a98363d03ce87ad473c360a1c433aada70f6d"),
     # attack-demo prints the closed-form Breidbart angle pi/8 and the marginal deviation of the
     # pair of branches of prefix 0...0, exact from 0/1 factors: every digest changed when the
     # check left the built state, whose rounding showed in marginal_check.max_deviation alone
@@ -1881,14 +1881,14 @@ def test_report_objects_keep_their_json_layout(capsys):
         assert obj.get("type") == tag
         return set(obj) - {"type"}
 
-    secrecy = result(["secrecy", "--n", "2", "--budget", "2", "--families", "per_qubit", "--seed", "1"])
+    secrecy = result(["secrecy", "--n", "2", "--families", "per_qubit", "--seed", "1"])
     assert keys(secrecy["security_report"], "security_report") == {
         "key_len", "eps_correct", "eps_robust", "eps_secret_lower", "eps_secret_upper",
         "iacc_lower_bits", "eps_total", "provenance",
     }
     assert keys(secrecy["gap_report"], "secrecy_gap_report") == {
         "n", "eps_secret_lower", "eps_secret_upper", "iacc_lower_bits", "iacc_family",
-        "iacc_best_strategy", "ben_or_required_iacc", "search_budget", "seed",
+        "iacc_best_strategy", "ben_or_required_iacc", "seed",
     }
 
     planned = result(["keystream-plan", "--target-eps", "1e-6"])

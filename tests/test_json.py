@@ -27,7 +27,7 @@ from qkdlab.security_metrics import SecurityReport
 
 @functools.cache
 def _records() -> tuple[JsonRecord, ...]:
-    report, gap = secrecy_reports(2, search_budget=2, seed=1, families=("per_qubit",))
+    report, gap = secrecy_reports(2, seed=1, families=("per_qubit",))
     params = StreamParams(n0=60_000, c=60_000.0, ell=256, ell0=12_000)
     composition = verify_composition_bound(
         biased_key_source(1, p_zero=0.6), otp_application("1"),

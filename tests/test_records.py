@@ -23,7 +23,7 @@ RECORDS = {
                                          "measured_pad", "recovered_bit", "success")),
     "SecrecyGapReport": ("value", ("n", "eps_secret_lower", "eps_secret_upper", "iacc_lower_bits",
                                          "iacc_family", "iacc_best_strategy", "ben_or_required_iacc",
-                                         "search_budget", "seed", "iacc_upper_bits")),
+                                         "seed", "iacc_upper_bits")),
     "SampleTable": ("identity", ("codes", "weights", "widths")),
     "ProtocolPair": ("value", ("name", "output_len", "declared_eps", "real_run", "ideal_run", "build_exact")),
     "KeyApplication": ("value", ("name", "key_len", "declared_eps", "real_run", "ideal_run",
@@ -57,7 +57,7 @@ RECORDS = {
 # the keys of each JSON record, in sort_keys order, as the CLI's documents carry them
 JSON_KEYS = {
     "SecrecyGapReport": ("ben_or_required_iacc", "eps_secret_lower", "eps_secret_upper", "iacc_best_strategy",
-                         "iacc_family", "iacc_lower_bits", "iacc_upper_bits", "n", "search_budget", "seed", "type"),
+                         "iacc_family", "iacc_lower_bits", "iacc_upper_bits", "n", "seed", "type"),
     "AdvantageEstimate": ("accept_ideal", "accept_real", "advantage", "half_width", "mode", "trials"),
     "DistinguisherRow": ("advantage_app_step", "advantage_source_step", "advantage_total", "half_width", "name",
                          "telescope_residual", "within_bound"),
