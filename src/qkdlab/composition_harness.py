@@ -692,10 +692,6 @@ def attack_otp_advantage(
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BELOW = 3_317_044_064_679_887_385_961_981
-# {2, 7, 61} alone is deterministic below the first strong pseudoprime to
-# all three bases, 4,759,123,141 = 48781 * 97561 (Jaeschke 1993)
-_MR_SMALL_WITNESSES = (2, 7, 61)
-_MR_SMALL_BELOW = 4_759_123_141
 _PUBLIC_EXPONENTS = (65537, 257, 17, 5, 3)
 
 
@@ -713,9 +709,9 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_SMALL_WITNESSES if n < _MR_SMALL_BELOW else _MR_WITNESSES:
+    for a in _MR_WITNESSES:
         x = pow(a, d, n)
-        if x in (1, n - 1) or a == n:  # 61 passes trial division; a witness must not be n
+        if x in (1, n - 1):
             continue
         for _ in range(r - 1):
             x = x * x % n

@@ -63,7 +63,6 @@ from .quantum_core import (
     born_table,
     cq_measure,
     mutual_information,
-    product_born_tables,
     product_qubit_povm,
 )
 
@@ -104,10 +103,13 @@ IACC_FAMILIES = ("per_qubit", "declared")
 
 
 def check_families(families: Sequence[str]) -> tuple[str, ...]:
-    """``families`` as a tuple, refusing a name that is not one of ``IACC_FAMILIES``."""
+    """``families`` as a tuple, refusing a name that is not one of ``IACC_FAMILIES``
+    or that is named twice."""
     unknown = set(families) - set(IACC_FAMILIES)
     if unknown:
         raise ValueError(f"unknown families: {sorted(unknown)}")
+    if len(set(families)) < len(families):
+        raise ValueError(f"repeated families: {list(families)}")
     return tuple(families)
 
 
@@ -507,16 +509,6 @@ class IaccSearchResult(Record):
     evaluations: int
 
 
-def _povm_information(cq: CqState, povm: Povm) -> float:
-    return mutual_information(cq_measure(cq, povm))
-
-
-# The prefix-tree kernel rounds differently from the dense Born rule (by
-# up to 5.3e-15 bits on attack and random states of 1 to 5 qubits); every
-# member within this margin of the kernel's best is re-scored densely, so
-# the dense maximum is always among them.
-RESCORE_MARGIN_BITS = 1e-9
-
 # Scores up to this many bits are rounding noise (a fully mixed register
 # shows 9e-16) and count as 0: rounding a lower bound down keeps it certified.
 IACC_FLOOR_BITS = 1e-12
@@ -524,18 +516,6 @@ IACC_FLOOR_BITS = 1e-12
 # The per-qubit family is enumerated while its estimated work stays under this,
 # else sampled; accessible_info_lower reads it at each call.
 EXHAUSTIVE_WORK_CAP = 10**9
-
-
-def _product_information(cq: CqState, thetas: Sequence[float]) -> np.ndarray:
-    """Mutual information of every product measurement over ``thetas``, in
-    enumeration order, from :func:`product_born_tables` (for ranking only)."""
-    def score(born: np.ndarray) -> np.ndarray:
-        born *= cq.probs[:, None]
-        born /= born.sum(axis=(1, 2))[:, None, None]
-        return mutual_information(born)
-
-    # map keeps no chunk alive while the kernel computes the next one
-    return np.concatenate(list(map(score, product_born_tables(cq.matrices, thetas))))
 
 
 def accessible_info_lower(
@@ -547,21 +527,17 @@ def accessible_info_lower(
     """Lower-bound the accessible information ``max_Z I(S : Z)`` by search.
 
     Of the families in ``families``, the search runs ``per_qubit``: products of
-    computational / diagonal / Breidbart single-qubit bases when the register is a
-    qubit register.  The 3^n family is enumerated exhaustively while the estimated
-    work stays under ``EXHAUSTIVE_WORK_CAP``; beyond that, ``search_budget`` members
-    are sampled.  The exhaustive family is ranked by the prefix-tree kernel
-    :func:`product_born_tables`; each member within ``RESCORE_MARGIN_BITS`` of its best
-    is then re-scored by the dense Born rule in enumeration order, so the reported
-    figure and strategy are those of the dense search over all 3^n members.
+    computational / diagonal / Breidbart single-qubit bases, when the register is a
+    qubit register.  Its 3^n members are enumerated while the estimated work stays
+    under ``EXHAUSTIVE_WORK_CAP``; beyond that, ``search_budget`` of them are sampled.
     ``declared`` names a measurement that a state's builder scores itself, in closed
     form (``attack_lab.secrecy_reports``); the search has none to score, so it skips it.
 
-    Every candidate is scored by the exact mutual information of the
-    induced joint distribution, so the maximum found is a certified
-    lower bound on the accessible information.  Only candidates above
-    ``IACC_FLOOR_BITS`` count; when none does, the result is 0.0 bits
-    with strategy ``"none"``.
+    Each member is scored once, in enumeration order, by the exact mutual
+    information of its dense Born table (:func:`cq_measure`), so the maximum
+    found is a certified lower bound on the accessible information; of equal
+    scores the first is kept.  Only scores above ``IACC_FLOOR_BITS`` count;
+    when none does, the result is 0.0 bits with strategy ``"none"``.
     """
     if search_budget <= 0:
         raise ValueError("search_budget must be positive")
@@ -577,16 +553,13 @@ def accessible_info_lower(
         if work <= EXHAUSTIVE_WORK_CAP:
             searched = ("per_qubit_exhaustive",)
             assignments = list(itertools.product(basis_names, repeat=nq))
-            ranked = _product_information(cq, list(QUBIT_BASIS_ANGLES.values()))
-            rescored = itertools.compress(assignments, ranked >= ranked.max() - RESCORE_MARGIN_BITS)
         else:
             searched = ("per_qubit_sampled",)
             rng = np.random.default_rng(rng_seed)
             assignments = [tuple(basis_names[i] for i in rng.integers(0, 3, size=nq)) for _ in range(search_budget)]
-            rescored = assignments
         evaluations = len(assignments)
-        for names in rescored:
-            bits = _povm_information(cq, product_qubit_povm([QUBIT_BASIS_ANGLES[b] for b in names]))
+        for names in assignments:
+            bits = mutual_information(cq_measure(cq, product_qubit_povm([QUBIT_BASIS_ANGLES[b] for b in names])))
             if bits > best_bits:
                 best_bits, best_desc = bits, "per_qubit:" + ",".join(names)
 

@@ -643,18 +643,6 @@ def test_iacc_lower_end_is_clamped_to_the_upper_end(monkeypatch):
 # the certificates at which the searches stop, and the searches without stops
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_no_per_qubit_product_learns_more_than_2_to_the_minus_n(n):
-    # every one of the 3^n products, as ranked by the prefix-tree kernel and
-    # as reported after the dense re-scoring
-    cq = build_attack_state(n).cq
-    ranked = security_metrics._product_information(cq, list(QUBIT_BASIS_ANGLES.values()))
-    assert len(ranked) == 3**n and ranked.max() <= 2.0**-n + 1e-12
-    iacc = accessible_info_lower(cq, families=("per_qubit",))
-    assert iacc.family == ("per_qubit_exhaustive",) and iacc.evaluations == 3**n
-    assert iacc.bits <= 2.0**-n + 1e-12
-
-
 def _product_score(n, b):
     """``I(S : Z) = 2^-(n-b) (1 - h((1 + 2^(-b/2)) / 2))`` bits, h the binary entropy: what a
     product of std, diag and ``b`` Breidbart bases learns about the attack key."""
@@ -674,7 +662,7 @@ def _exact_product_score(n, b):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_product_score_is_the_dense_score_of_every_product(n):
     # every one of the 3^n products, scored by the dense Born rule on the built state as
-    # accessible_info_lower re-scores its members, against the closed form in the number
+    # accessible_info_lower scores its members, against the closed form in the number
     # b of Breidbart qubits.  The formula is within a few ulps of its 40-digit value; the
     # dense score rounds further from it, by up to 3.4e-13 at n = 5 and 1.2e-12 at n = 6
     cq = build_attack_state(n).cq
@@ -682,7 +670,7 @@ def test_product_score_is_the_dense_score_of_every_product(n):
         exact = _exact_product_score(n, b)
         assert abs(_product_score(n, b) - exact) <= 1e-14 * exact
     for names in itertools.product(QUBIT_BASIS_ANGLES, repeat=n):
-        dense = security_metrics._povm_information(cq, product_qubit_povm([QUBIT_BASIS_ANGLES[x] for x in names]))
+        dense = mutual_information(cq_measure(cq, product_qubit_povm([QUBIT_BASIS_ANGLES[x] for x in names])))
         assert abs(dense - _product_score(n, names.count("breidbart"))) <= 2e-12, names
 
 

@@ -143,6 +143,7 @@ FULL_PARSER_CASES = [
     *(([name, *tail], None) for name in cli._COMMANDS for tail in (["--help"], ["--bogus"], ["stray"], ["--version"])),
     *(([*head, name], None) for name in cli._COMMANDS for head in (["-h"], ["--version"])),
     (["secrecy", "--families", "psychic"], None),  # refused by the option's type
+    (["secrecy", "--families", "per_qubit,per_qubit"], None),  # a repeated name, likewise
     # errors a command raises through parser.error, after parsing
     (["attack-demo", "--n", "3", "--message", "01"], None),
     *(([name, *rest], "-4") for name, rest in _SEEDED.items()),
@@ -951,7 +952,7 @@ def test_secrecy_draws_no_random_number(capsys, monkeypatch, n):
 
 def test_secrecy_builds_no_state_where_per_qubit_is_scored(capsys, monkeypatch):
     # the per-qubit family is scored in closed form, every member counted: nothing is built,
-    # searched or measured (the search re-scored the 8 of 27 members tied at its maximum)
+    # searched or measured (the dense search scores each of the 27 members once)
     calls, payload = _count_secrecy_calls(
         capsys, monkeypatch, ["secrecy", "--n", "3", "--families", "per_qubit", "--seed", "5"]
     )

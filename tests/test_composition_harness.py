@@ -686,16 +686,17 @@ def test_is_probable_prime_rejects_carmichael_numbers():
 
 def test_is_probable_prime_rejects_strong_pseudoprimes():
     # Carmichael numbers, then the first strong pseudoprimes to the bases {2},
-    # {2, 3}, {2, 3, 5} and {2, 3, 5, 7}
-    fooling = [561, 1105, 1729, 41041, 825265, 321197185, 2047, 1373653, 25326001, 3215031751]
+    # {2, 3}, {2, 3, 5}, {2, 3, 5, 7} and {2, 7, 61} (Jaeschke 1993)
+    fooling = [561, 1105, 1729, 41041, 825265, 321197185, 2047, 1373653, 25326001, 3215031751, 4759123141]
+    assert 3_215_031_751 == 151 * 751 * 28351 and 4_759_123_141 == 48781 * 97561
     assert not any(is_probable_prime(n) for n in fooling)
     assert not is_probable_prime(2**32 - 1)  # 3 * 5 * 17 * 257 * 65537
     assert is_probable_prime(4294967291)  # the largest prime below 2**32
+    assert is_probable_prime(61) and is_probable_prime(37)  # a prime witness is prime
 
 
-def test_three_witness_path_is_exact_on_every_odd_n_below_2e6():
-    # below 4,759,123,141 only the witnesses {2, 7, 61} run; the 12-witness
-    # path is deterministic there too, so both must match a sieve
+def test_is_probable_prime_is_exact_on_every_odd_n_below_2e6():
+    # the 12 witnesses are deterministic far beyond this range, so the test must match a sieve
     limit = 2_000_000
     sieve = np.ones(limit, dtype=bool)
     sieve[:2] = False
@@ -722,26 +723,6 @@ def test_prime_table_is_built_once_per_process():
     assert ch._prime_table()[np.array([3, 4], dtype=np.uint64)].tolist() == [True, False]
     assert ch._prime_table.cache_info().misses == 1
     assert not ch._prime_table().flags.writeable  # every caller shares the one table
-
-
-def test_three_witness_path_agrees_with_the_12_witness_path(monkeypatch):
-    rng = np.random.default_rng(2024)
-    odd = (rng.integers(2**31, 2**32, size=100_000) | 1).tolist()
-    fast = [is_probable_prime(n) for n in odd]
-    monkeypatch.setattr(ch, "_MR_SMALL_BELOW", 0)
-    assert fast == [is_probable_prime(n) for n in odd]
-    assert sum(fast) > 8000  # about 1 in 11 odd 32-bit numbers is prime
-
-
-def test_three_witness_bound_is_the_first_strong_pseudoprime(monkeypatch):
-    n = 4_759_123_141
-    assert n == 48781 * 97561 == ch._MR_SMALL_BELOW
-    assert not is_probable_prime(n)
-    monkeypatch.setattr(ch, "_MR_SMALL_BELOW", n + 1)
-    assert is_probable_prime(n)  # {2, 7, 61} alone are all fooled by it
-    assert is_probable_prime(61)  # a witness equal to n proves nothing
-    # the first strong pseudoprime to 2 and 7 (and 3, 5) is below the bound: 61 rejects it
-    assert 3_215_031_751 == 151 * 751 * 28351 and not is_probable_prime(3_215_031_751)
 
 
 def test_is_probable_prime_range_guard():

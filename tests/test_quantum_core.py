@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -32,7 +31,6 @@ from qkdlab.quantum_core import (
     cq_trace_distance,
     measure,
     mutual_information,
-    product_born_tables,
     product_qubit_povm,
     qubit_basis,
     total_variation,
@@ -581,27 +579,6 @@ def test_batched_kernel_matches_per_branch_oracle(seed, perp, kind):
     assert joint.shape == np.shape(oracle)
     assert np.abs(joint - oracle).max() < 1e-12
     assert abs(mutual_information(joint) - _oracle_information(oracle)) < 1e-12
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_product_born_tables_match_the_dense_born_rule(n):
-    rng = np.random.default_rng(n)
-    states = [
-        rand_cq(rng, min(n, 3), 2**n),
-        rand_cq(rng, 2, 2**n, include_perp=True, max_branches=2),  # PERP, two labels missing
-    ]
-    if n >= 2:
-        states.append(build_attack_state(n).cq)
-    # the I_acc angles, plus two others where the tree stays small
-    thetas = [0.0, math.pi / 4, math.pi / 8] + ([0.3, 2.0] if n <= 3 else [])
-    candidates = list(itertools.product(thetas, repeat=n))
-    for cq in states:
-        chunks = list(product_born_tables(cq.matrices, thetas))
-        assert sum(len(chunk) for chunk in chunks) == len(candidates)
-        for table, angles in zip(itertools.chain.from_iterable(chunks), candidates):
-            dense = born_table(cq.matrices, product_qubit_povm(angles))
-            assert table.shape == dense.shape
-            assert np.abs(table - dense).max() <= 1e-12
 
 
 def test_mutual_information_takes_batch_axes():

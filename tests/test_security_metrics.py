@@ -477,26 +477,9 @@ def test_exhaustive_per_qubit_search_equals_the_dense_loop_on_random_states():
         assert _per_qubit_search(cq) == _dense_per_qubit_search(cq), k
 
 
-def test_exhaustive_per_qubit_search_absorbs_kernel_rounding(monkeypatch):
-    # shift each member's kernel score by up to 1e-10, far beyond the
-    # kernel's rounding and within the re-score margin: the dense re-score
-    # still finds the dense loop's first best member among the ties
-    kernel = security_metrics._product_information
-    rng = np.random.default_rng(0)
-
-    def shaken(cq, thetas):
-        scores = kernel(cq, thetas)
-        return scores + rng.uniform(-1e-10, 1e-10, scores.shape)
-
-    monkeypatch.setattr(security_metrics, "_product_information", shaken)
-    for n in (2, 3, 4):
-        cq = build_attack_state(n).cq
-        assert _per_qubit_search(cq) == _dense_per_qubit_search(cq)
-
-
 @pytest.mark.parametrize("dim, dense", [(4, ("0.0", "none", 9, ("per_qubit_exhaustive",))),
                                         (8, ("0.0", "none", 27, ("per_qubit_exhaustive",)))])
-def test_exhaustive_per_qubit_search_rescores_every_member_of_a_full_tie(monkeypatch, dim, dense):
+def test_exhaustive_per_qubit_search_scores_every_member_of_a_full_tie_once(monkeypatch, dim, dense):
     # a fully mixed register: every member learns nothing, exactly at
     # dim 4 and up to rounding (below the noise floor) at dim 8
     mixed = DensityOperator.fully_mixed(dim)
@@ -504,7 +487,7 @@ def test_exhaustive_per_qubit_search_rescores_every_member_of_a_full_tie(monkeyp
     calls = []
     monkeypatch.setattr(security_metrics, "cq_measure", lambda *args: calls.append(1) or cq_measure(*args))
     got = _per_qubit_search(cq)
-    assert len(calls) == got[2]  # every member re-scored
+    assert len(calls) == got[2]  # one dense score per member
     assert got == _dense_per_qubit_search(cq)
     assert got == dense
 
@@ -529,16 +512,16 @@ def test_rounding_noise_is_not_reported_as_information(monkeypatch, branches):
     assert noise.evaluations == got.evaluations
 
 
-def test_search_skips_the_declared_family_and_rescores_every_per_qubit_tie(monkeypatch):
+def test_search_skips_the_declared_family_and_scores_every_per_qubit_member_once(monkeypatch):
     # the declared measurement is scored by its state's builder: the library search has
     # none, so a search of that family alone does nothing.  On the attack state the
-    # exhaustive per-qubit family ranks its 27 members and re-scores its 8 tied best ones
+    # exhaustive per-qubit family scores each of its 27 members once, densely
     cq = build_attack_state(3).cq
     assert accessible_info_lower(cq, families=("declared",)) == IaccSearchResult(0.0, (), "none", 0)
     calls = []
     monkeypatch.setattr(security_metrics, "cq_measure", lambda *args: calls.append(1) or cq_measure(*args))
     got = accessible_info_lower(cq)
-    assert (got.family, got.evaluations, len(calls)) == (("per_qubit_exhaustive",), 27, 8)
+    assert (got.family, got.evaluations, len(calls)) == (("per_qubit_exhaustive",), 27, 27)
     assert got.best_strategy.startswith("per_qubit:")
 
 
@@ -714,6 +697,19 @@ def test_accessible_info_sampling_fallback_and_validation(monkeypatch):
         accessible_info_lower(cq, search_budget=0)
     with pytest.raises(ValueError, match="families"):
         accessible_info_lower(cq, families=("made_up",))
+
+
+@pytest.mark.parametrize("families", [("per_qubit", "per_qubit"), ["declared", "per_qubit", "declared"]])
+def test_a_repeated_family_is_refused(families):
+    from qkdlab.attack_lab import secrecy_reports
+
+    cq = build_attack_state(2).cq
+    for call in (lambda: security_metrics.check_families(families),
+                 lambda: accessible_info_lower(cq, families=families),
+                 lambda: evaluate_cq_security(cq, iacc_families=families),
+                 lambda: secrecy_reports(2, families=families)):
+        with pytest.raises(ValueError, match="repeated families"):
+            call()
 
 
 # ---------------------------------------------------------------------------
