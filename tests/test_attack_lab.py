@@ -643,6 +643,18 @@ def test_iacc_lower_end_is_clamped_to_the_upper_end(monkeypatch):
 # the certificates at which the searches stop, and the searches without stops
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_no_per_qubit_product_learns_more_than_2_to_the_minus_n(n, monkeypatch):
+    # every one of the 3^n products, as the exhaustive search scores it with the
+    # dense Born rule, and the maximum it reports
+    scores = []
+    monkeypatch.setattr(security_metrics, "mutual_information", lambda t: scores.append(mutual_information(t)) or scores[-1])
+    iacc = accessible_info_lower(build_attack_state(n).cq, families=("per_qubit",))
+    assert len(scores) == 3**n and max(scores) <= 2.0**-n + 1e-12
+    assert iacc.family == ("per_qubit_exhaustive",) and iacc.evaluations == 3**n
+    assert iacc.bits == max(scores) and iacc.bits <= 2.0**-n + 1e-12
+
+
 def _product_score(n, b):
     """``I(S : Z) = 2^-(n-b) (1 - h((1 + 2^(-b/2)) / 2))`` bits, h the binary entropy: what a
     product of std, diag and ``b`` Breidbart bases learns about the attack key."""

@@ -709,6 +709,17 @@ def test_is_probable_prime_is_exact_on_every_odd_n_below_2e6():
     assert np.array_equal(ch._prime_table(), sieve[:2**16])
 
 
+def test_is_probable_prime_is_exact_on_the_last_2_to_the_18_numbers_below_2_to_the_32():
+    # the witness loop's range: a sieve of the window by every prime below 2**16
+    low, high = 2**32 - 2**18, 2**32
+    window = np.ones(high - low, dtype=bool)
+    for p in np.flatnonzero(ch._prime_table()).tolist():
+        window[-low % p::p] = False
+    odd = range(low + 1, high, 2)
+    assert [is_probable_prime(n) for n in odd] == window[1::2].tolist()
+    assert window[-5] and window.sum() > 10_000  # 4294967291, and about 1 in 22 is prime
+
+
 def test_prime_table_decides_every_factor_below_2_to_the_16():
     table = ch._prime_table()
     assert table.shape == (2**16,)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -579,6 +580,35 @@ def test_batched_kernel_matches_per_branch_oracle(seed, perp, kind):
     assert joint.shape == np.shape(oracle)
     assert np.abs(joint - oracle).max() < 1e-12
     assert abs(mutual_information(joint) - _oracle_information(oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_product_born_rule_matches_the_kronecker_product_of_qubit_projectors(n):
+    # the Born table of a product measurement, as the per-qubit I_acc search takes it,
+    # against tr(E_z rho) with E_z the Kronecker product of one projector per qubit
+    rng = np.random.default_rng(n)
+    states = [
+        rand_cq(rng, min(n, 3), 2**n),
+        rand_cq(rng, 2, 2**n, include_perp=True, max_branches=2),  # PERP, two labels missing
+    ]
+    if n >= 2:
+        states.append(build_attack_state(n).cq)
+    # the I_acc angles, plus two others for small n
+    thetas = [0.0, math.pi / 4, math.pi / 8] + ([0.3, 2.0] if n <= 3 else [])
+    for angles in itertools.product(thetas, repeat=n):
+        povm = product_qubit_povm(angles)
+        effects = []
+        for label in povm.labels:  # qubit 0 is the leftmost bit
+            effect = np.ones((1, 1))
+            for theta, bit in zip(angles, label):
+                row = qubit_basis(theta)[int(bit)]
+                effect = np.kron(effect, np.outer(row, row))
+            effects.append(effect)
+        for cq in states:
+            oracle = np.einsum("kij,bji->bk", np.array(effects), cq.matrices).real
+            assert np.abs(born_table(cq.matrices, povm) - oracle).max() <= 1e-12
+            joint = cq.probs[:, None] * oracle
+            assert np.abs(cq_measure(cq, povm) - joint / joint.sum()).max() <= 1e-12
 
 
 def test_mutual_information_takes_batch_axes():
